@@ -102,7 +102,7 @@ def _weighting_from_json(data) -> analysis.Weighting:
     return analysis.Weighting.from_map({int(i): as_rational(v) for i, v in data})
 
 
-def _points_json(g: MetricGraph, pts: Sequence[Point]) -> list:
+def _points_json(pts: Sequence[Point]) -> list:
     return [graphio.point_to_dict(p) for p in pts]
 
 def _labels(g: MetricGraph, pts: Sequence[Point]) -> list[str]:
@@ -219,11 +219,11 @@ def cmd_witness(args) -> int:
         "window_start": format_rational(w.window.start),
         "index": w.index,
         "case": w.case,
-        "x_points": _points_json(g, w.points_x),
-        "y_points": _points_json(g, w.points_y),
-        "z_points": _points_json(g, w.points_z),
-        "b_points": _points_json(g, w.b_points),
-        "r_points": _points_json(g, w.r_points),
+        "x_points": _points_json(w.points_x),
+        "y_points": _points_json(w.points_y),
+        "z_points": _points_json(w.points_z),
+        "b_points": _points_json(w.b_points),
+        "r_points": _points_json(w.r_points),
         "b_labels": _labels(g, w.b_points),
         "r_labels": _labels(g, w.r_points),
         "gap": format_rational(w.gap),
@@ -261,7 +261,7 @@ def cmd_negtype(args) -> int:
         "kind": "negative_type",
         "verdict": result.verdict,
         "graph": _digest(args.graph),
-        "points": _points_json(g, pts),
+        "points": _points_json(pts),
         "labels": _labels(g, pts),
         "basepoint": result.basepoint,
     }
@@ -295,7 +295,7 @@ def cmd_gap(args) -> int:
     certificate = {
         "kind": "gap_bracket",
         "graph": _digest(args.graph),
-        "points": _points_json(g, pts),
+        "points": _points_json(pts),
         "labels": _labels(g, pts),
         "starts": args.starts,
         "iters": args.iters,
@@ -326,7 +326,7 @@ def cmd_l1(args) -> int:
         "kind": "l1",
         "feasible": feasible,
         "graph": _digest(args.graph),
-        "points": _points_json(g, pts),
+        "points": _points_json(pts),
         "labels": _labels(g, pts),
     }
     if feasible:
@@ -377,9 +377,13 @@ def _verify_witness(g: MetricGraph, cert: dict) -> str:
     b = _points_from_json(g, cert["b_points"])
     r = _points_from_json(g, cert["r_points"])
     _require(len(b) == 3 and len(r) == 3, "witness must have three B and three R points")
-    m = distance_matrix(g, b + r)
     stored = {(i, j): as_rational(v) for i, j, v in cert["distances"]}
-    for i, j in itertools.combinations(range(6), 2):
+    pairs = list(itertools.combinations(range(6), 2))
+    missing = [p for p in pairs if p not in stored]
+    if missing:
+        raise PreconditionError(f"witness certificate has no distance for pairs {missing}")
+    m = distance_matrix(g, b + r)
+    for i, j in pairs:
         _require(
             stored[(i, j)] == m.distance(i, j),
             f"stored distance on pair ({i},{j}) does not match the graph",
@@ -471,7 +475,9 @@ _VERIFIERS: dict[str, Callable[[MetricGraph, dict], str]] = {
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     doc = json.loads(_read_text(args.certificate))
-    cert = doc.get("certificate", doc)
+    cert = doc.get("certificate", doc) if isinstance(doc, dict) else doc
+    if not isinstance(cert, dict):
+        raise PreconditionError("certificate must be a JSON object")
     kind = cert.get("kind")
     if kind not in _VERIFIERS:
         raise PreconditionError(f"unknown certificate kind {kind!r}")

@@ -225,7 +225,6 @@ class _Refinement:
 
     graph: MetricGraph
     vertex_of: Mapping[Point, str]
-    point_of_vertex: Mapping[str, Point]
     edge_origin: Mapping[str, tuple[str, Fraction, Fraction]]
 
 
@@ -248,7 +247,6 @@ def _refine(g: MetricGraph, points: Sequence[Point]) -> _Refinement:
     new_vertices: list[str] = list(g.vertices)
     new_edges: list[Edge] = []
     vertex_of: dict[Point, str] = {}
-    point_of_vertex: dict[str, Point] = {v: Vertex(v) for v in g.vertices}
     edge_origin: dict[str, tuple[str, Fraction, Fraction]] = {}
 
     split_names: dict[tuple[str, Fraction], str] = {}
@@ -264,7 +262,6 @@ def _refine(g: MetricGraph, points: Sequence[Point]) -> _Refinement:
             cut_ids.append(vid)
             new_vertices.append(vid)
             split_names[(e.id, off)] = vid
-            point_of_vertex[vid] = EdgePoint(e.id, off)
         bounds = [Fraction(0), *offsets, e.length]
         stops = [e.ends[0], *cut_ids, e.ends[1]]
         for i in range(len(bounds) - 1):
@@ -284,7 +281,6 @@ def _refine(g: MetricGraph, points: Sequence[Point]) -> _Refinement:
     return _Refinement(
         graph=refined,
         vertex_of=vertex_of,
-        point_of_vertex=point_of_vertex,
         edge_origin=edge_origin,
     )
 

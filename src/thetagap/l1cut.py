@@ -439,6 +439,8 @@ def is_l1_embeddable(
     when the proposal does not pan out.
     """
     n = m.size
+    if n == 0:
+        raise PreconditionError("l1 decision needs at least one point")
     if n > max_points:
         raise PreconditionError(
             f"metric has {n} points, above the configured bound {max_points}"

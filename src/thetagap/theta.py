@@ -6,13 +6,18 @@ from the biconnected block structure (a block contains a theta exactly when
 its cycle rank is at least 2; self-loops never contribute).  The shortest
 theta through a given branch pair is a minimum-cost flow of value 3 in the
 vertex-split digraph of their common block, solved by successive shortest
-paths with exact rational costs.
+paths.  The flow runs on integer costs: the block's edge lengths times the
+least common multiple of their denominators, an exact rescaling.  Branch
+pairs are visited in order of their graph distance d(u, v), and the search
+stops once the lower bound 3·d(u, v) on a theta through them exceeds the
+best total found.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +32,7 @@ from .core import (
     as_rational,
     canonical_point,
     distance,
+    single_source_distances,
 )
 from .errors import InternalCheckError, InvalidPointError, PreconditionError
 
@@ -429,7 +435,13 @@ def find_theta(g: MetricGraph) -> Optional[Theta]:
 
 
 class _FlowNet:
-    """Vertex-split digraph over one block with unit capacities."""
+    """Vertex-split digraph over one block with unit capacities.
+
+    Arc costs are the edge lengths times the least common multiple of the
+    block's length denominators, so they are Python ints.  Scaling every cost
+    by one positive constant keeps every comparison and tie of the search,
+    so the same walks come out as with the rational lengths.
+    """
 
     def __init__(self, g: MetricGraph, block_edges: Sequence[str], u: str, v: str):
         self.nodes: list[tuple[str, str]] = []
@@ -442,19 +454,21 @@ class _FlowNet:
         # arcs: [to, cap, cost, flow, tag]; residual pairs adjacent (i ^ 1)
         self.arc_to: list[int] = []
         self.arc_cap: list[int] = []
-        self.arc_cost: list[Fraction] = []
+        self.arc_cost: list[int] = []
         self.arc_tag: list[Optional[tuple[str, bool]]] = []
         self.adj: list[list[int]] = [[] for _ in self.nodes]
         for w in verts:
             cap = 0 if w in (u, v) else 1
-            self._add(("in", w), ("out", w), cap, Fraction(0), None)
+            self._add(("in", w), ("out", w), cap, 0, None)
+        scale = math.lcm(*(g.edge(eid).length.denominator for eid in block_edges))
         for eid in sorted(block_edges):
             e = g.edge(eid)
             a, b = e.ends
             if a == b:
                 continue
-            self._add(("out", a), ("in", b), 1, e.length, (eid, True))
-            self._add(("out", b), ("in", a), 1, e.length, (eid, False))
+            cost = e.length.numerator * (scale // e.length.denominator)
+            self._add(("out", a), ("in", b), 1, cost, (eid, True))
+            self._add(("out", b), ("in", a), 1, cost, (eid, False))
         self.source = self.index[("out", u)]
         self.sink = self.index[("in", v)]
 
@@ -474,12 +488,12 @@ class _FlowNet:
     def min_cost_three_paths(self) -> Optional[list[list[tuple[str, bool]]]]:
         n = len(self.nodes)
         flow = [0] * len(self.arc_to)
-        potential = [Fraction(0)] * n
+        potential = [0] * n
         for _ in range(3):
-            dist: list[Optional[Fraction]] = [None] * n
+            dist: list[Optional[int]] = [None] * n
             pre_arc: list[int] = [-1] * n
-            dist[self.source] = Fraction(0)
-            heap: list[tuple[Fraction, int]] = [(Fraction(0), self.source)]
+            dist[self.source] = 0
+            heap: list[tuple[int, int]] = [(0, self.source)]
             done = [False] * n
             while heap:
                 d, x = heapq.heappop(heap)
@@ -528,7 +542,16 @@ class _FlowNet:
 
 
 def minimal_theta(g: MetricGraph) -> Optional[Theta]:
-    """The globally shortest theta, with deterministic tie-breaking."""
+    """The globally shortest theta, with deterministic tie-breaking.
+
+    Every pair of block vertices of degree at least 3 is a candidate branch
+    pair, solved as a min-cost flow on integer-scaled costs (see
+    ``_FlowNet``).  Each path of a theta with branch vertices u, v is at
+    least d(u, v) long, so its total is at least 3·d(u, v).  Pairs are
+    visited in order of increasing d(u, v), and the search stops once
+    3·d(u, v) exceeds the best total; the strict comparison lets pairs that
+    could tie reach the tie-break.
+    """
     best: Optional[Theta] = None
     for block in _biconnected_blocks(g):
         verts, rank = _block_stats(g, block)
@@ -540,7 +563,14 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
             degree[a] = degree.get(a, 0) + 1
             degree[b] = degree.get(b, 0) + 1
         candidates = sorted(w for w, d in degree.items() if d >= 3)
-        for u, v in itertools.combinations(candidates, 2):
+        # A graph distance bounds every path, in the block or not; a shortest
+        # route between two vertices of a block stays inside it, so the bound
+        # is as tight as the block distance.
+        dist = {w: single_source_distances(g, w) for w in candidates[:-1]}
+        pairs = sorted((dist[u][v], u, v) for u, v in itertools.combinations(candidates, 2))
+        for d_uv, u, v in pairs:
+            if best is not None and 3 * d_uv > best.total_length:
+                break
             net = _FlowNet(g, block, u, v)
             walks = net.min_cost_three_paths()
             if walks is None:

@@ -162,6 +162,29 @@ def test_verify_unknown_kind_exits_2(theta_file, tmp_path, capsys):
     assert code == 2
 
 
+def _assert_one_line_error(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_truncated_distances_exits_2(theta_file, tmp_path, capsys):
+    cert = tmp_path / "wit.json"
+    run(capsys, "witness", theta_file, "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["certificate"]["distances"] = doc["certificate"]["distances"][:3]
+    cert.write_text(json.dumps(doc))
+    _assert_one_line_error(capsys, "verify", str(cert), theta_file)
+
+
+@pytest.mark.parametrize("content", [[], [{"kind": "witness"}], {"certificate": []}])
+def test_verify_non_object_certificate_exits_2(theta_file, tmp_path, capsys, content):
+    cert = tmp_path / "list.json"
+    cert.write_text(json.dumps(content))
+    _assert_one_line_error(capsys, "verify", str(cert), theta_file)
+
+
 def test_witness_without_theta_exits_2(c4_file, capsys):
     code, _ = run(capsys, "witness", c4_file)
     assert code == 2
@@ -256,6 +279,12 @@ def test_l1_cap_exits_2(c4_file, tmp_path, capsys):
     pts.write_text(dumps_points([Vertex(f"v{i}") for i in range(1, 5)]))
     code, _ = run(capsys, "l1", c4_file, "--points", str(pts), "--max-cuts-n", "3")
     assert code == 2
+
+
+def test_l1_on_empty_points_exits_2(c4_file, tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": []}))
+    _assert_one_line_error(capsys, "l1", c4_file, "--points", str(pts))
 
 
 # ---------------------------------------------------------------------------

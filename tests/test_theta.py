@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import oracle_contains_theta, oracle_min_theta_total
 from test_core import connected_graphs
-from thetagap.core import Vertex, build_graph, distance
+from thetagap import theta as theta_module
+from thetagap.core import Vertex, build_graph, distance, subdivide
 from thetagap.errors import PreconditionError
 from thetagap.families import (
     FamilySpec,
@@ -86,8 +87,25 @@ def test_find_theta_agrees_with_detection(g):
         assert t is None
 
 
-@settings(max_examples=100, deadline=None)
-@given(connected_graphs(max_vertices=5, max_extra_edges=4))
+@st.composite
+def graphs_with_coprime_denominators(draw):
+    # Lengths over denominators up to 13, so flow costs scale by large LCMs.
+    g = draw(connected_graphs(max_vertices=5, max_extra_edges=4))
+    rows = []
+    for e in g.edges:
+        den = draw(st.sampled_from([1, 2, 3, 5, 7, 11, 13]))
+        num = draw(st.integers(min_value=1, max_value=3 * den))
+        rows.append((e.id, e.ends[0], e.ends[1], Fraction(num, den)))
+    return build_graph(g.vertices, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        connected_graphs(max_vertices=5, max_extra_edges=4),
+        graphs_with_coprime_denominators(),
+    )
+)
 def test_minimal_theta_total_matches_brute_force(g):
     t = minimal_theta(g)
     expected = oracle_min_theta_total(g)
@@ -122,6 +140,96 @@ def test_minimal_theta_prefers_short_parallel_edges():
     )
     t = minimal_theta(g)
     assert t.lengths == (1, 2, 3)
+
+
+def test_minimal_theta_keeps_a_tie_met_at_the_bound():
+    # Both thetas total exactly 3·d(u, v), and the c-d block is searched
+    # first; the a-b theta wins the tie-break only if it is still solved.
+    g = build_graph(
+        ["a", "b", "c", "d"],
+        [
+            ("e1", "a", "b", 1),
+            ("e2", "a", "b", 1),
+            ("e3", "a", "b", 1),
+            ("e4", "b", "c", 1),
+            ("e5", "c", "d", 1),
+            ("e6", "c", "d", 1),
+            ("e7", "c", "d", 1),
+        ],
+    )
+    t = minimal_theta(g)
+    assert (t.u, t.v) == ("a", "b")
+
+
+def _corner(first: str, second: str, k: int) -> list[tuple[str, bool]]:
+    """Walk along subdivided edge ``first`` forwards, then ``second`` backwards."""
+    there = [(f"{first}:{i}", True) for i in range(k + 1)]
+    back = [(f"{second}:{i}", False) for i in reversed(range(k + 1))]
+    return there + back
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_minimal_theta_on_subdivided_k5_frozen(k):
+    # Every branch pair ties on total length, so this pins the tie-break.
+    g = subdivide(from_spec(FamilySpec(tag="complete", sizes=(5,))), k)
+    t = minimal_theta(g)
+    assert (t.u, t.v) == ("v1", "v2")
+    assert [list(p.edges) for p in t.paths] == [
+        [(f"e1_2:{i}", True) for i in range(k + 1)],
+        _corner("e1_3", "e2_3", k),
+        _corner("e1_4", "e2_4", k),
+    ]
+    assert t.lengths == (k + 1, 2 * k + 2, 2 * k + 2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_minimal_theta_on_subdivided_k33_frozen(k):
+    g = subdivide(from_spec(FamilySpec(tag="complete_bipartite", sizes=(3, 3))), k)
+    t = minimal_theta(g)
+    assert (t.u, t.v) == ("a1", "a2")
+    assert [list(p.edges) for p in t.paths] == [
+        _corner("e1_1", "e2_1", k),
+        _corner("e1_2", "e2_2", k),
+        _corner("e1_3", "e2_3", k),
+    ]
+    assert t.lengths == (2 * k + 2,) * 3
+
+
+def _branch_pair_count(g) -> int:
+    count = 0
+    for block in theta_module._biconnected_blocks(g):
+        if theta_module._block_stats(g, block)[1] < 2:
+            continue
+        degree: dict[str, int] = {}
+        for eid in block:
+            for end in g.edge(eid).ends:
+                degree[end] = degree.get(end, 0) + 1
+        branch = sum(1 for d in degree.values() if d >= 3)
+        count += branch * (branch - 1) // 2
+    return count
+
+
+def test_minimal_theta_prunes_flows_and_keeps_the_theta(monkeypatch):
+    flows = 0
+    solve = theta_module._FlowNet.min_cost_three_paths
+
+    def counted(net):
+        nonlocal flows
+        flows += 1
+        return solve(net)
+
+    monkeypatch.setattr(theta_module._FlowNet, "min_cost_three_paths", counted)
+    g = make_random_connected(40, 52, seed=1)
+    t = minimal_theta(g)
+    assert 0 < flows < _branch_pair_count(g)
+    # recorded from the unpruned search over rational costs
+    assert (t.u, t.v) == ("v2", "v7")
+    assert [p.edges for p in t.paths] == [
+        (("e48", True), ("e22", True)),
+        (("e24", False), ("e23", False)),
+        (("e25", False), ("e45", True)),
+    ]
+    assert t.lengths == (Fraction(7, 3), Fraction(29, 10), Fraction(19, 6))
 
 
 def test_theta_validation_rejects_shared_interior_vertex():
