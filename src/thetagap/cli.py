@@ -98,10 +98,6 @@ def _weighting_json(w: analysis.Weighting) -> list:
     return [[i, format_rational(v)] for i, v in w.entries]
 
 
-def _weighting_from_json(data) -> analysis.Weighting:
-    return analysis.Weighting.from_map({int(i): as_rational(v) for i, v in data})
-
-
 def _points_json(pts: Sequence[Point]) -> list:
     return [graphio.point_to_dict(p) for p in pts]
 
@@ -369,19 +365,58 @@ def _require(cond: bool, message: str) -> None:
         raise _VerifyFailure(message)
 
 
-def _points_from_json(g: MetricGraph, data) -> list[Point]:
-    return [canonical_point(g, graphio.point_from_dict(d)) for d in data]
+# Shape checks: a certificate that is malformed, rather than false, exits 2
+# before any exact work.
+
+
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(cert: dict, name: str, kind: type = object):
+    """``cert[name]``, which must be present and of JSON type ``kind``."""
+    value = cert.get(name)
+    if name not in cert or not isinstance(value, kind) or (
+        kind is int and not _is_index(value)
+    ):
+        raise PreconditionError(f"certificate field {name!r} is missing or malformed")
+    return value
+
+
+def _rows(cert: dict, name: str, indices: int) -> list:
+    """``cert[name]`` as a list of rows: ``indices`` integers, then a value."""
+    rows = _field(cert, name, list)
+    for row in rows:
+        if not (
+            isinstance(row, list)
+            and len(row) == indices + 1
+            and all(_is_index(i) for i in row[:indices])
+        ):
+            raise PreconditionError(
+                f"every entry of {name!r} must be {indices} indices and a value"
+            )
+    return rows
+
+
+def _points_from_json(g: MetricGraph, cert: dict, name: str) -> list[Point]:
+    return [canonical_point(g, graphio.point_from_dict(d)) for d in _field(cert, name, list)]
+
+
+def _weighting_from_json(cert: dict, name: str) -> analysis.Weighting:
+    return analysis.Weighting.from_map({i: v for i, v in _rows(cert, name, 1)})
 
 
 def _verify_witness(g: MetricGraph, cert: dict) -> str:
-    b = _points_from_json(g, cert["b_points"])
-    r = _points_from_json(g, cert["r_points"])
+    b = _points_from_json(g, cert, "b_points")
+    r = _points_from_json(g, cert, "r_points")
     _require(len(b) == 3 and len(r) == 3, "witness must have three B and three R points")
-    stored = {(i, j): as_rational(v) for i, j, v in cert["distances"]}
+    stored = {(i, j): as_rational(v) for i, j, v in _rows(cert, "distances", 2)}
     pairs = list(itertools.combinations(range(6), 2))
     missing = [p for p in pairs if p not in stored]
     if missing:
         raise PreconditionError(f"witness certificate has no distance for pairs {missing}")
+    stated_gap = as_rational(_field(cert, "gap"))
+    omega = _weighting_from_json(cert, "omega")
     m = distance_matrix(g, b + r)
     for i, j in pairs:
         _require(
@@ -389,9 +424,8 @@ def _verify_witness(g: MetricGraph, cert: dict) -> str:
             f"stored distance on pair ({i},{j}) does not match the graph",
         )
     gap_value = witness.gap(m, (0, 1, 2), (3, 4, 5))
-    _require(gap_value == as_rational(cert["gap"]), "stored gap does not match")
+    _require(gap_value == stated_gap, "stored gap does not match")
     _require(gap_value >= _GAP_TWELFTH, "gap is below 1/12")
-    omega = _weighting_from_json(cert["omega"])
     _require(omega.total == 0, "omega does not sum to zero")
     _require(omega.total_mass == 1, "omega total mass is not one")
     _require(
@@ -402,59 +436,81 @@ def _verify_witness(g: MetricGraph, cert: dict) -> str:
 
 
 def _verify_negtype(g: MetricGraph, cert: dict) -> str:
-    pts = _points_from_json(g, cert["points"])
-    m = distance_matrix(g, pts)
-    if cert["verdict"]:
-        data = cert["transcript"]
+    pts = _points_from_json(g, cert, "points")
+    if _field(cert, "verdict", bool):
+        data = _field(cert, "transcript", dict)
+        perm = _field(data, "perm", list)
+        diag = _field(data, "diag", list)
+        lower = _field(data, "lower", list)
+        size = len(pts) - 1
+        if not (
+            all(_is_index(i) for i in perm)
+            and sorted(perm) == list(range(size))
+            and len(diag) == len(lower) == size
+            and all(isinstance(row, list) for row in lower)
+        ):
+            raise PreconditionError("elimination transcript is malformed")
         transcript = analysis.PSDTranscript(
-            perm=tuple(int(i) for i in data["perm"]),
-            diag=tuple(as_rational(v) for v in data["diag"]),
-            lower=tuple(tuple(as_rational(v) for v in row) for row in data["lower"]),
+            perm=tuple(perm),
+            diag=tuple(as_rational(v) for v in diag),
+            lower=tuple(tuple(as_rational(v) for v in row) for row in lower),
         )
-        gram = analysis.gram_matrix(m, cert["basepoint"])
+        basepoint = _field(cert, "basepoint", int)
+        m = distance_matrix(g, pts)
+        gram = analysis.gram_matrix(m, basepoint)
         _require(transcript.verify(gram), "elimination transcript does not factor the Gram matrix")
         return "transcript certifies positive semidefiniteness"
-    w = _weighting_from_json(cert["violation"])
+    w = _weighting_from_json(cert, "violation")
+    stated_gamma = as_rational(_field(cert, "gamma"))
+    m = distance_matrix(g, pts)
     _require(w.total == 0, "violation does not sum to zero")
     _require(w.total_mass == 1, "violation mass is not one")
     value = analysis.gamma(m, w)
-    _require(value == as_rational(cert["gamma"]), "stored gamma does not match")
+    _require(value == stated_gamma, "stored gamma does not match")
     _require(value > 0, "violation energy is not positive")
     return f"violating weighting has energy {cert['gamma']} > 0"
 
 
 def _verify_gap(g: MetricGraph, cert: dict) -> str:
-    pts = _points_from_json(g, cert["points"])
+    pts = _points_from_json(g, cert, "points")
+    w = _weighting_from_json(cert, "weighting")
+    lower = as_rational(_field(cert, "lower"))
+    upper = as_rational(_field(cert, "upper"))
     m = distance_matrix(g, pts)
-    w = _weighting_from_json(cert["weighting"])
     _require(w.total == 0, "weighting does not sum to zero")
     _require(w.total_mass == 1, "weighting mass is not one")
-    lower = as_rational(cert["lower"])
     _require(analysis.gamma(m, w) == lower, "weighting does not achieve the lower bound")
-    _require(lower <= as_rational(cert["upper"]), "bracket is empty")
+    _require(lower <= upper, "bracket is empty")
     return "lower bound reproduced exactly by its weighting"
 
 
 def _verify_l1(g: MetricGraph, cert: dict) -> str:
-    pts = _points_from_json(g, cert["points"])
-    m = distance_matrix(g, pts)
-    if cert["feasible"]:
-        entries = tuple(
-            (
-                l1cut.Cut.from_members(m.size, entry["member_indices"]),
-                as_rational(entry["weight"]),
+    pts = _points_from_json(g, cert, "points")
+    n = len(pts)
+    if _field(cert, "feasible", bool):
+        entries = []
+        for entry in _field(cert, "cuts", list):
+            if not isinstance(entry, dict):
+                raise PreconditionError("every cut must be an object")
+            members = _field(entry, "member_indices", list)
+            if not all(_is_index(i) for i in members):
+                raise PreconditionError("cut member indices must be integers")
+            entries.append(
+                (l1cut.Cut.from_members(n, members), as_rational(_field(entry, "weight")))
             )
-            for entry in cert["cuts"]
-        )
+        m = distance_matrix(g, pts)
         try:
-            l1cut.CutDecomposition(metric=m, entries=entries)
+            l1cut.CutDecomposition(metric=m, entries=tuple(entries))
         except (ThetaGapError, InternalCheckError) as exc:
             raise _VerifyFailure(f"decomposition failed: {exc}") from exc
         return f"{len(entries)} cuts reproduce the metric exactly"
-    pairs = list(itertools.combinations(range(m.size), 2))
+    pairs = list(itertools.combinations(range(n), 2))
     values = {(i, j): Fraction(0) for i, j in pairs}
-    for i, j, v in cert["farkas"]:
-        values[(int(i), int(j))] = as_rational(v)
+    for i, j, v in _rows(cert, "farkas", 2):
+        if (i, j) not in values:
+            raise PreconditionError(f"farkas entry names ({i}, {j}), not a pair of {n} points")
+        values[(i, j)] = as_rational(v)
+    m = distance_matrix(g, pts)
     try:
         l1cut.FarkasCertificate(
             metric=m, pair_values=tuple(values[p] for p in pairs)
@@ -481,8 +537,11 @@ def cmd_verify(args) -> int:
     kind = cert.get("kind")
     if kind not in _VERIFIERS:
         raise PreconditionError(f"unknown certificate kind {kind!r}")
+    digest = cert.get("graph", {})
+    if not isinstance(digest, dict):
+        raise PreconditionError("certificate field 'graph' is not an object")
     g = _load_graph(args.graph)
-    expected = cert.get("graph", {}).get("sha256")
+    expected = digest.get("sha256")
     actual = _digest(args.graph)["sha256"]
     report = {
         "command": "verify",

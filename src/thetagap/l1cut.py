@@ -8,8 +8,16 @@ whose verdicts are certificates: feasibility returns the combination itself
 (re-verified on construction), infeasibility returns a separating pair-weight
 vector checked against every cut.
 
-Cut columns are never materialized for the all-cuts pricing step; a Gray-code
-walk updates the crossing sum one point-flip at a time.
+Cheap exact certificates come first.  A metric that is not of negative type
+is refuted by the pair functional omega_i omega_j of its violating weighting
+(CUT_n is inside NEG_n), with no LP at all.  From 12 points on, float column
+generation over a bool crossing matrix proposes a small support for the
+exact simplex; the full exact problem is the last resort.  Floats only ever
+propose: every verdict is a certificate that passed its exact constructor.
+
+The exact simplex never materializes cut columns for its all-cuts pricing
+step; a Gray-code walk updates the crossing sum one point-flip at a time.
+Metrics above 20 points are refused before any cut is enumerated.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 from scipy.optimize import linprog
 
+from .analysis import is_negative_type
 from .core import FiniteMetric, Vertex, distance_matrix, subdivide
 from .errors import InternalCheckError, PreconditionError
 from .families import _complete
@@ -230,6 +239,13 @@ def l1_coordinates(dec: CutDecomposition) -> tuple[tuple[Fraction, ...], ...]:
 # ---------------------------------------------------------------------------
 
 _DEGENERATE_STREAK_LIMIT = 30
+# Above this many points even the bool pairs x 2^(n-1) crossing matrix of
+# the float proposal (about 100 MB at 20 points) is refused.
+MAX_CUT_POINTS = 20
+# Float proposals: weights and prices above this count as nonzero, and up
+# to this many new columns per pair join each column-generation round.
+_FLOAT_TOL = 1e-9
+_COLUMNS_PER_PAIR = 4
 
 
 class _Phase1:
@@ -404,28 +420,61 @@ class _Phase1:
         return CutDecomposition(metric=self.m, entries=entries)
 
 
-def _float_support(m: FiniteMetric) -> Optional[list[int]]:
-    """Candidate cut columns from a floating-point LP solve, or None."""
-    n = m.size
+def _crossing_matrix(n: int) -> np.ndarray:
+    """Bool pairs x masks matrix: entry (k, mask) is true when pair k (in
+    itertools.combinations order) crosses the cut of canonical mask
+    0 <= mask < 2^(n-1) - 1."""
+    masks = np.arange((1 << (n - 1)) - 1, dtype=np.int64)
+    side = np.ones((n, len(masks)), dtype=bool)  # side[v]: v on point 0's side
+    for t in range(n - 1):
+        side[t + 1] = (masks >> t) & 1
     pairs = list(itertools.combinations(range(n), 2))
-    columns = [mask for mask, _ in _gray_cut_values(n, [1] * len(pairs))]
-    a = np.zeros((len(pairs), len(columns)))
-    for c, mask in enumerate(columns):
-        inside = {0} | {t + 1 for t in range(n - 1) if mask >> t & 1}
-        for k, (i, j) in enumerate(pairs):
-            if (i in inside) != (j in inside):
-                a[k, c] = 1.0
-    b = np.array([float(m.distance(i, j)) for i, j in pairs])
-    res = linprog(
-        c=np.zeros(len(columns)),
-        A_eq=a,
-        b_eq=b,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        return None
-    return [columns[c] for c in range(len(columns)) if res.x[c] > 1e-9]
+    crossing = np.empty((len(pairs), len(masks)), dtype=bool)
+    for k, (i, j) in enumerate(pairs):
+        np.not_equal(side[i], side[j], out=crossing[k])
+    return crossing
+
+
+def _float_support(m: FiniteMetric) -> Optional[list[int]]:
+    """Candidate cut columns from floating-point column generation, or None.
+
+    A restricted phase-1 LP (the cut columns chosen so far plus one
+    artificial per pair, cost 1 on the artificials) is solved by HiGHS; its
+    duals price every canonical cut, and the best-priced new columns join
+    the next round.  Pricing adds each pair's dual over the cuts that cross
+    it, one bool row at a time, so no float pairs x 2^(n-1) array is built.
+    Returns the masks with positive weight once the artificials vanish, or
+    None when no column prices positive before then.  The answer is only a
+    proposal: the exact simplex decides.
+    """
+    n = m.size
+    crossing = _crossing_matrix(n)
+    rows, cuts = crossing.shape
+    b = np.array([float(m.distance(i, j)) for i, j in itertools.combinations(range(n), 2)])
+    artificials = np.eye(rows)
+    chosen = np.zeros(0, dtype=np.int64)  # masks, which index the columns
+    while True:
+        res = linprog(
+            c=np.concatenate([np.zeros(len(chosen)), np.ones(rows)]),
+            A_eq=np.hstack([crossing[:, chosen].astype(float), artificials]),
+            b_eq=b,
+            bounds=(0, None),
+            method="highs",
+        )
+        if not res.success:
+            return None
+        if res.fun <= _FLOAT_TOL:
+            x = res.x[: len(chosen)]
+            return sorted(int(mask) for mask in chosen[x > _FLOAT_TOL])
+        scores = np.zeros(cuts)
+        for k, y in enumerate(res.eqlin.marginals):
+            np.add(scores, y, out=scores, where=crossing[k])
+        scores[chosen] = -np.inf
+        order = np.argsort(-scores, kind="stable")[: _COLUMNS_PER_PAIR * rows]
+        new = order[scores[order] > _FLOAT_TOL]
+        if len(new) == 0:
+            return None
+        chosen = np.concatenate([chosen, new])
 
 
 def is_l1_embeddable(
@@ -433,10 +482,15 @@ def is_l1_embeddable(
 ) -> Union[CutDecomposition, FarkasCertificate]:
     """Decide cut-cone membership exactly; the answer carries its own proof.
 
-    Feasibility is only ever concluded from an exact simplex run; for larger
-    instances a floating-point solve merely proposes a small column set that
-    the exact solver then confirms, falling back to the full exact problem
-    when the proposal does not pan out.
+    A metric that is not of negative type is refuted first and without any
+    LP: the violating weighting omega of ``is_negative_type`` gives the pair
+    functional omega_i omega_j, which sums to -(omega(S))^2 <= 0 over every
+    cut S and to gamma(omega) > 0 against the metric (CUT_n is inside NEG_n).
+    Otherwise feasibility is only ever concluded from an exact simplex run;
+    from 12 points on, float column generation merely proposes a small
+    column set that the exact solver then confirms, falling back to the full
+    exact problem when the proposal does not pan out.  Metrics above
+    ``max_points`` or above 20 points are refused before anything is built.
     """
     n = m.size
     if n == 0:
@@ -445,8 +499,21 @@ def is_l1_embeddable(
         raise PreconditionError(
             f"metric has {n} points, above the configured bound {max_points}"
         )
+    if n > MAX_CUT_POINTS:
+        raise PreconditionError(
+            f"metric has {n} points; cut-cone decisions stop at {MAX_CUT_POINTS}"
+        )
     if n == 1:
         return CutDecomposition(metric=m, entries=())
+    negative_type = is_negative_type(m)
+    if not negative_type.verdict:
+        omega = negative_type.violation.as_dense(n)
+        return FarkasCertificate(
+            metric=m,
+            pair_values=tuple(
+                omega[i] * omega[j] for i, j in itertools.combinations(range(n), 2)
+            ),
+        )
     if n >= 12:
         support = _float_support(m)
         if support:

@@ -185,6 +185,63 @@ def test_verify_non_object_certificate_exits_2(theta_file, tmp_path, capsys, con
     _assert_one_line_error(capsys, "verify", str(cert), theta_file)
 
 
+def _drop(key):
+    return lambda cert: cert.pop(key)
+
+
+def _set(key, value):
+    return lambda cert: cert.update({key: value})
+
+
+def _truncate_first(key):
+    return lambda cert: cert[key].__setitem__(0, cert[key][0][:2])
+
+
+@pytest.mark.parametrize(
+    "source, mutate",
+    [
+        ("witness", _set("graph", "x")),
+        ("witness", _set("omega", 5)),
+        ("witness", _truncate_first("distances")),
+        ("witness", _drop("b_points")),
+        ("l1_refuted", _set("farkas", 5)),
+        ("l1_refuted", _truncate_first("farkas")),
+        ("l1_refuted", _drop("feasible")),
+        ("l1_refuted", lambda cert: cert["farkas"].append([99, 100, "1"])),
+        ("l1_embeds", lambda cert: cert["cuts"][0].pop("weight")),
+    ],
+    ids=[
+        "witness_graph_not_object",
+        "witness_omega_not_list",
+        "witness_distance_row_short",
+        "witness_no_b_points",
+        "l1_farkas_not_list",
+        "l1_farkas_row_short",
+        "l1_no_feasible",
+        "l1_farkas_pair_out_of_range",
+        "l1_cut_without_weight",
+    ],
+)
+def test_verify_malformed_certificate_exits_2(
+    source, mutate, theta_file, c4_file, witness_points_file, tmp_path, capsys
+):
+    from thetagap import Vertex, dumps_points
+
+    c4_points = tmp_path / "c4pts.json"
+    c4_points.write_text(dumps_points([Vertex(f"v{i}") for i in range(1, 5)]))
+    graph, argv = {
+        "witness": (theta_file, ["witness", theta_file]),
+        "l1_refuted": (theta_file, ["l1", theta_file, "--points", witness_points_file]),
+        "l1_embeds": (c4_file, ["l1", c4_file, "--points", str(c4_points)]),
+    }[source]
+    cert = tmp_path / "cert.json"
+    run(capsys, *argv, "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    mutate(doc["certificate"])
+    cert.write_text(json.dumps(doc))
+    _assert_one_line_error(capsys, "verify", str(cert), graph)
+
+
 def test_witness_without_theta_exits_2(c4_file, capsys):
     code, _ = run(capsys, "witness", c4_file)
     assert code == 2

@@ -1,6 +1,7 @@
 """Cut-cone membership: decompositions, separating certificates, the LP."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,24 @@ from hypothesis import strategies as st
 
 from oracles import oracle_cut_cone_member
 from test_core import graphs_with_points
+from thetagap import l1cut
+from thetagap.analysis import is_negative_type
 from thetagap.core import FiniteMetric, Vertex, distance_matrix
 from thetagap.errors import InternalCheckError, PreconditionError
-from thetagap.families import FamilySpec, from_spec, make_theta
+from thetagap.families import (
+    FamilySpec,
+    from_spec,
+    make_random_cactus,
+    make_random_connected,
+    make_theta,
+)
 from thetagap.l1cut import (
     Cut,
     CutDecomposition,
     FarkasCertificate,
+    _float_support,
     _gray_cut_values,
+    _Phase1,
     cut_metric,
     is_l1_embeddable,
     k4_explicit_decomposition,
@@ -173,6 +184,50 @@ def test_size_cap_is_enforced():
         is_l1_embeddable(m, max_points=5)
 
 
+def test_fixed_size_cap_overrides_a_larger_bound():
+    # 2^20 - 1 masks would be enumerated; the cap must refuse first
+    g = from_spec(FamilySpec(tag="path", sizes=(21,)))
+    m = distance_matrix(g, [Vertex(v) for v in g.vertices])
+    assert m.size == 21
+    with pytest.raises(PreconditionError, match="stop at 20"):
+        is_l1_embeddable(m, max_points=64)
+
+
+def test_negative_type_refutation_needs_no_simplex(monkeypatch):
+    m = construct_witness(make_theta(1, 1, 1)).metric
+    omega = is_negative_type(m).violation.as_dense(m.size)
+
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("a refuted metric must not reach the simplex")
+
+    monkeypatch.setattr(l1cut, "_Phase1", no_simplex)
+    result = is_l1_embeddable(m)
+    assert isinstance(result, FarkasCertificate)
+    pairs = itertools.combinations(range(m.size), 2)
+    assert result.pair_values == tuple(omega[i] * omega[j] for i, j in pairs)
+
+
+@pytest.mark.parametrize(
+    "graph, k",
+    [
+        # of negative type and l1: column generation proposes the support
+        (lambda: make_random_cactus(8, seed=4), 13),
+        # not of negative type: refuted by the short-cut
+        (lambda: make_random_connected(12, 14, seed=1), 12),
+        # of negative type but not l1: no proposal, the full exact LP decides
+        (lambda: make_random_connected(12, 14, seed=0), 12),
+    ],
+    ids=["cactus13", "connected12_refuted", "connected12_negative_type"],
+)
+def test_verdict_matches_the_full_exact_lp(graph, k):
+    g = graph()
+    m = distance_matrix(g, [Vertex(v) for v in g.vertices[:k]])
+    assert m.size == k
+    objective, _ = _Phase1(m).solve()
+    result = is_l1_embeddable(m, max_points=16)
+    assert isinstance(result, CutDecomposition) == (objective == 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs_with_points(count=4))
 def test_membership_matches_exhaustive_oracle_on_four_points(case):
@@ -223,6 +278,45 @@ def test_k4_decomposition_shape(k4_decomposition):
     assert len(dec.entries) == 12
     assert all(w == Fraction(1, 2) for _, w in dec.entries)
     assert all(len(c.members) in (6, 10) for c, _ in dec.entries)
+
+
+# Recorded from the dense float LP that column generation replaced.
+K4_FLOAT_SUPPORT = [248, 440, 488, 1787, 3707, 6589, 7069, 9851, 22941, 25070, 26086, 29158]
+K4_LP_CUTS = [
+    (0, 4, 5, 6, 7, 8),
+    (0, 4, 5, 6, 8, 9),
+    (0, 4, 6, 7, 8, 9),
+    (0, 1, 2, 4, 5, 6, 7, 8, 10, 11),
+    (0, 1, 2, 4, 5, 6, 7, 10, 11, 12),
+    (0, 1, 3, 4, 5, 6, 8, 9, 12, 13),
+    (0, 1, 3, 4, 5, 8, 9, 10, 12, 13),
+    (0, 1, 2, 4, 5, 6, 7, 10, 11, 14),
+    (0, 1, 3, 4, 5, 8, 9, 12, 13, 15),
+    (0, 2, 3, 4, 6, 7, 8, 9, 14, 15),
+    (0, 2, 3, 6, 7, 8, 9, 11, 14, 15),
+    (0, 2, 3, 6, 7, 8, 9, 13, 14, 15),
+]
+
+
+def test_k4_float_support_and_lp_decomposition_are_frozen(k4_decomposition):
+    _, dec = k4_decomposition
+    assert _float_support(dec.metric) == K4_FLOAT_SUPPORT
+    result = is_l1_embeddable(dec.metric, max_points=16)
+    assert [(c.members, w) for c, w in result.entries] == [
+        (members, Fraction(1, 2)) for members in K4_LP_CUTS
+    ]
+
+
+def test_k4_float_support_peak_memory(k4_decomposition):
+    # the dense float LP that column generation replaced peaked at 160 MB
+    _, dec = k4_decomposition
+    tracemalloc.start()
+    try:
+        _float_support(dec.metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_k4_cut_indicators_sum_to_twice_the_metric(k4_decomposition):
