@@ -42,6 +42,7 @@ from .core import (
 )
 from .errors import InternalCheckError, PreconditionError, ThetaGapError
 from .families import (
+    FAMILY_TAGS,
     FamilySpec,
     from_spec,
     make_random_cactus,
@@ -845,16 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_make = sub.add_parser("make", help="construct a graph from a named family")
     p_make.add_argument(
         "family",
-        choices=[
-            "theta",
-            "complete",
-            "complete_bipartite",
-            "cycle",
-            "path",
-            "random_connected",
-            "random_cactus",
-            "subdivide",
-        ],
+        choices=[*FAMILY_TAGS, "subdivide"],
     )
     p_make.add_argument("--lengths", help="comma-separated rationals (theta)")
     p_make.add_argument("-n", type=int, help="size (complete, cycle, path)")

@@ -10,7 +10,15 @@ from fractions import Fraction
 from .core import MetricGraph, RationalLike, as_rational, build_graph
 from .errors import PreconditionError
 
-FAMILY_TAGS = ("theta", "complete", "complete_bipartite", "cycle", "path", "random_connected")
+FAMILY_TAGS = (
+    "theta",
+    "complete",
+    "complete_bipartite",
+    "cycle",
+    "path",
+    "random_connected",
+    "random_cactus",
+)
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,9 @@ def from_spec(spec: FamilySpec) -> MetricGraph:
         return make_random_connected(
             n, n - 1 + spec.extra_edges, seed=spec.seed, min_len=spec.min_len
         )
+    if spec.tag == "random_cactus":
+        (blocks,) = spec.sizes
+        return make_random_cactus(blocks, seed=spec.seed, min_len=spec.min_len)
     return make_named(spec)
 
 

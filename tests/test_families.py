@@ -11,6 +11,7 @@ from oracles import oracle_contains_theta
 from thetagap.core import Vertex, distance
 from thetagap.errors import PreconditionError
 from thetagap.families import (
+    FAMILY_TAGS,
     FamilySpec,
     from_spec,
     make_random_cactus,
@@ -59,6 +60,28 @@ def test_cycle_and_path():
 def test_unknown_tag_rejected():
     with pytest.raises(PreconditionError):
         FamilySpec(tag="moebius")
+
+
+SPEC_OF_TAG = {
+    "theta": FamilySpec(tag="theta", lengths=(Fraction(1), Fraction(2), Fraction(3))),
+    "complete": FamilySpec(tag="complete", sizes=(4,)),
+    "complete_bipartite": FamilySpec(tag="complete_bipartite", sizes=(2, 3)),
+    "cycle": FamilySpec(tag="cycle", sizes=(5,)),
+    "path": FamilySpec(tag="path", sizes=(4,)),
+    "random_connected": FamilySpec(tag="random_connected", sizes=(6,), extra_edges=2, seed=1),
+    "random_cactus": FamilySpec(tag="random_cactus", sizes=(4,), seed=2, min_len=Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_every_family_tag_builds_through_from_spec(tag):
+    g = from_spec(SPEC_OF_TAG[tag])
+    assert g.vertices and g.edges
+
+
+def test_random_cactus_spec_matches_the_constructor():
+    spec = SPEC_OF_TAG["random_cactus"]
+    assert from_spec(spec) == make_random_cactus(4, seed=2, min_len=Fraction(1, 2))
 
 
 @settings(max_examples=40, deadline=None)

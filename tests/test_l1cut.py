@@ -228,6 +228,58 @@ def test_verdict_matches_the_full_exact_lp(graph, k):
     assert isinstance(result, CutDecomposition) == (objective == 0)
 
 
+# Recorded from the dense-B^-1 simplex that sparse rows replaced: objective,
+# dual, final basis, Bland switch and pivot counts of the full exact LP.
+CASE1_DUAL = [
+    1, 1, -10, -19, 1, 1, 1, 1, 1, 1, 1, 1, 1, -4, 1, -7, 1, 1, 1, 1, -7, 1, 1, 1, -9,
+    1, 1, -8, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -13, -9, -7, 1, 1, 1, 1, -13, 1, 1, 1,
+    -6, 1, 1, 1, -10, 1, -8, 1, 1, 1, -9, 1, 1, 1, 1, 1,
+]
+CASE1_BASIS = [
+    2047, 2048, 559, 4, 2051, 2052, 2053, 2054, 2055, 2056, 2057, 2058, 2059, 1006,
+    2061, 1245, 2063, 2064, 2065, 2066, 943, 2068, 2069, 2070, 942, 2072, 2073, 476,
+    2075, 2076, 2077, 2078, 2079, 2080, 2081, 2082, 2083, 2084, 2085, 557, 1022, 1661,
+    2089, 2090, 2091, 2092, 1535, 2094, 2095, 2096, 220, 2098, 2099, 2100, 1581, 2102,
+    2043, 2104, 2105, 2106, 1789, 2108, 2109, 2110, 2111, 2112,
+]
+CASE2_DUAL = [
+    -5, 1, -8, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -6, -6, -8, -2, 1, 1, -4, -2, 1,
+    1, 1, -5, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, -5, -5, -2, 1, 0, -5, -2,
+]
+CASE2_BASIS = [
+    238, 512, 5, 514, 515, 516, 517, 518, 519, 520, 521, 522, 523, 524, 373, 526, 100,
+    503, 1, 357, 531, 532, 485, 142, 535, 536, 537, 495, 15, 540, 541, 542, 543, 544,
+    545, 546, 547, 548, 273, 415, 479, 552, 341, 101, 287,
+]
+CASE3_BASIS = [
+    485, 512, 503, 514, 515, 516, 517, 518, 519, 520, 521, 522, 523, 524, 142, 526,
+    100, 14, 495, 238, 531, 532, 373, 357, 535, 536, 537, 5, 15, 540, 541, 542, 543,
+    544, 545, 546, 547, 548, 1, 415, 479, 552, 341, 101, 351,
+]
+
+
+@pytest.mark.parametrize(
+    "n, seed, streak_limit, objective, dual, basis, bland, pivots, degenerate",
+    [
+        (12, 0, 30, Fraction(79, 60), CASE1_DUAL, CASE1_BASIS, False, 64, 6),
+        (10, 3, 30, Fraction(17, 10), CASE2_DUAL, CASE2_BASIS, False, 57, 20),
+        # a short degenerate streak forces the switch to Bland pricing
+        (10, 3, 2, Fraction(17, 10), CASE2_DUAL, CASE3_BASIS, True, 89, 21),
+    ],
+    ids=["connected12", "connected10", "connected10_bland"],
+)
+def test_full_exact_lp_is_frozen(
+    monkeypatch, n, seed, streak_limit, objective, dual, basis, bland, pivots, degenerate
+):
+    monkeypatch.setattr(l1cut, "_DEGENERATE_STREAK_LIMIT", streak_limit)
+    g = make_random_connected(n, 14, seed=seed)
+    solver = _Phase1(distance_matrix(g, [Vertex(v) for v in g.vertices[:n]]))
+    assert solver.solve() == (objective, dual)
+    assert solver.basis == basis
+    assert solver.bland is bland
+    assert (solver.pivots, solver.degenerate_pivots) == (pivots, degenerate)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs_with_points(count=4))
 def test_membership_matches_exhaustive_oracle_on_four_points(case):
@@ -305,6 +357,15 @@ def test_k4_float_support_and_lp_decomposition_are_frozen(k4_decomposition):
     assert [(c.members, w) for c, w in result.entries] == [
         (members, Fraction(1, 2)) for members in K4_LP_CUTS
     ]
+
+
+def test_k4_restricted_solve_counts(k4_decomposition):
+    # counts recorded from the dense-B^-1 simplex on the same columns
+    _, dec = k4_decomposition
+    solver = _Phase1(dec.metric, columns=K4_FLOAT_SUPPORT)
+    objective, _ = solver.solve()
+    assert objective == 0
+    assert (solver.pivots, solver.degenerate_pivots, solver.bland) == (12, 1, False)
 
 
 def test_k4_float_support_peak_memory(k4_decomposition):
