@@ -15,6 +15,7 @@ or outward-rounded exactly before being reported.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,15 +94,24 @@ class Weighting:
 
 
 def gamma(m: FiniteMetric, w: Weighting) -> Fraction:
-    """Quadratic energy of a weighting: sum over unordered distinct pairs."""
+    """Quadratic energy of a weighting: sum over unordered distinct pairs.
+
+    Computed on integers: with ``q`` the common denominator of the weights
+    and ``a = q * w``, gamma is sum a_i a_j D_ij / (q^2 den) over the metric's
+    integer matrix ``D`` and denominator ``den``.
+    """
     n = m.size
     for i, _ in w.entries:
         if i >= n:
             raise PreconditionError(f"weighting index {i} outside metric of size {n}")
-    total = Fraction(0)
-    for (i, wi), (j, wj) in itertools.combinations(w.entries, 2):
-        total += wi * wj * m.distance(i, j)
-    return total
+    q = math.lcm(*(v.denominator for _, v in w.entries))
+    a = [(i, v.numerator * (q // v.denominator)) for i, v in w.entries]
+    D = m.D
+    total = 0
+    for t, (i, ai) in enumerate(a):
+        Di = D[i]
+        total += ai * sum(aj * Di[j] for j, aj in a[t + 1 :])
+    return Fraction(total, q * q * m.den)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +161,9 @@ def gram_matrix(m: FiniteMetric, basepoint: Optional[int] = None) -> list[list[F
     if not 0 <= b < n:
         raise PreconditionError(f"basepoint {b} out of range")
     others = [i for i in range(n) if i != b]
+    D, den2 = m.D, 2 * m.den
     return [
-        [(m.distance(j, b) + m.distance(k, b) - m.distance(j, k)) / 2 for k in others]
+        [Fraction(D[j][b] + D[k][b] - D[j][k], den2) for k in others]
         for j in others
     ]
 
@@ -378,18 +389,14 @@ def _certified_mu(m: FiniteMetric) -> Fraction:
     """
     n = m.size
     others = range(n - 1)
-    # basis columns e_i - e_{n-1}: quadratic forms restricted to the subspace
-    a2 = [
-        [
-            m.distance(i, j) - m.distance(i, n - 1) - m.distance(j, n - 1)
-            if i != j
-            else -2 * m.distance(i, n - 1)
-            for j in others
-        ]
-        for i in others
-    ]
+    # basis columns e_i - e_{n-1}: quadratic forms restricted to the subspace,
+    # a2 = A2 / den on the integer matrix (the diagonal is -2 D_{i,n-1})
+    D, den = m.D, m.den
+    A2 = [[D[i][j] - D[i][n - 1] - D[j][n - 1] for j in others] for i in others]
+    a2 = [[Fraction(x, den) for x in row] for row in A2]
     m2 = [[Fraction(2) if i == j else Fraction(1) for j in others] for i in others]
-    a_f = np.array([[float(v) for v in row] for row in a2])
+    # int / int rounds correctly, so these are the floats of the entries of a2
+    a_f = np.array([[x / den for x in row] for row in A2])
     m_f = np.array([[float(v) for v in row] for row in m2])
     est = float(scipy.linalg.eigh(a_f, m_f, eigvals_only=True)[-1])
     if not np.isfinite(est):
@@ -467,12 +474,9 @@ def gap_bracket(
     if diameter > 0:
         # Scale-free search matrix: gamma is positively homogeneous in d, so
         # searching d / diam and evaluating exactly on d changes nothing.
-        d_norm = np.array(
-            [
-                [float(m.distance(i, j) / diameter) for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        # int / int rounds correctly, as float(Fraction) does.
+        top = max(map(max, m.D))
+        d_norm = np.array([[x / top for x in row] for row in m.D])
         rng = random.Random(seed)
         start_vectors = [np.array(s.as_dense(n), dtype=float) for s in seeds]
         for _ in range(starts):

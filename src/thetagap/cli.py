@@ -538,18 +538,15 @@ def cmd_verify(args) -> int:
     kind = cert.get("kind")
     if kind not in _VERIFIERS:
         raise PreconditionError(f"unknown certificate kind {kind!r}")
-    digest = cert.get("graph", {})
-    if not isinstance(digest, dict):
-        raise PreconditionError("certificate field 'graph' is not an object")
+    expected = _field(_field(cert, "graph", dict), "sha256", str)
     g = _load_graph(args.graph)
-    expected = digest.get("sha256")
     actual = _digest(args.graph)["sha256"]
     report = {
         "command": "verify",
         "inputs": [_digest(args.certificate), _digest(args.graph)],
         "certificate_kind": kind,
     }
-    if expected is not None and expected != actual:
+    if expected != actual:
         report["valid"] = False
         report["detail"] = "certificate was issued for a different graph file"
         _emit(report, args.out, started)

@@ -3,19 +3,25 @@
 A metric graph is a finite connected multigraph whose edges carry positive
 rational lengths.  Every edge is a continuum of points: a point is either a
 vertex or an interior position on an edge, addressed by an offset from the
-edge's first declared endpoint.  All arithmetic is done with
-``fractions.Fraction``; no floating point enters any distance computation.
+edge's first declared endpoint.  Lengths and distances are exact rationals:
+``fractions.Fraction`` at the API, and inside, integers over one common
+denominator (the LCM of a graph's length denominators for shortest paths, the
+least common denominator of a metric's entries for ``FiniteMetric``).  No
+floating point enters any distance computation.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     InvalidGraphError,
@@ -133,17 +139,25 @@ class MetricGraph:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def _adjacency(self) -> Mapping[str, tuple[tuple[str, str, Fraction], ...]]:
-        # Self-loops are omitted: with positive lengths they never shorten a
-        # route between vertices.  Points on a self-loop are reached after
-        # refinement splits the loop.
-        adj: dict[str, list[tuple[str, str, Fraction]]] = {v: [] for v in self.vertices}
+    def _scale(self) -> int:
+        """LCM of the edge-length denominators: it makes every length an integer."""
+        return math.lcm(*(e.length.denominator for e in self.edges))
+
+    @cached_property
+    def _adjacency(self) -> Mapping[str, tuple[tuple[str, str, int], ...]]:
+        # Lengths are in units of 1/_scale, an exact rescaling that keeps every
+        # comparison and tie.  Self-loops are omitted: with positive lengths
+        # they never shorten a route between vertices.  Points on a self-loop
+        # are reached after refinement splits the loop.
+        scale = self._scale
+        adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in self.vertices}
         for e in self.edges:
             a, b = e.ends
             if a == b:
                 continue
-            adj[a].append((e.id, b, e.length))
-            adj[b].append((e.id, a, e.length))
+            length = e.length.numerator * (scale // e.length.denominator)
+            adj[a].append((e.id, b, length))
+            adj[b].append((e.id, a, length))
         return {v: tuple(items) for v, items in adj.items()}
 
     def edge(self, edge_id: str) -> Edge:
@@ -301,37 +315,22 @@ def insert_points(
 # ---------------------------------------------------------------------------
 
 
-def single_source_distances(
-    g: MetricGraph, source: str
-) -> dict[str, Fraction]:
-    """Exact Dijkstra from a vertex.  All vertices are reachable."""
+def _scaled_distances(
+    g: MetricGraph,
+    source: str,
+    pred: Optional[dict[str, tuple[str, str]]] = None,
+) -> dict[str, int]:
+    """Exact Dijkstra from a vertex, in units of ``1 / g._scale``.
+
+    All vertices are reachable.  When ``pred`` is given it is filled with a
+    deterministic predecessor map ``v -> (prev, edge)``: among all last steps
+    of shortest routes to v, the smallest ``(prev, edge)``.
+    """
     if not g.has_vertex(source):
         raise InvalidPointError(f"unknown vertex id: {source!r}")
-    dist: dict[str, Fraction] = {source: Fraction(0)}
+    dist: dict[str, int] = {source: 0}
     done: set[str] = set()
-    heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
-    adj = g._adjacency
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        for _eid, w, length in adj[v]:
-            nd = d + length
-            if w not in dist or nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
-
-
-def _dijkstra_with_predecessors(
-    g: MetricGraph, source: str
-) -> tuple[dict[str, Fraction], dict[str, tuple[str, str]]]:
-    """Distances plus a deterministic predecessor map ``v -> (prev, edge)``."""
-    dist: dict[str, Fraction] = {source: Fraction(0)}
-    pred: dict[str, tuple[str, str]] = {}
-    done: set[str] = set()
-    heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
+    heap: list[tuple[int, str]] = [(0, source)]
     adj = g._adjacency
     while heap:
         d, v = heapq.heappop(heap)
@@ -342,14 +341,21 @@ def _dijkstra_with_predecessors(
             if w in done:
                 continue
             nd = d + length
-            better = w not in dist or nd < dist[w]
-            tie = w in dist and nd == dist[w] and (v, eid) < pred[w]
-            if better or tie:
+            old = dist.get(w)
+            if old is None or nd < old:
                 dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+                if pred is not None:
+                    pred[w] = (v, eid)
+            elif pred is not None and nd == old and (v, eid) < pred[w]:
                 pred[w] = (v, eid)
-                if better:
-                    heapq.heappush(heap, (nd, w))
-    return dist, pred
+    return dist
+
+
+def single_source_distances(g: MetricGraph, source: str) -> dict[str, Fraction]:
+    """Exact Dijkstra from a vertex.  All vertices are reachable."""
+    scale = g._scale
+    return {v: Fraction(d, scale) for v, d in _scaled_distances(g, source).items()}
 
 
 def distance(g: MetricGraph, p: Point, q: Point) -> Fraction:
@@ -359,13 +365,49 @@ def distance(g: MetricGraph, p: Point, q: Point) -> Fraction:
     if cp == cq:
         return Fraction(0)
     ref = _refine(g, [cp, cq])
-    dist = single_source_distances(ref.graph, ref.vertex_of[cp])
-    return dist[ref.vertex_of[cq]]
+    dist = _scaled_distances(ref.graph, ref.vertex_of[cp])
+    return Fraction(dist[ref.vertex_of[cq]], ref.graph._scale)
+
+
+# The int64 triangle check needs every D[i][j] + D[j][k] to fit in int64;
+# 3 * max(D) below this bound leaves room to spare.  Beyond it the check runs
+# on Python ints.
+_INT64_SAFE = 2**62
+
+
+def _first_triangle_violation(D: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """First (i, j, k) in ``itertools.permutations`` order with D_ik > D_ij + D_jk.
+
+    Every triple is checked: as numpy int64 broadcasts, one per middle index,
+    when 3 * max(D) < 2**62, and otherwise, or to name the first violating
+    triple, on Python ints.
+    """
+    n = len(D)
+    if n and 3 * max(map(max, D)) < _INT64_SAFE:
+        A = np.array(D, dtype=np.int64)
+        if not any((A > A[:, j, None] + A[None, j, :]).any() for j in range(n)):
+            return None
+    return next(
+        (
+            (i, j, k)
+            for i, j, k in itertools.permutations(range(n), 3)
+            if D[i][k] > D[i][j] + D[j][k]
+        ),
+        None,
+    )
 
 
 @dataclass(frozen=True)
 class FiniteMetric:
-    """A finite metric space given by labels and an exact distance matrix."""
+    """A finite metric space given by labels and an exact distance matrix.
+
+    ``labels`` and ``rows`` (Fractions) are the public data and alone define
+    equality and hashing.  Construction also puts the distances over one
+    common denominator: ``den`` is the least common denominator of the
+    entries and ``D`` the integer matrix with ``rows[i][j] == D[i][j] / den``.
+    The metric axioms are checked on ``D``, and the exact computations on a
+    metric (``diameter``, ``analysis.gamma``, the Gram matrix) read it.
+    """
 
     labels: tuple[str, ...]
     rows: tuple[tuple[Fraction, ...], ...]
@@ -374,22 +416,57 @@ class FiniteMetric:
         n = len(self.labels)
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise InvalidMetricError("distance matrix shape does not match labels")
+        den = math.lcm(
+            *(x.denominator for row in self.rows for x in row if isinstance(x, Fraction))
+        )
+        # None marks an entry that is not a Fraction; the checks report it
+        # exactly where the entry-by-entry order reaches it.
+        D = [
+            [x.numerator * (den // x.denominator) if isinstance(x, Fraction) else None for x in row]
+            for row in self.rows
+        ]
+        self._check_and_store(D, den)
+
+    @classmethod
+    def _from_scaled(
+        cls, labels: Sequence[str], D: Sequence[Sequence[int]], den: int
+    ) -> "FiniteMetric":
+        """The metric with distances ``D[i][j] / den`` for a square nonnegative
+        integer matrix ``D``, validated like any other."""
+        g = math.gcd(den, *(x for row in D for x in row))
+        if g > 1:
+            D = [[x // g for x in row] for row in D]
+            den //= g
+        value = {x: Fraction(x, den) for x in {x for row in D for x in row}}
+        m = object.__new__(cls)
+        object.__setattr__(m, "labels", tuple(labels))
+        object.__setattr__(m, "rows", tuple(tuple(value[x] for x in row) for row in D))
+        m._check_and_store(D, den)
+        return m
+
+    def _check_and_store(self, D: Sequence[Sequence[Optional[int]]], den: int) -> None:
+        rows, labels = self.rows, self.labels
+        n = len(labels)
         for i in range(n):
-            if self.rows[i][i] != 0:
+            Di, row = D[i], rows[i]
+            if Di[i] != 0 and (Di[i] is not None or row[i] != 0):
                 raise InvalidMetricError(f"nonzero diagonal at {i}")
             for j in range(n):
-                d = self.rows[i][j]
-                if not isinstance(d, Fraction) or d < 0:
-                    raise InvalidMetricError(f"bad entry at ({i}, {j}): {d!r}")
-                if d != self.rows[j][i]:
+                d = Di[j]
+                if d is None or d < 0:
+                    raise InvalidMetricError(f"bad entry at ({i}, {j}): {row[j]!r}")
+                dji = D[j][i]
+                if d != dji and (dji is not None or row[j] != rows[j][i]):
                     raise InvalidMetricError(f"asymmetry at ({i}, {j})")
-                if i != j and d == 0 and self.labels[i] != self.labels[j]:
+                if i != j and d == 0 and labels[i] != labels[j]:
                     raise InvalidMetricError(
                         f"zero distance between distinct points {i} and {j}"
                     )
-        for i, j, k in itertools.permutations(range(n), 3):
-            if self.rows[i][k] > self.rows[i][j] + self.rows[j][k]:
-                raise InvalidMetricError(f"triangle violation at ({i}, {j}, {k})")
+        bad = _first_triangle_violation(D)
+        if bad is not None:
+            raise InvalidMetricError(f"triangle violation at {bad}")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "D", tuple(tuple(row) for row in D))
 
     @classmethod
     def from_rows(
@@ -408,7 +485,7 @@ class FiniteMetric:
         return self.rows[i][j]
 
     def diameter(self) -> Fraction:
-        return max((d for row in self.rows for d in row), default=Fraction(0))
+        return Fraction(max(map(max, self.D), default=0), self.den)
 
 
 def distance_matrix(g: MetricGraph, points: Sequence[Point]) -> FiniteMetric:
@@ -416,14 +493,14 @@ def distance_matrix(g: MetricGraph, points: Sequence[Point]) -> FiniteMetric:
     canon = [canonical_point(g, p) for p in points]
     ref = _refine(g, canon)
     ids = [ref.vertex_of[p] for p in canon]
-    per_source: dict[str, dict[str, Fraction]] = {}
+    per_source: dict[str, dict[str, int]] = {}
     for vid in ids:
         if vid not in per_source:
-            per_source[vid] = single_source_distances(ref.graph, vid)
-    rows = tuple(
-        tuple(per_source[a][b] for b in ids) for a in ids
+            per_source[vid] = _scaled_distances(ref.graph, vid)
+    D = [[per_source[a][b] for b in ids] for a in ids]
+    return FiniteMetric._from_scaled(
+        tuple(point_label(p) for p in canon), D, ref.graph._scale
     )
-    return FiniteMetric(labels=tuple(point_label(p) for p in canon), rows=rows)
 
 
 @dataclass(frozen=True)
@@ -461,7 +538,8 @@ def shortest_path(g: MetricGraph, p: Point, q: Point) -> PathResult:
     ref = _refine(g, [cp, cq])
     src = ref.vertex_of[cp]
     dst = ref.vertex_of[cq]
-    dist, pred = _dijkstra_with_predecessors(ref.graph, src)
+    pred: dict[str, tuple[str, str]] = {}
+    dist = _scaled_distances(ref.graph, src, pred)
     chain: list[tuple[str, str]] = []  # (refined edge id, arriving vertex)
     v = dst
     while v != src:
@@ -499,11 +577,13 @@ def shortest_path(g: MetricGraph, p: Point, q: Point) -> PathResult:
 
     pts: list[Point] = [cp]
     for seg in merged[:-1]:
-        e = g.edge(seg.edge)
-        off = seg.end
-        pts.append(canonical_point(g, EdgePoint(seg.edge, off)))
+        pts.append(canonical_point(g, EdgePoint(seg.edge, seg.end)))
     pts.append(cq)
-    return PathResult(points=tuple(pts), segments=tuple(merged), length=dist[dst])
+    return PathResult(
+        points=tuple(pts),
+        segments=tuple(merged),
+        length=Fraction(dist[dst], ref.graph._scale),
+    )
 
 
 # ---------------------------------------------------------------------------

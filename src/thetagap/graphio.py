@@ -7,13 +7,11 @@ that files round-trip without any precision loss.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .core import (
     Edge,
     EdgePoint,
-    FiniteMetric,
     MetricGraph,
     Point,
     Vertex,
@@ -95,18 +93,3 @@ def dumps_points(points: Sequence[Point]) -> str:
 
 def loads_points(text: str) -> list[Point]:
     return points_from_dict(json.loads(text))
-
-
-def metric_to_dict(m: FiniteMetric) -> dict[str, Any]:
-    return {
-        "labels": list(m.labels),
-        "rows": [[format_rational(d) for d in row] for row in m.rows],
-    }
-
-
-def metric_from_dict(doc: Any) -> FiniteMetric:
-    return FiniteMetric.from_rows(doc["labels"], doc["rows"])
-
-
-def rational_or_none(value: Fraction | None) -> str | None:
-    return None if value is None else format_rational(value)

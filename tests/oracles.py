@@ -75,6 +75,34 @@ def oracle_distance(g: MetricGraph, p: Point, q: Point) -> Fraction:
     return best
 
 
+def oracle_metric_violation(labels, rows):
+    """The error message ``FiniteMetric`` must raise on these rows, or None.
+
+    The metric-axiom checks entry by entry on the Fractions themselves, in
+    the order the validation reports them: shape, then per row the diagonal
+    and each entry's type, sign, symmetry and zero distance, then every
+    triangle in ``itertools.permutations`` order.
+    """
+    n = len(labels)
+    if len(rows) != n or any(len(r) != n for r in rows):
+        return "distance matrix shape does not match labels"
+    for i in range(n):
+        if rows[i][i] != 0:
+            return f"nonzero diagonal at {i}"
+        for j in range(n):
+            d = rows[i][j]
+            if not isinstance(d, Fraction) or d < 0:
+                return f"bad entry at ({i}, {j}): {d!r}"
+            if d != rows[j][i]:
+                return f"asymmetry at ({i}, {j})"
+            if i != j and d == 0 and labels[i] != labels[j]:
+                return f"zero distance between distinct points {i} and {j}"
+    for i, j, k in itertools.permutations(range(n), 3):
+        if rows[i][k] > rows[i][j] + rows[j][k]:
+            return f"triangle violation at ({i}, {j}, {k})"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # cycles and thetas
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Negative-type decisions, gap brackets, and embeddings."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_core import graphs_with_points
+from test_core import graphs_with_points, rational_metrics
 from thetagap.analysis import (
     PSDTranscript,
     Weighting,
@@ -21,9 +22,9 @@ from thetagap.analysis import (
     psd_decompose,
     sqrt_embedding,
 )
-from thetagap.core import FiniteMetric, Vertex, distance_matrix
+from thetagap.core import EdgePoint, FiniteMetric, Vertex, distance_matrix, subdivide
 from thetagap.errors import InternalCheckError, PreconditionError
-from thetagap.families import FamilySpec, from_spec, make_theta
+from thetagap.families import FamilySpec, from_spec, make_random_cactus, make_theta
 from thetagap.witness import construct_witness, omega_from_witness
 
 # ---------------------------------------------------------------------------
@@ -48,9 +49,9 @@ def witness_metric():
 
 
 @st.composite
-def balanced_weightings(draw, n):
+def balanced_weightings(draw, n, max_denominator=6):
     raw = [
-        draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+        draw(st.fractions(min_value=-3, max_value=3, max_denominator=max_denominator))
         for _ in range(n - 1)
     ]
     raw.append(-sum(raw))
@@ -110,8 +111,15 @@ def test_gamma_rejects_out_of_range_support(two_point):
         gamma(two_point, w)
 
 
+@st.composite
+def wide_metrics_with_weightings(draw):
+    labels, rows = draw(rational_metrics(max_denominator=10**4))
+    m = FiniteMetric.from_rows(labels, rows)
+    return m, draw(balanced_weightings(m.size, max_denominator=10**6))
+
+
 @settings(max_examples=60, deadline=None)
-@given(metrics_with_weightings())
+@given(st.one_of(metrics_with_weightings(), wide_metrics_with_weightings()))
 def test_gamma_matches_direct_double_sum(case):
     m, w = case
     dense = w.as_dense(m.size)
@@ -271,6 +279,59 @@ def test_gap_bracket_zero_diameter_collapses_to_zero():
     bracket = gap_bracket(m, starts=4, iters=10, seed=0)
     assert bracket.lower == 0
     assert bracket.upper == 0
+
+
+def _gap_points(g, rng, count=24):
+    half = count // 2
+    pts = [Vertex(v) for v in rng.sample(g.vertices, half)]
+    for _ in range(count - half):
+        e = rng.choice(g.edges)
+        pts.append(EdgePoint(e.id, e.length * Fraction(rng.randint(1, 11), 12)))
+    return pts
+
+
+_CACTUS_W = (
+    "-817 111 -65 -249 -393 -89 -1 47 -217 -57 775 -1 "
+    "551 63 55 191 271 -521 -9 431 375 -465 7 7"
+)
+
+
+# Recorded from the gap search over Fraction arithmetic.  On the theta set
+# two distinct weightings attain the maximum, so this pins the argmax
+# tie-break as well.
+@pytest.mark.parametrize(
+    "seed, graph, lower, weighting, upper_spectral, mu",
+    [
+        (
+            "cactus",
+            make_random_cactus(10, seed=5),
+            Fraction(-22472491, 3992378880),
+            [Fraction(int(a), 5768) for a in _CACTUS_W.split()],
+            Fraction(-705746216870017894379329277, 345876451382054092800000000000),
+            Fraction(-705746216870017894379329277, 7205759403792793600000000000),
+        ),
+        (
+            "theta",
+            subdivide(make_theta(1, 1, 1), 4),
+            Fraction(11287, 228528),
+            [Fraction(-25, 138)] * 2
+            + [Fraction(1, 6), Fraction(-1, 138), Fraction(1, 6)]
+            + [Fraction(-1, 138)] * 2
+            + [Fraction(1, 6)]
+            + [Fraction(-1, 138)] * 16,
+            Fraction(6308264649834068864277193753, 9007199254740992000000000000),
+            Fraction(6308264649834068864277193753, 4503599627370496000000000000),
+        ),
+    ],
+    ids=["cactus", "theta"],
+)
+def test_gap_bracket_frozen_on_24_points(seed, graph, lower, weighting, upper_spectral, mu):
+    m = distance_matrix(graph, _gap_points(graph, random.Random(seed)))
+    bracket = gap_bracket(m, starts=8)
+    assert bracket.lower == lower
+    assert bracket.weighting == Weighting.from_values(weighting)
+    assert bracket.upper_spectral == upper_spectral
+    assert bracket.spectral_mu == mu
 
 
 def test_gap_bracket_rejects_bad_parameters(two_point):

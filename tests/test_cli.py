@@ -201,6 +201,9 @@ def _truncate_first(key):
     "source, mutate",
     [
         ("witness", _set("graph", "x")),
+        ("witness", _drop("graph")),
+        ("witness", _set("graph", {})),
+        ("witness", lambda cert: cert["graph"].update(sha256=5)),
         ("witness", _set("omega", 5)),
         ("witness", _truncate_first("distances")),
         ("witness", _drop("b_points")),
@@ -212,6 +215,9 @@ def _truncate_first(key):
     ],
     ids=[
         "witness_graph_not_object",
+        "witness_no_graph",
+        "witness_graph_without_digest",
+        "witness_digest_not_string",
         "witness_omega_not_list",
         "witness_distance_row_short",
         "witness_no_b_points",

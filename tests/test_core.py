@@ -1,13 +1,14 @@
 """Exact distance engine: validation, distances, paths, rescaling."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_distance
+from oracles import oracle_distance, oracle_metric_violation
 from thetagap.core import (
     EdgePoint,
     FiniteMetric,
@@ -69,6 +70,58 @@ def graphs_with_points(draw, count=2):
     g = draw(connected_graphs())
     pts = [draw(graph_points(g)) for _ in range(count)]
     return g, pts
+
+
+@st.composite
+def rational_metrics(draw, max_points=6, max_denominator=1000):
+    """Labels and Fraction rows of a random metric: the shortest-path closure
+    of random rational weights on the complete graph.  Sometimes the last
+    point repeats the first, label and distances included."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    weights = st.fractions(
+        min_value=Fraction(1, max_denominator), max_value=5, max_denominator=max_denominator
+    )
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = draw(weights)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        rows[i][j] = min(rows[i][j], rows[i][k] + rows[k][j])
+    labels = [f"p{i}" for i in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        labels[-1] = labels[0]
+        rows[-1] = rows[0][:]
+        for row in rows:
+            row[-1] = row[0]
+    return labels, rows
+
+
+_BREAKS = ("none", "diagonal", "symmetry", "zero", "triangle", "negative", "type")
+
+
+@st.composite
+def perturbed_metrics(draw):
+    """A random metric, possibly with one entry changed to break an axiom."""
+    # denominators 1 and 4 keep entries equal to their int or float copies
+    labels, rows = draw(rational_metrics(max_denominator=draw(st.sampled_from((1, 4, 1000)))))
+    n = len(labels)
+    kind = draw(st.sampled_from(_BREAKS if n >= 3 else _BREAKS[:2] + _BREAKS[5:]))
+    index = st.integers(min_value=0, max_value=n - 1)
+    delta = draw(st.fractions(min_value=Fraction(1, 97), max_value=3, max_denominator=97))
+    i, j, k = draw(st.permutations(range(n)))[:3] if n >= 3 else (draw(index),) * 3
+    if kind == "diagonal":
+        rows[i][i] = delta
+    elif kind == "symmetry":
+        rows[i][j] += delta
+    elif kind == "zero":
+        rows[i][j] = rows[j][i] = Fraction(0)
+    elif kind == "triangle":
+        rows[i][k] = rows[k][i] = rows[i][j] + rows[j][k] + delta
+    elif kind == "negative":
+        rows[i][j] = rows[j][i] = -delta
+    elif kind == "type":
+        i, j = draw(index), draw(index)
+        rows[i][j] = draw(st.sampled_from([int(rows[i][j]), float(rows[i][j]), str(rows[i][j])]))
+    return tuple(labels), tuple(tuple(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +255,57 @@ def test_distance_matrix_is_a_metric_and_matches_pairwise(case):
     m = distance_matrix(g, pts)  # construction validates the metric axioms
     for i, j in itertools.combinations(range(4), 2):
         assert m.distance(i, j) == distance(g, pts[i], pts[j])
+    rebuilt = FiniteMetric(labels=m.labels, rows=m.rows)
+    assert rebuilt == m and (rebuilt.den, rebuilt.D) == (m.den, m.D)
+
+
+_AB = ("a", "b")
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_metrics())
+@example((_AB, ((Fraction(0), Fraction(2)), (2, Fraction(0)))))  # bad entry at (1, 0)
+@example((_AB, ((Fraction(0), Fraction(1, 2)), (0.5, Fraction(0)))))  # bad entry at (1, 0)
+@example((_AB, ((0, Fraction(1)), (Fraction(1), Fraction(0)))))  # bad entry at (0, 0)
+@example((_AB, (("0", Fraction(1)), (Fraction(1), Fraction(0)))))  # nonzero diagonal at 0
+def test_finite_metric_checks_match_the_fraction_oracle(case):
+    labels, rows = case
+    expected = oracle_metric_violation(labels, rows)
+    try:
+        m = FiniteMetric(labels=labels, rows=rows)
+    except InvalidMetricError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    n = len(labels)
+    assert all(Fraction(m.D[i][j], m.den) == rows[i][j] for i in range(n) for j in range(n))
+    assert m.diameter() == max((d for row in rows for d in row), default=Fraction(0))
+
+
+def _next_prime(k):
+    while any(k % p == 0 for p in range(2, int(k**0.5) + 1)):
+        k += 1
+    return k
+
+
+def test_triangle_check_on_python_ints_beyond_int64():
+    # Points on a line at offsets with three coprime denominators of about
+    # 2^21: the common denominator exceeds 2^62, so int64 sums could wrap and
+    # the check must run on Python ints.
+    p = _next_prime(2**21)
+    q = _next_prime(p + 1)
+    r = _next_prime(q + 1)
+    xs = [Fraction(0), 1 + Fraction(1, p), 2 + Fraction(1, q), 3 + Fraction(1, r)]
+    labels = ("a", "b", "c", "d")
+    rows = [[abs(x - y) for y in xs] for x in xs]
+    m = FiniteMetric(labels=labels, rows=tuple(map(tuple, rows)))
+    assert m.den == p * q * r and 3 * max(map(max, m.D)) >= 2**62
+    assert oracle_metric_violation(labels, rows) is None
+    rows[1][3] = rows[3][1] = rows[1][3] + Fraction(1, p * q)
+    expected = oracle_metric_violation(labels, rows)
+    assert expected == "triangle violation at (1, 2, 3)"
+    with pytest.raises(InvalidMetricError, match=re.escape(expected)):
+        FiniteMetric(labels=labels, rows=tuple(map(tuple, rows)))
 
 
 def test_finite_metric_rejects_triangle_violation():
@@ -235,6 +339,20 @@ def test_shortest_path_geometry_is_consistent(case):
         assert 0 <= seg.start <= lengths[seg.edge]
         assert 0 <= seg.end <= lengths[seg.edge]
         assert (seg.end > seg.start) == seg.forward or seg.start == seg.end
+
+
+def test_shortest_path_breaks_ties_on_smallest_last_step():
+    # Two routes of length 3 reach w: via b (popped first) and via a, over
+    # parallel edges x2 and x1.  The smallest (prev, edge) is (a, x1).
+    g = build_graph(
+        ["s", "a", "b", "w"],
+        [("e1", "s", "b", 1), ("e2", "b", "w", 2), ("e3", "s", "a", 2),
+         ("x2", "a", "w", 1), ("x1", "w", "a", 1)],
+    )
+    res = shortest_path(g, Vertex("s"), Vertex("w"))
+    assert res.points == (Vertex("s"), Vertex("a"), Vertex("w"))
+    assert [(s.edge, s.forward) for s in res.segments] == [("e3", True), ("x1", False)]
+    assert res.length == 3
 
 
 def test_shortest_path_of_coincident_points(small_graph):

@@ -1,4 +1,4 @@
-"""JSON serialization round-trips for graphs, points, and metrics."""
+"""JSON serialization round-trips for graphs and points."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from test_core import connected_graphs, graph_points, graphs_with_points
-from thetagap.core import EdgePoint, Vertex, build_graph, distance_matrix
+from thetagap.core import EdgePoint, Vertex, build_graph
 from thetagap.errors import ThetaGapError
 from thetagap.graphio import (
     dumps_graph,
@@ -15,11 +15,8 @@ from thetagap.graphio import (
     graph_to_dict,
     loads_graph,
     loads_points,
-    metric_from_dict,
-    metric_to_dict,
     point_from_dict,
     point_to_dict,
-    rational_or_none,
 )
 
 
@@ -43,19 +40,6 @@ def test_point_round_trip(point):
 def test_points_file_round_trip(case):
     _, pts = case
     assert loads_points(dumps_points(pts)) == pts
-
-
-@settings(max_examples=25, deadline=None)
-@given(graphs_with_points(count=3))
-def test_metric_round_trip(case):
-    g, pts = case
-    m = distance_matrix(g, pts)
-    assert metric_from_dict(metric_to_dict(m)) == m
-
-
-def test_rational_or_none():
-    assert rational_or_none(None) is None
-    assert rational_or_none(Fraction(3, 4)) == "3/4"
 
 
 def test_graph_from_dict_rejects_malformed_documents():
