@@ -2,10 +2,17 @@
 
 The central question about a finite metric d is whether the quadratic energy
 gamma(omega) = sum over pairs of omega(x) omega(y) d(x,y) stays nonpositive on
-all zero-sum weightings.  This module decides that exactly via a rational
-symmetric elimination of the basepoint Gram matrix, brackets the supremum of
-gamma over the normalized polytope, and provides the square-root Euclidean
-embedding plus the eigenvalue-count diagnostic that accompany the decision.
+all zero-sum weightings.  This module decides that exactly via a symmetric
+elimination of the basepoint Gram matrix, brackets the supremum of gamma over
+the normalized polytope, and provides the square-root Euclidean embedding
+plus the eigenvalue-count diagnostic that accompany the decision.
+
+One exact kernel does every symmetric elimination: ``_eliminate``, a
+fraction-free (Bareiss) elimination on Python integers with full diagonal
+pivoting.  ``psd_decompose`` runs it on the matrix cleared of denominators
+and turns its factors into rationals once; the certified-mu ladder asks it
+for verdicts only; ``PSDTranscript.verify`` replays its update along a
+transcript's own order.
 
 Exactness policy: verdicts and certificates are rational end to end; floating
 point appears only inside searches and estimates whose outputs are re-checked
@@ -119,13 +126,103 @@ def gamma(m: FiniteMetric, w: Weighting) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _bareiss_update(S: list[list[int]], k: int, prev: int) -> None:
+    """Eliminate position k from the trailing block of the symmetric matrix S.
+
+    Fraction-free (Bareiss) step with pivot p = S[k][k] and previous pivot
+    ``prev``: S_ij <- (p S_ij - S_ik S_kj) // prev for all i, j > k.  If the
+    trailing entries were the exact Schur complement times prev * scale,
+    they become the next Schur complement times p * scale; Sylvester's
+    identity makes the division exact.  Column k below the pivot is kept:
+    it holds the numerators of column k of L, over p.
+    """
+    p, pivot_row = S[k][k], S[k][k + 1 :]
+    for i in range(k + 1, len(S)):
+        row = S[i]
+        f = row[k]
+        if f:
+            row[k + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[k + 1 :], pivot_row)]
+        else:
+            row[k + 1 :] = [p * a // prev for a in row[k + 1 :]]
+
+
+@dataclass(frozen=True)
+class _Elimination:
+    """Where the integer elimination of a symmetric matrix stopped.
+
+    The first ``len(pivots)`` positions were eliminated with the positive
+    pivots p_0, p_1, ...: below the diagonal, S[i][j] / p_j is entry (i, j)
+    of L.  ``direction`` is None when the trailing block is zero (the matrix
+    is semidefinite), else a direction y, by position, with y^T S y < 0 on
+    the trailing block.
+    """
+
+    perm: list[int]
+    pivots: list[int]
+    S: list[list[int]]
+    direction: Optional[dict[int, int]]
+
+
+def _eliminate(S: list[list[int]]) -> _Elimination:
+    """Symmetric Bareiss elimination of an integer matrix, in place.
+
+    Full diagonal pivoting: the largest trailing diagonal entry, the lowest
+    index on ties.  At every step the trailing block is the exact Schur
+    complement times one positive integer, so each choice (the pivot, the
+    most negative diagonal entry, the first nonzero off-diagonal entry) is
+    the one an elimination over the rationals makes.
+    """
+    n = len(S)
+    perm = list(range(n))
+    pivots: list[int] = []
+    prev = 1
+    for k in range(n):
+        pivot_val, pivot_at = max((S[i][i], -i) for i in range(k, n))
+        pivot_at = -pivot_at
+        if pivot_val <= 0:
+            negatives = [(S[i][i], i) for i in range(k, n) if S[i][i] < 0]
+            if negatives:
+                _, p = min(negatives)
+                return _Elimination(perm, pivots, S, {p: 1})
+            off = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if S[i][j] != 0),
+                None,
+            )
+            if off is None:
+                break
+            p, q = off
+            return _Elimination(perm, pivots, S, {p: 1, q: -1 if S[p][q] > 0 else 1})
+        if pivot_at != k:
+            for row in S:
+                row[k], row[pivot_at] = row[pivot_at], row[k]
+            S[k], S[pivot_at] = S[pivot_at], S[k]
+            perm[k], perm[pivot_at] = perm[pivot_at], perm[k]
+        _bareiss_update(S, k, prev)
+        prev = pivot_val
+        pivots.append(pivot_val)
+    return _Elimination(perm, pivots, S, None)
+
+
+def _scaled(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer matrix A and scale s > 0 with matrix = A / s."""
+    scale = math.lcm(*(v.denominator for row in matrix for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in matrix], scale
+
+
 @dataclass(frozen=True)
 class PSDTranscript:
     """Pivoted rational LDL^T factorization certifying semidefiniteness.
 
     ``perm`` maps factor position to original index: with P the permutation
     matrix sending original index perm[i] to position i, P A P^T = L D L^T,
-    where L is unit lower triangular and D is the nonnegative diagonal."""
+    where L is unit lower triangular and D is the nonnegative diagonal.
+
+    ``verify`` checks that equation without forming L D L^T: it replays the
+    elimination of P A P^T on integers in the order ``perm`` gives and
+    compares each d_k and column k of L with the exact Schur complement by
+    cross-multiplication.  Where d_k = 0 the rest of column k of the Schur
+    complement must be zero and column k of L is free, as in the product.
+    """
 
     perm: tuple[int, ...]
     diag: tuple[Fraction, ...]
@@ -133,21 +230,41 @@ class PSDTranscript:
 
     def verify(self, matrix: Sequence[Sequence[Fraction]]) -> bool:
         n = len(self.perm)
-        if len(matrix) != n or any(d < 0 for d in self.diag):
+        if (
+            sorted(self.perm) != list(range(n))
+            or len(self.diag) != n
+            or len(self.lower) != n
+            or len(matrix) != n
+            or any(d < 0 for d in self.diag)
+        ):
             return False
         for i in range(n):
             row = self.lower[i]
             if len(row) != n or row[i] != 1 or any(row[j] != 0 for j in range(i + 1, n)):
                 return False
-        for i in range(n):
-            for j in range(i + 1):
-                lhs = matrix[self.perm[i]][self.perm[j]]
-                rhs = sum(
-                    self.lower[i][k] * self.diag[k] * self.lower[j][k]
-                    for k in range(j + 1)
-                )
-                if lhs != rhs:
+        # the product check reads entry (i, j) of P A P^T for i >= j only
+        perm = self.perm
+        low = [[Fraction(matrix[perm[i]][perm[j]]) for j in range(i + 1)] for i in range(n)]
+        low, scale = _scaled(low)
+        S = [[0] * n for _ in range(n)]
+        for i, row in enumerate(low):
+            for j, v in enumerate(row):
+                S[i][j] = S[j][i] = v
+        prev = 1
+        for k in range(n):
+            # trailing entries are the Schur complement times prev * scale
+            s, d = S[k][k], self.diag[k]
+            if d.numerator * prev * scale != s * d.denominator:
+                return False
+            column = [(S[i][k], self.lower[i][k]) for i in range(k + 1, n)]
+            if s == 0:
+                if any(v for v, _ in column):
                     return False
+                continue
+            if any(v * l.denominator != l.numerator * s for v, l in column):
+                return False
+            _bareiss_update(S, k, prev)
+            prev = s
         return True
 
 
@@ -168,20 +285,27 @@ def gram_matrix(m: FiniteMetric, basepoint: Optional[int] = None) -> list[list[F
     ]
 
 
-def _solve_from_factors(
-    lower: list[list[Fraction]], diag: list[Fraction], k: int, rhs: list[Fraction]
-) -> list[Fraction]:
-    # Solve (L11 D1 L11^T) u = rhs using the first k pivots.
-    w = rhs[:]
-    for i in range(k):
-        for j in range(i):
-            w[i] -= lower[i][j] * w[j]
-    for i in range(k):
-        w[i] /= diag[i]
-    for i in range(k - 1, -1, -1):
-        for j in range(i + 1, k):
-            w[i] -= lower[j][i] * w[j]
-    return w
+def _lift(el: _Elimination, A: list[list[int]]) -> tuple[Fraction, ...]:
+    # Lift the bad direction y of the trailing block at step k to the
+    # matrix's coordinates: with B the permuted input, x = (u, y) with
+    # u = -L11^-T L21^T y solves B11 u = -B12 y, so x^T B x = y^T S y < 0.
+    # Scaled by den = det of the integer B11, x is an integer vector X and
+    # the back substitution X_j = -sum_{i>j} S_ij X_i / p_j divides exactly.
+    S, pivots = el.S, el.pivots
+    n, k = len(S), len(pivots)
+    den = pivots[-1] if pivots else 1
+    X = [0] * k + [den * el.direction.get(i, 0) for i in range(k, n)]
+    for j in range(k - 1, -1, -1):
+        q, r = divmod(-sum(S[i][j] * X[i] for i in range(j + 1, n) if X[i]), pivots[j])
+        if r:
+            raise InternalCheckError("back substitution is not exact")
+        X[j] = q
+    x = [0] * n
+    for pos, val in enumerate(X):
+        x[el.perm[pos]] = val
+    if sum(xa * sum(xb * v for xb, v in zip(x, row) if xb) for xa, row in zip(x, A) if xa) >= 0:
+        raise InternalCheckError("reconstructed direction is not violating")
+    return tuple(Fraction(v, den) for v in x)
 
 
 def psd_decompose(
@@ -192,85 +316,36 @@ def psd_decompose(
     Returns ``(True, transcript)`` when the symmetric rational matrix is
     positive semidefinite, else ``(False, x)`` with an exact vector x (in the
     matrix's own coordinates) satisfying x^T A x < 0.
+
+    The elimination runs on integers: the matrix is cleared of denominators
+    by one lcm and eliminated by ``_eliminate``; the factors become
+    rationals once, at the end, as d_k = p_k / (p_{k-1} scale) and
+    L_ik = S_ik / p_k.
     """
     n = len(matrix)
-    S = [[Fraction(v) for v in row] for row in matrix]
+    F = [[Fraction(v) for v in row] for row in matrix]
     for i in range(n):
-        if len(S[i]) != n:
+        if len(F[i]) != n:
             raise PreconditionError("matrix is not square")
         for j in range(i):
-            if S[i][j] != S[j][i]:
+            if F[i][j] != F[j][i]:
                 raise PreconditionError("matrix is not symmetric")
-    perm = list(range(n))
-    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    diag = [Fraction(0)] * n
-
-    def violating(direction: dict[int, Fraction], k: int) -> tuple[Fraction, ...]:
-        # Lift a bad direction of the trailing Schur block to full coordinates:
-        # with B the permuted input, solve B11 u = -B12 y; x = (u, y) has
-        # x^T B x = y^T S_trailing y < 0.
-        y = [direction.get(i, Fraction(0)) for i in range(k, n)]
-        rhs = [
-            -sum(matrix[perm[i]][perm[k + t]] * y[t] for t in range(n - k))
-            for i in range(k)
-        ]
-        u = _solve_from_factors(lower, diag, k, rhs)
-        x = [Fraction(0)] * n
-        for pos, val in enumerate(u + y):
-            x[perm[pos]] = val
-        value = sum(
-            x[a] * x[b] * matrix[a][b] for a in range(n) for b in range(n) if x[a] and x[b]
+    A, scale = _scaled(F)
+    el = _eliminate([row[:] for row in A])
+    if el.direction is not None:
+        return False, _lift(el, A)
+    S, pivots = el.S, el.pivots
+    r = len(pivots)
+    diag = [Fraction(p, prev * scale) for p, prev in zip(pivots, [1] + pivots)]
+    diag += [Fraction(0)] * (n - r)
+    lower = tuple(
+        tuple(
+            Fraction(S[i][j], pivots[j]) if j < min(i, r) else Fraction(int(i == j))
+            for j in range(n)
         )
-        if value >= 0:
-            raise InternalCheckError("reconstructed direction is not violating")
-        return tuple(x)
-
-    for k in range(n):
-        pivot_val, pivot_at = max((S[i][i], -i) for i in range(k, n))
-        pivot_at = -pivot_at
-        if pivot_val <= 0:
-            negatives = [(S[i][i], i) for i in range(k, n) if S[i][i] < 0]
-            if negatives:
-                _, p = min(negatives)
-                return False, violating({p: Fraction(1)}, k)
-            off = next(
-                (
-                    (i, j)
-                    for i in range(k, n)
-                    for j in range(i + 1, n)
-                    if S[i][j] != 0
-                ),
-                None,
-            )
-            if off is None:
-                break
-            p, q = off
-            sign = Fraction(-1) if S[p][q] > 0 else Fraction(1)
-            return False, violating({p: Fraction(1), q: sign}, k)
-        if pivot_at != k:
-            for i in range(n):
-                S[i][k], S[i][pivot_at] = S[i][pivot_at], S[i][k]
-            S[k], S[pivot_at] = S[pivot_at], S[k]
-            for j in range(k):
-                lower[k][j], lower[pivot_at][j] = lower[pivot_at][j], lower[k][j]
-            perm[k], perm[pivot_at] = perm[pivot_at], perm[k]
-        d = S[k][k]
-        diag[k] = d
-        for i in range(k + 1, n):
-            lower[i][k] = S[i][k] / d
-        for i in range(k + 1, n):
-            fi = lower[i][k]
-            if fi == 0:
-                continue
-            for j in range(k + 1, i + 1):
-                S[i][j] -= fi * d * lower[j][k]
-                S[j][i] = S[i][j]
-    transcript = PSDTranscript(
-        perm=tuple(perm),
-        diag=tuple(diag),
-        lower=tuple(tuple(row) for row in lower),
+        for i in range(n)
     )
-    return True, transcript
+    return True, PSDTranscript(perm=tuple(el.perm), diag=tuple(diag), lower=lower)
 
 
 @dataclass(frozen=True)
@@ -350,14 +425,17 @@ class GapBracket:
             raise InternalCheckError("bracket upper bound inconsistent")
 
 
-def _exact_project(values: Sequence[Fraction]) -> Optional[Weighting]:
-    n = len(values)
-    mean = sum(values, Fraction(0)) / n
-    centered = [v - mean for v in values]
-    mass = sum(abs(v) for v in centered)
+def _integer_project(nums: Sequence[int]) -> Optional[Weighting]:
+    """Centre and normalise the weighting a / q, for integers a and any q > 0.
+
+    Its entries are c_i / sum |c| with c_i = n a_i - sum a, so q drops out.
+    """
+    n, total = len(nums), sum(nums)
+    c = [n * a - total for a in nums]
+    mass = sum(map(abs, c))
     if mass == 0:
         return None
-    return Weighting.from_values([v / mass for v in centered])
+    return Weighting(tuple((i, Fraction(ci, mass)) for i, ci in enumerate(c) if ci))
 
 
 def _float_project(v: np.ndarray) -> Optional[np.ndarray]:
@@ -369,15 +447,30 @@ def _float_project(v: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _snap_candidates(v: np.ndarray) -> Iterable[Weighting]:
-    exact = [Fraction(float(x)) for x in v]
-    w = _exact_project(exact)
+    # the floats themselves, over the lcm of their power-of-two denominators
+    ratios = [float(x).as_integer_ratio() for x in v]
+    q = math.lcm(*(d for _, d in ratios))
+    w = _integer_project([a * (q // d) for a, d in ratios])
     if w is not None:
         yield w
     for q in _SNAP_DENOMINATORS:
-        snapped = [Fraction(round(float(x) * q), q) for x in v]
-        w = _exact_project(snapped)
+        w = _integer_project([round(float(x) * q) for x in v])
         if w is not None:
             yield w
+
+
+def _mu_certifies(A2: list[list[int]], den: int, mu: Fraction) -> bool:
+    """Whether mu M2 - A2 / den is positive semidefinite, with M2 = I + J.
+
+    With mu = a / b that matrix is the integer matrix a den M2 - b A2 over
+    b den; only the verdict of its elimination is needed.
+    """
+    a, b = mu.numerator * den, mu.denominator
+    shifted = [
+        [(2 * a if i == j else a) - b * x for j, x in enumerate(row)]
+        for i, row in enumerate(A2)
+    ]
+    return _eliminate(shifted).direction is None
 
 
 def _certified_mu(m: FiniteMetric) -> Fraction:
@@ -390,14 +483,13 @@ def _certified_mu(m: FiniteMetric) -> Fraction:
     n = m.size
     others = range(n - 1)
     # basis columns e_i - e_{n-1}: quadratic forms restricted to the subspace,
-    # a2 = A2 / den on the integer matrix (the diagonal is -2 D_{i,n-1})
+    # A2 / den on the integer matrix (the diagonal is -2 D_{i,n-1}) and
+    # M2 = I + J
     D, den = m.D, m.den
     A2 = [[D[i][j] - D[i][n - 1] - D[j][n - 1] for j in others] for i in others]
-    a2 = [[Fraction(x, den) for x in row] for row in A2]
-    m2 = [[Fraction(2) if i == j else Fraction(1) for j in others] for i in others]
-    # int / int rounds correctly, so these are the floats of the entries of a2
+    # int / int rounds correctly, so these are the floats of the entries of A2 / den
     a_f = np.array([[x / den for x in row] for row in A2])
-    m_f = np.array([[float(v) for v in row] for row in m2])
+    m_f = np.ones((n - 1, n - 1)) + np.eye(n - 1)
     est = float(scipy.linalg.eigh(a_f, m_f, eigvals_only=True)[-1])
     if not np.isfinite(est):
         est = float(n * m.diameter())
@@ -407,11 +499,7 @@ def _certified_mu(m: FiniteMetric) -> Fraction:
     ]
     candidates.append(Fraction(n) * m.diameter())
     for mu in candidates:
-        shifted = [
-            [mu * m2[i][j] - a2[i][j] for j in range(n - 1)] for i in range(n - 1)
-        ]
-        ok, _ = psd_decompose(shifted)
-        if ok:
+        if _mu_certifies(A2, den, mu):
             return mu
     raise InternalCheckError("spectral slack ladder failed to certify")
 

@@ -1,8 +1,10 @@
 """Brute-force reference implementations used to validate the fast code.
 
 Everything here favors obviousness over speed: Floyd-Warshall instead of
-Dijkstra, exhaustive path and cycle enumeration instead of flow, and raw
-grid search instead of projected ascent.  All arithmetic is exact.
+Dijkstra, exhaustive path and cycle enumeration instead of flow, raw grid
+search instead of projected ascent, and ``Fraction`` elimination and the
+L D L^T product instead of integer elimination and replay.  All arithmetic
+is exact.
 """
 
 import itertools
@@ -11,7 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from thetagap.analysis import _SNAP_DENOMINATORS, PSDTranscript, Weighting
 from thetagap.core import EdgePoint, FiniteMetric, MetricGraph, Point, Vertex
+from thetagap.errors import InternalCheckError, PreconditionError
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +301,154 @@ def oracle_cut_cone_member(m: FiniteMetric) -> bool:
             if x is not None and all(v >= 0 for v in x):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# rational LDL^T: elimination and product check over Fractions
+# ---------------------------------------------------------------------------
+
+
+def oracle_psd_decompose(matrix):
+    """Semidefiniteness by elimination over ``Fraction`` with full diagonal
+    pivoting: ``(True, transcript)`` or ``(False, x)`` with x^T A x < 0."""
+    n = len(matrix)
+    S = [[Fraction(v) for v in row] for row in matrix]
+    for i in range(n):
+        if len(S[i]) != n:
+            raise PreconditionError("matrix is not square")
+        for j in range(i):
+            if S[i][j] != S[j][i]:
+                raise PreconditionError("matrix is not symmetric")
+    perm = list(range(n))
+    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    diag = [Fraction(0)] * n
+
+    def violating(direction: dict[int, Fraction], k: int) -> tuple[Fraction, ...]:
+        # Lift a bad direction of the trailing Schur block to full coordinates:
+        # with B the permuted input, solve B11 u = -B12 y; x = (u, y) has
+        # x^T B x = y^T S_trailing y < 0.
+        y = [direction.get(i, Fraction(0)) for i in range(k, n)]
+        rhs = [
+            -sum(matrix[perm[i]][perm[k + t]] * y[t] for t in range(n - k))
+            for i in range(k)
+        ]
+        u = _solve_from_factors(lower, diag, k, rhs)
+        x = [Fraction(0)] * n
+        for pos, val in enumerate(u + y):
+            x[perm[pos]] = val
+        value = sum(
+            x[a] * x[b] * matrix[a][b] for a in range(n) for b in range(n) if x[a] and x[b]
+        )
+        if value >= 0:
+            raise InternalCheckError("reconstructed direction is not violating")
+        return tuple(x)
+
+    for k in range(n):
+        pivot_val, pivot_at = max((S[i][i], -i) for i in range(k, n))
+        pivot_at = -pivot_at
+        if pivot_val <= 0:
+            negatives = [(S[i][i], i) for i in range(k, n) if S[i][i] < 0]
+            if negatives:
+                _, p = min(negatives)
+                return False, violating({p: Fraction(1)}, k)
+            off = next(
+                (
+                    (i, j)
+                    for i in range(k, n)
+                    for j in range(i + 1, n)
+                    if S[i][j] != 0
+                ),
+                None,
+            )
+            if off is None:
+                break
+            p, q = off
+            sign = Fraction(-1) if S[p][q] > 0 else Fraction(1)
+            return False, violating({p: Fraction(1), q: sign}, k)
+        if pivot_at != k:
+            for i in range(n):
+                S[i][k], S[i][pivot_at] = S[i][pivot_at], S[i][k]
+            S[k], S[pivot_at] = S[pivot_at], S[k]
+            for j in range(k):
+                lower[k][j], lower[pivot_at][j] = lower[pivot_at][j], lower[k][j]
+            perm[k], perm[pivot_at] = perm[pivot_at], perm[k]
+        d = S[k][k]
+        diag[k] = d
+        for i in range(k + 1, n):
+            lower[i][k] = S[i][k] / d
+        for i in range(k + 1, n):
+            fi = lower[i][k]
+            if fi == 0:
+                continue
+            for j in range(k + 1, i + 1):
+                S[i][j] -= fi * d * lower[j][k]
+                S[j][i] = S[i][j]
+    transcript = PSDTranscript(
+        perm=tuple(perm),
+        diag=tuple(diag),
+        lower=tuple(tuple(row) for row in lower),
+    )
+    return True, transcript
+
+
+def _solve_from_factors(lower, diag, k, rhs):
+    # Solve (L11 D1 L11^T) u = rhs using the first k pivots.
+    w = rhs[:]
+    for i in range(k):
+        for j in range(i):
+            w[i] -= lower[i][j] * w[j]
+    for i in range(k):
+        w[i] /= diag[i]
+    for i in range(k - 1, -1, -1):
+        for j in range(i + 1, k):
+            w[i] -= lower[j][i] * w[j]
+    return w
+
+
+def oracle_transcript_verify(transcript: PSDTranscript, matrix) -> bool:
+    """The rational product check: P A P^T == L D L^T, entry by entry."""
+    n = len(transcript.perm)
+    if len(matrix) != n or any(d < 0 for d in transcript.diag):
+        return False
+    for i in range(n):
+        row = transcript.lower[i]
+        if len(row) != n or row[i] != 1 or any(row[j] != 0 for j in range(i + 1, n)):
+            return False
+    for i in range(n):
+        for j in range(i + 1):
+            lhs = matrix[transcript.perm[i]][transcript.perm[j]]
+            rhs = sum(
+                transcript.lower[i][k] * transcript.diag[k] * transcript.lower[j][k]
+                for k in range(j + 1)
+            )
+            if lhs != rhs:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# gap-search candidates projected over Fractions
+# ---------------------------------------------------------------------------
+
+
+def _exact_project(values):
+    n = len(values)
+    mean = sum(values, Fraction(0)) / n
+    centered = [v - mean for v in values]
+    mass = sum(abs(v) for v in centered)
+    if mass == 0:
+        return None
+    return Weighting.from_values([v / mass for v in centered])
+
+
+def oracle_snap_candidates(v):
+    """Centred, normalised weightings of the float vector and its snaps."""
+    exact = [Fraction(float(x)) for x in v]
+    w = _exact_project(exact)
+    if w is not None:
+        yield w
+    for q in _SNAP_DENOMINATORS:
+        snapped = [Fraction(round(float(x) * q), q) for x in v]
+        w = _exact_project(snapped)
+        if w is not None:
+            yield w

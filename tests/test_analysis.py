@@ -6,13 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_psd_decompose, oracle_snap_candidates, oracle_transcript_verify
 from test_core import graphs_with_points, rational_metrics
 from thetagap.analysis import (
     PSDTranscript,
     Weighting,
+    _eliminate,
+    _mu_certifies,
+    _scaled,
+    _snap_candidates,
     check_chain,
     gamma,
     gap_bracket,
@@ -189,6 +194,219 @@ def test_psd_decompose_refutes_indefinite_matrix():
 def test_psd_decompose_rejects_asymmetric_input():
     with pytest.raises(PreconditionError):
         psd_decompose([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]])
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination against the Fraction elimination it replaced
+# ---------------------------------------------------------------------------
+
+# small denominators, and the 2^k denominators of floats such as a float mu
+_DENOMINATORS = st.sampled_from([1, 2, 3, 4, 6, 7, 12, 2**10, 2**30, 2**52])
+
+
+@st.composite
+def _rationals(draw, bound=20):
+    return Fraction(draw(st.integers(-bound, bound)), draw(_DENOMINATORS))
+
+
+@st.composite
+def metric_grams(draw):
+    labels, rows = draw(rational_metrics(max_points=7))
+    return gram_matrix(FiniteMetric.from_rows(labels, rows))
+
+
+@st.composite
+def low_rank_psd(draw):
+    # V V^T with rank below the size, then a trailing zero block
+    n = draw(st.integers(min_value=1, max_value=6))
+    r = draw(st.integers(min_value=0, max_value=n - 1))
+    V = [[draw(_rationals(bound=5)) for _ in range(r)] for _ in range(n)]
+    zeros = draw(st.integers(min_value=0, max_value=2))
+    size = n + zeros
+    return [
+        [
+            sum((V[i][t] * V[j][t] for t in range(r)), Fraction(0))
+            if i < n and j < n
+            else Fraction(0)
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    # mostly indefinite, with mixed denominators
+    n = draw(st.integers(min_value=0, max_value=6))
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            M[i][j] = M[j][i] = draw(_rationals())
+    return M
+
+
+@st.composite
+def shifted_gap_forms(draw):
+    # the matrices of the certified-mu ladder: mu M2 - A2 / den, float mu
+    labels, rows = draw(rational_metrics(max_points=7))
+    m = FiniteMetric.from_rows(labels, rows)
+    n = m.size
+    assume(n >= 2)
+    D, den = m.D, m.den
+    A2 = [[D[i][j] - D[i][n - 1] - D[j][n - 1] for j in range(n - 1)] for i in range(n - 1)]
+    scale = float(n * m.diameter()) + 1
+    mu = Fraction(draw(st.floats(min_value=-scale, max_value=scale)))
+    return A2, den, mu
+
+
+_MATRICES = st.one_of(metric_grams(), low_rank_psd(), symmetric_matrices())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MATRICES)
+def test_psd_decompose_matches_fraction_elimination(matrix):
+    got = psd_decompose(matrix)
+    assert got == oracle_psd_decompose(matrix)
+    A, _ = _scaled(matrix)
+    assert (_eliminate(A).direction is None) == got[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifted_gap_forms())
+def test_mu_rung_verdict_matches_fraction_elimination(case):
+    A2, den, mu = case
+    shifted = [
+        [mu * (2 if i == j else 1) - Fraction(x, den) for j, x in enumerate(row)]
+        for i, row in enumerate(A2)
+    ]
+    assert _mu_certifies(A2, den, mu) == oracle_psd_decompose(shifted)[0]
+
+
+def _tampered(matrix, t, what, a, b, delta):
+    n = len(t.perm)
+    if what == "matrix":
+        bumped = [row[:] for row in matrix]
+        bumped[a % n][b % n] += delta
+        if a % n != b % n:
+            bumped[b % n][a % n] += delta
+        return bumped, t
+    if what == "perm":
+        perm = list(t.perm)
+        perm[a % n], perm[b % n] = perm[b % n], perm[a % n]
+        return matrix, PSDTranscript(tuple(perm), t.diag, t.lower)
+    if what == "diag":
+        diag = list(t.diag)
+        diag[a % n] += delta
+        return matrix, PSDTranscript(t.perm, tuple(diag), t.lower)
+    lower = [list(row) for row in t.lower]
+    i, j = max(a % n, b % n), min(a % n, b % n)
+    lower[i][j] += delta
+    return matrix, PSDTranscript(t.perm, t.diag, tuple(tuple(row) for row in lower))
+
+
+@st.composite
+def zero_pivot_transcripts(draw):
+    # L D L^T with zero pivots anywhere, so free columns of L: valid for the
+    # product check, though psd_decompose never pivots on a zero
+    n = draw(st.integers(min_value=1, max_value=6))
+    perm = draw(st.permutations(range(n)))
+    diag = [draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(5, 3)])) for _ in range(n)]
+    lower = [
+        [Fraction(1) if i == j else draw(_rationals(bound=4)) if j < i else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    product = [
+        [sum((lower[i][k] * diag[k] * lower[j][k] for k in range(n)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            matrix[perm[i]][perm[j]] = product[i][j]
+    transcript = PSDTranscript(tuple(perm), tuple(diag), tuple(tuple(row) for row in lower))
+    return matrix, transcript
+
+
+@st.composite
+def transcripts(draw):
+    if draw(st.booleans()):
+        return draw(zero_pivot_transcripts())
+    matrix = draw(st.one_of(metric_grams(), low_rank_psd()))
+    ok, transcript = oracle_psd_decompose(matrix)
+    assume(ok)
+    return matrix, transcript
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    transcripts(),
+    st.sampled_from(["matrix", "perm", "diag", "lower"]),
+    st.integers(min_value=0, max_value=10),
+    st.integers(min_value=0, max_value=10),
+    st.sampled_from([Fraction(1), Fraction(-1, 3), Fraction(1, 2**40)]),
+)
+def test_transcript_replay_matches_product_check(case, what, a, b, delta):
+    matrix, transcript = case
+    assert transcript.verify(matrix)
+    assert oracle_transcript_verify(transcript, matrix)
+    assume(transcript.perm)
+    matrix, tampered = _tampered(matrix, transcript, what, a, b, delta)
+    assert tampered.verify(matrix) == oracle_transcript_verify(tampered, matrix)
+
+
+def test_transcript_zero_pivot_leaves_its_column_free():
+    # P A P^T = L D L^T with d_1 = 0: L_21 is free, L_20 is not
+    matrix = [[Fraction(2), Fraction(0), Fraction(4)],
+              [Fraction(0), Fraction(0), Fraction(0)],
+              [Fraction(4), Fraction(0), Fraction(11)]]
+    diag = (Fraction(2), Fraction(0), Fraction(3))
+    lower = ((Fraction(1), Fraction(0), Fraction(0)),
+             (Fraction(0), Fraction(1), Fraction(0)),
+             (Fraction(2), Fraction(7, 3), Fraction(1)))
+    transcript = PSDTranscript((0, 1, 2), diag, lower)
+    assert transcript.verify(matrix) and oracle_transcript_verify(transcript, matrix)
+    moved = (lower[0], lower[1], (Fraction(2), Fraction(-5), Fraction(1)))
+    assert PSDTranscript((0, 1, 2), diag, moved).verify(matrix)
+    broken = (lower[0], lower[1], (Fraction(3), Fraction(7, 3), Fraction(1)))
+    assert not PSDTranscript((0, 1, 2), diag, broken).verify(matrix)
+    assert not oracle_transcript_verify(PSDTranscript((0, 1, 2), diag, broken), matrix)
+    # a zero pivot whose column is not zero factors nothing
+    coupled = [row[:] for row in matrix]
+    coupled[1][2] = coupled[2][1] = Fraction(1)
+    assert not transcript.verify(coupled)
+    assert not oracle_transcript_verify(transcript, coupled)
+
+
+def test_transcript_rejects_a_perm_that_is_not_a_permutation():
+    matrix = [[Fraction(1), Fraction(5)], [Fraction(5), Fraction(1)]]
+    assert not psd_decompose(matrix)[0]
+    bogus = PSDTranscript(
+        perm=(0, 0),
+        diag=(Fraction(1), Fraction(0)),
+        lower=((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))),
+    )
+    assert not bogus.verify(matrix)
+
+
+def test_transcript_rejects_a_diag_of_the_wrong_length():
+    matrix = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    ok, transcript = psd_decompose(matrix)
+    assert ok and transcript.verify(matrix)
+    short = PSDTranscript(transcript.perm, transcript.diag[:1], transcript.lower)
+    assert not short.verify(matrix)
+    long = PSDTranscript(transcript.perm, transcript.diag + (Fraction(1),), transcript.lower)
+    assert not long.verify(matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=-1, max_value=1, allow_subnormal=False), min_size=2, max_size=12
+    )
+)
+def test_snap_candidates_match_fraction_projection(values):
+    v = np.array(values)
+    assert list(_snap_candidates(v)) == list(oracle_snap_candidates(v))
 
 
 # ---------------------------------------------------------------------------

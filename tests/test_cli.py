@@ -361,3 +361,11 @@ def test_check_paper_list_names_only(capsys):
     names = out.strip().splitlines()
     assert "witness_unit_theta_exact" in names
     assert len(names) == len(set(names)) >= 12
+
+
+def test_check_paper_passes_every_check(capsys):
+    code, report = run_json(capsys, "check-paper")
+    assert code == 0
+    assert report["failed"] == 0
+    assert report["passed"] == 14
+    assert all(check["status"] == "pass" for check in report["checks"])
