@@ -268,21 +268,24 @@ class PSDTranscript:
         return True
 
 
-def gram_matrix(m: FiniteMetric, basepoint: Optional[int] = None) -> list[list[Fraction]]:
-    """Basepoint Gram matrix: G_jk = (d(j,b) + d(k,b) - d(j,k)) / 2.
-
-    Rows and columns run over the points other than ``basepoint`` (default:
-    the last point), in index order."""
+def _scaled_gram(m: FiniteMetric, basepoint: Optional[int]) -> tuple[list[list[int]], int]:
+    """The basepoint Gram matrix as an integer matrix A and scale 2 den."""
     n = m.size
     b = n - 1 if basepoint is None else basepoint
     if not 0 <= b < n:
         raise PreconditionError(f"basepoint {b} out of range")
     others = [i for i in range(n) if i != b]
-    D, den2 = m.D, 2 * m.den
-    return [
-        [Fraction(D[j][b] + D[k][b] - D[j][k], den2) for k in others]
-        for j in others
-    ]
+    D = m.D
+    return [[D[j][b] + D[k][b] - D[j][k] for k in others] for j in others], 2 * m.den
+
+
+def gram_matrix(m: FiniteMetric, basepoint: Optional[int] = None) -> list[list[Fraction]]:
+    """Basepoint Gram matrix: G_jk = (d(j,b) + d(k,b) - d(j,k)) / 2.
+
+    Rows and columns run over the points other than ``basepoint`` (default:
+    the last point), in index order."""
+    A, scale = _scaled_gram(m, basepoint)
+    return [[Fraction(v, scale) for v in row] for row in A]
 
 
 def _lift(el: _Elimination, A: list[list[int]]) -> tuple[Fraction, ...]:
@@ -330,7 +333,12 @@ def psd_decompose(
         for j in range(i):
             if F[i][j] != F[j][i]:
                 raise PreconditionError("matrix is not symmetric")
-    A, scale = _scaled(F)
+    return _psd_scaled(*_scaled(F))
+
+
+def _psd_scaled(A: list[list[int]], scale: int) -> tuple[bool, Union[PSDTranscript, tuple]]:
+    """``psd_decompose`` of the matrix A / scale, for a symmetric integer A."""
+    n = len(A)
     el = _eliminate([row[:] for row in A])
     if el.direction is not None:
         return False, _lift(el, A)
@@ -365,23 +373,27 @@ def is_negative_type(m: FiniteMetric) -> NegativeTypeResult:
     failure the bad elimination direction is converted into a weighting with
     zero sum, total mass one, and strictly positive energy.
     """
-    n = m.size
-    b = n - 1
-    G = gram_matrix(m, b)
-    ok, payload = psd_decompose(G)
+    b = m.size - 1
+    ok, payload = _psd_scaled(*_scaled_gram(m, b))
     if ok:
         assert isinstance(payload, PSDTranscript)
         return NegativeTypeResult(verdict=True, basepoint=b, transcript=payload, violation=None)
     x = list(payload)
-    omega = {i: x[i] for i in range(n - 1)}
-    omega[b] = -sum(x, Fraction(0))
-    raw = Weighting.from_map(omega)
-    if raw.total != 0 or raw.total_mass == 0:
-        raise InternalCheckError("violating direction did not yield a zero-sum weighting")
+    raw = Weighting.from_map({**dict(enumerate(x)), b: -sum(x, Fraction(0))})
     w = Weighting.from_map({i: v / raw.total_mass for i, v in raw.entries})
-    if gamma(m, w) <= 0:
-        raise InternalCheckError("violating weighting has nonpositive energy")
+    violation_energy(m, w)
     return NegativeTypeResult(verdict=False, basepoint=b, transcript=None, violation=w)
+
+
+def violation_energy(m: FiniteMetric, w: Weighting) -> Fraction:
+    """gamma(w) of a violation: w must sum to zero, have total mass one and
+    have positive energy, else ``InternalCheckError``."""
+    if w.total != 0 or w.total_mass != 1:
+        raise InternalCheckError("violation is not normalized")
+    value = gamma(m, w)
+    if value <= 0:
+        raise InternalCheckError("violation energy is not positive")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +414,9 @@ _SLACK_LADDER = (
 class GapBracket:
     """Certified two-sided estimate of sup gamma over the weighting polytope.
 
-    ``lower`` is attained by ``weighting`` (re-evaluated exactly on
-    construction); ``upper`` is the smaller of a certified spectral bound and
-    the diameter bound."""
+    Construction re-derives exactly that ``weighting`` attains ``lower`` and
+    that ``upper`` is the smaller of diam/4 and the bound ``spectral_mu``
+    gives; it does not replay the semidefiniteness test behind ``spectral_mu``."""
 
     metric: FiniteMetric
     lower: Fraction
@@ -423,6 +435,15 @@ class GapBracket:
             raise InternalCheckError("bracket is empty")
         if self.upper != min(self.upper_spectral, self.upper_diameter):
             raise InternalCheckError("bracket upper bound inconsistent")
+        if self.upper_diameter != self.metric.diameter() / 4:
+            raise InternalCheckError("diameter bound is not diam/4")
+        if self.upper_spectral != _spectral_bound(self.spectral_mu, self.metric.size):
+            raise InternalCheckError("spectral bound does not follow from spectral_mu")
+
+
+def _spectral_bound(mu: Fraction, n: int) -> Fraction:
+    """The bound on sup gamma over n points that a certified ``mu`` gives."""
+    return mu / 2 if mu >= 0 else mu / (2 * n)
 
 
 def _integer_project(nums: Sequence[int]) -> Optional[Weighting]:
@@ -584,7 +605,7 @@ def gap_bracket(
     lower, argmax = best
 
     mu = _certified_mu(m)
-    spectral = mu / 2 if mu >= 0 else mu / (2 * n)
+    spectral = _spectral_bound(mu, n)
     diam_bound = diameter / 4
     return GapBracket(
         metric=m,

@@ -244,73 +244,69 @@ def cmd_witness(args) -> int:
 
 def _metric_inputs(args) -> tuple[MetricGraph, list[Point], FiniteMetric]:
     g = _load_graph(args.graph)
-    if not args.points:
-        raise PreconditionError("this command needs --points FILE")
     pts = _load_points(g, args.points)
     return g, pts, distance_matrix(g, pts)
+
+
+def _emit_metric_report(
+    args, started: float, g: MetricGraph, pts: list[Point], verdict: str, head: dict, body: dict
+) -> None:
+    """The report of negtype, gap or l1: its certificate holds the ``head``
+    fields, the graph digest, the points and their labels, then ``body``."""
+    digest = _digest(args.graph)
+    certificate = {
+        **head,
+        "graph": digest,
+        "points": _points_json(pts),
+        "labels": _labels(g, pts),
+        **body,
+    }
+    report = {
+        "command": args.command,
+        "inputs": [digest, _digest(args.points)],
+        "verdict": verdict,
+        "certificate": certificate,
+    }
+    _emit(report, args.out, started)
 
 
 def cmd_negtype(args) -> int:
     started = time.perf_counter()
     g, pts, m = _metric_inputs(args)
     result = analysis.is_negative_type(m)
-    certificate = {
-        "kind": "negative_type",
-        "verdict": result.verdict,
-        "graph": _digest(args.graph),
-        "points": _points_json(pts),
-        "labels": _labels(g, pts),
-        "basepoint": result.basepoint,
-    }
+    body: dict = {"basepoint": result.basepoint}
     if result.verdict:
-        assert result.transcript is not None
-        certificate["transcript"] = {
-            "perm": list(result.transcript.perm),
-            "diag": [format_rational(v) for v in result.transcript.diag],
-            "lower": [
-                [format_rational(v) for v in row] for row in result.transcript.lower
-            ],
+        t = result.transcript
+        body["transcript"] = {
+            "perm": list(t.perm),
+            "diag": [format_rational(v) for v in t.diag],
+            "lower": [[format_rational(v) for v in row] for row in t.lower],
         }
     else:
-        assert result.violation is not None
-        certificate["violation"] = _weighting_json(result.violation)
-        certificate["gamma"] = format_rational(analysis.gamma(m, result.violation))
-    report = {
-        "command": "negtype",
-        "inputs": [_digest(args.graph), _digest(args.points)],
-        "verdict": "negative type" if result.verdict else "not negative type",
-        "certificate": certificate,
-    }
-    _emit(report, args.out, started)
+        body["violation"] = _weighting_json(result.violation)
+        body["gamma"] = format_rational(analysis.gamma(m, result.violation))
+    verdict = "negative type" if result.verdict else "not negative type"
+    head = {"kind": "negative_type", "verdict": result.verdict}
+    _emit_metric_report(args, started, g, pts, verdict, head, body)
     return 0 if result.verdict else 1
+
+
+# The five rational bounds of a gap certificate, written and re-read by name.
+_GAP_BOUNDS = ("lower", "upper", "upper_spectral", "upper_diameter", "spectral_mu")
 
 
 def cmd_gap(args) -> int:
     started = time.perf_counter()
     g, pts, m = _metric_inputs(args)
     bracket = analysis.gap_bracket(m, starts=args.starts, iters=args.iters, seed=args.seed)
-    certificate = {
-        "kind": "gap_bracket",
-        "graph": _digest(args.graph),
-        "points": _points_json(pts),
-        "labels": _labels(g, pts),
+    body = {
         "starts": args.starts,
         "iters": args.iters,
         "seed": args.seed,
-        "lower": format_rational(bracket.lower),
-        "upper": format_rational(bracket.upper),
-        "upper_spectral": format_rational(bracket.upper_spectral),
-        "upper_diameter": format_rational(bracket.upper_diameter),
-        "spectral_mu": format_rational(bracket.spectral_mu),
+        **{name: format_rational(getattr(bracket, name)) for name in _GAP_BOUNDS},
         "weighting": _weighting_json(bracket.weighting),
     }
-    report = {
-        "command": "gap",
-        "inputs": [_digest(args.graph), _digest(args.points)],
-        "verdict": "bracket produced",
-        "certificate": certificate,
-    }
-    _emit(report, args.out, started)
+    _emit_metric_report(args, started, g, pts, "bracket produced", {"kind": "gap_bracket"}, body)
     return 0
 
 
@@ -319,36 +315,29 @@ def cmd_l1(args) -> int:
     g, pts, m = _metric_inputs(args)
     result = l1cut.is_l1_embeddable(m, max_points=args.max_cuts_n)
     feasible = isinstance(result, l1cut.CutDecomposition)
-    certificate = {
-        "kind": "l1",
-        "feasible": feasible,
-        "graph": _digest(args.graph),
-        "points": _points_json(pts),
-        "labels": _labels(g, pts),
-    }
     if feasible:
-        certificate["cuts"] = [
-            {
-                "members": [point_label(canonical_point(g, pts[i])) for i in cut.members],
-                "member_indices": list(cut.members),
-                "weight": format_rational(weight),
-            }
-            for cut, weight in result.entries
-        ]
+        labels = _labels(g, pts)
+        body = {
+            "cuts": [
+                {
+                    "members": [labels[i] for i in cut.members],
+                    "member_indices": list(cut.members),
+                    "weight": format_rational(weight),
+                }
+                for cut, weight in result.entries
+            ]
+        }
     else:
-        pairs = list(itertools.combinations(range(m.size), 2))
-        certificate["farkas"] = [
-            [i, j, format_rational(v)]
-            for (i, j), v in zip(pairs, result.pair_values)
-            if v != 0
-        ]
-    report = {
-        "command": "l1",
-        "inputs": [_digest(args.graph), _digest(args.points)],
-        "verdict": "l1-embeddable" if feasible else "not l1-embeddable",
-        "certificate": certificate,
-    }
-    _emit(report, args.out, started)
+        pairs = itertools.combinations(range(m.size), 2)
+        body = {
+            "farkas": [
+                [i, j, format_rational(v)]
+                for (i, j), v in zip(pairs, result.pair_values)
+                if v != 0
+            ]
+        }
+    verdict = "l1-embeddable" if feasible else "not l1-embeddable"
+    _emit_metric_report(args, started, g, pts, verdict, {"kind": "l1", "feasible": feasible}, body)
     return 0 if feasible else 1
 
 
@@ -367,11 +356,13 @@ def _require(cond: bool, message: str) -> None:
 
 
 # Shape checks: a certificate that is malformed, rather than false, exits 2
-# before any exact work.
+# before any exact work.  The exact checks themselves live in the library's
+# certificate constructors and helpers, which raise InternalCheckError on a
+# false claim; here stored values are only compared with re-derived ones.
 
 
 def _is_index(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _field(cert: dict, name: str, kind: type = object):
@@ -396,6 +387,8 @@ def _rows(cert: dict, name: str, indices: int) -> list:
             raise PreconditionError(
                 f"every entry of {name!r} must be {indices} indices and a value"
             )
+    if len({tuple(row[:indices]) for row in rows}) != len(rows):
+        raise PreconditionError(f"{name!r} lists the same indices twice")
     return rows
 
 
@@ -407,18 +400,24 @@ def _weighting_from_json(cert: dict, name: str) -> analysis.Weighting:
     return analysis.Weighting.from_map({i: v for i, v in _rows(cert, name, 1)})
 
 
+def _metric(g: MetricGraph, pts: list[Point], labels: list) -> FiniteMetric:
+    """The metric of a certificate's points, whose stored labels must be theirs."""
+    _require(labels == _labels(g, pts), "stored labels do not match the points")
+    return distance_matrix(g, pts)
+
+
 def _verify_witness(g: MetricGraph, cert: dict) -> str:
     b = _points_from_json(g, cert, "b_points")
     r = _points_from_json(g, cert, "r_points")
     _require(len(b) == 3 and len(r) == 3, "witness must have three B and three R points")
     stored = {(i, j): as_rational(v) for i, j, v in _rows(cert, "distances", 2)}
     pairs = list(itertools.combinations(range(6), 2))
-    missing = [p for p in pairs if p not in stored]
-    if missing:
-        raise PreconditionError(f"witness certificate has no distance for pairs {missing}")
+    if sorted(stored) != pairs:
+        raise PreconditionError("witness distances must be those of the 15 pairs i < j")
     stated_gap = as_rational(_field(cert, "gap"))
     omega = _weighting_from_json(cert, "omega")
-    m = distance_matrix(g, b + r)
+    labels = _field(cert, "b_labels", list) + _field(cert, "r_labels", list)
+    m = _metric(g, b + r, labels)
     for i, j in pairs:
         _require(
             stored[(i, j)] == m.distance(i, j),
@@ -426,18 +425,16 @@ def _verify_witness(g: MetricGraph, cert: dict) -> str:
         )
     gap_value = witness.gap(m, (0, 1, 2), (3, 4, 5))
     _require(gap_value == stated_gap, "stored gap does not match")
-    _require(gap_value >= _GAP_TWELFTH, "gap is below 1/12")
-    _require(omega.total == 0, "omega does not sum to zero")
-    _require(omega.total_mass == 1, "omega total mass is not one")
-    _require(
-        analysis.gamma(m, omega) == gap_value / 36,
-        "omega energy is not gap/36",
-    )
+    witness.check_omega(m, gap_value, omega)
     return f"gap {cert['gap']} reproduced from ambient distances"
 
 
 def _verify_negtype(g: MetricGraph, cert: dict) -> str:
     pts = _points_from_json(g, cert, "points")
+    labels = _field(cert, "labels", list)
+    basepoint = _field(cert, "basepoint", int)
+    if basepoint >= len(pts):
+        raise PreconditionError(f"basepoint {basepoint} is not one of the {len(pts)} points")
     if _field(cert, "verdict", bool):
         data = _field(cert, "transcript", dict)
         perm = _field(data, "perm", list)
@@ -456,37 +453,28 @@ def _verify_negtype(g: MetricGraph, cert: dict) -> str:
             diag=tuple(as_rational(v) for v in diag),
             lower=tuple(tuple(as_rational(v) for v in row) for row in lower),
         )
-        basepoint = _field(cert, "basepoint", int)
-        m = distance_matrix(g, pts)
-        gram = analysis.gram_matrix(m, basepoint)
+        gram = analysis.gram_matrix(_metric(g, pts, labels), basepoint)
         _require(transcript.verify(gram), "elimination transcript does not factor the Gram matrix")
         return "transcript certifies positive semidefiniteness"
     w = _weighting_from_json(cert, "violation")
     stated_gamma = as_rational(_field(cert, "gamma"))
-    m = distance_matrix(g, pts)
-    _require(w.total == 0, "violation does not sum to zero")
-    _require(w.total_mass == 1, "violation mass is not one")
-    value = analysis.gamma(m, w)
+    value = analysis.violation_energy(_metric(g, pts, labels), w)
     _require(value == stated_gamma, "stored gamma does not match")
-    _require(value > 0, "violation energy is not positive")
     return f"violating weighting has energy {cert['gamma']} > 0"
 
 
 def _verify_gap(g: MetricGraph, cert: dict) -> str:
     pts = _points_from_json(g, cert, "points")
+    labels = _field(cert, "labels", list)
     w = _weighting_from_json(cert, "weighting")
-    lower = as_rational(_field(cert, "lower"))
-    upper = as_rational(_field(cert, "upper"))
-    m = distance_matrix(g, pts)
-    _require(w.total == 0, "weighting does not sum to zero")
-    _require(w.total_mass == 1, "weighting mass is not one")
-    _require(analysis.gamma(m, w) == lower, "weighting does not achieve the lower bound")
-    _require(lower <= upper, "bracket is empty")
-    return "lower bound reproduced exactly by its weighting"
+    bounds = {name: as_rational(_field(cert, name)) for name in _GAP_BOUNDS}
+    analysis.GapBracket(metric=_metric(g, pts, labels), weighting=w, **bounds)
+    return "lower bound reproduced by its weighting, upper bounds by spectral_mu and diam/4"
 
 
 def _verify_l1(g: MetricGraph, cert: dict) -> str:
     pts = _points_from_json(g, cert, "points")
+    labels = _field(cert, "labels", list)
     n = len(pts)
     if _field(cert, "feasible", bool):
         entries = []
@@ -494,16 +482,16 @@ def _verify_l1(g: MetricGraph, cert: dict) -> str:
             if not isinstance(entry, dict):
                 raise PreconditionError("every cut must be an object")
             members = _field(entry, "member_indices", list)
-            if not all(_is_index(i) for i in members):
-                raise PreconditionError("cut member indices must be integers")
+            if not all(_is_index(i) and i < n for i in members):
+                raise PreconditionError("cut member indices must be indices of the points")
+            _require(
+                _field(entry, "members", list) == [labels[i] for i in members],
+                "cut member labels do not match the points",
+            )
             entries.append(
                 (l1cut.Cut.from_members(n, members), as_rational(_field(entry, "weight")))
             )
-        m = distance_matrix(g, pts)
-        try:
-            l1cut.CutDecomposition(metric=m, entries=tuple(entries))
-        except (ThetaGapError, InternalCheckError) as exc:
-            raise _VerifyFailure(f"decomposition failed: {exc}") from exc
+        l1cut.CutDecomposition(metric=_metric(g, pts, labels), entries=tuple(entries))
         return f"{len(entries)} cuts reproduce the metric exactly"
     pairs = list(itertools.combinations(range(n), 2))
     values = {(i, j): Fraction(0) for i, j in pairs}
@@ -511,13 +499,8 @@ def _verify_l1(g: MetricGraph, cert: dict) -> str:
         if (i, j) not in values:
             raise PreconditionError(f"farkas entry names ({i}, {j}), not a pair of {n} points")
         values[(i, j)] = as_rational(v)
-    m = distance_matrix(g, pts)
-    try:
-        l1cut.FarkasCertificate(
-            metric=m, pair_values=tuple(values[p] for p in pairs)
-        )
-    except (ThetaGapError, InternalCheckError) as exc:
-        raise _VerifyFailure(f"separating vector failed: {exc}") from exc
+    pair_values = tuple(values[p] for p in pairs)
+    l1cut.FarkasCertificate(metric=_metric(g, pts, labels), pair_values=pair_values)
     return "separating vector verified against every cut"
 
 
@@ -546,22 +529,15 @@ def cmd_verify(args) -> int:
         "inputs": [_digest(args.certificate), _digest(args.graph)],
         "certificate_kind": kind,
     }
-    if expected != actual:
-        report["valid"] = False
-        report["detail"] = "certificate was issued for a different graph file"
-        _emit(report, args.out, started)
-        return 1
+    # a false claim, stated or found by a certificate constructor, exits 1
     try:
-        detail = _VERIFIERS[kind](g, cert)
-    except _VerifyFailure as exc:
-        report["valid"] = False
-        report["detail"] = str(exc)
-        _emit(report, args.out, started)
-        return 1
-    report["valid"] = True
-    report["detail"] = detail
+        _require(expected == actual, "certificate was issued for a different graph file")
+        detail, valid = _VERIFIERS[kind](g, cert), True
+    except (_VerifyFailure, InternalCheckError) as exc:
+        detail, valid = str(exc), False
+    report.update(valid=valid, detail=detail)
     _emit(report, args.out, started)
-    return 0
+    return 0 if valid else 1
 
 
 # ---------------------------------------------------------------------------
@@ -716,11 +692,7 @@ def _check_random_witness_batch() -> str:
             continue
         w = witness.construct_witness(g)
         _expect(w.gap >= _GAP_TWELFTH, f"seed {seed}: gap {w.gap} below 1/12")
-        omega = witness.omega_from_witness(w)
-        _expect(
-            analysis.gamma(w.metric, omega) == w.gap / 36,
-            f"seed {seed}: energy is not gap/36",
-        )
+        witness.omega_from_witness(w)  # checks that its energy is gap/36
         found += 1
     return "20 random theta-containing graphs all gave gap >= 1/12"
 
@@ -857,29 +829,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_make.add_argument("--scale", help="multiply all lengths by this rational")
     p_make.add_argument("--of", help="input graph (subdivide)")
     p_make.add_argument("-k", type=int, default=1, help="subdivision parameter")
-    p_make.add_argument("--out", help="output file (default stdout)")
     p_make.set_defaults(handler=cmd_make)
 
     p_sub = sub.add_parser("subdivide", help="k-subdivide a unit-length graph")
     p_sub.add_argument("graph")
     p_sub.add_argument("-k", type=int, required=True)
-    p_sub.add_argument("--out", help="output file (default stdout)")
     p_sub.set_defaults(handler=cmd_subdivide)
 
     p_info = sub.add_parser("info", help="graph summary and theta status")
     p_info.add_argument("graph")
-    p_info.add_argument("--out")
     p_info.set_defaults(handler=cmd_info)
 
     p_wit = sub.add_parser("witness", help="six-point negative-type violation")
     p_wit.add_argument("graph")
-    p_wit.add_argument("--out")
     p_wit.set_defaults(handler=cmd_witness)
 
     p_neg = sub.add_parser("negtype", help="exact negative-type decision")
     p_neg.add_argument("graph")
     p_neg.add_argument("--points", required=True)
-    p_neg.add_argument("--out")
     p_neg.set_defaults(handler=cmd_negtype)
 
     p_gap = sub.add_parser("gap", help="bracket the negative-type gap")
@@ -888,27 +855,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("--starts", type=int, default=24)
     p_gap.add_argument("--iters", type=int, default=200)
     p_gap.add_argument("--seed", type=int, default=0)
-    p_gap.add_argument("--out")
     p_gap.set_defaults(handler=cmd_gap)
 
     p_l1 = sub.add_parser("l1", help="exact l1-embeddability decision")
     p_l1.add_argument("graph")
     p_l1.add_argument("--points", required=True)
     p_l1.add_argument("--max-cuts-n", type=int, default=14)
-    p_l1.add_argument("--out")
     p_l1.set_defaults(handler=cmd_l1)
 
     p_ver = sub.add_parser("verify", help="re-check a certificate against a graph")
     p_ver.add_argument("certificate")
     p_ver.add_argument("graph")
-    p_ver.add_argument("--out")
     p_ver.set_defaults(handler=cmd_verify)
 
     p_chk = sub.add_parser("check-paper", help="run the reproduction suite")
     p_chk.add_argument("--list", action="store_true", help="list checks without running")
-    p_chk.add_argument("--out")
     p_chk.set_defaults(handler=cmd_check_paper)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output file; a report is also printed")
     return parser
 
 

@@ -1,4 +1,4 @@
-"""File formats: graphs, point lists, and certificate documents.
+"""File formats: graphs and point lists.
 
 Everything is JSON with rationals rendered as ``"p"`` or ``"p/q"`` strings so
 that files round-trip without any precision loss.
@@ -70,9 +70,10 @@ def point_to_dict(p: Point) -> dict[str, Any]:
 
 
 def point_from_dict(doc: Any) -> Point:
-    if isinstance(doc, dict) and set(doc) == {"vertex"}:
+    keys = set(doc) if isinstance(doc, dict) else None
+    if keys == {"vertex"} and isinstance(doc["vertex"], str):
         return Vertex(doc["vertex"])
-    if isinstance(doc, dict) and set(doc) == {"edge", "offset"}:
+    if keys == {"edge", "offset"} and isinstance(doc["edge"], str):
         return EdgePoint(doc["edge"], as_rational(doc["offset"]))
     raise InvalidPointError(f"bad point entry: {doc!r}")
 

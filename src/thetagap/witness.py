@@ -245,11 +245,10 @@ def _try_window(g: MetricGraph, t: Theta, w: Window) -> Optional[Witness]:
     if chosen is None:
         return None
 
-    b_idx = (X + chosen, Y + chosen, Z + chosen)
-    r_idx = (X + chosen + 1, Y + chosen + 1, Z + chosen + 1)
-    b_pts = tuple(nine[k] for k in b_idx)
-    r_pts = tuple(nine[k] for k in r_idx)
-    m6 = distance_matrix(g, list(b_pts + r_pts))
+    six = (X + chosen, Y + chosen, Z + chosen, X + chosen + 1, Y + chosen + 1, Z + chosen + 1)
+    m6 = FiniteMetric._from_scaled(
+        [m9.labels[k] for k in six], [[m9.D[i][j] for j in six] for i in six], m9.den
+    )
     value = gap(m6, (0, 1, 2), (3, 4, 5))
     if value < _TWELFTH:
         return None
@@ -263,8 +262,8 @@ def _try_window(g: MetricGraph, t: Theta, w: Window) -> Optional[Witness]:
         points_y=py,
         points_z=pz,
         index=chosen + 1,
-        b_points=b_pts,
-        r_points=r_pts,
+        b_points=tuple(nine[k] for k in six[:3]),
+        r_points=tuple(nine[k] for k in six[3:]),
         gap=value,
         case=case,
         metric=m6,
@@ -301,7 +300,7 @@ def omega_from_witness(w: Witness):
     weighting sums to zero, has total mass one, and its quadratic energy is
     exactly ``gap / 36``.
     """
-    from .analysis import Weighting, gamma
+    from .analysis import Weighting
 
     merged: dict[int, Fraction] = {}
     seen: dict[Point, int] = {}
@@ -311,11 +310,21 @@ def omega_from_witness(w: Witness):
         slot = seen.setdefault(p, idx)
         merged[slot] = merged.get(slot, Fraction(0)) + sign * _SIXTH
     weighting = Weighting.from_map(merged)
-    if weighting.total != 0 or weighting.total_mass != 1:
-        raise InternalCheckError("witness weighting is not normalized")
-    if gamma(w.metric, weighting) != w.gap / 36:
-        raise InternalCheckError("witness weighting energy mismatch")
+    check_omega(w.metric, w.gap, weighting)
     return weighting
+
+
+def check_omega(m: FiniteMetric, gap_value: Fraction, omega) -> None:
+    """``InternalCheckError`` unless the gap is at least 1/12 and ``omega``
+    sums to zero, has total mass one and energy exactly gap/36 on ``m``."""
+    from .analysis import gamma
+
+    if gap_value < _TWELFTH:
+        raise InternalCheckError(f"witness gap {gap_value} below 1/12")
+    if omega.total != 0 or omega.total_mass != 1:
+        raise InternalCheckError("witness weighting is not normalized")
+    if gamma(m, omega) != gap_value / 36:
+        raise InternalCheckError("witness weighting energy is not gap/36")
 
 
 # ---------------------------------------------------------------------------

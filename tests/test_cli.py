@@ -207,11 +207,16 @@ def _truncate_first(key):
         ("witness", _set("omega", 5)),
         ("witness", _truncate_first("distances")),
         ("witness", _drop("b_points")),
+        ("witness", lambda cert: cert["b_points"].__setitem__(0, {"vertex": ["u"]})),
+        ("witness", lambda cert: cert["omega"].insert(0, [cert["omega"][0][0], "5"])),
+        ("witness", lambda cert: cert["distances"].append([0, 9, "7"])),
         ("l1_refuted", _set("farkas", 5)),
         ("l1_refuted", _truncate_first("farkas")),
         ("l1_refuted", _drop("feasible")),
         ("l1_refuted", lambda cert: cert["farkas"].append([99, 100, "1"])),
+        ("l1_refuted", lambda cert: cert["farkas"].append(cert["farkas"][0][:2] + ["-9"])),
         ("l1_embeds", lambda cert: cert["cuts"][0].pop("weight")),
+        ("l1_embeds", lambda cert: cert["cuts"][0]["member_indices"].append(99)),
     ],
     ids=[
         "witness_graph_not_object",
@@ -221,11 +226,16 @@ def _truncate_first(key):
         "witness_omega_not_list",
         "witness_distance_row_short",
         "witness_no_b_points",
+        "witness_vertex_id_not_string",
+        "witness_omega_index_twice",
+        "witness_distance_pair_out_of_range",
         "l1_farkas_not_list",
         "l1_farkas_row_short",
         "l1_no_feasible",
         "l1_farkas_pair_out_of_range",
+        "l1_farkas_pair_twice",
         "l1_cut_without_weight",
+        "l1_cut_member_out_of_range",
     ],
 )
 def test_verify_malformed_certificate_exits_2(
