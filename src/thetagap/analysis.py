@@ -14,6 +14,13 @@ and turns its factors into rationals once; the certified-mu ladder asks it
 for verdicts only; ``PSDTranscript.verify`` replays its update along a
 transcript's own order.
 
+The gap search proposes weightings in floats and scores them on integers.
+``_ascend_all`` runs every projected gradient ascent in lockstep as the rows
+of one block, each row bit for bit the run its start would make alone.
+Every candidate is an integer vector c for the weighting c / sum|c|;
+``_best_vector`` compares candidates by their integer energies and makes
+Fractions only for an exact tie and the winner.
+
 Exactness policy: verdicts and certificates are rational end to end; floating
 point appears only inside searches and estimates whose outputs are re-checked
 or outward-rounded exactly before being reported.
@@ -23,11 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -358,12 +366,16 @@ def _psd_scaled(A: list[list[int]], scale: int) -> tuple[bool, Union[PSDTranscri
 
 @dataclass(frozen=True)
 class NegativeTypeResult:
-    """Verdict of the exact negative-type decision, with its certificate."""
+    """Verdict of the exact negative-type decision, with its certificate.
+
+    A refutation carries its ``violation`` and that weighting's ``energy``
+    gamma > 0; a proof carries the ``transcript``."""
 
     verdict: bool
     basepoint: int
     transcript: Optional[PSDTranscript]
     violation: Optional[Weighting]
+    energy: Optional[Fraction] = None
 
 
 def is_negative_type(m: FiniteMetric) -> NegativeTypeResult:
@@ -381,8 +393,9 @@ def is_negative_type(m: FiniteMetric) -> NegativeTypeResult:
     x = list(payload)
     raw = Weighting.from_map({**dict(enumerate(x)), b: -sum(x, Fraction(0))})
     w = Weighting.from_map({i: v / raw.total_mass for i, v in raw.entries})
-    violation_energy(m, w)
-    return NegativeTypeResult(verdict=False, basepoint=b, transcript=None, violation=w)
+    return NegativeTypeResult(
+        verdict=False, basepoint=b, transcript=None, violation=w, energy=violation_energy(m, w)
+    )
 
 
 def violation_energy(m: FiniteMetric, w: Weighting) -> Fraction:
@@ -446,38 +459,67 @@ def _spectral_bound(mu: Fraction, n: int) -> Fraction:
     return mu / 2 if mu >= 0 else mu / (2 * n)
 
 
-def _integer_project(nums: Sequence[int]) -> Optional[Weighting]:
-    """Centre and normalise the weighting a / q, for integers a and any q > 0.
+def _snap_vectors(v: np.ndarray) -> Iterator[list[int]]:
+    """Integer vectors c whose weightings c / sum|c| are the snaps of v.
 
-    Its entries are c_i / sum |c| with c_i = n a_i - sum a, so q drops out.
+    Centring and normalising a / q, for integers a and any q > 0, gives
+    c / sum|c| with c_i = n a_i - sum a, so q drops out.  The first a is the
+    floats themselves over the lcm of their power-of-two denominators, then
+    round(q v) for every snap denominator q; an a that centres to zero gives
+    no vector.
     """
-    n, total = len(nums), sum(nums)
-    c = [n * a - total for a in nums]
+    n, floats = len(v), v.tolist()
+    ratios = [x.as_integer_ratio() for x in floats]
+    lcm = math.lcm(*(d for _, d in ratios))
+    snaps = [[a * (lcm // d) for a, d in ratios]]
+    snaps += [[round(x * q) for x in floats] for q in _SNAP_DENOMINATORS]
+    for a in snaps:
+        total = sum(a)
+        c = [n * x - total for x in a]
+        if any(c):
+            yield c
+
+
+def _weighting_of(c: Sequence[int]) -> Weighting:
+    """The weighting c / sum|c| of a nonzero integer vector."""
     mass = sum(map(abs, c))
-    if mass == 0:
-        return None
     return Weighting(tuple((i, Fraction(ci, mass)) for i, ci in enumerate(c) if ci))
 
 
-def _float_project(v: np.ndarray) -> Optional[np.ndarray]:
-    v = v - v.mean()
-    mass = np.abs(v).sum()
-    if mass < 1e-300:
-        return None
-    return v / mass
+def _best_vector(
+    m: FiniteMetric, vectors: Iterable[Sequence[int]]
+) -> tuple[Fraction, Weighting]:
+    """gamma and weighting of the best candidate among the weightings
+    c / sum|c| of the nonzero integer ``vectors``, scored on integers.
 
-
-def _snap_candidates(v: np.ndarray) -> Iterable[Weighting]:
-    # the floats themselves, over the lcm of their power-of-two denominators
-    ratios = [float(x).as_integer_ratio() for x in v]
-    q = math.lcm(*(d for _, d in ratios))
-    w = _integer_project([a * (q // d) for a, d in ratios])
-    if w is not None:
-        yield w
-    for q in _SNAP_DENOMINATORS:
-        w = _integer_project([round(float(x) * q) for x in v])
-        if w is not None:
-            yield w
+    With M = sum|c|, gamma(c / M) is c^T D c / (2 M^2 den), so two candidates
+    compare by cross-multiplying c^T D c with the other's M^2.  Each c is
+    reduced by its gcd, which names its weighting, and repeats are skipped.
+    An exact tie goes to the smaller ``Weighting.entries``, the only place
+    besides the winner where Fractions are made.  This is a total order on
+    candidates, so the order of ``vectors`` does not matter.
+    """
+    D = m.D
+    seen: set[tuple[int, ...]] = set()
+    best: Optional[tuple[int, int, tuple[int, ...]]] = None
+    for raw in vectors:
+        g = math.gcd(*raw)
+        c = tuple(x // g for x in raw)
+        if c in seen:
+            continue
+        seen.add(c)
+        mass = sum(map(abs, c))
+        energy = sum(map(operator.mul, c, [sum(map(operator.mul, row, c)) for row in D]))
+        if best is not None:
+            ahead = energy * best[1] ** 2 - best[0] * mass**2
+            if ahead < 0 or (
+                ahead == 0 and not _weighting_of(c).entries < _weighting_of(best[2]).entries
+            ):
+                continue
+        best = (energy, mass, c)
+    assert best is not None
+    energy, mass, c = best
+    return Fraction(energy, 2 * mass * mass * m.den), _weighting_of(c)
 
 
 def _mu_certifies(A2: list[list[int]], den: int, mu: Fraction) -> bool:
@@ -525,28 +567,72 @@ def _certified_mu(m: FiniteMetric) -> Fraction:
     raise InternalCheckError("spectral slack ladder failed to certify")
 
 
-def _ascend(d_norm: np.ndarray, start: np.ndarray, iters: int) -> Optional[np.ndarray]:
-    w = _float_project(start)
-    if w is None:
-        return None
+def _project_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and L1-normalise every row of V; also the mask of rows kept.
 
-    def value(v: np.ndarray) -> float:
-        return float(v @ (d_norm @ v)) / 2
+    A row whose mass falls below 1e-300 has no direction and is dropped.
+    Each row gets the float operations a single vector would: its sum by the
+    same reduction, then one subtraction and one division per entry.
+    """
+    V = V - (np.add.reduce(V, axis=1) / V.shape[1])[:, None]
+    mass = np.add.reduce(np.abs(V), axis=1)
+    kept = ~(mass < 1e-300)
+    if not kept.all():
+        V, mass = V[kept], mass[kept]
+    return V / mass[:, None], kept
 
-    best, best_val = w, value(w)
-    step = 0.25
+
+def _gradients(d_norm: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d_norm @ w and the energy w^T d_norm w / 2 of every row w of W.
+
+    One matrix-vector product per row: a single product of the block rounds
+    differently in the last bits, which would move the snaps of the raw
+    floats."""
+    G = np.empty_like(W)
+    energy = np.empty(len(W))
+    for r, w in enumerate(W):
+        g = G[r]
+        np.dot(d_norm, w, out=g)
+        energy[r] = np.dot(w, g)
+    return G, energy / 2
+
+
+def _ascend_all(
+    d_norm: np.ndarray, starts: np.ndarray, iters: int
+) -> list[Optional[np.ndarray]]:
+    """Projected gradient ascent of w^T d_norm w / 2 from each row of ``starts``.
+
+    All runs advance in lockstep as the rows of one block, and each row takes
+    bit for bit the steps a run from it alone would: step 0.25 along the
+    gradient, projection back to {sum = 0, total mass = 1}, and the step
+    shrunk by 0.9 whenever the energy fails to improve on the best so far.
+    Returns, per start, the best iterate, or None if the start itself does
+    not project; a run whose iterate stops projecting ends there.
+    """
+    ends: list[Optional[np.ndarray]] = [None] * len(starts)
+    W, kept = _project_rows(starts)
+    rows = np.flatnonzero(kept)
+    G, energy = _gradients(d_norm, W)
+    best, best_energy = W, energy
+    step = np.full(len(rows), 0.25)
     for _ in range(iters):
-        nxt = _float_project(w + step * (d_norm @ w))
-        if nxt is None:
+        if not len(rows):
             break
-        w = nxt
-        got = value(w)
-        if got > best_val:
-            best, best_val = w, got
-        else:
-            # shrink once the fixed step starts overshooting the optimum
-            step *= 0.9
-    return best
+        W, kept = _project_rows(W + step[:, None] * G)
+        if not kept.all():
+            for r in np.flatnonzero(~kept):
+                ends[rows[r]] = best[r]
+            rows, best, best_energy, step = rows[kept], best[kept], best_energy[kept], step[kept]
+        # the energy's products are the next step's gradient
+        G, energy = _gradients(d_norm, W)
+        better = energy > best_energy
+        best[better] = W[better]
+        best_energy = np.where(better, energy, best_energy)
+        # shrink once the fixed step starts overshooting the optimum
+        step[~better] *= 0.9
+    for r, i in enumerate(rows):
+        ends[i] = best[r]
+    return ends
 
 
 def gap_bracket(
@@ -570,40 +656,33 @@ def gap_bracket(
     if starts < 0 or iters < 0:
         raise PreconditionError("starts and iters must be nonnegative")
 
-    candidates: list[Weighting] = []
-    half = Fraction(1, 2)
-    for j, k in itertools.combinations(range(n), 2):
-        candidates.append(Weighting.from_map({j: half, k: -half}))
+    # Every candidate is an integer vector c standing for c / sum|c|.  Of the
+    # pairs e_j - e_k (gamma = -D_jk / 4 den) only the best can win; ties
+    # among them go to the first (j, k), whose entries are smallest.
+    D = m.D
+    j, k = min(itertools.combinations(range(n), 2), key=lambda jk: D[jk[0]][jk[1]])
+    vectors = [[int(i == j) - int(i == k) for i in range(n)]]
     for s in seeds:
         if s.total != 0 or s.total_mass != 1:
             raise PreconditionError("seed weightings must sum to 0 with total mass 1")
-        candidates.append(s)
+        q = math.lcm(*(v.denominator for _, v in s.entries))
+        vectors.append([v.numerator * (q // v.denominator) for v in s.as_dense(n)])
 
     diameter = m.diameter()
     if diameter > 0:
         # Scale-free search matrix: gamma is positively homogeneous in d, so
         # searching d / diam and evaluating exactly on d changes nothing.
         # int / int rounds correctly, as float(Fraction) does.
-        top = max(map(max, m.D))
-        d_norm = np.array([[x / top for x in row] for row in m.D])
+        top = max(map(max, D))
+        d_norm = np.array([[x / top for x in row] for row in D])
         rng = random.Random(seed)
-        start_vectors = [np.array(s.as_dense(n), dtype=float) for s in seeds]
-        for _ in range(starts):
-            start_vectors.append(np.array([rng.uniform(-1, 1) for _ in range(n)]))
-        for v in start_vectors:
-            end = _ascend(d_norm, v, iters)
-            if end is None:
-                continue
-            candidates.extend(_snap_candidates(end))
+        rows = [[float(v) for v in s.as_dense(n)] for s in seeds]
+        rows += [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(starts)]
+        for end in _ascend_all(d_norm, np.array(rows).reshape(len(rows), n), iters):
+            if end is not None:
+                vectors.extend(_snap_vectors(end))
 
-    best: Optional[tuple[Fraction, Weighting]] = None
-    for w in candidates:
-        value = gamma(m, w)
-        if best is None or value > best[0] or (value == best[0] and w.entries < best[1].entries):
-            best = (value, w)
-    assert best is not None
-    lower, argmax = best
-
+    lower, argmax = _best_vector(m, vectors)
     mu = _certified_mu(m)
     spectral = _spectral_bound(mu, n)
     diam_bound = diameter / 4

@@ -284,7 +284,7 @@ def cmd_negtype(args) -> int:
         }
     else:
         body["violation"] = _weighting_json(result.violation)
-        body["gamma"] = format_rational(analysis.gamma(m, result.violation))
+        body["gamma"] = format_rational(result.energy)
     verdict = "negative type" if result.verdict else "not negative type"
     head = {"kind": "negative_type", "verdict": result.verdict}
     _emit_metric_report(args, started, g, pts, verdict, head, body)

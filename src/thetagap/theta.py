@@ -437,13 +437,19 @@ def find_theta(g: MetricGraph) -> Optional[Theta]:
 class _FlowNet:
     """Vertex-split digraph over one block with unit capacities.
 
+    One net serves every branch pair of its block.  ``three_paths(u, v)``
+    closes the split arcs of u and v for one solve, so that no path passes
+    through a branch vertex, and reopens them after; the arcs and their
+    order never change, so each pair gets the walks a net built for it
+    alone would give.
+
     Arc costs are the edge lengths times the least common multiple of the
     block's length denominators, so they are Python ints.  Scaling every cost
     by one positive constant keeps every comparison and tie of the search,
     so the same walks come out as with the rational lengths.
     """
 
-    def __init__(self, g: MetricGraph, block_edges: Sequence[str], u: str, v: str):
+    def __init__(self, g: MetricGraph, block_edges: Sequence[str]):
         self.nodes: list[tuple[str, str]] = []
         self.index: dict[tuple[str, str], int] = {}
         verts = sorted({end for eid in block_edges for end in g.edge(eid).ends})
@@ -457,9 +463,10 @@ class _FlowNet:
         self.arc_cost: list[int] = []
         self.arc_tag: list[Optional[tuple[str, bool]]] = []
         self.adj: list[list[int]] = [[] for _ in self.nodes]
+        self.split: dict[str, int] = {}
         for w in verts:
-            cap = 0 if w in (u, v) else 1
-            self._add(("in", w), ("out", w), cap, 0, None)
+            self.split[w] = len(self.arc_to)
+            self._add(("in", w), ("out", w), 1, 0, None)
         scale = math.lcm(*(g.edge(eid).length.denominator for eid in block_edges))
         for eid in sorted(block_edges):
             e = g.edge(eid)
@@ -469,8 +476,20 @@ class _FlowNet:
             cost = e.length.numerator * (scale // e.length.denominator)
             self._add(("out", a), ("in", b), 1, cost, (eid, True))
             self._add(("out", b), ("in", a), 1, cost, (eid, False))
+        self.source = self.sink = -1
+
+    def three_paths(self, u: str, v: str) -> Optional[list[list[tuple[str, bool]]]]:
+        """``min_cost_three_paths`` from branch vertex u to branch vertex v."""
+        closed = (self.split[u], self.split[v])
+        for ai in closed:
+            self.arc_cap[ai] = 0
         self.source = self.index[("out", u)]
         self.sink = self.index[("in", v)]
+        try:
+            return self.min_cost_three_paths()
+        finally:
+            for ai in closed:
+                self.arc_cap[ai] = 1
 
     def _add(self, frm, to, cap, cost, tag) -> None:
         i, j = self.index[frm], self.index[to]
@@ -545,12 +564,12 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
     """The globally shortest theta, with deterministic tie-breaking.
 
     Every pair of block vertices of degree at least 3 is a candidate branch
-    pair, solved as a min-cost flow on integer-scaled costs (see
-    ``_FlowNet``).  Each path of a theta with branch vertices u, v is at
-    least d(u, v) long, so its total is at least 3·d(u, v).  Pairs are
-    visited in order of increasing d(u, v), and the search stops once
-    3·d(u, v) exceeds the best total; the strict comparison lets pairs that
-    could tie reach the tie-break.
+    pair, solved as a min-cost flow on integer-scaled costs in one net per
+    block (see ``_FlowNet``).  Each path of a theta with branch vertices
+    u, v is at least d(u, v) long, so its total is at least 3·d(u, v).
+    Pairs are visited in order of increasing d(u, v), and the search stops
+    once 3·d(u, v) exceeds the best total; the strict comparison lets pairs
+    that could tie reach the tie-break.
     """
     best: Optional[Theta] = None
     for block in _biconnected_blocks(g):
@@ -568,11 +587,12 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
         # is as tight as the block distance.
         dist = {w: single_source_distances(g, w) for w in candidates[:-1]}
         pairs = sorted((dist[u][v], u, v) for u, v in itertools.combinations(candidates, 2))
+        net: Optional[_FlowNet] = None
         for d_uv, u, v in pairs:
             if best is not None and 3 * d_uv > best.total_length:
                 break
-            net = _FlowNet(g, block, u, v)
-            walks = net.min_cost_three_paths()
+            net = net or _FlowNet(g, block)
+            walks = net.three_paths(u, v)
             if walks is None:
                 continue
             t = _assemble_theta(g, u, v, walks)

@@ -2,20 +2,25 @@
 
 Everything here favors obviousness over speed: Floyd-Warshall instead of
 Dijkstra, exhaustive path and cycle enumeration instead of flow, raw grid
-search instead of projected ascent, and ``Fraction`` elimination and the
-L D L^T product instead of integer elimination and replay.  All arithmetic
-is exact.
+search instead of projected ascent, ``Fraction`` elimination and the
+L D L^T product instead of integer elimination and replay, and one ascent
+per start scored over ``Weighting``s instead of the lockstep search scored
+on integers.  All arithmetic outside the float ascent is exact.
 """
 
 import itertools
+import random
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from thetagap.analysis import _SNAP_DENOMINATORS, PSDTranscript, Weighting
+import numpy as np
+
+from thetagap.analysis import _SNAP_DENOMINATORS, PSDTranscript, Weighting, gamma
 from thetagap.core import EdgePoint, FiniteMetric, MetricGraph, Point, Vertex
 from thetagap.errors import InternalCheckError, PreconditionError
+from thetagap.theta import _FlowNet
 
 
 # ---------------------------------------------------------------------------
@@ -452,3 +457,108 @@ def oracle_snap_candidates(v):
         w = _exact_project(snapped)
         if w is not None:
             yield w
+
+
+# ---------------------------------------------------------------------------
+# the gap search one start at a time, scored over Fractions
+# ---------------------------------------------------------------------------
+
+
+def _float_project(v):
+    v = v - v.mean()
+    mass = np.abs(v).sum()
+    if mass < 1e-300:
+        return None
+    return v / mass
+
+
+def oracle_ascend(d_norm, start, iters):
+    """Projected gradient ascent from one start, as the search ran it alone."""
+    w = _float_project(start)
+    if w is None:
+        return None
+
+    def value(v):
+        return float(v @ (d_norm @ v)) / 2
+
+    best, best_val = w, value(w)
+    step = 0.25
+    for _ in range(iters):
+        nxt = _float_project(w + step * (d_norm @ w))
+        if nxt is None:
+            break
+        w = nxt
+        got = value(w)
+        if got > best_val:
+            best, best_val = w, got
+        else:
+            step *= 0.9
+    return best
+
+
+def oracle_argmax(m: FiniteMetric, candidates) -> tuple[Fraction, Weighting]:
+    """Largest gamma over Weightings, ties to the smaller ``entries``."""
+    best = None
+    for w in candidates:
+        value = gamma(m, w)
+        if best is None or value > best[0] or (value == best[0] and w.entries < best[1].entries):
+            best = (value, w)
+    assert best is not None
+    return best
+
+
+def oracle_gap_lower(m: FiniteMetric, starts=24, iters=200, seed=0, seeds=()):
+    """The gap search's lower bound and weighting: every pair, every seed and
+    the snaps of one ascent per start, scored one Weighting at a time."""
+    n = m.size
+    half = Fraction(1, 2)
+    candidates = [
+        Weighting.from_map({j: half, k: -half}) for j, k in itertools.combinations(range(n), 2)
+    ]
+    candidates += seeds
+    if m.diameter() > 0:
+        top = max(map(max, m.D))
+        d_norm = np.array([[x / top for x in row] for row in m.D])
+        rng = random.Random(seed)
+        start_vectors = [np.array(s.as_dense(n), dtype=float) for s in seeds]
+        for _ in range(starts):
+            start_vectors.append(np.array([rng.uniform(-1, 1) for _ in range(n)]))
+        for v in start_vectors:
+            end = oracle_ascend(d_norm, v, iters)
+            if end is not None:
+                candidates.extend(oracle_snap_candidates(end))
+    return oracle_argmax(m, candidates)
+
+
+# ---------------------------------------------------------------------------
+# one flow net per branch pair
+# ---------------------------------------------------------------------------
+
+
+class OraclePairNet(_FlowNet):
+    """The flow net built for one branch pair, its split arcs at u and v
+    closed from the start; it shares the solver of the per-block net."""
+
+    def __init__(self, g: MetricGraph, block_edges, u: str, v: str):
+        self.nodes = []
+        self.index = {}
+        verts = sorted({end for eid in block_edges for end in g.edge(eid).ends})
+        for w in verts:
+            for side in ("in", "out"):
+                self.index[(side, w)] = len(self.nodes)
+                self.nodes.append((side, w))
+        self.arc_to, self.arc_cap, self.arc_cost, self.arc_tag = [], [], [], []
+        self.adj = [[] for _ in self.nodes]
+        for w in verts:
+            self._add(("in", w), ("out", w), 0 if w in (u, v) else 1, 0, None)
+        scale = lcm(*(g.edge(eid).length.denominator for eid in block_edges))
+        for eid in sorted(block_edges):
+            e = g.edge(eid)
+            a, b = e.ends
+            if a == b:
+                continue
+            cost = e.length.numerator * (scale // e.length.denominator)
+            self._add(("out", a), ("in", b), 1, cost, (eid, True))
+            self._add(("out", b), ("in", a), 1, cost, (eid, False))
+        self.source = self.index[("out", u)]
+        self.sink = self.index[("in", v)]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,15 +10,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_psd_decompose, oracle_snap_candidates, oracle_transcript_verify
+from oracles import (
+    oracle_argmax,
+    oracle_ascend,
+    oracle_gap_lower,
+    oracle_psd_decompose,
+    oracle_snap_candidates,
+    oracle_transcript_verify,
+)
 from test_core import graphs_with_points, rational_metrics
 from thetagap.analysis import (
     PSDTranscript,
     Weighting,
+    _ascend_all,
+    _best_vector,
     _eliminate,
     _mu_certifies,
     _scaled,
-    _snap_candidates,
+    _snap_vectors,
+    _weighting_of,
     check_chain,
     gamma,
     gap_bracket,
@@ -29,7 +40,13 @@ from thetagap.analysis import (
 )
 from thetagap.core import EdgePoint, FiniteMetric, Vertex, distance_matrix, subdivide
 from thetagap.errors import InternalCheckError, PreconditionError
-from thetagap.families import FamilySpec, from_spec, make_random_cactus, make_theta
+from thetagap.families import (
+    FamilySpec,
+    from_spec,
+    make_random_cactus,
+    make_random_connected,
+    make_theta,
+)
 from thetagap.witness import construct_witness, omega_from_witness
 
 # ---------------------------------------------------------------------------
@@ -406,7 +423,7 @@ def test_transcript_rejects_a_diag_of_the_wrong_length():
 )
 def test_snap_candidates_match_fraction_projection(values):
     v = np.array(values)
-    assert list(_snap_candidates(v)) == list(oracle_snap_candidates(v))
+    assert [_weighting_of(c) for c in _snap_vectors(v)] == list(oracle_snap_candidates(v))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +434,7 @@ def test_snap_candidates_match_fraction_projection(values):
 def test_negative_type_on_cycle(c4_metric):
     result = is_negative_type(c4_metric)
     assert result.verdict
+    assert result.violation is None and result.energy is None
     assert result.transcript.verify(gram_matrix(c4_metric, result.basepoint))
 
 
@@ -426,7 +444,7 @@ def test_negative_type_refuted_on_witness_metric(witness_metric):
     w = result.violation
     assert w.total == 0
     assert w.total_mass == 1
-    assert gamma(witness_metric, w) > 0
+    assert result.energy == gamma(witness_metric, w) > 0
 
 
 def test_negative_type_verdict_is_scale_invariant(witness_metric, c4_metric):
@@ -499,6 +517,133 @@ def test_gap_bracket_zero_diameter_collapses_to_zero():
     assert bracket.upper == 0
 
 
+@st.composite
+def search_matrices(draw):
+    """A normalised distance matrix as the gap search builds it: the
+    shortest-path closure of random integer weights on 2-48 points, with
+    some points repeated."""
+    n = draw(st.integers(min_value=2, max_value=48))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    distinct = rng.randint(1, n)
+    D = np.array(
+        [[0 if i == j else rng.randint(1, 50) for j in range(distinct)] for i in range(distinct)]
+    )
+    D = np.minimum(D, D.T)
+    for k in range(distinct):
+        D = np.minimum(D, D[:, [k]] + D[[k], :])
+    copies = sorted(rng.randrange(distinct) for _ in range(n - distinct))
+    order = list(range(distinct)) + copies
+    D = [[int(D[i][j]) for j in order] for i in order]
+    top = max(map(max, D))
+    return np.array([[x / top if top else 0.0 for x in row] for row in D])
+
+
+@st.composite
+def ascent_starts(draw, n):
+    """0-30 start vectors: uniform draws as the search makes them, the floats
+    of rational weightings as seeds give, and constant vectors."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = draw(st.lists(st.sampled_from(["uniform", "seed", "constant"]), max_size=30))
+    rows = []
+    for kind in kinds:
+        if kind == "uniform":
+            rows.append([rng.uniform(-1, 1) for _ in range(n)])
+        elif kind == "seed":
+            rows.append([float(Fraction(rng.randint(-9, 9), rng.randint(1, 12))) for _ in range(n)])
+        else:
+            rows.append([draw(st.sampled_from([0.0, 0.5, 0.1, -1 / 3]))] * n)
+    return np.array(rows).reshape(len(rows), n)
+
+
+def _assert_ascents_match_oracle(d_norm, starts, iters):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = _ascend_all(d_norm, starts, iters)
+    assert len(ends) == len(starts)
+    for start, end in zip(starts, ends):
+        want = oracle_ascend(d_norm, start.copy(), iters)
+        if want is None:
+            assert end is None
+        else:
+            assert np.array_equal(end, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lockstep_ascent_matches_one_run_per_start(data):
+    d_norm = data.draw(search_matrices())
+    starts = data.draw(ascent_starts(len(d_norm)))
+    iters = data.draw(st.integers(min_value=0, max_value=300))
+    _assert_ascents_match_oracle(d_norm, starts, iters)
+
+
+def test_lockstep_ascent_drops_a_run_whose_projection_vanishes():
+    # (I + A / 4) w is zero for w on the first two coordinates: that run stops
+    # after its start, the run on the last two coordinates goes on
+    A = np.diag([-4.0, -4.0, 0.0, 0.0])
+    starts = np.array(
+        [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0], [0.5] * 4, [0.3, -0.1, 0.2, -0.4]]
+    )
+    ends = _ascend_all(A, starts, 5)
+    assert ends[2] is None
+    assert np.array_equal(ends[0], [0.5, -0.5, 0.0, 0.0])
+    _assert_ascents_match_oracle(A, starts, 5)
+
+
+@st.composite
+def scored_vectors(draw, n):
+    """Nonzero integer vectors, some repeated, negated (c and -c always tie)
+    or scaled."""
+    vectors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        c = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any))
+        vectors.append(c)
+        twin = draw(st.sampled_from(["none", "negated", "scaled"]))
+        if twin == "negated":
+            vectors.append([-x for x in c])
+        elif twin == "scaled":
+            vectors.append([3 * x for x in c])
+    return draw(st.permutations(vectors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_scoring_picks_the_fraction_argmax(data):
+    labels, rows = data.draw(rational_metrics(max_points=7).filter(lambda lr: len(lr[0]) >= 2))
+    m = FiniteMetric.from_rows(labels, rows)
+    vectors = data.draw(scored_vectors(m.size))
+    assert _best_vector(m, vectors) == oracle_argmax(m, [_weighting_of(c) for c in vectors])
+
+
+def test_integer_scoring_breaks_a_tie_on_entries(c4_metric):
+    # On the 4-cycle the edges v1v2 and v2v3 give the largest pair energy,
+    # and every vector ties with its negation: the smallest entries win in
+    # any order.
+    vectors = [[1, -1, 0, 0], [0, 1, -1, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [1, 0, -1, 0]]
+    value, want = oracle_argmax(c4_metric, [_weighting_of(c) for c in vectors])
+    assert value == Fraction(-1, 4)
+    assert want.entries == ((0, Fraction(-1, 2)), (1, Fraction(1, 2)))
+    for order in itertools.permutations(vectors):
+        assert _best_vector(c4_metric, order) == (value, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_gap_search_matches_one_run_per_start_scored_over_fractions(data):
+    g, pts = data.draw(graphs_with_points(count=data.draw(st.integers(2, 7))))
+    m = distance_matrix(g, pts)
+    starts = data.draw(st.integers(0, 6))
+    iters = data.draw(st.integers(0, 40))
+    seed = data.draw(st.integers(0, 100))
+    seeds = ()
+    if data.draw(st.booleans()):
+        raw = data.draw(balanced_weightings(m.size))
+        seeds = (Weighting.from_map({i: v / raw.total_mass for i, v in raw.entries}),)
+    bracket = gap_bracket(m, starts=starts, iters=iters, seed=seed, seeds=seeds)
+    want = oracle_gap_lower(m, starts=starts, iters=iters, seed=seed, seeds=seeds)
+    assert (bracket.lower, bracket.weighting) == want
+
+
 def _gap_points(g, rng, count=24):
     half = count // 2
     pts = [Vertex(v) for v in rng.sample(g.vertices, half)]
@@ -549,6 +694,114 @@ def test_gap_bracket_frozen_on_24_points(seed, graph, lower, weighting, upper_sp
     assert bracket.lower == lower
     assert bracket.weighting == Weighting.from_values(weighting)
     assert bracket.upper_spectral == upper_spectral
+    assert bracket.spectral_mu == mu
+
+
+def _points_metric(graph, count, rng_seed):
+    return lambda: (distance_matrix(graph, _gap_points(graph, random.Random(rng_seed), count)), ())
+
+
+def _witness_metric_and_seed():
+    w = construct_witness(make_theta(1, 1, 1))
+    return w.metric, (omega_from_witness(w),)
+
+
+# Recorded from the per-start ascent and the Fraction candidate scoring, with
+# the weighting as integers over one denominator.  On ``rawsnap6`` the winner
+# is the snap of the raw ascent floats (over 2^57), so any change in the last
+# bit of the ascent shows; on ``theta8`` and ``witness_seeded`` a 10^6 snap
+# wins.
+@pytest.mark.parametrize(
+    "build, kwargs, lower, den, numerators, mu",
+    [
+        (
+            _points_metric(make_random_cactus(6, seed=1), 8, "cactus8"),
+            {},
+            Fraction(-108203, 6298560),
+            486,
+            "-15 -7 -23 -167 33 -31 169 41",
+            Fraction(-725085000878756555595320519, 7205759403792793600000000000),
+        ),
+        (
+            _points_metric(subdivide(make_theta(1, 1, 1), 2), 8, "theta8"),
+            {},
+            Fraction(24234829247, 6000000000000),
+            10**6,
+            "-207722 -90850 75724 -201428 108409 10806 98740 206321",
+            Fraction(7455879779814073, 144115188075855872),
+        ),
+        (
+            _points_metric(make_random_connected(10, 13, seed=3), 8, "connected8"),
+            {},
+            Fraction(-7301, 221184),
+            192,
+            "-3 29 1 25 -55 -23 -15 41",
+            Fraction(-6163612075427458989415066379, 18014398509481984000000000000),
+        ),
+        (
+            _points_metric(subdivide(make_theta(1, 1, 1), 2), 6, 5),
+            {},
+            Fraction(
+                -852909463895934484216343606112995,
+                46730671726813451250847852328386596,
+            ),
+            216172782113783814,
+            "41016576791872349 -45432663661789657 -16086772907932507 "
+            "52303022377127159 -46566954487169743 14766791887892399",
+            Fraction(-3151520468648891, 18014398509481984),
+        ),
+        (
+            _points_metric(make_random_cactus(12, seed=7), 24, "cactus24"),
+            {"starts": 8},
+            Fraction(-3801157262, 648097203645),
+            240018,
+            "-73 -36769 2807 767 1511 767 -8977 15479 -6625 -1561 1223 -21697 "
+            "38831 -38593 -1105 11927 5423 15527 6383 3023 4055 -4609 359 11927",
+            Fraction(-3394155791524507, 36028797018963968),
+        ),
+        (
+            _points_metric(make_random_connected(16, 21, seed=4), 24, "connected24"),
+            {"starts": 8},
+            Fraction(1016663, 23328000),
+            720,
+            "19 81 20 38 0 -52 -32 32 -9 -60 68 -48 -8 20 -17 -19 -20 57 -33 -3 -17 15 10 -42",
+            Fraction(6586239053561034838680920441, 4503599627370496000000000000),
+        ),
+        (
+            _points_metric(subdivide(make_theta(1, 1, 1), 5), 24, "theta24"),
+            {"starts": 8},
+            Fraction(917, 17712),
+            246,
+            "-1 -1 -1 -37 11 -25 -25 -1 -1 -1 11 23 -1 11 11 -13 -1 -1 -13 11 23 11 -1 11",
+            Fraction(98462569110393, 70368744177664),
+        ),
+        (
+            _witness_metric_and_seed,
+            {},
+            Fraction(9045770917, 3000000000000),
+            10**6,
+            "216835 99479 183686 -210365 -144176 -145459",
+            Fraction(5042710654945795, 144115188075855872),
+        ),
+    ],
+    ids=[
+        "cactus8",
+        "theta8",
+        "connected8",
+        "rawsnap6",
+        "cactus24",
+        "connected24",
+        "theta24",
+        "witness_seeded",
+    ],
+)
+def test_gap_bracket_frozen_outputs(build, kwargs, lower, den, numerators, mu):
+    m, seeds = build()
+    bracket = gap_bracket(m, seeds=seeds, **kwargs)
+    assert bracket.lower == lower
+    assert bracket.weighting == Weighting.from_values(
+        [Fraction(int(a), den) for a in numerators.split()]
+    )
     assert bracket.spectral_mu == mu
 
 

@@ -1,12 +1,13 @@
 """Theta detection, minimal theta extraction, intrinsic distances."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_contains_theta, oracle_min_theta_total
+from oracles import OraclePairNet, oracle_contains_theta, oracle_min_theta_total
 from test_core import connected_graphs
 from thetagap import theta as theta_module
 from thetagap.core import Vertex, build_graph, distance, subdivide
@@ -195,8 +196,9 @@ def test_minimal_theta_on_subdivided_k33_frozen(k):
     assert t.lengths == (2 * k + 2,) * 3
 
 
-def _branch_pair_count(g) -> int:
-    count = 0
+def _branch_pairs(g):
+    """Each block of cycle rank >= 2, with the pairs of its vertices of
+    degree at least 3 in the block."""
     for block in theta_module._biconnected_blocks(g):
         if theta_module._block_stats(g, block)[1] < 2:
             continue
@@ -204,9 +206,46 @@ def _branch_pair_count(g) -> int:
         for eid in block:
             for end in g.edge(eid).ends:
                 degree[end] = degree.get(end, 0) + 1
-        branch = sum(1 for d in degree.values() if d >= 3)
-        count += branch * (branch - 1) // 2
-    return count
+        branch = sorted(w for w, d in degree.items() if d >= 3)
+        yield block, list(itertools.combinations(branch, 2))
+
+
+def _branch_pair_count(g) -> int:
+    return sum(len(pairs) for _, pairs in _branch_pairs(g))
+
+
+def _assert_block_net_matches_pair_nets(g):
+    # one net per block, solved for every pair in both directions in turn
+    for block, pairs in _branch_pairs(g):
+        net = theta_module._FlowNet(g, block)
+        for u, v in pairs + [(v, u) for u, v in reversed(pairs)]:
+            want = OraclePairNet(g, block, u, v).min_cost_three_paths()
+            assert net.three_paths(u, v) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        connected_graphs(max_vertices=6, max_extra_edges=5),
+        graphs_with_coprime_denominators(),
+    )
+)
+def test_block_net_gives_the_walks_of_a_net_per_pair(g):
+    _assert_block_net_matches_pair_nets(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        subdivide(from_spec(FamilySpec(tag="complete", sizes=(4,))), 2),
+        subdivide(from_spec(FamilySpec(tag="complete", sizes=(5,))), 1),
+        subdivide(from_spec(FamilySpec(tag="complete_bipartite", sizes=(3, 3))), 3),
+        make_random_connected(16, 24, seed=3),
+    ],
+    ids=["k4_k2", "k5_k1", "k33_k3", "random16"],
+)
+def test_block_net_gives_the_walks_of_a_net_per_pair_on_larger_graphs(g):
+    _assert_block_net_matches_pair_nets(g)
 
 
 def test_minimal_theta_prunes_flows_and_keeps_the_theta(monkeypatch):
