@@ -3,8 +3,8 @@
 A finite metric embeds isometrically in some l1 space exactly when it is a
 nonnegative combination of cut metrics.  With points indexed 0..n-1 and cuts
 canonicalized to contain point 0, that is a rational feasibility LP with
-2^(n-1) - 1 columns.  The solver here is a revised simplex over Fractions
-whose verdicts are certificates: feasibility returns the combination itself
+2^(n-1) - 1 columns.  The solver here is an exact revised simplex whose
+verdicts are certificates: feasibility returns the combination itself
 (re-verified on construction), infeasibility returns a separating pair-weight
 vector checked against every cut.
 
@@ -15,13 +15,18 @@ generation over a bool crossing matrix proposes a small support for the
 exact simplex; the full exact problem is the last resort.  Floats only ever
 propose: every verdict is a certificate that passed its exact constructor.
 
-The exact simplex never materializes cut columns for its all-cuts pricing
-step; a Gray-code walk updates the crossing sum one point-flip at a time.
-It keeps each row of B^-1 as a map from column to nonzero Fraction, since
-cut bases stay sparse, so duals, entering directions and pivots cost in
-proportion to the stored nonzeros.  Every "which pairs cross this cut"
-question goes through ``_crossing`` on the cut's mask.  Metrics above 20
-points are refused before any cut is enumerated.
+The exact simplex is fraction-free: B^-1 is an integer adjugate over one
+positive integer, the determinant of B, kept as one sparse dict per row and
+updated by integer-preserving pivots (every division is exact), so it makes
+the comparisons a simplex over the rationals would make, on Python ints.
+Pricing against every cut, and the all-cuts check of a separating vector,
+add each pair's integer weight over the bool row of the cuts it crosses in
+one numpy int64 pass while the weights' absolute sum stays below 2^62; past
+that bound, or above 20 points, a Gray-code walk updates the crossing sum
+one point-flip at a time on Python ints.  Every "which pairs cross this
+cut" question goes through ``_crossing`` on the cut's mask or through the
+shared ``_crossing_matrix``.  Metrics above 20 points are refused before
+any cut is enumerated.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -102,6 +108,25 @@ def _crossing(mask: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
     return [k for k, (i, j) in enumerate(pairs) if (side >> i ^ side >> j) & 1]
 
 
+@lru_cache(maxsize=1)
+def _crossing_matrix(n: int) -> np.ndarray:
+    """Bool pairs x masks matrix: entry (k, mask) is true when pair k (in
+    itertools.combinations order) crosses the cut of canonical mask
+    0 <= mask < 2^(n-1) - 1.  The last one built is kept (read-only) for
+    the float proposal, the exact pricing and the certificate check of the
+    same metric; at 20 points it takes about 100 MB."""
+    masks = np.arange((1 << (n - 1)) - 1, dtype=np.int64)
+    side = np.ones((n, len(masks)), dtype=bool)  # side[v]: v on point 0's side
+    for t in range(n - 1):
+        side[t + 1] = (masks >> t) & 1
+    pairs = list(itertools.combinations(range(n), 2))
+    crossing = np.empty((len(pairs), len(masks)), dtype=bool)
+    for k, (i, j) in enumerate(pairs):
+        np.not_equal(side[i], side[j], out=crossing[k])
+    crossing.flags.writeable = False
+    return crossing
+
+
 def cut_metric(n: int, cut: Cut) -> tuple[tuple[Fraction, ...], ...]:
     """The semimetric that is 1 across the cut and 0 within each side."""
     if cut.n != n:
@@ -155,11 +180,72 @@ def _gray_cut_values(n: int, pair_weights: Sequence[int]) -> Iterator[tuple[int,
             yield mask, cur
 
 
-def _scale_to_integers(values: Sequence[Fraction]) -> list[int]:
+def _primitive_integers(values: Sequence[Fraction]) -> list[int]:
+    """The integer vector with gcd 1 that is a positive multiple of ``values``
+    (all zeros for a zero vector)."""
     scale = 1
     for v in values:
         scale = scale * v.denominator // gcd(scale, v.denominator)
-    return [int(v * scale) for v in values]
+    ints = [int(v * scale) for v in values]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+# The int64 pass over all cuts runs while the weights' absolute sum stays
+# below this, so no partial crossing sum can overflow.
+_INT64_SUM_BOUND = 1 << 62
+
+
+def _cut_scores(n: int, pair_weights: Sequence[int]) -> Optional[np.ndarray]:
+    """Crossing sums of every proper canonical cut, indexed by mask, as one
+    int64 vector; None when the weights' absolute sum reaches the int64
+    bound, or above MAX_CUT_POINTS points, where no crossing matrix is built
+    (a certificate read by ``verify`` can be that large).
+
+    Each pair's weight times the bool row of the cuts it crosses is added
+    in turn, through one scratch vector, so nothing larger than the score
+    vector is allocated beyond the shared crossing matrix.
+    """
+    if n > MAX_CUT_POINTS or sum(abs(w) for w in pair_weights) >= _INT64_SUM_BOUND:
+        return None
+    crossing = _crossing_matrix(n)
+    scores = np.zeros(crossing.shape[1], dtype=np.int64)
+    term = np.empty_like(scores)
+    for k, w in enumerate(pair_weights):
+        if w:
+            np.multiply(crossing[k], w, out=term)
+            scores += term
+    return scores
+
+
+def _gray_rank(masks):
+    """Position in the Gray-code walk of a mask, or of each mask of an int64
+    array: the inverse Gray code, exact for masks below 2^32 (cut masks
+    have at most MAX_CUT_POINTS - 1 bits)."""
+    rank = masks
+    for shift in (1, 2, 4, 8, 16):
+        rank = rank ^ (rank >> shift)
+    return rank
+
+
+def _lowest_gray_rank(masks: np.ndarray) -> int:
+    """The mask that the Gray-code walk reaches first among ``masks``."""
+    return int(masks[np.argmin(_gray_rank(masks))])
+
+
+def _first_positive_cut(
+    n: int, pair_weights: Sequence[int], skip: Iterable[int] = ()
+) -> Optional[int]:
+    """The first mask of the Gray-code walk, outside ``skip``, whose
+    crossing sum is positive, or None; by one int64 pass below the bound."""
+    skip = set(skip)
+    scores = _cut_scores(n, pair_weights)
+    if scores is None:
+        walk = _gray_cut_values(n, pair_weights)
+        return next((mask for mask, value in walk if value > 0 and mask not in skip), None)
+    scores[list(skip)] = 0
+    positive = np.flatnonzero(scores > 0)
+    return _lowest_gray_rank(positive) if len(positive) else None
 
 
 @dataclass(frozen=True)
@@ -168,7 +254,8 @@ class FarkasCertificate:
 
     Invariants (checked exactly on construction): the weighted crossing sum
     is nonpositive for every canonical cut, while the weighted sum against
-    the metric's own distances is strictly positive."""
+    the metric's own distances is strictly positive.  A failure names the
+    first failing cut of the Gray-code walk."""
 
     metric: FiniteMetric
     pair_values: tuple[Fraction, ...]
@@ -184,12 +271,11 @@ class FarkasCertificate:
         )
         if against_d <= 0:
             raise InternalCheckError("separating vector does not cut off the metric")
-        ints = _scale_to_integers(self.pair_values)
-        for mask, value in _gray_cut_values(n, ints):
-            if value > 0:
-                raise InternalCheckError(
-                    f"separating vector fails on the cut with mask {mask}"
-                )
+        failing = _first_positive_cut(n, _primitive_integers(self.pair_values))
+        if failing is not None:
+            raise InternalCheckError(
+                f"separating vector fails on the cut with mask {failing}"
+            )
 
 
 @dataclass(frozen=True)
@@ -256,16 +342,27 @@ class _Phase1:
     """Revised phase-1 simplex for {lambda >= 0 : sum lambda_S d_S = d}.
 
     Starts from an all-artificial basis; cut columns price either from an
-    explicit list or over all canonical cuts by Gray-code scan.  Pricing is
-    steepest (largest positive crossing sum) until a run of degenerate pivots
-    trips the anti-cycling switch to least-position pricing, which guarantees
-    termination.
+    explicit list or over all canonical cuts (``_cut_scores``).  Pricing is
+    steepest (largest positive crossing sum, ties to the lowest Gray-code
+    rank) until a run of degenerate pivots trips the anti-cycling switch to
+    lowest-rank pricing, which guarantees termination.
 
-    Each row of B^-1 is a dict from column to its nonzero Fraction entries:
-    cut bases stay very sparse (685 nonzeros of 14 400 entries after the 12
-    pivots of the 16-point K4 solve), so the dual, the entering direction and
-    the pivot update touch only stored nonzeros, and entries that cancel are
-    dropped.  ``pivots`` and ``degenerate_pivots`` count the work done.
+    The arithmetic is fraction-free.  ``adj`` is the adjugate of the basis
+    B and ``det`` its determinant, so B^-1 = adj / det; ``det`` starts at 1
+    and stays positive, because each pivot multiplies it by a positive
+    direction entry.  Each row of ``adj`` is a dict from column to its
+    nonzero int entries: cut bases stay very sparse (685 nonzeros of 14 400
+    entries after the 12 pivots of the 16-point K4 solve), so the dual, the
+    entering direction and the pivot update touch only stored nonzeros.
+    The basic values are ``xs / (det * m.den)`` with ``xs`` integers, and
+    the dual is integers over ``det``.  A pivot on row ``row`` with integer
+    direction D keeps that row and sets every other row r to
+    (p adj_r - D_r adj_row) // det with p = D_row, then det = p; the
+    division is exact because the result is the new adjugate.  Every sign
+    test and ratio comparison is the one a simplex over the rationals makes,
+    so are the pivots; ``Fraction``s appear only in ``solve``'s result and
+    in ``decomposition``.  ``pivots``, ``degenerate_pivots`` and
+    ``pricing_scans`` count the work done.
     """
 
     def __init__(self, m: FiniteMetric, columns: Optional[Sequence[int]] = None):
@@ -273,62 +370,55 @@ class _Phase1:
         self.n = m.size
         self.pairs = list(itertools.combinations(range(self.n), 2))
         self.rows = len(self.pairs)
-        self.b = [m.distance(i, j) for i, j in self.pairs]
         self.full_mask = (1 << (self.n - 1)) - 1
         self.columns = None if columns is None else sorted(set(columns))
         if self.columns is not None:
             bad = [c for c in self.columns if not 0 <= c < self.full_mask]
             if bad:
                 raise PreconditionError(f"bad cut masks {bad!r}")
+            self._column_rows = {c: _crossing(c, self.pairs) for c in self.columns}
         # variable ids: cut masks, then artificials at full_mask + row
         self.art0 = self.full_mask
         self.basis = [self.art0 + r for r in range(self.rows)]
-        self.binv: list[dict[int, Fraction]] = [{r: Fraction(1)} for r in range(self.rows)]
-        self.xb = list(self.b)
+        self.adj: list[dict[int, int]] = [{r: 1} for r in range(self.rows)]
+        self.det = 1
+        self.xs = [m.D[i][j] for i, j in self.pairs]
         self.bland = False
         self.streak = 0
         self.pivots = 0
         self.degenerate_pivots = 0
-        self._rank_cache: dict[int, int] = {}
+        self.pricing_scans = 0
 
     # -- column geometry ----------------------------------------------------
 
-    def _gray_rank(self, mask: int) -> int:
-        # position of the mask in the Gray-code walk; the fixed variable
-        # order used by the anti-cycling rule
-        if mask not in self._rank_cache:
-            inv = mask
-            shift = 1
-            while inv >> shift:
-                inv ^= inv >> shift
-                shift <<= 1
-            self._rank_cache[mask] = inv
-        return self._rank_cache[mask]
-
     def _var_rank(self, var: int) -> int:
+        # the fixed variable order of the anti-cycling rule: cuts by their
+        # position in the Gray-code walk, then the artificials
         if var >= self.art0:
             return (1 << self.n) + (var - self.art0)
-        return self._gray_rank(var)
+        return _gray_rank(var)
 
     # -- pricing ------------------------------------------------------------
 
-    def _dual(self) -> list[Fraction]:
-        # y = c_B B^-1 with phase-1 costs: sum the rows of B^-1 at artificials
-        y = [Fraction(0)] * self.rows
+    def _dual(self) -> list[int]:
+        # y = c_B B^-1 with phase-1 costs, times det: the artificials' rows
+        y = [0] * self.rows
         for r, var in enumerate(self.basis):
             if var >= self.art0:
-                for k, v in self.binv[r].items():
+                for k, v in self.adj[r].items():
                     y[k] += v
         return y
 
-    def _price(self, y: list[Fraction]) -> Optional[int]:
-        basic = {v for v in self.basis if v < self.art0}
+    def _price(self, y: list[int]) -> Optional[int]:
+        # det > 0, so the integer dual prices like the rational one
+        self.pricing_scans += 1
+        basic = [v for v in self.basis if v < self.art0]
         if self.columns is not None:
             best: Optional[tuple] = None
             for mask in self.columns:
                 if mask in basic:
                     continue
-                score = sum((y[k] for k in _crossing(mask, self.pairs)), Fraction(0))
+                score = sum(y[k] for k in self._column_rows[mask])
                 if score <= 0:
                     continue
                 rank = self._var_rank(mask)
@@ -336,59 +426,74 @@ class _Phase1:
                 if best is None or key < best[0]:
                     best = (key, mask)
             return None if best is None else best[1]
-        ints = _scale_to_integers(y)
+        g = gcd(*y)
+        if g == 0:  # a zero dual prices no cut positive
+            return None
+        y = [v // g for v in y]
+        if self.bland:
+            return _first_positive_cut(self.n, y, basic)
+        scores = _cut_scores(self.n, y)
+        if scores is None:
+            return self._walk_steepest(y, set(basic))
+        scores[basic] = 0
+        top = scores.max()
+        return _lowest_gray_rank(np.flatnonzero(scores == top)) if top > 0 else None
+
+    def _walk_steepest(self, y: list[int], basic: set[int]) -> Optional[int]:
+        # the same choice by the walk on Python ints, past the int64 bound:
+        # the first largest positive crossing sum
         best_mask: Optional[int] = None
-        best_key: Optional[tuple] = None
-        for pos, (mask, value) in enumerate(_gray_cut_values(self.n, ints)):
-            if value <= 0 or mask in basic:
-                continue
-            if self.bland:
-                return mask  # first positive in the fixed scan order
-            key = (-value, pos)
-            if best_key is None or key < best_key:
-                best_key, best_mask = key, mask
+        best_value = 0
+        for mask, value in _gray_cut_values(self.n, y):
+            if value > best_value and mask not in basic:
+                best_mask, best_value = mask, value
         return best_mask
 
     # -- pivoting -----------------------------------------------------------
 
-    def _ratio_test(self, direction: list[Fraction]) -> int:
-        best_row = -1
-        best: Optional[tuple[Fraction, int]] = None
-        for r in range(self.rows):
-            if direction[r] <= 0:
+    def _ratio_test(self, direction: list[int]) -> int:
+        # min x_r / D_r over D_r > 0 by cross-multiplying, ties to lowest rank
+        best_row, best_x, best_d, best_rank = -1, 0, 1, 0
+        for r, d in enumerate(direction):
+            if d <= 0:
                 continue
-            ratio = self.xb[r] / direction[r]
-            key = (ratio, self._var_rank(self.basis[r]))
-            if best is None or key < best:
-                best = key
-                best_row = r
+            x, rank = self.xs[r], self._var_rank(self.basis[r])
+            if best_row >= 0:
+                lhs, rhs = x * best_d, best_x * d
+                if lhs > rhs or (lhs == rhs and rank > best_rank):
+                    continue
+            best_row, best_x, best_d, best_rank = r, x, d, rank
         if best_row < 0:
             raise InternalCheckError("phase-1 ratio test found no leaving row")
         return best_row
 
-    def _pivot(self, row: int, entering: int, direction: list[Fraction]) -> None:
-        piv = direction[row]
-        brow = {k: v / piv for k, v in self.binv[row].items()}
-        self.binv[row] = brow
-        self.xb[row] /= piv
-        for r, f in enumerate(direction):
-            if r == row or f == 0:
+    def _pivot(self, row: int, entering: int, direction: list[int]) -> None:
+        p, det = direction[row], self.det
+        prow, px = self.adj[row], self.xs[row]
+        for r, d in enumerate(direction):
+            if r == row:
                 continue
-            target = self.binv[r]
-            for k, v in brow.items():
-                value = target.get(k, 0) - f * v
+            target = self.adj[r]
+            if d == 0:
+                if p != det:
+                    self.adj[r] = {k: p * v // det for k, v in target.items()}
+                    self.xs[r] = p * self.xs[r] // det
+                continue
+            scaled = {k: p * v for k, v in target.items()}
+            for k, v in prow.items():
+                value = scaled.get(k, 0) - d * v
                 if value:
-                    target[k] = value
+                    scaled[k] = value
                 else:
-                    target.pop(k, None)
-            self.xb[r] -= f * self.xb[row]
+                    scaled.pop(k, None)
+            self.adj[r] = scaled if det == 1 else {k: v // det for k, v in scaled.items()}
+            self.xs[r] = (p * self.xs[r] - d * px) // det
+        self.det = p
         self.basis[row] = entering
 
     def objective(self) -> Fraction:
-        return sum(
-            (self.xb[r] for r, v in enumerate(self.basis) if v >= self.art0),
-            Fraction(0),
-        )
+        total = sum(self.xs[r] for r, v in enumerate(self.basis) if v >= self.art0)
+        return Fraction(total, self.det * self.m.den)
 
     def solve(self) -> tuple[Fraction, list[Fraction]]:
         """Run to optimality; returns (objective, dual y at optimum)."""
@@ -396,14 +501,13 @@ class _Phase1:
             y = self._dual()
             entering = self._price(y)
             if entering is None:
-                return self.objective(), y
+                return self.objective(), [Fraction(v, self.det) for v in y]
             crossing = set(_crossing(entering, self.pairs))
             direction = [
-                sum((v for k, v in brow.items() if k in crossing), Fraction(0))
-                for brow in self.binv
+                sum(v for k, v in arow.items() if k in crossing) for arow in self.adj
             ]
             row = self._ratio_test(direction)
-            degenerate = self.xb[row] == 0
+            degenerate = self.xs[row] == 0
             self._pivot(row, entering, direction)
             self.pivots += 1
             if degenerate:
@@ -415,30 +519,13 @@ class _Phase1:
                 self.streak = 0
 
     def decomposition(self) -> CutDecomposition:
-        weights: dict[int, Fraction] = {}
-        for r, var in enumerate(self.basis):
-            if var < self.art0 and self.xb[r] > 0:
-                weights[var] = weights.get(var, Fraction(0)) + self.xb[r]
+        scale = self.det * self.m.den
         entries = tuple(
-            (Cut.from_mask(self.n, mask), weight)
-            for mask, weight in sorted(weights.items())
+            (Cut.from_mask(self.n, var), Fraction(self.xs[r], scale))
+            for var, r in sorted((var, r) for r, var in enumerate(self.basis))
+            if var < self.art0 and self.xs[r] > 0
         )
         return CutDecomposition(metric=self.m, entries=entries)
-
-
-def _crossing_matrix(n: int) -> np.ndarray:
-    """Bool pairs x masks matrix: entry (k, mask) is true when pair k (in
-    itertools.combinations order) crosses the cut of canonical mask
-    0 <= mask < 2^(n-1) - 1."""
-    masks = np.arange((1 << (n - 1)) - 1, dtype=np.int64)
-    side = np.ones((n, len(masks)), dtype=bool)  # side[v]: v on point 0's side
-    for t in range(n - 1):
-        side[t + 1] = (masks >> t) & 1
-    pairs = list(itertools.combinations(range(n), 2))
-    crossing = np.empty((len(pairs), len(masks)), dtype=bool)
-    for k, (i, j) in enumerate(pairs):
-        np.not_equal(side[i], side[j], out=crossing[k])
-    return crossing
 
 
 def _float_support(m: FiniteMetric) -> Optional[list[int]]:

@@ -467,13 +467,15 @@ class _FlowNet:
         for w in verts:
             self.split[w] = len(self.arc_to)
             self._add(("in", w), ("out", w), 1, 0, None)
-        scale = math.lcm(*(g.edge(eid).length.denominator for eid in block_edges))
+        self.scale = math.lcm(*(g.edge(eid).length.denominator for eid in block_edges))
+        self.edge_cost: dict[str, int] = {}
         for eid in sorted(block_edges):
             e = g.edge(eid)
             a, b = e.ends
             if a == b:
                 continue
-            cost = e.length.numerator * (scale // e.length.denominator)
+            cost = e.length.numerator * (self.scale // e.length.denominator)
+            self.edge_cost[eid] = cost
             self._add(("out", a), ("in", b), 1, cost, (eid, True))
             self._add(("out", b), ("in", a), 1, cost, (eid, False))
         self.source = self.sink = -1
@@ -569,7 +571,9 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
     u, v is at least d(u, v) long, so its total is at least 3·d(u, v).
     Pairs are visited in order of increasing d(u, v), and the search stops
     once 3·d(u, v) exceeds the best total; the strict comparison lets pairs
-    that could tie reach the tie-break.
+    that could tie reach the tie-break.  A solved pair whose integer flow
+    cost, over the net's scale, exceeds the best total is dropped before its
+    ``Theta`` is assembled; an equal total still reaches the tie-break.
     """
     best: Optional[Theta] = None
     for block in _biconnected_blocks(g):
@@ -595,6 +599,12 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
             walks = net.three_paths(u, v)
             if walks is None:
                 continue
+            if best is not None:
+                # the flow's integer cost is the theta's total times the scale
+                cost = sum(net.edge_cost[eid] for walk in walks for eid, _ in walk)
+                bound = best.total_length
+                if cost * bound.denominator > bound.numerator * net.scale:
+                    continue
             t = _assemble_theta(g, u, v, walks)
             if best is None or t._sort_key < best._sort_key:
                 best = t

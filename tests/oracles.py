@@ -3,9 +3,11 @@
 Everything here favors obviousness over speed: Floyd-Warshall instead of
 Dijkstra, exhaustive path and cycle enumeration instead of flow, raw grid
 search instead of projected ascent, ``Fraction`` elimination and the
-L D L^T product instead of integer elimination and replay, and one ascent
+L D L^T product instead of integer elimination and replay, one ascent
 per start scored over ``Weighting``s instead of the lockstep search scored
-on integers.  All arithmetic outside the float ascent is exact.
+on integers, and a phase-1 simplex over ``Fraction``s priced by a Gray-code
+walk instead of the fraction-free one priced in int64.  All arithmetic
+outside the float ascent is exact.
 """
 
 import itertools
@@ -14,12 +16,15 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import Optional, Sequence
 
 import numpy as np
 
+from thetagap import l1cut
 from thetagap.analysis import _SNAP_DENOMINATORS, PSDTranscript, Weighting, gamma
 from thetagap.core import EdgePoint, FiniteMetric, MetricGraph, Point, Vertex
 from thetagap.errors import InternalCheckError, PreconditionError
+from thetagap.l1cut import Cut, CutDecomposition, _crossing, _gray_cut_values
 from thetagap.theta import _FlowNet
 
 
@@ -562,3 +567,193 @@ class OraclePairNet(_FlowNet):
             self._add(("out", b), ("in", a), 1, cost, (eid, False))
         self.source = self.index[("out", u)]
         self.sink = self.index[("in", v)]
+
+
+# ---------------------------------------------------------------------------
+# the cut-cone simplex over Fractions
+# ---------------------------------------------------------------------------
+
+
+def _scale_to_integers(values):
+    scale = 1
+    for v in values:
+        scale = scale * v.denominator // gcd(scale, v.denominator)
+    return [int(v * scale) for v in values]
+
+
+class OraclePhase1:
+    """The phase-1 simplex over Fractions that the fraction-free one
+    replaced, kept to pin its pivots; it reads the anti-cycling streak
+    limit from ``l1cut`` so a patched limit applies to both.
+
+    Revised phase-1 simplex for {lambda >= 0 : sum lambda_S d_S = d}.
+
+    Starts from an all-artificial basis; cut columns price either from an
+    explicit list or over all canonical cuts by Gray-code scan.  Pricing is
+    steepest (largest positive crossing sum) until a run of degenerate pivots
+    trips the anti-cycling switch to least-position pricing, which guarantees
+    termination.
+
+    Each row of B^-1 is a dict from column to its nonzero Fraction entries:
+    cut bases stay very sparse (685 nonzeros of 14 400 entries after the 12
+    pivots of the 16-point K4 solve), so the dual, the entering direction and
+    the pivot update touch only stored nonzeros, and entries that cancel are
+    dropped.  ``pivots`` and ``degenerate_pivots`` count the work done.
+    """
+
+    def __init__(self, m: FiniteMetric, columns: Optional[Sequence[int]] = None):
+        self.m = m
+        self.n = m.size
+        self.pairs = list(itertools.combinations(range(self.n), 2))
+        self.rows = len(self.pairs)
+        self.b = [m.distance(i, j) for i, j in self.pairs]
+        self.full_mask = (1 << (self.n - 1)) - 1
+        self.columns = None if columns is None else sorted(set(columns))
+        if self.columns is not None:
+            bad = [c for c in self.columns if not 0 <= c < self.full_mask]
+            if bad:
+                raise PreconditionError(f"bad cut masks {bad!r}")
+        # variable ids: cut masks, then artificials at full_mask + row
+        self.art0 = self.full_mask
+        self.basis = [self.art0 + r for r in range(self.rows)]
+        self.binv: list[dict[int, Fraction]] = [{r: Fraction(1)} for r in range(self.rows)]
+        self.xb = list(self.b)
+        self.bland = False
+        self.streak = 0
+        self.pivots = 0
+        self.degenerate_pivots = 0
+        self._rank_cache: dict[int, int] = {}
+
+    # -- column geometry ----------------------------------------------------
+
+    def _gray_rank(self, mask: int) -> int:
+        # position of the mask in the Gray-code walk; the fixed variable
+        # order used by the anti-cycling rule
+        if mask not in self._rank_cache:
+            inv = mask
+            shift = 1
+            while inv >> shift:
+                inv ^= inv >> shift
+                shift <<= 1
+            self._rank_cache[mask] = inv
+        return self._rank_cache[mask]
+
+    def _var_rank(self, var: int) -> int:
+        if var >= self.art0:
+            return (1 << self.n) + (var - self.art0)
+        return self._gray_rank(var)
+
+    # -- pricing ------------------------------------------------------------
+
+    def _dual(self) -> list[Fraction]:
+        # y = c_B B^-1 with phase-1 costs: sum the rows of B^-1 at artificials
+        y = [Fraction(0)] * self.rows
+        for r, var in enumerate(self.basis):
+            if var >= self.art0:
+                for k, v in self.binv[r].items():
+                    y[k] += v
+        return y
+
+    def _price(self, y: list[Fraction]) -> Optional[int]:
+        basic = {v for v in self.basis if v < self.art0}
+        if self.columns is not None:
+            best: Optional[tuple] = None
+            for mask in self.columns:
+                if mask in basic:
+                    continue
+                score = sum((y[k] for k in _crossing(mask, self.pairs)), Fraction(0))
+                if score <= 0:
+                    continue
+                rank = self._var_rank(mask)
+                key = (rank,) if self.bland else (-score, rank)
+                if best is None or key < best[0]:
+                    best = (key, mask)
+            return None if best is None else best[1]
+        ints = _scale_to_integers(y)
+        best_mask: Optional[int] = None
+        best_key: Optional[tuple] = None
+        for pos, (mask, value) in enumerate(_gray_cut_values(self.n, ints)):
+            if value <= 0 or mask in basic:
+                continue
+            if self.bland:
+                return mask  # first positive in the fixed scan order
+            key = (-value, pos)
+            if best_key is None or key < best_key:
+                best_key, best_mask = key, mask
+        return best_mask
+
+    # -- pivoting -----------------------------------------------------------
+
+    def _ratio_test(self, direction: list[Fraction]) -> int:
+        best_row = -1
+        best: Optional[tuple[Fraction, int]] = None
+        for r in range(self.rows):
+            if direction[r] <= 0:
+                continue
+            ratio = self.xb[r] / direction[r]
+            key = (ratio, self._var_rank(self.basis[r]))
+            if best is None or key < best:
+                best = key
+                best_row = r
+        if best_row < 0:
+            raise InternalCheckError("phase-1 ratio test found no leaving row")
+        return best_row
+
+    def _pivot(self, row: int, entering: int, direction: list[Fraction]) -> None:
+        piv = direction[row]
+        brow = {k: v / piv for k, v in self.binv[row].items()}
+        self.binv[row] = brow
+        self.xb[row] /= piv
+        for r, f in enumerate(direction):
+            if r == row or f == 0:
+                continue
+            target = self.binv[r]
+            for k, v in brow.items():
+                value = target.get(k, 0) - f * v
+                if value:
+                    target[k] = value
+                else:
+                    target.pop(k, None)
+            self.xb[r] -= f * self.xb[row]
+        self.basis[row] = entering
+
+    def objective(self) -> Fraction:
+        return sum(
+            (self.xb[r] for r, v in enumerate(self.basis) if v >= self.art0),
+            Fraction(0),
+        )
+
+    def solve(self) -> tuple[Fraction, list[Fraction]]:
+        """Run to optimality; returns (objective, dual y at optimum)."""
+        while True:
+            y = self._dual()
+            entering = self._price(y)
+            if entering is None:
+                return self.objective(), y
+            crossing = set(_crossing(entering, self.pairs))
+            direction = [
+                sum((v for k, v in brow.items() if k in crossing), Fraction(0))
+                for brow in self.binv
+            ]
+            row = self._ratio_test(direction)
+            degenerate = self.xb[row] == 0
+            self._pivot(row, entering, direction)
+            self.pivots += 1
+            if degenerate:
+                self.degenerate_pivots += 1
+                self.streak += 1
+                if self.streak >= l1cut._DEGENERATE_STREAK_LIMIT:
+                    self.bland = True
+            else:
+                self.streak = 0
+
+    def decomposition(self) -> CutDecomposition:
+        weights: dict[int, Fraction] = {}
+        for r, var in enumerate(self.basis):
+            if var < self.art0 and self.xb[r] > 0:
+                weights[var] = weights.get(var, Fraction(0)) + self.xb[r]
+        entries = tuple(
+            (Cut.from_mask(self.n, mask), weight)
+            for mask, weight in sorted(weights.items())
+        )
+        return CutDecomposition(metric=self.m, entries=entries)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_cut_cone_member
+from oracles import OraclePhase1, oracle_cut_cone_member
 from test_core import graphs_with_points
 from thetagap import l1cut
 from thetagap.analysis import is_negative_type
@@ -151,6 +151,48 @@ def test_gray_walk_visits_every_cut_once_with_correct_sums(n, data):
         assert value == direct
 
 
+def _uniform_metric(n):
+    return FiniteMetric.from_rows(
+        tuple(f"p{i}" for i in range(n)),
+        [[0 if i == j else 1 for j in range(n)] for i in range(n)],
+    )
+
+
+@pytest.mark.parametrize("bound", [1 << 62, 0], ids=["int64", "gray_walk"])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=3, max_value=7), st.data())
+def test_farkas_check_names_the_first_failing_cut_of_the_walk(bound, n, data):
+    # the uniform metric is l1, so a vector positive against it is positive
+    # on some cut; the check must name the walk's first such cut
+    pairs = list(itertools.combinations(range(n), 2))
+    weights = [data.draw(st.integers(min_value=-9, max_value=9)) for _ in pairs]
+    weights[0] += 1 - min(0, sum(weights))  # positive against the metric
+    expected = next(mask for mask, value in _gray_cut_values(n, weights) if value > 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(l1cut, "_INT64_SUM_BOUND", bound)
+        with pytest.raises(InternalCheckError, match=f"with mask {expected}$"):
+            FarkasCertificate(
+                metric=_uniform_metric(n), pair_values=tuple(map(Fraction, weights))
+            )
+
+
+def test_cut_scores_build_no_crossing_matrix_above_the_cap(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"a crossing matrix over {n} points was built")
+
+    monkeypatch.setattr(l1cut, "_crossing_matrix", refuse)
+    assert l1cut._cut_scores(21, [1] * 210) is None
+
+
+@pytest.mark.parametrize("bound", [1 << 62, 0], ids=["int64", "gray_walk"])
+def test_farkas_check_accepts_a_separating_vector(monkeypatch, bound):
+    monkeypatch.setattr(l1cut, "_INT64_SUM_BOUND", bound)
+    g = from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3)))
+    m = distance_matrix(g, [Vertex(v) for v in g.vertices])
+    _, dual = _Phase1(m).solve()
+    FarkasCertificate(metric=m, pair_values=tuple(dual))
+
+
 # ---------------------------------------------------------------------------
 # membership decisions
 # ---------------------------------------------------------------------------
@@ -229,7 +271,8 @@ def test_verdict_matches_the_full_exact_lp(graph, k):
 
 
 # Recorded from the dense-B^-1 simplex that sparse rows replaced: objective,
-# dual, final basis, Bland switch and pivot counts of the full exact LP.
+# dual, final basis, Bland switch and pivot counts of the full exact LP.  The
+# pricing scan counts (one per pivot plus the final one) were added later.
 CASE1_DUAL = [
     1, 1, -10, -19, 1, 1, 1, 1, 1, 1, 1, 1, 1, -4, 1, -7, 1, 1, 1, 1, -7, 1, 1, 1, -9,
     1, 1, -8, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -13, -9, -7, 1, 1, 1, 1, -13, 1, 1, 1,
@@ -259,17 +302,17 @@ CASE3_BASIS = [
 
 
 @pytest.mark.parametrize(
-    "n, seed, streak_limit, objective, dual, basis, bland, pivots, degenerate",
+    "n, seed, streak_limit, objective, dual, basis, bland, pivots, degenerate, scans",
     [
-        (12, 0, 30, Fraction(79, 60), CASE1_DUAL, CASE1_BASIS, False, 64, 6),
-        (10, 3, 30, Fraction(17, 10), CASE2_DUAL, CASE2_BASIS, False, 57, 20),
+        (12, 0, 30, Fraction(79, 60), CASE1_DUAL, CASE1_BASIS, False, 64, 6, 65),
+        (10, 3, 30, Fraction(17, 10), CASE2_DUAL, CASE2_BASIS, False, 57, 20, 58),
         # a short degenerate streak forces the switch to Bland pricing
-        (10, 3, 2, Fraction(17, 10), CASE2_DUAL, CASE3_BASIS, True, 89, 21),
+        (10, 3, 2, Fraction(17, 10), CASE2_DUAL, CASE3_BASIS, True, 89, 21, 90),
     ],
     ids=["connected12", "connected10", "connected10_bland"],
 )
 def test_full_exact_lp_is_frozen(
-    monkeypatch, n, seed, streak_limit, objective, dual, basis, bland, pivots, degenerate
+    monkeypatch, n, seed, streak_limit, objective, dual, basis, bland, pivots, degenerate, scans
 ):
     monkeypatch.setattr(l1cut, "_DEGENERATE_STREAK_LIMIT", streak_limit)
     g = make_random_connected(n, 14, seed=seed)
@@ -278,6 +321,7 @@ def test_full_exact_lp_is_frozen(
     assert solver.basis == basis
     assert solver.bland is bland
     assert (solver.pivots, solver.degenerate_pivots) == (pivots, degenerate)
+    assert solver.pricing_scans == scans
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,6 +410,7 @@ def test_k4_restricted_solve_counts(k4_decomposition):
     objective, _ = solver.solve()
     assert objective == 0
     assert (solver.pivots, solver.degenerate_pivots, solver.bland) == (12, 1, False)
+    assert solver.pricing_scans == 13
 
 
 def test_k4_float_support_peak_memory(k4_decomposition):
@@ -386,3 +431,88 @@ def test_k4_cut_indicators_sum_to_twice_the_metric(k4_decomposition):
     for i, j in itertools.combinations(range(16), 2):
         crossing = sum(1 for c, _ in dec.entries if c.separates(i, j))
         assert crossing == 2 * m.distance(i, j)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free simplex against the Fraction one it replaced
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def random_metrics(draw, min_points=4, max_points=9):
+    """A cut combination (in the cut cone) or the shortest-path closure of
+    random small pair lengths (mostly outside it, often degenerate)."""
+    n = draw(st.integers(min_value=min_points, max_value=max_points))
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    if draw(st.booleans()):
+        weights = {Cut.from_members(n, [i]): Fraction(1, 2) for i in range(n)}
+        for _ in range(draw(st.integers(min_value=0, max_value=5))):
+            mask = draw(st.integers(min_value=0, max_value=2 ** (n - 1) - 2))
+            w = draw(st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=6))
+            cut = Cut.from_mask(n, mask)
+            weights[cut] = weights.get(cut, Fraction(0)) + w
+        for i, j in pairs:
+            rows[i][j] = rows[j][i] = sum(
+                (w for cut, w in weights.items() if cut.separates(i, j)), Fraction(0)
+            )
+    else:
+        for i, j in pairs:
+            rows[i][j] = rows[j][i] = Fraction(draw(st.integers(min_value=1, max_value=6)))
+        for k, i, j in itertools.product(range(n), repeat=3):
+            rows[i][j] = min(rows[i][j], rows[i][k] + rows[k][j])
+    return FiniteMetric.from_rows(tuple(f"p{i}" for i in range(n)), rows)
+
+
+def _assert_same_run(m, columns=None):
+    ours, oracle = _Phase1(m, columns=columns), OraclePhase1(m, columns=columns)
+    result = ours.solve()
+    assert result == oracle.solve()
+    assert ours.basis == oracle.basis
+    assert [Fraction(x, ours.det * m.den) for x in ours.xs] == oracle.xb
+    assert (ours.pivots, ours.degenerate_pivots, ours.bland) == (
+        oracle.pivots,
+        oracle.degenerate_pivots,
+        oracle.bland,
+    )
+    if result[0] == 0:
+        assert ours.decomposition() == oracle.decomposition()
+
+
+def _with_limits(streak_limit, bound, m):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(l1cut, "_DEGENERATE_STREAK_LIMIT", streak_limit)
+        mp.setattr(l1cut, "_INT64_SUM_BOUND", bound)
+        _assert_same_run(m)
+
+
+@pytest.mark.parametrize("bound", [1 << 62, 0], ids=["int64", "gray_walk"])
+@settings(max_examples=25, deadline=None)
+@given(m=random_metrics())
+def test_integer_simplex_matches_the_fraction_simplex(bound, m):
+    _with_limits(30, bound, m)
+
+
+# Bland pricing takes up to hundreds of pivots from 8 points on, which the
+# Fraction simplex needs seconds for, so these runs stop at 7 points.
+@pytest.mark.parametrize("bound", [1 << 62, 0], ids=["int64", "gray_walk"])
+@settings(max_examples=12, deadline=None)
+@given(m=random_metrics(max_points=7))
+def test_integer_simplex_matches_under_bland_pricing(bound, m):
+    _with_limits(2, bound, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=random_metrics(), data=st.data())
+def test_integer_simplex_matches_on_restricted_columns(m, data):
+    masks = st.integers(min_value=0, max_value=2 ** (m.size - 1) - 2)
+    _assert_same_run(m, columns=data.draw(st.lists(masks, min_size=1, max_size=12)))
+
+
+@pytest.mark.parametrize("streak_limit", [30, 2], ids=["steepest", "bland"])
+def test_k4_restricted_solve_matches_the_fraction_simplex(
+    monkeypatch, k4_decomposition, streak_limit
+):
+    monkeypatch.setattr(l1cut, "_DEGENERATE_STREAK_LIMIT", streak_limit)
+    _, dec = k4_decomposition
+    _assert_same_run(dec.metric, columns=K4_FLOAT_SUPPORT)

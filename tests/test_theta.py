@@ -271,6 +271,52 @@ def test_minimal_theta_prunes_flows_and_keeps_the_theta(monkeypatch):
     assert t.lengths == (Fraction(7, 3), Fraction(29, 10), Fraction(19, 6))
 
 
+def _assembled_totals(monkeypatch):
+    totals = []
+    assemble = theta_module._assemble_theta
+
+    def recorded(*args):
+        t = assemble(*args)
+        totals.append(t.total_length)
+        return t
+
+    monkeypatch.setattr(theta_module, "_assemble_theta", recorded)
+    return totals
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        connected_graphs(max_vertices=6, max_extra_edges=5),
+        graphs_with_coprime_denominators(),
+    )
+)
+def test_minimal_theta_assembles_no_pair_worse_than_the_best(g):
+    # only a flow that could still win or tie reaches _assemble_theta
+    with pytest.MonkeyPatch.context() as mp:
+        totals = _assembled_totals(mp)
+        t = minimal_theta(g)
+    for k in range(1, len(totals)):
+        assert totals[k] <= min(totals[:k])
+    assert (t is None) == (not totals)
+    if t is not None:
+        assert t.total_length == totals[-1] == oracle_min_theta_total(g)
+
+
+def test_minimal_theta_prunes_assemblies(monkeypatch):
+    flows = []
+    solve = theta_module._FlowNet.min_cost_three_paths
+    monkeypatch.setattr(
+        theta_module._FlowNet, "min_cost_three_paths", lambda net: flows.append(1) or solve(net)
+    )
+    totals = _assembled_totals(monkeypatch)
+    t = minimal_theta(make_random_connected(40, 52, seed=1))
+    assert t.total_length == Fraction(84, 10)
+    # 23 flows solved, of which only 2 could still win or tie; without the
+    # prune every flow that found three paths was assembled
+    assert (len(flows), len(totals)) == (23, 2)
+
+
 def test_theta_validation_rejects_shared_interior_vertex():
     g = make_theta(1, 1, 1)
     t = find_theta(g)
