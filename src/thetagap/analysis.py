@@ -9,10 +9,15 @@ plus the eigenvalue-count diagnostic that accompany the decision.
 
 One exact kernel does every symmetric elimination: ``_eliminate``, a
 fraction-free (Bareiss) elimination on Python integers with full diagonal
-pivoting.  ``psd_decompose`` runs it on the matrix cleared of denominators
-and turns its factors into rationals once; the certified-mu ladder asks it
-for verdicts only; ``PSDTranscript.verify`` replays its update along a
-transcript's own order.
+pivoting, which reads and writes only the lower triangle.
+``psd_decompose`` runs it on the matrix cleared of denominators and turns
+its factors into rationals once; the certified-mu ladder and the
+``GapBracket`` constructor ask it for verdicts only; ``PSDTranscript``
+replays its update along a transcript's own order.
+
+The certified spectral bound starts from a float eigenvalue estimate
+(numpy, no scipy) rounded up to a dyadic rational, so its exact test runs
+on small integers; ``GapBracket`` repeats that test on the stored mu.
 
 The gap search proposes weightings in floats and scores them on integers.
 ``_ascend_all`` runs every projected gradient ascent in lockstep as the rows
@@ -38,7 +43,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .core import FiniteMetric, as_rational
 from .errors import InternalCheckError, PreconditionError
@@ -137,21 +141,25 @@ def gamma(m: FiniteMetric, w: Weighting) -> Fraction:
 def _bareiss_update(S: list[list[int]], k: int, prev: int) -> None:
     """Eliminate position k from the trailing block of the symmetric matrix S.
 
-    Fraction-free (Bareiss) step with pivot p = S[k][k] and previous pivot
-    ``prev``: S_ij <- (p S_ij - S_ik S_kj) // prev for all i, j > k.  If the
-    trailing entries were the exact Schur complement times prev * scale,
-    they become the next Schur complement times p * scale; Sylvester's
-    identity makes the division exact.  Column k below the pivot is kept:
-    it holds the numerators of column k of L, over p.
+    Only the lower triangle is read and written: row i holds entries j <= i,
+    and anything stored beyond column i is left alone.  Fraction-free
+    (Bareiss) step with pivot p = S[k][k] and previous pivot ``prev``:
+    S_ij <- (p S_ij - S_ik S_jk) // prev for all k < j <= i.  If the trailing
+    entries were the exact Schur complement times prev * scale, they become
+    the next Schur complement times p * scale; Sylvester's identity makes
+    the division exact.  Column k below the pivot is kept: it holds the
+    numerators of column k of L, over p.
     """
-    p, pivot_row = S[k][k], S[k][k + 1 :]
-    for i in range(k + 1, len(S)):
+    n, p = len(S), S[k][k]
+    column = [S[i][k] for i in range(k + 1, n)]
+    for i in range(k + 1, n):
         row = S[i]
         f = row[k]
+        part = row[k + 1 : i + 1]
         if f:
-            row[k + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[k + 1 :], pivot_row)]
+            row[k + 1 : i + 1] = [(p * a - f * b) // prev for a, b in zip(part, column)]
         else:
-            row[k + 1 :] = [p * a // prev for a in row[k + 1 :]]
+            row[k + 1 : i + 1] = [p * a // prev for a in part]
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,7 @@ class _Elimination:
     pivots p_0, p_1, ...: below the diagonal, S[i][j] / p_j is entry (i, j)
     of L.  ``direction`` is None when the trailing block is zero (the matrix
     is semidefinite), else a direction y, by position, with y^T S y < 0 on
-    the trailing block.
+    the trailing block.  Only the lower triangle of S is meaningful.
     """
 
     perm: list[int]
@@ -171,10 +179,23 @@ class _Elimination:
     direction: Optional[dict[int, int]]
 
 
+def _swap_positions(S: list[list[int]], k: int, t: int) -> None:
+    """Exchange positions k < t of the symmetric matrix held as the lower
+    triangle S: rows and columns k and t trade places, (t, k) stays."""
+    S[k][:k], S[t][:k] = S[t][:k], S[k][:k]
+    for j in range(k + 1, t):
+        S[j][k], S[t][j] = S[t][j], S[j][k]
+    for j in range(t + 1, len(S)):
+        S[j][k], S[j][t] = S[j][t], S[j][k]
+    S[k][k], S[t][t] = S[t][t], S[k][k]
+
+
 def _eliminate(S: list[list[int]]) -> _Elimination:
     """Symmetric Bareiss elimination of an integer matrix, in place.
 
-    Full diagonal pivoting: the largest trailing diagonal entry, the lowest
+    S holds the matrix by its lower triangle (row i needs entries j <= i;
+    longer rows are accepted and their upper part is ignored).  Full
+    diagonal pivoting: the largest trailing diagonal entry, the lowest
     index on ties.  At every step the trailing block is the exact Schur
     complement times one positive integer, so each choice (the pivot, the
     most negative diagonal entry, the first nonzero off-diagonal entry) is
@@ -192,18 +213,17 @@ def _eliminate(S: list[list[int]]) -> _Elimination:
             if negatives:
                 _, p = min(negatives)
                 return _Elimination(perm, pivots, S, {p: 1})
+            # entry (i, j), i < j, of the trailing block is stored at S[j][i]
             off = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if S[i][j] != 0),
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if S[j][i] != 0),
                 None,
             )
             if off is None:
                 break
             p, q = off
-            return _Elimination(perm, pivots, S, {p: 1, q: -1 if S[p][q] > 0 else 1})
+            return _Elimination(perm, pivots, S, {p: 1, q: -1 if S[q][p] > 0 else 1})
         if pivot_at != k:
-            for row in S:
-                row[k], row[pivot_at] = row[pivot_at], row[k]
-            S[k], S[pivot_at] = S[pivot_at], S[k]
+            _swap_positions(S, k, pivot_at)
             perm[k], perm[pivot_at] = perm[pivot_at], perm[k]
         _bareiss_update(S, k, prev)
         prev = pivot_val
@@ -230,6 +250,8 @@ class PSDTranscript:
     compares each d_k and column k of L with the exact Schur complement by
     cross-multiplication.  Where d_k = 0 the rest of column k of the Schur
     complement must be zero and column k of L is free, as in the product.
+    ``verify_gram`` runs the same replay on the integer basepoint Gram matrix
+    of a metric, with no Fraction entries at all.
     """
 
     perm: tuple[int, ...]
@@ -237,27 +259,39 @@ class PSDTranscript:
     lower: tuple[tuple[Fraction, ...], ...]
 
     def verify(self, matrix: Sequence[Sequence[Fraction]]) -> bool:
+        if len(matrix) != len(self.perm) or not self._well_formed():
+            return False
+        # the product check reads entry (i, j) of P A P^T for i >= j only
+        perm = self.perm
+        low = [[Fraction(matrix[p][q]) for q in perm[: i + 1]] for i, p in enumerate(perm)]
+        return self._replay(*_scaled(low))
+
+    def verify_gram(self, m: FiniteMetric, basepoint: int) -> bool:
+        """``verify`` against the basepoint Gram matrix of m, on its integers."""
+        A, scale = _scaled_gram(m, basepoint)
+        if len(A) != len(self.perm) or not self._well_formed():
+            return False
+        perm = self.perm
+        return self._replay([[A[p][q] for q in perm[: i + 1]] for i, p in enumerate(perm)], scale)
+
+    def _well_formed(self) -> bool:
         n = len(self.perm)
         if (
             sorted(self.perm) != list(range(n))
             or len(self.diag) != n
             or len(self.lower) != n
-            or len(matrix) != n
             or any(d < 0 for d in self.diag)
         ):
             return False
-        for i in range(n):
-            row = self.lower[i]
-            if len(row) != n or row[i] != 1 or any(row[j] != 0 for j in range(i + 1, n)):
-                return False
-        # the product check reads entry (i, j) of P A P^T for i >= j only
-        perm = self.perm
-        low = [[Fraction(matrix[perm[i]][perm[j]]) for j in range(i + 1)] for i in range(n)]
-        low, scale = _scaled(low)
-        S = [[0] * n for _ in range(n)]
-        for i, row in enumerate(low):
-            for j, v in enumerate(row):
-                S[i][j] = S[j][i] = v
+        return all(
+            len(row) == n and row[i] == 1 and not any(row[i + 1 :])
+            for i, row in enumerate(self.lower)
+        )
+
+    def _replay(self, S: list[list[int]], scale: int) -> bool:
+        """Whether the factors match S / scale, the permuted matrix given by
+        its lower triangle; S is eliminated in place."""
+        n = len(S)
         prev = 1
         for k in range(n):
             # trailing entries are the Schur complement times prev * scale
@@ -347,7 +381,7 @@ def psd_decompose(
 def _psd_scaled(A: list[list[int]], scale: int) -> tuple[bool, Union[PSDTranscript, tuple]]:
     """``psd_decompose`` of the matrix A / scale, for a symmetric integer A."""
     n = len(A)
-    el = _eliminate([row[:] for row in A])
+    el = _eliminate([row[: i + 1] for i, row in enumerate(A)])
     if el.direction is not None:
         return False, _lift(el, A)
     S, pivots = el.S, el.pivots
@@ -414,22 +448,21 @@ def violation_energy(m: FiniteMetric, w: Weighting) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _SNAP_DENOMINATORS = tuple(range(2, 25)) + (36, 48, 60, 120, 720, 10**4, 10**6)
-_SLACK_LADDER = (
-    (Fraction(0), Fraction(0)),
-    (Fraction(1, 10**12), Fraction(1, 10**12)),
-    (Fraction(1, 10**9), Fraction(1, 10**9)),
-    (Fraction(1, 10**6), Fraction(1, 10**6)),
-    (Fraction(1, 10**3), Fraction(1, 10**3)),
-)
+# The certified-mu ladder: rung r adds the slack 2^(8r - 26) (|est| + diameter)
+# to the float estimate and rounds up to _MU_BITS significant bits.
+_MU_RUNGS = 4
+_MU_BITS = 32
 
 
 @dataclass(frozen=True)
 class GapBracket:
     """Certified two-sided estimate of sup gamma over the weighting polytope.
 
-    Construction re-derives exactly that ``weighting`` attains ``lower`` and
+    Construction re-derives exactly that ``weighting`` attains ``lower``,
     that ``upper`` is the smaller of diam/4 and the bound ``spectral_mu``
-    gives; it does not replay the semidefiniteness test behind ``spectral_mu``."""
+    gives, and, by one exact elimination, that ``spectral_mu`` M2 - A2 is
+    positive semidefinite (``_mu_certifies``), so a bracket read back from
+    a certificate is checked exactly as the one ``gap_bracket`` builds."""
 
     metric: FiniteMetric
     lower: Fraction
@@ -452,6 +485,8 @@ class GapBracket:
             raise InternalCheckError("diameter bound is not diam/4")
         if self.upper_spectral != _spectral_bound(self.spectral_mu, self.metric.size):
             raise InternalCheckError("spectral bound does not follow from spectral_mu")
+        if not _mu_certifies(_subspace_form(self.metric), self.metric.den, self.spectral_mu):
+            raise InternalCheckError("spectral_mu does not bound the spectrum")
 
 
 def _spectral_bound(mu: Fraction, n: int) -> Fraction:
@@ -522,6 +557,17 @@ def _best_vector(
     return Fraction(energy, 2 * mass * mass * m.den), _weighting_of(c)
 
 
+def _subspace_form(m: FiniteMetric) -> list[list[int]]:
+    """The integer matrix A2 with x^T D x = y^T (A2 / den) y for x = (y, -sum y).
+
+    In the basis e_i - e_{n-1} of the zero-sum subspace the quadratic form of
+    D is A2 / den (its diagonal is -2 D_{i,n-1}) and x^T x is y^T M2 y with
+    M2 = I + J."""
+    n, D = m.size, m.D
+    last = [row[n - 1] for row in D]
+    return [[D[i][j] - last[i] - last[j] for j in range(n - 1)] for i in range(n - 1)]
+
+
 def _mu_certifies(A2: list[list[int]], den: int, mu: Fraction) -> bool:
     """Whether mu M2 - A2 / den is positive semidefinite, with M2 = I + J.
 
@@ -529,40 +575,49 @@ def _mu_certifies(A2: list[list[int]], den: int, mu: Fraction) -> bool:
     b den; only the verdict of its elimination is needed.
     """
     a, b = mu.numerator * den, mu.denominator
-    shifted = [
-        [(2 * a if i == j else a) - b * x for j, x in enumerate(row)]
-        for i, row in enumerate(A2)
-    ]
+    shifted = [[a - b * x for x in row[: i + 1]] for i, row in enumerate(A2)]
+    for i, row in enumerate(shifted):
+        row[i] += a
     return _eliminate(shifted).direction is None
 
 
-def _certified_mu(m: FiniteMetric) -> Fraction:
-    """Exact upper bound on x^T D x / x^T x over the zero-sum subspace.
+def _dyadic_ceil(x: Fraction, bits: int) -> Fraction:
+    """The least multiple of a power of two at least x, with about ``bits``
+    significant bits."""
+    unit = Fraction(2) ** (abs(x.numerator).bit_length() - x.denominator.bit_length() - bits)
+    return math.ceil(x / unit) * unit
 
-    A floating-point generalized eigenvalue estimate is inflated along a
-    slack ladder until the exact semidefiniteness test accepts; the bound
-    n * diameter always passes, so the ladder terminates.
+
+def _mu_ladder(m: FiniteMetric, A2: list[list[int]]) -> Iterator[Fraction]:
+    """Candidates for mu: float proposals with growing slack, then n * diameter.
+
+    The float estimate is the largest eigenvalue of the pencil (A2 / den, M2).
+    With k = n - 1, M2^(-1/2) = T = I + c J for c = (1/sqrt(k+1) - 1) / k
+    (since J^2 = k J), so it is the largest eigenvalue of the symmetric
+    T (A2 / den) T.  Rung r adds the slack 2^(8r - 26) (|est| + diameter) and
+    rounds up to a dyadic rational, whose small denominator keeps the exact
+    elimination cheap; the bound n * diameter always passes.
     """
-    n = m.size
-    others = range(n - 1)
-    # basis columns e_i - e_{n-1}: quadratic forms restricted to the subspace,
-    # A2 / den on the integer matrix (the diagonal is -2 D_{i,n-1}) and
-    # M2 = I + J
-    D, den = m.D, m.den
-    A2 = [[D[i][j] - D[i][n - 1] - D[j][n - 1] for j in others] for i in others]
+    n, den, diameter = m.size, m.den, m.diameter()
+    k = n - 1
     # int / int rounds correctly, so these are the floats of the entries of A2 / den
-    a_f = np.array([[x / den for x in row] for row in A2])
-    m_f = np.ones((n - 1, n - 1)) + np.eye(n - 1)
-    est = float(scipy.linalg.eigh(a_f, m_f, eigvals_only=True)[-1])
-    if not np.isfinite(est):
-        est = float(n * m.diameter())
-    candidates = [
-        Fraction(est) + abs(Fraction(est)) * rel + absolute
-        for rel, absolute in _SLACK_LADDER
-    ]
-    candidates.append(Fraction(n) * m.diameter())
-    for mu in candidates:
-        if _mu_certifies(A2, den, mu):
+    T = np.eye(k) + (1 / math.sqrt(k + 1) - 1) / k
+    est = float(np.linalg.eigvalsh(T @ np.array([[x / den for x in row] for row in A2]) @ T)[-1])
+    if math.isfinite(est):
+        scale = abs(Fraction(est)) + diameter
+        for r in range(_MU_RUNGS):
+            slack = scale * Fraction(2) ** (8 * r - 26)
+            yield _dyadic_ceil(Fraction(est) + slack, _MU_BITS)
+    yield n * diameter
+
+
+def _certified_mu(m: FiniteMetric) -> Fraction:
+    """Exact upper bound on x^T D x / x^T x over the zero-sum subspace: the
+    first rung of ``_mu_ladder`` that the exact semidefiniteness test
+    accepts."""
+    A2 = _subspace_form(m)
+    for mu in _mu_ladder(m, A2):
+        if _mu_certifies(A2, m.den, mu):
             return mu
     raise InternalCheckError("spectral slack ladder failed to certify")
 

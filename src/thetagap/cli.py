@@ -453,8 +453,10 @@ def _verify_negtype(g: MetricGraph, cert: dict) -> str:
             diag=tuple(as_rational(v) for v in diag),
             lower=tuple(tuple(as_rational(v) for v in row) for row in lower),
         )
-        gram = analysis.gram_matrix(_metric(g, pts, labels), basepoint)
-        _require(transcript.verify(gram), "elimination transcript does not factor the Gram matrix")
+        _require(
+            transcript.verify_gram(_metric(g, pts, labels), basepoint),
+            "elimination transcript does not factor the Gram matrix",
+        )
         return "transcript certifies positive semidefiniteness"
     w = _weighting_from_json(cert, "violation")
     stated_gamma = as_rational(_field(cert, "gamma"))

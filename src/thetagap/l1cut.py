@@ -22,11 +22,12 @@ the comparisons a simplex over the rationals would make, on Python ints.
 Pricing against every cut, and the all-cuts check of a separating vector,
 add each pair's integer weight over the bool row of the cuts it crosses in
 one numpy int64 pass while the weights' absolute sum stays below 2^62; past
-that bound, or above 20 points, a Gray-code walk updates the crossing sum
-one point-flip at a time on Python ints.  Every "which pairs cross this
-cut" question goes through ``_crossing`` on the cut's mask or through the
-shared ``_crossing_matrix``.  Metrics above 20 points are refused before
-any cut is enumerated.
+that bound a Gray-code walk updates the crossing sum one point-flip at a
+time on Python ints.  Every "which pairs cross this cut" question goes
+through ``_crossing`` on the cut's mask or through the shared
+``_crossing_matrix``.  Metrics above 20 points, and separating vectors over
+more than 20 points, are refused before any cut is enumerated.  scipy's
+HiGHS is imported only when a float proposal is made.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .analysis import is_negative_type
 from .core import FiniteMetric, Vertex, distance_matrix, subdivide
@@ -196,26 +196,30 @@ def _primitive_integers(values: Sequence[Fraction]) -> list[int]:
 _INT64_SUM_BOUND = 1 << 62
 
 
-def _cut_scores(n: int, pair_weights: Sequence[int]) -> Optional[np.ndarray]:
-    """Crossing sums of every proper canonical cut, indexed by mask, as one
-    int64 vector; None when the weights' absolute sum reaches the int64
-    bound, or above MAX_CUT_POINTS points, where no crossing matrix is built
-    (a certificate read by ``verify`` can be that large).
-
-    Each pair's weight times the bool row of the cuts it crosses is added
-    in turn, through one scratch vector, so nothing larger than the score
-    vector is allocated beyond the shared crossing matrix.
-    """
-    if n > MAX_CUT_POINTS or sum(abs(w) for w in pair_weights) >= _INT64_SUM_BOUND:
-        return None
-    crossing = _crossing_matrix(n)
-    scores = np.zeros(crossing.shape[1], dtype=np.int64)
+def _crossing_sums(crossing: np.ndarray, weights: Sequence, dtype) -> np.ndarray:
+    """Each cut's sum of the weights of the pairs it separates, indexed by
+    mask: each pair's weight times its bool row of ``crossing`` is added in
+    turn, through one scratch vector, so nothing larger than the score vector
+    is allocated beyond the shared crossing matrix.  Float sums are bit for
+    bit those of adding each weight only where its row is true: every term
+    is the weight or a signed zero, and no sum starting at 0.0 becomes -0.0."""
+    scores = np.zeros(crossing.shape[1], dtype=dtype)
     term = np.empty_like(scores)
-    for k, w in enumerate(pair_weights):
+    for k, w in enumerate(weights):
         if w:
             np.multiply(crossing[k], w, out=term)
             scores += term
     return scores
+
+
+def _cut_scores(n: int, pair_weights: Sequence[int]) -> Optional[np.ndarray]:
+    """Crossing sums of every proper canonical cut, indexed by mask, as one
+    int64 vector; None when the weights' absolute sum reaches the int64
+    bound, or above MAX_CUT_POINTS points, where no crossing matrix is built.
+    """
+    if n > MAX_CUT_POINTS or sum(abs(w) for w in pair_weights) >= _INT64_SUM_BOUND:
+        return None
+    return _crossing_sums(_crossing_matrix(n), pair_weights, np.int64)
 
 
 def _gray_rank(masks):
@@ -255,13 +259,18 @@ class FarkasCertificate:
     Invariants (checked exactly on construction): the weighted crossing sum
     is nonpositive for every canonical cut, while the weighted sum against
     the metric's own distances is strictly positive.  A failure names the
-    first failing cut of the Gray-code walk."""
+    first failing cut of the Gray-code walk.  Above MAX_CUT_POINTS points the
+    check, which visits 2^(n-1) - 1 cuts, is refused before it starts."""
 
     metric: FiniteMetric
     pair_values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         n = self.metric.size
+        if n > MAX_CUT_POINTS:
+            raise PreconditionError(
+                f"separating vector over {n} points; cut checks stop at {MAX_CUT_POINTS}"
+            )
         pairs = list(itertools.combinations(range(n), 2))
         if len(self.pair_values) != len(pairs):
             raise PreconditionError("certificate has the wrong number of pair weights")
@@ -540,9 +549,11 @@ def _float_support(m: FiniteMetric) -> Optional[list[int]]:
     None when no column prices positive before then.  The answer is only a
     proposal: the exact simplex decides.
     """
+    from scipy.optimize import linprog  # loading HiGHS takes most of a second
+
     n = m.size
     crossing = _crossing_matrix(n)
-    rows, cuts = crossing.shape
+    rows = crossing.shape[0]
     b = np.array([float(m.distance(i, j)) for i, j in itertools.combinations(range(n), 2)])
     artificials = np.eye(rows)
     chosen = np.zeros(0, dtype=np.int64)  # masks, which index the columns
@@ -559,9 +570,7 @@ def _float_support(m: FiniteMetric) -> Optional[list[int]]:
         if res.fun <= _FLOAT_TOL:
             x = res.x[: len(chosen)]
             return sorted(int(mask) for mask in chosen[x > _FLOAT_TOL])
-        scores = np.zeros(cuts)
-        for k, y in enumerate(res.eqlin.marginals):
-            np.add(scores, y, out=scores, where=crossing[k])
+        scores = _crossing_sums(crossing, res.eqlin.marginals, np.float64)
         scores[chosen] = -np.inf
         order = np.argsort(-scores, kind="stable")[: _COLUMNS_PER_PAIR * rows]
         new = order[scores[order] > _FLOAT_TOL]

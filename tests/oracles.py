@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: Floyd-Warshall instead of
 Dijkstra, exhaustive path and cycle enumeration instead of flow, raw grid
 search instead of projected ascent, ``Fraction`` elimination and the
-L D L^T product instead of integer elimination and replay, one ascent
+L D L^T product instead of integer elimination and replay, the Bareiss
+elimination updating both triangles instead of the lower one, one ascent
 per start scored over ``Weighting``s instead of the lockstep search scored
 on integers, and a phase-1 simplex over ``Fraction``s priced by a Gray-code
 walk instead of the fraction-free one priced in int64.  All arithmetic
@@ -399,6 +400,46 @@ def oracle_psd_decompose(matrix):
         lower=tuple(tuple(row) for row in lower),
     )
     return True, transcript
+
+
+def oracle_eliminate(A):
+    """The fraction-free symmetric elimination on the whole matrix, both
+    triangles updated and rows and columns swapped as lists: ``(perm,
+    pivots, S, direction)`` at the point where it stops."""
+    S = [list(row) for row in A]
+    n = len(S)
+    perm = list(range(n))
+    pivots = []
+    prev = 1
+    for k in range(n):
+        pivot_val, pivot_at = max((S[i][i], -i) for i in range(k, n))
+        pivot_at = -pivot_at
+        if pivot_val <= 0:
+            negatives = [(S[i][i], i) for i in range(k, n) if S[i][i] < 0]
+            if negatives:
+                _, p = min(negatives)
+                return perm, pivots, S, {p: 1}
+            off = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if S[i][j] != 0),
+                None,
+            )
+            if off is None:
+                break
+            p, q = off
+            return perm, pivots, S, {p: 1, q: -1 if S[p][q] > 0 else 1}
+        if pivot_at != k:
+            for row in S:
+                row[k], row[pivot_at] = row[pivot_at], row[k]
+            S[k], S[pivot_at] = S[pivot_at], S[k]
+            perm[k], perm[pivot_at] = perm[pivot_at], perm[k]
+        p, pivot_row = S[k][k], S[k][k + 1 :]
+        for i in range(k + 1, n):
+            row = S[i]
+            f = row[k]
+            row[k + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[k + 1 :], pivot_row)]
+        prev = pivot_val
+        pivots.append(pivot_val)
+    return perm, pivots, S, None
 
 
 def _solve_from_factors(lower, diag, k, rhs):

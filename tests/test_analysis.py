@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     oracle_argmax,
     oracle_ascend,
+    oracle_eliminate,
     oracle_gap_lower,
     oracle_psd_decompose,
     oracle_snap_candidates,
@@ -20,14 +21,19 @@ from oracles import (
 )
 from test_core import graphs_with_points, rational_metrics
 from thetagap.analysis import (
+    GapBracket,
     PSDTranscript,
     Weighting,
     _ascend_all,
     _best_vector,
+    _certified_mu,
     _eliminate,
     _mu_certifies,
+    _mu_ladder,
     _scaled,
     _snap_vectors,
+    _spectral_bound,
+    _subspace_form,
     _weighting_of,
     check_chain,
     gamma,
@@ -299,6 +305,72 @@ def test_mu_rung_verdict_matches_fraction_elimination(case):
     assert _mu_certifies(A2, den, mu) == oracle_psd_decompose(shifted)[0]
 
 
+@st.composite
+def integer_symmetric_matrices(draw):
+    # one block of each kind, joined diagonally and then conjugated by a
+    # permutation, so pivots move entries across the diagonal
+    def integers(bound):
+        return st.integers(-bound, bound)
+
+    blocks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["psd", "low_rank", "indefinite", "hollow"]))
+        n = draw(st.integers(min_value=1, max_value=5))
+        if kind in ("psd", "low_rank"):
+            r = n if kind == "psd" else draw(st.integers(min_value=0, max_value=n - 1))
+            V = [[draw(integers(6)) for _ in range(r)] for _ in range(n)]
+            B = [[sum(V[i][t] * V[j][t] for t in range(r)) for j in range(n)] for i in range(n)]
+        else:
+            B = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + (kind == "hollow")):
+                    B[i][j] = B[j][i] = draw(integers(30))
+        blocks.append(B)
+    size = sum(map(len, blocks))
+    M = [[0] * size for _ in range(size)]
+    at = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            M[at + i][at : at + len(B)] = row
+        at += len(B)
+    order = draw(st.permutations(range(size)))
+    return [[M[i][j] for j in order] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_symmetric_matrices())
+def test_lower_triangle_elimination_matches_the_two_triangle_one(A):
+    perm, pivots, S, direction = oracle_eliminate(A)
+    el = _eliminate([row[: i + 1] for i, row in enumerate(A)])
+    assert (el.perm, el.pivots, el.direction) == (perm, pivots, direction)
+    assert el.S == [row[: i + 1] for i, row in enumerate(S)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_metrics(max_points=9))
+def test_first_dyadic_mu_rung_certifies(case):
+    m = FiniteMetric.from_rows(*case)
+    assume(m.size >= 2)
+    first = next(_mu_ladder(m, _subspace_form(m)))
+    assert _certified_mu(m) == first
+    # a dyadic rational of about 32 significant bits
+    assert first.denominator & (first.denominator - 1) == 0
+    assert abs(first.numerator).bit_length() <= 34
+
+
+def test_gap_bracket_replays_the_mu_test(witness_metric):
+    m = witness_metric
+    bracket = gap_bracket(m, starts=2)
+    below = bracket.spectral_mu - Fraction(1, 2**20)
+    assert not _mu_certifies(_subspace_form(m), m.den, below)
+    # every other field stays consistent with the lowered mu
+    spectral = _spectral_bound(below, m.size)
+    fields = dict(bracket.__dict__, spectral_mu=below, upper_spectral=spectral)
+    fields["upper"] = min(spectral, bracket.upper_diameter)
+    with pytest.raises(InternalCheckError, match="spectral_mu does not bound"):
+        GapBracket(**fields)
+
+
 def _tampered(matrix, t, what, a, b, delta):
     n = len(t.perm)
     if what == "matrix":
@@ -369,6 +441,26 @@ def test_transcript_replay_matches_product_check(case, what, a, b, delta):
     assume(transcript.perm)
     matrix, tampered = _tampered(matrix, transcript, what, a, b, delta)
     assert tampered.verify(matrix) == oracle_transcript_verify(tampered, matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rational_metrics(max_points=7),
+    st.sampled_from(["perm", "diag", "lower"]),
+    st.integers(min_value=0, max_value=10),
+    st.integers(min_value=0, max_value=10),
+    st.sampled_from([Fraction(1), Fraction(-1, 3), Fraction(1, 2**40)]),
+)
+def test_gram_replay_on_integers_matches_the_rational_one(case, what, a, b, delta):
+    m = FiniteMetric.from_rows(*case)
+    assume(m.size >= 2)
+    basepoint = a % m.size
+    gram = gram_matrix(m, basepoint)
+    ok, transcript = psd_decompose(gram)
+    assume(ok)
+    assert transcript.verify_gram(m, basepoint)
+    _, tampered = _tampered(gram, transcript, what, a, b, delta)
+    assert tampered.verify_gram(m, basepoint) == tampered.verify(gram)
 
 
 def test_transcript_zero_pivot_leaves_its_column_free():
@@ -661,7 +753,8 @@ _CACTUS_W = (
 
 # Recorded from the gap search over Fraction arithmetic.  On the theta set
 # two distinct weightings attain the maximum, so this pins the argmax
-# tie-break as well.
+# tie-break as well.  The mu values (and upper_spectral) are the first,
+# dyadic rung of the certified-mu ladder.
 @pytest.mark.parametrize(
     "seed, graph, lower, weighting, upper_spectral, mu",
     [
@@ -670,8 +763,8 @@ _CACTUS_W = (
             make_random_cactus(10, seed=5),
             Fraction(-22472491, 3992378880),
             [Fraction(int(a), 5768) for a in _CACTUS_W.split()],
-            Fraction(-705746216870017894379329277, 345876451382054092800000000000),
-            Fraction(-705746216870017894379329277, 7205759403792793600000000000),
+            Fraction(-1121751917, 549755813888),
+            Fraction(-3365255751, 34359738368),
         ),
         (
             "theta",
@@ -682,8 +775,8 @@ _CACTUS_W = (
             + [Fraction(-1, 138)] * 2
             + [Fraction(1, 6)]
             + [Fraction(-1, 138)] * 16,
-            Fraction(6308264649834068864277193753, 9007199254740992000000000000),
-            Fraction(6308264649834068864277193753, 4503599627370496000000000000),
+            Fraction(1504007597, 2147483648),
+            Fraction(1504007597, 1073741824),
         ),
     ],
     ids=["cactus", "theta"],
@@ -710,7 +803,7 @@ def _witness_metric_and_seed():
 # the weighting as integers over one denominator.  On ``rawsnap6`` the winner
 # is the snap of the raw ascent floats (over 2^57), so any change in the last
 # bit of the ascent shows; on ``theta8`` and ``witness_seeded`` a 10^6 snap
-# wins.
+# wins.  Every mu is the first, dyadic rung of the certified-mu ladder.
 @pytest.mark.parametrize(
     "build, kwargs, lower, den, numerators, mu",
     [
@@ -720,7 +813,7 @@ def _witness_metric_and_seed():
             Fraction(-108203, 6298560),
             486,
             "-15 -7 -23 -167 33 -31 169 41",
-            Fraction(-725085000878756555595320519, 7205759403792793600000000000),
+            Fraction(-3457470155, 34359738368),
         ),
         (
             _points_metric(subdivide(make_theta(1, 1, 1), 2), 8, "theta8"),
@@ -728,7 +821,7 @@ def _witness_metric_and_seed():
             Fraction(24234829247, 6000000000000),
             10**6,
             "-207722 -90850 75724 -201428 108409 10806 98740 206321",
-            Fraction(7455879779814073, 144115188075855872),
+            Fraction(7110487303, 137438953472),
         ),
         (
             _points_metric(make_random_connected(10, 13, seed=3), 8, "connected8"),
@@ -736,7 +829,7 @@ def _witness_metric_and_seed():
             Fraction(-7301, 221184),
             192,
             "-3 29 1 25 -55 -23 -15 41",
-            Fraction(-6163612075427458989415066379, 18014398509481984000000000000),
+            Fraction(-367379803, 1073741824),
         ),
         (
             _points_metric(subdivide(make_theta(1, 1, 1), 2), 6, 5),
@@ -748,7 +841,7 @@ def _witness_metric_and_seed():
             216172782113783814,
             "41016576791872349 -45432663661789657 -16086772907932507 "
             "52303022377127159 -46566954487169743 14766791887892399",
-            Fraction(-3151520468648891, 18014398509481984),
+            Fraction(-6011046631, 34359738368),
         ),
         (
             _points_metric(make_random_cactus(12, seed=7), 24, "cactus24"),
@@ -757,7 +850,7 @@ def _witness_metric_and_seed():
             240018,
             "-73 -36769 2807 767 1511 767 -8977 15479 -6625 -1561 1223 -21697 "
             "38831 -38593 -1105 11927 5423 15527 6383 3023 4055 -4609 359 11927",
-            Fraction(-3394155791524507, 36028797018963968),
+            Fraction(-3236914013, 34359738368),
         ),
         (
             _points_metric(make_random_connected(16, 21, seed=4), 24, "connected24"),
@@ -765,7 +858,7 @@ def _witness_metric_and_seed():
             Fraction(1016663, 23328000),
             720,
             "19 81 20 38 0 -52 -32 32 -9 -60 68 -48 -8 20 -17 -19 -20 57 -33 -3 -17 15 10 -42",
-            Fraction(6586239053561034838680920441, 4503599627370496000000000000),
+            Fraction(6281127649, 4294967296),
         ),
         (
             _points_metric(subdivide(make_theta(1, 1, 1), 5), 24, "theta24"),
@@ -773,7 +866,7 @@ def _witness_metric_and_seed():
             Fraction(917, 17712),
             246,
             "-1 -1 -1 -37 11 -25 -25 -1 -1 -1 11 23 -1 11 11 -13 -1 -1 -13 11 23 11 -1 11",
-            Fraction(98462569110393, 70368744177664),
+            Fraction(1502419691, 1073741824),
         ),
         (
             _witness_metric_and_seed,
@@ -781,7 +874,7 @@ def _witness_metric_and_seed():
             Fraction(9045770917, 3000000000000),
             10**6,
             "216835 99479 183686 -210365 -144176 -145459",
-            Fraction(5042710654945795, 144115188075855872),
+            Fraction(4809105757, 137438953472),
         ),
     ],
     ids=[

@@ -5,8 +5,9 @@ a negative-type verdict held and refuted, a gap bracket, and an l1 verdict
 that embeds and one that is refuted.  Their reports must equal the golden
 files in ``tests/golden/`` apart from ``wall_time_s`` and the input paths.
 ``verify`` must reject every certificate with one checked value changed
-(exit 1, or exit 2 where the change leaves the value's domain), and must
-reject every field of the wrong JSON type with exit 2 and a one-line error.
+(exit 1, or exit 2 where the change leaves the value's domain), a gap
+bracket whose spectral_mu is lowered with its bounds restated to match, and
+every field of the wrong JSON type with exit 2 and a one-line error.
 """
 
 import contextlib
@@ -131,6 +132,22 @@ def test_verify_rederives_every_gap_bound(made, edit, tmp_path):
     cert = _certificate(made, "gap")
     edit(cert)
     _assert_rejected(made, "gap", cert, tmp_path)
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(cut=st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(1, 2)))
+def test_verify_replays_the_mu_test(made, tmp_path, cut):
+    # lower spectral_mu and restate upper_spectral and upper to match it:
+    # only the semidefiniteness test behind spectral_mu can reject
+    cert = _certificate(made, "gap")
+    mu = Fraction(cert["spectral_mu"]) * (1 - cut)
+    assert mu > 0
+    cert.update(spectral_mu=str(mu), upper_spectral=str(mu / 2))
+    cert["upper"] = str(min(mu / 2, Fraction(cert["upper_diameter"])))
+    assert Fraction(cert["upper"]) >= Fraction(cert["lower"])
+    assert "spectral_mu" in _assert_rejected(made, "gap", cert, tmp_path)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,12 @@
 """Command-line behavior: reports, certificates, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +357,41 @@ def test_l1_cap_exits_2(c4_file, tmp_path, capsys):
     pts.write_text(dumps_points([Vertex(f"v{i}") for i in range(1, 5)]))
     code, _ = run(capsys, "l1", c4_file, "--points", str(pts), "--max-cuts-n", "3")
     assert code == 2
+
+
+def test_verify_refuses_a_21_point_refutation_at_once(
+    theta_file, witness_points_file, tmp_path, capsys
+):
+    cert = tmp_path / "l1.json"
+    run(capsys, "l1", theta_file, "--points", witness_points_file, "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    # 21 points, so the check would visit 2^20 - 1 cuts
+    doc["certificate"]["points"] = [{"vertex": "u"}, {"vertex": "v"}] * 10 + [{"vertex": "u"}]
+    doc["certificate"]["labels"] = ["u", "v"] * 10 + ["u"]
+    doc["certificate"]["farkas"] = [[0, 1, "1"]]
+    cert.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    _assert_one_line_error(capsys, "verify", str(cert), theta_file)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy (HiGHS) is loaded only by the float proposal of ``l1``
+    code = (
+        "import sys, thetagap.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_l1_on_empty_points_exits_2(c4_file, tmp_path, capsys):

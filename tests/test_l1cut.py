@@ -4,6 +4,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +183,34 @@ def test_cut_scores_build_no_crossing_matrix_above_the_cap(monkeypatch):
 
     monkeypatch.setattr(l1cut, "_crossing_matrix", refuse)
     assert l1cut._cut_scores(21, [1] * 210) is None
+
+
+def test_farkas_check_refuses_more_than_20_points_before_any_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cuts of a 21-point vector were visited")
+
+    monkeypatch.setattr(l1cut, "_cut_scores", refuse)
+    monkeypatch.setattr(l1cut, "_gray_cut_values", refuse)
+    g = from_spec(FamilySpec(tag="path", sizes=(21,)))
+    m = distance_matrix(g, [Vertex(v) for v in g.vertices])
+    values = [Fraction(0)] * (21 * 20 // 2)
+    values[0] = Fraction(1)
+    with pytest.raises(PreconditionError, match="stop at 20"):
+        FarkasCertificate(metric=m, pair_values=tuple(values))
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_float_crossing_sums_equal_the_masked_sums_bit_for_bit(n):
+    crossing = l1cut._crossing_matrix(n)
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(crossing.shape[0]) * 10.0 ** rng.integers(-12, 4, crossing.shape[0])
+    y[rng.random(len(y)) < 0.2] = 0.0
+    y[rng.random(len(y)) < 0.1] *= -0.0
+    want = np.zeros(crossing.shape[1])
+    for k, yk in enumerate(y):
+        np.add(want, yk, out=want, where=crossing[k])
+    got = l1cut._crossing_sums(crossing, y, np.float64)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bound", [1 << 62, 0], ids=["int64", "gray_walk"])
