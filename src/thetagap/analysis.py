@@ -11,13 +11,15 @@ One exact kernel does every symmetric elimination: ``_eliminate``, a
 fraction-free (Bareiss) elimination on Python integers with full diagonal
 pivoting, which reads and writes only the lower triangle.
 ``psd_decompose`` runs it on the matrix cleared of denominators and turns
-its factors into rationals once; the certified-mu ladder and the
-``GapBracket`` constructor ask it for verdicts only; ``PSDTranscript``
-replays its update along a transcript's own order.
+its factors into rationals once; the ``GapBracket`` constructor asks it
+for the verdict of the mu test only; ``PSDTranscript`` replays its update
+along a transcript's own order.
 
 The certified spectral bound starts from a float eigenvalue estimate
 (numpy, no scipy) rounded up to a dyadic rational, so its exact test runs
-on small integers; ``GapBracket`` repeats that test on the stored mu.
+on small integers.  That test is the ``GapBracket`` constructor's:
+``gap_bracket`` builds the bracket of each rung of the ladder in turn, so
+``gap`` and ``verify`` run one test, once per rung tried.
 
 The gap search proposes weightings in floats and scores them on integers.
 ``_ascend_all`` runs every projected gradient ascent in lockstep as the rows
@@ -454,6 +456,11 @@ _MU_RUNGS = 4
 _MU_BITS = 32
 
 
+class _MuNotCertified(InternalCheckError):
+    """``spectral_mu`` failed the exact semidefiniteness test; ``gap_bracket``
+    then tries the next rung of the ladder."""
+
+
 @dataclass(frozen=True)
 class GapBracket:
     """Certified two-sided estimate of sup gamma over the weighting polytope.
@@ -477,6 +484,8 @@ class GapBracket:
             raise InternalCheckError("bracket weighting is not normalized")
         if gamma(self.metric, self.weighting) != self.lower:
             raise InternalCheckError("bracket lower bound is not certified")
+        if not _mu_certifies(_subspace_form(self.metric), self.metric.den, self.spectral_mu):
+            raise _MuNotCertified("spectral_mu does not bound the spectrum")
         if self.lower > self.upper:
             raise InternalCheckError("bracket is empty")
         if self.upper != min(self.upper_spectral, self.upper_diameter):
@@ -485,8 +494,6 @@ class GapBracket:
             raise InternalCheckError("diameter bound is not diam/4")
         if self.upper_spectral != _spectral_bound(self.spectral_mu, self.metric.size):
             raise InternalCheckError("spectral bound does not follow from spectral_mu")
-        if not _mu_certifies(_subspace_form(self.metric), self.metric.den, self.spectral_mu):
-            raise InternalCheckError("spectral_mu does not bound the spectrum")
 
 
 def _spectral_bound(mu: Fraction, n: int) -> Fraction:
@@ -611,17 +618,6 @@ def _mu_ladder(m: FiniteMetric, A2: list[list[int]]) -> Iterator[Fraction]:
     yield n * diameter
 
 
-def _certified_mu(m: FiniteMetric) -> Fraction:
-    """Exact upper bound on x^T D x / x^T x over the zero-sum subspace: the
-    first rung of ``_mu_ladder`` that the exact semidefiniteness test
-    accepts."""
-    A2 = _subspace_form(m)
-    for mu in _mu_ladder(m, A2):
-        if _mu_certifies(A2, m.den, mu):
-            return mu
-    raise InternalCheckError("spectral slack ladder failed to certify")
-
-
 def _project_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centre and L1-normalise every row of V; also the mask of rows kept.
 
@@ -738,18 +734,24 @@ def gap_bracket(
                 vectors.extend(_snap_vectors(end))
 
     lower, argmax = _best_vector(m, vectors)
-    mu = _certified_mu(m)
-    spectral = _spectral_bound(mu, n)
     diam_bound = diameter / 4
-    return GapBracket(
-        metric=m,
-        lower=lower,
-        weighting=argmax,
-        upper=min(spectral, diam_bound),
-        upper_spectral=spectral,
-        upper_diameter=diam_bound,
-        spectral_mu=mu,
-    )
+    # the bracket of the first rung whose mu passes the constructor's test
+    ladder = list(_mu_ladder(m, _subspace_form(m)))
+    for rung, mu in enumerate(ladder):
+        spectral = _spectral_bound(mu, n)
+        try:
+            return GapBracket(
+                metric=m,
+                lower=lower,
+                weighting=argmax,
+                upper=min(spectral, diam_bound),
+                upper_spectral=spectral,
+                upper_diameter=diam_bound,
+                spectral_mu=mu,
+            )
+        except _MuNotCertified:
+            if rung == len(ladder) - 1:
+                raise
 
 
 # ---------------------------------------------------------------------------

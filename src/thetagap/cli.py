@@ -479,6 +479,7 @@ def _verify_l1(g: MetricGraph, cert: dict) -> str:
     labels = _field(cert, "labels", list)
     n = len(pts)
     if _field(cert, "feasible", bool):
+        m = _metric(g, pts, labels)
         entries = []
         for entry in _field(cert, "cuts", list):
             if not isinstance(entry, dict):
@@ -493,7 +494,7 @@ def _verify_l1(g: MetricGraph, cert: dict) -> str:
             entries.append(
                 (l1cut.Cut.from_members(n, members), as_rational(_field(entry, "weight")))
             )
-        l1cut.CutDecomposition(metric=_metric(g, pts, labels), entries=tuple(entries))
+        l1cut.CutDecomposition(metric=m, entries=tuple(entries))
         return f"{len(entries)} cuts reproduce the metric exactly"
     pairs = list(itertools.combinations(range(n), 2))
     values = {(i, j): Fraction(0) for i, j in pairs}

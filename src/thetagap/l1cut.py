@@ -20,14 +20,15 @@ positive integer, the determinant of B, kept as one sparse dict per row and
 updated by integer-preserving pivots (every division is exact), so it makes
 the comparisons a simplex over the rationals would make, on Python ints.
 Pricing against every cut, and the all-cuts check of a separating vector,
-add each pair's integer weight over the bool row of the cuts it crosses in
-one numpy int64 pass while the weights' absolute sum stays below 2^62; past
-that bound a Gray-code walk updates the crossing sum one point-flip at a
-time on Python ints.  Every "which pairs cross this cut" question goes
-through ``_crossing`` on the cut's mask or through the shared
-``_crossing_matrix``.  Metrics above 20 points, and separating vectors over
-more than 20 points, are refused before any cut is enumerated.  scipy's
-HiGHS is imported only when a float proposal is made.
+go through one routine, ``_cut_scores``: each pair's integer weight is split
+into signed limbs small enough that one limb's crossing sums fit in int64,
+and each limb is added over the bool rows of the cuts its pair crosses in
+one numpy int64 pass; more than one limb is recombined exactly on Python
+ints.  Every "which pairs cross this cut" question goes through
+``_crossing`` on the cut's mask or through the shared ``_crossing_matrix``.
+Metrics above 20 points, and separating vectors over more than 20 points,
+are refused before any cut is enumerated.  scipy's HiGHS is imported only
+when a float proposal is made.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,44 +143,6 @@ def cut_metric(n: int, cut: Cut) -> tuple[tuple[Fraction, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
-
-
-def _gray_cut_values(n: int, pair_weights: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Yield (mask, crossing sum) for every proper canonical cut.
-
-    Walks masks in Gray-code order, updating the crossing sum by the one
-    point that changes side per step.  ``pair_weights`` is indexed like
-    itertools.combinations(range(n), 2).
-    """
-    idx = _pair_index(n)
-    weight = [[0] * n for _ in range(n)]
-    for (i, j), k in idx.items():
-        weight[i][j] = weight[j][i] = pair_weights[k]
-    bits = n - 1
-    full = (1 << bits) - 1
-    side = [1] + [0] * (bits)  # side[v] == 1 means point v on point 0's side
-    cur = sum(weight[0][v] for v in range(1, n))
-    yield 0, cur
-    prev = 0
-    for i in range(1, 1 << bits):
-        mask = i ^ (i >> 1)
-        flip = (mask ^ prev).bit_length() - 1
-        v = flip + 1
-        for w in range(n):
-            if w == v:
-                continue
-            if side[w] == side[v]:
-                cur += weight[v][w]
-            else:
-                cur -= weight[v][w]
-        side[v] ^= 1
-        prev = mask
-        if mask != full:
-            yield mask, cur
-
-
 def _primitive_integers(values: Sequence[Fraction]) -> list[int]:
     """The integer vector with gcd 1 that is a positive multiple of ``values``
     (all zeros for a zero vector)."""
@@ -189,11 +152,6 @@ def _primitive_integers(values: Sequence[Fraction]) -> list[int]:
     ints = [int(v * scale) for v in values]
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
-
-
-# The int64 pass over all cuts runs while the weights' absolute sum stays
-# below this, so no partial crossing sum can overflow.
-_INT64_SUM_BOUND = 1 << 62
 
 
 def _crossing_sums(crossing: np.ndarray, weights: Sequence, dtype) -> np.ndarray:
@@ -212,14 +170,27 @@ def _crossing_sums(crossing: np.ndarray, weights: Sequence, dtype) -> np.ndarray
     return scores
 
 
-def _cut_scores(n: int, pair_weights: Sequence[int]) -> Optional[np.ndarray]:
-    """Crossing sums of every proper canonical cut, indexed by mask, as one
-    int64 vector; None when the weights' absolute sum reaches the int64
-    bound, or above MAX_CUT_POINTS points, where no crossing matrix is built.
+def _cut_scores(n: int, pair_weights: Sequence[int]) -> np.ndarray:
+    """Crossing sums of every proper canonical cut, indexed by mask, exact
+    for integer weights of any size.
+
+    Each weight is split into signed limbs below 2^_LIMB_BITS, so one limb's
+    crossing sums fit in int64 and each limb takes one ``_crossing_sums``
+    pass.  One limb gives the int64 vector itself; more are combined from
+    the top one down into an object vector of Python ints.  Above
+    MAX_CUT_POINTS points this refuses before any crossing matrix is built.
     """
-    if n > MAX_CUT_POINTS or sum(abs(w) for w in pair_weights) >= _INT64_SUM_BOUND:
-        return None
-    return _crossing_sums(_crossing_matrix(n), pair_weights, np.int64)
+    if n > MAX_CUT_POINTS:
+        raise PreconditionError(f"{n} points; cut sums stop at {MAX_CUT_POINTS}")
+    crossing = _crossing_matrix(n)
+    bits = max((abs(w).bit_length() for w in pair_weights), default=0)
+    low = (1 << _LIMB_BITS) - 1
+    scores = None
+    for shift in reversed(range(0, max(bits, 1), _LIMB_BITS)):
+        limb = [(abs(w) >> shift & low) * (1 if w > 0 else -1) for w in pair_weights]
+        part = _crossing_sums(crossing, limb, np.int64)
+        scores = part if scores is None else (scores.astype(object) << _LIMB_BITS) + part
+    return scores
 
 
 def _gray_rank(masks):
@@ -241,12 +212,8 @@ def _first_positive_cut(
     n: int, pair_weights: Sequence[int], skip: Iterable[int] = ()
 ) -> Optional[int]:
     """The first mask of the Gray-code walk, outside ``skip``, whose
-    crossing sum is positive, or None; by one int64 pass below the bound."""
-    skip = set(skip)
+    crossing sum (by ``_cut_scores``) is positive, or None."""
     scores = _cut_scores(n, pair_weights)
-    if scores is None:
-        walk = _gray_cut_values(n, pair_weights)
-        return next((mask for mask, value in walk if value > 0 and mask not in skip), None)
     scores[list(skip)] = 0
     positive = np.flatnonzero(scores > 0)
     return _lowest_gray_rank(positive) if len(positive) else None
@@ -341,6 +308,9 @@ _DEGENERATE_STREAK_LIMIT = 30
 # Above this many points even the bool pairs x 2^(n-1) crossing matrix of
 # the float proposal (about 100 MB at 20 points) is refused.
 MAX_CUT_POINTS = 20
+# Signed limbs of this many bits: the crossing sums of the at most 190 pairs
+# of MAX_CUT_POINTS points stay below 190 * 2^54 < 2^62, inside int64.
+_LIMB_BITS = 62 - (MAX_CUT_POINTS * (MAX_CUT_POINTS - 1) // 2).bit_length()
 # Float proposals: weights and prices above this count as nonzero, and up
 # to this many new columns per pair join each column-generation round.
 _FLOAT_TOL = 1e-9
@@ -351,10 +321,12 @@ class _Phase1:
     """Revised phase-1 simplex for {lambda >= 0 : sum lambda_S d_S = d}.
 
     Starts from an all-artificial basis; cut columns price either from an
-    explicit list or over all canonical cuts (``_cut_scores``).  Pricing is
-    steepest (largest positive crossing sum, ties to the lowest Gray-code
-    rank) until a run of degenerate pivots trips the anti-cycling switch to
-    lowest-rank pricing, which guarantees termination.
+    explicit list or over all canonical cuts, where the gcd-reduced integer
+    dual of any size is scored by ``_cut_scores``, the routine that also
+    checks a ``FarkasCertificate``.  Pricing is steepest (largest positive
+    crossing sum, ties to the lowest Gray-code rank) until a run of
+    degenerate pivots trips the anti-cycling switch to lowest-rank pricing,
+    which guarantees termination.
 
     The arithmetic is fraction-free.  ``adj`` is the adjugate of the basis
     B and ``det`` its determinant, so B^-1 = adj / det; ``det`` starts at 1
@@ -442,21 +414,9 @@ class _Phase1:
         if self.bland:
             return _first_positive_cut(self.n, y, basic)
         scores = _cut_scores(self.n, y)
-        if scores is None:
-            return self._walk_steepest(y, set(basic))
         scores[basic] = 0
         top = scores.max()
         return _lowest_gray_rank(np.flatnonzero(scores == top)) if top > 0 else None
-
-    def _walk_steepest(self, y: list[int], basic: set[int]) -> Optional[int]:
-        # the same choice by the walk on Python ints, past the int64 bound:
-        # the first largest positive crossing sum
-        best_mask: Optional[int] = None
-        best_value = 0
-        for mask, value in _gray_cut_values(self.n, y):
-            if value > best_value and mask not in basic:
-                best_mask, best_value = mask, value
-        return best_mask
 
     # -- pivoting -----------------------------------------------------------
 
@@ -641,7 +601,8 @@ def k4_explicit_decomposition() -> tuple:
     For each ordered pair (i, j) of original vertices, S_ij collects x_i and
     every vertex within distance 2 of x_i that is not adjacent to x_j; the
     twelve cut metrics sum to exactly twice the vertex metric, so weights 1/2
-    reproduce it.  Returns the graph and the verified decomposition.
+    reproduce it, which the ``CutDecomposition`` constructor checks.  Returns
+    the graph and the verified decomposition.
     """
     k4 = _complete(4)
     g = subdivide(k4, 2)
@@ -677,14 +638,6 @@ def k4_explicit_decomposition() -> tuple:
             sets.append(members)
     if len(sets) != 12:
         raise InternalCheckError("expected 12 ordered vertex pairs")
-
-    for i, j in itertools.combinations(range(n), 2):
-        crossing = sum(1 for s in sets if (i in s) != (j in s))
-        if Fraction(crossing) != 2 * metric.distance(i, j):
-            raise InternalCheckError(
-                f"cut sum is {crossing} but twice the distance on pair ({i},{j}) "
-                f"is {2 * metric.distance(i, j)}"
-            )
 
     half = Fraction(1, 2)
     entries = tuple((Cut.from_members(n, s), half) for s in sets)

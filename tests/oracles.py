@@ -6,9 +6,10 @@ search instead of projected ascent, ``Fraction`` elimination and the
 L D L^T product instead of integer elimination and replay, the Bareiss
 elimination updating both triangles instead of the lower one, one ascent
 per start scored over ``Weighting``s instead of the lockstep search scored
-on integers, and a phase-1 simplex over ``Fraction``s priced by a Gray-code
-walk instead of the fraction-free one priced in int64.  All arithmetic
-outside the float ascent is exact.
+on integers, a Gray-code walk on Python ints instead of the limb-split int64
+crossing sums, and a phase-1 simplex over ``Fraction``s priced by that walk
+instead of the fraction-free one.  All arithmetic outside the float ascent
+is exact.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from thetagap import l1cut
 from thetagap.analysis import _SNAP_DENOMINATORS, PSDTranscript, Weighting, gamma
 from thetagap.core import EdgePoint, FiniteMetric, MetricGraph, Point, Vertex
 from thetagap.errors import InternalCheckError, PreconditionError
-from thetagap.l1cut import Cut, CutDecomposition, _crossing, _gray_cut_values
+from thetagap.l1cut import Cut, CutDecomposition, _crossing
 from thetagap.theta import _FlowNet
 
 
@@ -611,6 +612,49 @@ class OraclePairNet(_FlowNet):
 
 
 # ---------------------------------------------------------------------------
+# every cut's crossing sum by a Gray-code walk on Python ints
+# ---------------------------------------------------------------------------
+
+
+def _pair_index(n: int) -> dict[tuple[int, int], int]:
+    return {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
+
+
+def gray_cut_values(n: int, pair_weights: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Yield (mask, crossing sum) for every proper canonical cut.
+
+    Walks masks in Gray-code order, updating the crossing sum by the one
+    point that changes side per step.  ``pair_weights`` is indexed like
+    itertools.combinations(range(n), 2).
+    """
+    idx = _pair_index(n)
+    weight = [[0] * n for _ in range(n)]
+    for (i, j), k in idx.items():
+        weight[i][j] = weight[j][i] = pair_weights[k]
+    bits = n - 1
+    full = (1 << bits) - 1
+    side = [1] + [0] * (bits)  # side[v] == 1 means point v on point 0's side
+    cur = sum(weight[0][v] for v in range(1, n))
+    yield 0, cur
+    prev = 0
+    for i in range(1, 1 << bits):
+        mask = i ^ (i >> 1)
+        flip = (mask ^ prev).bit_length() - 1
+        v = flip + 1
+        for w in range(n):
+            if w == v:
+                continue
+            if side[w] == side[v]:
+                cur += weight[v][w]
+            else:
+                cur -= weight[v][w]
+        side[v] ^= 1
+        prev = mask
+        if mask != full:
+            yield mask, cur
+
+
+# ---------------------------------------------------------------------------
 # the cut-cone simplex over Fractions
 # ---------------------------------------------------------------------------
 
@@ -713,7 +757,7 @@ class OraclePhase1:
         ints = _scale_to_integers(y)
         best_mask: Optional[int] = None
         best_key: Optional[tuple] = None
-        for pos, (mask, value) in enumerate(_gray_cut_values(self.n, ints)):
+        for pos, (mask, value) in enumerate(gray_cut_values(self.n, ints)):
             if value <= 0 or mask in basic:
                 continue
             if self.bland:

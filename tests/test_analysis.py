@@ -20,13 +20,13 @@ from oracles import (
     oracle_transcript_verify,
 )
 from test_core import graphs_with_points, rational_metrics
+from thetagap import analysis
 from thetagap.analysis import (
     GapBracket,
     PSDTranscript,
     Weighting,
     _ascend_all,
     _best_vector,
-    _certified_mu,
     _eliminate,
     _mu_certifies,
     _mu_ladder,
@@ -352,7 +352,7 @@ def test_first_dyadic_mu_rung_certifies(case):
     m = FiniteMetric.from_rows(*case)
     assume(m.size >= 2)
     first = next(_mu_ladder(m, _subspace_form(m)))
-    assert _certified_mu(m) == first
+    assert gap_bracket(m, starts=0).spectral_mu == first
     # a dyadic rational of about 32 significant bits
     assert first.denominator & (first.denominator - 1) == 0
     assert abs(first.numerator).bit_length() <= 34
@@ -369,6 +369,18 @@ def test_gap_bracket_replays_the_mu_test(witness_metric):
     fields["upper"] = min(spectral, bracket.upper_diameter)
     with pytest.raises(InternalCheckError, match="spectral_mu does not bound"):
         GapBracket(**fields)
+
+
+def test_gap_bracket_moves_past_a_rung_that_fails_the_mu_test(monkeypatch, witness_metric):
+    # mu = 0 fails, and its upper bound 0 is below the witness's lower bound,
+    # so only a mu test ahead of the emptiness check lets the ladder go on
+    m = witness_metric
+    ladder = list(_mu_ladder(m, _subspace_form(m)))
+    monkeypatch.setattr(analysis, "_mu_ladder", lambda *_: iter([Fraction(0), *ladder]))
+    assert gap_bracket(m, starts=2).spectral_mu == ladder[0]
+    monkeypatch.setattr(analysis, "_mu_ladder", lambda *_: iter([Fraction(0)]))
+    with pytest.raises(InternalCheckError, match="spectral_mu does not bound"):
+        gap_bracket(m, starts=2)
 
 
 def _tampered(matrix, t, what, a, b, delta):

@@ -163,10 +163,11 @@ def test_verify_replays_the_mu_test(made, tmp_path, cut):
     ],
 )
 def test_verify_rejects_relabelled_points(made, shape, field, tmp_path):
-    cert = _certificate(made, shape)
-    cert[field] = cert[field][::-1]
-    assert cert[field] != _certificate(made, shape)[field]
-    assert "labels" in _assert_rejected(made, shape, cert, tmp_path)
+    for relabel in (lambda labels: labels[::-1], lambda labels: labels[:-1]):
+        cert = _certificate(made, shape)
+        cert[field] = relabel(cert[field])
+        assert cert[field] != _certificate(made, shape)[field]
+        assert "labels" in _assert_rejected(made, shape, cert, tmp_path)
 
 
 def test_verify_rejects_relabelled_cut_members(made, tmp_path):

@@ -350,6 +350,31 @@ def test_l1_infeasible_then_feasible(theta_file, witness_points_file, c4_file, t
     assert code == 0 and report["valid"] is True
 
 
+def test_l1_refutation_past_one_int64_limb_verifies(theta_file, tmp_path, capsys):
+    # the witness plus five edge points at offsets j/997: the omega_i omega_j
+    # refutation needs more than one int64 limb per cut sum
+    from thetagap import EdgePoint, Vertex, dumps_points
+    from thetagap.l1cut import _primitive_integers
+
+    pts = tmp_path / "pts.json"
+    extra = [("e1", 583), ("e1", 262), ("e1", 508), ("e2", 484), ("e3", 389)]
+    pts.write_text(
+        dumps_points(
+            [Vertex("u"), Vertex("v"), Vertex("v")]
+            + [EdgePoint("e1", Fraction(1, 12)), EdgePoint("e2", Fraction(11, 12))]
+            + [EdgePoint("e3", Fraction(11, 12))]
+            + [EdgePoint(e, Fraction(j, 997)) for e, j in extra]
+        )
+    )
+    cert = tmp_path / "l1.json"
+    code, doc = run_json(capsys, "l1", theta_file, "--points", str(pts), "--out", str(cert))
+    assert code == 1
+    values = [Fraction(v) for _, _, v in doc["certificate"]["farkas"]]
+    assert sum(map(abs, _primitive_integers(values))) >= 1 << 62
+    code, report = run_json(capsys, "verify", str(cert), theta_file)
+    assert code == 0 and report["valid"] is True
+
+
 def test_l1_cap_exits_2(c4_file, tmp_path, capsys):
     from thetagap import Vertex, dumps_points
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import OraclePhase1, oracle_cut_cone_member
+from oracles import OraclePhase1, gray_cut_values, oracle_cut_cone_member
 from test_core import graphs_with_points
 from thetagap import l1cut
 from thetagap.analysis import is_negative_type
@@ -27,7 +27,6 @@ from thetagap.l1cut import (
     CutDecomposition,
     FarkasCertificate,
     _float_support,
-    _gray_cut_values,
     _Phase1,
     cut_metric,
     is_l1_embeddable,
@@ -128,7 +127,7 @@ def test_triangle_needs_three_half_cuts():
 
 
 # ---------------------------------------------------------------------------
-# the Gray-code cut walk
+# crossing sums over every cut: the oracle walk and the limb-split passes
 # ---------------------------------------------------------------------------
 
 
@@ -140,7 +139,7 @@ def test_gray_walk_visits_every_cut_once_with_correct_sums(n, data):
         data.draw(st.integers(min_value=-20, max_value=20)) for _ in pairs
     ]
     seen = {}
-    for mask, value in _gray_cut_values(n, weights):
+    for mask, value in gray_cut_values(n, weights):
         assert mask not in seen
         seen[mask] = value
     assert set(seen) == set(range(2 ** (n - 1) - 1))
@@ -159,18 +158,40 @@ def _uniform_metric(n):
     )
 
 
-@pytest.mark.parametrize("bound", [1 << 62, 0], ids=["int64", "gray_walk"])
+# Limbs of the real width, where these small weights take one int64 pass,
+# and of 3 bits, where they take several limbs combined on Python ints.
+LIMB_WIDTHS = pytest.mark.parametrize(
+    "limb_bits", [l1cut._LIMB_BITS, 3], ids=["int64", "3_bit_limbs"]
+)
+
+
+@pytest.mark.parametrize("limb_bits", [l1cut._LIMB_BITS, 3], ids=["54_bit_limbs", "3_bit_limbs"])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=9), st.data())
+def test_cut_scores_equal_the_walk_for_weights_of_any_size(limb_bits, n, data):
+    bits = data.draw(st.integers(min_value=0, max_value=300))
+    weight = st.integers(min_value=-(1 << bits), max_value=1 << bits)
+    weights = data.draw(st.lists(weight, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(l1cut, "_LIMB_BITS", limb_bits)
+        scores = l1cut._cut_scores(n, weights)
+    assert [int(v) for v in scores] == [
+        value for _, value in sorted(gray_cut_values(n, weights))
+    ]
+
+
+@LIMB_WIDTHS
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=3, max_value=7), st.data())
-def test_farkas_check_names_the_first_failing_cut_of_the_walk(bound, n, data):
+def test_farkas_check_names_the_first_failing_cut_of_the_walk(limb_bits, n, data):
     # the uniform metric is l1, so a vector positive against it is positive
     # on some cut; the check must name the walk's first such cut
     pairs = list(itertools.combinations(range(n), 2))
     weights = [data.draw(st.integers(min_value=-9, max_value=9)) for _ in pairs]
     weights[0] += 1 - min(0, sum(weights))  # positive against the metric
-    expected = next(mask for mask, value in _gray_cut_values(n, weights) if value > 0)
+    expected = next(mask for mask, value in gray_cut_values(n, weights) if value > 0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(l1cut, "_INT64_SUM_BOUND", bound)
+        mp.setattr(l1cut, "_LIMB_BITS", limb_bits)
         with pytest.raises(InternalCheckError, match=f"with mask {expected}$"):
             FarkasCertificate(
                 metric=_uniform_metric(n), pair_values=tuple(map(Fraction, weights))
@@ -182,7 +203,8 @@ def test_cut_scores_build_no_crossing_matrix_above_the_cap(monkeypatch):
         raise AssertionError(f"a crossing matrix over {n} points was built")
 
     monkeypatch.setattr(l1cut, "_crossing_matrix", refuse)
-    assert l1cut._cut_scores(21, [1] * 210) is None
+    with pytest.raises(PreconditionError, match="stop at 20"):
+        l1cut._cut_scores(21, [1] * 210)
 
 
 def test_farkas_check_refuses_more_than_20_points_before_any_walk(monkeypatch):
@@ -190,7 +212,6 @@ def test_farkas_check_refuses_more_than_20_points_before_any_walk(monkeypatch):
         raise AssertionError("the cuts of a 21-point vector were visited")
 
     monkeypatch.setattr(l1cut, "_cut_scores", refuse)
-    monkeypatch.setattr(l1cut, "_gray_cut_values", refuse)
     g = from_spec(FamilySpec(tag="path", sizes=(21,)))
     m = distance_matrix(g, [Vertex(v) for v in g.vertices])
     values = [Fraction(0)] * (21 * 20 // 2)
@@ -213,9 +234,9 @@ def test_float_crossing_sums_equal_the_masked_sums_bit_for_bit(n):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("bound", [1 << 62, 0], ids=["int64", "gray_walk"])
-def test_farkas_check_accepts_a_separating_vector(monkeypatch, bound):
-    monkeypatch.setattr(l1cut, "_INT64_SUM_BOUND", bound)
+@LIMB_WIDTHS
+def test_farkas_check_accepts_a_separating_vector(monkeypatch, limb_bits):
+    monkeypatch.setattr(l1cut, "_LIMB_BITS", limb_bits)
     g = from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3)))
     m = distance_matrix(g, [Vertex(v) for v in g.vertices])
     _, dual = _Phase1(m).solve()
@@ -508,27 +529,27 @@ def _assert_same_run(m, columns=None):
         assert ours.decomposition() == oracle.decomposition()
 
 
-def _with_limits(streak_limit, bound, m):
+def _with_limits(streak_limit, limb_bits, m):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(l1cut, "_DEGENERATE_STREAK_LIMIT", streak_limit)
-        mp.setattr(l1cut, "_INT64_SUM_BOUND", bound)
+        mp.setattr(l1cut, "_LIMB_BITS", limb_bits)
         _assert_same_run(m)
 
 
-@pytest.mark.parametrize("bound", [1 << 62, 0], ids=["int64", "gray_walk"])
+@LIMB_WIDTHS
 @settings(max_examples=25, deadline=None)
 @given(m=random_metrics())
-def test_integer_simplex_matches_the_fraction_simplex(bound, m):
-    _with_limits(30, bound, m)
+def test_integer_simplex_matches_the_fraction_simplex(limb_bits, m):
+    _with_limits(30, limb_bits, m)
 
 
 # Bland pricing takes up to hundreds of pivots from 8 points on, which the
 # Fraction simplex needs seconds for, so these runs stop at 7 points.
-@pytest.mark.parametrize("bound", [1 << 62, 0], ids=["int64", "gray_walk"])
+@LIMB_WIDTHS
 @settings(max_examples=12, deadline=None)
 @given(m=random_metrics(max_points=7))
-def test_integer_simplex_matches_under_bland_pricing(bound, m):
-    _with_limits(2, bound, m)
+def test_integer_simplex_matches_under_bland_pricing(limb_bits, m):
+    _with_limits(2, limb_bits, m)
 
 
 @settings(max_examples=25, deadline=None)
