@@ -4,8 +4,8 @@ The central question about a finite metric d is whether the quadratic energy
 gamma(omega) = sum over pairs of omega(x) omega(y) d(x,y) stays nonpositive on
 all zero-sum weightings.  This module decides that exactly via a symmetric
 elimination of the basepoint Gram matrix, brackets the supremum of gamma over
-the normalized polytope, and provides the square-root Euclidean embedding
-plus the eigenvalue-count diagnostic that accompany the decision.
+the normalized polytope, and cross-checks the decision against the exact
+count of positive eigenvalues of the distance matrix.
 
 One exact kernel does every symmetric elimination: ``_eliminate``, a
 fraction-free (Bareiss) elimination on Python integers with full diagonal
@@ -421,6 +421,8 @@ def is_negative_type(m: FiniteMetric) -> NegativeTypeResult:
     failure the bad elimination direction is converted into a weighting with
     zero sum, total mass one, and strictly positive energy.
     """
+    if m.size == 0:
+        raise PreconditionError("negative-type decision needs at least one point")
     b = m.size - 1
     ok, payload = _psd_scaled(*_scaled_gram(m, b))
     if ok:
@@ -755,44 +757,33 @@ def gap_bracket(
 
 
 # ---------------------------------------------------------------------------
-# embeddings and spectra
+# spectra
 # ---------------------------------------------------------------------------
 
 
-def sqrt_embedding(m: FiniteMetric) -> np.ndarray:
-    """Euclidean coordinates realizing sqrt(d), one row per point.
-
-    Requires the metric to be of negative type (checked exactly).  The last
-    point sits at the origin; coordinates have n - 1 dimensions.  Pairwise
-    Euclidean distances reproduce sqrt(d) within 1e-9 relative tolerance.
-    """
-    n = m.size
-    if not is_negative_type(m).verdict:
-        raise PreconditionError("metric is not of negative type")
-    G = np.array([[float(v) for v in row] for row in gram_matrix(m)])
-    if n == 1:
-        return np.zeros((1, 0))
-    vals, vecs = np.linalg.eigh(G)
-    vals = np.clip(vals, 0.0, None)
-    X = vecs * np.sqrt(vals)
-    coords = np.vstack([X, np.zeros((1, n - 1))])
-    for i, j in itertools.combinations(range(n), 2):
-        want = float(m.distance(i, j)) ** 0.5
-        got = float(np.linalg.norm(coords[i] - coords[j]))
-        if abs(got - want) > 1e-9 * (1.0 + want):
-            raise InternalCheckError("embedding distances drifted beyond tolerance")
-    return coords
-
-
 def positive_eigenvalue_count(m: FiniteMetric) -> int:
-    """Number of distance-matrix eigenvalues above 1e-9 times the largest |.|."""
-    n = m.size
-    dist = np.array([[float(m.distance(i, j)) for j in range(n)] for i in range(n)])
-    vals = np.linalg.eigvalsh(dist)
-    if len(vals) == 0:
-        return 0
-    tau = 1e-9 * float(np.max(np.abs(vals)))
-    return int(np.sum(vals > tau))
+    """Number of positive eigenvalues of the distance matrix, counted exactly.
+
+    The characteristic polynomial of the integer matrix ``m.D`` comes from
+    the Faddeev-LeVerrier recursion M_k = D M_(k-1) + c_(k-1) I with
+    c_k = -tr(D M_k) / k, whose divisions are exact on integers.  Its roots,
+    the eigenvalues of a real symmetric matrix, are all real, so by
+    Descartes' rule of signs the sign changes among its nonzero
+    coefficients are exactly the positive roots.
+    """
+    D, n = m.D, m.size
+    coeffs = [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(map(operator.mul, row, col)) for col in zip(*M)] for row in D]
+        c, rem = divmod(-sum(M[i][i] for i in range(n)), k)
+        if rem:
+            raise InternalCheckError("characteristic polynomial has a non-integer coefficient")
+        coeffs.append(c)
+        for i in range(n):
+            M[i][i] += c
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in itertools.pairwise(signs))
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +796,9 @@ class ChainReport:
     """Joint status of the embeddability conditions on one metric.
 
     ``l1_embeddable`` is None when the metric exceeds the cut LP size cap.
-    ``violations`` lists broken implications; any entry signals a bug."""
+    ``positive_eigenvalues`` is the exact count of positive eigenvalues of
+    the distance matrix, None below two points.  ``violations`` lists broken
+    implications; any entry signals a bug."""
 
     size: int
     l1_embeddable: Optional[bool]
@@ -822,8 +815,11 @@ def check_chain(m: FiniteMetric, max_points: int = 14) -> ChainReport:
     """Evaluate l1-embeddability, negative type, and the eigenvalue count.
 
     l1-embeddable metrics must be of negative type, and negative-type metrics
-    with a nonzero distance must have exactly one positive eigenvalue; any
-    breach is reported (and is a bug, never an expected outcome).
+    with a nonzero distance must have exactly one positive eigenvalue
+    (Schoenberg); any breach is reported (and is a bug, never an expected
+    outcome).  All three are decided exactly: the count comes from the
+    characteristic polynomial, independently of the elimination behind the
+    negative-type verdict.
     """
     from .l1cut import CutDecomposition, is_l1_embeddable
 

@@ -522,7 +522,7 @@ def cmd_verify(args) -> int:
     if not isinstance(cert, dict):
         raise PreconditionError("certificate must be a JSON object")
     kind = cert.get("kind")
-    if kind not in _VERIFIERS:
+    if not isinstance(kind, str) or kind not in _VERIFIERS:
         raise PreconditionError(f"unknown certificate kind {kind!r}")
     expected = _field(_field(cert, "graph", dict), "sha256", str)
     g = _load_graph(args.graph)

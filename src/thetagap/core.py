@@ -112,7 +112,7 @@ class MetricGraph:
                 raise InvalidGraphError(f"duplicate edge id: {e.id!r}")
             seen_e.add(e.id)
             for end in e.ends:
-                if end not in seen_v:
+                if not isinstance(end, str) or end not in seen_v:
                     raise InvalidGraphError(f"edge {e.id} has unknown endpoint {end!r}")
             if not isinstance(e.length, Fraction) or e.length <= 0:
                 raise InvalidGraphError(f"edge {e.id} needs a positive rational length")

@@ -305,130 +305,6 @@ def _assemble_theta(
     return Theta(u=u, v=v, paths=(paths[0], paths[1], paths[2]))
 
 
-def _find_cycle_in_block(g: MetricGraph, block_edges: set[str]) -> tuple[list[str], list[tuple[str, bool]]]:
-    """Some cycle inside the block: vertex list plus directed edge walk."""
-    adj: dict[str, list[tuple[str, str]]] = {}
-    for eid in sorted(block_edges):
-        a, b = g.edge(eid).ends
-        adj.setdefault(a, []).append((eid, b))
-        adj.setdefault(b, []).append((eid, a))
-    start = min(adj)
-    parent: dict[str, tuple[str, str]] = {}
-    order: dict[str, int] = {start: 0}
-    stack = [(start, None)]
-    while stack:
-        v, in_edge = stack.pop()
-        for eid, w in adj[v]:
-            if eid == in_edge:
-                continue
-            if w not in order:
-                order[w] = len(order)
-                parent[w] = (v, eid)
-                stack.append((w, eid))
-            else:
-                # Found a cycle: climb both endpoints to their common ancestor.
-                path_v: list[str] = [v]
-                seen = {v}
-                x = v
-                while x in parent:
-                    x = parent[x][0]
-                    path_v.append(x)
-                    seen.add(x)
-                x = w
-                path_w = [w]
-                while x not in seen:
-                    x = parent[x][0]
-                    path_w.append(x)
-                meet = path_w[-1]
-                cyc_vertices = path_v[: path_v.index(meet) + 1]
-                walk: list[tuple[str, bool]] = []
-                # climb v -> meet using parent edges, reversed orientation
-                for i in range(len(cyc_vertices) - 1):
-                    child = cyc_vertices[i]
-                    par, eid2 = parent[child]
-                    e = g.edge(eid2)
-                    walk.append((eid2, e.ends[0] == par))
-                walk.reverse()
-                # walk currently goes meet -> v; append closing edge v -> w
-                e = g.edge(eid)
-                walk.append((eid, e.ends[0] == v))
-                # then climb w -> meet
-                x = w
-                while x != meet:
-                    par, eid2 = parent[x]
-                    e2 = g.edge(eid2)
-                    walk.append((eid2, e2.ends[0] == x))
-                    x = par
-                verts = [meet]
-                here = meet
-                for eid2, fwd in walk:
-                    e2 = g.edge(eid2)
-                    here = e2.ends[1] if fwd else e2.ends[0]
-                    verts.append(here)
-                return verts[:-1], walk
-    raise InternalCheckError("block of rank >= 1 contains no cycle")
-
-
-def _find_ear(
-    g: MetricGraph, block_edges: set[str], cycle_vertices: list[str], cycle_edge_ids: set[str]
-) -> tuple[str, str, list[tuple[str, bool]]]:
-    """A path between two distinct cycle vertices, internally off the cycle."""
-    on_cycle = set(cycle_vertices)
-    adj: dict[str, list[tuple[str, str]]] = {}
-    for eid in sorted(block_edges - cycle_edge_ids):
-        a, b = g.edge(eid).ends
-        adj.setdefault(a, []).append((eid, b))
-        adj.setdefault(b, []).append((eid, a))
-    for origin in sorted(on_cycle):
-        if origin not in adj:
-            continue
-        prev: dict[str, tuple[str, str]] = {}
-        queue = [origin]
-        seen = {origin}
-        while queue:
-            x = queue.pop(0)
-            for eid, w in adj.get(x, ()):
-                if w in on_cycle and w != origin:
-                    walk: list[tuple[str, bool]] = []
-                    e = g.edge(eid)
-                    walk.append((eid, e.ends[0] == x))
-                    back = x
-                    while back != origin:
-                        pv, pe = prev[back]
-                        e2 = g.edge(pe)
-                        walk.append((pe, e2.ends[0] == pv))
-                        back = pv
-                    walk.reverse()
-                    return origin, w, walk
-                if w not in seen and w not in on_cycle:
-                    seen.add(w)
-                    prev[w] = (x, eid)
-                    queue.append(w)
-    raise InternalCheckError("2-connected block of rank >= 2 has no ear")
-
-
-def find_theta(g: MetricGraph) -> Optional[Theta]:
-    """Some theta subgraph, or None.  Decision comes from block ranks."""
-    for block in _biconnected_blocks(g):
-        verts, rank = _block_stats(g, block)
-        if rank < 2:
-            continue
-        block_set = set(block)
-        cyc_vertices, cyc_walk = _find_cycle_in_block(g, block_set)
-        cyc_ids = {eid for eid, _ in cyc_walk}
-        a, b, ear = _find_ear(g, block_set, cyc_vertices, cyc_ids)
-        ia, ib = cyc_vertices.index(a), cyc_vertices.index(b)
-        if ia > ib:
-            ia, ib = ib, ia
-            a, b = b, a
-            ear = _reverse_walk(g, ear)
-        # split the cycle walk at positions ia < ib into two arcs a -> b
-        arc1 = cyc_walk[ia:ib]
-        arc2 = _reverse_walk(g, cyc_walk[ib:] + cyc_walk[:ia])
-        return _assemble_theta(g, a, b, [arc1, arc2, ear])
-    return None
-
-
 # ---------------------------------------------------------------------------
 # minimal theta via min-cost flow
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Negative-type decisions, gap brackets, and embeddings."""
+"""Negative-type decisions, gap brackets, and eigenvalue counts."""
 
 import itertools
 import random
@@ -19,9 +19,10 @@ from oracles import (
     oracle_snap_candidates,
     oracle_transcript_verify,
 )
-from test_core import graphs_with_points, rational_metrics
+from test_core import connected_graphs, graph_points, graphs_with_points, rational_metrics
 from thetagap import analysis
 from thetagap.analysis import (
+    ChainReport,
     GapBracket,
     PSDTranscript,
     Weighting,
@@ -42,7 +43,6 @@ from thetagap.analysis import (
     is_negative_type,
     positive_eigenvalue_count,
     psd_decompose,
-    sqrt_embedding,
 )
 from thetagap.core import EdgePoint, FiniteMetric, Vertex, distance_matrix, subdivide
 from thetagap.errors import InternalCheckError, PreconditionError
@@ -53,6 +53,7 @@ from thetagap.families import (
     make_random_connected,
     make_theta,
 )
+from thetagap.l1cut import k4_explicit_decomposition
 from thetagap.witness import construct_witness, omega_from_witness
 
 # ---------------------------------------------------------------------------
@@ -924,35 +925,47 @@ def test_gap_bracket_rejects_bad_parameters(two_point):
 
 
 # ---------------------------------------------------------------------------
-# embeddings and eigenvalue counts
+# eigenvalue counts
 # ---------------------------------------------------------------------------
 
 
-def test_sqrt_embedding_reproduces_square_roots(c4_metric):
-    x = sqrt_embedding(c4_metric)
-    assert x.shape == (4, 3)
-    for i, j in itertools.combinations(range(4), 2):
-        want = float(c4_metric.distance(i, j)) ** 0.5
-        got = float(np.linalg.norm(x[i] - x[j]))
-        assert abs(got - want) <= 1e-9 * (1 + want)
+@pytest.fixture(scope="module")
+def k4_subdivision_metric():
+    return k4_explicit_decomposition()[1].metric
 
 
-def test_sqrt_embedding_rejects_non_negative_type(witness_metric):
-    with pytest.raises(PreconditionError):
-        sqrt_embedding(witness_metric)
-
-
-def test_sqrt_embedding_single_point():
-    one = FiniteMetric.from_rows(("a",), [[0]])
-    assert sqrt_embedding(one).shape == (1, 0)
-
-
-def test_positive_eigenvalue_count_line_vs_witness(witness_metric):
+def test_positive_eigenvalue_count_line_vs_witness(c4_metric, witness_metric, k4_subdivision_metric):
     line = FiniteMetric.from_rows(
         ("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     )
     assert positive_eigenvalue_count(line) == 1
-    assert positive_eigenvalue_count(witness_metric) > 1
+    # C4's spectrum is 4, 0, -2, -2: the exact zero is not counted
+    assert positive_eigenvalue_count(c4_metric) == 1
+    assert positive_eigenvalue_count(witness_metric) == 2
+    assert positive_eigenvalue_count(k4_subdivision_metric) == 1
+
+
+@st.composite
+def graph_metrics(draw):
+    """2-12 points on a small graph, or on a weighted complete graph: the
+    latter is often not of negative type, so its distance matrix can have
+    several positive eigenvalues."""
+    if draw(st.booleans()):
+        g = draw(connected_graphs())
+        count = draw(st.integers(min_value=2, max_value=12))
+        return distance_matrix(g, [draw(graph_points(g)) for _ in range(count)])
+    labels, rows = draw(rational_metrics(max_points=12).filter(lambda lr: len(lr[0]) >= 2))
+    return FiniteMetric.from_rows(labels, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_metrics())
+def test_positive_eigenvalue_count_matches_the_float_spectrum(m):
+    vals = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in m.rows]))
+    top = float(np.max(np.abs(vals)))
+    # a float eigenvalue this near zero could be either sign, or an exact zero
+    assume(not np.any((np.abs(vals) > 1e-12 * top) & (np.abs(vals) < 1e-6 * top)))
+    assert positive_eigenvalue_count(m) == int(np.sum(vals > 1e-6 * top))
 
 
 # ---------------------------------------------------------------------------
@@ -979,3 +992,18 @@ def test_check_chain_skips_l1_beyond_cap(c4_metric):
     report = check_chain(c4_metric, max_points=2)
     assert report.l1_embeddable is None
     assert report.ok
+
+
+def test_check_chain_runs_no_float_eigensolver(
+    monkeypatch, c4_metric, witness_metric, k4_subdivision_metric
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_chain called a float eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert check_chain(c4_metric) == ChainReport(4, True, True, 1, ())
+    assert check_chain(witness_metric) == ChainReport(
+        witness_metric.size, False, False, 2, ()
+    )
+    assert check_chain(k4_subdivision_metric, max_points=16) == ChainReport(16, True, True, 1, ())

@@ -114,6 +114,14 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_string_edge_endpoint_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for end in (["a"], {}):
+        edge = {"id": "e", "ends": [end, "b"], "length": "1"}
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [edge]}))
+        _assert_one_line_error(capsys, "info", str(path))
+
+
 def test_subdivide_scales_counts(theta_file, tmp_path, capsys):
     out = tmp_path / "fine.json"
     code, _ = run(capsys, "subdivide", theta_file, "-k", "2", "--out", str(out))
@@ -162,9 +170,9 @@ def test_verify_rejects_wrong_graph(theta_file, c4_file, tmp_path, capsys):
 
 def test_verify_unknown_kind_exits_2(theta_file, tmp_path, capsys):
     cert = tmp_path / "odd.json"
-    cert.write_text(json.dumps({"certificate": {"kind": "mystery"}}))
-    code, _ = run(capsys, "verify", str(cert), theta_file)
-    assert code == 2
+    for kind in ("mystery", ["negative_type"], {"negative_type": 1}):
+        cert.write_text(json.dumps({"certificate": {"kind": kind}}))
+        _assert_one_line_error(capsys, "verify", str(cert), theta_file)
 
 
 def _assert_one_line_error(capsys, *argv):
@@ -172,6 +180,7 @@ def _assert_one_line_error(capsys, *argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 def test_verify_truncated_distances_exits_2(theta_file, tmp_path, capsys):
@@ -422,7 +431,9 @@ def test_importing_the_cli_loads_no_scipy():
 def test_l1_on_empty_points_exits_2(c4_file, tmp_path, capsys):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps({"points": []}))
-    _assert_one_line_error(capsys, "l1", c4_file, "--points", str(pts))
+    for command in ("negtype", "gap", "l1"):
+        err = _assert_one_line_error(capsys, command, c4_file, "--points", str(pts))
+        assert "needs at least" in err
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from thetagap.theta import (
     ThetaPoint,
     check_branch_distance_lemma,
     contains_theta,
-    find_theta,
     minimal_theta,
     theta_distance,
     theta_point_to_point,
@@ -76,16 +75,6 @@ def test_contains_theta_matches_brute_force(g):
 # ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
-
-
-@settings(max_examples=100, deadline=None)
-@given(connected_graphs(max_vertices=5, max_extra_edges=4))
-def test_find_theta_agrees_with_detection(g):
-    t = find_theta(g)
-    if contains_theta(g):
-        assert isinstance(t, Theta)  # construction re-validates disjointness
-    else:
-        assert t is None
 
 
 @st.composite
@@ -319,7 +308,7 @@ def test_minimal_theta_prunes_assemblies(monkeypatch):
 
 def test_theta_validation_rejects_shared_interior_vertex():
     g = make_theta(1, 1, 1)
-    t = find_theta(g)
+    t = minimal_theta(g)
     with pytest.raises(PreconditionError):
         Theta(u=t.u, v=t.u, paths=t.paths)
 
