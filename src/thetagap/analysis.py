@@ -469,8 +469,8 @@ class GapBracket:
 
     Construction re-derives exactly that ``weighting`` attains ``lower``,
     that ``upper`` is the smaller of diam/4 and the bound ``spectral_mu``
-    gives, and, by one exact elimination, that ``spectral_mu`` M2 - A2 is
-    positive semidefinite (``_mu_certifies``), so a bracket read back from
+    gives, and, by one exact elimination, that ``spectral_mu`` M2 + G / den
+    is positive semidefinite (``_mu_certifies``), so a bracket read back from
     a certificate is checked exactly as the one ``gap_bracket`` builds."""
 
     metric: FiniteMetric
@@ -486,7 +486,8 @@ class GapBracket:
             raise InternalCheckError("bracket weighting is not normalized")
         if gamma(self.metric, self.weighting) != self.lower:
             raise InternalCheckError("bracket lower bound is not certified")
-        if not _mu_certifies(_subspace_form(self.metric), self.metric.den, self.spectral_mu):
+        G, _ = _scaled_gram(self.metric, None)
+        if not _mu_certifies(G, self.metric.den, self.spectral_mu):
             raise _MuNotCertified("spectral_mu does not bound the spectrum")
         if self.lower > self.upper:
             raise InternalCheckError("bracket is empty")
@@ -566,25 +567,17 @@ def _best_vector(
     return Fraction(energy, 2 * mass * mass * m.den), _weighting_of(c)
 
 
-def _subspace_form(m: FiniteMetric) -> list[list[int]]:
-    """The integer matrix A2 with x^T D x = y^T (A2 / den) y for x = (y, -sum y).
+def _mu_certifies(G: list[list[int]], den: int, mu: Fraction) -> bool:
+    """Whether mu M2 + G / den is positive semidefinite, with M2 = I + J and
+    G the integer Gram matrix at the last point (``_scaled_gram(m, None)``).
 
-    In the basis e_i - e_{n-1} of the zero-sum subspace the quadratic form of
-    D is A2 / den (its diagonal is -2 D_{i,n-1}) and x^T x is y^T M2 y with
-    M2 = I + J."""
-    n, D = m.size, m.D
-    last = [row[n - 1] for row in D]
-    return [[D[i][j] - last[i] - last[j] for j in range(n - 1)] for i in range(n - 1)]
-
-
-def _mu_certifies(A2: list[list[int]], den: int, mu: Fraction) -> bool:
-    """Whether mu M2 - A2 / den is positive semidefinite, with M2 = I + J.
-
-    With mu = a / b that matrix is the integer matrix a den M2 - b A2 over
-    b den; only the verdict of its elimination is needed.
+    In the basis e_i - e_{n-1} of the zero-sum subspace, x = (y, -sum y),
+    the quadratic form of D is x^T D x = -y^T (G / den) y and x^T x is
+    y^T M2 y.  With mu = a / b the tested matrix is the integer matrix
+    a den M2 + b G over b den; only the verdict of its elimination is needed.
     """
     a, b = mu.numerator * den, mu.denominator
-    shifted = [[a - b * x for x in row[: i + 1]] for i, row in enumerate(A2)]
+    shifted = [[a + b * x for x in row[: i + 1]] for i, row in enumerate(G)]
     for i, row in enumerate(shifted):
         row[i] += a
     return _eliminate(shifted).direction is None
@@ -597,21 +590,21 @@ def _dyadic_ceil(x: Fraction, bits: int) -> Fraction:
     return math.ceil(x / unit) * unit
 
 
-def _mu_ladder(m: FiniteMetric, A2: list[list[int]]) -> Iterator[Fraction]:
+def _mu_ladder(m: FiniteMetric, G: list[list[int]]) -> Iterator[Fraction]:
     """Candidates for mu: float proposals with growing slack, then n * diameter.
 
-    The float estimate is the largest eigenvalue of the pencil (A2 / den, M2).
+    The float estimate is the largest eigenvalue of the pencil (-G / den, M2).
     With k = n - 1, M2^(-1/2) = T = I + c J for c = (1/sqrt(k+1) - 1) / k
     (since J^2 = k J), so it is the largest eigenvalue of the symmetric
-    T (A2 / den) T.  Rung r adds the slack 2^(8r - 26) (|est| + diameter) and
+    T (-G / den) T.  Rung r adds the slack 2^(8r - 26) (|est| + diameter) and
     rounds up to a dyadic rational, whose small denominator keeps the exact
     elimination cheap; the bound n * diameter always passes.
     """
     n, den, diameter = m.size, m.den, m.diameter()
     k = n - 1
-    # int / int rounds correctly, so these are the floats of the entries of A2 / den
+    # int / int rounds correctly, so these are the floats of the entries of -G / den
     T = np.eye(k) + (1 / math.sqrt(k + 1) - 1) / k
-    est = float(np.linalg.eigvalsh(T @ np.array([[x / den for x in row] for row in A2]) @ T)[-1])
+    est = float(np.linalg.eigvalsh(T @ np.array([[-x / den for x in row] for row in G]) @ T)[-1])
     if math.isfinite(est):
         scale = abs(Fraction(est)) + diameter
         for r in range(_MU_RUNGS):
@@ -738,7 +731,7 @@ def gap_bracket(
     lower, argmax = _best_vector(m, vectors)
     diam_bound = diameter / 4
     # the bracket of the first rung whose mu passes the constructor's test
-    ladder = list(_mu_ladder(m, _subspace_form(m)))
+    ladder = list(_mu_ladder(m, _scaled_gram(m, None)[0]))
     for rung, mu in enumerate(ladder):
         spectral = _spectral_bound(mu, n)
         try:

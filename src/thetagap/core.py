@@ -5,9 +5,11 @@ rational lengths.  Every edge is a continuum of points: a point is either a
 vertex or an interior position on an edge, addressed by an offset from the
 edge's first declared endpoint.  Lengths and distances are exact rationals:
 ``fractions.Fraction`` at the API, and inside, integers over one common
-denominator (the LCM of a graph's length denominators for shortest paths, the
-least common denominator of a metric's entries for ``FiniteMetric``).  No
-floating point enters any distance computation.
+denominator (the LCM of a graph's length denominators for Dijkstra, the
+least common denominator of a metric's entries for ``FiniteMetric``).
+
+Points become distances in one place, ``distance_matrix``; ``distance`` is
+its two-point case.  No floating point enters any distance computation.
 """
 
 from __future__ import annotations
@@ -121,13 +123,10 @@ class MetricGraph:
     def _check_connected(self) -> None:
         reached = {self.vertices[0]}
         frontier = [self.vertices[0]]
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.ends[0]].append(e.ends[1])
-            adj[e.ends[1]].append(e.ends[0])
+        adj = self._adjacency
         while frontier:
             v = frontier.pop()
-            for w in adj[v]:
+            for _, w, _ in adj[v]:
                 if w not in reached:
                     reached.add(w)
                     frontier.append(w)
@@ -145,10 +144,12 @@ class MetricGraph:
 
     @cached_property
     def _adjacency(self) -> Mapping[str, tuple[tuple[str, str, int], ...]]:
-        # Lengths are in units of 1/_scale, an exact rescaling that keeps every
-        # comparison and tie.  Self-loops are omitted: with positive lengths
-        # they never shorten a route between vertices.  Points on a self-loop
-        # are reached after refinement splits the loop.
+        # The one adjacency of the graph: Dijkstra, the connectivity check and
+        # the block search all walk it.  Lengths are in units of 1/_scale, an
+        # exact rescaling that keeps every comparison and tie.  Self-loops are
+        # omitted: with positive lengths they never shorten a route between
+        # vertices, and they join no two vertices.  Points on a self-loop are
+        # reached after refinement splits the loop.
         scale = self._scale
         adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -228,20 +229,6 @@ def point_label(p: Point) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Refinement:
-    """A graph isometric to the original in which chosen points are vertices.
-
-    ``edge_origin`` maps each refined edge to ``(original edge, lo, hi)``:
-    walking the refined edge from its first to its second endpoint sweeps the
-    original offsets from lo to hi (lo < hi always; orientation preserved).
-    """
-
-    graph: MetricGraph
-    vertex_of: Mapping[Point, str]
-    edge_origin: Mapping[str, tuple[str, Fraction, Fraction]]
-
-
 def _fresh_id(candidate: str, used: set[str]) -> str:
     while candidate in used:
         candidate = "_" + candidate
@@ -249,10 +236,11 @@ def _fresh_id(candidate: str, used: set[str]) -> str:
     return candidate
 
 
-def _refine(g: MetricGraph, points: Sequence[Point]) -> _Refinement:
-    canon = [canonical_point(g, p) for p in points]
+def _refine(g: MetricGraph, points: Sequence[Point]) -> tuple[MetricGraph, dict[Point, str]]:
+    """A graph isometric to ``g`` in which the canonical ``points`` are
+    vertices, and the vertex of each point."""
     by_edge: dict[str, set[Fraction]] = {}
-    for p in canon:
+    for p in points:
         if isinstance(p, EdgePoint):
             by_edge.setdefault(p.edge, set()).add(p.offset)
 
@@ -260,22 +248,18 @@ def _refine(g: MetricGraph, points: Sequence[Point]) -> _Refinement:
     used_e: set[str] = set(e.id for e in g.edges)
     new_vertices: list[str] = list(g.vertices)
     new_edges: list[Edge] = []
-    vertex_of: dict[Point, str] = {}
-    edge_origin: dict[str, tuple[str, Fraction, Fraction]] = {}
-
-    split_names: dict[tuple[str, Fraction], str] = {}
+    vertex_of: dict[Point, str] = {p: p.vertex for p in points if isinstance(p, Vertex)}
     for e in g.edges:
         offsets = sorted(by_edge.get(e.id, ()))
         if not offsets:
             new_edges.append(e)
-            edge_origin[e.id] = (e.id, Fraction(0), e.length)
             continue
         cut_ids = []
         for off in offsets:
             vid = _fresh_id(f"{e.id}@{format_rational(off)}", used_v)
             cut_ids.append(vid)
             new_vertices.append(vid)
-            split_names[(e.id, off)] = vid
+            vertex_of[EdgePoint(e.id, off)] = vid
         bounds = [Fraction(0), *offsets, e.length]
         stops = [e.ends[0], *cut_ids, e.ends[1]]
         for i in range(len(bounds) - 1):
@@ -283,31 +267,7 @@ def _refine(g: MetricGraph, points: Sequence[Point]) -> _Refinement:
             new_edges.append(
                 Edge(id=eid, ends=(stops[i], stops[i + 1]), length=bounds[i + 1] - bounds[i])
             )
-            edge_origin[eid] = (e.id, bounds[i], bounds[i + 1])
-
-    for p in canon:
-        if isinstance(p, Vertex):
-            vertex_of[p] = p.vertex
-        else:
-            vertex_of[p] = split_names[(p.edge, p.offset)]
-
-    refined = MetricGraph(vertices=tuple(new_vertices), edges=tuple(new_edges))
-    return _Refinement(
-        graph=refined,
-        vertex_of=vertex_of,
-        edge_origin=edge_origin,
-    )
-
-
-def insert_points(
-    g: MetricGraph, points: Sequence[Point]
-) -> tuple[MetricGraph, dict[Point, str]]:
-    """Return an isometric graph in which every given point is a vertex.
-
-    The mapping is keyed by canonical points; coincident inputs share a key.
-    """
-    ref = _refine(g, points)
-    return ref.graph, dict(ref.vertex_of)
+    return MetricGraph(vertices=tuple(new_vertices), edges=tuple(new_edges)), vertex_of
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +275,9 @@ def insert_points(
 # ---------------------------------------------------------------------------
 
 
-def _scaled_distances(
-    g: MetricGraph,
-    source: str,
-    pred: Optional[dict[str, tuple[str, str]]] = None,
-) -> dict[str, int]:
-    """Exact Dijkstra from a vertex, in units of ``1 / g._scale``.
-
-    All vertices are reachable.  When ``pred`` is given it is filled with a
-    deterministic predecessor map ``v -> (prev, edge)``: among all last steps
-    of shortest routes to v, the smallest ``(prev, edge)``.
-    """
+def _scaled_distances(g: MetricGraph, source: str) -> dict[str, int]:
+    """Exact Dijkstra from a vertex, in units of ``1 / g._scale``.  All
+    vertices are reachable."""
     if not g.has_vertex(source):
         raise InvalidPointError(f"unknown vertex id: {source!r}")
     dist: dict[str, int] = {source: 0}
@@ -337,7 +289,7 @@ def _scaled_distances(
         if v in done:
             continue
         done.add(v)
-        for eid, w, length in adj[v]:
+        for _, w, length in adj[v]:
             if w in done:
                 continue
             nd = d + length
@@ -345,10 +297,6 @@ def _scaled_distances(
             if old is None or nd < old:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
-                if pred is not None:
-                    pred[w] = (v, eid)
-            elif pred is not None and nd == old and (v, eid) < pred[w]:
-                pred[w] = (v, eid)
     return dist
 
 
@@ -356,17 +304,6 @@ def single_source_distances(g: MetricGraph, source: str) -> dict[str, Fraction]:
     """Exact Dijkstra from a vertex.  All vertices are reachable."""
     scale = g._scale
     return {v: Fraction(d, scale) for v, d in _scaled_distances(g, source).items()}
-
-
-def distance(g: MetricGraph, p: Point, q: Point) -> Fraction:
-    """Exact length of a shortest route between two points."""
-    cp = canonical_point(g, p)
-    cq = canonical_point(g, q)
-    if cp == cq:
-        return Fraction(0)
-    ref = _refine(g, [cp, cq])
-    dist = _scaled_distances(ref.graph, ref.vertex_of[cp])
-    return Fraction(dist[ref.vertex_of[cq]], ref.graph._scale)
 
 
 # The int64 triangle check needs every D[i][j] + D[j][k] to fit in int64;
@@ -489,101 +426,24 @@ class FiniteMetric:
 
 
 def distance_matrix(g: MetricGraph, points: Sequence[Point]) -> FiniteMetric:
-    """Exact pairwise distances between the given points, in the given order."""
+    """Exact pairwise distances between the given points, in the given order.
+
+    The graph is refined once so that every point is a vertex, and one
+    Dijkstra runs from each distinct point."""
     canon = [canonical_point(g, p) for p in points]
-    ref = _refine(g, canon)
-    ids = [ref.vertex_of[p] for p in canon]
+    refined, vertex_of = _refine(g, canon)
+    ids = [vertex_of[p] for p in canon]
     per_source: dict[str, dict[str, int]] = {}
     for vid in ids:
         if vid not in per_source:
-            per_source[vid] = _scaled_distances(ref.graph, vid)
+            per_source[vid] = _scaled_distances(refined, vid)
     D = [[per_source[a][b] for b in ids] for a in ids]
-    return FiniteMetric._from_scaled(
-        tuple(point_label(p) for p in canon), D, ref.graph._scale
-    )
+    return FiniteMetric._from_scaled(tuple(point_label(p) for p in canon), D, refined._scale)
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """A maximal stretch of a route along one original edge.
-
-    ``forward`` means original offsets increase from ``start`` to ``end``.
-    """
-
-    edge: str
-    forward: bool
-    start: Fraction
-    end: Fraction
-
-    @property
-    def length(self) -> Fraction:
-        return abs(self.end - self.start)
-
-
-@dataclass(frozen=True)
-class PathResult:
-    """A shortest route: alternating points and edge segments."""
-
-    points: tuple[Point, ...]
-    segments: tuple[PathSegment, ...]
-    length: Fraction
-
-
-def shortest_path(g: MetricGraph, p: Point, q: Point) -> PathResult:
-    """One shortest route between two points, with its geometry spelled out."""
-    cp = canonical_point(g, p)
-    cq = canonical_point(g, q)
-    if cp == cq:
-        return PathResult(points=(cp,), segments=(), length=Fraction(0))
-    ref = _refine(g, [cp, cq])
-    src = ref.vertex_of[cp]
-    dst = ref.vertex_of[cq]
-    pred: dict[str, tuple[str, str]] = {}
-    dist = _scaled_distances(ref.graph, src, pred)
-    chain: list[tuple[str, str]] = []  # (refined edge id, arriving vertex)
-    v = dst
-    while v != src:
-        prev, eid = pred[v]
-        chain.append((eid, v))
-        v = prev
-    chain.reverse()
-
-    raw_segments: list[PathSegment] = []
-    walk = src
-    for eid, arrive in chain:
-        orig, lo, hi = ref.edge_origin[eid]
-        edge = ref.graph.edge(eid)
-        forward = edge.ends[0] == walk and edge.ends[1] == arrive
-        if forward:
-            raw_segments.append(PathSegment(edge=orig, forward=True, start=lo, end=hi))
-        else:
-            raw_segments.append(PathSegment(edge=orig, forward=False, start=hi, end=lo))
-        walk = arrive
-
-    merged: list[PathSegment] = []
-    for seg in raw_segments:
-        if (
-            merged
-            and merged[-1].edge == seg.edge
-            and merged[-1].forward == seg.forward
-            and merged[-1].end == seg.start
-        ):
-            last = merged.pop()
-            merged.append(
-                PathSegment(edge=seg.edge, forward=seg.forward, start=last.start, end=seg.end)
-            )
-        else:
-            merged.append(seg)
-
-    pts: list[Point] = [cp]
-    for seg in merged[:-1]:
-        pts.append(canonical_point(g, EdgePoint(seg.edge, seg.end)))
-    pts.append(cq)
-    return PathResult(
-        points=tuple(pts),
-        segments=tuple(merged),
-        length=Fraction(dist[dst], ref.graph._scale),
-    )
+def distance(g: MetricGraph, p: Point, q: Point) -> Fraction:
+    """Exact length of a shortest route between two points."""
+    return distance_matrix(g, [p, q]).distance(0, 1)
 
 
 # ---------------------------------------------------------------------------

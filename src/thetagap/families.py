@@ -159,19 +159,20 @@ def make_random_connected(
     m: int,
     seed: int = 0,
     min_len: RationalLike = 1,
-    allow_self_loops: bool = False,
 ) -> MetricGraph:
     """Seeded random connected multigraph with n vertices and m edges.
 
     A uniform random spanning tree comes first, then ``m - (n - 1)`` extra
-    edges with endpoints drawn uniformly (parallel edges allowed, self-loops
-    only on request).  Lengths are uniform grid rationals in
+    edges with distinct endpoints drawn uniformly (parallel edges allowed, no
+    self-loops).  Lengths are uniform grid rationals in
     ``[min_len, 2 * min_len]``.  Deterministic in ``seed``.
     """
     if n < 1:
         raise PreconditionError("need at least one vertex")
     if m < n - 1:
         raise PreconditionError(f"{m} edges cannot connect {n} vertices")
+    if n == 1 and m > 0:
+        raise PreconditionError("edges without self-loops need at least two vertices")
     base = as_rational(min_len)
     if base <= 0:
         raise PreconditionError("min_len must be positive")
@@ -187,7 +188,7 @@ def make_random_connected(
         while True:
             a = rng.randrange(n)
             b = rng.randrange(n)
-            if a != b or allow_self_loops:
+            if a != b:
                 break
         rows.append((f"e{counter}", names[a], names[b], _random_length(rng, base)))
     return build_graph(names, rows)
@@ -207,6 +208,8 @@ def make_random_cactus(
     if blocks < 1:
         raise PreconditionError("need at least one block")
     base = as_rational(min_len)
+    if base <= 0:
+        raise PreconditionError("min_len must be positive")
     rng = random.Random(seed)
     names = ["v1"]
     rows: list[tuple[str, str, str, Fraction]] = []

@@ -31,7 +31,7 @@ from .core import (
     Vertex,
     as_rational,
     canonical_point,
-    distance,
+    distance_matrix,
     single_source_distances,
 )
 from .errors import InternalCheckError, InvalidPointError, PreconditionError
@@ -205,14 +205,7 @@ def theta_distance(t: Theta, a: ThetaPoint, b: ThetaPoint) -> Fraction:
 
 def _biconnected_blocks(g: MetricGraph) -> list[tuple[str, ...]]:
     """Edge ids of each biconnected block, iteratively, self-loops excluded."""
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        a, b = e.ends
-        if a == b:
-            continue
-        adj[a].append((e.id, b))
-        adj[b].append((e.id, a))
-
+    adj = g._adjacency
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
     blocks: list[tuple[str, ...]] = []
@@ -222,13 +215,13 @@ def _biconnected_blocks(g: MetricGraph) -> list[tuple[str, ...]]:
     for root in g.vertices:
         if root in disc:
             continue
-        stack: list[tuple[str, Optional[str], Iterator[tuple[str, str]]]] = []
+        stack: list[tuple[str, Optional[str], Iterator[tuple[str, str, int]]]] = []
         disc[root] = low[root] = next(counter)
         stack.append((root, None, iter(adj[root])))
         while stack:
             v, in_edge, it = stack[-1]
             advanced = False
-            for eid, w in it:
+            for eid, w, _ in it:
                 if eid == in_edge:
                     continue
                 if w not in disc:
@@ -290,7 +283,7 @@ def _make_path(g: MetricGraph, start: str, edge_walk: Sequence[tuple[str, bool]]
     return ThetaPath(edges=tuple(edge_walk), vertices=tuple(vertices), arcs=tuple(arcs))
 
 
-def _reverse_walk(g: MetricGraph, walk: Sequence[tuple[str, bool]]) -> list[tuple[str, bool]]:
+def _reverse_walk(walk: Sequence[tuple[str, bool]]) -> list[tuple[str, bool]]:
     return [(eid, not fwd) for eid, fwd in reversed(walk)]
 
 
@@ -299,7 +292,7 @@ def _assemble_theta(
 ) -> Theta:
     if u > v:
         u, v = v, u
-        walks = [_reverse_walk(g, w) for w in walks]
+        walks = [_reverse_walk(w) for w in walks]
     paths = [_make_path(g, u, w) for w in walks]
     paths.sort(key=lambda p: (p.length, tuple(e for e, _ in p.edges)))
     return Theta(u=u, v=v, paths=(paths[0], paths[1], paths[2]))
@@ -540,11 +533,17 @@ def check_branch_distance_lemma(
     if any(e.length < 1 for e in g.edges):
         raise PreconditionError("branch distance check needs edge lengths >= 1")
     rng = random.Random(seed)
-    out: list[LemmaSample] = []
+    pairs: list[tuple[ThetaPoint, ThetaPoint]] = []
     for _ in range(samples):
         x = _sample_theta_point(t, rng, near_branch=True)
         y = _sample_theta_point(t, rng, near_branch=False)
-        ambient = distance(g, theta_point_to_point(g, t, x), theta_point_to_point(g, t, y))
-        intrinsic = theta_distance(t, x, y)
-        out.append(LemmaSample(x=x, y=y, ambient=ambient, intrinsic=intrinsic))
-    return LemmaReport(samples=tuple(out))
+        pairs.append((x, y))
+    m = distance_matrix(g, [theta_point_to_point(g, t, p) for pair in pairs for p in pair])
+    return LemmaReport(
+        samples=tuple(
+            LemmaSample(
+                x=x, y=y, ambient=m.distance(2 * i, 2 * i + 1), intrinsic=theta_distance(t, x, y)
+            )
+            for i, (x, y) in enumerate(pairs)
+        )
+    )

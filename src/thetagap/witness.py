@@ -23,7 +23,6 @@ from .core import (
     Point,
     Vertex,
     canonical_point,
-    distance,
     distance_matrix,
     point_label,
     scale,
@@ -337,22 +336,21 @@ def round_to_vertices(g: MetricGraph, points: Sequence[Point]) -> list[str]:
 
     Fails if some point is farther than 1/2 from every vertex.
     """
-    out: list[str] = []
-    for p in points:
-        cp = canonical_point(g, p)
-        if isinstance(cp, Vertex):
-            out.append(cp.vertex)
-            continue
-        e = g.edge(cp.edge)
-        du = distance(g, cp, Vertex(e.ends[0]))
-        dv = distance(g, cp, Vertex(e.ends[1]))
+    canon = [canonical_point(g, p) for p in points]
+    interior = [p for p in canon if isinstance(p, EdgePoint)]
+    ends = [g.edge(p.edge).ends for p in interior]
+    probes = [q for p, (u, v) in zip(interior, ends) for q in (p, Vertex(u), Vertex(v))]
+    m = distance_matrix(g, probes)
+    rounded: dict[Point, str] = {}
+    for k, (p, (u, v)) in enumerate(zip(interior, ends)):
+        du, dv = m.distance(3 * k, 3 * k + 1), m.distance(3 * k, 3 * k + 2)
         nearest = min(du, dv)
         if nearest > _HALF:
             raise PreconditionError(
-                f"point {point_label(cp)} is {nearest} > 1/2 away from every vertex"
+                f"point {point_label(p)} is {nearest} > 1/2 away from every vertex"
             )
-        out.append(e.ends[0] if du <= dv else e.ends[1])
-    return out
+        rounded[p] = u if du <= dv else v
+    return [p.vertex if isinstance(p, Vertex) else rounded[p] for p in canon]
 
 
 def _suppress_degree_two(

@@ -32,9 +32,9 @@ from thetagap.analysis import (
     _mu_certifies,
     _mu_ladder,
     _scaled,
+    _scaled_gram,
     _snap_vectors,
     _spectral_bound,
-    _subspace_form,
     _weighting_of,
     check_chain,
     gamma,
@@ -271,16 +271,16 @@ def symmetric_matrices(draw):
 
 @st.composite
 def shifted_gap_forms(draw):
-    # the matrices of the certified-mu ladder: mu M2 - A2 / den, float mu
+    # the matrices of the certified-mu ladder: mu M2 + G / den, float mu
     labels, rows = draw(rational_metrics(max_points=7))
     m = FiniteMetric.from_rows(labels, rows)
     n = m.size
     assume(n >= 2)
     D, den = m.D, m.den
-    A2 = [[D[i][j] - D[i][n - 1] - D[j][n - 1] for j in range(n - 1)] for i in range(n - 1)]
+    G = [[D[i][n - 1] + D[j][n - 1] - D[i][j] for j in range(n - 1)] for i in range(n - 1)]
     scale = float(n * m.diameter()) + 1
     mu = Fraction(draw(st.floats(min_value=-scale, max_value=scale)))
-    return A2, den, mu
+    return G, den, mu
 
 
 _MATRICES = st.one_of(metric_grams(), low_rank_psd(), symmetric_matrices())
@@ -298,12 +298,12 @@ def test_psd_decompose_matches_fraction_elimination(matrix):
 @settings(max_examples=100, deadline=None)
 @given(shifted_gap_forms())
 def test_mu_rung_verdict_matches_fraction_elimination(case):
-    A2, den, mu = case
+    G, den, mu = case
     shifted = [
-        [mu * (2 if i == j else 1) - Fraction(x, den) for j, x in enumerate(row)]
-        for i, row in enumerate(A2)
+        [mu * (2 if i == j else 1) + Fraction(x, den) for j, x in enumerate(row)]
+        for i, row in enumerate(G)
     ]
-    assert _mu_certifies(A2, den, mu) == oracle_psd_decompose(shifted)[0]
+    assert _mu_certifies(G, den, mu) == oracle_psd_decompose(shifted)[0]
 
 
 @st.composite
@@ -352,7 +352,7 @@ def test_lower_triangle_elimination_matches_the_two_triangle_one(A):
 def test_first_dyadic_mu_rung_certifies(case):
     m = FiniteMetric.from_rows(*case)
     assume(m.size >= 2)
-    first = next(_mu_ladder(m, _subspace_form(m)))
+    first = next(_mu_ladder(m, _scaled_gram(m, None)[0]))
     assert gap_bracket(m, starts=0).spectral_mu == first
     # a dyadic rational of about 32 significant bits
     assert first.denominator & (first.denominator - 1) == 0
@@ -363,7 +363,7 @@ def test_gap_bracket_replays_the_mu_test(witness_metric):
     m = witness_metric
     bracket = gap_bracket(m, starts=2)
     below = bracket.spectral_mu - Fraction(1, 2**20)
-    assert not _mu_certifies(_subspace_form(m), m.den, below)
+    assert not _mu_certifies(_scaled_gram(m, None)[0], m.den, below)
     # every other field stays consistent with the lowered mu
     spectral = _spectral_bound(below, m.size)
     fields = dict(bracket.__dict__, spectral_mu=below, upper_spectral=spectral)
@@ -376,7 +376,7 @@ def test_gap_bracket_moves_past_a_rung_that_fails_the_mu_test(monkeypatch, witne
     # mu = 0 fails, and its upper bound 0 is below the witness's lower bound,
     # so only a mu test ahead of the emptiness check lets the ladder go on
     m = witness_metric
-    ladder = list(_mu_ladder(m, _subspace_form(m)))
+    ladder = list(_mu_ladder(m, _scaled_gram(m, None)[0]))
     monkeypatch.setattr(analysis, "_mu_ladder", lambda *_: iter([Fraction(0), *ladder]))
     assert gap_bracket(m, starts=2).spectral_mu == ladder[0]
     monkeypatch.setattr(analysis, "_mu_ladder", lambda *_: iter([Fraction(0)]))

@@ -1,0 +1,71 @@
+"""The names the benchmark harness in ``bench/`` takes from the package.
+
+The harness runs against the package as it stands in a checkout, and
+``bench/`` is not edited together with the package, so a rename or deletion
+in ``thetagap`` would break the benchmark without breaking any other test.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from thetagap.core import Vertex, distance_matrix
+from thetagap.families import FamilySpec, from_spec, make_theta
+from thetagap.l1cut import CutDecomposition, FarkasCertificate, is_l1_embeddable
+from thetagap.witness import construct_witness
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _package_imports(path):
+    """(module, name or None) for every import of ``thetagap`` in one file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "thetagap":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "thetagap":
+                    yield alias.name, None
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_package_import_of_the_bench_resolves(path):
+    missing = []
+    for module_name, name in _package_imports(path):
+        try:
+            module = importlib.import_module(module_name)
+            if name is not None and not hasattr(module, name):
+                importlib.import_module(f"{module_name}.{name}")
+        except ImportError:
+            missing.append(module_name if name is None else f"{module_name}.{name}")
+    assert not missing, f"bench/{path.name} imports {missing}, which do not exist"
+
+
+def test_every_traced_function_exists():
+    for layer, name, _ in _load_spans().TRACED:
+        assert callable(getattr(importlib.import_module(f"thetagap.{layer}"), name, None)), (
+            f"bench/spans.py traces thetagap.{layer}.{name}, which does not exist"
+        )
+
+
+def test_traced_results_rebuild_from_their_fields():
+    rebuild = _load_spans()._rebuild
+    k23 = from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3)))
+    metric = distance_matrix(k23, [Vertex(v) for v in k23.vertices])
+    rebuild(metric)
+    cycle = from_spec(FamilySpec(tag="cycle", sizes=(4,)))
+    embeds = is_l1_embeddable(distance_matrix(cycle, [Vertex(v) for v in cycle.vertices]))
+    refuted = is_l1_embeddable(construct_witness(make_theta(1, 1, 1)).metric)
+    assert isinstance(embeds, CutDecomposition) and isinstance(refuted, FarkasCertificate)
+    rebuild(embeds)
+    rebuild(refuted)

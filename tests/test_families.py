@@ -113,6 +113,20 @@ def test_random_connected_rejects_too_few_edges():
         make_random_connected(5, 3)
 
 
+def test_random_connected_rejects_edges_on_one_vertex():
+    assert make_random_connected(1, 0).edges == ()
+    with pytest.raises(PreconditionError, match="at least two vertices"):
+        make_random_connected(1, 1)
+
+
+@pytest.mark.parametrize("min_len", [0, -1])
+def test_random_generators_reject_nonpositive_min_len(min_len):
+    with pytest.raises(PreconditionError, match="min_len must be positive"):
+        make_random_connected(4, 5, min_len=min_len)
+    with pytest.raises(PreconditionError, match="min_len must be positive"):
+        make_random_cactus(3, min_len=min_len)
+
+
 def test_random_connected_min_len_scales_range():
     g = make_random_connected(4, 6, seed=1, min_len=Fraction(3))
     assert all(3 <= e.length <= 6 for e in g.edges)
