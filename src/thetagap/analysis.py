@@ -23,10 +23,15 @@ on small integers.  That test is the ``GapBracket`` constructor's:
 
 The gap search proposes weightings in floats and scores them on integers.
 ``_ascend_all`` runs every projected gradient ascent in lockstep as the rows
-of one block, each row bit for bit the run its start would make alone.
-Every candidate is an integer vector c for the weighting c / sum|c|;
-``_best_vector`` compares candidates by their integer energies and makes
-Fractions only for an exact tie and the winner.
+of one block, each row bit for bit the run its start would make alone:
+``_gradients`` takes every row's product with stacked matmuls, which numpy
+runs as one gemv per row.  Every candidate is an integer vector c for the
+weighting c / sum|c|.  The snaps of all ascent ends to one denominator form
+one int64 block, scored by one product with the distance matrix while the
+energies fit int64 (``_block_scorer``); the raw floats, the best pair and
+the seeds are scored on Python ints.  ``_best_vector`` compares the
+candidates by their integer energies and makes Fractions only for an exact
+tie and the winner.
 
 Exactness policy: verdicts and certificates are rational end to end; floating
 point appears only inside searches and estimates whose outputs are re-checked
@@ -41,12 +46,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from functools import cache, cached_property, partial
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import FiniteMetric, as_rational
+from .core import _INT64_SAFE, FiniteMetric, as_rational
 from .errors import InternalCheckError, PreconditionError
 
 Rational = Union[int, str, Fraction]
@@ -504,25 +509,30 @@ def _spectral_bound(mu: Fraction, n: int) -> Fraction:
     return mu / 2 if mu >= 0 else mu / (2 * n)
 
 
-def _snap_vectors(v: np.ndarray) -> Iterator[list[int]]:
-    """Integer vectors c whose weightings c / sum|c| are the snaps of v.
+def _float_snap(v: np.ndarray) -> list[int]:
+    """The integer vector c of the raw floats of v, centred as in
+    ``_snap_block`` with a the floats times the lcm of their power-of-two
+    denominators.  Its entries can be far past int64, so it is built and
+    scored on Python ints."""
+    ratios = [x.as_integer_ratio() for x in v.tolist()]
+    lcm = math.lcm(*(d for _, d in ratios))
+    a = [p * (lcm // d) for p, d in ratios]
+    total = sum(a)
+    return [len(a) * x - total for x in a]
+
+
+def _snap_block(E: np.ndarray, q: int) -> np.ndarray:
+    """The integer vectors c whose weightings c / sum|c| are the snaps of the
+    rows of E to the denominator q, as the int64 rows of one block.
 
     Centring and normalising a / q, for integers a and any q > 0, gives
-    c / sum|c| with c_i = n a_i - sum a, so q drops out.  The first a is the
-    floats themselves over the lcm of their power-of-two denominators, then
-    round(q v) for every snap denominator q; an a that centres to zero gives
-    no vector.
+    c / sum|c| with c_i = n a_i - sum a, so q drops out.  Here a = round(q v),
+    taken by ``np.rint`` on the float product, which is the round half to
+    even of Python's ``round(v_i * q)``.  A row that centres to zero gives no
+    vector; the scorer drops it.  The rows of E are projected, so |q v_i| <= q.
     """
-    n, floats = len(v), v.tolist()
-    ratios = [x.as_integer_ratio() for x in floats]
-    lcm = math.lcm(*(d for _, d in ratios))
-    snaps = [[a * (lcm // d) for a, d in ratios]]
-    snaps += [[round(x * q) for x in floats] for q in _SNAP_DENOMINATORS]
-    for a in snaps:
-        total = sum(a)
-        c = [n * x - total for x in a]
-        if any(c):
-            yield c
+    A = np.rint(E * q).astype(np.int64)
+    return A * E.shape[1] - A.sum(axis=1, keepdims=True)
 
 
 def _weighting_of(c: Sequence[int]) -> Weighting:
@@ -531,35 +541,84 @@ def _weighting_of(c: Sequence[int]) -> Weighting:
     return Weighting(tuple((i, Fraction(ci, mass)) for i, ci in enumerate(c) if ci))
 
 
-def _best_vector(
-    m: FiniteMetric, vectors: Iterable[Sequence[int]]
-) -> tuple[Fraction, Weighting]:
-    """gamma and weighting of the best candidate among the weightings
-    c / sum|c| of the nonzero integer ``vectors``, scored on integers.
+# (c^T D c, sum|c|, c) of a candidate c reduced by its gcd, on Python ints
+_Score = tuple[int, int, tuple[int, ...]]
+
+
+def _score(D: Sequence[Sequence[int]], raw: Sequence[int]) -> _Score:
+    """The score of one nonzero integer vector, on Python ints."""
+    g = math.gcd(*raw)
+    c = tuple(x // g for x in raw)
+    energy = sum(map(operator.mul, c, [sum(map(operator.mul, row, c)) for row in D]))
+    return energy, sum(map(abs, c)), c
+
+
+def _block_scorer(D: Sequence[Sequence[int]]) -> Callable[[np.ndarray], Iterator[_Score]]:
+    """Scores of the rows of an int64 block that can be its best candidate.
+
+    The block's zero rows are dropped and the rest reduced by their gcds.  A
+    row c with sum|c|^2 max D < 2^62 bounds every partial sum of c^T D c
+    below 2^62, so its energy comes from one int64 product C @ D; any other
+    row is scored by ``_score`` and always yielded.  Of the int64 rows only
+    the distinct ones whose float ratio energy / sum|c|^2 is within a
+    relative 2^-45 of the block's largest are yielded.  Floats only propose
+    here: each ratio is within a relative 2^-51 of the exact one (the mass
+    is exact, and the energy, the square and the quotient are rounded once
+    each), so every row holding the exact maximum is within 2^-49 of the
+    largest float and is yielded; ``_best_vector`` decides on integers.
+    """
+    top = max(map(max, D), default=0)
+    limit = math.isqrt((_INT64_SAFE - 1) // max(top, 1))
+    D64 = np.array(D, dtype=np.int64) if limit else None
+
+    def score(C: np.ndarray) -> Iterator[_Score]:
+        C = C[C.any(axis=1)]
+        C //= np.gcd.reduce(C, axis=1)[:, None]
+        mass = np.abs(C).sum(axis=1)
+        fits = mass <= limit
+        for c in C[~fits].tolist():
+            yield _score(D, c)
+        C, mass = C[fits], mass[fits]
+        if len(C):
+            energy = np.einsum("ij,ij->i", C @ D64, C)
+            ratio = energy / mass.astype(float) ** 2
+            best = ratio.max()
+            r = np.flatnonzero(ratio >= best - abs(best) * 2.0**-45)
+            yield from dict.fromkeys(
+                zip(energy[r].tolist(), mass[r].tolist(), map(tuple, C[r].tolist()))
+            )
+
+    return score
+
+
+def _snap_scores(D: Sequence[Sequence[int]], ends: list[np.ndarray]) -> Iterator[_Score]:
+    """Scores of the snaps of the ascent ends that can win: the raw floats of
+    each end on Python ints, then one int64 block per snap denominator, so
+    only one block is held at a time."""
+    for c in map(_float_snap, ends):
+        if any(c):
+            yield _score(D, c)
+    E = np.array(ends).reshape(len(ends), len(D))
+    block = _block_scorer(D)
+    for q in _SNAP_DENOMINATORS:
+        yield from block(_snap_block(E, q))
+
+
+def _best_vector(m: FiniteMetric, scores: Iterable[_Score]) -> tuple[Fraction, Weighting]:
+    """gamma and weighting of the best scored candidate c / sum|c|.
 
     With M = sum|c|, gamma(c / M) is c^T D c / (2 M^2 den), so two candidates
-    compare by cross-multiplying c^T D c with the other's M^2.  Each c is
-    reduced by its gcd, which names its weighting, and repeats are skipped.
-    An exact tie goes to the smaller ``Weighting.entries``, the only place
-    besides the winner where Fractions are made.  This is a total order on
-    candidates, so the order of ``vectors`` does not matter.
+    compare by cross-multiplying c^T D c with the other's M^2.  An exact tie
+    goes to the smaller ``Weighting.entries``, made once per vector that
+    ties; they and the winner's are the only Fractions made.  This is a total
+    order on candidates, so the order of ``scores`` does not matter.
     """
-    D = m.D
-    seen: set[tuple[int, ...]] = set()
-    best: Optional[tuple[int, int, tuple[int, ...]]] = None
-    for raw in vectors:
-        g = math.gcd(*raw)
-        c = tuple(x // g for x in raw)
-        if c in seen:
-            continue
-        seen.add(c)
-        mass = sum(map(abs, c))
-        energy = sum(map(operator.mul, c, [sum(map(operator.mul, row, c)) for row in D]))
+    entries = cache(lambda c: _weighting_of(c).entries)
+    best: Optional[_Score] = None
+    for energy, mass, c in scores:
         if best is not None:
             ahead = energy * best[1] ** 2 - best[0] * mass**2
-            if ahead < 0 or (
-                ahead == 0 and not _weighting_of(c).entries < _weighting_of(best[2]).entries
-            ):
+            if ahead < 0 or (ahead == 0 and not entries(c) < entries(best[2])):
                 continue
         best = (energy, mass, c)
     assert best is not None
@@ -631,15 +690,13 @@ def _project_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gradients(d_norm: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d_norm @ w and the energy w^T d_norm w / 2 of every row w of W.
 
-    One matrix-vector product per row: a single product of the block rounds
-    differently in the last bits, which would move the snaps of the raw
-    floats."""
-    G = np.empty_like(W)
-    energy = np.empty(len(W))
-    for r, w in enumerate(W):
-        g = G[r]
-        np.dot(d_norm, w, out=g)
-        energy[r] = np.dot(w, g)
+    Both are stacked matmuls, which numpy runs one row at a time with the
+    kernel a single vector gets: a gemv for d_norm @ w, a dot for w^T g.  So
+    every row is bit for bit what a run from it alone computes; one gemm of
+    the whole block rounds differently in the last bits, which would move
+    the snaps of the raw floats."""
+    G = np.matmul(d_norm[None], W[:, :, None])[:, :, 0]
+    energy = np.matmul(W[:, None, :], G[:, :, None])[:, 0, 0]
     return G, energy / 2
 
 
@@ -714,6 +771,7 @@ def gap_bracket(
         q = math.lcm(*(v.denominator for _, v in s.entries))
         vectors.append([v.numerator * (q // v.denominator) for v in s.as_dense(n)])
 
+    snaps: Iterable[_Score] = ()
     diameter = m.diameter()
     if diameter > 0:
         # Scale-free search matrix: gamma is positively homogeneous in d, so
@@ -724,11 +782,10 @@ def gap_bracket(
         rng = random.Random(seed)
         rows = [[float(v) for v in s.as_dense(n)] for s in seeds]
         rows += [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(starts)]
-        for end in _ascend_all(d_norm, np.array(rows).reshape(len(rows), n), iters):
-            if end is not None:
-                vectors.extend(_snap_vectors(end))
+        ends = _ascend_all(d_norm, np.array(rows).reshape(len(rows), n), iters)
+        snaps = _snap_scores(D, [e for e in ends if e is not None])
 
-    lower, argmax = _best_vector(m, vectors)
+    lower, argmax = _best_vector(m, itertools.chain(map(partial(_score, D), vectors), snaps))
     diam_bound = diameter / 4
     # the bracket of the first rung whose mu passes the constructor's test
     ladder = list(_mu_ladder(m, _scaled_gram(m, None)[0]))

@@ -517,7 +517,7 @@ _VERIFIERS: dict[str, Callable[[MetricGraph, dict], str]] = {
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    doc = json.loads(_read_text(args.certificate))
+    doc = graphio.loads_json(_read_text(args.certificate))
     cert = doc.get("certificate", doc) if isinstance(doc, dict) else doc
     if not isinstance(cert, dict):
         raise PreconditionError("certificate must be a JSON object")

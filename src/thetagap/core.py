@@ -18,6 +18,7 @@ import heapq
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -48,7 +49,13 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise InvalidPointError(f"not a rational literal: {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # more digits than Python converts from a string
+            raise InvalidPointError(
+                f"rational literal of {len(value)} characters exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit integer conversion limit"
+            ) from None
     raise InvalidPointError(f"not a rational: {value!r}")
 
 
@@ -306,9 +313,10 @@ def single_source_distances(g: MetricGraph, source: str) -> dict[str, Fraction]:
     return {v: Fraction(d, scale) for v, d in _scaled_distances(g, source).items()}
 
 
-# The int64 triangle check needs every D[i][j] + D[j][k] to fit in int64;
-# 3 * max(D) below this bound leaves room to spare.  Beyond it the check runs
-# on Python ints.
+# Integer kernels run in numpy int64 while every value they form stays below
+# this bound, and on Python ints beyond it.  The triangle check needs every
+# D[i][j] + D[j][k] to fit, and 3 * max(D) below the bound leaves room to
+# spare; ``analysis`` scores gap candidates the same way.
 _INT64_SAFE = 2**62
 
 

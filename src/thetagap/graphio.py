@@ -18,7 +18,7 @@ from .core import (
     as_rational,
     format_rational,
 )
-from .errors import InvalidGraphError, InvalidPointError
+from .errors import InvalidGraphError, InvalidPointError, PreconditionError
 
 
 def graph_to_dict(g: MetricGraph) -> dict[str, Any]:
@@ -57,8 +57,19 @@ def dumps_graph(g: MetricGraph) -> str:
     return json.dumps(graph_to_dict(g), indent=2) + "\n"
 
 
+def loads_json(text: str) -> Any:
+    """``json.loads``; a JSON integer of more digits than Python converts
+    raises ``PreconditionError``, not a bare ``ValueError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise PreconditionError(f"unreadable JSON: {exc}") from None
+
+
 def loads_graph(text: str) -> MetricGraph:
-    return graph_from_dict(json.loads(text))
+    return graph_from_dict(loads_json(text))
 
 
 def point_to_dict(p: Point) -> dict[str, Any]:
@@ -93,4 +104,4 @@ def dumps_points(points: Sequence[Point]) -> str:
 
 
 def loads_points(text: str) -> list[Point]:
-    return points_from_dict(json.loads(text))
+    return points_from_dict(loads_json(text))

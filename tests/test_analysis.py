@@ -28,12 +28,16 @@ from thetagap.analysis import (
     Weighting,
     _ascend_all,
     _best_vector,
+    _block_scorer,
     _eliminate,
+    _float_snap,
     _mu_certifies,
     _mu_ladder,
     _scaled,
     _scaled_gram,
-    _snap_vectors,
+    _score,
+    _snap_block,
+    _snap_scores,
     _spectral_bound,
     _weighting_of,
     check_chain,
@@ -528,7 +532,9 @@ def test_transcript_rejects_a_diag_of_the_wrong_length():
 )
 def test_snap_candidates_match_fraction_projection(values):
     v = np.array(values)
-    assert [_weighting_of(c) for c in _snap_vectors(v)] == list(oracle_snap_candidates(v))
+    rows = [_float_snap(v)]
+    rows += [c for q in analysis._SNAP_DENOMINATORS for c in _snap_block(v[None], q).tolist()]
+    assert [_weighting_of(c) for c in rows if any(c)] == list(oracle_snap_candidates(v))
 
 
 # ---------------------------------------------------------------------------
@@ -711,13 +717,23 @@ def scored_vectors(draw, n):
     return draw(st.permutations(vectors))
 
 
+def _scored_both_ways(m, vectors):
+    """The best of ``vectors`` scored one at a time on Python ints, and
+    scored as one int64 block; the two must agree."""
+    one_by_one = _best_vector(m, (_score(m.D, c) for c in vectors))
+    block = _best_vector(m, _block_scorer(m.D)(np.array(vectors, dtype=np.int64)))
+    assert block == one_by_one
+    return block
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_integer_scoring_picks_the_fraction_argmax(data):
     labels, rows = data.draw(rational_metrics(max_points=7).filter(lambda lr: len(lr[0]) >= 2))
     m = FiniteMetric.from_rows(labels, rows)
     vectors = data.draw(scored_vectors(m.size))
-    assert _best_vector(m, vectors) == oracle_argmax(m, [_weighting_of(c) for c in vectors])
+    want = oracle_argmax(m, [_weighting_of(c) for c in vectors])
+    assert _scored_both_ways(m, vectors) == want
 
 
 def test_integer_scoring_breaks_a_tie_on_entries(c4_metric):
@@ -729,7 +745,90 @@ def test_integer_scoring_breaks_a_tie_on_entries(c4_metric):
     assert value == Fraction(-1, 4)
     assert want.entries == ((0, Fraction(-1, 2)), (1, Fraction(1, 2)))
     for order in itertools.permutations(vectors):
-        assert _best_vector(c4_metric, order) == (value, want)
+        assert _scored_both_ways(c4_metric, order) == (value, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_scorer_straddling_the_int64_guard_picks_the_fraction_argmax(data):
+    # Lowering the guard sends the rows of mass above ``limit`` to Python
+    # ints and keeps the others in int64 (limit 0: every row on Python ints).
+    labels, rows = data.draw(rational_metrics(max_points=7).filter(lambda lr: len(lr[0]) >= 2))
+    m = FiniteMetric.from_rows(labels, rows)
+    vectors = data.draw(scored_vectors(m.size))
+    masses = sorted({sum(abs(x) for x in c) // np.gcd.reduce(c) for c in vectors})
+    limit = data.draw(st.sampled_from([0] + masses[:-1]))
+    top = max(1, max(map(max, m.D)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_INT64_SAFE", limit * limit * top + 1)
+        got = _best_vector(m, _block_scorer(m.D)(np.array(vectors, dtype=np.int64)))
+    assert got == oracle_argmax(m, [_weighting_of(c) for c in vectors])
+
+
+def test_gap_search_past_the_int64_guard_matches_the_fraction_search(witness_metric):
+    # Distances near 2^57 leave int64 only the rows of the smallest
+    # snaps: the rest are scored on Python ints.
+    t = 3**35
+    m = FiniteMetric.from_rows(
+        witness_metric.labels, [[t * d for d in row] for row in witness_metric.rows]
+    )
+    top = max(map(max, m.D))
+    assert 2**62 // top < 24**2 and top < 2**62
+    bracket = gap_bracket(m, starts=6, iters=40, seed=3)
+    want = oracle_gap_lower(m, starts=6, iters=40, seed=3)
+    assert (bracket.lower, bracket.weighting) == want
+
+
+def _two_points():
+    return FiniteMetric.from_rows(("a", "b"), [[0, Fraction(3, 7)], [Fraction(3, 7), 0]])
+
+
+def _coincident():
+    return FiniteMetric.from_rows(("a", "a", "a"), [[0] * 3] * 3)
+
+
+@pytest.mark.parametrize(
+    "metric, starts, iters",
+    [
+        ("witness", 0, 200),
+        ("witness", 6, 0),
+        ("two_points", 6, 40),
+        ("coincident", 6, 40),
+    ],
+    ids=["no_starts", "no_iters", "two_points", "coincident"],
+)
+def test_degenerate_snap_blocks_match_the_fraction_search(metric, starts, iters, witness_metric):
+    metrics = {"witness": witness_metric, "two_points": _two_points(), "coincident": _coincident()}
+    m = metrics[metric]
+    bracket = gap_bracket(m, starts=starts, iters=iters, seed=1)
+    want = oracle_gap_lower(m, starts=starts, iters=iters, seed=1)
+    assert (bracket.lower, bracket.weighting) == want
+
+
+def test_gap_search_with_every_run_dropped_matches_the_fraction_search(witness_metric, c4_metric):
+    # Constant starts do not project, so every run is dropped and the snap
+    # blocks are empty: only the pairs are left.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random.Random, "uniform", lambda self, a, b: 0.5)
+        bracket = gap_bracket(witness_metric, starts=5, iters=10, seed=0)
+        want = oracle_gap_lower(witness_metric, starts=5, iters=10, seed=0)
+    assert (bracket.lower, bracket.weighting) == want
+    assert list(_snap_scores(c4_metric.D, [])) == []
+    # On diag(-4, -4, 0, 0) the constant start gives no end and the run on
+    # the first two coordinates ends after its start; the snaps of what is
+    # left are scored as over Fractions.
+    A = np.diag([-4.0, -4.0, 0.0, 0.0])
+    starts = np.array([[0.5] * 4, [1.0, -1.0, 0.0, 0.0], [0.3, -0.1, 0.2, -0.4]])
+    ends = _ascend_all(A, starts, 5)
+    assert ends[0] is None
+    snaps = [
+        w
+        for s in starts
+        if (end := oracle_ascend(A, s.copy(), 5)) is not None
+        for w in oracle_snap_candidates(end)
+    ]
+    got = _best_vector(c4_metric, _snap_scores(c4_metric.D, [e for e in ends if e is not None]))
+    assert got == oracle_argmax(c4_metric, snaps)
 
 
 @settings(max_examples=30, deadline=None)

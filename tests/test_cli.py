@@ -122,6 +122,39 @@ def test_non_string_edge_endpoint_exits_2(tmp_path, capsys):
         _assert_one_line_error(capsys, "info", str(path))
 
 
+_HUGE = "1" + "0" * 5000
+
+
+def test_rational_literal_past_the_int_string_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    edge = {"id": "e", "ends": ["a", "b"], "length": _HUGE}
+    path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [edge]}))
+    assert "5001 characters" in _assert_one_line_error(capsys, "info", str(path))
+    # the same length as a JSON number
+    text = json.dumps({"vertices": ["a", "b"], "edges": [edge]})
+    path.write_text(text.replace(f'"{_HUGE}"', _HUGE))
+    _assert_one_line_error(capsys, "info", str(path))
+
+
+def test_point_offset_past_the_int_string_limit_exits_2(theta_file, tmp_path, capsys):
+    path = tmp_path / "pts.json"
+    points = [{"vertex": "u"}, {"edge": "e1", "offset": f"1/{_HUGE}"}]
+    path.write_text(json.dumps({"points": points}))
+    _assert_one_line_error(capsys, "negtype", theta_file, "--points", str(path))
+
+
+def test_certificate_rational_past_the_int_string_limit_exits_2(
+    theta_file, witness_points_file, tmp_path, capsys
+):
+    cert = tmp_path / "gap.json"
+    run(capsys, "gap", theta_file, "--points", witness_points_file, "--starts", "2",
+        "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["certificate"]["spectral_mu"] = _HUGE
+    cert.write_text(json.dumps(doc))
+    _assert_one_line_error(capsys, "verify", str(cert), theta_file)
+
+
 def test_subdivide_scales_counts(theta_file, tmp_path, capsys):
     out = tmp_path / "fine.json"
     code, _ = run(capsys, "subdivide", theta_file, "-k", "2", "--out", str(out))
