@@ -9,6 +9,10 @@ inputs and seeds except for the trailing wall-time field.
 Exit codes: 0 when the queried property holds (or a bracket/report was
 produced), 1 when it is refuted with a certificate (or verification fails),
 2 on usage or input errors.  Internal invariant failures exit 70.
+
+``main`` builds only the parser of the command named in its first argument;
+``--help``, a missing command and an unknown one get the parser of every
+command.  Each input file is read and hashed once.
 """
 
 from __future__ import annotations
@@ -58,23 +62,23 @@ _GAP_TWELFTH = Fraction(1, 12)
 # ---------------------------------------------------------------------------
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _digest(path: str) -> dict:
+def _read(path: str) -> tuple[str, dict]:
+    """A file read once: its UTF-8 text, newlines translated as in text
+    mode, and its digest for the report."""
     with open(path, "rb") as fh:
-        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+        data = fh.read()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return text, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _load_graph(path: str) -> MetricGraph:
-    return graphio.loads_graph(_read_text(path))
+def _load_graph(path: str) -> tuple[MetricGraph, dict]:
+    text, digest = _read(path)
+    return graphio.loads_graph(text), digest
 
 
-def _load_points(g: MetricGraph, path: str) -> list[Point]:
-    pts = graphio.loads_points(_read_text(path))
-    return [canonical_point(g, p) for p in pts]
+def _load_points(g: MetricGraph, path: str) -> tuple[list[Point], dict]:
+    text, digest = _read(path)
+    return [canonical_point(g, p) for p in graphio.loads_points(text)], digest
 
 
 def _emit(report: dict, out: Optional[str], started: float) -> None:
@@ -127,7 +131,7 @@ def cmd_make(args) -> int:
     if family == "subdivide":
         if not args.of:
             raise PreconditionError("make subdivide needs --of GRAPH")
-        g = subdivide(_load_graph(args.of), args.k)
+        g = subdivide(_load_graph(args.of)[0], args.k)
     elif family == "theta":
         if not args.lengths:
             raise PreconditionError("make theta needs --lengths a,b,c")
@@ -162,7 +166,7 @@ def cmd_make(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
-    g = subdivide(_load_graph(args.graph), args.k)
+    g = subdivide(_load_graph(args.graph)[0], args.k)
     _write_graph(g, args.out)
     return 0
 
@@ -184,11 +188,11 @@ def _theta_json(t: theta.Theta) -> dict:
 
 def cmd_info(args) -> int:
     started = time.perf_counter()
-    g = _load_graph(args.graph)
+    g, digest = _load_graph(args.graph)
     t = theta.minimal_theta(g)
     report = {
         "command": "info",
-        "inputs": [_digest(args.graph)],
+        "inputs": [digest],
         "vertices": len(g.vertices),
         "edges": len(g.edges),
         "connected": True,
@@ -206,12 +210,12 @@ def cmd_info(args) -> int:
 
 def cmd_witness(args) -> int:
     started = time.perf_counter()
-    g = _load_graph(args.graph)
+    g, digest = _load_graph(args.graph)
     w = witness.construct_witness(g)
     omega = witness.omega_from_witness(w)
     certificate = {
         "kind": "witness",
-        "graph": _digest(args.graph),
+        "graph": digest,
         "theta": _theta_json(w.theta),
         "window_start": format_rational(w.window.start),
         "index": w.index,
@@ -229,7 +233,7 @@ def cmd_witness(args) -> int:
     }
     report = {
         "command": "witness",
-        "inputs": [_digest(args.graph)],
+        "inputs": [digest],
         "verdict": "negative type refuted",
         "certificate": certificate,
     }
@@ -242,28 +246,35 @@ def cmd_witness(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _metric_inputs(args) -> tuple[MetricGraph, list[Point], FiniteMetric]:
-    g = _load_graph(args.graph)
-    pts = _load_points(g, args.points)
-    return g, pts, distance_matrix(g, pts)
+def _metric_inputs(args) -> tuple[MetricGraph, list[Point], FiniteMetric, list[dict]]:
+    """The graph, the points, their metric and the two files' digests."""
+    g, graph_digest = _load_graph(args.graph)
+    pts, points_digest = _load_points(g, args.points)
+    return g, pts, distance_matrix(g, pts), [graph_digest, points_digest]
 
 
 def _emit_metric_report(
-    args, started: float, g: MetricGraph, pts: list[Point], verdict: str, head: dict, body: dict
+    args,
+    started: float,
+    g: MetricGraph,
+    pts: list[Point],
+    digests: list[dict],
+    verdict: str,
+    head: dict,
+    body: dict,
 ) -> None:
     """The report of negtype, gap or l1: its certificate holds the ``head``
     fields, the graph digest, the points and their labels, then ``body``."""
-    digest = _digest(args.graph)
     certificate = {
         **head,
-        "graph": digest,
+        "graph": digests[0],
         "points": _points_json(pts),
         "labels": _labels(g, pts),
         **body,
     }
     report = {
         "command": args.command,
-        "inputs": [digest, _digest(args.points)],
+        "inputs": digests,
         "verdict": verdict,
         "certificate": certificate,
     }
@@ -272,7 +283,7 @@ def _emit_metric_report(
 
 def cmd_negtype(args) -> int:
     started = time.perf_counter()
-    g, pts, m = _metric_inputs(args)
+    g, pts, m, digests = _metric_inputs(args)
     result = analysis.is_negative_type(m)
     body: dict = {"basepoint": result.basepoint}
     if result.verdict:
@@ -287,7 +298,7 @@ def cmd_negtype(args) -> int:
         body["gamma"] = format_rational(result.energy)
     verdict = "negative type" if result.verdict else "not negative type"
     head = {"kind": "negative_type", "verdict": result.verdict}
-    _emit_metric_report(args, started, g, pts, verdict, head, body)
+    _emit_metric_report(args, started, g, pts, digests, verdict, head, body)
     return 0 if result.verdict else 1
 
 
@@ -297,7 +308,7 @@ _GAP_BOUNDS = ("lower", "upper", "upper_spectral", "upper_diameter", "spectral_m
 
 def cmd_gap(args) -> int:
     started = time.perf_counter()
-    g, pts, m = _metric_inputs(args)
+    g, pts, m, digests = _metric_inputs(args)
     bracket = analysis.gap_bracket(m, starts=args.starts, iters=args.iters, seed=args.seed)
     body = {
         "starts": args.starts,
@@ -306,13 +317,14 @@ def cmd_gap(args) -> int:
         **{name: format_rational(getattr(bracket, name)) for name in _GAP_BOUNDS},
         "weighting": _weighting_json(bracket.weighting),
     }
-    _emit_metric_report(args, started, g, pts, "bracket produced", {"kind": "gap_bracket"}, body)
+    head = {"kind": "gap_bracket"}
+    _emit_metric_report(args, started, g, pts, digests, "bracket produced", head, body)
     return 0
 
 
 def cmd_l1(args) -> int:
     started = time.perf_counter()
-    g, pts, m = _metric_inputs(args)
+    g, pts, m, digests = _metric_inputs(args)
     result = l1cut.is_l1_embeddable(m, max_points=args.max_cuts_n)
     feasible = isinstance(result, l1cut.CutDecomposition)
     if feasible:
@@ -337,7 +349,8 @@ def cmd_l1(args) -> int:
             ]
         }
     verdict = "l1-embeddable" if feasible else "not l1-embeddable"
-    _emit_metric_report(args, started, g, pts, verdict, {"kind": "l1", "feasible": feasible}, body)
+    head = {"kind": "l1", "feasible": feasible}
+    _emit_metric_report(args, started, g, pts, digests, verdict, head, body)
     return 0 if feasible else 1
 
 
@@ -517,7 +530,8 @@ _VERIFIERS: dict[str, Callable[[MetricGraph, dict], str]] = {
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    doc = graphio.loads_json(_read_text(args.certificate))
+    text, cert_digest = _read(args.certificate)
+    doc = graphio.loads_json(text)
     cert = doc.get("certificate", doc) if isinstance(doc, dict) else doc
     if not isinstance(cert, dict):
         raise PreconditionError("certificate must be a JSON object")
@@ -525,16 +539,18 @@ def cmd_verify(args) -> int:
     if not isinstance(kind, str) or kind not in _VERIFIERS:
         raise PreconditionError(f"unknown certificate kind {kind!r}")
     expected = _field(_field(cert, "graph", dict), "sha256", str)
-    g = _load_graph(args.graph)
-    actual = _digest(args.graph)["sha256"]
+    g, graph_digest = _load_graph(args.graph)
     report = {
         "command": "verify",
-        "inputs": [_digest(args.certificate), _digest(args.graph)],
+        "inputs": [cert_digest, graph_digest],
         "certificate_kind": kind,
     }
     # a false claim, stated or found by a certificate constructor, exits 1
     try:
-        _require(expected == actual, "certificate was issued for a different graph file")
+        _require(
+            expected == graph_digest["sha256"],
+            "certificate was issued for a different graph file",
+        )
         detail, valid = _VERIFIERS[kind](g, cert), True
     except (_VerifyFailure, InternalCheckError) as exc:
         detail, valid = str(exc), False
@@ -808,81 +824,78 @@ def cmd_check_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GRAPH = (("graph",), {})
+_POINTS = (("--points",), {"required": True})
+
+# Every command: its help line, its handler and its arguments as
+# (flags, add_argument options); each also takes --out.
+_COMMANDS: dict[str, tuple[str, Callable[..., int], list[tuple[tuple[str, ...], dict]]]] = {
+    "make": ("construct a graph from a named family", cmd_make, [
+        (("family",), {"choices": [*FAMILY_TAGS, "subdivide"]}),
+        (("--lengths",), {"help": "comma-separated rationals (theta)"}),
+        (("-n",), {"type": int, "help": "size (complete, cycle, path)"}),
+        (("-a",), {"type": int, "help": "first side (complete_bipartite)"}),
+        (("-b",), {"type": int, "help": "second side (complete_bipartite)"}),
+        (("--vertices",), {"type": int, "help": "vertex count (random_connected)"}),
+        (("--edges",), {"type": int, "help": "edge count (random_connected)"}),
+        (("--blocks",), {"type": int, "help": "block count (random_cactus)"}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--min-len",), {"default": "1", "help": "minimum edge length (rational)"}),
+        (("--scale",), {"help": "multiply all lengths by this rational"}),
+        (("--of",), {"help": "input graph (subdivide)"}),
+        (("-k",), {"type": int, "default": 1, "help": "subdivision parameter"}),
+    ]),
+    "subdivide": ("k-subdivide a unit-length graph", cmd_subdivide, [
+        _GRAPH,
+        (("-k",), {"type": int, "required": True}),
+    ]),
+    "info": ("graph summary and theta status", cmd_info, [_GRAPH]),
+    "witness": ("six-point negative-type violation", cmd_witness, [_GRAPH]),
+    "negtype": ("exact negative-type decision", cmd_negtype, [_GRAPH, _POINTS]),
+    "gap": ("bracket the negative-type gap", cmd_gap, [
+        _GRAPH,
+        _POINTS,
+        (("--starts",), {"type": int, "default": 24}),
+        (("--iters",), {"type": int, "default": 200}),
+        (("--seed",), {"type": int, "default": 0}),
+    ]),
+    "l1": ("exact l1-embeddability decision", cmd_l1, [
+        _GRAPH,
+        _POINTS,
+        (("--max-cuts-n",), {"type": int, "default": 14}),
+    ]),
+    "verify": ("re-check a certificate against a graph", cmd_verify, [
+        (("certificate",), {}),
+        _GRAPH,
+    ]),
+    "check-paper": ("run the reproduction suite", cmd_check_paper, [
+        (("--list",), {"action": "store_true", "help": "list checks without running"}),
+    ]),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one named ``command``."""
     parser = argparse.ArgumentParser(
         prog="thetagap",
         description="metric-graph negative-type toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_make = sub.add_parser("make", help="construct a graph from a named family")
-    p_make.add_argument(
-        "family",
-        choices=[*FAMILY_TAGS, "subdivide"],
-    )
-    p_make.add_argument("--lengths", help="comma-separated rationals (theta)")
-    p_make.add_argument("-n", type=int, help="size (complete, cycle, path)")
-    p_make.add_argument("-a", type=int, help="first side (complete_bipartite)")
-    p_make.add_argument("-b", type=int, help="second side (complete_bipartite)")
-    p_make.add_argument("--vertices", type=int, help="vertex count (random_connected)")
-    p_make.add_argument("--edges", type=int, help="edge count (random_connected)")
-    p_make.add_argument("--blocks", type=int, help="block count (random_cactus)")
-    p_make.add_argument("--seed", type=int, default=0)
-    p_make.add_argument("--min-len", default="1", help="minimum edge length (rational)")
-    p_make.add_argument("--scale", help="multiply all lengths by this rational")
-    p_make.add_argument("--of", help="input graph (subdivide)")
-    p_make.add_argument("-k", type=int, default=1, help="subdivision parameter")
-    p_make.set_defaults(handler=cmd_make)
-
-    p_sub = sub.add_parser("subdivide", help="k-subdivide a unit-length graph")
-    p_sub.add_argument("graph")
-    p_sub.add_argument("-k", type=int, required=True)
-    p_sub.set_defaults(handler=cmd_subdivide)
-
-    p_info = sub.add_parser("info", help="graph summary and theta status")
-    p_info.add_argument("graph")
-    p_info.set_defaults(handler=cmd_info)
-
-    p_wit = sub.add_parser("witness", help="six-point negative-type violation")
-    p_wit.add_argument("graph")
-    p_wit.set_defaults(handler=cmd_witness)
-
-    p_neg = sub.add_parser("negtype", help="exact negative-type decision")
-    p_neg.add_argument("graph")
-    p_neg.add_argument("--points", required=True)
-    p_neg.set_defaults(handler=cmd_negtype)
-
-    p_gap = sub.add_parser("gap", help="bracket the negative-type gap")
-    p_gap.add_argument("graph")
-    p_gap.add_argument("--points", required=True)
-    p_gap.add_argument("--starts", type=int, default=24)
-    p_gap.add_argument("--iters", type=int, default=200)
-    p_gap.add_argument("--seed", type=int, default=0)
-    p_gap.set_defaults(handler=cmd_gap)
-
-    p_l1 = sub.add_parser("l1", help="exact l1-embeddability decision")
-    p_l1.add_argument("graph")
-    p_l1.add_argument("--points", required=True)
-    p_l1.add_argument("--max-cuts-n", type=int, default=14)
-    p_l1.set_defaults(handler=cmd_l1)
-
-    p_ver = sub.add_parser("verify", help="re-check a certificate against a graph")
-    p_ver.add_argument("certificate")
-    p_ver.add_argument("graph")
-    p_ver.set_defaults(handler=cmd_verify)
-
-    p_chk = sub.add_parser("check-paper", help="run the reproduction suite")
-    p_chk.add_argument("--list", action="store_true", help="list checks without running")
-    p_chk.set_defaults(handler=cmd_check_paper)
-
-    for p in sub.choices.values():
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--out", help="output file; a report is also printed")
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(named).parse_args(argv)
     try:
         return args.handler(args)
     except InternalCheckError:
@@ -891,7 +904,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ThetaGapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

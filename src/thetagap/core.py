@@ -9,7 +9,11 @@ denominator (the LCM of a graph's length denominators for Dijkstra, the
 least common denominator of a metric's entries for ``FiniteMetric``).
 
 Points become distances in one place, ``distance_matrix``; ``distance`` is
-its two-point case.  No floating point enters any distance computation.
+its two-point case.  The graph is refined so that every point is a vertex,
+then reduced to its point kernel: non-point vertices of degree 1 are pruned,
+those of degree 2 are spliced into one edge, and of parallel edges only the
+shortest is kept.  One Dijkstra runs from each distinct point on the kernel.
+No floating point enters any distance computation.
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise InvalidPointError(f"not a rational literal: {value!r}")
+        num, _, den = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except ValueError:  # more digits than Python converts from a string
             raise InvalidPointError(
                 f"rational literal of {len(value)} characters exceeds the "
@@ -126,6 +131,14 @@ class MetricGraph:
             if not isinstance(e.length, Fraction) or e.length <= 0:
                 raise InvalidGraphError(f"edge {e.id} needs a positive rational length")
         self._check_connected()
+
+    @classmethod
+    def _unchecked(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> "MetricGraph":
+        """A graph the caller knows to be valid, built without the checks."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     def _check_connected(self) -> None:
         reached = {self.vertices[0]}
@@ -245,17 +258,23 @@ def _fresh_id(candidate: str, used: set[str]) -> str:
 
 def _refine(g: MetricGraph, points: Sequence[Point]) -> tuple[MetricGraph, dict[Point, str]]:
     """A graph isometric to ``g`` in which the canonical ``points`` are
-    vertices, and the vertex of each point."""
+    vertices, and the vertex of each point.
+
+    The refined graph is not validated again: splitting edges of the valid
+    ``g`` at distinct interior offsets, under fresh ids, keeps every length
+    positive and the graph connected."""
     by_edge: dict[str, set[Fraction]] = {}
     for p in points:
         if isinstance(p, EdgePoint):
             by_edge.setdefault(p.edge, set()).add(p.offset)
+    vertex_of: dict[Point, str] = {p: p.vertex for p in points if isinstance(p, Vertex)}
+    if not by_edge:
+        return g, vertex_of
 
     used_v: set[str] = set(g.vertices)
     used_e: set[str] = set(e.id for e in g.edges)
     new_vertices: list[str] = list(g.vertices)
     new_edges: list[Edge] = []
-    vertex_of: dict[Point, str] = {p: p.vertex for p in points if isinstance(p, Vertex)}
     for e in g.edges:
         offsets = sorted(by_edge.get(e.id, ()))
         if not offsets:
@@ -274,7 +293,7 @@ def _refine(g: MetricGraph, points: Sequence[Point]) -> tuple[MetricGraph, dict[
             new_edges.append(
                 Edge(id=eid, ends=(stops[i], stops[i + 1]), length=bounds[i + 1] - bounds[i])
             )
-    return MetricGraph(vertices=tuple(new_vertices), edges=tuple(new_edges)), vertex_of
+    return MetricGraph._unchecked(tuple(new_vertices), tuple(new_edges)), vertex_of
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +301,54 @@ def _refine(g: MetricGraph, points: Sequence[Point]) -> tuple[MetricGraph, dict[
 # ---------------------------------------------------------------------------
 
 
-def _scaled_distances(g: MetricGraph, source: str) -> dict[str, int]:
-    """Exact Dijkstra from a vertex, in units of ``1 / g._scale``.  All
-    vertices are reachable."""
-    if not g.has_vertex(source):
-        raise InvalidPointError(f"unknown vertex id: {source!r}")
+def _point_kernel(g: MetricGraph, keep: Iterable[str]) -> dict[str, dict[str, int]]:
+    """A graph on which the distances between the vertices ``keep`` are
+    those of ``g``: each vertex maps its neighbours to integer lengths in
+    units of ``1 / g._scale``.
+
+    Of parallel edges only the shortest is kept, and self-loops are already
+    left out of ``g._adjacency``.  Then, until none is left, a vertex outside
+    ``keep`` with one neighbour is pruned, since no shortest route between
+    other vertices enters it, and one with two neighbours is spliced into a
+    single edge as long as its two.
+    """
+    keep = set(keep)
+    adj: dict[str, dict[str, int]] = {}
+    for v, items in g._adjacency.items():
+        nbrs = adj[v] = {}
+        for _, w, length in items:
+            if w not in nbrs or length < nbrs[w]:
+                nbrs[w] = length
+    stack = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    while stack:
+        v = stack.pop()
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) > 2 or v in keep:
+            continue
+        del adj[v]
+        for w in nbrs:
+            del adj[w][v]
+            stack.append(w)
+        if len(nbrs) == 2:
+            (a, la), (b, lb) = nbrs.items()
+            length = la + lb
+            if b not in adj[a] or length < adj[a][b]:
+                adj[a][b] = adj[b][a] = length
+    return adj
+
+
+def _scaled_distances(adj: Mapping[str, Mapping[str, int]], source: str) -> dict[str, int]:
+    """Exact Dijkstra from ``source`` over an adjacency of integer lengths,
+    as ``_point_kernel`` builds it.  All vertices are reachable."""
     dist: dict[str, int] = {source: 0}
     done: set[str] = set()
     heap: list[tuple[int, str]] = [(0, source)]
-    adj = g._adjacency
     while heap:
         d, v = heapq.heappop(heap)
         if v in done:
             continue
         done.add(v)
-        for _, w, length in adj[v]:
+        for w, length in adj[v].items():
             if w in done:
                 continue
             nd = d + length
@@ -307,10 +359,12 @@ def _scaled_distances(g: MetricGraph, source: str) -> dict[str, int]:
     return dist
 
 
-def single_source_distances(g: MetricGraph, source: str) -> dict[str, Fraction]:
-    """Exact Dijkstra from a vertex.  All vertices are reachable."""
-    scale = g._scale
-    return {v: Fraction(d, scale) for v, d in _scaled_distances(g, source).items()}
+def _vertex_distances(g: MetricGraph, ids: Sequence[str]) -> dict[str, dict[str, int]]:
+    """Exact distances, in units of ``1 / g._scale``, from each distinct
+    vertex of ``ids`` to every vertex of ``ids``: one Dijkstra per distinct
+    vertex, on the point kernel of ``ids``."""
+    adj = _point_kernel(g, ids)
+    return {v: _scaled_distances(adj, v) for v in dict.fromkeys(ids)}
 
 
 # Integer kernels run in numpy int64 while every value they form stays below
@@ -320,26 +374,57 @@ def single_source_distances(g: MetricGraph, source: str) -> dict[str, Fraction]:
 _INT64_SAFE = 2**62
 
 
-def _first_triangle_violation(D: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
-    """First (i, j, k) in ``itertools.permutations`` order with D_ik > D_ij + D_jk.
+def _metric_by_int64(D: Sequence[Sequence[Optional[int]]], labels: Sequence[str]) -> bool:
+    """Whether ``D`` passes every metric axiom, tested as numpy int64 arrays:
+    zero diagonal, nonnegative symmetric entries, zero only between equal
+    labels and every triangle, one broadcast per middle index.
 
-    Every triple is checked: as numpy int64 broadcasts, one per middle index,
-    when 3 * max(D) < 2**62, and otherwise, or to name the first violating
-    triple, on Python ints.
-    """
-    n = len(D)
-    if n and 3 * max(map(max, D)) < _INT64_SAFE:
+    False when a test fails, when an entry is None, or when 3 * max(D)
+    reaches ``_INT64_SAFE``; ``_check_metric`` then runs on Python ints."""
+    n = len(labels)
+    if n == 0:
+        return True
+    try:
         A = np.array(D, dtype=np.int64)
-        if not any((A > A[:, j, None] + A[None, j, :]).any() for j in range(n)):
-            return None
-    return next(
-        (
-            (i, j, k)
-            for i, j, k in itertools.permutations(range(n), 3)
-            if D[i][k] > D[i][j] + D[j][k]
-        ),
-        None,
-    )
+    except (TypeError, OverflowError):  # an entry is None or beyond int64
+        return False
+    if A.min() < 0 or 3 * int(A.max()) >= _INT64_SAFE:
+        return False
+    if A.diagonal().any() or not (A == A.T).all():
+        return False
+    zi, zj = np.nonzero(A == 0)
+    if len(zi) > n and any(labels[i] != labels[j] for i, j in zip(zi.tolist(), zj.tolist())):
+        return False
+    return not any((A > A[:, j, None] + A[None, j, :]).any() for j in range(n))
+
+
+def _check_metric(
+    D: Sequence[Sequence[Optional[int]]],
+    rows: Sequence[Sequence[object]],
+    labels: Sequence[str],
+) -> None:
+    """The metric axioms on Python ints, raising ``InvalidMetricError`` at
+    the first failure: per row the diagonal, then each entry's type, sign,
+    symmetry and zero distance, then every triangle in
+    ``itertools.permutations`` order.  None in ``D`` marks an entry of
+    ``rows`` that is not a Fraction."""
+    n = len(labels)
+    for i in range(n):
+        Di, row = D[i], rows[i]
+        if Di[i] != 0 and (Di[i] is not None or row[i] != 0):
+            raise InvalidMetricError(f"nonzero diagonal at {i}")
+        for j in range(n):
+            d = Di[j]
+            if d is None or d < 0:
+                raise InvalidMetricError(f"bad entry at ({i}, {j}): {row[j]!r}")
+            dji = D[j][i]
+            if d != dji and (dji is not None or row[j] != rows[j][i]):
+                raise InvalidMetricError(f"asymmetry at ({i}, {j})")
+            if i != j and d == 0 and labels[i] != labels[j]:
+                raise InvalidMetricError(f"zero distance between distinct points {i} and {j}")
+    for i, j, k in itertools.permutations(range(n), 3):
+        if D[i][k] > D[i][j] + D[j][k]:
+            raise InvalidMetricError(f"triangle violation at {(i, j, k)}")
 
 
 @dataclass(frozen=True)
@@ -390,26 +475,10 @@ class FiniteMetric:
         return m
 
     def _check_and_store(self, D: Sequence[Sequence[Optional[int]]], den: int) -> None:
-        rows, labels = self.rows, self.labels
-        n = len(labels)
-        for i in range(n):
-            Di, row = D[i], rows[i]
-            if Di[i] != 0 and (Di[i] is not None or row[i] != 0):
-                raise InvalidMetricError(f"nonzero diagonal at {i}")
-            for j in range(n):
-                d = Di[j]
-                if d is None or d < 0:
-                    raise InvalidMetricError(f"bad entry at ({i}, {j}): {row[j]!r}")
-                dji = D[j][i]
-                if d != dji and (dji is not None or row[j] != rows[j][i]):
-                    raise InvalidMetricError(f"asymmetry at ({i}, {j})")
-                if i != j and d == 0 and labels[i] != labels[j]:
-                    raise InvalidMetricError(
-                        f"zero distance between distinct points {i} and {j}"
-                    )
-        bad = _first_triangle_violation(D)
-        if bad is not None:
-            raise InvalidMetricError(f"triangle violation at {bad}")
+        # The int64 tests pass on every valid metric they can hold; a failure,
+        # or a matrix they cannot hold, is named by the loop on Python ints.
+        if not _metric_by_int64(D, self.labels):
+            _check_metric(D, self.rows, self.labels)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "D", tuple(tuple(row) for row in D))
 
@@ -436,16 +505,13 @@ class FiniteMetric:
 def distance_matrix(g: MetricGraph, points: Sequence[Point]) -> FiniteMetric:
     """Exact pairwise distances between the given points, in the given order.
 
-    The graph is refined once so that every point is a vertex, and one
-    Dijkstra runs from each distinct point."""
+    The graph is refined once so that every point is a vertex, reduced to
+    the point kernel, and one Dijkstra runs from each distinct point."""
     canon = [canonical_point(g, p) for p in points]
     refined, vertex_of = _refine(g, canon)
     ids = [vertex_of[p] for p in canon]
-    per_source: dict[str, dict[str, int]] = {}
-    for vid in ids:
-        if vid not in per_source:
-            per_source[vid] = _scaled_distances(refined, vid)
-    D = [[per_source[a][b] for b in ids] for a in ids]
+    dist = _vertex_distances(refined, ids)
+    D = [[dist[a][b] for b in ids] for a in ids]
     return FiniteMetric._from_scaled(tuple(point_label(p) for p in canon), D, refined._scale)
 
 

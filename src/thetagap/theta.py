@@ -29,10 +29,10 @@ from .core import (
     MetricGraph,
     Point,
     Vertex,
+    _vertex_distances,
     as_rational,
     canonical_point,
     distance_matrix,
-    single_source_distances,
 )
 from .errors import InternalCheckError, InvalidPointError, PreconditionError
 
@@ -457,12 +457,15 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
         candidates = sorted(w for w, d in degree.items() if d >= 3)
         # A graph distance bounds every path, in the block or not; a shortest
         # route between two vertices of a block stays inside it, so the bound
-        # is as tight as the block distance.
-        dist = {w: single_source_distances(g, w) for w in candidates[:-1]}
+        # is as tight as the block distance.  Distances are integers over
+        # g._scale, so 3·d(u, v) > total is compared cross-multiplied.
+        dist = _vertex_distances(g, candidates)
         pairs = sorted((dist[u][v], u, v) for u, v in itertools.combinations(candidates, 2))
         net: Optional[_FlowNet] = None
         for d_uv, u, v in pairs:
-            if best is not None and 3 * d_uv > best.total_length:
+            if best is not None and (
+                3 * d_uv * best.total_length.denominator > best.total_length.numerator * g._scale
+            ):
                 break
             net = net or _FlowNet(g, block)
             walks = net.three_paths(u, v)

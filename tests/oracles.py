@@ -80,7 +80,16 @@ def _direct_arc(g: MetricGraph, p: Point, q: Point) -> Fraction | None:
 
 def oracle_distance(g: MetricGraph, p: Point, q: Point) -> Fraction:
     """Shortest-path distance by exhaustive routing through the vertex table."""
+    return _routed_distance(g, vertex_distance_table(g), p, q)
+
+
+def oracle_distance_matrix(g: MetricGraph, points: Sequence[Point]) -> list[list[Fraction]]:
+    """All pairwise ``oracle_distance`` values, from one Floyd-Warshall table."""
     table = vertex_distance_table(g)
+    return [[_routed_distance(g, table, p, q) for q in points] for p in points]
+
+
+def _routed_distance(g: MetricGraph, table, p: Point, q: Point) -> Fraction:
     best = _direct_arc(g, p, q)
     for a, ca in _attachments(g, p):
         for b, cb in _attachments(g, q):

@@ -1,6 +1,7 @@
 """Negative-type decisions, gap brackets, and eigenvalue counts."""
 
 import itertools
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -753,14 +754,16 @@ def test_integer_scoring_breaks_a_tie_on_entries(c4_metric):
 def test_block_scorer_straddling_the_int64_guard_picks_the_fraction_argmax(data):
     # Lowering the guard sends the rows of mass above ``limit`` to Python
     # ints and keeps the others in int64 (limit 0: every row on Python ints).
+    # Masses and the guard are Python ints, and the guard never rises above
+    # its real value, past which int64 products could wrap.
     labels, rows = data.draw(rational_metrics(max_points=7).filter(lambda lr: len(lr[0]) >= 2))
     m = FiniteMetric.from_rows(labels, rows)
     vectors = data.draw(scored_vectors(m.size))
-    masses = sorted({sum(abs(x) for x in c) // np.gcd.reduce(c) for c in vectors})
+    masses = sorted({sum(abs(x) for x in c) // math.gcd(*c) for c in vectors})
     limit = data.draw(st.sampled_from([0] + masses[:-1]))
     top = max(1, max(map(max, m.D)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_INT64_SAFE", limit * limit * top + 1)
+        mp.setattr(analysis, "_INT64_SAFE", min(limit * limit * top + 1, analysis._INT64_SAFE))
         got = _best_vector(m, _block_scorer(m.D)(np.array(vectors, dtype=np.int64)))
     assert got == oracle_argmax(m, [_weighting_of(c) for c in vectors])
 

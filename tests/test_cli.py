@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from thetagap.cli import main
+from thetagap.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -120,6 +120,12 @@ def test_non_string_edge_endpoint_exits_2(tmp_path, capsys):
         edge = {"id": "e", "ends": [end, "b"], "length": "1"}
         path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [edge]}))
         _assert_one_line_error(capsys, "info", str(path))
+
+
+def test_graph_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"vertices": ["\xe9"], "edges": []}')
+    assert "can't decode byte 0xe9" in _assert_one_line_error(capsys, "info", str(path))
 
 
 _HUGE = "1" + "0" * 5000
@@ -467,6 +473,106 @@ def test_l1_on_empty_points_exits_2(c4_file, tmp_path, capsys):
     for command in ("negtype", "gap", "l1"):
         err = _assert_one_line_error(capsys, command, c4_file, "--points", str(pts))
         assert "needs at least" in err
+
+
+# ---------------------------------------------------------------------------
+# parser
+# ---------------------------------------------------------------------------
+
+# argparse's output at 80 columns, as the parser of all nine commands gave it
+# before ``main`` built only the named command's parser.
+_USAGE = """\
+usage: thetagap [-h]
+                {make,subdivide,info,witness,negtype,gap,l1,verify,check-paper}
+                ...
+"""
+_SURFACE = {
+    (): (2, "", _USAGE + "thetagap: error: the following arguments are required: command\n"),
+    ("nope",): (
+        2,
+        "",
+        _USAGE
+        + "thetagap: error: argument command: invalid choice: 'nope' (choose from 'make', "
+        "'subdivide', 'info', 'witness', 'negtype', 'gap', 'l1', 'verify', 'check-paper')\n",
+    ),
+    ("verify",): (
+        2,
+        "",
+        "usage: thetagap verify [-h] [--out OUT] certificate graph\n"
+        "thetagap verify: error: the following arguments are required: certificate, graph\n",
+    ),
+    ("--help",): (
+        0,
+        _USAGE
+        + """
+metric-graph negative-type toolkit
+
+positional arguments:
+  {make,subdivide,info,witness,negtype,gap,l1,verify,check-paper}
+    make                construct a graph from a named family
+    subdivide           k-subdivide a unit-length graph
+    info                graph summary and theta status
+    witness             six-point negative-type violation
+    negtype             exact negative-type decision
+    gap                 bracket the negative-type gap
+    l1                  exact l1-embeddability decision
+    verify              re-check a certificate against a graph
+    check-paper         run the reproduction suite
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+    ),
+    ("gap", "--help"): (
+        0,
+        """\
+usage: thetagap gap [-h] --points POINTS [--starts STARTS] [--iters ITERS]
+                    [--seed SEED] [--out OUT]
+                    graph
+
+positional arguments:
+  graph
+
+options:
+  -h, --help       show this help message and exit
+  --points POINTS
+  --starts STARTS
+  --iters ITERS
+  --seed SEED
+  --out OUT        output file; a report is also printed
+""",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_SURFACE), ids=lambda argv: " ".join(argv) or "none")
+def test_usage_help_and_errors_are_unchanged(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == _SURFACE[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make", "random_connected", "--vertices", "6", "--edges", "8", "--min-len", "1/2"],
+        ["subdivide", "g.json", "-k", "3", "--out", "o.json"],
+        ["info", "g.json"],
+        ["witness", "g.json", "--out", "w.json"],
+        ["negtype", "g.json", "--points", "p.json"],
+        ["gap", "g.json", "--points", "p.json", "--starts", "4", "--iters", "9", "--seed", "2"],
+        ["l1", "g.json", "--points", "p.json", "--max-cuts-n", "12"],
+        ["verify", "c.json", "g.json"],
+        ["check-paper", "--list"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_named_command_parser_reads_what_the_full_parser_reads(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------

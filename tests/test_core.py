@@ -8,12 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_distance, oracle_metric_violation
+from oracles import oracle_distance, oracle_distance_matrix, oracle_metric_violation
+from thetagap import core
 from thetagap.core import (
+    _RATIONAL_RE,
     EdgePoint,
     FiniteMetric,
     MetricGraph,
     Vertex,
+    _point_kernel,
+    _refine,
     as_rational,
     build_graph,
     canonical_point,
@@ -30,6 +34,7 @@ from thetagap.errors import (
     InvalidPointError,
     PreconditionError,
 )
+from thetagap.families import FamilySpec, from_spec
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -145,6 +150,23 @@ def test_format_rational_round_trips(x):
     assert as_rational(format_rational(x)) == x
 
 
+@given(st.from_regex(_RATIONAL_RE))
+def test_as_rational_reads_every_literal_as_fraction_does(text):
+    # ``p`` and ``p/q`` go through ``int``; any digits \d accepts, and the
+    # trailing newline ``$`` lets through, read as ``Fraction(text)`` reads them.
+    assert as_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000, "-" + "7" * 4400 + "/3"])
+def test_as_rational_names_the_int_string_limit(text):
+    with pytest.raises(InvalidPointError) as exc:
+        as_rational(text)
+    assert str(exc.value) == (
+        f"rational literal of {len(text)} characters exceeds the "
+        "4300-digit integer conversion limit"
+    )
+
+
 # ---------------------------------------------------------------------------
 # graph validation
 # ---------------------------------------------------------------------------
@@ -257,6 +279,91 @@ def test_distance_matrix_is_a_metric_and_matches_pairwise(case):
     assert rebuilt == m and (rebuilt.den, rebuilt.D) == (m.den, m.D)
 
 
+@st.composite
+def kernel_graphs(draw):
+    """Connected graphs rich in what the point kernel removes: chains of
+    degree-2 vertices, pendant paths, self-loops (plain, or cycles hanging
+    off a vertex) and parallel edges."""
+    base = [f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    names, rows = list(base), []
+
+    def chain(a, b):
+        # a to b through up to two new vertices of degree 2
+        stops = [a]
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            names.append(f"c{len(names)}")
+            stops.append(names[-1])
+        stops.append(b)
+        for x, y in zip(stops, stops[1:]):
+            rows.append((f"e{len(rows)}", x, y, draw(_lengths)))
+
+    for i in range(1, len(base)):
+        chain(base[draw(st.integers(min_value=0, max_value=i - 1))], base[i])
+    for kind in draw(st.lists(st.sampled_from(("parallel", "loop", "pendant")), max_size=4)):
+        a = draw(st.sampled_from(base))
+        if kind == "parallel" and rows:
+            _, x, y, _ = draw(st.sampled_from(rows))
+            rows.append((f"e{len(rows)}", x, y, draw(_lengths)))
+        elif kind == "pendant":
+            names.append(f"leaf{len(names)}")
+            chain(a, names[-1])
+        else:
+            chain(a, a)
+    return build_graph(names, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_distance_matrix_on_the_point_kernel_matches_floyd_warshall(data):
+    g = data.draw(kernel_graphs())
+    count = data.draw(st.integers(min_value=1, max_value=5))
+    if data.draw(st.booleans()):  # every point on one vertex
+        pts = [Vertex(data.draw(st.sampled_from(g.vertices)))] * count
+    else:
+        pts = [data.draw(graph_points(g)) for _ in range(count)]
+    m = distance_matrix(g, pts)
+    assert [list(row) for row in m.rows] == oracle_distance_matrix(g, pts)
+
+
+def test_point_kernel_prunes_splices_and_keeps_the_shortest_parallel_edge():
+    g = build_graph(
+        ["a", "b", "c", "d", "e", "f"],
+        [
+            ("ab", "a", "b", 1),
+            ("ab2", "a", "b", 2),  # parallel, longer: dropped
+            ("bc", "b", "c", 1),
+            ("cd", "c", "d", 1),
+            ("loop", "d", "d", 3),  # self-loop: dropped
+            ("be", "b", "e", 1),  # pendant path b-e-f: pruned
+            ("ef", "e", "f", 1),
+            ("da", "d", "a", 5),  # parallel to the spliced a-b-c-d, longer
+        ],
+    )
+    assert _point_kernel(g, ["a", "d"]) == {"a": {"d": 3}, "d": {"a": 3}}
+    assert _point_kernel(g, ["f", "c"]) == {"f": {"c": 3}, "c": {"f": 3}}
+    assert _point_kernel(g, ["b"]) == {"b": {}}
+
+
+def test_point_kernel_of_a_subdivision_is_the_original_graph():
+    k33 = from_spec(FamilySpec(tag="complete_bipartite", sizes=(3, 3)))
+    fine = subdivide(k33, 25)
+    kernel = _point_kernel(fine, k33.vertices)
+    assert len(fine.vertices) == 231
+    assert kernel == {
+        v: {w: 26 for w in k33.vertices if (v[0] == "a") != (w[0] == "a")} for v in k33.vertices
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_points(count=4))
+def test_refined_graph_passes_full_validation(case):
+    g, pts = case
+    canon = [canonical_point(g, p) for p in pts]
+    refined, vertex_of = _refine(g, canon)
+    assert MetricGraph(refined.vertices, refined.edges) == refined
+    assert all(refined.has_vertex(vertex_of[p]) for p in canon)
+
+
 _AB = ("a", "b")
 
 
@@ -278,6 +385,60 @@ def test_finite_metric_checks_match_the_fraction_oracle(case):
     n = len(labels)
     assert all(Fraction(m.D[i][j], m.den) == rows[i][j] for i in range(n) for j in range(n))
     assert m.diameter() == max((d for row in rows for d in row), default=Fraction(0))
+
+
+_ABC = ("a", "b", "c")
+
+
+def _fraction_rows(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "labels, rows, message",
+    [
+        (_ABC, _fraction_rows([[0, 1, 1], [1, 1, 1], [1, 1, 0]]), "nonzero diagonal at 1"),
+        (_AB, ((Fraction(0), 1), (Fraction(1), Fraction(0))), "bad entry at (0, 1): 1"),
+        (
+            _ABC,
+            _fraction_rows([[0, 1, 1], [1, 0, -1], [1, -1, 0]]),
+            "bad entry at (1, 2): Fraction(-1, 1)",
+        ),
+        (_ABC, _fraction_rows([[0, 1, 2], [1, 0, 1], [1, 1, 0]]), "asymmetry at (0, 2)"),
+        (
+            _ABC,
+            _fraction_rows([[0, 0, 1], [0, 0, 1], [1, 1, 0]]),
+            "zero distance between distinct points 0 and 1",
+        ),
+        (
+            _ABC,
+            _fraction_rows([[0, 1, 3], [1, 0, 1], [3, 1, 0]]),
+            "triangle violation at (0, 1, 2)",
+        ),
+    ],
+    ids=["diagonal", "not_a_fraction", "negative", "asymmetry", "zero_distance", "triangle"],
+)
+@pytest.mark.parametrize("guard", ["int64", "python_ints"])
+def test_metric_error_messages_are_the_same_on_both_paths(
+    monkeypatch, labels, rows, message, guard
+):
+    if guard == "python_ints":
+        monkeypatch.setattr(core, "_INT64_SAFE", 0)
+    with pytest.raises(InvalidMetricError) as exc:
+        FiniteMetric(labels=labels, rows=rows)
+    assert str(exc.value) == message
+
+
+def test_valid_metrics_are_checked_by_int64_arrays_alone(monkeypatch):
+    def loop(*args):
+        raise AssertionError("a valid metric reached the Python-int loop")
+
+    monkeypatch.setattr(core, "_check_metric", loop)
+    fine = subdivide(from_spec(FamilySpec(tag="complete_bipartite", sizes=(3, 3))), 3)
+    m = distance_matrix(fine, [Vertex(v) for v in fine.vertices])
+    assert m.size == 33 and m.diameter() == 8
+    # zero distance between equal labels is legal
+    FiniteMetric.from_rows(("a", "a", "b"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
 
 
 def _next_prime(k):
