@@ -106,10 +106,6 @@ def _weighting_json(w: analysis.Weighting) -> list:
 def _points_json(pts: Sequence[Point]) -> list:
     return [graphio.point_to_dict(p) for p in pts]
 
-def _labels(g: MetricGraph, pts: Sequence[Point]) -> list[str]:
-    return [point_label(canonical_point(g, p)) for p in pts]
-
-
 def _pair_distances_json(m: FiniteMetric) -> list:
     return [
         [i, j, format_rational(m.distance(i, j))]
@@ -225,8 +221,8 @@ def cmd_witness(args) -> int:
         "z_points": _points_json(w.points_z),
         "b_points": _points_json(w.b_points),
         "r_points": _points_json(w.r_points),
-        "b_labels": _labels(g, w.b_points),
-        "r_labels": _labels(g, w.r_points),
+        "b_labels": list(w.metric.labels[:3]),
+        "r_labels": list(w.metric.labels[3:]),
         "gap": format_rational(w.gap),
         "omega": _weighting_json(omega),
         "distances": _pair_distances_json(w.metric),
@@ -246,30 +242,31 @@ def cmd_witness(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _metric_inputs(args) -> tuple[MetricGraph, list[Point], FiniteMetric, list[dict]]:
-    """The graph, the points, their metric and the two files' digests."""
+def _metric_inputs(args) -> tuple[list[Point], FiniteMetric, list[dict]]:
+    """The points, their metric and the two files' digests."""
     g, graph_digest = _load_graph(args.graph)
     pts, points_digest = _load_points(g, args.points)
-    return g, pts, distance_matrix(g, pts), [graph_digest, points_digest]
+    return pts, distance_matrix(g, pts), [graph_digest, points_digest]
 
 
 def _emit_metric_report(
     args,
     started: float,
-    g: MetricGraph,
     pts: list[Point],
+    m: FiniteMetric,
     digests: list[dict],
     verdict: str,
     head: dict,
     body: dict,
 ) -> None:
     """The report of negtype, gap or l1: its certificate holds the ``head``
-    fields, the graph digest, the points and their labels, then ``body``."""
+    fields, the graph digest, the points and their labels (those of ``m``),
+    then ``body``."""
     certificate = {
         **head,
         "graph": digests[0],
         "points": _points_json(pts),
-        "labels": _labels(g, pts),
+        "labels": list(m.labels),
         **body,
     }
     report = {
@@ -283,7 +280,7 @@ def _emit_metric_report(
 
 def cmd_negtype(args) -> int:
     started = time.perf_counter()
-    g, pts, m, digests = _metric_inputs(args)
+    pts, m, digests = _metric_inputs(args)
     result = analysis.is_negative_type(m)
     body: dict = {"basepoint": result.basepoint}
     if result.verdict:
@@ -298,7 +295,7 @@ def cmd_negtype(args) -> int:
         body["gamma"] = format_rational(result.energy)
     verdict = "negative type" if result.verdict else "not negative type"
     head = {"kind": "negative_type", "verdict": result.verdict}
-    _emit_metric_report(args, started, g, pts, digests, verdict, head, body)
+    _emit_metric_report(args, started, pts, m, digests, verdict, head, body)
     return 0 if result.verdict else 1
 
 
@@ -308,7 +305,7 @@ _GAP_BOUNDS = ("lower", "upper", "upper_spectral", "upper_diameter", "spectral_m
 
 def cmd_gap(args) -> int:
     started = time.perf_counter()
-    g, pts, m, digests = _metric_inputs(args)
+    pts, m, digests = _metric_inputs(args)
     bracket = analysis.gap_bracket(m, starts=args.starts, iters=args.iters, seed=args.seed)
     body = {
         "starts": args.starts,
@@ -318,17 +315,17 @@ def cmd_gap(args) -> int:
         "weighting": _weighting_json(bracket.weighting),
     }
     head = {"kind": "gap_bracket"}
-    _emit_metric_report(args, started, g, pts, digests, "bracket produced", head, body)
+    _emit_metric_report(args, started, pts, m, digests, "bracket produced", head, body)
     return 0
 
 
 def cmd_l1(args) -> int:
     started = time.perf_counter()
-    g, pts, m, digests = _metric_inputs(args)
+    pts, m, digests = _metric_inputs(args)
     result = l1cut.is_l1_embeddable(m, max_points=args.max_cuts_n)
     feasible = isinstance(result, l1cut.CutDecomposition)
     if feasible:
-        labels = _labels(g, pts)
+        labels = m.labels
         body = {
             "cuts": [
                 {
@@ -350,7 +347,7 @@ def cmd_l1(args) -> int:
         }
     verdict = "l1-embeddable" if feasible else "not l1-embeddable"
     head = {"kind": "l1", "feasible": feasible}
-    _emit_metric_report(args, started, g, pts, digests, verdict, head, body)
+    _emit_metric_report(args, started, pts, m, digests, verdict, head, body)
     return 0 if feasible else 1
 
 
@@ -415,7 +412,7 @@ def _weighting_from_json(cert: dict, name: str) -> analysis.Weighting:
 
 def _metric(g: MetricGraph, pts: list[Point], labels: list) -> FiniteMetric:
     """The metric of a certificate's points, whose stored labels must be theirs."""
-    _require(labels == _labels(g, pts), "stored labels do not match the points")
+    _require(labels == [point_label(p) for p in pts], "stored labels do not match the points")
     return distance_matrix(g, pts)
 
 

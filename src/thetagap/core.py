@@ -194,15 +194,6 @@ class MetricGraph:
     def _vertex_set(self) -> frozenset[str]:
         return frozenset(self.vertices)
 
-    def degree(self, vertex_id: str) -> int:
-        """Number of edge ends at the vertex; a self-loop counts twice."""
-        if vertex_id not in self._vertex_set:
-            raise InvalidPointError(f"unknown vertex id: {vertex_id!r}")
-        deg = 0
-        for e in self.edges:
-            deg += (e.ends[0] == vertex_id) + (e.ends[1] == vertex_id)
-        return deg
-
 
 def build_graph(
     vertices: Iterable[str],
@@ -552,6 +543,46 @@ def subdivide(g: MetricGraph, k: int) -> MetricGraph:
             eid = _fresh_id(f"{e.id}:{i}", used_e)
             edges.append(Edge(id=eid, ends=(stops[i], stops[i + 1]), length=one))
     return MetricGraph(vertices=tuple(vertices), edges=tuple(edges))
+
+
+def _degree_two_chains(
+    g: MetricGraph, vertices: Iterable[str], edge_ids: Iterable[str]
+) -> tuple[list[str], list[tuple[str, str, tuple[tuple[str, bool], ...]]]]:
+    """The runs of degree-2 vertices in the subgraph of ``g`` on ``vertices``
+    and the edges ``edge_ids``, where a self-loop counts twice.
+
+    The stops are the vertices whose degree is not 2, sorted, or the least
+    vertex when every degree is 2.  Each chain is a walk from a stop through
+    degree-2 vertices to the next stop, as (start, end, ((edge id, forward),
+    ...)); a chain may end where it started, and parallel chains are kept
+    apart.  Chains are listed by start stop, then by the sorted (edge id,
+    neighbour) pairs there, and each edge lies on exactly one chain.
+    """
+    incidence: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
+    for eid in edge_ids:
+        a, b = g.edge(eid).ends
+        incidence[a].append((eid, b))
+        incidence[b].append((eid, a))
+    stops = sorted(v for v, inc in incidence.items() if len(inc) != 2) or [min(incidence)]
+    stop_set = set(stops)
+    consumed: set[str] = set()
+    chains: list[tuple[str, str, tuple[tuple[str, bool], ...]]] = []
+    for start in stops:
+        for eid, nxt in sorted(incidence[start]):
+            if eid in consumed:
+                continue
+            walk: list[tuple[str, bool]] = []
+            here = start
+            while True:
+                walk.append((eid, g.edge(eid).ends[0] == here))
+                consumed.add(eid)
+                here = nxt
+                if here in stop_set:
+                    break
+                # a vertex of degree 2 that is not a stop has one other edge
+                eid, nxt = next((i, w) for i, w in incidence[here] if i != eid)
+            chains.append((start, here, tuple(walk)))
+    return stops, chains
 
 
 def scale(g: MetricGraph, t: RationalLike) -> MetricGraph:

@@ -7,9 +7,12 @@ its cycle rank is at least 2; self-loops never contribute).  The shortest
 theta through a given branch pair is a minimum-cost flow of value 3 in the
 vertex-split digraph of their common block, solved by successive shortest
 paths.  The flow runs on integer costs: the block's edge lengths times the
-least common multiple of their denominators, an exact rescaling.  Branch
-pairs are visited in order of their graph distance d(u, v), and the search
-stops once the lower bound 3·d(u, v) on a theta through them exceeds the
+least common multiple of their denominators, an exact rescaling.  Each block
+is walked once into chains of degree-2 vertices between branch candidates.
+Three distinct chains leave each branch vertex of a theta, so the three
+cheapest first chains, each followed by a shortest route to the other
+branch vertex, bound every theta through a pair from below.  Pairs are
+visited in order of that bound, and the search stops once it exceeds the
 best total found.
 """
 
@@ -22,14 +25,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .core import (
     EdgePoint,
     MetricGraph,
     Point,
     Vertex,
-    _vertex_distances,
+    _degree_two_chains,
+    _scaled_distances,
     as_rational,
     canonical_point,
     distance_matrix,
@@ -336,15 +340,13 @@ class _FlowNet:
         for w in verts:
             self.split[w] = len(self.arc_to)
             self._add(("in", w), ("out", w), 1, 0, None)
-        self.scale = math.lcm(*(g.edge(eid).length.denominator for eid in block_edges))
-        self.edge_cost: dict[str, int] = {}
+        scale = math.lcm(*(g.edge(eid).length.denominator for eid in block_edges))
         for eid in sorted(block_edges):
             e = g.edge(eid)
             a, b = e.ends
             if a == b:
                 continue
-            cost = e.length.numerator * (self.scale // e.length.denominator)
-            self.edge_cost[eid] = cost
+            cost = e.length.numerator * (scale // e.length.denominator)
             self._add(("out", a), ("in", b), 1, cost, (eid, True))
             self._add(("out", b), ("in", a), 1, cost, (eid, False))
         self.source = self.sink = -1
@@ -431,55 +433,82 @@ class _FlowNet:
         return walks
 
 
+def _pair_bounds(
+    g: MetricGraph, block: Sequence[str], verts: set[str], units: Mapping[str, int]
+) -> list[tuple[int, str, str]]:
+    """(B(u, v), u, v) for every candidate pair u < v of a block of cycle
+    rank 2 or more, sorted; ``units`` and B are lengths in 1 / g._scale.
+
+    The block is walked once into chains (``_degree_two_chains``).  Every
+    vertex of such a block has block degree 2 or more, so the chains' stops
+    are the candidates, the vertices of block degree 3 or more.  A shortest
+    route between two vertices of a block stays inside it and runs whole
+    chains, so Dijkstra on the chain graph gives the graph distances d of
+    the candidates.  A theta path leaves its branch vertex u by its own
+    block edge and runs that edge's whole chain, so a theta through u and v
+    is at least as long as the three smallest L(chain) + d(chain end, v)
+    over the chains at u, summed; B(u, v) is the larger of that sum and the
+    one at v.  No chain of a block returns to its own start, which would
+    then be a cut vertex.
+    """
+    candidates, chains = _degree_two_chains(g, verts, block)
+    at: dict[str, list[tuple[str, int]]] = {c: [] for c in candidates}
+    adj: dict[str, dict[str, int]] = {c: {} for c in candidates}
+    for a, b, walk in chains:
+        length = sum(units[eid] for eid, _ in walk)
+        at[a].append((b, length))
+        at[b].append((a, length))
+        if b not in adj[a] or length < adj[a][b]:
+            adj[a][b] = adj[b][a] = length
+    dist = {c: _scaled_distances(adj, c) for c in candidates}
+
+    def three_cheapest(u: str, v: str) -> int:
+        return sum(sorted(length + dist[w][v] for w, length in at[u])[:3])
+
+    return sorted(
+        (max(three_cheapest(u, v), three_cheapest(v, u)), u, v)
+        for u, v in itertools.combinations(candidates, 2)
+    )
+
+
 def minimal_theta(g: MetricGraph) -> Optional[Theta]:
     """The globally shortest theta, with deterministic tie-breaking.
 
     Every pair of block vertices of degree at least 3 is a candidate branch
     pair, solved as a min-cost flow on integer-scaled costs in one net per
-    block (see ``_FlowNet``).  Each path of a theta with branch vertices
-    u, v is at least d(u, v) long, so its total is at least 3·d(u, v).
-    Pairs are visited in order of increasing d(u, v), and the search stops
-    once 3·d(u, v) exceeds the best total; the strict comparison lets pairs
-    that could tie reach the tie-break.  A solved pair whose integer flow
-    cost, over the net's scale, exceeds the best total is dropped before its
-    ``Theta`` is assembled; an equal total still reaches the tie-break.
+    block (see ``_FlowNet``).  Pairs are visited in order of their lower
+    bound B(u, v), the larger over the two branch vertices of their three
+    cheapest first chains, each followed by a shortest route to the other
+    branch vertex (see ``_pair_bounds``).  The search stops once B exceeds
+    the best total; the strict comparison lets pairs that could tie reach
+    the tie-break.  A solved pair's key (total, shortest, middle, u, v), on
+    integer lengths, orders it as ``Theta._sort_key`` does, since no two
+    pairs share (u, v); only a key below the best one is assembled into a
+    ``Theta``.
     """
     best: Optional[Theta] = None
+    best_key: Optional[tuple[int, int, int, str, str]] = None
+    scale = g._scale
     for block in _biconnected_blocks(g):
         verts, rank = _block_stats(g, block)
         if rank < 2:
             continue
-        degree: dict[str, int] = {}
+        units: dict[str, int] = {}
         for eid in block:
-            a, b = g.edge(eid).ends
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        candidates = sorted(w for w, d in degree.items() if d >= 3)
-        # A graph distance bounds every path, in the block or not; a shortest
-        # route between two vertices of a block stays inside it, so the bound
-        # is as tight as the block distance.  Distances are integers over
-        # g._scale, so 3·d(u, v) > total is compared cross-multiplied.
-        dist = _vertex_distances(g, candidates)
-        pairs = sorted((dist[u][v], u, v) for u, v in itertools.combinations(candidates, 2))
+            length = g.edge(eid).length
+            units[eid] = length.numerator * (scale // length.denominator)
         net: Optional[_FlowNet] = None
-        for d_uv, u, v in pairs:
-            if best is not None and (
-                3 * d_uv * best.total_length.denominator > best.total_length.numerator * g._scale
-            ):
+        for bound, u, v in _pair_bounds(g, block, verts, units):
+            if best_key is not None and bound > best_key[0]:
                 break
             net = net or _FlowNet(g, block)
             walks = net.three_paths(u, v)
             if walks is None:
                 continue
-            if best is not None:
-                # the flow's integer cost is the theta's total times the scale
-                cost = sum(net.edge_cost[eid] for walk in walks for eid, _ in walk)
-                bound = best.total_length
-                if cost * bound.denominator > bound.numerator * net.scale:
-                    continue
-            t = _assemble_theta(g, u, v, walks)
-            if best is None or t._sort_key < best._sort_key:
-                best = t
+            lengths = sorted(sum(units[eid] for eid, _ in walk) for walk in walks)
+            key = (sum(lengths), lengths[0], lengths[1], u, v)
+            if best_key is None or key < best_key:
+                best, best_key = _assemble_theta(g, u, v, walks), key
     return best
 
 

@@ -22,6 +22,7 @@ from .core import (
     MetricGraph,
     Point,
     Vertex,
+    _degree_two_chains,
     canonical_point,
     distance_matrix,
     point_label,
@@ -361,49 +362,14 @@ def _suppress_degree_two(
     Returns the contracted graph plus, for every new edge, the chain of
     original edges it replaces (with traversal directions).
     """
-    essential = sorted(v for v in g.vertices if g.degree(v) != 2)
-    if not essential:
-        essential = [min(g.vertices)]
-    essential_set = set(essential)
-
-    incidence: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        a, b = e.ends
-        incidence[a].append((e.id, b))
-        if a != b:
-            incidence[b].append((e.id, a))
-        else:
-            incidence[a].append((e.id, a))
-
-    consumed: set[str] = set()
+    essential, walks = _degree_two_chains(g, g.vertices, (e.id for e in g.edges))
     chains: dict[str, tuple[tuple[str, bool], ...]] = {}
     new_edges: list[Edge] = []
-    counter = 0
-    for w in essential:
-        for eid, nxt in sorted(incidence[w]):
-            if eid in consumed:
-                continue
-            chain: list[tuple[str, bool]] = []
-            total = Fraction(0)
-            here = w
-            cur_eid, cur_next = eid, nxt
-            while True:
-                e = g.edge(cur_eid)
-                forward = e.ends[0] == here
-                chain.append((cur_eid, forward))
-                consumed.add(cur_eid)
-                total += e.length
-                here = cur_next
-                if here in essential_set:
-                    break
-                options = [(i, o) for i, o in incidence[here] if i != cur_eid]
-                if len(options) != 1:
-                    raise InternalCheckError("degree-2 chain branched unexpectedly")
-                cur_eid, cur_next = options[0]
-            counter += 1
-            new_id = f"seg{counter}"
-            chains[new_id] = tuple(chain)
-            new_edges.append(Edge(id=new_id, ends=(w, here), length=total))
+    for counter, (start, end, walk) in enumerate(walks, 1):
+        new_id = f"seg{counter}"
+        chains[new_id] = walk
+        total = sum((g.edge(eid).length for eid, _ in walk), Fraction(0))
+        new_edges.append(Edge(id=new_id, ends=(start, end), length=total))
     contracted = MetricGraph(vertices=tuple(essential), edges=tuple(new_edges))
     return contracted, chains
 

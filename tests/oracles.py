@@ -8,8 +8,9 @@ elimination updating both triangles instead of the lower one, one ascent
 per start scored over ``Weighting``s instead of the lockstep search scored
 on integers, a Gray-code walk on Python ints instead of the limb-split int64
 crossing sums, and a phase-1 simplex over ``Fraction``s priced by that walk
-instead of the fraction-free one.  All arithmetic outside the float ascent
-is exact.
+instead of the fraction-free one, and a flow for every vertex pair of a
+block instead of the pruned branch-pair search.  All arithmetic outside the
+float ascent is exact.
 """
 
 import itertools
@@ -27,7 +28,7 @@ from thetagap.analysis import _SNAP_DENOMINATORS, PSDTranscript, Weighting, gamm
 from thetagap.core import EdgePoint, FiniteMetric, MetricGraph, Point, Vertex
 from thetagap.errors import InternalCheckError, PreconditionError
 from thetagap.l1cut import Cut, CutDecomposition, _crossing
-from thetagap.theta import _FlowNet
+from thetagap.theta import Theta, _FlowNet, _assemble_theta, _biconnected_blocks, _block_stats
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +619,40 @@ class OraclePairNet(_FlowNet):
             self._add(("out", b), ("in", a), 1, cost, (eid, False))
         self.source = self.index[("out", u)]
         self.sink = self.index[("in", v)]
+
+
+def branch_pairs(g: MetricGraph):
+    """Each block of cycle rank >= 2, with the pairs of its vertices of
+    degree at least 3 in the block."""
+    for block in _biconnected_blocks(g):
+        if _block_stats(g, block)[1] < 2:
+            continue
+        degree: dict[str, int] = {}
+        for eid in block:
+            for end in g.edge(eid).ends:
+                degree[end] = degree.get(end, 0) + 1
+        branch = sorted(w for w, d in degree.items() if d >= 3)
+        yield block, list(itertools.combinations(branch, 2))
+
+
+def oracle_minimal_theta(g: MetricGraph) -> Optional[Theta]:
+    """The least ``Theta._sort_key`` over every pair of vertices of every
+    block of cycle rank >= 2, each solved on its own ``OraclePairNet``, with
+    no bound and no pruning.  A pair with a vertex of block degree 2 finds
+    no three paths."""
+    best: Optional[Theta] = None
+    for block in _biconnected_blocks(g):
+        verts, rank = _block_stats(g, block)
+        if rank < 2:
+            continue
+        for u, v in itertools.combinations(sorted(verts), 2):
+            walks = OraclePairNet(g, block, u, v).min_cost_three_paths()
+            if walks is None:
+                continue
+            t = _assemble_theta(g, u, v, walks)
+            if best is None or t._sort_key < best._sort_key:
+                best = t
+    return best
 
 
 # ---------------------------------------------------------------------------

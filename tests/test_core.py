@@ -16,6 +16,7 @@ from thetagap.core import (
     FiniteMetric,
     MetricGraph,
     Vertex,
+    _degree_two_chains,
     _point_kernel,
     _refine,
     as_rational,
@@ -507,6 +508,31 @@ def test_subdivide_scales_vertex_distances():
         assert distance(fine, Vertex(u), Vertex(v)) == (k + 1) * distance(
             g, Vertex(u), Vertex(v)
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_vertices=7, max_extra_edges=5), st.integers(0, 2))
+def test_degree_two_chains_cover_each_edge_once(g, k):
+    if k:  # unit lengths, then runs of k degree-2 vertices on every edge
+        g = subdivide(build_graph(g.vertices, [(e.id, *e.ends, 1) for e in g.edges]), k)
+    degree = {v: 0 for v in g.vertices}
+    for e in g.edges:
+        for end in e.ends:
+            degree[end] += 1
+    stops, chains = _degree_two_chains(g, g.vertices, (e.id for e in g.edges))
+    assert stops == (sorted(v for v, d in degree.items() if d != 2) or [min(g.vertices)])
+    walked = [eid for _, _, walk in chains for eid, _ in walk]
+    assert sorted(walked) == sorted(e.id for e in g.edges)
+    for start, end, walk in chains:
+        assert start in stops and end in stops
+        here = start
+        for i, (eid, forward) in enumerate(walk):
+            a, b = g.edge(eid).ends
+            assert (a if forward else b) == here
+            here = b if forward else a
+            if i < len(walk) - 1:
+                assert here not in stops and degree[here] == 2
+        assert here == end
 
 
 def test_subdivide_requires_unit_lengths(small_graph):

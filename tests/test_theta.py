@@ -1,13 +1,19 @@
 """Theta detection, minimal theta extraction, intrinsic distances."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import OraclePairNet, oracle_contains_theta, oracle_min_theta_total
+from oracles import (
+    OraclePairNet,
+    branch_pairs,
+    oracle_contains_theta,
+    oracle_min_theta_total,
+    oracle_minimal_theta,
+    vertex_distance_table,
+)
 from test_core import connected_graphs
 from thetagap import theta as theta_module
 from thetagap.core import Vertex, build_graph, distance, subdivide
@@ -185,27 +191,13 @@ def test_minimal_theta_on_subdivided_k33_frozen(k):
     assert t.lengths == (2 * k + 2,) * 3
 
 
-def _branch_pairs(g):
-    """Each block of cycle rank >= 2, with the pairs of its vertices of
-    degree at least 3 in the block."""
-    for block in theta_module._biconnected_blocks(g):
-        if theta_module._block_stats(g, block)[1] < 2:
-            continue
-        degree: dict[str, int] = {}
-        for eid in block:
-            for end in g.edge(eid).ends:
-                degree[end] = degree.get(end, 0) + 1
-        branch = sorted(w for w, d in degree.items() if d >= 3)
-        yield block, list(itertools.combinations(branch, 2))
-
-
 def _branch_pair_count(g) -> int:
-    return sum(len(pairs) for _, pairs in _branch_pairs(g))
+    return sum(len(pairs) for _, pairs in branch_pairs(g))
 
 
 def _assert_block_net_matches_pair_nets(g):
     # one net per block, solved for every pair in both directions in turn
-    for block, pairs in _branch_pairs(g):
+    for block, pairs in branch_pairs(g):
         net = theta_module._FlowNet(g, block)
         for u, v in pairs + [(v, u) for u, v in reversed(pairs)]:
             want = OraclePairNet(g, block, u, v).min_cost_three_paths()
@@ -301,9 +293,75 @@ def test_minimal_theta_prunes_assemblies(monkeypatch):
     totals = _assembled_totals(monkeypatch)
     t = minimal_theta(make_random_connected(40, 52, seed=1))
     assert t.total_length == Fraction(84, 10)
-    # 23 flows solved, of which only 2 could still win or tie; without the
-    # prune every flow that found three paths was assembled
-    assert (len(flows), len(totals)) == (23, 2)
+    # the first pair by its three-cheapest-chains bound wins, and no other
+    # bound reaches its total; with the 3·d(u, v) bound 23 flows were solved
+    # and 2 assembled
+    assert (len(flows), len(totals)) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the pair bound and the pruned search against the unpruned one
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def unit_multigraphs(draw):
+    """Unit-length graphs, heavy on ties, with parallel edges and self-loops."""
+    g = draw(connected_graphs(max_vertices=6, max_extra_edges=5))
+    rows = [(e.id, *e.ends, 1) for e in g.edges]
+    if g.edges:
+        for j, e in enumerate(draw(st.lists(st.sampled_from(g.edges), max_size=3))):
+            rows.append((f"p{j}", *e.ends, 1))
+    for j, v in enumerate(draw(st.lists(st.sampled_from(g.vertices), max_size=2))):
+        rows.append((f"l{j}", v, v, 1))
+    return build_graph(g.vertices, rows)
+
+
+_SEARCH_GRAPHS = st.one_of(
+    connected_graphs(max_vertices=6, max_extra_edges=5),
+    graphs_with_coprime_denominators(),
+    unit_multigraphs(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEARCH_GRAPHS)
+def test_minimal_theta_equals_the_unpruned_search(g):
+    assert minimal_theta(g) == oracle_minimal_theta(g)
+
+
+@pytest.mark.parametrize(
+    "tag, sizes, k",
+    [
+        ("complete", (4,), 1),
+        ("complete", (4,), 3),
+        ("complete", (5,), 1),
+        ("complete", (5,), 2),
+        ("complete_bipartite", (3, 3), 1),
+        ("complete_bipartite", (3, 3), 2),
+    ],
+)
+def test_minimal_theta_equals_the_unpruned_search_on_subdivisions(tag, sizes, k):
+    g = subdivide(from_spec(FamilySpec(tag=tag, sizes=sizes)), k)
+    assert minimal_theta(g) == oracle_minimal_theta(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SEARCH_GRAPHS)
+def test_pair_bound_is_below_the_flow_cost_of_its_pair(g):
+    table = vertex_distance_table(g)
+    for block, pairs in branch_pairs(g):
+        verts, _ = theta_module._block_stats(g, block)
+        units = {eid: int(g.edge(eid).length * g._scale) for eid in block}
+        bounds = theta_module._pair_bounds(g, block, verts, units)
+        assert sorted((u, v) for _, u, v in bounds) == pairs
+        for bound, u, v in bounds:
+            b = Fraction(bound, g._scale)
+            # at least as tight as three times the distance of the pair
+            assert b >= 3 * table[(u, v)]
+            walks = OraclePairNet(g, block, u, v).min_cost_three_paths()
+            if walks is not None:
+                assert b <= sum(g.edge(eid).length for walk in walks for eid, _ in walk)
 
 
 def test_theta_validation_rejects_shared_interior_vertex():

@@ -24,6 +24,7 @@ from thetagap.families import (
 )
 from thetagap.theta import ThetaPoint, canonical_theta_point, minimal_theta
 from thetagap.witness import (
+    _suppress_degree_two,
     construct_witness,
     choose_window,
     gap,
@@ -257,6 +258,38 @@ def test_round_to_vertices_picks_nearest_end(rounding_graph):
 def test_round_to_vertices_breaks_ties_toward_first_end(rounding_graph):
     got = round_to_vertices(rounding_graph, [EdgePoint("e", Fraction(1, 2))])
     assert got == ["a"]
+
+
+def test_suppress_degree_two_frozen():
+    # parallel chains stay apart, loops at a vertex of degree != 2 stay loops
+    g = build_graph(
+        ["a", "b", "x", "y"],
+        [
+            ("e1", "a", "x", 1),
+            ("e2", "x", "b", 2),
+            ("e3", "b", "y", 1),
+            ("e4", "y", "a", 1),
+            ("e5", "a", "b", 3),
+            ("e6", "b", "b", 1),
+            ("e7", "b", "b", 1),
+        ],
+    )
+    contracted, chains = _suppress_degree_two(g)
+    assert contracted.vertices == ("a", "b")
+    assert [(e.id, e.ends, e.length) for e in contracted.edges] == [
+        ("seg1", ("a", "b"), 3),
+        ("seg2", ("a", "b"), 2),
+        ("seg3", ("a", "b"), 3),
+        ("seg4", ("b", "b"), 1),
+        ("seg5", ("b", "b"), 1),
+    ]
+    assert chains == {
+        "seg1": (("e1", True), ("e2", True)),
+        "seg2": (("e4", False), ("e3", False)),
+        "seg3": (("e5", True),),
+        "seg4": (("e6", True),),
+        "seg5": (("e7", True),),
+    }
 
 
 def test_round_to_vertices_rejects_far_points():
