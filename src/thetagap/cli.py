@@ -656,6 +656,11 @@ def _check_k4_lp() -> str:
         isinstance(result, l1cut.CutDecomposition),
         "LP reported the 2-subdivision of K4 as not l1",
     )
+    # the decomposition is unique, so the LP must find the hand-built one
+    _expect(
+        set(result.entries) == set(dec.entries),
+        "LP decomposition differs from the hand-built one",
+    )
     return f"exact LP feasible with {len(result.entries)} cuts"
 
 

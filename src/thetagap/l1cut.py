@@ -10,15 +10,22 @@ vector checked against every cut.
 
 Cheap exact certificates come first.  A metric that is not of negative type
 is refuted by the pair functional omega_i omega_j of its violating weighting
-(CUT_n is inside NEG_n), with no LP at all.  From 12 points on, float column
+(CUT_n is inside NEG_n), with no LP at all.  From 12 points on, the equality
+face is tried next: the cuts that keep every equality d(i, k) = d(i, j) +
+d(j, k) hold every decomposition, and when their columns are linearly
+independent (decided by integer elimination) the decomposition is unique,
+so the exact simplex on the face alone finds the one any exact method finds.
+Such metrics (l1-rigid ones, in Deza and Laurent's terms), a path or the
+2-subdivision of K4 among them, need no float step.  Otherwise float column
 generation over a bool crossing matrix proposes a small support for the
 exact simplex; the full exact problem is the last resort.  Floats only ever
 propose: every verdict is a certificate that passed its exact constructor.
 
-The exact simplex is fraction-free: B^-1 is an integer adjugate over one
-positive integer, the determinant of B, kept as one sparse dict per row and
-updated by integer-preserving pivots (every division is exact), so it makes
-the comparisons a simplex over the rationals would make, on Python ints.
+The exact simplex is fraction-free: each row of B^-1 is a sparse dict of
+integers over its own positive denominator, a row a pivot rewrites is the
+adjugate row over the determinant of B, and a row the entering column
+misses is left as it is.  Every division is exact, so it makes the
+comparisons a simplex over the rationals would make, on Python ints.
 Pricing against every cut, and the all-cuts check of a separating vector,
 go through one routine, ``_cut_scores``: each pair's integer weight is split
 into signed limbs small enough that one limb's crossing sums fit in int64,
@@ -28,7 +35,8 @@ ints.  Every "which pairs cross this cut" question goes through
 ``_crossing`` on the cut's mask or through the shared ``_crossing_matrix``.
 Metrics above 20 points, and separating vectors over more than 20 points,
 are refused before any cut is enumerated.  scipy's HiGHS is imported only
-when a float proposal is made.
+when a float proposal is made, so only for a metric of 12 or more points
+whose equality face is dependent or admits no decomposition.
 """
 
 from __future__ import annotations
@@ -42,8 +50,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import is_negative_type
-from .core import FiniteMetric, Vertex, distance_matrix, subdivide
+from .analysis import _eliminate, is_negative_type
+from .core import _INT64_SAFE, FiniteMetric, Vertex, distance_matrix, subdivide
 from .errors import InternalCheckError, PreconditionError
 from .families import _complete
 
@@ -328,22 +336,28 @@ class _Phase1:
     degenerate pivots trips the anti-cycling switch to lowest-rank pricing,
     which guarantees termination.
 
-    The arithmetic is fraction-free.  ``adj`` is the adjugate of the basis
-    B and ``det`` its determinant, so B^-1 = adj / det; ``det`` starts at 1
-    and stays positive, because each pivot multiplies it by a positive
-    direction entry.  Each row of ``adj`` is a dict from column to its
-    nonzero int entries: cut bases stay very sparse (685 nonzeros of 14 400
-    entries after the 12 pivots of the 16-point K4 solve), so the dual, the
-    entering direction and the pivot update touch only stored nonzeros.
-    The basic values are ``xs / (det * m.den)`` with ``xs`` integers, and
-    the dual is integers over ``det``.  A pivot on row ``row`` with integer
-    direction D keeps that row and sets every other row r to
-    (p adj_r - D_r adj_row) // det with p = D_row, then det = p; the
-    division is exact because the result is the new adjugate.  Every sign
-    test and ratio comparison is the one a simplex over the rationals makes,
-    so are the pivots; ``Fraction``s appear only in ``solve``'s result and
-    in ``decomposition``.  ``pivots``, ``degenerate_pivots`` and
-    ``pricing_scans`` count the work done.
+    The arithmetic is fraction-free.  Row r of B^-1 is ``adj[r] / dens[r]``:
+    a dict from column to its nonzero int entries over one positive integer
+    per row.  Cut bases stay very sparse (685 nonzeros of 14 400 entries
+    after the 12 pivots of the 16-point K4 solve), so the entering direction
+    and the pivot update touch only stored nonzeros.  The basic value of
+    row r is ``xs[r] / (dens[r] * m.den)`` with ``xs`` integers.  ``det`` is
+    the determinant of B; it starts at 1 and stays positive, because each
+    pivot multiplies it by a positive direction entry, and
+    ``det * adj[r] / dens[r]`` is row r of the integer adjugate, so every
+    rescaling by ``det / dens[r]`` divides exactly.  With sigma_r the
+    entering column's crossing sum over ``adj[r]``, the direction is
+    sigma_r / dens[r] and the ratio test compares xs_r / sigma_r.  A pivot
+    on row ``row`` keeps that row's integers over s = sigma_row, sets each
+    row r with sigma_r != 0 to its new adjugate row over the new determinant
+    det' = det * s / dens[row], that is (s adj_r - sigma_r adj_row) * det
+    divided by dens[r] * dens[row], and leaves every row with sigma_r = 0
+    as it is.  The dual ``y`` is integers over ``det``, updated like a row:
+    the entering cut costs 0, so y' = y - (y . a / direction_row) B^-1_row.
+    Every sign test and ratio comparison is the one a simplex over the
+    rationals makes, so are the pivots; ``Fraction``s appear only in
+    ``solve``'s result and in ``decomposition``.  ``pivots``,
+    ``degenerate_pivots`` and ``pricing_scans`` count the work done.
     """
 
     def __init__(self, m: FiniteMetric, columns: Optional[Sequence[int]] = None):
@@ -362,7 +376,9 @@ class _Phase1:
         self.art0 = self.full_mask
         self.basis = [self.art0 + r for r in range(self.rows)]
         self.adj: list[dict[int, int]] = [{r: 1} for r in range(self.rows)]
+        self.dens = [1] * self.rows
         self.det = 1
+        self.y = [1] * self.rows  # the dual times det: the artificials' costs
         self.xs = [m.D[i][j] for i, j in self.pairs]
         self.bland = False
         self.streak = 0
@@ -380,15 +396,6 @@ class _Phase1:
         return _gray_rank(var)
 
     # -- pricing ------------------------------------------------------------
-
-    def _dual(self) -> list[int]:
-        # y = c_B B^-1 with phase-1 costs, times det: the artificials' rows
-        y = [0] * self.rows
-        for r, var in enumerate(self.basis):
-            if var >= self.art0:
-                for k, v in self.adj[r].items():
-                    y[k] += v
-        return y
 
     def _price(self, y: list[int]) -> Optional[int]:
         # det > 0, so the integer dual prices like the rational one
@@ -421,7 +428,8 @@ class _Phase1:
     # -- pivoting -----------------------------------------------------------
 
     def _ratio_test(self, direction: list[int]) -> int:
-        # min x_r / D_r over D_r > 0 by cross-multiplying, ties to lowest rank
+        # min x_r / D_r over D_r > 0 by cross-multiplying, ties to lowest
+        # rank; row r's value and direction share the denominator dens[r]
         best_row, best_x, best_d, best_rank = -1, 0, 1, 0
         for r, d in enumerate(direction):
             if d <= 0:
@@ -436,48 +444,57 @@ class _Phase1:
             raise InternalCheckError("phase-1 ratio test found no leaving row")
         return best_row
 
-    def _pivot(self, row: int, entering: int, direction: list[int]) -> None:
-        p, det = direction[row], self.det
+    def _pivot(self, row: int, entering: int, direction: list[int], price: int) -> None:
+        p, det, prow_den = direction[row], self.det, self.dens[row]
         prow, px = self.adj[row], self.xs[row]
+        new_det = det * p // prow_den
+        y = [p * v for v in self.y]
+        for k, v in prow.items():
+            y[k] -= price * v
+        self.y = y if prow_den == 1 else [v // prow_den for v in y]
         for r, d in enumerate(direction):
-            if r == row:
+            if r == row or d == 0:
                 continue
-            target = self.adj[r]
-            if d == 0:
-                if p != det:
-                    self.adj[r] = {k: p * v // det for k, v in target.items()}
-                    self.xs[r] = p * self.xs[r] // det
-                continue
-            scaled = {k: p * v for k, v in target.items()}
+            # (p adj_r - d adj_row) * det / (dens[r] * prow_den), in lowest terms
+            q = self.dens[r] * prow_den
+            g = det if self.dens[r] == det else gcd(det, q)
+            mul, div = det // g, q // g
+            pm, dm = p * mul, d * mul
+            scaled = {k: pm * v for k, v in self.adj[r].items()}
             for k, v in prow.items():
-                value = scaled.get(k, 0) - d * v
+                value = scaled.get(k, 0) - dm * v
                 if value:
                     scaled[k] = value
                 else:
                     scaled.pop(k, None)
-            self.adj[r] = scaled if det == 1 else {k: v // det for k, v in scaled.items()}
-            self.xs[r] = (p * self.xs[r] - d * px) // det
-        self.det = p
+            self.adj[r] = scaled if div == 1 else {k: v // div for k, v in scaled.items()}
+            self.xs[r] = (pm * self.xs[r] - dm * px) // div
+            self.dens[r] = new_det
+        self.dens[row] = p
+        self.det = new_det
         self.basis[row] = entering
 
     def objective(self) -> Fraction:
-        total = sum(self.xs[r] for r, v in enumerate(self.basis) if v >= self.art0)
+        total = sum(
+            self.xs[r] * self.det // self.dens[r]
+            for r, v in enumerate(self.basis)
+            if v >= self.art0
+        )
         return Fraction(total, self.det * self.m.den)
 
     def solve(self) -> tuple[Fraction, list[Fraction]]:
         """Run to optimality; returns (objective, dual y at optimum)."""
         while True:
-            y = self._dual()
-            entering = self._price(y)
+            entering = self._price(self.y)
             if entering is None:
-                return self.objective(), [Fraction(v, self.det) for v in y]
+                return self.objective(), [Fraction(v, self.det) for v in self.y]
             crossing = set(_crossing(entering, self.pairs))
             direction = [
                 sum(v for k, v in arow.items() if k in crossing) for arow in self.adj
             ]
             row = self._ratio_test(direction)
             degenerate = self.xs[row] == 0
-            self._pivot(row, entering, direction)
+            self._pivot(row, entering, direction, sum(self.y[k] for k in crossing))
             self.pivots += 1
             if degenerate:
                 self.degenerate_pivots += 1
@@ -488,9 +505,8 @@ class _Phase1:
                 self.streak = 0
 
     def decomposition(self) -> CutDecomposition:
-        scale = self.det * self.m.den
         entries = tuple(
-            (Cut.from_mask(self.n, var), Fraction(self.xs[r], scale))
+            (Cut.from_mask(self.n, var), Fraction(self.xs[r], self.dens[r] * self.m.den))
             for var, r in sorted((var, r) for r, var in enumerate(self.basis))
             if var < self.art0 and self.xs[r] > 0
         )
@@ -539,6 +555,53 @@ def _float_support(m: FiniteMetric) -> Optional[list[int]]:
         chosen = np.concatenate([chosen, new])
 
 
+def _equality_face(m: FiniteMetric) -> np.ndarray:
+    """Masks of the cuts that keep every equality d(i, k) = d(i, j) + d(j, k)
+    of the metric, j distinct from i and k: no such cut separates j from
+    both i and k.
+
+    Each equality adds e_ij + e_jk - e_ik to integer pair weights w.  Every
+    cut semimetric satisfies the triangle inequality, so every cut scores
+    w . delta_S >= 0 by ``_cut_scores``, and the face is the set scoring 0.
+    The equalities are integer tests on ``m.D``, in int64 while every sum
+    stays below ``_INT64_SAFE`` and on Python ints past it."""
+    n = m.size
+    safe = 2 * max(map(max, m.D)) < _INT64_SAFE
+    D = np.array(m.D, dtype=np.int64 if safe else object)
+    tight = D[:, :, None] + D[None, :, :] == D[:, None, :]  # [i, j, k]
+    # ordered weights: legs (i, j) and (j, k) count +1, the span (i, k) -1;
+    # the trivial triples, j = i or j = k, add e_ik - e_ik = 0 off the diagonal
+    W = tight.sum(axis=2) + tight.sum(axis=0) - tight.sum(axis=1)
+    weights = [int(W[i, j] + W[j, i]) for i, j in itertools.combinations(range(n), 2)]
+    return np.flatnonzero(_cut_scores(n, weights) == 0)
+
+
+def _unique_decomposition(m: FiniteMetric) -> Optional[CutDecomposition]:
+    """The cut decomposition of ``m`` when its equality face has independent
+    columns and the exact simplex on the face finds one; else None.
+
+    Every decomposition uses only face cuts: a cut of positive weight must
+    keep each equality d(i, k) = d(i, j) + d(j, k), since the weighted sum
+    of the cuts' nonnegative slacks there is 0.  With independent face
+    columns, the decomposition is therefore unique if it exists, so any
+    exact method returns it entry for entry.  Independence is decided on
+    integers: more face cuts than pairs are dependent by counting, and
+    otherwise the Gram matrix A^T A of the face columns must take one
+    positive pivot per column in ``_eliminate``.  None means nothing about
+    membership: a dependent face or an infeasible face LP both leave the
+    decision to the rest of ``is_l1_embeddable``."""
+    n = m.size
+    face = _equality_face(m)
+    if len(face) > n * (n - 1) // 2:
+        return None
+    columns = _crossing_matrix(n)[:, face].astype(np.int64)
+    if len(_eliminate((columns.T @ columns).tolist()).pivots) < len(face):
+        return None
+    solver = _Phase1(m, columns=face.tolist())
+    objective, _ = solver.solve()
+    return solver.decomposition() if objective == 0 else None
+
+
 def is_l1_embeddable(
     m: FiniteMetric, max_points: int = 14
 ) -> Union[CutDecomposition, FarkasCertificate]:
@@ -548,11 +611,16 @@ def is_l1_embeddable(
     LP: the violating weighting omega of ``is_negative_type`` gives the pair
     functional omega_i omega_j, which sums to -(omega(S))^2 <= 0 over every
     cut S and to gamma(omega) > 0 against the metric (CUT_n is inside NEG_n).
-    Otherwise feasibility is only ever concluded from an exact simplex run;
-    from 12 points on, float column generation merely proposes a small
-    column set that the exact solver then confirms, falling back to the full
-    exact problem when the proposal does not pan out.  Metrics above
-    ``max_points`` or above 20 points are refused before anything is built.
+    Otherwise feasibility is only ever concluded from an exact simplex run.
+    From 12 points on, the equality face comes first: every decomposition
+    uses only cuts keeping each equality d(i, k) = d(i, j) + d(j, k), and
+    when those cuts are linearly independent (decided on integers) the
+    decomposition is unique, so the exact simplex on them returns the one
+    every exact method returns.  Otherwise float column generation merely
+    proposes a small column set that the exact solver then confirms,
+    falling back to the full exact problem when the proposal does not pan
+    out.  Metrics above ``max_points`` or above 20 points are refused before
+    anything is built.
     """
     n = m.size
     if n == 0:
@@ -577,6 +645,9 @@ def is_l1_embeddable(
             ),
         )
     if n >= 12:
+        unique = _unique_decomposition(m)
+        if unique is not None:
+            return unique
         support = _float_support(m)
         if support:
             solver = _Phase1(m, columns=support)

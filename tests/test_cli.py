@@ -467,6 +467,43 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_l1_on_the_k4_subdivision_and_check_paper_load_no_scipy(tmp_path, capsys):
+    # both decide their l1 questions on the equality face, without HiGHS
+    from thetagap import Vertex, dumps_points, loads_graph
+
+    k4, graph = tmp_path / "k4.json", tmp_path / "k4_k2.json"
+    assert main(["make", "complete", "-n", "4", "--out", str(k4)]) == 0
+    assert main(["subdivide", str(k4), "-k", "2", "--out", str(graph)]) == 0
+    capsys.readouterr()
+    vertices = loads_graph(graph.read_text()).vertices
+    assert len(vertices) == 16
+    points = tmp_path / "k4_k2.points.json"
+    points.write_text(dumps_points([Vertex(v) for v in vertices]))
+    calls = [
+        ["l1", str(graph), "--points", str(points), "--max-cuts-n", "16"],
+        ["check-paper"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from thetagap.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_l1_on_empty_points_exits_2(c4_file, tmp_path, capsys):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps({"points": []}))

@@ -13,7 +13,7 @@ from oracles import OraclePhase1, gray_cut_values, oracle_cut_cone_member
 from test_core import graphs_with_points
 from thetagap import l1cut
 from thetagap.analysis import is_negative_type
-from thetagap.core import FiniteMetric, Vertex, distance_matrix
+from thetagap.core import EdgePoint, FiniteMetric, Vertex, distance_matrix
 from thetagap.errors import InternalCheckError, PreconditionError
 from thetagap.families import (
     FamilySpec,
@@ -22,12 +22,15 @@ from thetagap.families import (
     make_random_connected,
     make_theta,
 )
+from thetagap.graphio import graph_from_dict
 from thetagap.l1cut import (
     Cut,
     CutDecomposition,
     FarkasCertificate,
+    _equality_face,
     _float_support,
     _Phase1,
+    _unique_decomposition,
     cut_metric,
     is_l1_embeddable,
     k4_explicit_decomposition,
@@ -519,7 +522,7 @@ def _assert_same_run(m, columns=None):
     result = ours.solve()
     assert result == oracle.solve()
     assert ours.basis == oracle.basis
-    assert [Fraction(x, ours.det * m.den) for x in ours.xs] == oracle.xb
+    assert [Fraction(x, d * m.den) for x, d in zip(ours.xs, ours.dens)] == oracle.xb
     assert (ours.pivots, ours.degenerate_pivots, ours.bland) == (
         oracle.pivots,
         oracle.degenerate_pivots,
@@ -559,6 +562,26 @@ def test_integer_simplex_matches_on_restricted_columns(m, data):
     _assert_same_run(m, columns=data.draw(st.lists(masks, min_size=1, max_size=12)))
 
 
+def test_pivots_leave_the_rows_the_entering_cut_misses(monkeypatch):
+    pivot = _Phase1._pivot
+    untouched = []
+
+    def checked(self, row, entering, direction, price):
+        before = [(self.adj[r], self.xs[r], self.dens[r]) for r in range(self.rows)]
+        pivot(self, row, entering, direction, price)
+        for r, d in enumerate(direction):
+            if r != row and d == 0:
+                assert self.adj[r] is before[r][0]
+                assert (self.xs[r], self.dens[r]) == before[r][1:]
+                untouched.append(r)
+
+    monkeypatch.setattr(_Phase1, "_pivot", checked)
+    g = make_random_connected(10, 14, seed=3)
+    solver = _Phase1(distance_matrix(g, [Vertex(v) for v in g.vertices[:10]]))
+    assert solver.solve()[0] == Fraction(17, 10)
+    assert untouched
+
+
 @pytest.mark.parametrize("streak_limit", [30, 2], ids=["steepest", "bland"])
 def test_k4_restricted_solve_matches_the_fraction_simplex(
     monkeypatch, k4_decomposition, streak_limit
@@ -566,3 +589,144 @@ def test_k4_restricted_solve_matches_the_fraction_simplex(
     monkeypatch.setattr(l1cut, "_DEGENERATE_STREAK_LIMIT", streak_limit)
     _, dec = k4_decomposition
     _assert_same_run(dec.metric, columns=K4_FLOAT_SUPPORT)
+
+
+# ---------------------------------------------------------------------------
+# the equality face: unique decompositions without a float proposal
+# ---------------------------------------------------------------------------
+
+
+def _vertex_metric(g, count=None):
+    return distance_matrix(g, [Vertex(v) for v in g.vertices[:count]])
+
+
+def _hidden_star(points_on_first_leg=()):
+    """Points at the leaves of a star whose centre is not a point, so the
+    split of any two leaves from the other two keeps every equality: the
+    three splits sum to the four leaf cuts, and the face is dependent."""
+    legs = 4
+    g = graph_from_dict(
+        {
+            "vertices": ["c"] + [f"l{i}" for i in range(1, legs + 1)],
+            "edges": [
+                {"id": f"e{i}", "ends": ["c", f"l{i}"], "length": str(i)}
+                for i in range(1, legs + 1)
+            ],
+        }
+    )
+    extra = [EdgePoint("e1", Fraction(t)) for t in points_on_first_leg]
+    return distance_matrix(g, extra + [Vertex(f"l{i}") for i in range(1, legs + 1)])
+
+
+RIGID = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: k4_explicit_decomposition()[1].metric,
+        lambda: _vertex_metric(from_spec(FamilySpec(tag="path", sizes=(12,)))),
+        lambda: _vertex_metric(make_random_cactus(8, seed=4), 13),
+    ],
+    ids=["k4_subdivision", "path12", "cactus13"],
+)
+
+
+@RIGID
+def test_unique_decomposition_equals_both_simplex_runs(make):
+    m = make()
+    restricted = _Phase1(m, columns=_float_support(m))
+    full = _Phase1(m)
+    assert restricted.solve()[0] == full.solve()[0] == 0
+    unique = _unique_decomposition(m)
+    assert unique.entries == restricted.decomposition().entries
+    assert unique.entries == full.decomposition().entries
+
+
+@RIGID
+def test_rigid_metrics_are_decided_without_a_float_proposal(monkeypatch, make):
+    m = make()
+    expected = _unique_decomposition(m)
+
+    def refuse(m):
+        raise AssertionError("a metric with a unique decomposition reached HiGHS")
+
+    monkeypatch.setattr(l1cut, "_float_support", refuse)
+    assert is_l1_embeddable(m, max_points=16) == expected
+
+
+@pytest.mark.parametrize(
+    "points_on_first_leg, face_size",
+    [((), 7), ((Fraction(1, 2),), 8)],
+    ids=["more_cuts_than_pairs", "dependent_gram_matrix"],
+)
+def test_dependent_face_falls_back(points_on_first_leg, face_size):
+    m = _hidden_star(points_on_first_leg)
+    assert len(_equality_face(m)) == face_size
+    assert (face_size > m.size * (m.size - 1) // 2) == (not points_on_first_leg)
+    assert _unique_decomposition(m) is None
+    assert isinstance(is_l1_embeddable(m), CutDecomposition)
+
+
+def test_dependent_face_at_twelve_points_takes_the_float_proposal(monkeypatch):
+    g = from_spec(FamilySpec(tag="complete_bipartite", sizes=(1, 12)))
+    m = distance_matrix(g, [Vertex(v) for v in g.vertices if v != g.vertices[0]])
+    assert m.size == 12
+    proposals = []
+    propose = l1cut._float_support
+    monkeypatch.setattr(l1cut, "_float_support", lambda m: proposals.append(m) or propose(m))
+    assert isinstance(is_l1_embeddable(m), CutDecomposition)
+    assert proposals == [m]
+
+
+def test_equality_face_past_int64_is_the_same_face():
+    m = _vertex_metric(make_random_cactus(8, seed=4), 13)
+    scale = 2**70
+    big = FiniteMetric.from_rows(m.labels, [[x * scale for x in row] for row in m.rows])
+    assert 2 * max(map(max, big.D)) >= l1cut._INT64_SAFE
+    assert _equality_face(big).tolist() == _equality_face(m).tolist()
+    assert _unique_decomposition(big).entries == tuple(
+        (cut, w * scale) for cut, w in _unique_decomposition(m).entries
+    )
+
+
+@st.composite
+def tree_metrics(draw, min_points=4, max_points=11):
+    """Distances between some vertices of a random tree with integer edge
+    lengths; a branching vertex left out of the points makes the face
+    dependent, as in ``_hidden_star``."""
+    size = draw(st.integers(min_value=min_points, max_value=max_points + 4))
+    up = [{0: 0}]  # up[v]: each ancestor of v (v included) and its distance
+    for v in range(1, size):
+        parent = draw(st.integers(min_value=0, max_value=v - 1))
+        length = draw(st.integers(min_value=1, max_value=5))
+        up.append({v: 0, **{a: d + length for a, d in up[parent].items()}})
+    points = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=size - 1),
+            min_size=min_points,
+            max_size=max_points,
+            unique=True,
+        )
+    )
+    rows = [
+        [min(up[u][a] + up[v][a] for a in up[u].keys() & up[v].keys()) for v in points]
+        for u in points
+    ]
+    return FiniteMetric.from_rows(tuple(f"t{v}" for v in points), rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.one_of(random_metrics(max_points=11), tree_metrics()))
+def test_equality_face_holds_every_decomposition(m):
+    full = _Phase1(m)
+    objective, _ = full.solve()
+    face = _equality_face(m)
+    unique = _unique_decomposition(m)
+    if objective != 0:
+        assert unique is None
+        return
+    dec = full.decomposition()
+    assert {cut.mask for cut, _ in dec.entries} <= set(face.tolist())
+    columns = l1cut._crossing_matrix(m.size)[:, face].astype(float)
+    independent = np.linalg.matrix_rank(columns) == len(face)
+    assert (unique is not None) == independent
+    if unique is not None:
+        assert unique.entries == dec.entries
