@@ -11,15 +11,16 @@ vector checked against every cut.
 Cheap exact certificates come first.  A metric that is not of negative type
 is refuted by the pair functional omega_i omega_j of its violating weighting
 (CUT_n is inside NEG_n), with no LP at all.  From 12 points on, the equality
-face is tried next: the cuts that keep every equality d(i, k) = d(i, j) +
-d(j, k) hold every decomposition, and when their columns are linearly
-independent (decided by integer elimination) the decomposition is unique,
-so the exact simplex on the face alone finds the one any exact method finds.
-Such metrics (l1-rigid ones, in Deza and Laurent's terms), a path or the
-2-subdivision of K4 among them, need no float step.  Otherwise float column
-generation over a bool crossing matrix proposes a small support for the
-exact simplex; the full exact problem is the last resort.  Floats only ever
-propose: every verdict is a certificate that passed its exact constructor.
+face comes next: the cuts that keep every equality d(i, k) = d(i, j) +
+d(j, k) hold every decomposition (Deza and Laurent, Geometry of Cuts and
+Metrics, 1997), so the exact simplex on the face alone decides membership,
+whether or not the face's columns are independent.  A face of at most one
+cut per pair is decided that way; only a larger one, such as the 2047 cuts
+of twelve star leaves, has float column generation over a bool crossing
+matrix propose a small support for the exact simplex instead.  A metric
+that is not l1 gets its separating vector from the full exact problem,
+which is also the last resort.  Floats only ever propose: every verdict is
+a certificate that passed its exact constructor.
 
 The exact simplex is fraction-free: each row of B^-1 is a sparse dict of
 integers over its own positive denominator, a row a pivot rewrites is the
@@ -36,7 +37,7 @@ ints.  Every "which pairs cross this cut" question goes through
 Metrics above 20 points, and separating vectors over more than 20 points,
 are refused before any cut is enumerated.  scipy's HiGHS is imported only
 when a float proposal is made, so only for a metric of 12 or more points
-whose equality face is dependent or admits no decomposition.
+whose equality face has more cuts than the metric has pairs.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import _eliminate, is_negative_type
+from .analysis import is_negative_type
 from .core import _INT64_SAFE, FiniteMetric, Vertex, distance_matrix, subdivide
 from .errors import InternalCheckError, PreconditionError
 from .families import _complete
@@ -122,8 +123,9 @@ def _crossing_matrix(n: int) -> np.ndarray:
     """Bool pairs x masks matrix: entry (k, mask) is true when pair k (in
     itertools.combinations order) crosses the cut of canonical mask
     0 <= mask < 2^(n-1) - 1.  The last one built is kept (read-only) for
-    the float proposal, the exact pricing and the certificate check of the
-    same metric; at 20 points it takes about 100 MB."""
+    the equality face, the float proposal, the exact pricing and the
+    certificate check of the same metric; at 20 points it takes about
+    100 MB."""
     masks = np.arange((1 << (n - 1)) - 1, dtype=np.int64)
     side = np.ones((n, len(masks)), dtype=bool)  # side[v]: v on point 0's side
     for t in range(n - 1):
@@ -576,32 +578,6 @@ def _equality_face(m: FiniteMetric) -> np.ndarray:
     return np.flatnonzero(_cut_scores(n, weights) == 0)
 
 
-def _unique_decomposition(m: FiniteMetric) -> Optional[CutDecomposition]:
-    """The cut decomposition of ``m`` when its equality face has independent
-    columns and the exact simplex on the face finds one; else None.
-
-    Every decomposition uses only face cuts: a cut of positive weight must
-    keep each equality d(i, k) = d(i, j) + d(j, k), since the weighted sum
-    of the cuts' nonnegative slacks there is 0.  With independent face
-    columns, the decomposition is therefore unique if it exists, so any
-    exact method returns it entry for entry.  Independence is decided on
-    integers: more face cuts than pairs are dependent by counting, and
-    otherwise the Gram matrix A^T A of the face columns must take one
-    positive pivot per column in ``_eliminate``.  None means nothing about
-    membership: a dependent face or an infeasible face LP both leave the
-    decision to the rest of ``is_l1_embeddable``."""
-    n = m.size
-    face = _equality_face(m)
-    if len(face) > n * (n - 1) // 2:
-        return None
-    columns = _crossing_matrix(n)[:, face].astype(np.int64)
-    if len(_eliminate((columns.T @ columns).tolist()).pivots) < len(face):
-        return None
-    solver = _Phase1(m, columns=face.tolist())
-    objective, _ = solver.solve()
-    return solver.decomposition() if objective == 0 else None
-
-
 def is_l1_embeddable(
     m: FiniteMetric, max_points: int = 14
 ) -> Union[CutDecomposition, FarkasCertificate]:
@@ -612,15 +588,18 @@ def is_l1_embeddable(
     functional omega_i omega_j, which sums to -(omega(S))^2 <= 0 over every
     cut S and to gamma(omega) > 0 against the metric (CUT_n is inside NEG_n).
     Otherwise feasibility is only ever concluded from an exact simplex run.
-    From 12 points on, the equality face comes first: every decomposition
-    uses only cuts keeping each equality d(i, k) = d(i, j) + d(j, k), and
-    when those cuts are linearly independent (decided on integers) the
-    decomposition is unique, so the exact simplex on them returns the one
-    every exact method returns.  Otherwise float column generation merely
-    proposes a small column set that the exact solver then confirms,
-    falling back to the full exact problem when the proposal does not pan
-    out.  Metrics above ``max_points`` or above 20 points are refused before
-    anything is built.
+    From 12 points on, the equality face comes first: a cut of positive
+    weight must keep each equality d(i, k) = d(i, j) + d(j, k), since the
+    weighted sum of the cuts' nonnegative slacks there is 0, so every
+    decomposition uses only face cuts.  When the face has no more cuts than
+    the metric has pairs, the exact simplex on it decides: objective 0
+    returns its decomposition (the only one when the metric is l1-rigid),
+    and a positive objective proves the metric is not l1.  A larger face
+    has float column generation merely propose a small column set that the
+    exact solver then confirms.  The full exact problem gives the separating
+    vector, and is the fallback when a proposal does not pan out.  Metrics
+    above ``max_points`` or above 20 points are refused before anything is
+    built.
     """
     n = m.size
     if n == 0:
@@ -645,12 +624,13 @@ def is_l1_embeddable(
             ),
         )
     if n >= 12:
-        unique = _unique_decomposition(m)
-        if unique is not None:
-            return unique
-        support = _float_support(m)
-        if support:
-            solver = _Phase1(m, columns=support)
+        face = _equality_face(m)
+        # the face LP prices its columns one by one in Python, cheap up to
+        # one cut per pair; a larger face, such as the 2047 cuts of 12 star
+        # leaves, is left to the float proposal, which prices in numpy
+        columns = face.tolist() if len(face) <= n * (n - 1) // 2 else _float_support(m)
+        if columns:
+            solver = _Phase1(m, columns=columns)
             objective, _ = solver.solve()
             if objective == 0:
                 return solver.decomposition()

@@ -6,21 +6,20 @@ from the biconnected block structure (a block contains a theta exactly when
 its cycle rank is at least 2; self-loops never contribute).  The shortest
 theta through a given branch pair is a minimum-cost flow of value 3 in the
 vertex-split digraph of their common block, solved by successive shortest
-paths.  The flow runs on integer costs: the block's edge lengths times the
-least common multiple of their denominators, an exact rescaling.  Each block
-is walked once into chains of degree-2 vertices between branch candidates.
-Three distinct chains leave each branch vertex of a theta, so the three
-cheapest first chains, each followed by a shortest route to the other
-branch vertex, bound every theta through a pair from below.  Pairs are
-visited in order of that bound, and the search stops once it exceeds the
-best total found.
+paths.  The flow runs on integer costs: the edge lengths in units of
+1 / g._scale, the one integer length per edge that the bound search also
+uses, an exact rescaling.  Each block is walked once into chains of
+degree-2 vertices between branch candidates.  Three distinct chains leave
+each branch vertex of a theta, so the three cheapest first chains, each
+followed by a shortest route to the other branch vertex, bound every theta
+through a pair from below.  Pairs are visited in order of that bound, and
+the search stops once it exceeds the best total found.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -316,16 +315,16 @@ class _FlowNet:
     order never change, so each pair gets the walks a net built for it
     alone would give.
 
-    Arc costs are the edge lengths times the least common multiple of the
-    block's length denominators, so they are Python ints.  Scaling every cost
-    by one positive constant keeps every comparison and tie of the search,
-    so the same walks come out as with the rational lengths.
+    Arc costs are ``units``, the block's edge lengths in 1 / g._scale, so
+    they are Python ints.  Scaling every cost by one positive constant keeps
+    every comparison and tie of the search, so the same walks come out as
+    with the rational lengths.
     """
 
-    def __init__(self, g: MetricGraph, block_edges: Sequence[str]):
+    def __init__(self, g: MetricGraph, units: Mapping[str, int]):
         self.nodes: list[tuple[str, str]] = []
         self.index: dict[tuple[str, str], int] = {}
-        verts = sorted({end for eid in block_edges for end in g.edge(eid).ends})
+        verts = sorted({end for eid in units for end in g.edge(eid).ends})
         for w in verts:
             for side in ("in", "out"):
                 self.index[(side, w)] = len(self.nodes)
@@ -340,15 +339,12 @@ class _FlowNet:
         for w in verts:
             self.split[w] = len(self.arc_to)
             self._add(("in", w), ("out", w), 1, 0, None)
-        scale = math.lcm(*(g.edge(eid).length.denominator for eid in block_edges))
-        for eid in sorted(block_edges):
-            e = g.edge(eid)
-            a, b = e.ends
+        for eid in sorted(units):
+            a, b = g.edge(eid).ends
             if a == b:
                 continue
-            cost = e.length.numerator * (scale // e.length.denominator)
-            self._add(("out", a), ("in", b), 1, cost, (eid, True))
-            self._add(("out", b), ("in", a), 1, cost, (eid, False))
+            self._add(("out", a), ("in", b), 1, units[eid], (eid, True))
+            self._add(("out", b), ("in", a), 1, units[eid], (eid, False))
         self.source = self.sink = -1
 
     def three_paths(self, u: str, v: str) -> Optional[list[list[tuple[str, bool]]]]:
@@ -501,7 +497,7 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
         for bound, u, v in _pair_bounds(g, block, verts, units):
             if best_key is not None and bound > best_key[0]:
                 break
-            net = net or _FlowNet(g, block)
+            net = net or _FlowNet(g, units)
             walks = net.three_paths(u, v)
             if walks is None:
                 continue

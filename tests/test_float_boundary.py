@@ -1,0 +1,59 @@
+"""Where floating point may enter the package.
+
+Floats only propose; every verdict is an exact certificate.  The two float
+entry points are ``l1cut._float_support`` (scipy's HiGHS proposes a cut
+support) and ``analysis._mu_ladder`` (``numpy.linalg`` proposes the first mu
+rung).  A scipy import or a ``numpy.linalg`` use anywhere else in the
+package would be a new float path into a decision, so it fails here.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thetagap"
+
+
+def _uses(path):
+    """(qualified name of the innermost enclosing def or class, or None at
+    module level, kind) for each scipy import and numpy.linalg use."""
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope is None else f"{scope}.{node.name}"
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "scipy":
+                    yield scope, "scipy"
+                if alias.name.startswith("numpy.linalg"):
+                    yield scope, "numpy.linalg"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[0] == "scipy":
+                yield scope, "scipy"
+            if module.startswith("numpy.linalg") or (
+                module == "numpy" and any(a.name == "linalg" for a in node.names)
+            ):
+                yield scope, "numpy.linalg"
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            yield scope, "numpy.linalg"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), None)
+
+
+def _found(kind):
+    return {
+        (path.stem, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, what in _uses(path)
+        if what == kind
+    }
+
+
+def test_scipy_is_imported_only_by_the_float_proposal():
+    assert _found("scipy") == {("l1cut", "_float_support")}
+
+
+def test_numpy_linalg_is_used_only_by_the_mu_ladder():
+    assert _found("numpy.linalg") == {("analysis", "_mu_ladder")}

@@ -30,7 +30,6 @@ from thetagap.l1cut import (
     _equality_face,
     _float_support,
     _Phase1,
-    _unique_decomposition,
     cut_metric,
     is_l1_embeddable,
     k4_explicit_decomposition,
@@ -592,12 +591,23 @@ def test_k4_restricted_solve_matches_the_fraction_simplex(
 
 
 # ---------------------------------------------------------------------------
-# the equality face: unique decompositions without a float proposal
+# the equality face: decided without a float proposal
 # ---------------------------------------------------------------------------
 
 
 def _vertex_metric(g, count=None):
     return distance_matrix(g, [Vertex(v) for v in g.vertices[:count]])
+
+
+def _face_lp(m):
+    """The exact simplex on the equality face of ``m``, run to optimality."""
+    solver = _Phase1(m, columns=_equality_face(m).tolist())
+    solver.solve()
+    return solver
+
+
+def _refuse_float_support(m):
+    raise AssertionError("a face of at most one cut per pair reached HiGHS")
 
 
 def _hidden_star(points_on_first_leg=()):
@@ -635,20 +645,17 @@ def test_unique_decomposition_equals_both_simplex_runs(make):
     restricted = _Phase1(m, columns=_float_support(m))
     full = _Phase1(m)
     assert restricted.solve()[0] == full.solve()[0] == 0
-    unique = _unique_decomposition(m)
-    assert unique.entries == restricted.decomposition().entries
-    assert unique.entries == full.decomposition().entries
+    face = _face_lp(m)
+    assert face.objective() == 0
+    assert face.decomposition().entries == restricted.decomposition().entries
+    assert face.decomposition().entries == full.decomposition().entries
 
 
 @RIGID
 def test_rigid_metrics_are_decided_without_a_float_proposal(monkeypatch, make):
     m = make()
-    expected = _unique_decomposition(m)
-
-    def refuse(m):
-        raise AssertionError("a metric with a unique decomposition reached HiGHS")
-
-    monkeypatch.setattr(l1cut, "_float_support", refuse)
+    expected = _face_lp(m).decomposition()
+    monkeypatch.setattr(l1cut, "_float_support", _refuse_float_support)
     assert is_l1_embeddable(m, max_points=16) == expected
 
 
@@ -658,10 +665,14 @@ def test_rigid_metrics_are_decided_without_a_float_proposal(monkeypatch, make):
     ids=["more_cuts_than_pairs", "dependent_gram_matrix"],
 )
 def test_dependent_face_falls_back(points_on_first_leg, face_size):
+    # a dependent face still holds every decomposition, so its exact simplex
+    # finds one; which one may differ from the full LP's
     m = _hidden_star(points_on_first_leg)
     assert len(_equality_face(m)) == face_size
     assert (face_size > m.size * (m.size - 1) // 2) == (not points_on_first_leg)
-    assert _unique_decomposition(m) is None
+    face = _face_lp(m)
+    assert face.objective() == 0
+    assert isinstance(face.decomposition(), CutDecomposition)
     assert isinstance(is_l1_embeddable(m), CutDecomposition)
 
 
@@ -676,14 +687,47 @@ def test_dependent_face_at_twelve_points_takes_the_float_proposal(monkeypatch):
     assert proposals == [m]
 
 
+def test_dependent_face_of_at_most_one_cut_per_pair_is_decided_on_the_face(monkeypatch):
+    g = make_random_cactus(7, seed=29)
+    degree = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        for end in e.ends:
+            degree[end] += 1
+    m = distance_matrix(g, [Vertex(v) for v in g.vertices if degree[v] < 3])
+    face = _equality_face(m)
+    assert (m.size, len(face)) == (12, 29)
+    columns = l1cut._crossing_matrix(m.size)[:, face].astype(float)
+    assert np.linalg.matrix_rank(columns) < len(face)
+    monkeypatch.setattr(l1cut, "_float_support", _refuse_float_support)
+    assert isinstance(is_l1_embeddable(m), CutDecomposition)
+
+
+def test_infeasible_face_is_refuted_by_the_full_lp_alone(monkeypatch):
+    g = make_random_connected(12, 15, seed=19)
+    unit = graph_from_dict(
+        {
+            "vertices": list(g.vertices),
+            "edges": [{"id": e.id, "ends": list(e.ends), "length": "1"} for e in g.edges],
+        }
+    )
+    m = _vertex_metric(unit)
+    assert m.size == 12 and is_negative_type(m).verdict
+    assert len(_equality_face(m)) == 9
+    assert _face_lp(m).objective() > 0
+    objective, dual = _Phase1(m).solve()
+    assert objective > 0
+    monkeypatch.setattr(l1cut, "_float_support", _refuse_float_support)
+    assert is_l1_embeddable(m) == FarkasCertificate(metric=m, pair_values=tuple(dual))
+
+
 def test_equality_face_past_int64_is_the_same_face():
     m = _vertex_metric(make_random_cactus(8, seed=4), 13)
     scale = 2**70
     big = FiniteMetric.from_rows(m.labels, [[x * scale for x in row] for row in m.rows])
     assert 2 * max(map(max, big.D)) >= l1cut._INT64_SAFE
     assert _equality_face(big).tolist() == _equality_face(m).tolist()
-    assert _unique_decomposition(big).entries == tuple(
-        (cut, w * scale) for cut, w in _unique_decomposition(m).entries
+    assert _face_lp(big).decomposition().entries == tuple(
+        (cut, w * scale) for cut, w in _face_lp(m).decomposition().entries
     )
 
 
@@ -719,14 +763,14 @@ def test_equality_face_holds_every_decomposition(m):
     full = _Phase1(m)
     objective, _ = full.solve()
     face = _equality_face(m)
-    unique = _unique_decomposition(m)
+    face_lp = _face_lp(m)
+    # the face decides membership whether or not its columns are independent
+    assert (face_lp.objective() == 0) == (objective == 0)
     if objective != 0:
-        assert unique is None
         return
     dec = full.decomposition()
     assert {cut.mask for cut, _ in dec.entries} <= set(face.tolist())
+    face_dec = face_lp.decomposition()  # checked exactly by its constructor
     columns = l1cut._crossing_matrix(m.size)[:, face].astype(float)
-    independent = np.linalg.matrix_rank(columns) == len(face)
-    assert (unique is not None) == independent
-    if unique is not None:
-        assert unique.entries == dec.entries
+    if np.linalg.matrix_rank(columns) == len(face):
+        assert face_dec.entries == dec.entries

@@ -198,7 +198,7 @@ def _branch_pair_count(g) -> int:
 def _assert_block_net_matches_pair_nets(g):
     # one net per block, solved for every pair in both directions in turn
     for block, pairs in branch_pairs(g):
-        net = theta_module._FlowNet(g, block)
+        net = theta_module._FlowNet(g, {eid: int(g.edge(eid).length * g._scale) for eid in block})
         for u, v in pairs + [(v, u) for u, v in reversed(pairs)]:
             want = OraclePairNet(g, block, u, v).min_cost_three_paths()
             assert net.three_paths(u, v) == want
