@@ -109,6 +109,35 @@ class MetricGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        if not self._valid_in_bulk():
+            self._check_items()
+        self._check_connected()
+
+    def _valid_in_bulk(self) -> bool:
+        """Whether ids, endpoints and lengths are valid, tested on whole
+        collections at once.  False when any test fails or cannot run;
+        ``_check_items`` then names the first fault."""
+        try:
+            vertex_set = set(self.vertices)
+            edge_ids = {e.id for e in self.edges}
+            ends = {end for e in self.edges for end in e.ends}
+            lengths = [e.length for e in self.edges]
+        except (TypeError, AttributeError):  # an unhashable id or a non-edge
+            return False
+        return (
+            0 < len(vertex_set) == len(self.vertices)
+            and len(edge_ids) == len(self.edges)
+            and set(map(type, vertex_set | edge_ids)) <= {str}
+            and "" not in vertex_set
+            and "" not in edge_ids
+            and ends <= vertex_set
+            and set(map(type, lengths)) <= {Fraction}
+            and min((x.numerator for x in lengths), default=1) > 0
+        )
+
+    def _check_items(self) -> None:
+        """The item-by-item checks, raising ``InvalidGraphError`` at the
+        first bad vertex or edge."""
         seen_v: set[str] = set()
         for v in self.vertices:
             if not isinstance(v, str) or not v:
@@ -130,7 +159,6 @@ class MetricGraph:
                     raise InvalidGraphError(f"edge {e.id} has unknown endpoint {end!r}")
             if not isinstance(e.length, Fraction) or e.length <= 0:
                 raise InvalidGraphError(f"edge {e.id} needs a positive rational length")
-        self._check_connected()
 
     @classmethod
     def _unchecked(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> "MetricGraph":

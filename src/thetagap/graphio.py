@@ -7,6 +7,7 @@ that files round-trip without any precision loss.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Any, Sequence
 
 from .core import (
@@ -31,6 +32,9 @@ def graph_to_dict(g: MetricGraph) -> dict[str, Any]:
     }
 
 
+_EDGE_KEYS = {"id", "ends", "length"}
+
+
 def graph_from_dict(doc: Any) -> MetricGraph:
     if not isinstance(doc, dict) or set(doc) != {"vertices", "edges"}:
         raise InvalidGraphError("graph document needs exactly 'vertices' and 'edges'")
@@ -41,15 +45,19 @@ def graph_from_dict(doc: Any) -> MetricGraph:
     if not isinstance(edges, list):
         raise InvalidGraphError("'edges' must be a list")
     recs = []
+    parsed: dict[str, Fraction] = {}  # each distinct length literal is parsed once
     for item in edges:
-        if not isinstance(item, dict) or set(item) != {"id", "ends", "length"}:
+        if not isinstance(item, dict) or item.keys() != _EDGE_KEYS:
             raise InvalidGraphError(f"bad edge entry: {item!r}")
         ends = item["ends"]
         if not isinstance(ends, list) or len(ends) != 2:
             raise InvalidGraphError(f"edge {item.get('id')!r} needs two endpoints")
-        recs.append(
-            Edge(id=item["id"], ends=(ends[0], ends[1]), length=as_rational(item["length"]))
-        )
+        literal = item["length"]
+        if type(literal) is not str:
+            length = as_rational(literal)
+        elif (length := parsed.get(literal)) is None:
+            length = parsed[literal] = as_rational(literal)
+        recs.append(Edge(id=item["id"], ends=(ends[0], ends[1]), length=length))
     return MetricGraph(vertices=tuple(vertices), edges=tuple(recs))
 
 

@@ -11,13 +11,16 @@ paths.  The flow runs on integer costs: the edge lengths in units of
 uses, an exact rescaling.  Each block is walked once into chains of
 degree-2 vertices between branch candidates.  Three distinct chains leave
 each branch vertex of a theta, so the three cheapest first chains, each
-followed by a shortest route to the other branch vertex, bound every theta
-through a pair from below.  Pairs are visited in order of that bound, and
-the search stops once it exceeds the best total found.
+followed by a shortest route to the other branch vertex, bound the sorted
+path lengths of every theta through a pair from below, term by term.  The
+bounds on the total, the shortest and the middle path, then the pair,
+bound the key the search minimizes.  Pairs are visited in order of that
+bound, and the search stops at the first bound above the best key found.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import random
@@ -26,7 +29,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .core import (
+    _INT64_SAFE,
     EdgePoint,
     MetricGraph,
     Point,
@@ -161,14 +167,19 @@ def theta_point_to_point(g: MetricGraph, t: Theta, p: ThetaPoint) -> Point:
         return Vertex(t.u)
     if cp.kind == "v":
         return Vertex(t.v)
-    path = t.paths[cp.path - 1]
-    for i, (eid, forward) in enumerate(path.edges):
-        lo, hi = path.arcs[i], path.arcs[i + 1]
-        if lo <= cp.arc <= hi:
-            e = g.edge(eid)
-            off = cp.arc - lo if forward else e.length - (cp.arc - lo)
-            return canonical_point(g, EdgePoint(eid, off))
-    raise InternalCheckError("theta arc fell outside its path")
+    return _point_on_path(g, t.paths[cp.path - 1], cp.arc)
+
+
+def _point_on_path(g: MetricGraph, path: ThetaPath, arc: Fraction) -> Point:
+    """The canonical point ``arc`` along ``path``, for 0 < arc <= its length.
+
+    The arcs strictly increase, so bisection finds the first edge i with
+    arcs[i] <= arc <= arcs[i + 1]: an arc at an inner vertex lands at the
+    far end of the edge before it."""
+    i = bisect.bisect_left(path.arcs, arc) - 1
+    eid, forward = path.edges[i]
+    local = arc - path.arcs[i]
+    return canonical_point(g, EdgePoint(eid, local if forward else g.edge(eid).length - local))
 
 
 def theta_distance(t: Theta, a: ThetaPoint, b: ThetaPoint) -> Fraction:
@@ -431,9 +442,11 @@ class _FlowNet:
 
 def _pair_bounds(
     g: MetricGraph, block: Sequence[str], verts: set[str], units: Mapping[str, int]
-) -> list[tuple[int, str, str]]:
-    """(B(u, v), u, v) for every candidate pair u < v of a block of cycle
-    rank 2 or more, sorted; ``units`` and B are lengths in 1 / g._scale.
+) -> list[tuple[int, int, int, str, str]]:
+    """(B, S, M, u, v) for every candidate pair u < v of a block of cycle
+    rank 2 or more, sorted; ``units``, B, S and M are lengths in
+    1 / g._scale.  The tuple is a lexicographic lower bound on the pair's
+    key (total, shortest, middle, u, v) in ``minimal_theta``.
 
     The block is walked once into chains (``_degree_two_chains``).  Every
     vertex of such a block has block degree 2 or more, so the chains' stops
@@ -441,29 +454,63 @@ def _pair_bounds(
     route between two vertices of a block stays inside it and runs whole
     chains, so Dijkstra on the chain graph gives the graph distances d of
     the candidates.  A theta path leaves its branch vertex u by its own
-    block edge and runs that edge's whole chain, so a theta through u and v
-    is at least as long as the three smallest L(chain) + d(chain end, v)
-    over the chains at u, summed; B(u, v) is the larger of that sum and the
-    one at v.  No chain of a block returns to its own start, which would
-    then be a cut vertex.
+    block edge and runs that edge's whole chain, so the three path lengths
+    of a theta through u and v, sorted, are at least c1 <= c2 <= c3 term by
+    term, the three smallest L(chain) + d(chain end, v) over the chains at
+    u; the same holds at v.  B is the larger sum c1 + c2 + c3 of the two
+    ends, S the larger c1 and M the larger c2.  No chain of a block returns
+    to its own start, which would then be a cut vertex.
+
+    The bounds of all pairs are formed at once on k x k integer arrays: in
+    int64 while 8 times the block's total length stays below
+    ``_INT64_SAFE`` (every L + d is at most twice that total), and as
+    Python ints in an object array beyond it, by the same operations.
     """
     candidates, chains = _degree_two_chains(g, verts, block)
-    at: dict[str, list[tuple[str, int]]] = {c: [] for c in candidates}
+    index = {c: i for i, c in enumerate(candidates)}
+    ends: list[list[int]] = [[] for _ in candidates]
+    lengths: list[list[int]] = [[] for _ in candidates]
     adj: dict[str, dict[str, int]] = {c: {} for c in candidates}
+    total = 0
     for a, b, walk in chains:
         length = sum(units[eid] for eid, _ in walk)
-        at[a].append((b, length))
-        at[b].append((a, length))
+        total += length
+        for x, y in ((a, b), (b, a)):
+            ends[index[x]].append(index[y])
+            lengths[index[x]].append(length)
         if b not in adj[a] or length < adj[a][b]:
             adj[a][b] = adj[b][a] = length
-    dist = {c: _scaled_distances(adj, c) for c in candidates}
-
-    def three_cheapest(u: str, v: str) -> int:
-        return sum(sorted(length + dist[w][v] for w, length in at[u])[:3])
-
-    return sorted(
-        (max(three_cheapest(u, v), three_cheapest(v, u)), u, v)
-        for u, v in itertools.combinations(candidates, 2)
+    dtype = np.int64 if 8 * total < _INT64_SAFE else object
+    dist = np.array(
+        [[row[c] for c in candidates] for row in (_scaled_distances(adj, c) for c in candidates)],
+        dtype=dtype,
+    )
+    # cheap[i, r, j]: the (r + 1)-th smallest L + d(chain end, candidate j)
+    # over the chains at candidate i; each candidate has three chains or more
+    cheap = np.stack(
+        [
+            np.sort(np.array(lengths[i], dtype=dtype)[:, None] + dist[ends[i]], axis=0)[:3]
+            for i in range(len(candidates))
+        ]
+    )
+    first, second = cheap[:, 0], cheap[:, 1]
+    three = first + second + cheap[:, 2]
+    iu, iv = np.triu_indices(len(candidates), 1)
+    B = np.maximum(three, three.T)[iu, iv]
+    S = np.maximum(first, first.T)[iu, iv]
+    M = np.maximum(second, second.T)[iu, iv]
+    # triu_indices lists the pairs in (u, v) order and lexsort is stable,
+    # so pairs that tie on (B, S, M) stay in (u, v) order
+    order = np.lexsort((M, S, B))
+    names = np.array(candidates, dtype=object)
+    return list(
+        zip(
+            B[order].tolist(),
+            S[order].tolist(),
+            M[order].tolist(),
+            names[iu[order]].tolist(),
+            names[iv[order]].tolist(),
+        )
     )
 
 
@@ -472,15 +519,16 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
 
     Every pair of block vertices of degree at least 3 is a candidate branch
     pair, solved as a min-cost flow on integer-scaled costs in one net per
-    block (see ``_FlowNet``).  Pairs are visited in order of their lower
-    bound B(u, v), the larger over the two branch vertices of their three
-    cheapest first chains, each followed by a shortest route to the other
-    branch vertex (see ``_pair_bounds``).  The search stops once B exceeds
-    the best total; the strict comparison lets pairs that could tie reach
-    the tie-break.  A solved pair's key (total, shortest, middle, u, v), on
-    integer lengths, orders it as ``Theta._sort_key`` does, since no two
-    pairs share (u, v); only a key below the best one is assembled into a
-    ``Theta``.
+    block (see ``_FlowNet``).  A solved pair's key (total, shortest, middle,
+    u, v), on integer lengths, orders it as ``Theta._sort_key`` does, since
+    no two pairs share (u, v).  Pairs are visited in order of their lower
+    bound (B, S, M, u, v) on that key, from the three cheapest first chains
+    at each branch vertex, each followed by a shortest route to the other
+    branch vertex (see ``_pair_bounds``).  The search stops at the first
+    bound above the best key, since every later pair's key is at least its
+    bound; so of pairs that tie on the total, only those whose bound can
+    still beat the best (shortest, middle, u, v) are solved.  Only a key
+    below the best one is assembled into a ``Theta``.
     """
     best: Optional[Theta] = None
     best_key: Optional[tuple[int, int, int, str, str]] = None
@@ -494,9 +542,10 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
             length = g.edge(eid).length
             units[eid] = length.numerator * (scale // length.denominator)
         net: Optional[_FlowNet] = None
-        for bound, u, v in _pair_bounds(g, block, verts, units):
-            if best_key is not None and bound > best_key[0]:
+        for bound in _pair_bounds(g, block, verts, units):
+            if best_key is not None and bound > best_key:
                 break
+            u, v = bound[3:]
             net = net or _FlowNet(g, units)
             walks = net.three_paths(u, v)
             if walks is None:

@@ -32,7 +32,10 @@ from .core import (
 from .errors import InternalCheckError, PreconditionError
 from .theta import (
     Theta,
+    ThetaPath,
     ThetaPoint,
+    _make_path,
+    _point_on_path,
     canonical_theta_point,
     minimal_theta,
     theta_point_to_point,
@@ -354,29 +357,27 @@ def round_to_vertices(g: MetricGraph, points: Sequence[Point]) -> list[str]:
     return [p.vertex if isinstance(p, Vertex) else rounded[p] for p in canon]
 
 
-def _suppress_degree_two(
-    g: MetricGraph,
-) -> tuple[MetricGraph, dict[str, tuple[tuple[str, bool], ...]]]:
+def _suppress_degree_two(g: MetricGraph) -> tuple[MetricGraph, dict[str, ThetaPath]]:
     """Contract chains of degree-2 vertices into single long edges.
 
-    Returns the contracted graph plus, for every new edge, the chain of
-    original edges it replaces (with traversal directions).
+    Returns the contracted graph plus, for every new edge, the path of
+    original edges it replaces, from its first end (with traversal
+    directions and arc positions).
     """
     essential, walks = _degree_two_chains(g, g.vertices, (e.id for e in g.edges))
-    chains: dict[str, tuple[tuple[str, bool], ...]] = {}
+    chains: dict[str, ThetaPath] = {}
     new_edges: list[Edge] = []
     for counter, (start, end, walk) in enumerate(walks, 1):
         new_id = f"seg{counter}"
-        chains[new_id] = walk
-        total = sum((g.edge(eid).length for eid, _ in walk), Fraction(0))
-        new_edges.append(Edge(id=new_id, ends=(start, end), length=total))
+        chains[new_id] = path = _make_path(g, start, walk)
+        new_edges.append(Edge(id=new_id, ends=(start, end), length=path.length))
     contracted = MetricGraph(vertices=tuple(essential), edges=tuple(new_edges))
     return contracted, chains
 
 
 def _chain_point(
     g: MetricGraph,
-    chains: dict[str, tuple[tuple[str, bool], ...]],
+    chains: dict[str, ThetaPath],
     contracted: MetricGraph,
     p: Point,
 ) -> Point:
@@ -384,15 +385,7 @@ def _chain_point(
     cp = canonical_point(contracted, p)
     if isinstance(cp, Vertex):
         return canonical_point(g, Vertex(cp.vertex))
-    run = Fraction(0)
-    for eid, forward in chains[cp.edge]:
-        e = g.edge(eid)
-        if run <= cp.offset <= run + e.length:
-            local = cp.offset - run
-            off = local if forward else e.length - local
-            return canonical_point(g, EdgePoint(eid, off))
-        run += e.length
-    raise InternalCheckError("offset escaped its chain")
+    return _point_on_path(g, chains[cp.edge], cp.offset)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ elimination updating both triangles instead of the lower one, one ascent
 per start scored over ``Weighting``s instead of the lockstep search scored
 on integers, a Gray-code walk on Python ints instead of the limb-split int64
 crossing sums, and a phase-1 simplex over ``Fraction``s priced by that walk
-instead of the fraction-free one, and a flow for every vertex pair of a
-block instead of the pruned branch-pair search.  All arithmetic outside the
+instead of the fraction-free one, a flow for every branch pair of a block
+instead of the pruned branch-pair search, and a scan along a path's edges
+instead of bisection on its arcs.  All arithmetic outside the
 float ascent is exact.
 """
 
@@ -25,10 +26,17 @@ import numpy as np
 
 from thetagap import l1cut
 from thetagap.analysis import _SNAP_DENOMINATORS, PSDTranscript, Weighting, gamma
-from thetagap.core import EdgePoint, FiniteMetric, MetricGraph, Point, Vertex
+from thetagap.core import EdgePoint, FiniteMetric, MetricGraph, Point, Vertex, canonical_point
 from thetagap.errors import InternalCheckError, PreconditionError
 from thetagap.l1cut import Cut, CutDecomposition, _crossing
-from thetagap.theta import Theta, _FlowNet, _assemble_theta, _biconnected_blocks, _block_stats
+from thetagap.theta import (
+    Theta,
+    ThetaPath,
+    _FlowNet,
+    _assemble_theta,
+    _biconnected_blocks,
+    _block_stats,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +629,17 @@ class OraclePairNet(_FlowNet):
         self.sink = self.index[("in", v)]
 
 
+def oracle_point_on_path(g: MetricGraph, path: ThetaPath, arc: Fraction) -> Point:
+    """The canonical point ``arc`` along ``path``: the first edge whose arc
+    interval holds it, found by a scan."""
+    for i, (eid, forward) in enumerate(path.edges):
+        lo, hi = path.arcs[i], path.arcs[i + 1]
+        if lo <= arc <= hi:
+            off = arc - lo if forward else g.edge(eid).length - (arc - lo)
+            return canonical_point(g, EdgePoint(eid, off))
+    raise InternalCheckError("arc fell outside its path")
+
+
 def branch_pairs(g: MetricGraph):
     """Each block of cycle rank >= 2, with the pairs of its vertices of
     degree at least 3 in the block."""
@@ -636,16 +655,13 @@ def branch_pairs(g: MetricGraph):
 
 
 def oracle_minimal_theta(g: MetricGraph) -> Optional[Theta]:
-    """The least ``Theta._sort_key`` over every pair of vertices of every
-    block of cycle rank >= 2, each solved on its own ``OraclePairNet``, with
-    no bound and no pruning.  A pair with a vertex of block degree 2 finds
-    no three paths."""
+    """The least ``Theta._sort_key`` over every branch pair of every block
+    of cycle rank >= 2, each solved on its own ``OraclePairNet``, with no
+    bound and no pruning.  A pair with a vertex of block degree 2 would find
+    no three paths, so only pairs of ``branch_pairs`` are solved."""
     best: Optional[Theta] = None
-    for block in _biconnected_blocks(g):
-        verts, rank = _block_stats(g, block)
-        if rank < 2:
-            continue
-        for u, v in itertools.combinations(sorted(verts), 2):
+    for block, pairs in branch_pairs(g):
+        for u, v in pairs:
             walks = OraclePairNet(g, block, u, v).min_cost_three_paths()
             if walks is None:
                 continue

@@ -12,6 +12,7 @@ from oracles import oracle_distance, oracle_distance_matrix, oracle_metric_viola
 from thetagap import core
 from thetagap.core import (
     _RATIONAL_RE,
+    Edge,
     EdgePoint,
     FiniteMetric,
     MetricGraph,
@@ -191,6 +192,50 @@ def test_nonpositive_length_rejected():
 def test_unknown_endpoint_rejected():
     with pytest.raises(InvalidGraphError):
         build_graph(["a"], [("e", "a", "z", 1)])
+
+
+_ONE = Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (("a", "b", "a"), (), "duplicate vertex id: 'a'"),
+        (("a", ""), (), "bad vertex id: ''"),
+        (("a", ["b"]), (), "bad vertex id: ['b']"),
+        ((), (), "graph needs at least one vertex"),
+        (
+            ("a", "b"),
+            (Edge("e", ("a", "b"), _ONE), Edge("e", ("a", "c"), _ONE)),
+            "duplicate edge id: 'e'",
+        ),
+        (
+            ("a", "b"),
+            (Edge("e", ("a", "c"), _ONE), Edge("", ("a", "b"), _ONE)),
+            "edge e has unknown endpoint 'c'",
+        ),
+        (("a", "b"), (Edge(["e"], ("a", "b"), _ONE),), "bad edge id: ['e']"),
+        (("a", "b"), (Edge("e", ("a", ["b"]), _ONE),), "edge e has unknown endpoint ['b']"),
+        (("a", "b"), (Edge("e", ("a", "b"), 1),), "edge e needs a positive rational length"),
+        (
+            ("a", "b"),
+            (Edge("e", ("a", "b"), _ONE), Edge("f", ("b", "a"), Fraction(-1, 2))),
+            "edge f needs a positive rational length",
+        ),
+    ],
+)
+def test_graph_validation_names_the_first_fault(vertices, edges, message):
+    with pytest.raises(InvalidGraphError) as info:
+        MetricGraph(vertices=vertices, edges=edges)
+    assert str(info.value) == message
+
+
+def test_graph_validation_accepts_ids_of_a_str_subclass():
+    class Name(str):
+        pass
+
+    g = MetricGraph(vertices=(Name("a"), "b"), edges=(Edge(Name("e"), ("a", Name("b")), _ONE),))
+    assert g.edge("e").length == 1
 
 
 def test_disconnected_rejected():

@@ -61,3 +61,31 @@ def test_graph_from_dict_rejects_malformed_documents():
 def test_point_from_dict_rejects_unknown_shape():
     with pytest.raises(ThetaGapError):
         point_from_dict({"neither": 1})
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        (["1/2", "1/2", 1, True], "not a rational: True"),
+        (["1/2", 1, "1/2", "x"], "not a rational literal: 'x'"),
+        ([1, "1", "1/2", "0"], "edge e3 needs a positive rational length"),
+    ],
+)
+def test_graph_from_dict_names_the_first_bad_length(lengths, message):
+    # repeated literals are parsed once; the first bad one is still named
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": f"e{i}", "ends": ["a", "b"], "length": x} for i, x in enumerate(lengths)],
+    }
+    with pytest.raises(ThetaGapError) as info:
+        graph_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_graph_from_dict_reads_repeated_literals_alike():
+    lengths = ["1/3", 2, "1/3", "2"]
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": f"e{i}", "ends": ["a", "b"], "length": x} for i, x in enumerate(lengths)],
+    }
+    assert [e.length for e in graph_from_dict(doc).edges] == [Fraction(1, 3), 2, Fraction(1, 3), 2]

@@ -12,6 +12,7 @@ from oracles import (
     oracle_contains_theta,
     oracle_min_theta_total,
     oracle_minimal_theta,
+    oracle_point_on_path,
     vertex_distance_table,
 )
 from test_core import connected_graphs
@@ -252,6 +253,31 @@ def test_minimal_theta_prunes_flows_and_keeps_the_theta(monkeypatch):
     assert t.lengths == (Fraction(7, 3), Fraction(29, 10), Fraction(19, 6))
 
 
+@pytest.mark.parametrize(
+    "tag, sizes, k",
+    [
+        ("complete", (5,), 20),
+        ("complete_bipartite", (3, 3), 25),
+        ("complete", (4,), 10),
+        ("complete", (5,), 8),
+        ("complete_bipartite", (2, 3), 20),
+        ("complete_bipartite", (3, 3), 8),
+    ],
+)
+def test_minimal_theta_solves_one_flow_on_a_tied_subdivision(monkeypatch, tag, sizes, k):
+    # the pairs that tie on the least total tie on the bound of (shortest,
+    # middle) too, so the first of them in (u, v) order wins and stops the
+    # search; the sum bound alone solved 10, 6, 6, 10, 1 and 6 flows here
+    flows = []
+    solve = theta_module._FlowNet.min_cost_three_paths
+    monkeypatch.setattr(
+        theta_module._FlowNet, "min_cost_three_paths", lambda net: flows.append(1) or solve(net)
+    )
+    t = minimal_theta(subdivide(from_spec(FamilySpec(tag=tag, sizes=sizes)), k))
+    assert len(flows) == 1
+    assert (t.u, t.v) == (("v1", "v2") if tag == "complete" else ("a1", "a2"))
+
+
 def _assembled_totals(monkeypatch):
     totals = []
     assemble = theta_module._assemble_theta
@@ -317,10 +343,27 @@ def unit_multigraphs(draw):
     return build_graph(g.vertices, rows)
 
 
+# Primes just above 2**21: three of them as denominators already take a
+# block's integer units past 2**59, where the bounds leave int64.
+_LARGE_PRIMES = (2097169, 2097211, 2097223, 2097229, 2097257, 2097259)
+
+
+@st.composite
+def graphs_with_large_coprime_denominators(draw):
+    g = draw(connected_graphs(max_vertices=5, max_extra_edges=4))
+    rows = []
+    for i, e in enumerate(g.edges):
+        den = _LARGE_PRIMES[i % len(_LARGE_PRIMES)]
+        num = draw(st.integers(min_value=den, max_value=3 * den))
+        rows.append((e.id, e.ends[0], e.ends[1], Fraction(num, den)))
+    return build_graph(g.vertices, rows)
+
+
 _SEARCH_GRAPHS = st.one_of(
     connected_graphs(max_vertices=6, max_extra_edges=5),
     graphs_with_coprime_denominators(),
     unit_multigraphs(),
+    graphs_with_large_coprime_denominators(),
 )
 
 
@@ -339,6 +382,8 @@ def test_minimal_theta_equals_the_unpruned_search(g):
         ("complete", (5,), 2),
         ("complete_bipartite", (3, 3), 1),
         ("complete_bipartite", (3, 3), 2),
+        ("complete", (5,), 20),
+        ("complete_bipartite", (3, 3), 25),
     ],
 )
 def test_minimal_theta_equals_the_unpruned_search_on_subdivisions(tag, sizes, k):
@@ -354,14 +399,45 @@ def test_pair_bound_is_below_the_flow_cost_of_its_pair(g):
         verts, _ = theta_module._block_stats(g, block)
         units = {eid: int(g.edge(eid).length * g._scale) for eid in block}
         bounds = theta_module._pair_bounds(g, block, verts, units)
-        assert sorted((u, v) for _, u, v in bounds) == pairs
-        for bound, u, v in bounds:
-            b = Fraction(bound, g._scale)
+        assert bounds == sorted(bounds)
+        assert sorted((u, v) for *_, u, v in bounds) == pairs
+        for total, shortest, middle, u, v in bounds:
+            b, s, m = (Fraction(x, g._scale) for x in (total, shortest, middle))
             # at least as tight as three times the distance of the pair
             assert b >= 3 * table[(u, v)]
+            assert table[(u, v)] <= s <= m
             walks = OraclePairNet(g, block, u, v).min_cost_three_paths()
             if walks is not None:
-                assert b <= sum(g.edge(eid).length for walk in walks for eid, _ in walk)
+                lengths = sorted(sum(g.edge(eid).length for eid, _ in w) for w in walks)
+                assert b <= sum(lengths)
+                assert s <= lengths[0]
+                assert m <= lengths[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SEARCH_GRAPHS)
+def test_pair_bounds_on_python_ints_equal_the_int64_ones(g):
+    # with the int64 limit at 0 every block takes the object-array path
+    for block, _ in branch_pairs(g):
+        verts, _ = theta_module._block_stats(g, block)
+        units = {eid: int(g.edge(eid).length * g._scale) for eid in block}
+        fast = theta_module._pair_bounds(g, block, verts, units)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(theta_module, "_INT64_SAFE", 0)
+            assert theta_module._pair_bounds(g, block, verts, units) == fast
+
+
+def test_minimal_theta_past_int64_equals_the_unpruned_search():
+    base = from_spec(FamilySpec(tag="complete", sizes=(4,)))
+    g = build_graph(
+        base.vertices,
+        [(e.id, *e.ends, 1 + Fraction(1, p)) for e, p in zip(base.edges, _LARGE_PRIMES)],
+    )
+    (block, _), = branch_pairs(g)
+    assert 8 * sum(int(g.edge(eid).length * g._scale) for eid in block) >= 2**62
+    t = minimal_theta(g)
+    assert t == oracle_minimal_theta(g)
+    assert t.total_length == oracle_min_theta_total(g)
 
 
 def test_theta_validation_rejects_shared_interior_vertex():
@@ -410,6 +486,23 @@ def test_theta_distance_matches_ambient_distance_on_plain_theta(
     ga = theta_point_to_point(g, t, a)
     gb = theta_point_to_point(g, t, b)
     assert theta_distance(t, a, b) == distance(g, ga, gb)
+
+
+def arcs_to_try(path):
+    """Every vertex of the path, and the midpoint of every edge."""
+    return sorted({*path.arcs, *((a + b) / 2 for a, b in zip(path.arcs, path.arcs[1:]))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SEARCH_GRAPHS)
+def test_theta_point_to_point_matches_a_scan_along_the_path(g):
+    t = minimal_theta(g)
+    if t is None:
+        return
+    for k, path in enumerate(t.paths, 1):
+        for arc in arcs_to_try(path):
+            want = oracle_point_on_path(g, path, arc)
+            assert theta_point_to_point(g, t, ThetaPoint.on_path(k, arc)) == want
 
 
 def test_theta_point_to_point_maps_branches():

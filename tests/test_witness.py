@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_point_on_path
+from test_theta import arcs_to_try
 from thetagap.analysis import gamma
 from thetagap.core import (
     EdgePoint,
@@ -14,6 +16,7 @@ from thetagap.core import (
     build_graph,
     distance_matrix,
     point_label,
+    subdivide,
 )
 from thetagap.errors import PreconditionError
 from thetagap.families import (
@@ -24,6 +27,7 @@ from thetagap.families import (
 )
 from thetagap.theta import ThetaPoint, canonical_theta_point, minimal_theta
 from thetagap.witness import (
+    _chain_point,
     _suppress_degree_two,
     construct_witness,
     choose_window,
@@ -283,13 +287,33 @@ def test_suppress_degree_two_frozen():
         ("seg4", ("b", "b"), 1),
         ("seg5", ("b", "b"), 1),
     ]
-    assert chains == {
+    assert {eid: path.edges for eid, path in chains.items()} == {
         "seg1": (("e1", True), ("e2", True)),
         "seg2": (("e4", False), ("e3", False)),
         "seg3": (("e5", True),),
         "seg4": (("e6", True),),
         "seg5": (("e7", True),),
     }
+    assert chains["seg1"].vertices == ("a", "x", "b")
+    assert chains["seg1"].arcs == (0, 1, 3)
+    assert chains["seg2"].arcs == (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        subdivide(make_theta(1, 1, 1), 3),
+        subdivide(from_spec(FamilySpec(tag="complete", sizes=(4,))), 2),
+        make_random_connected(12, 16, seed=5),
+    ],
+    ids=["theta_k3", "k4_k2", "random12"],
+)
+def test_chain_point_matches_a_scan_along_the_chain(g):
+    contracted, chains = _suppress_degree_two(g)
+    for eid, path in chains.items():
+        for arc in arcs_to_try(path):
+            got = _chain_point(g, chains, contracted, EdgePoint(eid, arc))
+            assert got == oracle_point_on_path(g, path, arc)
 
 
 def test_round_to_vertices_rejects_far_points():
