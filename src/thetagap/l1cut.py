@@ -10,34 +10,38 @@ vector checked against every cut.
 
 Cheap exact certificates come first.  A metric that is not of negative type
 is refuted by the pair functional omega_i omega_j of its violating weighting
-(CUT_n is inside NEG_n), with no LP at all.  From 12 points on, the equality
-face comes next: the cuts that keep every equality d(i, k) = d(i, j) +
-d(j, k) hold every decomposition (Deza and Laurent, Geometry of Cuts and
-Metrics, 1997), so the exact simplex on the face alone decides membership,
-whether or not the face's columns are independent.  A face of at most one
-cut per pair is decided that way; only a larger one, such as the 2047 cuts
-of twelve star leaves, has float column generation over a bool crossing
-matrix propose a small support for the exact simplex instead.  A metric
-that is not l1 gets its separating vector from the full exact problem,
-which is also the last resort.  Floats only ever propose: every verdict is
-a certificate that passed its exact constructor.
+(CUT_n is inside NEG_n), with no LP at all.  Otherwise the equality face
+decides, at every size: the cuts that keep every equality d(i, k) =
+d(i, j) + d(j, k) hold every decomposition (Deza and Laurent, Geometry of
+Cuts and Metrics, 1997), so the exact simplex on the face alone decides
+membership, whether or not the face's columns are independent.  Objective
+0 gives a decomposition.  A positive objective gives the face LP's dual y,
+and with w the summed equality functionals, which vanish on the metric and
+are positive exactly on the cuts off the face, y - lambda w separates the
+metric from every cut for the least such lambda.  A face that is every cut
+makes that the full exact problem.  From 12 points on, a face of more cuts
+than pairs, such as the 2047 cuts of twelve star leaves, first has float
+column generation over a bool crossing matrix propose a small support for
+the exact simplex.  Floats only ever propose: every verdict is a
+certificate that passed its exact constructor.
 
 The exact simplex is fraction-free: each row of B^-1 is a sparse dict of
 integers over its own positive denominator, a row a pivot rewrites is the
 adjugate row over the determinant of B, and a row the entering column
 misses is left as it is.  Every division is exact, so it makes the
 comparisons a simplex over the rationals would make, on Python ints.
-Pricing against every cut, and the all-cuts check of a separating vector,
-go through one routine, ``_cut_scores``: each pair's integer weight is split
-into signed limbs small enough that one limb's crossing sums fit in int64,
-and each limb is added over the bool rows of the cuts its pair crosses in
-one numpy int64 pass; more than one limb is recombined exactly on Python
-ints.  Every "which pairs cross this cut" question goes through
-``_crossing`` on the cut's mask or through the shared ``_crossing_matrix``.
-Metrics above 20 points, and separating vectors over more than 20 points,
-are refused before any cut is enumerated.  scipy's HiGHS is imported only
-when a float proposal is made, so only for a metric of 12 or more points
-whose equality face has more cuts than the metric has pairs.
+Pricing, over a face or over every cut, the equality face itself, lambda
+and the all-cuts check of a separating vector go through one routine,
+``_cut_scores``: each pair's integer weight is split into signed limbs
+small enough that one limb's crossing sums fit in int64, and each limb is
+added over the bool rows of the cuts its pair crosses in one numpy int64
+pass; more than one limb is recombined exactly on Python ints.  Every
+"which pairs cross this cut" question goes through ``_crossing`` on the
+cut's mask or through the shared ``_crossing_matrix``.  Metrics above 20
+points, and separating vectors over more than 20 points, are refused
+before any cut is enumerated.  scipy's HiGHS is imported only when a float
+proposal is made, so only for a metric of 12 or more points whose equality
+face has more cuts than the metric has pairs.
 """
 
 from __future__ import annotations
@@ -180,9 +184,12 @@ def _crossing_sums(crossing: np.ndarray, weights: Sequence, dtype) -> np.ndarray
     return scores
 
 
-def _cut_scores(n: int, pair_weights: Sequence[int]) -> np.ndarray:
-    """Crossing sums of every proper canonical cut, indexed by mask, exact
-    for integer weights of any size.
+def _cut_scores(
+    n: int, pair_weights: Sequence[int], crossing: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Crossing sums of every proper canonical cut, indexed by mask, or of
+    the columns of ``crossing``, a column block of ``_crossing_matrix(n)``;
+    exact for integer weights of any size.
 
     Each weight is split into signed limbs below 2^_LIMB_BITS, so one limb's
     crossing sums fit in int64 and each limb takes one ``_crossing_sums``
@@ -192,7 +199,8 @@ def _cut_scores(n: int, pair_weights: Sequence[int]) -> np.ndarray:
     """
     if n > MAX_CUT_POINTS:
         raise PreconditionError(f"{n} points; cut sums stop at {MAX_CUT_POINTS}")
-    crossing = _crossing_matrix(n)
+    if crossing is None:
+        crossing = _crossing_matrix(n)
     bits = max((abs(w).bit_length() for w in pair_weights), default=0)
     low = (1 << _LIMB_BITS) - 1
     scores = None
@@ -218,14 +226,10 @@ def _lowest_gray_rank(masks: np.ndarray) -> int:
     return int(masks[np.argmin(_gray_rank(masks))])
 
 
-def _first_positive_cut(
-    n: int, pair_weights: Sequence[int], skip: Iterable[int] = ()
-) -> Optional[int]:
-    """The first mask of the Gray-code walk, outside ``skip``, whose
-    crossing sum (by ``_cut_scores``) is positive, or None."""
-    scores = _cut_scores(n, pair_weights)
-    scores[list(skip)] = 0
-    positive = np.flatnonzero(scores > 0)
+def _first_positive_cut(n: int, pair_weights: Sequence[int]) -> Optional[int]:
+    """The first mask of the Gray-code walk whose crossing sum (by
+    ``_cut_scores``) is positive, or None."""
+    positive = np.flatnonzero(_cut_scores(n, pair_weights) > 0)
     return _lowest_gray_rank(positive) if len(positive) else None
 
 
@@ -330,13 +334,16 @@ _COLUMNS_PER_PAIR = 4
 class _Phase1:
     """Revised phase-1 simplex for {lambda >= 0 : sum lambda_S d_S = d}.
 
-    Starts from an all-artificial basis; cut columns price either from an
-    explicit list or over all canonical cuts, where the gcd-reduced integer
-    dual of any size is scored by ``_cut_scores``, the routine that also
-    checks a ``FarkasCertificate``.  Pricing is steepest (largest positive
+    Starts from an all-artificial basis.  The columns are ``masks``, a
+    sorted int64 array of cut masks (every canonical cut when ``columns`` is
+    None), with their block of ``_crossing_matrix``; each pricing scan
+    scores the gcd-reduced integer dual of any size over that block with
+    ``_cut_scores``, the routine that also checks a ``FarkasCertificate``,
+    and zeroes the basic cuts.  Pricing is steepest (largest positive
     crossing sum, ties to the lowest Gray-code rank) until a run of
     degenerate pivots trips the anti-cycling switch to lowest-rank pricing,
-    which guarantees termination.
+    the positive cut of lowest Gray-code rank, which guarantees
+    termination.  An empty column set prices no cut.
 
     The arithmetic is fraction-free.  Row r of B^-1 is ``adj[r] / dens[r]``:
     a dict from column to its nonzero int entries over one positive integer
@@ -368,12 +375,19 @@ class _Phase1:
         self.pairs = list(itertools.combinations(range(self.n), 2))
         self.rows = len(self.pairs)
         self.full_mask = (1 << (self.n - 1)) - 1
-        self.columns = None if columns is None else sorted(set(columns))
-        if self.columns is not None:
-            bad = [c for c in self.columns if not 0 <= c < self.full_mask]
-            if bad:
-                raise PreconditionError(f"bad cut masks {bad!r}")
-            self._column_rows = {c: _crossing(c, self.pairs) for c in self.columns}
+        if self.n > MAX_CUT_POINTS:
+            raise PreconditionError(f"{self.n} points; cut LPs stop at {MAX_CUT_POINTS}")
+        self.masks = (  # sorted, as pricing assumes
+            np.arange(self.full_mask, dtype=np.int64)
+            if columns is None
+            else np.array(sorted(set(columns)), dtype=np.int64)
+        )
+        bad = self.masks[(self.masks < 0) | (self.masks >= self.full_mask)]
+        if len(bad):
+            raise PreconditionError(f"bad cut masks {bad.tolist()!r}")
+        # the crossing rows of the columns; every cut shares the cached matrix
+        crossing = _crossing_matrix(self.n)
+        self._block = crossing if len(self.masks) == self.full_mask else crossing[:, self.masks]
         # variable ids: cut masks, then artificials at full_mask + row
         self.art0 = self.full_mask
         self.basis = [self.art0 + r for r in range(self.rows)]
@@ -402,30 +416,13 @@ class _Phase1:
     def _price(self, y: list[int]) -> Optional[int]:
         # det > 0, so the integer dual prices like the rational one
         self.pricing_scans += 1
-        basic = [v for v in self.basis if v < self.art0]
-        if self.columns is not None:
-            best: Optional[tuple] = None
-            for mask in self.columns:
-                if mask in basic:
-                    continue
-                score = sum(y[k] for k in self._column_rows[mask])
-                if score <= 0:
-                    continue
-                rank = self._var_rank(mask)
-                key = (rank,) if self.bland else (-score, rank)
-                if best is None or key < best[0]:
-                    best = (key, mask)
-            return None if best is None else best[1]
-        g = gcd(*y)
-        if g == 0:  # a zero dual prices no cut positive
-            return None
-        y = [v // g for v in y]
-        if self.bland:
-            return _first_positive_cut(self.n, y, basic)
-        scores = _cut_scores(self.n, y)
-        scores[basic] = 0
-        top = scores.max()
-        return _lowest_gray_rank(np.flatnonzero(scores == top)) if top > 0 else None
+        g = gcd(*y) or 1  # a zero dual prices no cut positive
+        scores = _cut_scores(self.n, [v // g for v in y], self._block)
+        scores[np.searchsorted(self.masks, [v for v in self.basis if v < self.art0])] = 0
+        positive = np.flatnonzero(scores > 0)
+        if not self.bland and len(positive):
+            positive = positive[scores[positive] == scores[positive].max()]
+        return _lowest_gray_rank(self.masks[positive]) if len(positive) else None
 
     # -- pivoting -----------------------------------------------------------
 
@@ -557,16 +554,18 @@ def _float_support(m: FiniteMetric) -> Optional[list[int]]:
         chosen = np.concatenate([chosen, new])
 
 
-def _equality_face(m: FiniteMetric) -> np.ndarray:
-    """Masks of the cuts that keep every equality d(i, k) = d(i, j) + d(j, k)
-    of the metric, j distinct from i and k: no such cut separates j from
-    both i and k.
+def _equality_face(m: FiniteMetric) -> tuple[list[int], np.ndarray]:
+    """The tight-triple pair weights w of the metric and every cut's score
+    w . delta_S by ``_cut_scores``, indexed by mask.  The equality face, the
+    cuts that keep every equality d(i, k) = d(i, j) + d(j, k) with j
+    distinct from i and k, is the set of masks scoring 0.
 
-    Each equality adds e_ij + e_jk - e_ik to integer pair weights w.  Every
-    cut semimetric satisfies the triangle inequality, so every cut scores
-    w . delta_S >= 0 by ``_cut_scores``, and the face is the set scoring 0.
-    The equalities are integer tests on ``m.D``, in int64 while every sum
-    stays below ``_INT64_SAFE`` and on Python ints past it."""
+    Each equality adds e_ij + e_jk - e_ik to w, so w . d = 0.  Every cut
+    semimetric satisfies the triangle inequality, so every cut scores
+    w . delta_S >= 0, an integer that is positive exactly when the cut
+    separates j from both i and k of some equality.  The equalities are
+    integer tests on ``m.D``, in int64 while every sum stays below
+    ``_INT64_SAFE`` and on Python ints past it."""
     n = m.size
     safe = 2 * max(map(max, m.D)) < _INT64_SAFE
     D = np.array(m.D, dtype=np.int64 if safe else object)
@@ -575,7 +574,25 @@ def _equality_face(m: FiniteMetric) -> np.ndarray:
     # the trivial triples, j = i or j = k, add e_ik - e_ik = 0 off the diagonal
     W = tight.sum(axis=2) + tight.sum(axis=0) - tight.sum(axis=1)
     weights = [int(W[i, j] + W[j, i]) for i, j in itertools.combinations(range(n), 2)]
-    return np.flatnonzero(_cut_scores(n, weights) == 0)
+    return weights, _cut_scores(n, weights)
+
+
+def _separating_vector(
+    face_lp: _Phase1, w: Sequence[int], ws: np.ndarray
+) -> tuple[Fraction, ...]:
+    """z = y - lambda w from the dual y of an equality-face LP that ended
+    with a positive objective, where w and ws come from ``_equality_face``.
+
+    y . d > 0 and y . delta_S <= 0 on every face cut, while w . d = 0 and
+    w . delta_S = ws_S > 0 off the face.  With lambda the largest
+    (y . delta_S) / ws_S over the off-face cuts where y . delta_S > 0 (or 0
+    if there are none), z . delta_S <= 0 on every cut and z . d = y . d > 0,
+    so z separates d from the whole cut cone.  lambda is exact, from one
+    ``_cut_scores`` pass of the integer dual; z is over ``det`` like y."""
+    ys = _cut_scores(face_lp.n, face_lp.y)
+    off = np.flatnonzero((ys > 0) & (ws > 0))
+    lam = max((Fraction(int(ys[k]), int(ws[k])) for k in off), default=Fraction(0))
+    return tuple((y - lam * wk) / face_lp.det for y, wk in zip(face_lp.y, w))
 
 
 def is_l1_embeddable(
@@ -587,19 +604,17 @@ def is_l1_embeddable(
     LP: the violating weighting omega of ``is_negative_type`` gives the pair
     functional omega_i omega_j, which sums to -(omega(S))^2 <= 0 over every
     cut S and to gamma(omega) > 0 against the metric (CUT_n is inside NEG_n).
-    Otherwise feasibility is only ever concluded from an exact simplex run.
-    From 12 points on, the equality face comes first: a cut of positive
-    weight must keep each equality d(i, k) = d(i, j) + d(j, k), since the
-    weighted sum of the cuts' nonnegative slacks there is 0, so every
-    decomposition uses only face cuts.  When the face has no more cuts than
-    the metric has pairs, the exact simplex on it decides: objective 0
-    returns its decomposition (the only one when the metric is l1-rigid),
-    and a positive objective proves the metric is not l1.  A larger face
-    has float column generation merely propose a small column set that the
-    exact solver then confirms.  The full exact problem gives the separating
-    vector, and is the fallback when a proposal does not pan out.  Metrics
-    above ``max_points`` or above 20 points are refused before anything is
-    built.
+    Otherwise the verdict comes from the exact simplex on the equality
+    face, at every size: a cut of positive weight must keep each equality
+    d(i, k) = d(i, j) + d(j, k), since the weighted sum of the cuts'
+    nonnegative slacks there is 0, so every decomposition uses only face
+    cuts.  Objective 0 returns its decomposition (the only one when the
+    metric is l1-rigid); a positive objective returns the separating vector
+    ``_separating_vector`` builds from the face LP's dual, with no second
+    LP.  From 12 points on, a face of more cuts than the metric has pairs
+    first has float column generation propose a small column set; the face
+    LP decides when that proposal does not pan out.  Metrics above
+    ``max_points`` or above 20 points are refused before anything is built.
     """
     n = m.size
     if n == 0:
@@ -623,22 +638,20 @@ def is_l1_embeddable(
                 omega[i] * omega[j] for i, j in itertools.combinations(range(n), 2)
             ),
         )
-    if n >= 12:
-        face = _equality_face(m)
-        # the face LP prices its columns one by one in Python, cheap up to
-        # one cut per pair; a larger face, such as the 2047 cuts of 12 star
-        # leaves, is left to the float proposal, which prices in numpy
-        columns = face.tolist() if len(face) <= n * (n - 1) // 2 else _float_support(m)
+    w, ws = _equality_face(m)
+    face = np.flatnonzero(ws == 0)
+    # from 12 points on, a face of more cuts than pairs, such as the 2047
+    # cuts of 12 star leaves, first has HiGHS propose a few of its columns
+    if n >= 12 and len(face) > n * (n - 1) // 2:
+        columns = _float_support(m)
         if columns:
             solver = _Phase1(m, columns=columns)
-            objective, _ = solver.solve()
-            if objective == 0:
+            if solver.solve()[0] == 0:
                 return solver.decomposition()
-    solver = _Phase1(m)
-    objective, dual = solver.solve()
-    if objective == 0:
+    solver = _Phase1(m, columns=face)
+    if solver.solve()[0] == 0:
         return solver.decomposition()
-    return FarkasCertificate(metric=m, pair_values=tuple(dual))
+    return FarkasCertificate(metric=m, pair_values=_separating_vector(solver, w, ws))
 
 
 # ---------------------------------------------------------------------------

@@ -469,15 +469,17 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_l1_on_the_k4_subdivision_and_check_paper_load_no_scipy(tmp_path, capsys):
     # all decide their l1 questions on the equality face, without HiGHS; the
-    # cactus's face of 29 cuts over 12 points is dependent
+    # cactus's face of 29 cuts over 12 points is dependent, and the 5 leaves
+    # of a star keep no equality, so their face is all 15 cuts over 10 pairs
     from thetagap import Vertex, dumps_points, loads_graph
 
     k4, graph = tmp_path / "k4.json", tmp_path / "k4_k2.json"
-    cactus = tmp_path / "cactus.json"
+    cactus, star = tmp_path / "cactus.json", tmp_path / "star.json"
     assert main(["make", "complete", "-n", "4", "--out", str(k4)]) == 0
     assert main(["subdivide", str(k4), "-k", "2", "--out", str(graph)]) == 0
     make_cactus = ["make", "random_cactus", "--blocks", "7", "--seed", "29", "--out", str(cactus)]
     assert main(make_cactus) == 0
+    assert main(["make", "complete_bipartite", "-a", "1", "-b", "5", "--out", str(star)]) == 0
     capsys.readouterr()
     vertices = loads_graph(graph.read_text()).vertices
     assert len(vertices) == 16
@@ -487,9 +489,12 @@ def test_l1_on_the_k4_subdivision_and_check_paper_load_no_scipy(tmp_path, capsys
     ends = [end for e in g.edges for end in e.ends]
     cactus_points = tmp_path / "cactus.points.json"
     cactus_points.write_text(dumps_points([Vertex(v) for v in g.vertices if ends.count(v) < 3]))
+    leaves = tmp_path / "star.points.json"
+    leaves.write_text(dumps_points([Vertex(v) for v in loads_graph(star.read_text()).vertices[1:]]))
     calls = [
         ["l1", str(graph), "--points", str(points), "--max-cuts-n", "16"],
         ["l1", str(cactus), "--points", str(cactus_points)],
+        ["l1", str(star), "--points", str(leaves)],
         ["check-paper"],
     ]
     code = (

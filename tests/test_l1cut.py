@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import OraclePhase1, gray_cut_values, oracle_cut_cone_member
@@ -207,6 +207,8 @@ def test_cut_scores_build_no_crossing_matrix_above_the_cap(monkeypatch):
     monkeypatch.setattr(l1cut, "_crossing_matrix", refuse)
     with pytest.raises(PreconditionError, match="stop at 20"):
         l1cut._cut_scores(21, [1] * 210)
+    with pytest.raises(PreconditionError, match="stop at 20"):
+        _Phase1(_uniform_metric(21), columns=[0])
 
 
 def test_farkas_check_refuses_more_than_20_points_before_any_walk(monkeypatch):
@@ -378,6 +380,8 @@ def test_full_exact_lp_is_frozen(
 
 @settings(max_examples=60, deadline=None)
 @given(graphs_with_points(count=4))
+# four coincident points: every cut breaks an equality, so the face is empty
+@example((from_spec(FamilySpec(tag="path", sizes=(2,))), [Vertex("v1")] * 4))
 def test_membership_matches_exhaustive_oracle_on_four_points(case):
     g, pts = case
     m = distance_matrix(g, pts)
@@ -599,9 +603,14 @@ def _vertex_metric(g, count=None):
     return distance_matrix(g, [Vertex(v) for v in g.vertices[:count]])
 
 
+def _face(m):
+    """Masks of the equality face of ``m``: the cuts its tight triples score 0."""
+    return np.flatnonzero(_equality_face(m)[1] == 0)
+
+
 def _face_lp(m):
     """The exact simplex on the equality face of ``m``, run to optimality."""
-    solver = _Phase1(m, columns=_equality_face(m).tolist())
+    solver = _Phase1(m, columns=_face(m).tolist())
     solver.solve()
     return solver
 
@@ -668,7 +677,7 @@ def test_dependent_face_falls_back(points_on_first_leg, face_size):
     # a dependent face still holds every decomposition, so its exact simplex
     # finds one; which one may differ from the full LP's
     m = _hidden_star(points_on_first_leg)
-    assert len(_equality_face(m)) == face_size
+    assert len(_face(m)) == face_size
     assert (face_size > m.size * (m.size - 1) // 2) == (not points_on_first_leg)
     face = _face_lp(m)
     assert face.objective() == 0
@@ -694,7 +703,7 @@ def test_dependent_face_of_at_most_one_cut_per_pair_is_decided_on_the_face(monke
         for end in e.ends:
             degree[end] += 1
     m = distance_matrix(g, [Vertex(v) for v in g.vertices if degree[v] < 3])
-    face = _equality_face(m)
+    face = _face(m)
     assert (m.size, len(face)) == (12, 29)
     columns = l1cut._crossing_matrix(m.size)[:, face].astype(float)
     assert np.linalg.matrix_rank(columns) < len(face)
@@ -702,7 +711,7 @@ def test_dependent_face_of_at_most_one_cut_per_pair_is_decided_on_the_face(monke
     assert isinstance(is_l1_embeddable(m), CutDecomposition)
 
 
-def test_infeasible_face_is_refuted_by_the_full_lp_alone(monkeypatch):
+def test_infeasible_face_is_refuted_by_the_face_lp_alone(monkeypatch):
     g = make_random_connected(12, 15, seed=19)
     unit = graph_from_dict(
         {
@@ -712,12 +721,19 @@ def test_infeasible_face_is_refuted_by_the_full_lp_alone(monkeypatch):
     )
     m = _vertex_metric(unit)
     assert m.size == 12 and is_negative_type(m).verdict
-    assert len(_equality_face(m)) == 9
+    assert len(_face(m)) == 9
     assert _face_lp(m).objective() > 0
-    objective, dual = _Phase1(m).solve()
-    assert objective > 0
+
+    def face_only(m, columns=None):
+        if columns is None or len(columns) == 2 ** (m.size - 1) - 1:
+            raise AssertionError("an all-cuts LP was built")
+        return _Phase1(m, columns)
+
+    monkeypatch.setattr(l1cut, "_Phase1", face_only)
     monkeypatch.setattr(l1cut, "_float_support", _refuse_float_support)
-    assert is_l1_embeddable(m) == FarkasCertificate(metric=m, pair_values=tuple(dual))
+    result = is_l1_embeddable(m)
+    assert isinstance(result, FarkasCertificate)
+    assert FarkasCertificate(metric=m, pair_values=result.pair_values) == result
 
 
 def test_equality_face_past_int64_is_the_same_face():
@@ -725,7 +741,8 @@ def test_equality_face_past_int64_is_the_same_face():
     scale = 2**70
     big = FiniteMetric.from_rows(m.labels, [[x * scale for x in row] for row in m.rows])
     assert 2 * max(map(max, big.D)) >= l1cut._INT64_SAFE
-    assert _equality_face(big).tolist() == _equality_face(m).tolist()
+    assert _equality_face(big)[0] == _equality_face(m)[0]
+    assert _face(big).tolist() == _face(m).tolist()
     assert _face_lp(big).decomposition().entries == tuple(
         (cut, w * scale) for cut, w in _face_lp(m).decomposition().entries
     )
@@ -762,11 +779,15 @@ def tree_metrics(draw, min_points=4, max_points=11):
 def test_equality_face_holds_every_decomposition(m):
     full = _Phase1(m)
     objective, _ = full.solve()
-    face = _equality_face(m)
+    face = _face(m)
     face_lp = _face_lp(m)
     # the face decides membership whether or not its columns are independent
     assert (face_lp.objective() == 0) == (objective == 0)
     if objective != 0:
+        # the face LP's dual, moved off the face, separates the metric, as
+        # its constructor checks exactly
+        vector = l1cut._separating_vector(face_lp, *_equality_face(m))
+        FarkasCertificate(metric=m, pair_values=vector)
         return
     dec = full.decomposition()
     assert {cut.mask for cut, _ in dec.entries} <= set(face.tolist())
