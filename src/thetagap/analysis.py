@@ -393,11 +393,12 @@ def _psd_scaled(A: list[list[int]], scale: int) -> tuple[bool, Union[PSDTranscri
         return False, _lift(el, A)
     S, pivots = el.S, el.pivots
     r = len(pivots)
+    zero, one = Fraction(0), Fraction(1)  # shared by every unit-triangular entry
     diag = [Fraction(p, prev * scale) for p, prev in zip(pivots, [1] + pivots)]
-    diag += [Fraction(0)] * (n - r)
+    diag += [zero] * (n - r)
     lower = tuple(
         tuple(
-            Fraction(S[i][j], pivots[j]) if j < min(i, r) else Fraction(int(i == j))
+            Fraction(S[i][j], pivots[j]) if j < min(i, r) else one if i == j else zero
             for j in range(n)
         )
         for i in range(n)

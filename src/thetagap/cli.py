@@ -439,6 +439,24 @@ def _verify_witness(g: MetricGraph, cert: dict) -> str:
     return f"gap {cert['gap']} reproduced from ambient distances"
 
 
+def _literal_reader() -> Callable[[object], Fraction]:
+    """``as_rational`` that parses each distinct string literal once.
+
+    Values are read in order, so the first bad literal still raises
+    first, with the message ``as_rational`` gives it."""
+    parsed: dict[str, Fraction] = {}
+
+    def read(value: object) -> Fraction:
+        if not isinstance(value, str):
+            return as_rational(value)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = as_rational(value)
+        return x
+
+    return read
+
+
 def _verify_negtype(g: MetricGraph, cert: dict) -> str:
     pts = _points_from_json(g, cert, "points")
     labels = _field(cert, "labels", list)
@@ -458,10 +476,11 @@ def _verify_negtype(g: MetricGraph, cert: dict) -> str:
             and all(isinstance(row, list) for row in lower)
         ):
             raise PreconditionError("elimination transcript is malformed")
+        read = _literal_reader()
         transcript = analysis.PSDTranscript(
             perm=tuple(perm),
-            diag=tuple(as_rational(v) for v in diag),
-            lower=tuple(tuple(as_rational(v) for v in row) for row in lower),
+            diag=tuple(map(read, diag)),
+            lower=tuple(tuple(map(read, row)) for row in lower),
         )
         _require(
             transcript.verify_gram(_metric(g, pts, labels), basepoint),

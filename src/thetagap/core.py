@@ -5,20 +5,22 @@ rational lengths.  Every edge is a continuum of points: a point is either a
 vertex or an interior position on an edge, addressed by an offset from the
 edge's first declared endpoint.  Lengths and distances are exact rationals:
 ``fractions.Fraction`` at the API, and inside, integers over one common
-denominator (the LCM of a graph's length denominators for Dijkstra, the
-least common denominator of a metric's entries for ``FiniteMetric``).
+denominator (the LCM of the length and offset denominators for shortest
+paths, the least common denominator of a metric's entries for
+``FiniteMetric``).
 
 Points become distances in one place, ``distance_matrix``; ``distance`` is
-its two-point case.  The graph is refined so that every point is a vertex,
-then reduced to its point kernel: non-point vertices of degree 1 are pruned,
-those of degree 2 are spliced into one edge, and of parallel edges only the
-shortest is kept.  One Dijkstra runs from each distinct point on the kernel.
-No floating point enters any distance computation.
+its two-point case.  The point kernel is built straight from the graph's
+edges: the edges that carry points are split at them, non-point vertices of
+degree 1 are pruned, those of degree 2 are spliced into one edge, and of
+parallel edges only the shortest is kept.  One min-plus closure of the
+kernel (``_closure``, Floyd's recurrence on numpy arrays) gives every
+distance; it is the package's one shortest-path routine.  No floating
+point enters any distance computation.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import re
@@ -160,14 +162,6 @@ class MetricGraph:
             if not isinstance(e.length, Fraction) or e.length <= 0:
                 raise InvalidGraphError(f"edge {e.id} needs a positive rational length")
 
-    @classmethod
-    def _unchecked(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> "MetricGraph":
-        """A graph the caller knows to be valid, built without the checks."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "vertices", vertices)
-        object.__setattr__(g, "edges", edges)
-        return g
-
     def _check_connected(self) -> None:
         reached = {self.vertices[0]}
         frontier = [self.vertices[0]]
@@ -192,12 +186,12 @@ class MetricGraph:
 
     @cached_property
     def _adjacency(self) -> Mapping[str, tuple[tuple[str, str, int], ...]]:
-        # The one adjacency of the graph: Dijkstra, the connectivity check and
-        # the block search all walk it.  Lengths are in units of 1/_scale, an
-        # exact rescaling that keeps every comparison and tie.  Self-loops are
-        # omitted: with positive lengths they never shorten a route between
-        # vertices, and they join no two vertices.  Points on a self-loop are
-        # reached after refinement splits the loop.
+        # The one adjacency of the graph: the point kernel, the connectivity
+        # check and the block search all walk it.  Lengths are in units of
+        # 1/_scale, an exact rescaling that keeps every comparison and tie.
+        # Self-loops are omitted: with positive lengths they never shorten a
+        # route between vertices, and they join no two vertices.  The point
+        # kernel splits a self-loop that carries points into a cycle.
         scale = self._scale
         adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -264,80 +258,61 @@ def point_label(p: Point) -> str:
 
 
 # ---------------------------------------------------------------------------
-# refinement: turning a set of points into vertices of a finer graph
-# ---------------------------------------------------------------------------
-
-
-def _fresh_id(candidate: str, used: set[str]) -> str:
-    while candidate in used:
-        candidate = "_" + candidate
-    used.add(candidate)
-    return candidate
-
-
-def _refine(g: MetricGraph, points: Sequence[Point]) -> tuple[MetricGraph, dict[Point, str]]:
-    """A graph isometric to ``g`` in which the canonical ``points`` are
-    vertices, and the vertex of each point.
-
-    The refined graph is not validated again: splitting edges of the valid
-    ``g`` at distinct interior offsets, under fresh ids, keeps every length
-    positive and the graph connected."""
-    by_edge: dict[str, set[Fraction]] = {}
-    for p in points:
-        if isinstance(p, EdgePoint):
-            by_edge.setdefault(p.edge, set()).add(p.offset)
-    vertex_of: dict[Point, str] = {p: p.vertex for p in points if isinstance(p, Vertex)}
-    if not by_edge:
-        return g, vertex_of
-
-    used_v: set[str] = set(g.vertices)
-    used_e: set[str] = set(e.id for e in g.edges)
-    new_vertices: list[str] = list(g.vertices)
-    new_edges: list[Edge] = []
-    for e in g.edges:
-        offsets = sorted(by_edge.get(e.id, ()))
-        if not offsets:
-            new_edges.append(e)
-            continue
-        cut_ids = []
-        for off in offsets:
-            vid = _fresh_id(f"{e.id}@{format_rational(off)}", used_v)
-            cut_ids.append(vid)
-            new_vertices.append(vid)
-            vertex_of[EdgePoint(e.id, off)] = vid
-        bounds = [Fraction(0), *offsets, e.length]
-        stops = [e.ends[0], *cut_ids, e.ends[1]]
-        for i in range(len(bounds) - 1):
-            eid = _fresh_id(f"{e.id}:{i}", used_e)
-            new_edges.append(
-                Edge(id=eid, ends=(stops[i], stops[i + 1]), length=bounds[i + 1] - bounds[i])
-            )
-    return MetricGraph._unchecked(tuple(new_vertices), tuple(new_edges)), vertex_of
-
-
-# ---------------------------------------------------------------------------
 # shortest paths
 # ---------------------------------------------------------------------------
 
 
-def _point_kernel(g: MetricGraph, keep: Iterable[str]) -> dict[str, dict[str, int]]:
-    """A graph on which the distances between the vertices ``keep`` are
-    those of ``g``: each vertex maps its neighbours to integer lengths in
-    units of ``1 / g._scale``.
+Node = Union[str, tuple[str, int]]
 
-    Of parallel edges only the shortest is kept, and self-loops are already
-    left out of ``g._adjacency``.  Then, until none is left, a vertex outside
-    ``keep`` with one neighbour is pruned, since no shortest route between
-    other vertices enters it, and one with two neighbours is spliced into a
-    single edge as long as its two.
+
+def _point_kernel(
+    g: MetricGraph, points: Sequence[Point]
+) -> tuple[dict[Node, dict[Node, int]], list[Node], int]:
+    """A graph on which the distances between the canonical ``points`` are
+    those of ``g``, as (adjacency, node of each point, scale): each node
+    maps its neighbours to integer lengths in units of ``1 / scale``.
+
+    ``scale`` is the LCM of ``g._scale`` and the offsets' denominators, so
+    every offset is an integer number of units.  The nodes are the vertices
+    of ``g``, by id, and the interior points, as (edge id, offset in
+    units).  Only the edges that carry points are split at them.  Of
+    parallel edges only the shortest is kept, and self-loops without points
+    are left out, as in ``g._adjacency``.  Then, until none is left, a node
+    that is not a point with one neighbour is pruned, since no shortest
+    route between other nodes enters it, and one with two neighbours is
+    spliced into a single edge as long as its two.
     """
-    keep = set(keep)
-    adj: dict[str, dict[str, int]] = {}
+    scale = math.lcm(g._scale, *(p.offset.denominator for p in points if isinstance(p, EdgePoint)))
+    nodes: list[Node] = [
+        p.vertex
+        if isinstance(p, Vertex)
+        else (p.edge, p.offset.numerator * (scale // p.offset.denominator))
+        for p in points
+    ]
+    by_edge: dict[str, set[int]] = {}
+    for node in nodes:
+        if isinstance(node, tuple):
+            by_edge.setdefault(node[0], set()).add(node[1])
+    factor = scale // g._scale
+    adj: dict[Node, dict[Node, int]] = {}
     for v, items in g._adjacency.items():
         nbrs = adj[v] = {}
-        for _, w, length in items:
+        for eid, w, length in items:
+            if eid in by_edge:
+                continue
+            length *= factor
             if w not in nbrs or length < nbrs[w]:
                 nbrs[w] = length
+    for eid, offsets in by_edge.items():
+        e = g._edge_by_id[eid]
+        cuts = sorted(offsets)
+        stops = [e.ends[0], *((eid, x) for x in cuts), e.ends[1]]
+        marks = [0, *cuts, e.length.numerator * (scale // e.length.denominator)]
+        for x, y, start, stop in zip(stops, stops[1:], marks, marks[1:]):
+            nx, ny = adj.setdefault(x, {}), adj.setdefault(y, {})
+            if y not in nx or stop - start < nx[y]:
+                nx[y] = ny[x] = stop - start
+    keep = set(nodes)
     stack = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while stack:
         v = stack.pop()
@@ -353,37 +328,7 @@ def _point_kernel(g: MetricGraph, keep: Iterable[str]) -> dict[str, dict[str, in
             length = la + lb
             if b not in adj[a] or length < adj[a][b]:
                 adj[a][b] = adj[b][a] = length
-    return adj
-
-
-def _scaled_distances(adj: Mapping[str, Mapping[str, int]], source: str) -> dict[str, int]:
-    """Exact Dijkstra from ``source`` over an adjacency of integer lengths,
-    as ``_point_kernel`` builds it.  All vertices are reachable."""
-    dist: dict[str, int] = {source: 0}
-    done: set[str] = set()
-    heap: list[tuple[int, str]] = [(0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        for w, length in adj[v].items():
-            if w in done:
-                continue
-            nd = d + length
-            old = dist.get(w)
-            if old is None or nd < old:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
-
-
-def _vertex_distances(g: MetricGraph, ids: Sequence[str]) -> dict[str, dict[str, int]]:
-    """Exact distances, in units of ``1 / g._scale``, from each distinct
-    vertex of ``ids`` to every vertex of ``ids``: one Dijkstra per distinct
-    vertex, on the point kernel of ``ids``."""
-    adj = _point_kernel(g, ids)
-    return {v: _scaled_distances(adj, v) for v in dict.fromkeys(ids)}
+    return adj, nodes, scale
 
 
 # Integer kernels run in numpy int64 while every value they form stays below
@@ -391,6 +336,35 @@ def _vertex_distances(g: MetricGraph, ids: Sequence[str]) -> dict[str, dict[str,
 # D[i][j] + D[j][k] to fit, and 3 * max(D) below the bound leaves room to
 # spare; ``analysis`` scores gap candidates the same way.
 _INT64_SAFE = 2**62
+
+
+def _closure(adj: Mapping[Node, Mapping[Node, int]]) -> np.ndarray:
+    """All-pairs shortest-path lengths of a connected graph given as an
+    adjacency of positive integer lengths, as a matrix in the order of the
+    adjacency's keys.
+
+    Floyd's min-plus recurrence: one ``np.minimum`` of the matrix with the
+    routes through each node in turn.  No shortest route is longer than
+    the graph's total length, so total + 1 stands for "no edge"; the
+    matrix is int64 while the sum of two such entries stays below
+    ``_INT64_SAFE``, and an object array of Python ints beyond it, under
+    the same operations.
+    """
+    index = {v: i for i, v in enumerate(adj)}
+    rows, cols, lengths = [], [], []
+    for v, nbrs in adj.items():
+        for w, length in nbrs.items():
+            rows.append(index[v])
+            cols.append(index[w])
+            lengths.append(length)
+    total = sum(lengths) // 2  # each edge is listed from both ends
+    dtype = np.int64 if 2 * (total + 1) < _INT64_SAFE else object
+    A = np.full((len(index), len(index)), total + 1, dtype=dtype)
+    np.fill_diagonal(A, 0)
+    A[rows, cols] = lengths
+    for j in range(len(index)):
+        np.minimum(A, A[:, j, None] + A[None, j, :], out=A)
+    return A
 
 
 def _metric_by_int64(D: Sequence[Sequence[Optional[int]]], labels: Sequence[str]) -> bool:
@@ -455,7 +429,9 @@ class FiniteMetric:
     common denominator: ``den`` is the least common denominator of the
     entries and ``D`` the integer matrix with ``rows[i][j] == D[i][j] / den``.
     The metric axioms are checked on ``D``, and the exact computations on a
-    metric (``diameter``, ``analysis.gamma``, the Gram matrix) read it.
+    metric (``diameter``, ``analysis.gamma``, the Gram matrix) read it.  A
+    metric built from integers (``_from_scaled``, as ``distance_matrix``
+    does) holds ``D`` and ``den`` alone and forms ``rows`` on first read.
     """
 
     labels: tuple[str, ...]
@@ -477,29 +453,36 @@ class FiniteMetric:
         self._check_and_store(D, den)
 
     @classmethod
-    def _from_scaled(
-        cls, labels: Sequence[str], D: Sequence[Sequence[int]], den: int
-    ) -> "FiniteMetric":
-        """The metric with distances ``D[i][j] / den`` for a square nonnegative
-        integer matrix ``D``, validated like any other."""
-        g = math.gcd(den, *(x for row in D for x in row))
+    def _from_scaled(cls, labels: Sequence[str], D: np.ndarray, den: int) -> "FiniteMetric":
+        """The metric with distances ``D[i][j] / den`` for a square int64 or
+        object array ``D`` of nonnegative integers, validated like any
+        other; ``rows`` is formed on first read."""
+        g = math.gcd(den, int(np.gcd.reduce(D, axis=None)))
         if g > 1:
-            D = [[x // g for x in row] for row in D]
+            D = D // g
             den //= g
-        value = {x: Fraction(x, den) for x in {x for row in D for x in row}}
         m = object.__new__(cls)
         object.__setattr__(m, "labels", tuple(labels))
-        object.__setattr__(m, "rows", tuple(tuple(value[x] for x in row) for row in D))
-        m._check_and_store(D, den)
+        m._check_and_store(D.tolist(), den)
         return m
 
-    def _check_and_store(self, D: Sequence[Sequence[Optional[int]]], den: int) -> None:
+    def __getattr__(self, name: str) -> tuple[tuple[Fraction, ...], ...]:
+        # only ``rows`` can be missing, on a metric built by ``_from_scaled``
+        if name != "rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den = self.den
+        value = {x: Fraction(x, den) for x in {x for row in self.D for x in row}}
+        rows = tuple(tuple(value[x] for x in row) for row in self.D)
+        object.__setattr__(self, "rows", rows)
+        return rows
+
+    def _check_and_store(self, D: list[list[Optional[int]]], den: int) -> None:
         # The int64 tests pass on every valid metric they can hold; a failure,
         # or a matrix they cannot hold, is named by the loop on Python ints.
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "D", tuple(map(tuple, D)))
         if not _metric_by_int64(D, self.labels):
             _check_metric(D, self.rows, self.labels)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "D", tuple(tuple(row) for row in D))
 
     @classmethod
     def from_rows(
@@ -524,14 +507,15 @@ class FiniteMetric:
 def distance_matrix(g: MetricGraph, points: Sequence[Point]) -> FiniteMetric:
     """Exact pairwise distances between the given points, in the given order.
 
-    The graph is refined once so that every point is a vertex, reduced to
-    the point kernel, and one Dijkstra runs from each distinct point."""
+    The points' kernel is built straight from the edges of ``g`` (see
+    ``_point_kernel``) and closed under shortest routes once (``_closure``).
+    """
     canon = [canonical_point(g, p) for p in points]
-    refined, vertex_of = _refine(g, canon)
-    ids = [vertex_of[p] for p in canon]
-    dist = _vertex_distances(refined, ids)
-    D = [[dist[a][b] for b in ids] for a in ids]
-    return FiniteMetric._from_scaled(tuple(point_label(p) for p in canon), D, refined._scale)
+    adj, nodes, scale = _point_kernel(g, canon)
+    index = {v: i for i, v in enumerate(adj)}
+    ids = [index[v] for v in nodes]
+    D = _closure(adj)[np.ix_(ids, ids)]
+    return FiniteMetric._from_scaled(tuple(point_label(p) for p in canon), D, scale)
 
 
 def distance(g: MetricGraph, p: Point, q: Point) -> Fraction:
@@ -542,6 +526,13 @@ def distance(g: MetricGraph, p: Point, q: Point) -> Fraction:
 # ---------------------------------------------------------------------------
 # graph surgery
 # ---------------------------------------------------------------------------
+
+
+def _fresh_id(candidate: str, used: set[str]) -> str:
+    while candidate in used:
+        candidate = "_" + candidate
+    used.add(candidate)
+    return candidate
 
 
 def subdivide(g: MetricGraph, k: int) -> MetricGraph:

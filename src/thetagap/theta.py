@@ -37,8 +37,8 @@ from .core import (
     MetricGraph,
     Point,
     Vertex,
+    _closure,
     _degree_two_chains,
-    _scaled_distances,
     as_rational,
     canonical_point,
     distance_matrix,
@@ -452,14 +452,16 @@ def _pair_bounds(
     vertex of such a block has block degree 2 or more, so the chains' stops
     are the candidates, the vertices of block degree 3 or more.  A shortest
     route between two vertices of a block stays inside it and runs whole
-    chains, so Dijkstra on the chain graph gives the graph distances d of
-    the candidates.  A theta path leaves its branch vertex u by its own
-    block edge and runs that edge's whole chain, so the three path lengths
-    of a theta through u and v, sorted, are at least c1 <= c2 <= c3 term by
-    term, the three smallest L(chain) + d(chain end, v) over the chains at
-    u; the same holds at v.  B is the larger sum c1 + c2 + c3 of the two
-    ends, S the larger c1 and M the larger c2.  No chain of a block returns
-    to its own start, which would then be a cut vertex.
+    chains, so the shortest-path closure of the chain graph
+    (``core._closure``, the one routine ``distance_matrix`` also runs)
+    gives the graph distances d of the candidates.  A theta path leaves its
+    branch vertex u by its own block edge and runs that edge's whole chain,
+    so the three path lengths of a theta through u and v, sorted, are at
+    least c1 <= c2 <= c3 term by term, the three smallest L(chain) +
+    d(chain end, v) over the chains at u; the same holds at v.  B is the
+    larger sum c1 + c2 + c3 of the two ends, S the larger c1 and M the
+    larger c2.  No chain of a block returns to its own start, which would
+    then be a cut vertex.
 
     The bounds of all pairs are formed at once on k x k integer arrays: in
     int64 while 8 times the block's total length stays below
@@ -481,10 +483,7 @@ def _pair_bounds(
         if b not in adj[a] or length < adj[a][b]:
             adj[a][b] = adj[b][a] = length
     dtype = np.int64 if 8 * total < _INT64_SAFE else object
-    dist = np.array(
-        [[row[c] for c in candidates] for row in (_scaled_distances(adj, c) for c in candidates)],
-        dtype=dtype,
-    )
+    dist = _closure(adj).astype(dtype, copy=False)
     # cheap[i, r, j]: the (r + 1)-th smallest L + d(chain end, candidate j)
     # over the chains at candidate i; each candidate has three chains or more
     cheap = np.stack(

@@ -349,6 +349,66 @@ def test_negtype_false_with_violation(theta_file, witness_points_file, tmp_path,
     assert code == 0 and report["valid"] is True
 
 
+def _set_transcript(*changes):
+    def mutate(cert):
+        t = cert["transcript"]
+        for (key, *at), value in changes:
+            target = t[key]
+            for i in at[:-1]:
+                target = target[i]
+            target[at[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set_transcript((("diag", 1), "x"), (("lower", 2, 0), "y")), "not a rational literal: 'x'"),
+        (_set_transcript((("lower", 2, 1), "z"), (("lower", 2, 2), "w")), "not a rational literal: 'z'"),
+        (_set_transcript((("lower", 0, 0), 1), (("lower", 1, 1), True)), "not a rational: True"),
+        (_set_transcript((("lower", 1, 0), "1/2"), (("lower", 2, 2), 1.5)), "not a rational: 1.5"),
+        (_set_transcript((("diag", 0), "2"), (("lower", 2, 0), "1/0")), "not a rational literal: '1/0'"),
+    ],
+    ids=["first_of_two", "after_repeated_literals", "bool_after_int", "float", "zero_denominator"],
+)
+def test_transcript_literals_name_the_first_bad_one(c4_file, tmp_path, capsys, mutate, message):
+    from thetagap import Vertex, dumps_points
+
+    pts = tmp_path / "pts.json"
+    pts.write_text(dumps_points([Vertex(f"v{i}") for i in range(1, 5)]))
+    cert = tmp_path / "neg.json"
+    run(capsys, "negtype", c4_file, "--points", str(pts), "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    assert doc["certificate"]["transcript"]["lower"][1][0] == "1/2"  # read twice below
+    mutate(doc["certificate"])
+    cert.write_text(json.dumps(doc))
+    err = _assert_one_line_error(capsys, "verify", str(cert), c4_file)
+    assert err == f"error: {message}\n"
+
+
+def test_negtype_gap_and_verify_never_form_fraction_rows(
+    monkeypatch, theta_file, witness_points_file, c4_file, tmp_path, capsys
+):
+    from thetagap import Vertex, dumps_points
+    from thetagap.core import FiniteMetric
+
+    def no_rows(self, name):
+        raise AssertionError(f"{name} read")
+
+    monkeypatch.setattr(FiniteMetric, "__getattr__", no_rows)
+    c4_points = tmp_path / "c4pts.json"
+    c4_points.write_text(dumps_points([Vertex(f"v{i}") for i in range(1, 5)]))
+    for name, graph, argv, code in [
+        ("embeds", c4_file, ["negtype", c4_file, "--points", str(c4_points)], 0),
+        ("refuted", theta_file, ["negtype", theta_file, "--points", witness_points_file], 1),
+        ("gap", theta_file, ["gap", theta_file, "--points", witness_points_file, "--starts", "4"], 0),
+    ]:
+        cert = tmp_path / f"{name}.json"
+        assert run(capsys, *argv, "--out", str(cert))[0] == code
+        assert run(capsys, "verify", str(cert), graph)[0] == 0
+
+
 def test_verify_rejects_tampered_violation(theta_file, witness_points_file, tmp_path, capsys):
     cert = tmp_path / "neg.json"
     run(capsys, "negtype", theta_file, "--points", witness_points_file, "--out", str(cert))

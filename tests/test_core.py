@@ -19,7 +19,6 @@ from thetagap.core import (
     Vertex,
     _degree_two_chains,
     _point_kernel,
-    _refine,
     as_rational,
     build_graph,
     canonical_point,
@@ -371,6 +370,71 @@ def test_distance_matrix_on_the_point_kernel_matches_floyd_warshall(data):
     assert [list(row) for row in m.rows] == oracle_distance_matrix(g, pts)
 
 
+@st.composite
+def closure_points(draw, g, count):
+    """Points of ``g`` heavy in the cases the point kernel splits apart:
+    edge ends, points on self-loops and points drawn twice."""
+    loops = [e for e in g.edges if e.ends[0] == e.ends[1]]
+    pts = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(("any", "end", "loop", "again")))
+        if kind == "end" and g.edges:
+            e = draw(st.sampled_from(g.edges))
+            pts.append(EdgePoint(e.id, draw(st.sampled_from((Fraction(0), e.length)))))
+        elif kind == "loop" and loops:
+            e = draw(st.sampled_from(loops))
+            frac = draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
+            pts.append(EdgePoint(e.id, frac * e.length))
+        elif kind == "again" and pts:
+            pts.append(draw(st.sampled_from(pts)))
+        else:
+            pts.append(draw(graph_points(g)))
+    return pts
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closure_matches_the_floyd_warshall_oracle_on_both_dtypes(dtype, data):
+    g = data.draw(kernel_graphs())
+    pts = data.draw(closure_points(g, data.draw(st.integers(min_value=1, max_value=6))))
+    closure, seen = core._closure, []
+
+    def spy(adj):
+        A = closure(adj)
+        seen.append(A.dtype)
+        return A
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_closure", spy)
+        if dtype == "object":
+            mp.setattr(core, "_INT64_SAFE", 0)
+        m = distance_matrix(g, pts)
+    assert [str(x) for x in seen] == [dtype]
+    assert [list(row) for row in m.rows] == oracle_distance_matrix(g, pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_points(count=4))
+def test_scaled_metric_equals_and_hashes_like_its_rows(case):
+    g, pts = case
+    a, b, c = (distance_matrix(g, pts) for _ in range(3))
+    expected = FiniteMetric.from_rows(c.labels, c.rows)
+    assert "rows" not in vars(a) and "rows" not in vars(b)
+    assert a == expected  # equality before rows were read
+    assert hash(b) == hash(expected)  # hashing before rows were read
+    for m in (a, b):
+        assert "rows" in vars(m)
+        assert m == expected and expected == m and hash(m) == hash(expected)
+        assert m.rows == expected.rows and (m.den, m.D) == (expected.den, expected.D)
+
+
+def _vertex_kernel(g, ids):
+    adj, nodes, scale = _point_kernel(g, [Vertex(v) for v in ids])
+    assert nodes == list(ids) and scale == g._scale
+    return adj
+
+
 def test_point_kernel_prunes_splices_and_keeps_the_shortest_parallel_edge():
     g = build_graph(
         ["a", "b", "c", "d", "e", "f"],
@@ -385,15 +449,15 @@ def test_point_kernel_prunes_splices_and_keeps_the_shortest_parallel_edge():
             ("da", "d", "a", 5),  # parallel to the spliced a-b-c-d, longer
         ],
     )
-    assert _point_kernel(g, ["a", "d"]) == {"a": {"d": 3}, "d": {"a": 3}}
-    assert _point_kernel(g, ["f", "c"]) == {"f": {"c": 3}, "c": {"f": 3}}
-    assert _point_kernel(g, ["b"]) == {"b": {}}
+    assert _vertex_kernel(g, ["a", "d"]) == {"a": {"d": 3}, "d": {"a": 3}}
+    assert _vertex_kernel(g, ["f", "c"]) == {"f": {"c": 3}, "c": {"f": 3}}
+    assert _vertex_kernel(g, ["b"]) == {"b": {}}
 
 
 def test_point_kernel_of_a_subdivision_is_the_original_graph():
     k33 = from_spec(FamilySpec(tag="complete_bipartite", sizes=(3, 3)))
     fine = subdivide(k33, 25)
-    kernel = _point_kernel(fine, k33.vertices)
+    kernel = _vertex_kernel(fine, k33.vertices)
     assert len(fine.vertices) == 231
     assert kernel == {
         v: {w: 26 for w in k33.vertices if (v[0] == "a") != (w[0] == "a")} for v in k33.vertices
@@ -402,12 +466,20 @@ def test_point_kernel_of_a_subdivision_is_the_original_graph():
 
 @settings(max_examples=80, deadline=None)
 @given(graphs_with_points(count=4))
-def test_refined_graph_passes_full_validation(case):
+def test_point_kernel_passes_full_validation(case):
+    # the kernel, read as a metric graph, is connected with positive lengths
     g, pts = case
     canon = [canonical_point(g, p) for p in pts]
-    refined, vertex_of = _refine(g, canon)
-    assert MetricGraph(refined.vertices, refined.edges) == refined
-    assert all(refined.has_vertex(vertex_of[p]) for p in canon)
+    adj, nodes, scale = _point_kernel(g, canon)
+    name = {v: repr(v) for v in adj}
+    edges = tuple(
+        Edge(f"{name[a]}-{name[b]}", (name[a], name[b]), Fraction(length, scale))
+        for a, nbrs in adj.items()
+        for b, length in nbrs.items()
+        if name[a] < name[b]
+    )
+    kernel = MetricGraph(tuple(name.values()), edges)
+    assert all(kernel.has_vertex(name[v]) for v in nodes)
 
 
 _AB = ("a", "b")
