@@ -11,25 +11,31 @@ One exact kernel does every symmetric elimination: ``_eliminate``, a
 fraction-free (Bareiss) elimination on Python integers with full diagonal
 pivoting, which reads and writes only the lower triangle.
 ``psd_decompose`` runs it on the matrix cleared of denominators and turns
-its factors into rationals once; the ``GapBracket`` constructor asks it
-for the verdict of the mu test only; ``PSDTranscript`` replays its update
-along a transcript's own order.
+its factors into rationals once; ``PSDTranscript`` replays its update
+along a transcript's own order; the ``GapBracket`` constructor asks it for
+the verdict of the mu test only where the integer factor cannot decide.
 
 The certified spectral bound starts from a float eigenvalue estimate
 (numpy, no scipy) rounded up to a dyadic rational, so its exact test runs
 on small integers.  That test is the ``GapBracket`` constructor's:
 ``gap_bracket`` builds the bracket of each rung of the ladder in turn, so
-``gap`` and ``verify`` run one test, once per rung tried.
+``gap`` and ``verify`` run one test, once per rung tried.  The test proves
+semidefiniteness by an integer Cholesky factor with a diagonally dominant
+residual (``_factor_certifies``), the rational sum-of-squares rounding of
+Peyrl and Parrilo computed on Python ints; only a matrix the factor leaves
+undecided goes to the elimination, so the verdict is always the one the
+elimination gives.
 
 The gap search proposes weightings in floats and scores them on integers.
 ``_ascend_all`` runs every projected gradient ascent in lockstep as the rows
 of one block, each row bit for bit the run its start would make alone:
 ``_gradients`` takes every row's product with stacked matmuls, which numpy
-runs as one gemv per row.  Every candidate is an integer vector c for the
-weighting c / sum|c|.  The snaps of all ascent ends to one denominator form
-one int64 block, scored by one product with the distance matrix while the
-energies fit int64 (``_block_scorer``); the raw floats, the best pair and
-the seeds are scored on Python ints.  ``_best_vector`` compares the
+runs as one gemv per row, and the step, the projection and the updates of
+the best iterates run in place.  Every candidate is an integer vector c for
+the weighting c / sum|c|.  The snaps of all ascent ends to one denominator
+form one int64 block, scored by one product with the distance matrix while
+the energies fit int64 (``_block_scorer``); the raw floats, the best pair
+and the seeds are scored on Python ints.  ``_best_vector`` compares the
 candidates by their integer energies and makes Fractions only for an exact
 tie and the winner.
 
@@ -475,9 +481,10 @@ class GapBracket:
 
     Construction re-derives exactly that ``weighting`` attains ``lower``,
     that ``upper`` is the smaller of diam/4 and the bound ``spectral_mu``
-    gives, and, by one exact elimination, that ``spectral_mu`` M2 + G / den
-    is positive semidefinite (``_mu_certifies``), so a bracket read back from
-    a certificate is checked exactly as the one ``gap_bracket`` builds."""
+    gives, and that ``spectral_mu`` M2 + G / den is positive semidefinite
+    (``_mu_certifies``: an integer factor, or an exact elimination where the
+    factor is undecided), so a bracket read back from a certificate is
+    checked exactly as the one ``gap_bracket`` builds."""
 
     metric: FiniteMetric
     lower: Fraction
@@ -627,6 +634,57 @@ def _best_vector(m: FiniteMetric, scores: Iterable[_Score]) -> tuple[Fraction, W
     return Fraction(energy, 2 * mass * mass * m.den), _weighting_of(c)
 
 
+def _factor_certifies(S: list[list[int]]) -> bool:
+    """Whether an integer factor proves the symmetric integer matrix S, held
+    by its lower triangle, positive semidefinite; False means undecided.
+
+    With t = max diag S, sigma = max(t >> 30, 1) and f the bit length of
+    8 n^2 (isqrt(t) + 1) // sigma, R is the Cholesky factor of
+    4^f (S - sigma I) taken row by row on integers:
+    R_ii = isqrt of what the earlier entries of row i leave of the diagonal,
+    R_ij the nearest integer to what they leave of entry (i, j) over R_jj.
+    The residual E = 4^f S - R R^T falls out of the same pass, exactly: E_ij
+    is the remainder of that rounding, at most R_jj / 2 in size, and E_ii
+    is 4^f sigma plus the remainder of the isqrt.  If every E_ii is at least
+    sum_{j != i} |E_ij|, E is positive semidefinite (Gershgorin), and so is
+    S = (R R^T + E) / 4^f.  The check is exact, so any sigma and f are sound.
+    These make the rounding small against 4^f sigma: every R_jj is below
+    2^f (isqrt(t) + 1), so once every pivot is positive the check
+    holds, and the factor is undecided only where S - sigma I has a
+    nonpositive pivot.  A mu rung's slack keeps the smallest eigenvalue of S
+    well above sigma.
+    """
+    n = len(S)
+    top = max((S[i][i] for i in range(n)), default=0)
+    if top <= 0:
+        # empty, or no positive pivot to start from: left to the elimination
+        return not n
+    sigma = max(top >> 30, 1)
+    f = (8 * n * n * (math.isqrt(top) + 1) // sigma).bit_length()
+    scale = 4**f
+    R: list[list[int]] = []
+    diag: list[int] = []
+    spill = [0] * n  # sum over j != i of |E_ij|
+    for i, row in enumerate(S):
+        Ri: list[int] = []
+        for j, Rj in enumerate(R):
+            left = scale * row[j] - sum(map(operator.mul, Ri, Rj))
+            p = Rj[j]
+            q = (2 * left + p) // (2 * p)
+            e = abs(left - q * p)
+            spill[i] += e
+            spill[j] += e
+            Ri.append(q)
+        left = scale * (row[i] - sigma) - sum(map(operator.mul, Ri, Ri))
+        if left <= 0:
+            return False
+        p = math.isqrt(left)
+        Ri.append(p)
+        R.append(Ri)
+        diag.append(scale * sigma + left - p * p)
+    return all(map(operator.ge, diag, spill))
+
+
 def _mu_certifies(G: list[list[int]], den: int, mu: Fraction) -> bool:
     """Whether mu M2 + G / den is positive semidefinite, with M2 = I + J and
     G the integer Gram matrix at the last point (``_scaled_gram(m, None)``).
@@ -634,13 +692,15 @@ def _mu_certifies(G: list[list[int]], den: int, mu: Fraction) -> bool:
     In the basis e_i - e_{n-1} of the zero-sum subspace, x = (y, -sum y),
     the quadratic form of D is x^T D x = -y^T (G / den) y and x^T x is
     y^T M2 y.  With mu = a / b the tested matrix is the integer matrix
-    a den M2 + b G over b den; only the verdict of its elimination is needed.
+    a den M2 + b G over b den.  An integer factor (``_factor_certifies``)
+    proves it semidefinite; where the factor is undecided, the verdict of
+    its elimination decides, so the answer never depends on the factor.
     """
     a, b = mu.numerator * den, mu.denominator
     shifted = [[a + b * x for x in row[: i + 1]] for i, row in enumerate(G)]
     for i, row in enumerate(shifted):
         row[i] += a
-    return _eliminate(shifted).direction is None
+    return _factor_certifies(shifted) or _eliminate(shifted).direction is None
 
 
 def _dyadic_ceil(x: Fraction, bits: int) -> Fraction:
@@ -658,7 +718,9 @@ def _mu_ladder(m: FiniteMetric, G: list[list[int]]) -> Iterator[Fraction]:
     (since J^2 = k J), so it is the largest eigenvalue of the symmetric
     T (-G / den) T.  Rung r adds the slack 2^(8r - 26) (|est| + diameter) and
     rounds up to a dyadic rational, whose small denominator keeps the exact
-    elimination cheap; the bound n * diameter always passes.
+    test on small integers.  The slack is the margin the test's integer
+    factor needs to decide without the elimination; the bound n * diameter
+    always passes, by the elimination if not by the factor.
     """
     n, den, diameter = m.size, m.den, m.diameter()
     k = n - 1
@@ -674,18 +736,21 @@ def _mu_ladder(m: FiniteMetric, G: list[list[int]]) -> Iterator[Fraction]:
 
 
 def _project_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and L1-normalise every row of V; also the mask of rows kept.
+    """Centre and L1-normalise every row of V in place; also the mask of rows
+    kept.
 
-    A row whose mass falls below 1e-300 has no direction and is dropped.
-    Each row gets the float operations a single vector would: its sum by the
-    same reduction, then one subtraction and one division per entry.
+    A row whose mass falls below 1e-300 has no direction and is dropped, and
+    the rows kept are then a new array.  Each row gets the float operations a
+    single vector would: its sum by the same reduction, then one subtraction
+    and one division per entry.
     """
-    V = V - (np.add.reduce(V, axis=1) / V.shape[1])[:, None]
+    V -= (np.add.reduce(V, axis=1) / V.shape[1])[:, None]
     mass = np.add.reduce(np.abs(V), axis=1)
     kept = ~(mass < 1e-300)
     if not kept.all():
         V, mass = V[kept], mass[kept]
-    return V / mass[:, None], kept
+    V /= mass[:, None]
+    return V, kept
 
 
 def _gradients(d_norm: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -710,11 +775,14 @@ def _ascend_all(
     bit for bit the steps a run from it alone would: step 0.25 along the
     gradient, projection back to {sum = 0, total mass = 1}, and the step
     shrunk by 0.9 whenever the energy fails to improve on the best so far.
+    The step and the projection run in place on the gradient's buffer, and
+    the best iterates, their energies and the steps are updated in place;
+    each is the same float operation per element as out of place.
     Returns, per start, the best iterate, or None if the start itself does
     not project; a run whose iterate stops projecting ends there.
     """
     ends: list[Optional[np.ndarray]] = [None] * len(starts)
-    W, kept = _project_rows(starts)
+    W, kept = _project_rows(np.array(starts, dtype=float))
     rows = np.flatnonzero(kept)
     G, energy = _gradients(d_norm, W)
     best, best_energy = W, energy
@@ -722,18 +790,21 @@ def _ascend_all(
     for _ in range(iters):
         if not len(rows):
             break
-        W, kept = _project_rows(W + step[:, None] * G)
-        if not kept.all():
+        # W + step G, in the gradient's buffer, which becomes the next iterate
+        G *= step[:, None]
+        G += W
+        W, kept = _project_rows(G)
+        if len(W) < len(rows):
             for r in np.flatnonzero(~kept):
                 ends[rows[r]] = best[r]
             rows, best, best_energy, step = rows[kept], best[kept], best_energy[kept], step[kept]
         # the energy's products are the next step's gradient
         G, energy = _gradients(d_norm, W)
         better = energy > best_energy
-        best[better] = W[better]
-        best_energy = np.where(better, energy, best_energy)
+        np.copyto(best, W, where=better[:, None])
+        np.copyto(best_energy, energy, where=better)
         # shrink once the fixed step starts overshooting the optimum
-        step[~better] *= 0.9
+        np.multiply(step, 0.9, out=step, where=~better)
     for r, i in enumerate(rows):
         ends[i] = best[r]
     return ends

@@ -1,10 +1,14 @@
 """Negative-type decisions, gap brackets, and eigenvalue counts."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from thetagap.analysis import (
     _best_vector,
     _block_scorer,
     _eliminate,
+    _factor_certifies,
     _float_snap,
     _mu_certifies,
     _mu_ladder,
@@ -49,6 +54,7 @@ from thetagap.analysis import (
     positive_eigenvalue_count,
     psd_decompose,
 )
+from thetagap.cli import main
 from thetagap.core import EdgePoint, FiniteMetric, Vertex, distance_matrix, subdivide
 from thetagap.errors import InternalCheckError, PreconditionError
 from thetagap.families import (
@@ -387,6 +393,64 @@ def test_gap_bracket_moves_past_a_rung_that_fails_the_mu_test(monkeypatch, witne
     monkeypatch.setattr(analysis, "_mu_ladder", lambda *_: iter([Fraction(0)]))
     with pytest.raises(InternalCheckError, match="spectral_mu does not bound"):
         gap_bracket(m, starts=2)
+
+
+# ---------------------------------------------------------------------------
+# the integer factor that proves mu, with the elimination as fallback
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def near_singular_matrices(draw):
+    """V V^T + t I with V of rank at most the size and entries up to 2^20,
+    and t a multiple of the factor's shift sigma: around the margin where
+    the factor stops deciding, on both sides of singular."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    r = draw(st.integers(min_value=0, max_value=n))
+    V = [[draw(st.integers(-(2**20), 2**20)) for _ in range(r)] for _ in range(n)]
+    M = [[sum(V[i][k] * V[j][k] for k in range(r)) for j in range(n)] for i in range(n)]
+    sigma = max(max(M[i][i] for i in range(n)) >> 30, 1)
+    t = draw(st.sampled_from([-4, -1, 0, 1, 2, 4, 16, 64])) * sigma
+    for i in range(n):
+        M[i][i] += t
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(integer_symmetric_matrices(), near_singular_matrices()))
+def test_integer_factor_accepts_only_semidefinite_matrices(A):
+    if _factor_certifies([row[: i + 1] for i, row in enumerate(A)]):
+        assert oracle_psd_decompose(A)[0]
+
+
+def _count_eliminations(monkeypatch):
+    """The sizes of the matrices ``_eliminate`` is called on from now on."""
+    calls = []
+    eliminate = analysis._eliminate
+
+    def spy(S):
+        calls.append(len(S))
+        return eliminate(S)
+
+    monkeypatch.setattr(analysis, "_eliminate", spy)
+    return calls
+
+
+def test_tight_mu_falls_back_to_one_elimination(monkeypatch, two_point):
+    # mu = -d leaves S = 0, which the factor cannot decide; the bracket is
+    # tight at -d/4 and the elimination still certifies it
+    calls = _count_eliminations(monkeypatch)
+    quarter = Fraction(1, 4)
+    GapBracket(
+        metric=two_point,
+        lower=-quarter,
+        weighting=Weighting.from_values([Fraction(1, 2), Fraction(-1, 2)]),
+        upper=-quarter,
+        upper_spectral=-quarter,
+        upper_diameter=quarter,
+        spectral_mu=Fraction(-1),
+    )
+    assert calls == [1]
 
 
 def _tampered(matrix, t, what, a, b, delta):
@@ -866,6 +930,12 @@ _CACTUS_W = (
 )
 
 
+_FROZEN_24_GRAPHS = {
+    "cactus": make_random_cactus(10, seed=5),
+    "theta": subdivide(make_theta(1, 1, 1), 4),
+}
+
+
 # Recorded from the gap search over Fraction arithmetic.  On the theta set
 # two distinct weightings attain the maximum, so this pins the argmax
 # tie-break as well.  The mu values (and upper_spectral) are the first,
@@ -875,7 +945,7 @@ _CACTUS_W = (
     [
         (
             "cactus",
-            make_random_cactus(10, seed=5),
+            _FROZEN_24_GRAPHS["cactus"],
             Fraction(-22472491, 3992378880),
             [Fraction(int(a), 5768) for a in _CACTUS_W.split()],
             Fraction(-1121751917, 549755813888),
@@ -883,7 +953,7 @@ _CACTUS_W = (
         ),
         (
             "theta",
-            subdivide(make_theta(1, 1, 1), 4),
+            _FROZEN_24_GRAPHS["theta"],
             Fraction(11287, 228528),
             [Fraction(-25, 138)] * 2
             + [Fraction(1, 6), Fraction(-1, 138), Fraction(1, 6)]
@@ -903,6 +973,28 @@ def test_gap_bracket_frozen_on_24_points(seed, graph, lower, weighting, upper_sp
     assert bracket.weighting == Weighting.from_values(weighting)
     assert bracket.upper_spectral == upper_spectral
     assert bracket.spectral_mu == mu
+
+
+@pytest.mark.parametrize("seed", sorted(_FROZEN_24_GRAPHS))
+def test_frozen_24_point_brackets_prove_mu_without_elimination(monkeypatch, seed):
+    graph = _FROZEN_24_GRAPHS[seed]
+    m = distance_matrix(graph, _gap_points(graph, random.Random(seed)))
+    calls = _count_eliminations(monkeypatch)
+    gap_bracket(m, starts=8)
+    assert calls == []
+
+
+def test_verify_of_the_golden_gap_certificate_makes_no_elimination(monkeypatch, tmp_path):
+    graph, cert = tmp_path / "theta.json", tmp_path / "gap.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["make", "theta", "--lengths", "1,1,1", "--out", str(graph)]) == 0
+    cert.write_text((Path(__file__).parent / "golden" / "gap.json").read_text())
+    calls = _count_eliminations(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", str(cert), str(graph)]) == 0
+    assert json.loads(out.getvalue())["valid"] is True
+    assert calls == []
 
 
 def _points_metric(graph, count, rng_seed):

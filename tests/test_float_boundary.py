@@ -4,7 +4,9 @@ Floats only propose; every verdict is an exact certificate.  The two float
 entry points are ``l1cut._float_support`` (scipy's HiGHS proposes a cut
 support) and ``analysis._mu_ladder`` (``numpy.linalg`` proposes the first mu
 rung).  A scipy import or a ``numpy.linalg`` use anywhere else in the
-package would be a new float path into a decision, so it fails here.
+package would be a new float path into a decision, so it fails here.  The
+mu test itself, the integer factor and its caller, must not touch a float
+or numpy at all.
 """
 
 import ast
@@ -57,3 +59,18 @@ def test_scipy_is_imported_only_by_the_float_proposal():
 
 def test_numpy_linalg_is_used_only_by_the_mu_ladder():
     assert _found("numpy.linalg") == {("analysis", "_mu_ladder")}
+
+
+def test_the_mu_test_decides_on_integers_alone():
+    tree = ast.parse((PACKAGE / "analysis.py").read_text())
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_mu_certifies", "_factor_certifies")
+    }
+    assert len(defs) == 2
+    for name, node in defs.items():
+        for sub in ast.walk(node):
+            assert not (isinstance(sub, ast.Name) and sub.id in ("float", "np", "numpy")), name
+            assert not (isinstance(sub, ast.Constant) and isinstance(sub.value, float)), name
