@@ -340,10 +340,12 @@ class _Phase1:
     scores the gcd-reduced integer dual of any size over that block with
     ``_cut_scores``, the routine that also checks a ``FarkasCertificate``,
     and zeroes the basic cuts.  Pricing is steepest (largest positive
-    crossing sum, ties to the lowest Gray-code rank) until a run of
-    degenerate pivots trips the anti-cycling switch to lowest-rank pricing,
-    the positive cut of lowest Gray-code rank, which guarantees
-    termination.  An empty column set prices no cut.
+    crossing sum, ties to the lowest Gray-code rank), except that a run of
+    ``_DEGENERATE_STREAK_LIMIT`` degenerate pivots switches to Bland's
+    lowest-rank pricing, the positive cut of lowest Gray-code rank, until
+    the next nondegenerate pivot.  Bland's rule cannot cycle, so every
+    degenerate run ends, and the objective falls at every other pivot: the
+    solve terminates.  An empty column set prices no cut.
 
     The arithmetic is fraction-free.  Row r of B^-1 is ``adj[r] / dens[r]``:
     a dict from column to its nonzero int entries over one positive integer
@@ -502,6 +504,7 @@ class _Phase1:
                     self.bland = True
             else:
                 self.streak = 0
+                self.bland = False
 
     def decomposition(self) -> CutDecomposition:
         entries = tuple(

@@ -3,19 +3,20 @@
 A theta consists of two branch vertices joined by three paths that are
 internally vertex-disjoint and pairwise edge-disjoint.  Existence is decided
 from the biconnected block structure (a block contains a theta exactly when
-its cycle rank is at least 2; self-loops never contribute).  The shortest
-theta through a given branch pair is a minimum-cost flow of value 3 in the
-vertex-split digraph of their common block, solved by successive shortest
-paths.  The flow runs on integer costs: the edge lengths in units of
-1 / g._scale, the one integer length per edge that the bound search also
-uses, an exact rescaling.  Each block is walked once into chains of
-degree-2 vertices between branch candidates.  Three distinct chains leave
-each branch vertex of a theta, so the three cheapest first chains, each
-followed by a shortest route to the other branch vertex, bound the sorted
-path lengths of every theta through a pair from below, term by term.  The
-bounds on the total, the shortest and the middle path, then the pair,
-bound the key the search minimizes.  Pairs are visited in order of that
-bound, and the search stops at the first bound above the best key found.
+its cycle rank is at least 2; self-loops never contribute).  Each block is
+walked once into chains of degree-2 vertices between branch candidates, and
+each chain's length is summed once, in units of 1 / g._scale, an exact
+rescaling to integers.  That one chain graph serves two steps.  The
+shortest theta through a given branch pair is a minimum-cost flow of value
+3 in the chain graph with each candidate split in two, solved by successive
+shortest paths; every theta path runs whole chains.  And three distinct
+chains leave each branch vertex of a theta, so the three cheapest first
+chains, each followed by a shortest route to the other branch vertex, bound
+the sorted path lengths of every theta through a pair from below, term by
+term.  The bounds on the total, the shortest and the middle path, then the
+pair, bound the key the search minimizes.  Pairs are visited in order of
+that bound, and the search stops at the first bound above the best key
+found.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -297,8 +298,8 @@ def _make_path(g: MetricGraph, start: str, edge_walk: Sequence[tuple[str, bool]]
     return ThetaPath(edges=tuple(edge_walk), vertices=tuple(vertices), arcs=tuple(arcs))
 
 
-def _reverse_walk(walk: Sequence[tuple[str, bool]]) -> list[tuple[str, bool]]:
-    return [(eid, not fwd) for eid, fwd in reversed(walk)]
+def _reverse_walk(walk: Sequence[tuple[str, bool]]) -> tuple[tuple[str, bool], ...]:
+    return tuple((eid, not fwd) for eid, fwd in reversed(walk))
 
 
 def _assemble_theta(
@@ -317,75 +318,66 @@ def _assemble_theta(
 # ---------------------------------------------------------------------------
 
 
+# A chain: its two stops, its edge walk between them, its length in 1 / g._scale
+_Chain = tuple[str, str, tuple[tuple[str, bool], ...], int]
+
+
 class _FlowNet:
-    """Vertex-split digraph over one block with unit capacities.
+    """Unit-capacity digraph over the chain graph of one block.
+
+    Candidate i (block degree 3 or more) is split into an in-node 2i and an
+    out-node 2i + 1, joined by its split arc, arc 2i.  Each chain is one
+    arc from the out-node of either end to the in-node of the other, tagged
+    with its edge walk in that direction: every theta path runs whole
+    chains, so no node stands for a degree-2 vertex.  Costs are the chain
+    lengths in 1 / g._scale, Python ints; scaling every cost by one positive
+    constant keeps every comparison and tie of the search.
 
     One net serves every branch pair of its block.  ``three_paths(u, v)``
     closes the split arcs of u and v for one solve, so that no path passes
     through a branch vertex, and reopens them after; the arcs and their
     order never change, so each pair gets the walks a net built for it
     alone would give.
-
-    Arc costs are ``units``, the block's edge lengths in 1 / g._scale, so
-    they are Python ints.  Scaling every cost by one positive constant keeps
-    every comparison and tie of the search, so the same walks come out as
-    with the rational lengths.
     """
 
-    def __init__(self, g: MetricGraph, units: Mapping[str, int]):
-        self.nodes: list[tuple[str, str]] = []
-        self.index: dict[tuple[str, str], int] = {}
-        verts = sorted({end for eid in units for end in g.edge(eid).ends})
-        for w in verts:
-            for side in ("in", "out"):
-                self.index[(side, w)] = len(self.nodes)
-                self.nodes.append((side, w))
-        # arcs: [to, cap, cost, flow, tag]; residual pairs adjacent (i ^ 1)
-        self.arc_to: list[int] = []
-        self.arc_cap: list[int] = []
-        self.arc_cost: list[int] = []
-        self.arc_tag: list[Optional[tuple[str, bool]]] = []
-        self.adj: list[list[int]] = [[] for _ in self.nodes]
-        self.split: dict[str, int] = {}
-        for w in verts:
-            self.split[w] = len(self.arc_to)
-            self._add(("in", w), ("out", w), 1, 0, None)
-        for eid in sorted(units):
-            a, b = g.edge(eid).ends
-            if a == b:
-                continue
-            self._add(("out", a), ("in", b), 1, units[eid], (eid, True))
-            self._add(("out", b), ("in", a), 1, units[eid], (eid, False))
+    def __init__(self, candidates: Sequence[str], chains: Sequence[_Chain]):
+        self.node = {c: 2 * i for i, c in enumerate(candidates)}
+        # residual pairs adjacent (i ^ 1); residual and split arcs walk ()
+        self.arc_to, self.arc_cap, self.arc_cost, self.arc_walk = [], [], [], []
+        self.adj: list[list[int]] = [[] for _ in range(2 * len(candidates))]
+        for x in self.node.values():
+            self._add(x, x + 1, 0, ())
+        for a, b, walk, length in chains:
+            self._add(self.node[a] + 1, self.node[b], length, walk)
+            self._add(self.node[b] + 1, self.node[a], length, _reverse_walk(walk))
         self.source = self.sink = -1
 
-    def three_paths(self, u: str, v: str) -> Optional[list[list[tuple[str, bool]]]]:
+    def three_paths(self, u: str, v: str) -> Optional[list[tuple[int, list[tuple[str, bool]]]]]:
         """``min_cost_three_paths`` from branch vertex u to branch vertex v."""
-        closed = (self.split[u], self.split[v])
-        for ai in closed:
-            self.arc_cap[ai] = 0
-        self.source = self.index[("out", u)]
-        self.sink = self.index[("in", v)]
+        iu, iv = self.node[u], self.node[v]
+        self.arc_cap[iu] = self.arc_cap[iv] = 0
+        self.source, self.sink = iu + 1, iv
         try:
             return self.min_cost_three_paths()
         finally:
-            for ai in closed:
-                self.arc_cap[ai] = 1
+            self.arc_cap[iu] = self.arc_cap[iv] = 1
 
-    def _add(self, frm, to, cap, cost, tag) -> None:
-        i, j = self.index[frm], self.index[to]
-        self.adj[i].append(len(self.arc_to))
-        self.arc_to.append(j)
-        self.arc_cap.append(cap)
+    def _add(self, frm: int, to: int, cost: int, walk: tuple[tuple[str, bool], ...]) -> None:
+        self.adj[frm].append(len(self.arc_to))
+        self.arc_to.append(to)
+        self.arc_cap.append(1)
         self.arc_cost.append(cost)
-        self.arc_tag.append(tag)
-        self.adj[j].append(len(self.arc_to))
-        self.arc_to.append(i)
+        self.arc_walk.append(walk)
+        self.adj[to].append(len(self.arc_to))
+        self.arc_to.append(frm)
         self.arc_cap.append(0)
         self.arc_cost.append(-cost)
-        self.arc_tag.append(None)
+        self.arc_walk.append(())
 
-    def min_cost_three_paths(self) -> Optional[list[list[tuple[str, bool]]]]:
-        n = len(self.nodes)
+    def min_cost_three_paths(self) -> Optional[list[tuple[int, list[tuple[str, bool]]]]]:
+        """Three disjoint source-sink paths of least total cost, each as
+        (cost, edge walk), or None when there are not three."""
+        n = len(self.adj)
         flow = [0] * len(self.arc_to)
         potential = [0] * n
         for _ in range(3):
@@ -421,38 +413,39 @@ class _FlowNet:
                 flow[ai] += 1
                 flow[ai ^ 1] -= 1
                 x = self.arc_to[ai ^ 1]
-        # decompose into three edge walks
-        walks: list[list[tuple[str, bool]]] = []
+        # decompose into three walks of whole chains
+        paths: list[tuple[int, list[tuple[str, bool]]]] = []
         for _ in range(3):
+            cost = 0
             walk: list[tuple[str, bool]] = []
             x = self.source
             steps = 0
             while x != self.sink:
                 ai = next(a for a in self.adj[x] if flow[a] > 0 and self.arc_cap[a] > 0)
                 flow[ai] -= 1
-                if self.arc_tag[ai] is not None:
-                    walk.append(self.arc_tag[ai])
+                cost += self.arc_cost[ai]
+                walk.extend(self.arc_walk[ai])
                 x = self.arc_to[ai]
                 steps += 1
                 if steps > len(self.arc_to):
                     raise InternalCheckError("flow decomposition looped")
-            walks.append(walk)
-        return walks
+            paths.append((cost, walk))
+        return paths
 
 
 def _pair_bounds(
-    g: MetricGraph, block: Sequence[str], verts: set[str], units: Mapping[str, int]
+    candidates: Sequence[str], chains: Sequence[_Chain]
 ) -> list[tuple[int, int, int, str, str]]:
     """(B, S, M, u, v) for every candidate pair u < v of a block of cycle
-    rank 2 or more, sorted; ``units``, B, S and M are lengths in
-    1 / g._scale.  The tuple is a lexicographic lower bound on the pair's
-    key (total, shortest, middle, u, v) in ``minimal_theta``.
+    rank 2 or more, sorted, from the block's chain graph; the chain lengths,
+    B, S and M are lengths in 1 / g._scale.  The tuple is a lexicographic
+    lower bound on the pair's key (total, shortest, middle, u, v) in
+    ``minimal_theta``.
 
-    The block is walked once into chains (``_degree_two_chains``).  Every
-    vertex of such a block has block degree 2 or more, so the chains' stops
-    are the candidates, the vertices of block degree 3 or more.  A shortest
-    route between two vertices of a block stays inside it and runs whole
-    chains, so the shortest-path closure of the chain graph
+    Every vertex of such a block has block degree 2 or more, so the chains'
+    stops are the candidates, the vertices of block degree 3 or more.  A
+    shortest route between two vertices of a block stays inside it and runs
+    whole chains, so the shortest-path closure of the chain graph
     (``core._closure``, the one routine ``distance_matrix`` also runs)
     gives the graph distances d of the candidates.  A theta path leaves its
     branch vertex u by its own block edge and runs that edge's whole chain,
@@ -468,14 +461,12 @@ def _pair_bounds(
     ``_INT64_SAFE`` (every L + d is at most twice that total), and as
     Python ints in an object array beyond it, by the same operations.
     """
-    candidates, chains = _degree_two_chains(g, verts, block)
     index = {c: i for i, c in enumerate(candidates)}
     ends: list[list[int]] = [[] for _ in candidates]
     lengths: list[list[int]] = [[] for _ in candidates]
     adj: dict[str, dict[str, int]] = {c: {} for c in candidates}
     total = 0
-    for a, b, walk in chains:
-        length = sum(units[eid] for eid, _ in walk)
+    for a, b, _, length in chains:
         total += length
         for x, y in ((a, b), (b, a)):
             ends[index[x]].append(index[y])
@@ -516,11 +507,15 @@ def _pair_bounds(
 def minimal_theta(g: MetricGraph) -> Optional[Theta]:
     """The globally shortest theta, with deterministic tie-breaking.
 
-    Every pair of block vertices of degree at least 3 is a candidate branch
-    pair, solved as a min-cost flow on integer-scaled costs in one net per
-    block (see ``_FlowNet``).  A solved pair's key (total, shortest, middle,
-    u, v), on integer lengths, orders it as ``Theta._sort_key`` does, since
-    no two pairs share (u, v).  Pairs are visited in order of their lower
+    Each block of cycle rank 2 or more is walked once into chains of
+    degree-2 vertices between its candidates, the vertices of block degree
+    3 or more (``core._degree_two_chains``), and each chain's length is
+    summed once in 1 / g._scale.  That chain graph feeds both the pair
+    bounds and the one flow net of the block.  Every pair of candidates is
+    a candidate branch pair, solved as a min-cost flow on the chain graph
+    (see ``_FlowNet``).  A solved pair's key (total, shortest, middle, u,
+    v), on integer lengths, orders it as ``Theta._sort_key`` does, since no
+    two pairs share (u, v).  Pairs are visited in order of their lower
     bound (B, S, M, u, v) on that key, from the three cheapest first chains
     at each branch vertex, each followed by a shortest route to the other
     branch vertex (see ``_pair_bounds``).  The search stops at the first
@@ -536,23 +531,24 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
         verts, rank = _block_stats(g, block)
         if rank < 2:
             continue
-        units: dict[str, int] = {}
-        for eid in block:
-            length = g.edge(eid).length
-            units[eid] = length.numerator * (scale // length.denominator)
+        candidates, walks = _degree_two_chains(g, verts, block)
+        chains: list[_Chain] = []
+        for a, b, walk in walks:
+            pieces = (g.edge(eid).length for eid, _ in walk)
+            chains.append((a, b, walk, sum(x.numerator * (scale // x.denominator) for x in pieces)))
         net: Optional[_FlowNet] = None
-        for bound in _pair_bounds(g, block, verts, units):
+        for bound in _pair_bounds(candidates, chains):
             if best_key is not None and bound > best_key:
                 break
             u, v = bound[3:]
-            net = net or _FlowNet(g, units)
-            walks = net.three_paths(u, v)
-            if walks is None:
+            net = net or _FlowNet(candidates, chains)
+            paths = net.three_paths(u, v)
+            if paths is None:
                 continue
-            lengths = sorted(sum(units[eid] for eid, _ in walk) for walk in walks)
+            lengths = sorted(cost for cost, _ in paths)
             key = (sum(lengths), lengths[0], lengths[1], u, v)
             if best_key is None or key < best_key:
-                best, best_key = _assemble_theta(g, u, v, walks), key
+                best, best_key = _assemble_theta(g, u, v, [walk for _, walk in paths]), key
     return best
 
 

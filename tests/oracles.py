@@ -9,9 +9,9 @@ per start scored over ``Weighting``s instead of the lockstep search scored
 on integers, a Gray-code walk on Python ints instead of the limb-split int64
 crossing sums, and a phase-1 simplex over ``Fraction``s priced by that walk
 instead of the fraction-free one, a flow for every branch pair of a block
-instead of the pruned branch-pair search, and a scan along a path's edges
-instead of bisection on its arcs.  All arithmetic outside the
-float ascent is exact.
+instead of the pruned branch-pair search, on the chain graph or on every
+edge, and a scan along a path's edges instead of bisection on its arcs.
+All arithmetic outside the float ascent is exact.
 """
 
 import itertools
@@ -19,14 +19,22 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from thetagap import l1cut
 from thetagap.analysis import _SNAP_DENOMINATORS, PSDTranscript, Weighting, gamma
-from thetagap.core import EdgePoint, FiniteMetric, MetricGraph, Point, Vertex, canonical_point
+from thetagap.core import (
+    EdgePoint,
+    FiniteMetric,
+    MetricGraph,
+    Point,
+    Vertex,
+    _degree_two_chains,
+    canonical_point,
+)
 from thetagap.errors import InternalCheckError, PreconditionError
 from thetagap.l1cut import Cut, CutDecomposition, _crossing
 from thetagap.theta import (
@@ -600,33 +608,50 @@ def oracle_gap_lower(m: FiniteMetric, starts=24, iters=200, seed=0, seeds=()):
 # ---------------------------------------------------------------------------
 
 
-class OraclePairNet(_FlowNet):
-    """The flow net built for one branch pair, its split arcs at u and v
-    closed from the start; it shares the solver of the per-block net."""
+def edge_graph(g: MetricGraph, block_edges):
+    """A block as a chain graph with every vertex a stop and every edge,
+    self-loops aside, its own one-edge chain: the vertex-split net that the
+    chain net replaced.  Lengths are in 1 / g._scale."""
+    stops = sorted({end for eid in block_edges for end in g.edge(eid).ends})
+    chains = [
+        (*g.edge(eid).ends, ((eid, True),), int(g.edge(eid).length * g._scale))
+        for eid in sorted(block_edges)
+        if g.edge(eid).ends[0] != g.edge(eid).ends[1]
+    ]
+    return stops, chains
 
-    def __init__(self, g: MetricGraph, block_edges, u: str, v: str):
-        self.nodes = []
-        self.index = {}
-        verts = sorted({end for eid in block_edges for end in g.edge(eid).ends})
-        for w in verts:
-            for side in ("in", "out"):
-                self.index[(side, w)] = len(self.nodes)
-                self.nodes.append((side, w))
-        self.arc_to, self.arc_cap, self.arc_cost, self.arc_tag = [], [], [], []
-        self.adj = [[] for _ in self.nodes]
-        for w in verts:
-            self._add(("in", w), ("out", w), 0 if w in (u, v) else 1, 0, None)
-        scale = lcm(*(g.edge(eid).length.denominator for eid in block_edges))
-        for eid in sorted(block_edges):
-            e = g.edge(eid)
-            a, b = e.ends
-            if a == b:
-                continue
-            cost = e.length.numerator * (scale // e.length.denominator)
-            self._add(("out", a), ("in", b), 1, cost, (eid, True))
-            self._add(("out", b), ("in", a), 1, cost, (eid, False))
-        self.source = self.index[("out", u)]
-        self.sink = self.index[("in", v)]
+
+def chain_graph(g: MetricGraph, block_edges):
+    """A block's stops and chains as ``core._degree_two_chains`` walks them,
+    each chain's length summed over ``Fraction``s, in 1 / g._scale."""
+    verts = {end for eid in block_edges for end in g.edge(eid).ends}
+    stops, walks = _degree_two_chains(g, verts, block_edges)
+    chains = [
+        (a, b, walk, int(sum(g.edge(eid).length for eid, _ in walk) * g._scale))
+        for a, b, walk in walks
+    ]
+    return stops, chains
+
+
+class OraclePairNet(_FlowNet):
+    """The flow net built for one branch pair on the given stops and chains,
+    its split arcs at u and v closed from the start; it shares the solver
+    of the per-block net."""
+
+    def __init__(self, stops, chains, u: str, v: str):
+        node = {w: i for i, w in enumerate(stops)}
+        self.arc_to, self.arc_cap, self.arc_cost, self.arc_walk = [], [], [], []
+        self.adj = [[] for _ in range(2 * len(stops))]
+        for w in stops:
+            self._add(2 * node[w], 2 * node[w] + 1, 0, ())
+            if w in (u, v):
+                self.arc_cap[-2] = 0
+        for a, b, walk, length in chains:
+            self._add(2 * node[a] + 1, 2 * node[b], length, tuple(walk))
+            back = tuple((eid, not forward) for eid, forward in reversed(walk))
+            self._add(2 * node[b] + 1, 2 * node[a], length, back)
+        self.source = 2 * node[u] + 1
+        self.sink = 2 * node[v]
 
 
 def oracle_point_on_path(g: MetricGraph, path: ThetaPath, arc: Fraction) -> Point:
@@ -654,18 +679,20 @@ def branch_pairs(g: MetricGraph):
         yield block, list(itertools.combinations(branch, 2))
 
 
-def oracle_minimal_theta(g: MetricGraph) -> Optional[Theta]:
+def oracle_minimal_theta(g: MetricGraph, edge_level: bool = False) -> Optional[Theta]:
     """The least ``Theta._sort_key`` over every branch pair of every block
     of cycle rank >= 2, each solved on its own ``OraclePairNet``, with no
-    bound and no pruning.  A pair with a vertex of block degree 2 would find
+    bound and no pruning: on the block's chain graph, or on its edge graph
+    with ``edge_level``.  A pair with a vertex of block degree 2 would find
     no three paths, so only pairs of ``branch_pairs`` are solved."""
     best: Optional[Theta] = None
     for block, pairs in branch_pairs(g):
+        stops, chains = (edge_graph if edge_level else chain_graph)(g, block)
         for u, v in pairs:
-            walks = OraclePairNet(g, block, u, v).min_cost_three_paths()
-            if walks is None:
+            paths = OraclePairNet(stops, chains, u, v).min_cost_three_paths()
+            if paths is None:
                 continue
-            t = _assemble_theta(g, u, v, walks)
+            t = _assemble_theta(g, u, v, [walk for _, walk in paths])
             if best is None or t._sort_key < best._sort_key:
                 best = t
     return best
@@ -736,8 +763,8 @@ class OraclePhase1:
     Starts from an all-artificial basis; cut columns price either from an
     explicit list or over all canonical cuts by Gray-code scan.  Pricing is
     steepest (largest positive crossing sum) until a run of degenerate pivots
-    trips the anti-cycling switch to least-position pricing, which guarantees
-    termination.
+    trips the anti-cycling switch to least-position pricing, which lasts
+    until the next nondegenerate pivot.
 
     Each row of B^-1 is a dict from column to its nonzero Fraction entries:
     cut bases stay very sparse (685 nonzeros of 14 400 entries after the 12
@@ -891,6 +918,7 @@ class OraclePhase1:
                     self.bland = True
             else:
                 self.streak = 0
+                self.bland = False
 
     def decomposition(self) -> CutDecomposition:
         weights: dict[int, Fraction] = {}

@@ -349,9 +349,9 @@ CASE2_BASIS = [
     545, 546, 547, 548, 273, 415, 479, 552, 341, 101, 287,
 ]
 CASE3_BASIS = [
-    485, 512, 503, 514, 515, 516, 517, 518, 519, 520, 521, 522, 523, 524, 142, 526,
-    100, 14, 495, 238, 531, 532, 373, 357, 535, 536, 537, 5, 15, 540, 541, 542, 543,
-    544, 545, 546, 547, 548, 1, 415, 479, 552, 341, 101, 351,
+    14, 512, 503, 514, 515, 516, 517, 518, 519, 520, 521, 522, 523, 524, 415, 526, 100,
+    357, 495, 341, 531, 532, 485, 142, 535, 536, 537, 5, 15, 540, 541, 542, 543, 544,
+    545, 546, 547, 548, 1, 238, 479, 552, 287, 101, 373,
 ]
 
 
@@ -360,8 +360,9 @@ CASE3_BASIS = [
     [
         (12, 0, 30, Fraction(79, 60), CASE1_DUAL, CASE1_BASIS, False, 64, 6, 65),
         (10, 3, 30, Fraction(17, 10), CASE2_DUAL, CASE2_BASIS, False, 57, 20, 58),
-        # a short degenerate streak forces the switch to Bland pricing
-        (10, 3, 2, Fraction(17, 10), CASE2_DUAL, CASE3_BASIS, True, 89, 21, 90),
+        # a short degenerate streak forces the switch to Bland pricing, which
+        # ends at the next nondegenerate pivot; 12 of the 69 scans price so
+        (10, 3, 2, Fraction(17, 10), CASE2_DUAL, CASE3_BASIS, False, 68, 28, 69),
     ],
     ids=["connected12", "connected10", "connected10_bland"],
 )
@@ -694,6 +695,26 @@ def test_dependent_face_at_twelve_points_takes_the_float_proposal(monkeypatch):
     monkeypatch.setattr(l1cut, "_float_support", lambda m: proposals.append(m) or propose(m))
     assert isinstance(is_l1_embeddable(m), CutDecomposition)
     assert proposals == [m]
+
+
+def test_star_leaves_leave_bland_pricing_at_the_next_nondegenerate_pivot(monkeypatch):
+    # every cut of the 11 leaves of K1,11 is on the face; with Bland pricing
+    # kept on from its first trip to the end, this LP took 26 895 pivots
+    g = from_spec(FamilySpec(tag="complete_bipartite", sizes=(1, 11)))
+    m = distance_matrix(g, [Vertex(v) for v in g.vertices if v != g.vertices[0]])
+    solvers, priced = [], []
+    price = _Phase1._price
+
+    def recorded(solver, y):
+        solvers.append(solver)
+        priced.append(solver.bland)
+        return price(solver, y)
+
+    monkeypatch.setattr(_Phase1, "_price", recorded)
+    assert isinstance(is_l1_embeddable(m), CutDecomposition)
+    assert len(set(solvers)) == 1 and len(solvers[0].masks) == 2**10 - 1
+    assert any(priced) and not all(priced[priced.index(True):])
+    assert solvers[0].pivots <= 200
 
 
 def test_dependent_face_of_at_most_one_cut_per_pair_is_decided_on_the_face(monkeypatch):

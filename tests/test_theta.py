@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from oracles import (
     OraclePairNet,
     branch_pairs,
+    chain_graph,
+    edge_graph,
     oracle_contains_theta,
     oracle_min_theta_total,
     oracle_minimal_theta,
@@ -199,9 +201,10 @@ def _branch_pair_count(g) -> int:
 def _assert_block_net_matches_pair_nets(g):
     # one net per block, solved for every pair in both directions in turn
     for block, pairs in branch_pairs(g):
-        net = theta_module._FlowNet(g, {eid: int(g.edge(eid).length * g._scale) for eid in block})
+        stops, chains = chain_graph(g, block)
+        net = theta_module._FlowNet(stops, chains)
         for u, v in pairs + [(v, u) for u, v in reversed(pairs)]:
-            want = OraclePairNet(g, block, u, v).min_cost_three_paths()
+            want = OraclePairNet(stops, chains, u, v).min_cost_three_paths()
             assert net.three_paths(u, v) == want
 
 
@@ -367,10 +370,55 @@ _SEARCH_GRAPHS = st.one_of(
 )
 
 
+def _key(t):
+    return None if t is None else t._sort_key[:4]
+
+
+def _assert_matches_the_oracles(g, brute_force=False):
+    # The theta is that of the unpruned search on the chain graph.  Its key
+    # (total, shortest, middle, (u, v)) is that of the unpruned search on
+    # the edge graph, though among equal keys the walks may differ: the
+    # two nets pop equal-cost nodes in different orders.
+    t = minimal_theta(g)
+    assert t == oracle_minimal_theta(g)
+    assert _key(t) == _key(oracle_minimal_theta(g, edge_level=True))
+    if brute_force:
+        assert (None if t is None else t.total_length) == oracle_min_theta_total(g)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_SEARCH_GRAPHS)
 def test_minimal_theta_equals_the_unpruned_search(g):
-    assert minimal_theta(g) == oracle_minimal_theta(g)
+    _assert_matches_the_oracles(g)
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Small multigraphs with every length 1, or each drawn from 1-3, with
+    parallel edges, and optionally every edge split into k + 1 equal
+    pieces: many thetas of one key, and chains of degree-2 vertices."""
+    g = draw(connected_graphs(max_vertices=5, max_extra_edges=4))
+    unit = draw(st.booleans())
+    rows = [(e.id, *e.ends, 1 if unit else draw(st.integers(1, 3))) for e in g.edges]
+    if g.edges:
+        for j, e in enumerate(draw(st.lists(st.sampled_from(g.edges), max_size=2))):
+            rows.append((f"p{j}", *e.ends, 1 if unit else draw(st.integers(1, 3))))
+    k = draw(st.integers(min_value=0, max_value=2))
+    if k == 0:
+        return build_graph(g.vertices, rows)
+    vertices, pieces = list(g.vertices), []
+    for eid, a, b, length in rows:
+        stops = [a] + [f"{eid}.{i}" for i in range(1, k + 1)] + [b]
+        vertices += stops[1:-1]
+        for i in range(k + 1):
+            pieces.append((f"{eid}:{i}", stops[i], stops[i + 1], Fraction(length, k + 1)))
+    return build_graph(vertices, pieces)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tie_heavy_graphs())
+def test_minimal_theta_matches_the_oracles_on_tie_heavy_graphs(g):
+    _assert_matches_the_oracles(g, brute_force=True)
 
 
 @pytest.mark.parametrize(
@@ -387,8 +435,22 @@ def test_minimal_theta_equals_the_unpruned_search(g):
     ],
 )
 def test_minimal_theta_equals_the_unpruned_search_on_subdivisions(tag, sizes, k):
-    g = subdivide(from_spec(FamilySpec(tag=tag, sizes=sizes)), k)
-    assert minimal_theta(g) == oracle_minimal_theta(g)
+    _assert_matches_the_oracles(subdivide(from_spec(FamilySpec(tag=tag, sizes=sizes)), k))
+
+
+def test_chain_net_breaks_a_tie_of_equal_keys_unlike_the_edge_net():
+    # two third paths of length 3 from v2 to v7; the edge net, with a node
+    # pair per degree-2 vertex, pops equal-cost nodes in another order
+    base = make_random_connected(9, 13, seed=144)
+    g = build_graph(base.vertices, [(e.id, *e.ends, 1) for e in base.edges])
+    t, edge_net = minimal_theta(g), oracle_minimal_theta(g, edge_level=True)
+    assert _key(t) == _key(edge_net) == (5, 1, 1, ("v2", "v7"))
+    assert [p.edges for p in t.paths] == [
+        (("e13", False),),
+        (("e7", False),),
+        (("e8", True), ("e11", False), ("e9", True)),
+    ]
+    assert edge_net.paths[2].edges == (("e10", False), ("e5", True), ("e6", True))
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,9 +458,8 @@ def test_minimal_theta_equals_the_unpruned_search_on_subdivisions(tag, sizes, k)
 def test_pair_bound_is_below_the_flow_cost_of_its_pair(g):
     table = vertex_distance_table(g)
     for block, pairs in branch_pairs(g):
-        verts, _ = theta_module._block_stats(g, block)
-        units = {eid: int(g.edge(eid).length * g._scale) for eid in block}
-        bounds = theta_module._pair_bounds(g, block, verts, units)
+        stops, chains = chain_graph(g, block)
+        bounds = theta_module._pair_bounds(stops, chains)
         assert bounds == sorted(bounds)
         assert sorted((u, v) for *_, u, v in bounds) == pairs
         for total, shortest, middle, u, v in bounds:
@@ -406,9 +467,9 @@ def test_pair_bound_is_below_the_flow_cost_of_its_pair(g):
             # at least as tight as three times the distance of the pair
             assert b >= 3 * table[(u, v)]
             assert table[(u, v)] <= s <= m
-            walks = OraclePairNet(g, block, u, v).min_cost_three_paths()
-            if walks is not None:
-                lengths = sorted(sum(g.edge(eid).length for eid, _ in w) for w in walks)
+            paths = OraclePairNet(*edge_graph(g, block), u, v).min_cost_three_paths()
+            if paths is not None:
+                lengths = sorted(sum(g.edge(eid).length for eid, _ in w) for _, w in paths)
                 assert b <= sum(lengths)
                 assert s <= lengths[0]
                 assert m <= lengths[1]
@@ -419,12 +480,11 @@ def test_pair_bound_is_below_the_flow_cost_of_its_pair(g):
 def test_pair_bounds_on_python_ints_equal_the_int64_ones(g):
     # with the int64 limit at 0 every block takes the object-array path
     for block, _ in branch_pairs(g):
-        verts, _ = theta_module._block_stats(g, block)
-        units = {eid: int(g.edge(eid).length * g._scale) for eid in block}
-        fast = theta_module._pair_bounds(g, block, verts, units)
+        stops, chains = chain_graph(g, block)
+        fast = theta_module._pair_bounds(stops, chains)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(theta_module, "_INT64_SAFE", 0)
-            assert theta_module._pair_bounds(g, block, verts, units) == fast
+            assert theta_module._pair_bounds(stops, chains) == fast
 
 
 def test_minimal_theta_past_int64_equals_the_unpruned_search():
@@ -435,9 +495,7 @@ def test_minimal_theta_past_int64_equals_the_unpruned_search():
     )
     (block, _), = branch_pairs(g)
     assert 8 * sum(int(g.edge(eid).length * g._scale) for eid in block) >= 2**62
-    t = minimal_theta(g)
-    assert t == oracle_minimal_theta(g)
-    assert t.total_length == oracle_min_theta_total(g)
+    _assert_matches_the_oracles(g, brute_force=True)
 
 
 def test_theta_validation_rejects_shared_interior_vertex():
