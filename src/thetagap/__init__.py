@@ -17,7 +17,6 @@ from .analysis import (
     check_chain,
     gamma,
     gap_bracket,
-    gram_matrix,
     is_negative_type,
     positive_eigenvalue_count,
     psd_decompose,
@@ -67,10 +66,8 @@ from .l1cut import (
     Cut,
     CutDecomposition,
     FarkasCertificate,
-    cut_metric,
     is_l1_embeddable,
     k4_explicit_decomposition,
-    l1_coordinates,
 )
 from .theta import (
     Theta,
@@ -79,7 +76,6 @@ from .theta import (
 )
 from .witness import (
     SubdivisionWitness,
-    Window,
     Witness,
     construct_witness,
     gap,
@@ -115,14 +111,12 @@ __all__ = [
     "ThetaGapError",
     "Vertex",
     "Weighting",
-    "Window",
     "Witness",
     "as_rational",
     "canonical_point",
     "check_chain",
     "construct_witness",
     "contains_theta",
-    "cut_metric",
     "distance",
     "distance_matrix",
     "dumps_graph",
@@ -132,13 +126,11 @@ __all__ = [
     "gamma",
     "gap",
     "gap_bracket",
-    "gram_matrix",
     "graph_from_dict",
     "graph_to_dict",
     "is_l1_embeddable",
     "is_negative_type",
     "k4_explicit_decomposition",
-    "l1_coordinates",
     "loads_graph",
     "loads_points",
     "make_random_cactus",

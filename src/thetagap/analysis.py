@@ -34,8 +34,8 @@ runs as one gemv per row, and the step, the projection and the updates of
 the best iterates run in place.  Every candidate is an integer vector c for
 the weighting c / sum|c|.  The snaps of all ascent ends to one denominator
 form one int64 block, scored by one product with the distance matrix while
-the energies fit int64 (``_block_scorer``); the raw floats, the best pair
-and the seeds are scored on Python ints.  ``_best_vector`` compares the
+the energies fit int64 (``_block_scorer``); the raw floats and the best
+pair are scored on Python ints.  ``_best_vector`` compares the
 candidates by their integer energies and makes Fractions only for an exact
 tie and the winner.
 
@@ -52,7 +52,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -94,10 +94,6 @@ class Weighting:
         )
         return cls(entries)
 
-    @classmethod
-    def from_values(cls, values: Sequence[Rational]) -> "Weighting":
-        return cls.from_map({i: v for i, v in enumerate(values)})
-
     @cached_property
     def total(self) -> Fraction:
         return sum((v for _, v in self.entries), Fraction(0))
@@ -105,16 +101,6 @@ class Weighting:
     @cached_property
     def total_mass(self) -> Fraction:
         return sum((abs(v) for _, v in self.entries), Fraction(0))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
-
-    def value(self, index: int) -> Fraction:
-        for i, v in self.entries:
-            if i == index:
-                return v
-        return Fraction(0)
 
     def as_dense(self, n: int) -> list[Fraction]:
         out = [Fraction(0)] * n
@@ -324,7 +310,9 @@ class PSDTranscript:
 
 
 def _scaled_gram(m: FiniteMetric, basepoint: Optional[int]) -> tuple[list[list[int]], int]:
-    """The basepoint Gram matrix as an integer matrix A and scale 2 den."""
+    """The basepoint Gram matrix G_jk = (d(j,b) + d(k,b) - d(j,k)) / 2 as an
+    integer matrix A and scale 2 den.  Rows and columns run over the points
+    other than the basepoint b (default: the last point), in index order."""
     n = m.size
     b = n - 1 if basepoint is None else basepoint
     if not 0 <= b < n:
@@ -332,15 +320,6 @@ def _scaled_gram(m: FiniteMetric, basepoint: Optional[int]) -> tuple[list[list[i
     others = [i for i in range(n) if i != b]
     D = m.D
     return [[D[j][b] + D[k][b] - D[j][k] for k in others] for j in others], 2 * m.den
-
-
-def gram_matrix(m: FiniteMetric, basepoint: Optional[int] = None) -> list[list[Fraction]]:
-    """Basepoint Gram matrix: G_jk = (d(j,b) + d(k,b) - d(j,k)) / 2.
-
-    Rows and columns run over the points other than ``basepoint`` (default:
-    the last point), in index order."""
-    A, scale = _scaled_gram(m, basepoint)
-    return [[Fraction(v, scale) for v in row] for row in A]
 
 
 def _lift(el: _Elimination, A: list[list[int]]) -> tuple[Fraction, ...]:
@@ -815,15 +794,13 @@ def gap_bracket(
     starts: int = 24,
     iters: int = 200,
     seed: int = 0,
-    seeds: Sequence[Weighting] = (),
 ) -> GapBracket:
     """Bracket sup of gamma over {sum = 0, total mass = 1} weightings.
 
     The lower bound is the exact maximum of gamma over a deterministic
-    candidate set: all two-point weightings (e_j - e_k)/2, every supplied
-    seed weighting, and rational snaps of multi-start projected gradient
-    ascent runs.  The upper bound combines a certified spectral bound with
-    the diameter bound diam/4.
+    candidate set: all two-point weightings (e_j - e_k)/2 and rational snaps
+    of multi-start projected gradient ascent runs.  The upper bound combines
+    a certified spectral bound with the diameter bound diam/4.
     """
     n = m.size
     if n < 2:
@@ -836,12 +813,7 @@ def gap_bracket(
     # among them go to the first (j, k), whose entries are smallest.
     D = m.D
     j, k = min(itertools.combinations(range(n), 2), key=lambda jk: D[jk[0]][jk[1]])
-    vectors = [[int(i == j) - int(i == k) for i in range(n)]]
-    for s in seeds:
-        if s.total != 0 or s.total_mass != 1:
-            raise PreconditionError("seed weightings must sum to 0 with total mass 1")
-        q = math.lcm(*(v.denominator for _, v in s.entries))
-        vectors.append([v.numerator * (q // v.denominator) for v in s.as_dense(n)])
+    pair = [int(i == j) - int(i == k) for i in range(n)]
 
     snaps: Iterable[_Score] = ()
     diameter = m.diameter()
@@ -852,12 +824,11 @@ def gap_bracket(
         top = max(map(max, D))
         d_norm = np.array([[x / top for x in row] for row in D])
         rng = random.Random(seed)
-        rows = [[float(v) for v in s.as_dense(n)] for s in seeds]
-        rows += [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(starts)]
-        ends = _ascend_all(d_norm, np.array(rows).reshape(len(rows), n), iters)
+        rows = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(starts)]
+        ends = _ascend_all(d_norm, np.array(rows).reshape(starts, n), iters)
         snaps = _snap_scores(D, [e for e in ends if e is not None])
 
-    lower, argmax = _best_vector(m, itertools.chain(map(partial(_score, D), vectors), snaps))
+    lower, argmax = _best_vector(m, itertools.chain([_score(D, pair)], snaps))
     diam_bound = diameter / 4
     # the bracket of the first rung whose mu passes the constructor's test
     ladder = list(_mu_ladder(m, _scaled_gram(m, None)[0]))

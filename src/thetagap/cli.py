@@ -35,6 +35,7 @@ from .core import (
     MetricGraph,
     Point,
     Vertex,
+    _literal_reader,
     as_rational,
     canonical_point,
     distance,
@@ -213,7 +214,7 @@ def cmd_witness(args) -> int:
         "kind": "witness",
         "graph": digest,
         "theta": _theta_json(w.theta),
-        "window_start": format_rational(w.window.start),
+        "window_start": format_rational(w.window_start),
         "index": w.index,
         "case": w.case,
         "x_points": _points_json(w.points_x),
@@ -419,7 +420,8 @@ def _metric(g: MetricGraph, pts: list[Point], labels: list) -> FiniteMetric:
 def _verify_witness(g: MetricGraph, cert: dict) -> str:
     b = _points_from_json(g, cert, "b_points")
     r = _points_from_json(g, cert, "r_points")
-    _require(len(b) == 3 and len(r) == 3, "witness must have three B and three R points")
+    if len(b) != 3 or len(r) != 3:
+        raise PreconditionError("witness must have three B and three R points")
     stored = {(i, j): as_rational(v) for i, j, v in _rows(cert, "distances", 2)}
     pairs = list(itertools.combinations(range(6), 2))
     if sorted(stored) != pairs:
@@ -439,24 +441,6 @@ def _verify_witness(g: MetricGraph, cert: dict) -> str:
     return f"gap {cert['gap']} reproduced from ambient distances"
 
 
-def _literal_reader() -> Callable[[object], Fraction]:
-    """``as_rational`` that parses each distinct string literal once.
-
-    Values are read in order, so the first bad literal still raises
-    first, with the message ``as_rational`` gives it."""
-    parsed: dict[str, Fraction] = {}
-
-    def read(value: object) -> Fraction:
-        if not isinstance(value, str):
-            return as_rational(value)
-        x = parsed.get(value)
-        if x is None:
-            x = parsed[value] = as_rational(value)
-        return x
-
-    return read
-
-
 def _verify_negtype(g: MetricGraph, cert: dict) -> str:
     pts = _points_from_json(g, cert, "points")
     labels = _field(cert, "labels", list)
@@ -473,7 +457,7 @@ def _verify_negtype(g: MetricGraph, cert: dict) -> str:
             all(_is_index(i) for i in perm)
             and sorted(perm) == list(range(size))
             and len(diag) == len(lower) == size
-            and all(isinstance(row, list) for row in lower)
+            and all(isinstance(row, list) and len(row) == size for row in lower)
         ):
             raise PreconditionError("elimination transcript is malformed")
         read = _literal_reader()

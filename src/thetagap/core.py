@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,6 +64,24 @@ def as_rational(value: RationalLike) -> Fraction:
                 f"{sys.get_int_max_str_digits()}-digit integer conversion limit"
             ) from None
     raise InvalidPointError(f"not a rational: {value!r}")
+
+
+def _literal_reader() -> Callable[[object], Fraction]:
+    """``as_rational`` that parses each distinct string literal once.
+
+    Values are read in order, so the first bad literal still raises
+    first, with the message ``as_rational`` gives it."""
+    parsed: dict[str, Fraction] = {}
+
+    def read(value: object) -> Fraction:
+        if not isinstance(value, str):
+            return as_rational(value)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = as_rational(value)
+        return x
+
+    return read
 
 
 def format_rational(value: Fraction) -> str:

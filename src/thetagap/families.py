@@ -90,25 +90,9 @@ def _path(n: int) -> MetricGraph:
     return build_graph(vertices, edges)
 
 
-def make_named(spec: FamilySpec) -> MetricGraph:
-    """Unit-length named family: complete, complete_bipartite, cycle, or path."""
-    if spec.tag == "complete":
-        (n,) = spec.sizes
-        return _complete(n)
-    if spec.tag == "complete_bipartite":
-        a, b = spec.sizes
-        return _complete_bipartite(a, b)
-    if spec.tag == "cycle":
-        (n,) = spec.sizes
-        return _cycle(n)
-    if spec.tag == "path":
-        (n,) = spec.sizes
-        return _path(n)
-    raise PreconditionError(f"make_named does not handle tag {spec.tag!r}")
-
-
 def from_spec(spec: FamilySpec) -> MetricGraph:
-    """Dispatch any family tag to its constructor."""
+    """Dispatch any family tag to its constructor; the named families have
+    unit lengths."""
     if spec.tag == "theta":
         l1, l2, l3 = spec.lengths
         return make_theta(l1, l2, l3)
@@ -120,7 +104,12 @@ def from_spec(spec: FamilySpec) -> MetricGraph:
     if spec.tag == "random_cactus":
         (blocks,) = spec.sizes
         return make_random_cactus(blocks, seed=spec.seed, min_len=spec.min_len)
-    return make_named(spec)
+    if spec.tag == "complete_bipartite":
+        a, b = spec.sizes
+        return _complete_bipartite(a, b)
+    # FamilySpec admits only known tags, so the rest take one size
+    (n,) = spec.sizes
+    return {"complete": _complete, "cycle": _cycle, "path": _path}[spec.tag](n)
 
 
 def _random_length(rng: random.Random, min_len: Fraction) -> Fraction:

@@ -7,7 +7,6 @@ that files round-trip without any precision loss.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .core import (
@@ -16,6 +15,7 @@ from .core import (
     MetricGraph,
     Point,
     Vertex,
+    _literal_reader,
     as_rational,
     format_rational,
 )
@@ -45,19 +45,14 @@ def graph_from_dict(doc: Any) -> MetricGraph:
     if not isinstance(edges, list):
         raise InvalidGraphError("'edges' must be a list")
     recs = []
-    parsed: dict[str, Fraction] = {}  # each distinct length literal is parsed once
+    read = _literal_reader()
     for item in edges:
         if not isinstance(item, dict) or item.keys() != _EDGE_KEYS:
             raise InvalidGraphError(f"bad edge entry: {item!r}")
         ends = item["ends"]
         if not isinstance(ends, list) or len(ends) != 2:
             raise InvalidGraphError(f"edge {item.get('id')!r} needs two endpoints")
-        literal = item["length"]
-        if type(literal) is not str:
-            length = as_rational(literal)
-        elif (length := parsed.get(literal)) is None:
-            length = parsed[literal] = as_rational(literal)
-        recs.append(Edge(id=item["id"], ends=(ends[0], ends[1]), length=length))
+        recs.append(Edge(id=item["id"], ends=(ends[0], ends[1]), length=read(item["length"])))
     return MetricGraph(vertices=tuple(vertices), edges=tuple(recs))
 
 

@@ -110,10 +110,6 @@ class Cut:
     def separates(self, i: int, j: int) -> bool:
         return bool(_crossing(self.mask, [(i, j)]))
 
-    def crossing_pairs(self) -> list[tuple[int, int]]:
-        pairs = list(itertools.combinations(range(self.n), 2))
-        return [pairs[k] for k in _crossing(self.mask, pairs)]
-
 
 def _crossing(mask: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
     """Positions in ``pairs`` of the pairs that the cut of canonical ``mask``
@@ -140,16 +136,6 @@ def _crossing_matrix(n: int) -> np.ndarray:
         np.not_equal(side[i], side[j], out=crossing[k])
     crossing.flags.writeable = False
     return crossing
-
-
-def cut_metric(n: int, cut: Cut) -> tuple[tuple[Fraction, ...], ...]:
-    """The semimetric that is 1 across the cut and 0 within each side."""
-    if cut.n != n:
-        raise PreconditionError(f"cut is over {cut.n} points, not {n}")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in cut.crossing_pairs():
-        rows[i][j] = rows[j][i] = Fraction(1)
-    return tuple(tuple(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +280,6 @@ class CutDecomposition:
                 )
 
 
-def l1_coordinates(dec: CutDecomposition) -> tuple[tuple[Fraction, ...], ...]:
-    """One coordinate per decomposition cut: the weight on the cut's own side.
-
-    Point i gets weight(S) in the dimension of S when i is a member of S and
-    0 otherwise; pairwise l1 distances then equal the metric exactly.
-    """
-    n = dec.metric.size
-    coords = []
-    for i in range(n):
-        row = []
-        for cut, weight in dec.entries:
-            row.append(weight if i in set(cut.members) else Fraction(0))
-        coords.append(tuple(row))
-    for i, j in itertools.combinations(range(n), 2):
-        dist = sum(abs(a - b) for a, b in zip(coords[i], coords[j]))
-        if dist != dec.metric.distance(i, j):
-            raise InternalCheckError("l1 coordinates drifted from the metric")
-    return tuple(coords)
-
-
 # ---------------------------------------------------------------------------
 # exact simplex (phase 1 feasibility)
 # ---------------------------------------------------------------------------
@@ -334,9 +300,9 @@ _COLUMNS_PER_PAIR = 4
 class _Phase1:
     """Revised phase-1 simplex for {lambda >= 0 : sum lambda_S d_S = d}.
 
-    Starts from an all-artificial basis.  The columns are ``masks``, a
-    sorted int64 array of cut masks (every canonical cut when ``columns`` is
-    None), with their block of ``_crossing_matrix``; each pricing scan
+    Starts from an all-artificial basis.  The columns are ``masks``, the
+    sorted int64 array of the cut masks ``columns``, with their block of
+    ``_crossing_matrix``; each pricing scan
     scores the gcd-reduced integer dual of any size over that block with
     ``_cut_scores``, the routine that also checks a ``FarkasCertificate``,
     and zeroes the basic cuts.  Pricing is steepest (largest positive
@@ -371,7 +337,7 @@ class _Phase1:
     ``degenerate_pivots`` and ``pricing_scans`` count the work done.
     """
 
-    def __init__(self, m: FiniteMetric, columns: Optional[Sequence[int]] = None):
+    def __init__(self, m: FiniteMetric, columns: Sequence[int]):
         self.m = m
         self.n = m.size
         self.pairs = list(itertools.combinations(range(self.n), 2))
@@ -379,11 +345,8 @@ class _Phase1:
         self.full_mask = (1 << (self.n - 1)) - 1
         if self.n > MAX_CUT_POINTS:
             raise PreconditionError(f"{self.n} points; cut LPs stop at {MAX_CUT_POINTS}")
-        self.masks = (  # sorted, as pricing assumes
-            np.arange(self.full_mask, dtype=np.int64)
-            if columns is None
-            else np.array(sorted(set(columns)), dtype=np.int64)
-        )
+        # sorted, as pricing assumes
+        self.masks = np.array(sorted(set(columns)), dtype=np.int64)
         bad = self.masks[(self.masks < 0) | (self.masks >= self.full_mask)]
         if len(bad):
             raise PreconditionError(f"bad cut masks {bad.tolist()!r}")

@@ -27,7 +27,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -108,17 +107,6 @@ class Theta:
     def total_length(self) -> Fraction:
         return sum(self.lengths, Fraction(0))
 
-    @cached_property
-    def _sort_key(self):
-        edge_seqs = tuple(tuple(e for e, _ in p.edges) for p in self.paths)
-        return (
-            self.total_length,
-            self.lengths[0],
-            self.lengths[1],
-            (self.u, self.v),
-            edge_seqs,
-        )
-
 
 @dataclass(frozen=True)
 class ThetaPoint:
@@ -130,14 +118,6 @@ class ThetaPoint:
     kind: str  # "u", "v", or "path"
     path: int = 0
     arc: Fraction = Fraction(0)
-
-    @classmethod
-    def branch_u(cls) -> "ThetaPoint":
-        return cls(kind="u")
-
-    @classmethod
-    def branch_v(cls) -> "ThetaPoint":
-        return cls(kind="v")
 
     @classmethod
     def on_path(cls, path: int, arc) -> "ThetaPoint":
@@ -514,8 +494,9 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
     bounds and the one flow net of the block.  Every pair of candidates is
     a candidate branch pair, solved as a min-cost flow on the chain graph
     (see ``_FlowNet``).  A solved pair's key (total, shortest, middle, u,
-    v), on integer lengths, orders it as ``Theta._sort_key`` does, since no
-    two pairs share (u, v).  Pairs are visited in order of their lower
+    v) is on integer lengths, and no two pairs share (u, v), so the least
+    key picks one theta: least total length, then shortest and middle
+    path, then branch pair.  Pairs are visited in order of their lower
     bound (B, S, M, u, v) on that key, from the three cheapest first chains
     at each branch vertex, each followed by a shortest route to the other
     branch vertex (see ``_pair_bounds``).  The search stops at the first

@@ -84,56 +84,24 @@ def opposite_point(t: Theta, cycle: tuple[int, int], p: ThetaPoint) -> ThetaPoin
     return canonical_theta_point(t, ThetaPoint.on_path(b, circumference - target))
 
 
-@dataclass(frozen=True)
-class Window:
-    """A sixth-length subinterval of the scan interval and its two images.
-
-    ``start`` is an arc on path 1.  ``j2`` and ``j3`` are the antipodal
-    images of the interval on paths 2 and 3; each is stored as the pair of
-    image endpoints (images of start and start + 1/6, in that order)."""
-
-    start: Fraction
-    j2: tuple[ThetaPoint, ThetaPoint]
-    j3: tuple[ThetaPoint, ThetaPoint]
-
-
 def _vertex_free_interior(t: Theta, path_index: int, lo: Fraction, hi: Fraction) -> bool:
     path = t.paths[path_index - 1]
     return not any(lo < arc < hi for arc in path.arcs)
 
 
-def _window_at(t: Theta, a: Fraction) -> Optional[Window]:
-    """The window [a, a + 1/6] if both image interiors avoid graph vertices."""
-    ends = (a, a + _SIXTH)
-    j2 = tuple(opposite_point(t, (1, 2), ThetaPoint.on_path(1, x)) for x in ends)
-    j3 = tuple(opposite_point(t, (1, 3), ThetaPoint.on_path(1, x)) for x in ends)
+def _candidate_windows(t: Theta) -> list[Fraction]:
+    """Starts a of the windows [a, a + 1/6] on path 1, in scan order, whose
+    antipodal images on paths 2 and 3 have vertex-free interiors."""
     # The antipodal map reverses orientation, so the image of ``a`` is the
     # upper end of the image interval.
     l2 = (t.paths[0].length + t.paths[1].length) / 2
     l3 = (t.paths[0].length + t.paths[2].length) / 2
-    if not _vertex_free_interior(t, 2, l2 - a - _SIXTH, l2 - a):
-        return None
-    if not _vertex_free_interior(t, 3, l3 - a - _SIXTH, l3 - a):
-        return None
-    return Window(start=a, j2=(j2[0], j2[1]), j3=(j3[0], j3[1]))
-
-
-def _candidate_windows(t: Theta) -> list[Window]:
-    out = []
-    for a in (Fraction(0), Fraction(1, 6), Fraction(1, 3)):
-        w = _window_at(t, a)
-        if w is not None:
-            out.append(w)
-    return out
-
-
-def choose_window(g: MetricGraph, t: Theta) -> Window:
-    """First window from the scan list whose image interiors are vertex-free."""
-    _require_long_edges(g)
-    windows = _candidate_windows(t)
-    if not windows:
-        raise InternalCheckError("no vertex-free window among the three candidates")
-    return windows[0]
+    return [
+        a
+        for a in (Fraction(0), Fraction(1, 6), Fraction(1, 3))
+        if _vertex_free_interior(t, 2, l2 - a - _SIXTH, l2 - a)
+        and _vertex_free_interior(t, 3, l3 - a - _SIXTH, l3 - a)
+    ]
 
 
 def _require_long_edges(g: MetricGraph) -> None:
@@ -174,16 +142,13 @@ def gap(m: FiniteMetric, b: Sequence[int], r: Sequence[int]) -> Fraction:
 class Witness:
     """Six points whose grouped distances certify a negative type violation.
 
-    The first triple is spaced along path 1; the other two triples are its
-    antipodal images on paths 2 and 3.  ``index`` selects which adjacent pair
+    The first triple is spaced by 1/12 along path 1 from ``window_start``;
+    the other two triples are its antipodal images on paths 2 and 3.  ``index`` selects which adjacent pair
     of columns forms the groups: B takes column ``index``, R column
     ``index + 1``.  ``metric`` holds the six points in order B then R."""
 
     theta: Theta
-    window: Window
-    xs: tuple[ThetaPoint, ThetaPoint, ThetaPoint]
-    ys: tuple[ThetaPoint, ThetaPoint, ThetaPoint]
-    zs: tuple[ThetaPoint, ThetaPoint, ThetaPoint]
+    window_start: Fraction
     points_x: tuple[Point, Point, Point]
     points_y: tuple[Point, Point, Point]
     points_z: tuple[Point, Point, Point]
@@ -204,8 +169,7 @@ class Witness:
 _CASE_ORDER = ("y1z1", "y1z3", "y3z1", "y3z3")
 
 
-def _try_window(g: MetricGraph, t: Theta, w: Window) -> Optional[Witness]:
-    a = w.start
+def _try_window(g: MetricGraph, t: Theta, a: Fraction) -> Optional[Witness]:
     xs = tuple(
         canonical_theta_point(t, ThetaPoint.on_path(1, a + k * _TWELFTH)) for k in range(3)
     )
@@ -261,10 +225,7 @@ def _try_window(g: MetricGraph, t: Theta, w: Window) -> Optional[Witness]:
         return None
     return Witness(
         theta=t,
-        window=w,
-        xs=xs,
-        ys=ys,
-        zs=zs,
+        window_start=a,
         points_x=px,
         points_y=py,
         points_z=pz,
@@ -288,8 +249,8 @@ def construct_witness(g: MetricGraph) -> Witness:
     t = minimal_theta(g)
     if t is None:
         raise PreconditionError("graph contains no theta subgraph")
-    for w in _candidate_windows(t):
-        result = _try_window(g, t, w)
+    for a in _candidate_windows(t):
+        result = _try_window(g, t, a)
         if result is not None:
             return result
     raise InternalCheckError("no window produced a valid witness")

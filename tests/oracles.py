@@ -346,6 +346,16 @@ def oracle_cut_cone_member(m: FiniteMetric) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def gram_matrix(m: FiniteMetric, basepoint: Optional[int] = None) -> list[list[Fraction]]:
+    """Basepoint Gram matrix G_jk = (d(j,b) + d(k,b) - d(j,k)) / 2 over
+    ``Fraction``s, rows and columns the points other than b (default: the
+    last point) in index order."""
+    b = m.size - 1 if basepoint is None else basepoint
+    others = [i for i in range(m.size) if i != b]
+    d = m.distance
+    return [[(d(j, b) + d(k, b) - d(j, k)) / 2 for k in others] for j in others]
+
+
 def oracle_psd_decompose(matrix):
     """Semidefiniteness by elimination over ``Fraction`` with full diagonal
     pivoting: ``(True, transcript)`` or ``(False, x)`` with x^T A x < 0."""
@@ -516,7 +526,7 @@ def _exact_project(values):
     mass = sum(abs(v) for v in centered)
     if mass == 0:
         return None
-    return Weighting.from_values([v / mass for v in centered])
+    return Weighting.from_map({i: v / mass for i, v in enumerate(centered)})
 
 
 def oracle_snap_candidates(v):
@@ -580,23 +590,20 @@ def oracle_argmax(m: FiniteMetric, candidates) -> tuple[Fraction, Weighting]:
     return best
 
 
-def oracle_gap_lower(m: FiniteMetric, starts=24, iters=200, seed=0, seeds=()):
-    """The gap search's lower bound and weighting: every pair, every seed and
-    the snaps of one ascent per start, scored one Weighting at a time."""
+def oracle_gap_lower(m: FiniteMetric, starts=24, iters=200, seed=0):
+    """The gap search's lower bound and weighting: every pair and the snaps
+    of one ascent per start, scored one Weighting at a time."""
     n = m.size
     half = Fraction(1, 2)
     candidates = [
         Weighting.from_map({j: half, k: -half}) for j, k in itertools.combinations(range(n), 2)
     ]
-    candidates += seeds
     if m.diameter() > 0:
         top = max(map(max, m.D))
         d_norm = np.array([[x / top for x in row] for row in m.D])
         rng = random.Random(seed)
-        start_vectors = [np.array(s.as_dense(n), dtype=float) for s in seeds]
         for _ in range(starts):
-            start_vectors.append(np.array([rng.uniform(-1, 1) for _ in range(n)]))
-        for v in start_vectors:
+            v = np.array([rng.uniform(-1, 1) for _ in range(n)])
             end = oracle_ascend(d_norm, v, iters)
             if end is not None:
                 candidates.extend(oracle_snap_candidates(end))
@@ -679,8 +686,15 @@ def branch_pairs(g: MetricGraph):
         yield block, list(itertools.combinations(branch, 2))
 
 
+def theta_key(t: Theta) -> tuple:
+    """The order ``minimal_theta`` breaks ties by: total length, shortest
+    and middle path, branch pair, then the paths' edge sequences."""
+    edge_seqs = tuple(tuple(e for e, _ in p.edges) for p in t.paths)
+    return (t.total_length, t.lengths[0], t.lengths[1], (t.u, t.v), edge_seqs)
+
+
 def oracle_minimal_theta(g: MetricGraph, edge_level: bool = False) -> Optional[Theta]:
-    """The least ``Theta._sort_key`` over every branch pair of every block
+    """The least ``theta_key`` over every branch pair of every block
     of cycle rank >= 2, each solved on its own ``OraclePairNet``, with no
     bound and no pruning: on the block's chain graph, or on its edge graph
     with ``edge_level``.  A pair with a vertex of block degree 2 would find
@@ -693,7 +707,7 @@ def oracle_minimal_theta(g: MetricGraph, edge_level: bool = False) -> Optional[T
             if paths is None:
                 continue
             t = _assemble_theta(g, u, v, [walk for _, walk in paths])
-            if best is None or t._sort_key < best._sort_key:
+            if best is None or theta_key(t) < theta_key(best):
                 best = t
     return best
 

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    gram_matrix,
     oracle_argmax,
     oracle_ascend,
     oracle_eliminate,
@@ -49,7 +50,6 @@ from thetagap.analysis import (
     check_chain,
     gamma,
     gap_bracket,
-    gram_matrix,
     is_negative_type,
     positive_eigenvalue_count,
     psd_decompose,
@@ -65,7 +65,7 @@ from thetagap.families import (
     make_theta,
 )
 from thetagap.l1cut import k4_explicit_decomposition
-from thetagap.witness import construct_witness, omega_from_witness
+from thetagap.witness import construct_witness
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -97,7 +97,7 @@ def balanced_weightings(draw, n, max_denominator=6):
     raw.append(-sum(raw))
     if all(v == 0 for v in raw):
         raw[0], raw[-1] = Fraction(1), raw[-1] - 1
-    return Weighting.from_values(raw)
+    return Weighting.from_map(dict(enumerate(raw)))
 
 
 @st.composite
@@ -117,9 +117,6 @@ def test_weighting_drops_zeros_and_sorts():
     assert w.entries == ((0, Fraction(-1, 2)), (3, Fraction(1, 2)))
     assert w.total == 0
     assert w.total_mass == 1
-    assert w.support == (0, 3)
-    assert w.value(0) == Fraction(-1, 2)
-    assert w.value(4) == 0
     assert list(w.as_dense(6)) == [
         Fraction(-1, 2),
         Fraction(0),
@@ -139,9 +136,9 @@ def test_weighting_rejects_unsorted_or_zero_entries():
 
 def test_gamma_two_point_extremes(two_point):
     # a balanced split has negative energy: two points are negative type
-    w = Weighting.from_values([Fraction(1, 2), Fraction(-1, 2)])
+    w = Weighting.from_map({0: Fraction(1, 2), 1: Fraction(-1, 2)})
     assert gamma(two_point, w) == Fraction(-1, 4)
-    same_sign = Weighting.from_values([Fraction(1, 2), Fraction(1, 2)])
+    same_sign = Weighting.from_map({0: Fraction(1, 2), 1: Fraction(1, 2)})
     assert gamma(two_point, same_sign) == Fraction(1, 4)
 
 
@@ -444,7 +441,7 @@ def test_tight_mu_falls_back_to_one_elimination(monkeypatch, two_point):
     GapBracket(
         metric=two_point,
         lower=-quarter,
-        weighting=Weighting.from_values([Fraction(1, 2), Fraction(-1, 2)]),
+        weighting=Weighting.from_map({0: Fraction(1, 2), 1: Fraction(-1, 2)}),
         upper=-quarter,
         upper_spectral=-quarter,
         upper_diameter=quarter,
@@ -662,13 +659,6 @@ def test_gap_bracket_two_point_is_tight(two_point):
     assert gamma(two_point, bracket.weighting) == bracket.lower
 
 
-def test_gap_bracket_seeds_guarantee_floor(witness_metric):
-    omega = omega_from_witness(construct_witness(make_theta(1, 1, 1)))
-    bracket = gap_bracket(witness_metric, starts=4, iters=20, seed=0, seeds=(omega,))
-    assert bracket.lower >= Fraction(1, 432)
-    assert bracket.upper >= bracket.lower
-
-
 def test_gap_bracket_lower_scales_exactly(witness_metric):
     t = Fraction(5, 3)
     scaled = FiniteMetric.from_rows(
@@ -717,14 +707,14 @@ def search_matrices(draw):
 @st.composite
 def ascent_starts(draw, n):
     """0-30 start vectors: uniform draws as the search makes them, the floats
-    of rational weightings as seeds give, and constant vectors."""
+    of rational vectors, and constant vectors."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    kinds = draw(st.lists(st.sampled_from(["uniform", "seed", "constant"]), max_size=30))
+    kinds = draw(st.lists(st.sampled_from(["uniform", "rational", "constant"]), max_size=30))
     rows = []
     for kind in kinds:
         if kind == "uniform":
             rows.append([rng.uniform(-1, 1) for _ in range(n)])
-        elif kind == "seed":
+        elif kind == "rational":
             rows.append([float(Fraction(rng.randint(-9, 9), rng.randint(1, 12))) for _ in range(n)])
         else:
             rows.append([draw(st.sampled_from([0.0, 0.5, 0.1, -1 / 3]))] * n)
@@ -906,12 +896,8 @@ def test_gap_search_matches_one_run_per_start_scored_over_fractions(data):
     starts = data.draw(st.integers(0, 6))
     iters = data.draw(st.integers(0, 40))
     seed = data.draw(st.integers(0, 100))
-    seeds = ()
-    if data.draw(st.booleans()):
-        raw = data.draw(balanced_weightings(m.size))
-        seeds = (Weighting.from_map({i: v / raw.total_mass for i, v in raw.entries}),)
-    bracket = gap_bracket(m, starts=starts, iters=iters, seed=seed, seeds=seeds)
-    want = oracle_gap_lower(m, starts=starts, iters=iters, seed=seed, seeds=seeds)
+    bracket = gap_bracket(m, starts=starts, iters=iters, seed=seed)
+    want = oracle_gap_lower(m, starts=starts, iters=iters, seed=seed)
     assert (bracket.lower, bracket.weighting) == want
 
 
@@ -970,7 +956,7 @@ def test_gap_bracket_frozen_on_24_points(seed, graph, lower, weighting, upper_sp
     m = distance_matrix(graph, _gap_points(graph, random.Random(seed)))
     bracket = gap_bracket(m, starts=8)
     assert bracket.lower == lower
-    assert bracket.weighting == Weighting.from_values(weighting)
+    assert bracket.weighting == Weighting.from_map(dict(enumerate(weighting)))
     assert bracket.upper_spectral == upper_spectral
     assert bracket.spectral_mu == mu
 
@@ -998,18 +984,17 @@ def test_verify_of_the_golden_gap_certificate_makes_no_elimination(monkeypatch, 
 
 
 def _points_metric(graph, count, rng_seed):
-    return lambda: (distance_matrix(graph, _gap_points(graph, random.Random(rng_seed), count)), ())
+    return lambda: distance_matrix(graph, _gap_points(graph, random.Random(rng_seed), count))
 
 
-def _witness_metric_and_seed():
-    w = construct_witness(make_theta(1, 1, 1))
-    return w.metric, (omega_from_witness(w),)
+def _witness_metric():
+    return construct_witness(make_theta(1, 1, 1)).metric
 
 
 # Recorded from the per-start ascent and the Fraction candidate scoring, with
 # the weighting as integers over one denominator.  On ``rawsnap6`` the winner
 # is the snap of the raw ascent floats (over 2^57), so any change in the last
-# bit of the ascent shows; on ``theta8`` and ``witness_seeded`` a 10^6 snap
+# bit of the ascent shows; on ``theta8`` and ``witness`` a 10^6 snap
 # wins.  Every mu is the first, dyadic rung of the certified-mu ladder.
 @pytest.mark.parametrize(
     "build, kwargs, lower, den, numerators, mu",
@@ -1076,7 +1061,7 @@ def _witness_metric_and_seed():
             Fraction(1502419691, 1073741824),
         ),
         (
-            _witness_metric_and_seed,
+            _witness_metric,
             {},
             Fraction(9045770917, 3000000000000),
             10**6,
@@ -1092,15 +1077,14 @@ def _witness_metric_and_seed():
         "cactus24",
         "connected24",
         "theta24",
-        "witness_seeded",
+        "witness",
     ],
 )
 def test_gap_bracket_frozen_outputs(build, kwargs, lower, den, numerators, mu):
-    m, seeds = build()
-    bracket = gap_bracket(m, seeds=seeds, **kwargs)
+    bracket = gap_bracket(build(), **kwargs)
     assert bracket.lower == lower
-    assert bracket.weighting == Weighting.from_values(
-        [Fraction(int(a), den) for a in numerators.split()]
+    assert bracket.weighting == Weighting.from_map(
+        {i: Fraction(int(a), den) for i, a in enumerate(numerators.split())}
     )
     assert bracket.spectral_mu == mu
 
@@ -1113,9 +1097,6 @@ def test_gap_bracket_rejects_bad_parameters(two_point):
     one = FiniteMetric.from_rows(("a",), [[0]])
     with pytest.raises(PreconditionError):
         gap_bracket(one)
-    bad_seed = Weighting.from_values([Fraction(1), Fraction(-1)])
-    with pytest.raises(PreconditionError):
-        gap_bracket(two_point, seeds=(bad_seed,))
 
 
 # ---------------------------------------------------------------------------

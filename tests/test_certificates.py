@@ -186,6 +186,27 @@ def test_verify_malformed_basepoint_exits_2(made, shape, basepoint, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "shape, edit, message",
+    [
+        ("negtype_held", lambda c: c["transcript"]["lower"][0].pop(), "transcript"),
+        ("negtype_held", lambda c: c["transcript"]["lower"][-1].append("0"), "transcript"),
+        ("witness", lambda c: c["b_points"].pop(), "three B and three R"),
+        ("witness", lambda c: c["r_points"].append(c["r_points"][0]), "three B and three R"),
+    ],
+    ids=["short_lower_row", "long_lower_row", "two_b_points", "four_r_points"],
+)
+def test_verify_rejects_a_row_of_the_wrong_length_with_exit_2(
+    made, shape, edit, message, tmp_path
+):
+    cert = _certificate(made, shape)
+    edit(cert)
+    code, _, err = _verify(made, shape, cert, tmp_path)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # fuzz: one changed field
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Exact distance engine: validation, distances, rescaling."""
 
+import ast
 import itertools
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_distance, oracle_distance_matrix, oracle_metric_violation
+import thetagap
 from thetagap import core
 from thetagap.core import (
     _RATIONAL_RE,
@@ -676,3 +679,23 @@ def test_scale_rejects_nonpositive_factor(small_graph):
         scale(small_graph, 0)
     with pytest.raises(PreconditionError):
         scale(small_graph, Fraction(-1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the package's exports
+# ---------------------------------------------------------------------------
+
+
+def test_all_is_sorted_and_names_exactly_what_the_package_imports():
+    tree = ast.parse(Path(thetagap.__file__).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    exported = thetagap.__all__
+    assert exported == sorted(exported)
+    assert len(set(exported)) == len(exported)
+    assert all(hasattr(thetagap, name) for name in exported)
+    assert set(exported) == set(imported)

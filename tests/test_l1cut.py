@@ -29,11 +29,10 @@ from thetagap.l1cut import (
     FarkasCertificate,
     _equality_face,
     _float_support,
+    _crossing,
     _Phase1,
-    cut_metric,
     is_l1_embeddable,
     k4_explicit_decomposition,
-    l1_coordinates,
 )
 from thetagap.witness import construct_witness
 
@@ -68,16 +67,13 @@ def test_cut_separates_and_crossing_pairs():
     c = Cut.from_members(4, [0, 1])
     assert c.separates(0, 2)
     assert not c.separates(0, 1)
-    assert c.crossing_pairs() == [(0, 2), (0, 3), (1, 2), (1, 3)]
-
-
-def test_cut_metric_is_the_indicator_semimetric():
-    rows = cut_metric(3, Cut.from_members(3, [0]))
-    assert rows == ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+    pairs = list(itertools.combinations(range(4), 2))
+    crossing = [pairs[k] for k in _crossing(c.mask, pairs)]
+    assert crossing == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
 # ---------------------------------------------------------------------------
-# decompositions and coordinates
+# decompositions
 # ---------------------------------------------------------------------------
 
 
@@ -110,15 +106,6 @@ def test_decomposition_rejects_nonpositive_weights():
     )
     with pytest.raises(PreconditionError):
         CutDecomposition(metric=m, entries=entries)
-
-
-def test_l1_coordinates_reproduce_distances_exactly():
-    m = _line_metric()
-    dec = is_l1_embeddable(m)
-    coords = l1_coordinates(dec)
-    for i, j in itertools.combinations(range(3), 2):
-        l1 = sum(abs(a - b) for a, b in zip(coords[i], coords[j]))
-        assert l1 == m.distance(i, j)
 
 
 def test_triangle_needs_three_half_cuts():
@@ -158,6 +145,11 @@ def _uniform_metric(n):
         tuple(f"p{i}" for i in range(n)),
         [[0 if i == j else 1 for j in range(n)] for i in range(n)],
     )
+
+
+def _full_lp(m):
+    """The exact phase-1 LP over every canonical cut of m."""
+    return _Phase1(m, columns=range((1 << (m.size - 1)) - 1))
 
 
 # Limbs of the real width, where these small weights take one int64 pass,
@@ -243,7 +235,7 @@ def test_farkas_check_accepts_a_separating_vector(monkeypatch, limb_bits):
     monkeypatch.setattr(l1cut, "_LIMB_BITS", limb_bits)
     g = from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3)))
     m = distance_matrix(g, [Vertex(v) for v in g.vertices])
-    _, dual = _Phase1(m).solve()
+    _, dual = _full_lp(m).solve()
     FarkasCertificate(metric=m, pair_values=tuple(dual))
 
 
@@ -319,7 +311,7 @@ def test_verdict_matches_the_full_exact_lp(graph, k):
     g = graph()
     m = distance_matrix(g, [Vertex(v) for v in g.vertices[:k]])
     assert m.size == k
-    objective, _ = _Phase1(m).solve()
+    objective, _ = _full_lp(m).solve()
     result = is_l1_embeddable(m, max_points=16)
     assert isinstance(result, CutDecomposition) == (objective == 0)
 
@@ -371,7 +363,7 @@ def test_full_exact_lp_is_frozen(
 ):
     monkeypatch.setattr(l1cut, "_DEGENERATE_STREAK_LIMIT", streak_limit)
     g = make_random_connected(n, 14, seed=seed)
-    solver = _Phase1(distance_matrix(g, [Vertex(v) for v in g.vertices[:n]]))
+    solver = _full_lp(distance_matrix(g, [Vertex(v) for v in g.vertices[:n]]))
     assert solver.solve() == (objective, dual)
     assert solver.basis == basis
     assert solver.bland is bland
@@ -522,7 +514,8 @@ def random_metrics(draw, min_points=4, max_points=9):
 
 
 def _assert_same_run(m, columns=None):
-    ours, oracle = _Phase1(m, columns=columns), OraclePhase1(m, columns=columns)
+    ours = _full_lp(m) if columns is None else _Phase1(m, columns=columns)
+    oracle = OraclePhase1(m, columns=columns)
     result = ours.solve()
     assert result == oracle.solve()
     assert ours.basis == oracle.basis
@@ -581,7 +574,7 @@ def test_pivots_leave_the_rows_the_entering_cut_misses(monkeypatch):
 
     monkeypatch.setattr(_Phase1, "_pivot", checked)
     g = make_random_connected(10, 14, seed=3)
-    solver = _Phase1(distance_matrix(g, [Vertex(v) for v in g.vertices[:10]]))
+    solver = _full_lp(distance_matrix(g, [Vertex(v) for v in g.vertices[:10]]))
     assert solver.solve()[0] == Fraction(17, 10)
     assert untouched
 
@@ -653,7 +646,7 @@ RIGID = pytest.mark.parametrize(
 def test_unique_decomposition_equals_both_simplex_runs(make):
     m = make()
     restricted = _Phase1(m, columns=_float_support(m))
-    full = _Phase1(m)
+    full = _full_lp(m)
     assert restricted.solve()[0] == full.solve()[0] == 0
     face = _face_lp(m)
     assert face.objective() == 0
@@ -798,7 +791,7 @@ def tree_metrics(draw, min_points=4, max_points=11):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(m=st.one_of(random_metrics(max_points=11), tree_metrics()))
 def test_equality_face_holds_every_decomposition(m):
-    full = _Phase1(m)
+    full = _full_lp(m)
     objective, _ = full.solve()
     face = _face(m)
     face_lp = _face_lp(m)

@@ -15,6 +15,7 @@ from oracles import (
     oracle_min_theta_total,
     oracle_minimal_theta,
     oracle_point_on_path,
+    theta_key,
     vertex_distance_table,
 )
 from test_core import connected_graphs
@@ -371,7 +372,7 @@ _SEARCH_GRAPHS = st.one_of(
 
 
 def _key(t):
-    return None if t is None else t._sort_key[:4]
+    return None if t is None else theta_key(t)[:4]
 
 
 def _assert_matches_the_oracles(g, brute_force=False):
@@ -512,7 +513,7 @@ def test_theta_validation_rejects_shared_interior_vertex():
 
 def test_theta_distance_frozen_values():
     t = minimal_theta(make_theta(1, 2, 3))
-    u, v = ThetaPoint.branch_u(), ThetaPoint.branch_v()
+    u, v = ThetaPoint(kind="u"), ThetaPoint(kind="v")
     assert theta_distance(t, u, v) == 1
     # midpoint of path 2 to midpoint of path 3: through either branch
     a = ThetaPoint.on_path(2, 1)
@@ -566,8 +567,8 @@ def test_theta_point_to_point_matches_a_scan_along_the_path(g):
 def test_theta_point_to_point_maps_branches():
     g = make_theta(1, 1, 1)
     t = minimal_theta(g)
-    assert theta_point_to_point(g, t, ThetaPoint.branch_u()) == Vertex(t.u)
-    assert theta_point_to_point(g, t, ThetaPoint.branch_v()) == Vertex(t.v)
+    assert theta_point_to_point(g, t, ThetaPoint(kind="u")) == Vertex(t.u)
+    assert theta_point_to_point(g, t, ThetaPoint(kind="v")) == Vertex(t.v)
 
 
 # ---------------------------------------------------------------------------

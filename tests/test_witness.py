@@ -27,10 +27,10 @@ from thetagap.families import (
 )
 from thetagap.theta import ThetaPoint, canonical_theta_point, minimal_theta
 from thetagap.witness import (
+    _candidate_windows,
     _chain_point,
     _suppress_degree_two,
     construct_witness,
-    choose_window,
     gap,
     omega_from_witness,
     opposite_point,
@@ -92,25 +92,51 @@ def test_opposite_point_is_the_antipode_and_an_involution(lengths, cycle, side, 
 
 def test_choose_window_unit_theta_starts_at_zero():
     g = make_theta(1, 1, 1)
-    w = choose_window(g, minimal_theta(g))
-    assert w.start == 0
+    assert _candidate_windows(minimal_theta(g))[0] == 0
+    assert construct_witness(g).window_start == 0
+
+
+def _image_arc(t, path, q):
+    # the arc along ``path`` of an antipodal image, branch tags included
+    if q.kind == "u":
+        return Fraction(0)
+    if q.kind == "v":
+        return t.lengths[path - 1]
+    assert q.path == path
+    return q.arc
 
 
 def test_chosen_window_images_avoid_interior_vertices():
-    # K4's minimal theta has an interior vertex on each long path
-    g = from_spec(FamilySpec(tag="complete", sizes=(4,)))
-    t = minimal_theta(g)
-    w = choose_window(g, t)
-    for pair, path_index in ((w.j2, 2), (w.j3, 3)):
-        arcs = sorted(q.arc for q in pair)
-        interior = t.paths[path_index - 1].arcs[1:-1]
-        assert not any(arcs[0] < a < arcs[1] for a in interior)
-
-
-def test_choose_window_requires_long_edges():
-    g = make_theta(Fraction(1, 2), 1, 1)
-    with pytest.raises(PreconditionError):
-        choose_window(g, minimal_theta(g))
+    # K4's minimal theta has an interior vertex on each long path; on the
+    # last graph the vertex at arc 7/5 of path 2 lies inside the image of
+    # the window at 0.  A start is a candidate exactly when both antipodal
+    # images of its window have no graph vertex inside.
+    graphs = [
+        from_spec(FamilySpec(tag="complete", sizes=(4,))),
+        from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3))),
+        build_graph(
+            ["u", "v", "w"],
+            [
+                ("e1", "u", "v", 1),
+                ("e2", "u", "w", Fraction(7, 5)),
+                ("e3", "w", "v", Fraction(3, 5)),
+                ("e4", "u", "v", 3),
+            ],
+        ),
+    ]
+    for g in graphs:
+        t = minimal_theta(g)
+        starts = _candidate_windows(t)
+        for a in (Fraction(0), Fraction(1, 6), Fraction(1, 3)):
+            free = True
+            for cycle in ((1, 2), (1, 3)):
+                path = cycle[1]
+                lo, hi = sorted(
+                    _image_arc(t, path, opposite_point(t, cycle, ThetaPoint.on_path(1, x)))
+                    for x in (a, a + Fraction(1, 6))
+                )
+                free &= not any(lo < arc < hi for arc in t.paths[path - 1].arcs[1:-1])
+            assert (a in starts) == free
 
 
 # ---------------------------------------------------------------------------
