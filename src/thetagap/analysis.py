@@ -9,11 +9,14 @@ count of positive eigenvalues of the distance matrix.
 
 One exact kernel does every symmetric elimination: ``_eliminate``, a
 fraction-free (Bareiss) elimination on Python integers with full diagonal
-pivoting, which reads and writes only the lower triangle.
-``psd_decompose`` runs it on the matrix cleared of denominators and turns
-its factors into rationals once; ``PSDTranscript`` replays its update
-along a transcript's own order; the ``GapBracket`` constructor asks it for
-the verdict of the mu test only where the integer factor cannot decide.
+pivoting, which reads and writes only the lower triangle.  Every matrix it
+sees is integer, over one scale: the basepoint Gram matrix of a metric is
+D[j][b] + D[k][b] - D[j][k] over 2 den (``_scaled_gram``).
+``psd_decompose`` runs it and turns its factors into rationals once, and
+``is_negative_type`` decides through it; ``PSDTranscript.verify`` replays
+its update along a transcript's own order; the ``GapBracket`` constructor
+asks it for the verdict of the mu test only where the integer factor
+cannot decide.
 
 The certified spectral bound starts from a float eigenvalue estimate
 (numpy, no scipy) rounded up to a dyadic rational, so its exact test runs
@@ -230,12 +233,6 @@ def _eliminate(S: list[list[int]]) -> _Elimination:
     return _Elimination(perm, pivots, S, None)
 
 
-def _scaled(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Integer matrix A and scale s > 0 with matrix = A / s."""
-    scale = math.lcm(*(v.denominator for row in matrix for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in matrix], scale
-
-
 @dataclass(frozen=True)
 class PSDTranscript:
     """Pivoted rational LDL^T factorization certifying semidefiniteness.
@@ -244,32 +241,22 @@ class PSDTranscript:
     matrix sending original index perm[i] to position i, P A P^T = L D L^T,
     where L is unit lower triangular and D is the nonnegative diagonal.
 
-    ``verify`` checks that equation without forming L D L^T: it replays the
-    elimination of P A P^T on integers in the order ``perm`` gives and
-    compares each d_k and column k of L with the exact Schur complement by
-    cross-multiplication.  Where d_k = 0 the rest of column k of the Schur
-    complement must be zero and column k of L is free, as in the product.
-    ``verify_gram`` runs the same replay on the integer basepoint Gram matrix
-    of a metric, with no Fraction entries at all.
+    ``verify`` checks that equation for A / scale, A a symmetric integer
+    matrix, without forming L D L^T: it replays the elimination of P A P^T
+    on integers in the order ``perm`` gives and compares each d_k and
+    column k of L with the exact Schur complement by cross-multiplication.
+    Where d_k = 0 the rest of column k of the Schur complement must be zero
+    and column k of L is free, as in the product.
     """
 
     perm: tuple[int, ...]
     diag: tuple[Fraction, ...]
     lower: tuple[tuple[Fraction, ...], ...]
 
-    def verify(self, matrix: Sequence[Sequence[Fraction]]) -> bool:
-        if len(matrix) != len(self.perm) or not self._well_formed():
-            return False
-        # the product check reads entry (i, j) of P A P^T for i >= j only
-        perm = self.perm
-        low = [[Fraction(matrix[p][q]) for q in perm[: i + 1]] for i, p in enumerate(perm)]
-        return self._replay(*_scaled(low))
-
-    def verify_gram(self, m: FiniteMetric, basepoint: int) -> bool:
-        """``verify`` against the basepoint Gram matrix of m, on its integers."""
-        A, scale = _scaled_gram(m, basepoint)
+    def verify(self, A: Sequence[Sequence[int]], scale: int) -> bool:
         if len(A) != len(self.perm) or not self._well_formed():
             return False
+        # the product check reads entry (i, j) of P A P^T for i >= j only
         perm = self.perm
         return self._replay([[A[p][q] for q in perm[: i + 1]] for i, p in enumerate(perm)], scale)
 
@@ -346,34 +333,28 @@ def _lift(el: _Elimination, A: list[list[int]]) -> tuple[Fraction, ...]:
 
 
 def psd_decompose(
-    matrix: Sequence[Sequence[Fraction]],
+    A: Sequence[Sequence[int]], scale: int
 ) -> tuple[bool, Union[PSDTranscript, tuple[Fraction, ...]]]:
-    """Exact semidefiniteness test by elimination with full diagonal pivoting.
+    """Exact semidefiniteness test of A / scale, for a symmetric integer
+    matrix A and an integer scale > 0, by elimination with full diagonal
+    pivoting.
 
-    Returns ``(True, transcript)`` when the symmetric rational matrix is
-    positive semidefinite, else ``(False, x)`` with an exact vector x (in the
-    matrix's own coordinates) satisfying x^T A x < 0.
+    Returns ``(True, transcript)`` when the matrix is positive semidefinite,
+    else ``(False, x)`` with an exact vector x (in the matrix's own
+    coordinates) satisfying x^T A x < 0.
 
-    The elimination runs on integers: the matrix is cleared of denominators
-    by one lcm and eliminated by ``_eliminate``; the factors become
-    rationals once, at the end, as d_k = p_k / (p_{k-1} scale) and
+    ``_eliminate`` runs on a copy of the lower triangle of A; the factors
+    become rationals once, at the end, as d_k = p_k / (p_{k-1} scale) and
     L_ik = S_ik / p_k.
     """
-    n = len(matrix)
-    F = [[Fraction(v) for v in row] for row in matrix]
+    n = len(A)
     for i in range(n):
-        if len(F[i]) != n:
+        if len(A[i]) != n:
             raise PreconditionError("matrix is not square")
         for j in range(i):
-            if F[i][j] != F[j][i]:
+            if A[i][j] != A[j][i]:
                 raise PreconditionError("matrix is not symmetric")
-    return _psd_scaled(*_scaled(F))
-
-
-def _psd_scaled(A: list[list[int]], scale: int) -> tuple[bool, Union[PSDTranscript, tuple]]:
-    """``psd_decompose`` of the matrix A / scale, for a symmetric integer A."""
-    n = len(A)
-    el = _eliminate([row[: i + 1] for i, row in enumerate(A)])
+    el = _eliminate([list(row[: i + 1]) for i, row in enumerate(A)])
     if el.direction is not None:
         return False, _lift(el, A)
     S, pivots = el.S, el.pivots
@@ -415,7 +396,7 @@ def is_negative_type(m: FiniteMetric) -> NegativeTypeResult:
     if m.size == 0:
         raise PreconditionError("negative-type decision needs at least one point")
     b = m.size - 1
-    ok, payload = _psd_scaled(*_scaled_gram(m, b))
+    ok, payload = psd_decompose(*_scaled_gram(m, b))
     if ok:
         assert isinstance(payload, PSDTranscript)
         return NegativeTypeResult(verdict=True, basepoint=b, transcript=payload, violation=None)

@@ -407,8 +407,13 @@ def _points_from_json(g: MetricGraph, cert: dict, name: str) -> list[Point]:
     return [canonical_point(g, graphio.point_from_dict(d)) for d in _field(cert, name, list)]
 
 
-def _weighting_from_json(cert: dict, name: str) -> analysis.Weighting:
-    return analysis.Weighting.from_map({i: v for i, v in _rows(cert, name, 1)})
+def _weighting_from_json(cert: dict, name: str, n: int) -> analysis.Weighting:
+    """``cert[name]`` as a weighting on the certificate's ``n`` points."""
+    rows = _rows(cert, name, 1)
+    for i, _ in rows:
+        if i >= n:
+            raise PreconditionError(f"{name!r} names index {i}, not one of the {n} points")
+    return analysis.Weighting.from_map({i: v for i, v in rows})
 
 
 def _metric(g: MetricGraph, pts: list[Point], labels: list) -> FiniteMetric:
@@ -427,7 +432,7 @@ def _verify_witness(g: MetricGraph, cert: dict) -> str:
     if sorted(stored) != pairs:
         raise PreconditionError("witness distances must be those of the 15 pairs i < j")
     stated_gap = as_rational(_field(cert, "gap"))
-    omega = _weighting_from_json(cert, "omega")
+    omega = _weighting_from_json(cert, "omega", 6)
     labels = _field(cert, "b_labels", list) + _field(cert, "r_labels", list)
     m = _metric(g, b + r, labels)
     for i, j in pairs:
@@ -467,11 +472,11 @@ def _verify_negtype(g: MetricGraph, cert: dict) -> str:
             lower=tuple(tuple(map(read, row)) for row in lower),
         )
         _require(
-            transcript.verify_gram(_metric(g, pts, labels), basepoint),
+            transcript.verify(*analysis._scaled_gram(_metric(g, pts, labels), basepoint)),
             "elimination transcript does not factor the Gram matrix",
         )
         return "transcript certifies positive semidefiniteness"
-    w = _weighting_from_json(cert, "violation")
+    w = _weighting_from_json(cert, "violation", len(pts))
     stated_gamma = as_rational(_field(cert, "gamma"))
     value = analysis.violation_energy(_metric(g, pts, labels), w)
     _require(value == stated_gamma, "stored gamma does not match")
@@ -481,7 +486,7 @@ def _verify_negtype(g: MetricGraph, cert: dict) -> str:
 def _verify_gap(g: MetricGraph, cert: dict) -> str:
     pts = _points_from_json(g, cert, "points")
     labels = _field(cert, "labels", list)
-    w = _weighting_from_json(cert, "weighting")
+    w = _weighting_from_json(cert, "weighting", len(pts))
     bounds = {name: as_rational(_field(cert, name)) for name in _GAP_BOUNDS}
     analysis.GapBracket(metric=_metric(g, pts, labels), weighting=w, **bounds)
     return "lower bound reproduced by its weighting, upper bounds by spectral_mu and diam/4"
@@ -500,6 +505,8 @@ def _verify_l1(g: MetricGraph, cert: dict) -> str:
             members = _field(entry, "member_indices", list)
             if not all(_is_index(i) and i < n for i in members):
                 raise PreconditionError("cut member indices must be indices of the points")
+            if len(set(members)) != len(members):
+                raise PreconditionError("cut member indices must not repeat")
             _require(
                 _field(entry, "members", list) == [labels[i] for i in members],
                 "cut member labels do not match the points",

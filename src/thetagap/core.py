@@ -6,8 +6,9 @@ vertex or an interior position on an edge, addressed by an offset from the
 edge's first declared endpoint.  Lengths and distances are exact rationals:
 ``fractions.Fraction`` at the API, and inside, integers over one common
 denominator (the LCM of the length and offset denominators for shortest
-paths, the least common denominator of a metric's entries for
-``FiniteMetric``).
+paths).  A ``FiniteMetric`` is its labels, an integer matrix ``D`` and a
+denominator ``den`` in lowest terms; its Fraction matrix is formed only
+when read.
 
 Points become distances in one place, ``distance_matrix``; ``distance`` is
 its two-point case.  The point kernel is built straight from the graph's
@@ -28,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -385,19 +386,20 @@ def _closure(adj: Mapping[Node, Mapping[Node, int]]) -> np.ndarray:
     return A
 
 
-def _metric_by_int64(D: Sequence[Sequence[Optional[int]]], labels: Sequence[str]) -> bool:
-    """Whether ``D`` passes every metric axiom, tested as numpy int64 arrays:
-    zero diagonal, nonnegative symmetric entries, zero only between equal
-    labels and every triangle, one broadcast per middle index.
+def _metric_by_int64(D: Sequence[Sequence[int]], labels: Sequence[str]) -> bool:
+    """Whether the integer matrix ``D`` passes every metric axiom, tested as
+    numpy int64 arrays: zero diagonal, nonnegative symmetric entries, zero
+    only between equal labels and every triangle, one broadcast per middle
+    index.
 
-    False when a test fails, when an entry is None, or when 3 * max(D)
-    reaches ``_INT64_SAFE``; ``_check_metric`` then runs on Python ints."""
+    False when a test fails or when 3 * max(D) reaches ``_INT64_SAFE``;
+    ``_check_metric`` then runs on Python ints."""
     n = len(labels)
     if n == 0:
         return True
     try:
         A = np.array(D, dtype=np.int64)
-    except (TypeError, OverflowError):  # an entry is None or beyond int64
+    except OverflowError:  # an entry beyond int64
         return False
     if A.min() < 0 or 3 * int(A.max()) >= _INT64_SAFE:
         return False
@@ -409,27 +411,21 @@ def _metric_by_int64(D: Sequence[Sequence[Optional[int]]], labels: Sequence[str]
     return not any((A > A[:, j, None] + A[None, j, :]).any() for j in range(n))
 
 
-def _check_metric(
-    D: Sequence[Sequence[Optional[int]]],
-    rows: Sequence[Sequence[object]],
-    labels: Sequence[str],
-) -> None:
-    """The metric axioms on Python ints, raising ``InvalidMetricError`` at
-    the first failure: per row the diagonal, then each entry's type, sign,
-    symmetry and zero distance, then every triangle in
-    ``itertools.permutations`` order.  None in ``D`` marks an entry of
-    ``rows`` that is not a Fraction."""
+def _check_metric(D: Sequence[Sequence[object]], labels: Sequence[str]) -> None:
+    """The metric axioms entry by entry, raising ``InvalidMetricError`` at
+    the first failure: per row the diagonal, then each entry's type (a
+    Python int), sign, symmetry and zero distance, then every triangle in
+    ``itertools.permutations`` order."""
     n = len(labels)
     for i in range(n):
-        Di, row = D[i], rows[i]
-        if Di[i] != 0 and (Di[i] is not None or row[i] != 0):
+        Di = D[i]
+        if Di[i] != 0:
             raise InvalidMetricError(f"nonzero diagonal at {i}")
         for j in range(n):
             d = Di[j]
-            if d is None or d < 0:
-                raise InvalidMetricError(f"bad entry at ({i}, {j}): {row[j]!r}")
-            dji = D[j][i]
-            if d != dji and (dji is not None or row[j] != rows[j][i]):
+            if type(d) is not int or d < 0:
+                raise InvalidMetricError(f"bad entry at ({i}, {j}): {d!r}")
+            if d != D[j][i]:
                 raise InvalidMetricError(f"asymmetry at ({i}, {j})")
             if i != j and d == 0 and labels[i] != labels[j]:
                 raise InvalidMetricError(f"zero distance between distinct points {i} and {j}")
@@ -440,83 +436,62 @@ def _check_metric(
 
 @dataclass(frozen=True)
 class FiniteMetric:
-    """A finite metric space given by labels and an exact distance matrix.
+    """A finite metric space: labels and the distances ``D[i][j] / den``.
 
-    ``labels`` and ``rows`` (Fractions) are the public data and alone define
-    equality and hashing.  Construction also puts the distances over one
-    common denominator: ``den`` is the least common denominator of the
-    entries and ``D`` the integer matrix with ``rows[i][j] == D[i][j] / den``.
-    The metric axioms are checked on ``D``, and the exact computations on a
-    metric (``diameter``, ``analysis.gamma``, the Gram matrix) read it.  A
-    metric built from integers (``_from_scaled``, as ``distance_matrix``
-    does) holds ``D`` and ``den`` alone and forms ``rows`` on first read.
+    ``D`` is a square matrix of Python ints and ``den`` a positive int.
+    Construction checks the metric axioms on ``D`` and puts the pair in
+    lowest terms, so equal metrics have equal fields.  The exact
+    computations on a metric (``distance``, ``diameter``, ``analysis.gamma``,
+    the Gram matrix) read these integers; ``rows``, the Fraction matrix, is
+    formed only when read.
     """
 
     labels: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    D: tuple[tuple[int, ...], ...]
+    den: int
 
     def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+        labels, D, den = self.labels, self.D, self.den
+        n = len(labels)
+        if len(D) != n or any(len(row) != n for row in D):
             raise InvalidMetricError("distance matrix shape does not match labels")
-        den = math.lcm(
-            *(x.denominator for row in self.rows for x in row if isinstance(x, Fraction))
-        )
-        # None marks an entry that is not a Fraction; the checks report it
-        # exactly where the entry-by-entry order reaches it.
-        D = [
-            [x.numerator * (den // x.denominator) if isinstance(x, Fraction) else None for x in row]
-            for row in self.rows
-        ]
-        self._check_and_store(D, den)
-
-    @classmethod
-    def _from_scaled(cls, labels: Sequence[str], D: np.ndarray, den: int) -> "FiniteMetric":
-        """The metric with distances ``D[i][j] / den`` for a square int64 or
-        object array ``D`` of nonnegative integers, validated like any
-        other; ``rows`` is formed on first read."""
-        g = math.gcd(den, int(np.gcd.reduce(D, axis=None)))
-        if g > 1:
-            D = D // g
-            den //= g
-        m = object.__new__(cls)
-        object.__setattr__(m, "labels", tuple(labels))
-        m._check_and_store(D.tolist(), den)
-        return m
-
-    def __getattr__(self, name: str) -> tuple[tuple[Fraction, ...], ...]:
-        # only ``rows`` can be missing, on a metric built by ``_from_scaled``
-        if name != "rows":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        den = self.den
-        value = {x: Fraction(x, den) for x in {x for row in self.D for x in row}}
-        rows = tuple(tuple(value[x] for x in row) for row in self.D)
-        object.__setattr__(self, "rows", rows)
-        return rows
-
-    def _check_and_store(self, D: list[list[Optional[int]]], den: int) -> None:
+        if type(den) is not int or den <= 0:
+            raise InvalidMetricError(f"bad denominator: {den!r}")
         # The int64 tests pass on every valid metric they can hold; a failure,
-        # or a matrix they cannot hold, is named by the loop on Python ints.
-        object.__setattr__(self, "den", den)
+        # a matrix they cannot hold or an entry that is not an int is named
+        # by the loop on Python ints.
+        ints = set(map(type, itertools.chain.from_iterable(D))) <= {int}
+        if not (ints and _metric_by_int64(D, labels)):
+            _check_metric(D, labels)
+        g = math.gcd(den, *itertools.chain.from_iterable(D))
+        if g > 1:
+            D = [[x // g for x in row] for row in D]
+            object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "D", tuple(map(tuple, D)))
-        if not _metric_by_int64(D, self.labels):
-            _check_metric(D, self.rows, self.labels)
 
     @classmethod
     def from_rows(
         cls, labels: Sequence[str], rows: Sequence[Sequence[RationalLike]]
     ) -> "FiniteMetric":
-        return cls(
-            labels=tuple(labels),
-            rows=tuple(tuple(as_rational(x) for x in row) for row in rows),
-        )
+        """The metric of a matrix of rationals, put over one denominator."""
+        F = [[as_rational(x) for x in row] for row in rows]
+        den = math.lcm(*(x.denominator for row in F for x in row))
+        D = [[x.numerator * (den // x.denominator) for x in row] for row in F]
+        return cls(labels, D, den)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        value = {x: Fraction(x, den) for x in {x for row in self.D for x in row}}
+        return tuple(tuple(value[x] for x in row) for row in self.D)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def distance(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        return Fraction(self.D[i][j], self.den)
 
     def diameter(self) -> Fraction:
         return Fraction(max(map(max, self.D), default=0), self.den)
@@ -533,7 +508,7 @@ def distance_matrix(g: MetricGraph, points: Sequence[Point]) -> FiniteMetric:
     index = {v: i for i, v in enumerate(adj)}
     ids = [index[v] for v in nodes]
     D = _closure(adj)[np.ix_(ids, ids)]
-    return FiniteMetric._from_scaled(tuple(point_label(p) for p in canon), D, scale)
+    return FiniteMetric([point_label(p) for p in canon], D.tolist(), scale)
 
 
 def distance(g: MetricGraph, p: Point, q: Point) -> Fraction:

@@ -6,6 +6,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import MetricGraph, RationalLike, as_rational, build_graph
 from .errors import PreconditionError
@@ -19,22 +20,6 @@ FAMILY_TAGS = (
     "random_connected",
     "random_cactus",
 )
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Which family to build, and its parameters."""
-
-    tag: str
-    sizes: tuple[int, ...] = ()
-    lengths: tuple[Fraction, ...] = ()
-    seed: int = 0
-    extra_edges: int = 0
-    min_len: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        if self.tag not in FAMILY_TAGS:
-            raise PreconditionError(f"unknown family tag: {self.tag!r}")
 
 
 def make_theta(l1: RationalLike, l2: RationalLike, l3: RationalLike) -> MetricGraph:
@@ -90,26 +75,31 @@ def _path(n: int) -> MetricGraph:
     return build_graph(vertices, edges)
 
 
+# The unit-length families, by tag; each takes ``FamilySpec.sizes``.
+_UNIT_FAMILIES: dict[str, Callable[..., MetricGraph]] = {
+    "complete": _complete,
+    "complete_bipartite": _complete_bipartite,
+    "cycle": _cycle,
+    "path": _path,
+}
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Which unit-length family to build, and its sizes: one for complete,
+    cycle and path, two for complete_bipartite."""
+
+    tag: str
+    sizes: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.tag not in _UNIT_FAMILIES:
+            raise PreconditionError(f"unknown family tag: {self.tag!r}")
+
+
 def from_spec(spec: FamilySpec) -> MetricGraph:
-    """Dispatch any family tag to its constructor; the named families have
-    unit lengths."""
-    if spec.tag == "theta":
-        l1, l2, l3 = spec.lengths
-        return make_theta(l1, l2, l3)
-    if spec.tag == "random_connected":
-        (n,) = spec.sizes
-        return make_random_connected(
-            n, n - 1 + spec.extra_edges, seed=spec.seed, min_len=spec.min_len
-        )
-    if spec.tag == "random_cactus":
-        (blocks,) = spec.sizes
-        return make_random_cactus(blocks, seed=spec.seed, min_len=spec.min_len)
-    if spec.tag == "complete_bipartite":
-        a, b = spec.sizes
-        return _complete_bipartite(a, b)
-    # FamilySpec admits only known tags, so the rest take one size
-    (n,) = spec.sizes
-    return {"complete": _complete, "cycle": _cycle, "path": _path}[spec.tag](n)
+    """The unit-length graph a spec names."""
+    return _UNIT_FAMILIES[spec.tag](*spec.sizes)
 
 
 def _random_length(rng: random.Random, min_len: Fraction) -> Fraction:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import (
     Edge,
     EdgePoint,
@@ -215,10 +213,8 @@ def _try_window(g: MetricGraph, t: Theta, a: Fraction) -> Optional[Witness]:
         return None
 
     six = (X + chosen, Y + chosen, Z + chosen, X + chosen + 1, Y + chosen + 1, Z + chosen + 1)
-    m6 = FiniteMetric._from_scaled(
-        [m9.labels[k] for k in six],
-        np.array([[m9.D[i][j] for j in six] for i in six], dtype=object),
-        m9.den,
+    m6 = FiniteMetric(
+        [m9.labels[k] for k in six], [[m9.D[i][j] for j in six] for i in six], m9.den
     )
     value = gap(m6, (0, 1, 2), (3, 4, 5))
     if value < _TWELFTH:

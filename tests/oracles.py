@@ -117,30 +117,32 @@ def _routed_distance(g: MetricGraph, table, p: Point, q: Point) -> Fraction:
     return best
 
 
-def oracle_metric_violation(labels, rows):
-    """The error message ``FiniteMetric`` must raise on these rows, or None.
+def oracle_metric_violation(labels, D):
+    """The error message ``FiniteMetric`` must raise on the integer matrix
+    ``D``, or None.
 
-    The metric-axiom checks entry by entry on the Fractions themselves, in
+    The metric-axiom checks entry by entry on the entries themselves, in
     the order the validation reports them: shape, then per row the diagonal
-    and each entry's type, sign, symmetry and zero distance, then every
-    triangle in ``itertools.permutations`` order.
+    and each entry's type (a Python int, not a bool or a Fraction), sign,
+    symmetry and zero distance, then every triangle in
+    ``itertools.permutations`` order.
     """
     n = len(labels)
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(D) != n or any(len(r) != n for r in D):
         return "distance matrix shape does not match labels"
     for i in range(n):
-        if rows[i][i] != 0:
+        if D[i][i] != 0:
             return f"nonzero diagonal at {i}"
         for j in range(n):
-            d = rows[i][j]
-            if not isinstance(d, Fraction) or d < 0:
+            d = D[i][j]
+            if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 return f"bad entry at ({i}, {j}): {d!r}"
-            if d != rows[j][i]:
+            if d != D[j][i]:
                 return f"asymmetry at ({i}, {j})"
             if i != j and d == 0 and labels[i] != labels[j]:
                 return f"zero distance between distinct points {i} and {j}"
     for i, j, k in itertools.permutations(range(n), 3):
-        if rows[i][k] > rows[i][j] + rows[j][k]:
+        if D[i][k] > D[i][j] + D[j][k]:
             return f"triangle violation at ({i}, {j}, {k})"
     return None
 
@@ -344,6 +346,16 @@ def oracle_cut_cone_member(m: FiniteMetric) -> bool:
 # ---------------------------------------------------------------------------
 # rational LDL^T: elimination and product check over Fractions
 # ---------------------------------------------------------------------------
+
+
+def scaled(matrix) -> tuple[list[list[int]], int]:
+    """A rational matrix as (integer matrix A, scale s > 0) with matrix = A / s."""
+    F = [[Fraction(v) for v in row] for row in matrix]
+    s = 1
+    for row in F:
+        for v in row:
+            s = s * v.denominator // gcd(s, v.denominator)
+    return [[v.numerator * (s // v.denominator) for v in row] for row in F], s
 
 
 def gram_matrix(m: FiniteMetric, basepoint: Optional[int] = None) -> list[list[Fraction]]:

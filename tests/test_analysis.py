@@ -24,6 +24,7 @@ from oracles import (
     oracle_psd_decompose,
     oracle_snap_candidates,
     oracle_transcript_verify,
+    scaled,
 )
 from test_core import connected_graphs, graph_points, graphs_with_points, rational_metrics
 from thetagap import analysis
@@ -40,7 +41,6 @@ from thetagap.analysis import (
     _float_snap,
     _mu_certifies,
     _mu_ladder,
-    _scaled,
     _scaled_gram,
     _score,
     _snap_block,
@@ -194,9 +194,9 @@ def test_psd_decompose_accepts_gram_of_line():
     m = FiniteMetric.from_rows(
         ("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     )
-    ok, transcript = psd_decompose(gram_matrix(m))
+    ok, transcript = psd_decompose(*scaled(gram_matrix(m)))
     assert ok
-    assert transcript.verify(gram_matrix(m))
+    assert transcript.verify(*scaled(gram_matrix(m)))
 
 
 def test_psd_transcript_rejects_tampering():
@@ -204,10 +204,10 @@ def test_psd_transcript_rejects_tampering():
         ("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     )
     gram = gram_matrix(m)
-    _, transcript = psd_decompose(gram)
+    _, transcript = psd_decompose(*scaled(gram))
     bumped = [row[:] for row in gram]
     bumped[0][0] += 1
-    assert not transcript.verify(bumped)
+    assert not transcript.verify(*scaled(bumped))
 
 
 def test_psd_decompose_refutes_indefinite_matrix():
@@ -215,7 +215,7 @@ def test_psd_decompose_refutes_indefinite_matrix():
         [Fraction(0), Fraction(1)],
         [Fraction(1), Fraction(0)],
     ]
-    ok, x = psd_decompose(matrix)
+    ok, x = psd_decompose(*scaled(matrix))
     assert not ok
     energy = sum(
         x[i] * x[j] * matrix[i][j] for i in range(2) for j in range(2)
@@ -225,7 +225,7 @@ def test_psd_decompose_refutes_indefinite_matrix():
 
 def test_psd_decompose_rejects_asymmetric_input():
     with pytest.raises(PreconditionError):
-        psd_decompose([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]])
+        psd_decompose([[1, 2], [0, 1]], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +297,9 @@ _MATRICES = st.one_of(metric_grams(), low_rank_psd(), symmetric_matrices())
 @settings(max_examples=200, deadline=None)
 @given(_MATRICES)
 def test_psd_decompose_matches_fraction_elimination(matrix):
-    got = psd_decompose(matrix)
+    A, scale = scaled(matrix)
+    got = psd_decompose(A, scale)
     assert got == oracle_psd_decompose(matrix)
-    A, _ = _scaled(matrix)
     assert (_eliminate(A).direction is None) == got[0]
 
 
@@ -515,11 +515,11 @@ def transcripts(draw):
 )
 def test_transcript_replay_matches_product_check(case, what, a, b, delta):
     matrix, transcript = case
-    assert transcript.verify(matrix)
+    assert transcript.verify(*scaled(matrix))
     assert oracle_transcript_verify(transcript, matrix)
     assume(transcript.perm)
     matrix, tampered = _tampered(matrix, transcript, what, a, b, delta)
-    assert tampered.verify(matrix) == oracle_transcript_verify(tampered, matrix)
+    assert tampered.verify(*scaled(matrix)) == oracle_transcript_verify(tampered, matrix)
 
 
 @settings(max_examples=100, deadline=None)
@@ -535,11 +535,12 @@ def test_gram_replay_on_integers_matches_the_rational_one(case, what, a, b, delt
     assume(m.size >= 2)
     basepoint = a % m.size
     gram = gram_matrix(m, basepoint)
-    ok, transcript = psd_decompose(gram)
+    A, scale = _scaled_gram(m, basepoint)
+    ok, transcript = psd_decompose(A, scale)
     assume(ok)
-    assert transcript.verify_gram(m, basepoint)
+    assert transcript.verify(A, scale)
     _, tampered = _tampered(gram, transcript, what, a, b, delta)
-    assert tampered.verify_gram(m, basepoint) == tampered.verify(gram)
+    assert tampered.verify(A, scale) == oracle_transcript_verify(tampered, gram)
 
 
 def test_transcript_zero_pivot_leaves_its_column_free():
@@ -552,38 +553,38 @@ def test_transcript_zero_pivot_leaves_its_column_free():
              (Fraction(0), Fraction(1), Fraction(0)),
              (Fraction(2), Fraction(7, 3), Fraction(1)))
     transcript = PSDTranscript((0, 1, 2), diag, lower)
-    assert transcript.verify(matrix) and oracle_transcript_verify(transcript, matrix)
+    assert transcript.verify(*scaled(matrix)) and oracle_transcript_verify(transcript, matrix)
     moved = (lower[0], lower[1], (Fraction(2), Fraction(-5), Fraction(1)))
-    assert PSDTranscript((0, 1, 2), diag, moved).verify(matrix)
+    assert PSDTranscript((0, 1, 2), diag, moved).verify(*scaled(matrix))
     broken = (lower[0], lower[1], (Fraction(3), Fraction(7, 3), Fraction(1)))
-    assert not PSDTranscript((0, 1, 2), diag, broken).verify(matrix)
+    assert not PSDTranscript((0, 1, 2), diag, broken).verify(*scaled(matrix))
     assert not oracle_transcript_verify(PSDTranscript((0, 1, 2), diag, broken), matrix)
     # a zero pivot whose column is not zero factors nothing
     coupled = [row[:] for row in matrix]
     coupled[1][2] = coupled[2][1] = Fraction(1)
-    assert not transcript.verify(coupled)
+    assert not transcript.verify(*scaled(coupled))
     assert not oracle_transcript_verify(transcript, coupled)
 
 
 def test_transcript_rejects_a_perm_that_is_not_a_permutation():
-    matrix = [[Fraction(1), Fraction(5)], [Fraction(5), Fraction(1)]]
-    assert not psd_decompose(matrix)[0]
+    matrix = [[1, 5], [5, 1]]
+    assert not psd_decompose(matrix, 1)[0]
     bogus = PSDTranscript(
         perm=(0, 0),
         diag=(Fraction(1), Fraction(0)),
         lower=((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))),
     )
-    assert not bogus.verify(matrix)
+    assert not bogus.verify(matrix, 1)
 
 
 def test_transcript_rejects_a_diag_of_the_wrong_length():
-    matrix = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    ok, transcript = psd_decompose(matrix)
-    assert ok and transcript.verify(matrix)
+    matrix = [[1, 0], [0, 1]]
+    ok, transcript = psd_decompose(matrix, 1)
+    assert ok and transcript.verify(matrix, 1)
     short = PSDTranscript(transcript.perm, transcript.diag[:1], transcript.lower)
-    assert not short.verify(matrix)
+    assert not short.verify(matrix, 1)
     long = PSDTranscript(transcript.perm, transcript.diag + (Fraction(1),), transcript.lower)
-    assert not long.verify(matrix)
+    assert not long.verify(matrix, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -608,7 +609,7 @@ def test_negative_type_on_cycle(c4_metric):
     result = is_negative_type(c4_metric)
     assert result.verdict
     assert result.violation is None and result.energy is None
-    assert result.transcript.verify(gram_matrix(c4_metric, result.basepoint))
+    assert result.transcript.verify(*scaled(gram_matrix(c4_metric, result.basepoint)))
 
 
 def test_negative_type_refuted_on_witness_metric(witness_metric):

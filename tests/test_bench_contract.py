@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from thetagap.core import Vertex, distance_matrix
+from thetagap import dumps_graph, dumps_points
+from thetagap.cli import main
+from thetagap.core import FiniteMetric, Vertex, distance_matrix
 from thetagap.families import FamilySpec, from_spec, make_theta
 from thetagap.l1cut import CutDecomposition, FarkasCertificate, is_l1_embeddable
 from thetagap.witness import construct_witness
@@ -69,3 +71,44 @@ def test_traced_results_rebuild_from_their_fields():
     assert isinstance(embeds, CutDecomposition) and isinstance(refuted, FarkasCertificate)
     rebuild(embeds)
     rebuild(refuted)
+
+
+def test_rebuilding_a_distance_matrix_never_reads_rows(monkeypatch):
+    # the rebuild stands for the metric check alone, with no Fraction rows
+    def no_rows(self):
+        raise AssertionError("rows read")
+
+    k23 = from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3)))
+    metric = distance_matrix(k23, [Vertex(v) for v in k23.vertices])
+    monkeypatch.setattr(FiniteMetric, "rows", property(no_rows))
+    _load_spans()._rebuild(metric)
+
+
+def _traced_calls(tmp_path, command):
+    """The span call counts of one CLI call on the vertices of a 4-cycle."""
+    cycle = from_spec(FamilySpec(tag="cycle", sizes=(4,)))
+    graph, points = tmp_path / "c4.json", tmp_path / "c4pts.json"
+    graph.write_text(dumps_graph(cycle))
+    points.write_text(dumps_points([Vertex(v) for v in cycle.vertices]))
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        code = tracer.command(lambda: main([command, str(graph), "--points", str(points)]))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    return tracer.calls
+
+
+def test_one_negtype_call_counts_one_elimination(tmp_path, capsys):
+    calls = _traced_calls(tmp_path, "negtype")
+    assert calls["analysis.is_negative_type"] == 1
+    assert calls["analysis.psd_decompose"] == 1
+    assert calls["analysis.psd_decompose_from_l1cut"] == 0
+
+
+def test_one_l1_call_counts_one_elimination_under_l1cut(tmp_path, capsys):
+    calls = _traced_calls(tmp_path, "l1")
+    assert calls["l1cut.is_l1_embeddable"] == 1
+    assert calls["analysis.psd_decompose"] == 1
+    assert calls["analysis.psd_decompose_from_l1cut"] == 1

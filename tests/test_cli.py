@@ -250,6 +250,13 @@ def _truncate_first(key):
     return lambda cert: cert[key].__setitem__(0, cert[key][0][:2])
 
 
+def _repeat_first_member(cert):
+    # labels and indices stay consistent, so only the repeat is wrong
+    cut = cert["cuts"][0]
+    cut["member_indices"].append(cut["member_indices"][0])
+    cut["members"].append(cut["members"][0])
+
+
 @pytest.mark.parametrize(
     "source, mutate",
     [
@@ -270,6 +277,7 @@ def _truncate_first(key):
         ("l1_refuted", lambda cert: cert["farkas"].append(cert["farkas"][0][:2] + ["-9"])),
         ("l1_embeds", lambda cert: cert["cuts"][0].pop("weight")),
         ("l1_embeds", lambda cert: cert["cuts"][0]["member_indices"].append(99)),
+        ("l1_embeds", _repeat_first_member),
     ],
     ids=[
         "witness_graph_not_object",
@@ -289,6 +297,7 @@ def _truncate_first(key):
         "l1_farkas_pair_twice",
         "l1_cut_without_weight",
         "l1_cut_member_out_of_range",
+        "l1_cut_member_twice",
     ],
 )
 def test_verify_malformed_certificate_exits_2(
@@ -309,6 +318,28 @@ def test_verify_malformed_certificate_exits_2(
     mutate(doc["certificate"])
     cert.write_text(json.dumps(doc))
     _assert_one_line_error(capsys, "verify", str(cert), graph)
+
+
+@pytest.mark.parametrize(
+    "entries", [[[7, "1/6"]], [[0, "1/2"], [7, "-1/2"]]], ids=["alone", "balanced"]
+)
+@pytest.mark.parametrize("name", ["omega", "violation", "weighting"])
+def test_verify_weighting_index_outside_the_points_exits_2(
+    name, entries, theta_file, witness_points_file, tmp_path, capsys
+):
+    # the same malformed index exits 2 whatever the other entries say
+    argv = {
+        "omega": ["witness", theta_file],
+        "violation": ["negtype", theta_file, "--points", witness_points_file],
+        "weighting": ["gap", theta_file, "--points", witness_points_file, "--starts", "2"],
+    }[name]
+    cert = tmp_path / "cert.json"
+    run(capsys, *argv, "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["certificate"][name] = entries
+    cert.write_text(json.dumps(doc))
+    err = _assert_one_line_error(capsys, "verify", str(cert), theta_file)
+    assert err == f"error: '{name}' names index 7, not one of the 6 points\n"
 
 
 def test_witness_without_theta_exits_2(c4_file, capsys):
@@ -390,19 +421,23 @@ def test_transcript_literals_name_the_first_bad_one(c4_file, tmp_path, capsys, m
 def test_negtype_gap_and_verify_never_form_fraction_rows(
     monkeypatch, theta_file, witness_points_file, c4_file, tmp_path, capsys
 ):
+    # every certificate command and each verify, on both verdicts
     from thetagap import Vertex, dumps_points
     from thetagap.core import FiniteMetric
 
-    def no_rows(self, name):
-        raise AssertionError(f"{name} read")
+    def no_rows(self):
+        raise AssertionError("rows read")
 
-    monkeypatch.setattr(FiniteMetric, "__getattr__", no_rows)
+    monkeypatch.setattr(FiniteMetric, "rows", property(no_rows))
     c4_points = tmp_path / "c4pts.json"
     c4_points.write_text(dumps_points([Vertex(f"v{i}") for i in range(1, 5)]))
     for name, graph, argv, code in [
+        ("witness", theta_file, ["witness", theta_file], 0),
         ("embeds", c4_file, ["negtype", c4_file, "--points", str(c4_points)], 0),
         ("refuted", theta_file, ["negtype", theta_file, "--points", witness_points_file], 1),
         ("gap", theta_file, ["gap", theta_file, "--points", witness_points_file, "--starts", "4"], 0),
+        ("l1_embeds", c4_file, ["l1", c4_file, "--points", str(c4_points)], 0),
+        ("l1_refuted", theta_file, ["l1", theta_file, "--points", witness_points_file], 1),
     ]:
         cert = tmp_path / f"{name}.json"
         assert run(capsys, *argv, "--out", str(cert))[0] == code

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -107,28 +108,33 @@ _BREAKS = ("none", "diagonal", "symmetry", "zero", "triangle", "negative", "type
 
 @st.composite
 def perturbed_metrics(draw):
-    """A random metric, possibly with one entry changed to break an axiom."""
-    # denominators 1 and 4 keep entries equal to their int or float copies
+    """A random metric as (labels, D, den), possibly with one entry of the
+    integer matrix D changed to break an axiom."""
     labels, rows = draw(rational_metrics(max_denominator=draw(st.sampled_from((1, 4, 1000)))))
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    D = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     n = len(labels)
     kind = draw(st.sampled_from(_BREAKS if n >= 3 else _BREAKS[:2] + _BREAKS[5:]))
     index = st.integers(min_value=0, max_value=n - 1)
-    delta = draw(st.fractions(min_value=Fraction(1, 97), max_value=3, max_denominator=97))
+    delta = draw(st.integers(min_value=1, max_value=3 * den))
     i, j, k = draw(st.permutations(range(n)))[:3] if n >= 3 else (draw(index),) * 3
     if kind == "diagonal":
-        rows[i][i] = delta
+        D[i][i] = delta
     elif kind == "symmetry":
-        rows[i][j] += delta
+        D[i][j] += delta
     elif kind == "zero":
-        rows[i][j] = rows[j][i] = Fraction(0)
+        D[i][j] = D[j][i] = 0
     elif kind == "triangle":
-        rows[i][k] = rows[k][i] = rows[i][j] + rows[j][k] + delta
+        D[i][k] = D[k][i] = D[i][j] + D[j][k] + delta
     elif kind == "negative":
-        rows[i][j] = rows[j][i] = -delta
+        D[i][j] = D[j][i] = -delta
     elif kind == "type":
+        # equal to the entry, so only the type test can catch it, except a
+        # bool of an entry other than 0 or 1
         i, j = draw(index), draw(index)
-        rows[i][j] = draw(st.sampled_from([int(rows[i][j]), float(rows[i][j]), str(rows[i][j])]))
-    return tuple(labels), tuple(tuple(row) for row in rows)
+        x = D[i][j]
+        D[i][j] = draw(st.sampled_from([Fraction(x), float(x), str(x), bool(x)]))
+    return tuple(labels), tuple(tuple(row) for row in D), den
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +329,7 @@ def test_distance_matrix_is_a_metric_and_matches_pairwise(case):
     m = distance_matrix(g, pts)  # construction validates the metric axioms
     for i, j in itertools.combinations(range(4), 2):
         assert m.distance(i, j) == oracle_distance(g, pts[i], pts[j])
-    rebuilt = FiniteMetric(labels=m.labels, rows=m.rows)
+    rebuilt = FiniteMetric.from_rows(m.labels, m.rows)
     assert rebuilt == m and (rebuilt.den, rebuilt.D) == (m.den, m.D)
 
 
@@ -421,15 +427,12 @@ def test_closure_matches_the_floyd_warshall_oracle_on_both_dtypes(dtype, data):
 @given(graphs_with_points(count=4))
 def test_scaled_metric_equals_and_hashes_like_its_rows(case):
     g, pts = case
-    a, b, c = (distance_matrix(g, pts) for _ in range(3))
-    expected = FiniteMetric.from_rows(c.labels, c.rows)
-    assert "rows" not in vars(a) and "rows" not in vars(b)
-    assert a == expected  # equality before rows were read
-    assert hash(b) == hash(expected)  # hashing before rows were read
-    for m in (a, b):
-        assert "rows" in vars(m)
-        assert m == expected and expected == m and hash(m) == hash(expected)
-        assert m.rows == expected.rows and (m.den, m.D) == (expected.den, expected.D)
+    m = distance_matrix(g, pts)
+    expected = FiniteMetric.from_rows(m.labels, oracle_distance_matrix(g, pts))
+    assert m == expected and expected == m and hash(m) == hash(expected)
+    assert "rows" not in vars(m)  # equality and hashing read the integers alone
+    assert m.rows == expected.rows and "rows" in vars(m)
+    assert (m.den, m.D) == (expected.den, expected.D)
 
 
 def _vertex_kernel(g, ids):
@@ -490,63 +493,57 @@ _AB = ("a", "b")
 
 @settings(max_examples=200, deadline=None)
 @given(perturbed_metrics())
-@example((_AB, ((Fraction(0), Fraction(2)), (2, Fraction(0)))))  # bad entry at (1, 0)
-@example((_AB, ((Fraction(0), Fraction(1, 2)), (0.5, Fraction(0)))))  # bad entry at (1, 0)
-@example((_AB, ((0, Fraction(1)), (Fraction(1), Fraction(0)))))  # bad entry at (0, 0)
-@example((_AB, (("0", Fraction(1)), (Fraction(1), Fraction(0)))))  # nonzero diagonal at 0
+@example((_AB, ((0, 2), (Fraction(2), 0)), 1))  # bad entry at (1, 0)
+@example((_AB, ((0, 2), (2.0, 0)), 4))  # bad entry at (1, 0)
+@example((_AB, ((Fraction(0), 1), (1, 0)), 1))  # bad entry at (0, 0)
+@example((_AB, (("0", 1), (1, 0)), 1))  # nonzero diagonal at 0
+@example((_AB, ((0, True), (True, 0)), 1))  # bad entry at (0, 1)
 def test_finite_metric_checks_match_the_fraction_oracle(case):
-    labels, rows = case
-    expected = oracle_metric_violation(labels, rows)
+    labels, D, den = case
+    expected = oracle_metric_violation(labels, D)
     try:
-        m = FiniteMetric(labels=labels, rows=rows)
+        m = FiniteMetric(labels, D, den)
     except InvalidMetricError as exc:
         assert str(exc) == expected
         return
     assert expected is None
     n = len(labels)
-    assert all(Fraction(m.D[i][j], m.den) == rows[i][j] for i in range(n) for j in range(n))
-    assert m.diameter() == max((d for row in rows for d in row), default=Fraction(0))
+    assert all(m.distance(i, j) == Fraction(D[i][j], den) for i in range(n) for j in range(n))
+    assert math.gcd(m.den, *itertools.chain.from_iterable(m.D)) == 1
+    assert m.diameter() == Fraction(max((d for row in D for d in row), default=0), den)
+
+
+@pytest.mark.parametrize("den", [0, -2, 2.0, Fraction(2), True])
+def test_finite_metric_rejects_a_bad_denominator(den):
+    with pytest.raises(InvalidMetricError, match=re.escape(f"bad denominator: {den!r}")):
+        FiniteMetric(("a", "b"), ((0, 1), (1, 0)), den)
 
 
 _ABC = ("a", "b", "c")
 
 
-def _fraction_rows(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 @pytest.mark.parametrize(
-    "labels, rows, message",
+    "labels, D, message",
     [
-        (_ABC, _fraction_rows([[0, 1, 1], [1, 1, 1], [1, 1, 0]]), "nonzero diagonal at 1"),
-        (_AB, ((Fraction(0), 1), (Fraction(1), Fraction(0))), "bad entry at (0, 1): 1"),
+        (_ABC, ((0, 1, 1), (1, 1, 1), (1, 1, 0)), "nonzero diagonal at 1"),
+        (_AB, ((0, Fraction(1)), (1, 0)), "bad entry at (0, 1): Fraction(1, 1)"),
+        (_ABC, ((0, 1, 1), (1, 0, -1), (1, -1, 0)), "bad entry at (1, 2): -1"),
+        (_ABC, ((0, 1, 2), (1, 0, 1), (1, 1, 0)), "asymmetry at (0, 2)"),
         (
             _ABC,
-            _fraction_rows([[0, 1, 1], [1, 0, -1], [1, -1, 0]]),
-            "bad entry at (1, 2): Fraction(-1, 1)",
-        ),
-        (_ABC, _fraction_rows([[0, 1, 2], [1, 0, 1], [1, 1, 0]]), "asymmetry at (0, 2)"),
-        (
-            _ABC,
-            _fraction_rows([[0, 0, 1], [0, 0, 1], [1, 1, 0]]),
+            ((0, 0, 1), (0, 0, 1), (1, 1, 0)),
             "zero distance between distinct points 0 and 1",
         ),
-        (
-            _ABC,
-            _fraction_rows([[0, 1, 3], [1, 0, 1], [3, 1, 0]]),
-            "triangle violation at (0, 1, 2)",
-        ),
+        (_ABC, ((0, 1, 3), (1, 0, 1), (3, 1, 0)), "triangle violation at (0, 1, 2)"),
     ],
-    ids=["diagonal", "not_a_fraction", "negative", "asymmetry", "zero_distance", "triangle"],
+    ids=["diagonal", "not_an_int", "negative", "asymmetry", "zero_distance", "triangle"],
 )
 @pytest.mark.parametrize("guard", ["int64", "python_ints"])
-def test_metric_error_messages_are_the_same_on_both_paths(
-    monkeypatch, labels, rows, message, guard
-):
+def test_metric_error_messages_are_the_same_on_both_paths(monkeypatch, labels, D, message, guard):
     if guard == "python_ints":
         monkeypatch.setattr(core, "_INT64_SAFE", 0)
     with pytest.raises(InvalidMetricError) as exc:
-        FiniteMetric(labels=labels, rows=rows)
+        FiniteMetric(labels, D, 1)
     assert str(exc.value) == message
 
 
@@ -575,17 +572,18 @@ def test_triangle_check_on_python_ints_beyond_int64():
     p = _next_prime(2**21)
     q = _next_prime(p + 1)
     r = _next_prime(q + 1)
-    xs = [Fraction(0), 1 + Fraction(1, p), 2 + Fraction(1, q), 3 + Fraction(1, r)]
+    den = p * q * r
+    xs = [0, den + q * r, 2 * den + p * r, 3 * den + p * q]  # in units of 1 / den
     labels = ("a", "b", "c", "d")
-    rows = [[abs(x - y) for y in xs] for x in xs]
-    m = FiniteMetric(labels=labels, rows=tuple(map(tuple, rows)))
-    assert m.den == p * q * r and 3 * max(map(max, m.D)) >= 2**62
-    assert oracle_metric_violation(labels, rows) is None
-    rows[1][3] = rows[3][1] = rows[1][3] + Fraction(1, p * q)
-    expected = oracle_metric_violation(labels, rows)
+    D = [[abs(x - y) for y in xs] for x in xs]
+    m = FiniteMetric(labels, D, den)
+    assert m.den == den and 3 * max(map(max, m.D)) >= 2**62
+    assert oracle_metric_violation(labels, D) is None
+    D[1][3] = D[3][1] = D[1][3] + r  # d(b, d) + 1 / (p q)
+    expected = oracle_metric_violation(labels, D)
     assert expected == "triangle violation at (1, 2, 3)"
     with pytest.raises(InvalidMetricError, match=re.escape(expected)):
-        FiniteMetric(labels=labels, rows=tuple(map(tuple, rows)))
+        FiniteMetric(labels, D, den)
 
 
 def test_finite_metric_rejects_triangle_violation():
