@@ -444,7 +444,8 @@ class GapBracket:
     gives, and that ``spectral_mu`` M2 + G / den is positive semidefinite
     (``_mu_certifies``: an integer factor, or an exact elimination where the
     factor is undecided), so a bracket read back from a certificate is
-    checked exactly as the one ``gap_bracket`` builds."""
+    checked exactly as the one ``gap_bracket`` builds.  Fewer than two
+    points are refused, as ``gap_bracket`` refuses them."""
 
     metric: FiniteMetric
     lower: Fraction
@@ -455,6 +456,8 @@ class GapBracket:
     spectral_mu: Fraction
 
     def __post_init__(self) -> None:
+        if self.metric.size < 2:
+            raise PreconditionError("gap bracketing needs at least two points")
         if self.weighting.total != 0 or self.weighting.total_mass != 1:
             raise InternalCheckError("bracket weighting is not normalized")
         if gamma(self.metric, self.weighting) != self.lower:

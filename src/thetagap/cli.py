@@ -147,13 +147,11 @@ def cmd_make(args) -> int:
     elif family == "random_connected":
         if args.vertices is None or args.edges is None:
             raise PreconditionError("make random_connected needs --vertices and --edges")
-        g = make_random_connected(
-            args.vertices, args.edges, seed=args.seed, min_len=args.min_len
-        )
+        g = make_random_connected(args.vertices, args.edges, seed=args.seed)
     elif family == "random_cactus":
         if args.blocks is None:
             raise PreconditionError("make random_cactus needs --blocks")
-        g = make_random_cactus(args.blocks, seed=args.seed, min_len=args.min_len)
+        g = make_random_cactus(args.blocks, seed=args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise PreconditionError(f"unknown family {family!r}")
     if args.scale is not None:
@@ -852,7 +850,6 @@ _COMMANDS: dict[str, tuple[str, Callable[..., int], list[tuple[tuple[str, ...], 
         (("--edges",), {"type": int, "help": "edge count (random_connected)"}),
         (("--blocks",), {"type": int, "help": "block count (random_cactus)"}),
         (("--seed",), {"type": int, "default": 0}),
-        (("--min-len",), {"default": "1", "help": "minimum edge length (rational)"}),
         (("--scale",), {"help": "multiply all lengths by this rational"}),
         (("--of",), {"help": "input graph (subdivide)"}),
         (("-k",), {"type": int, "default": 1, "help": "subdivision parameter"}),

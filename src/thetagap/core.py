@@ -7,8 +7,7 @@ edge's first declared endpoint.  Lengths and distances are exact rationals:
 ``fractions.Fraction`` at the API, and inside, integers over one common
 denominator (the LCM of the length and offset denominators for shortest
 paths).  A ``FiniteMetric`` is its labels, an integer matrix ``D`` and a
-denominator ``den`` in lowest terms; its Fraction matrix is formed only
-when read.
+denominator ``den`` in lowest terms; ``distance`` forms one Fraction.
 
 Points become distances in one place, ``distance_matrix``; ``distance`` is
 its two-point case.  The point kernel is built straight from the graph's
@@ -442,8 +441,7 @@ class FiniteMetric:
     Construction checks the metric axioms on ``D`` and puts the pair in
     lowest terms, so equal metrics have equal fields.  The exact
     computations on a metric (``distance``, ``diameter``, ``analysis.gamma``,
-    the Gram matrix) read these integers; ``rows``, the Fraction matrix, is
-    formed only when read.
+    the Gram matrix) read these integers.
     """
 
     labels: tuple[str, ...]
@@ -479,12 +477,6 @@ class FiniteMetric:
         den = math.lcm(*(x.denominator for row in F for x in row))
         D = [[x.numerator * (den // x.denominator) for x in row] for row in F]
         return cls(labels, D, den)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        den = self.den
-        value = {x: Fraction(x, den) for x in {x for row in self.D for x in row}}
-        return tuple(tuple(value[x] for x in row) for row in self.D)
 
     @property
     def size(self) -> int:

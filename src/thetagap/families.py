@@ -102,10 +102,14 @@ def from_spec(spec: FamilySpec) -> MetricGraph:
     return _UNIT_FAMILIES[spec.tag](*spec.sizes)
 
 
-def _random_length(rng: random.Random, min_len: Fraction) -> Fraction:
-    # Uniform over the 61 grid points of [min_len, 2 * min_len] with step
-    # min_len / 60, keeping denominators bounded.
-    return min_len * (1 + Fraction(rng.randint(0, 60), 60))
+# The largest cycle block ``make_random_cactus`` draws.
+_MAX_CYCLE = 5
+
+
+def _random_length(rng: random.Random) -> Fraction:
+    # Uniform over the 61 grid points of [1, 2] with step 1/60, keeping
+    # denominators bounded.
+    return 1 + Fraction(rng.randint(0, 60), 60)
 
 
 def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -133,18 +137,13 @@ def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
-def make_random_connected(
-    n: int,
-    m: int,
-    seed: int = 0,
-    min_len: RationalLike = 1,
-) -> MetricGraph:
+def make_random_connected(n: int, m: int, seed: int = 0) -> MetricGraph:
     """Seeded random connected multigraph with n vertices and m edges.
 
     A uniform random spanning tree comes first, then ``m - (n - 1)`` extra
     edges with distinct endpoints drawn uniformly (parallel edges allowed, no
-    self-loops).  Lengths are uniform grid rationals in
-    ``[min_len, 2 * min_len]``.  Deterministic in ``seed``.
+    self-loops).  Lengths are uniform grid rationals in [1, 2], which
+    ``core.scale(g, L)`` moves to [L, 2L].  Deterministic in ``seed``.
     """
     if n < 1:
         raise PreconditionError("need at least one vertex")
@@ -152,16 +151,13 @@ def make_random_connected(
         raise PreconditionError(f"{m} edges cannot connect {n} vertices")
     if n == 1 and m > 0:
         raise PreconditionError("edges without self-loops need at least two vertices")
-    base = as_rational(min_len)
-    if base <= 0:
-        raise PreconditionError("min_len must be positive")
     rng = random.Random(seed)
     names = [f"v{i}" for i in range(1, n + 1)]
     rows: list[tuple[str, str, str, Fraction]] = []
     counter = 0
     for a, b in _random_tree_edges(n, rng):
         counter += 1
-        rows.append((f"e{counter}", names[a], names[b], _random_length(rng, base)))
+        rows.append((f"e{counter}", names[a], names[b], _random_length(rng)))
     for _ in range(m - (n - 1)):
         counter += 1
         while True:
@@ -169,26 +165,19 @@ def make_random_connected(
             b = rng.randrange(n)
             if a != b:
                 break
-        rows.append((f"e{counter}", names[a], names[b], _random_length(rng, base)))
+        rows.append((f"e{counter}", names[a], names[b], _random_length(rng)))
     return build_graph(names, rows)
 
 
-def make_random_cactus(
-    blocks: int,
-    seed: int = 0,
-    min_len: RationalLike = 1,
-    max_cycle: int = 5,
-) -> MetricGraph:
+def make_random_cactus(blocks: int, seed: int = 0) -> MetricGraph:
     """Seeded random cactus whose blocks are single cycles or bridges.
 
     Every block has cycle rank at most 1, so the result never contains a
-    theta subgraph.  Useful as a negative-control generator.
+    theta subgraph.  Useful as a negative-control generator.  Lengths are
+    drawn as in ``make_random_connected``.
     """
     if blocks < 1:
         raise PreconditionError("need at least one block")
-    base = as_rational(min_len)
-    if base <= 0:
-        raise PreconditionError("min_len must be positive")
     rng = random.Random(seed)
     names = ["v1"]
     rows: list[tuple[str, str, str, Fraction]] = []
@@ -199,9 +188,9 @@ def make_random_cactus(
         if kind == "bridge":
             names.append(f"v{len(names) + 1}")
             ecount += 1
-            rows.append((f"e{ecount}", anchor, names[-1], _random_length(rng, base)))
+            rows.append((f"e{ecount}", anchor, names[-1], _random_length(rng)))
         else:
-            size = rng.randint(2, max_cycle)
+            size = rng.randint(2, _MAX_CYCLE)
             ring = [anchor]
             for _ in range(size - 1):
                 names.append(f"v{len(names) + 1}")
@@ -209,6 +198,6 @@ def make_random_cactus(
             for i in range(size):
                 ecount += 1
                 rows.append(
-                    (f"e{ecount}", ring[i], ring[(i + 1) % size], _random_length(rng, base))
+                    (f"e{ecount}", ring[i], ring[(i + 1) % size], _random_length(rng))
                 )
     return build_graph(names, rows)

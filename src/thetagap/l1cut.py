@@ -35,11 +35,14 @@ and the all-cuts check of a separating vector go through one routine,
 ``_cut_scores``: each pair's integer weight is split into signed limbs
 small enough that one limb's crossing sums fit in int64, and each limb is
 added over the bool rows of the cuts its pair crosses in one numpy int64
-pass; more than one limb is recombined exactly on Python ints.  Every
-"which pairs cross this cut" question goes through ``_crossing`` on the
-cut's mask or through the shared ``_crossing_matrix``.  Metrics above 20
-points, and separating vectors over more than 20 points, are refused
-before any cut is enumerated.  scipy's HiGHS is imported only when a float
+pass; more than one limb is recombined exactly on Python ints.  Which
+pairs a cut crosses is read from its two sides: a ``Cut``'s members
+against the rest, or a column of the shared ``_crossing_matrix``.  A
+decomposition is checked on integers at any size: its weights over one
+denominator are added into an n x n matrix, one inside x outside block per
+cut, and compared with the metric's integers.  Metrics above 20 points,
+and separating vectors over more than 20 points, are refused before any
+cut is enumerated.  scipy's HiGHS is imported only when a float
 proposal is made, so only for a metric of 12 or more points whose equality
 face has more cuts than the metric has pairs.
 """
@@ -50,7 +53,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -58,7 +61,7 @@ import numpy as np
 from .analysis import is_negative_type
 from .core import _INT64_SAFE, FiniteMetric, Vertex, distance_matrix, subdivide
 from .errors import InternalCheckError, PreconditionError
-from .families import _complete
+from .families import FamilySpec, from_spec
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +103,8 @@ class Cut:
         members = [0] + [t + 1 for t in range(n - 1) if mask >> t & 1]
         return cls(n=n, members=tuple(members))
 
-    @property
-    def mask(self) -> int:
-        out = 0
-        for i in self.members[1:]:
-            out |= 1 << (i - 1)
-        return out
-
     def separates(self, i: int, j: int) -> bool:
-        return bool(_crossing(self.mask, [(i, j)]))
-
-
-def _crossing(mask: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """Positions in ``pairs`` of the pairs that the cut of canonical ``mask``
-    separates; bit t of the mask puts point t + 1 on point 0's side."""
-    side = mask << 1 | 1  # bit v set: point v is on point 0's side
-    return [k for k, (i, j) in enumerate(pairs) if (side >> i ^ side >> j) & 1]
+        return (i in self.members) != (j in self.members)
 
 
 @lru_cache(maxsize=1)
@@ -146,10 +135,8 @@ def _crossing_matrix(n: int) -> np.ndarray:
 def _primitive_integers(values: Sequence[Fraction]) -> list[int]:
     """The integer vector with gcd 1 that is a positive multiple of ``values``
     (all zeros for a zero vector)."""
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    ints = [int(v * scale) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -212,28 +199,26 @@ def _lowest_gray_rank(masks: np.ndarray) -> int:
     return int(masks[np.argmin(_gray_rank(masks))])
 
 
-def _first_positive_cut(n: int, pair_weights: Sequence[int]) -> Optional[int]:
-    """The first mask of the Gray-code walk whose crossing sum (by
-    ``_cut_scores``) is positive, or None."""
-    positive = np.flatnonzero(_cut_scores(n, pair_weights) > 0)
-    return _lowest_gray_rank(positive) if len(positive) else None
-
-
 @dataclass(frozen=True)
 class FarkasCertificate:
     """Pair weights separating a metric from the cut cone.
 
     Invariants (checked exactly on construction): the weighted crossing sum
     is nonpositive for every canonical cut, while the weighted sum against
-    the metric's own distances is strictly positive.  A failure names the
-    first failing cut of the Gray-code walk.  Above MAX_CUT_POINTS points the
-    check, which visits 2^(n-1) - 1 cuts, is refused before it starts."""
+    the metric's own distances is strictly positive.  Both are tested on
+    the primitive integer multiple z of the weights, z . D against the
+    metric's integers and every cut by one ``_cut_scores`` pass.  A failure
+    names the first failing cut of the Gray-code walk.  Above MAX_CUT_POINTS
+    points the check, which visits 2^(n-1) - 1 cuts, is refused before it
+    starts."""
 
     metric: FiniteMetric
     pair_values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         n = self.metric.size
+        if n < 1:
+            raise PreconditionError("l1 decision needs at least one point")
         if n > MAX_CUT_POINTS:
             raise PreconditionError(
                 f"separating vector over {n} points; cut checks stop at {MAX_CUT_POINTS}"
@@ -241,43 +226,57 @@ class FarkasCertificate:
         pairs = list(itertools.combinations(range(n), 2))
         if len(self.pair_values) != len(pairs):
             raise PreconditionError("certificate has the wrong number of pair weights")
-        against_d = sum(
-            (f * self.metric.distance(i, j) for f, (i, j) in zip(self.pair_values, pairs)),
-            Fraction(0),
-        )
-        if against_d <= 0:
+        z = _primitive_integers(self.pair_values)
+        D = self.metric.D
+        if sum(v * D[i][j] for v, (i, j) in zip(z, pairs)) <= 0:
             raise InternalCheckError("separating vector does not cut off the metric")
-        failing = _first_positive_cut(n, _primitive_integers(self.pair_values))
-        if failing is not None:
+        positive = np.flatnonzero(_cut_scores(n, z) > 0)
+        if len(positive):
             raise InternalCheckError(
-                f"separating vector fails on the cut with mask {failing}"
+                f"separating vector fails on the cut with mask {_lowest_gray_rank(positive)}"
             )
 
 
 @dataclass(frozen=True)
 class CutDecomposition:
-    """A nonnegative cut combination reproducing a metric exactly."""
+    """A nonnegative cut combination reproducing a metric exactly.
+
+    Checked on construction, on integers and at any size: with the weights
+    over one denominator q, each cut's integer weight is added over its
+    inside x outside block of an n x n matrix M, and every pair i < j, in
+    ``itertools.combinations`` order, must have M[i][j] + M[j][i] over q
+    equal to D[i][j] over den.  The arithmetic is int64 while every product
+    it forms stays below ``_INT64_SAFE``, and on Python ints past that."""
 
     metric: FiniteMetric
     entries: tuple[tuple[Cut, Fraction], ...]
 
     def __post_init__(self) -> None:
-        n = self.metric.size
-        pairs = list(itertools.combinations(range(n), 2))
-        total = [Fraction(0)] * len(pairs)
+        m = self.metric
+        n = m.size
+        if n < 1:
+            raise PreconditionError("l1 decision needs at least one point")
         for cut, weight in self.entries:
             if cut.n != n:
                 raise PreconditionError("cut size does not match the metric")
             if weight <= 0:
                 raise PreconditionError("decomposition weights must be positive")
-            for k in _crossing(cut.mask, pairs):
-                total[k] += weight
-        for (i, j), value in zip(pairs, total):
-            if value != self.metric.distance(i, j):
-                raise InternalCheckError(
-                    f"decomposition reproduces {value} instead of "
-                    f"{self.metric.distance(i, j)} on pair ({i}, {j})"
-                )
+        q = lcm(*(w.denominator for _, w in self.entries))
+        weights = [w.numerator * (q // w.denominator) for _, w in self.entries]
+        safe = max(sum(weights) * m.den, max(map(max, m.D)) * q) < _INT64_SAFE
+        dtype = np.int64 if safe else object
+        M = np.zeros((n, n), dtype=dtype)
+        for (cut, _), w in zip(self.entries, weights):
+            inside = np.zeros(n, dtype=bool)
+            inside[list(cut.members)] = True
+            M[np.ix_(inside, ~inside)] += w
+        wrong = np.triu((M + M.T) * m.den != np.array(m.D, dtype=dtype) * q, 1)
+        if wrong.any():
+            i, j = (int(k) for k in np.argwhere(wrong)[0])
+            raise InternalCheckError(
+                f"decomposition reproduces {Fraction(int(M[i, j] + M[j, i]), q)} "
+                f"instead of {Fraction(m.D[i][j], m.den)} on pair ({i}, {j})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +451,8 @@ class _Phase1:
             entering = self._price(self.y)
             if entering is None:
                 return self.objective(), [Fraction(v, self.det) for v in self.y]
-            crossing = set(_crossing(entering, self.pairs))
+            column = self._block[:, np.searchsorted(self.masks, entering)]
+            crossing = set(np.flatnonzero(column).tolist())
             direction = [
                 sum(v for k, v in arow.items() if k in crossing) for arow in self.adj
             ]
@@ -634,18 +634,13 @@ def k4_explicit_decomposition() -> tuple:
     reproduce it, which the ``CutDecomposition`` constructor checks.  Returns
     the graph and the verified decomposition.
     """
-    k4 = _complete(4)
+    k4 = from_spec(FamilySpec(tag="complete", sizes=(4,)))
     g = subdivide(k4, 2)
     labels = g.vertices
     index = {v: i for i, v in enumerate(labels)}
     metric = distance_matrix(g, [Vertex(v) for v in labels])
     n = metric.size
-
-    adjacency: dict[str, set[str]] = {v: set() for v in labels}
-    for e in g.edges:
-        a, b = e.ends
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+    adjacency = {v: {w for _, w, _ in items} for v, items in g._adjacency.items()}
 
     originals = list(k4.vertices)
 

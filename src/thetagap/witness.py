@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .analysis import Weighting, gamma
 from .core import (
     Edge,
     EdgePoint,
@@ -264,8 +265,6 @@ def omega_from_witness(w: Witness):
     weighting sums to zero, has total mass one, and its quadratic energy is
     exactly ``gap / 36``.
     """
-    from .analysis import Weighting
-
     merged: dict[int, Fraction] = {}
     seen: dict[Point, int] = {}
     pts = list(w.b_points + w.r_points)
@@ -281,8 +280,6 @@ def omega_from_witness(w: Witness):
 def check_omega(m: FiniteMetric, gap_value: Fraction, omega) -> None:
     """``InternalCheckError`` unless the gap is at least 1/12 and ``omega``
     sums to zero, has total mass one and energy exactly gap/36 on ``m``."""
-    from .analysis import gamma
-
     if gap_value < _TWELFTH:
         raise InternalCheckError(f"witness gap {gap_value} below 1/12")
     if omega.total != 0 or omega.total_mass != 1:

@@ -36,7 +36,7 @@ from thetagap.core import (
     canonical_point,
 )
 from thetagap.errors import InternalCheckError, PreconditionError
-from thetagap.l1cut import Cut, CutDecomposition, _crossing
+from thetagap.l1cut import Cut, CutDecomposition
 from thetagap.theta import (
     Theta,
     ThetaPath,
@@ -50,6 +50,11 @@ from thetagap.theta import (
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
+
+
+def fraction_rows(m: FiniteMetric) -> list[list[Fraction]]:
+    """A metric's distance matrix as Fractions, entry by entry."""
+    return [[m.distance(i, j) for j in range(m.size)] for i in range(m.size)]
 
 
 def vertex_distance_table(g: MetricGraph) -> dict[tuple[str, str], Fraction]:
@@ -727,6 +732,44 @@ def oracle_minimal_theta(g: MetricGraph, edge_level: bool = False) -> Optional[T
 # ---------------------------------------------------------------------------
 # every cut's crossing sum by a Gray-code walk on Python ints
 # ---------------------------------------------------------------------------
+
+
+def _crossing(mask: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Positions in ``pairs`` of the pairs that the cut of canonical ``mask``
+    separates; bit t of the mask puts point t + 1 on point 0's side."""
+    side = mask << 1 | 1  # bit v set: point v is on point 0's side
+    return [k for k, (i, j) in enumerate(pairs) if (side >> i ^ side >> j) & 1]
+
+
+def cut_mask(cut: Cut) -> int:
+    """The canonical mask of a cut: bit t set puts point t + 1 on point 0's side."""
+    return sum(1 << (i - 1) for i in cut.members[1:])
+
+
+def oracle_decomposition_fault(m: FiniteMetric, entries) -> Optional[str]:
+    """The message of the first pair, in ``itertools.combinations`` order,
+    that the weighted cuts do not reproduce, adding each weight as a
+    ``Fraction`` to every pair its cut crosses; None when every pair is
+    reproduced.  Entries are assumed to be of the metric's size with
+    positive weights."""
+    pairs = list(itertools.combinations(range(m.size), 2))
+    total = [Fraction(0)] * len(pairs)
+    for cut, weight in entries:
+        for k in _crossing(cut_mask(cut), pairs):
+            total[k] += weight
+    for (i, j), value in zip(pairs, total):
+        if value != m.distance(i, j):
+            return (
+                f"decomposition reproduces {value} instead of "
+                f"{m.distance(i, j)} on pair ({i}, {j})"
+            )
+    return None
+
+
+def oracle_against_metric(m: FiniteMetric, pair_values) -> Fraction:
+    """The pair weights' sum against the metric's distances, over Fractions."""
+    pairs = itertools.combinations(range(m.size), 2)
+    return sum((v * m.distance(i, j) for v, (i, j) in zip(pair_values, pairs)), Fraction(0))
 
 
 def _pair_index(n: int) -> dict[tuple[int, int], int]:

@@ -23,6 +23,7 @@ from oracles import (
     oracle_gap_lower,
     oracle_psd_decompose,
     oracle_snap_candidates,
+    fraction_rows,
     oracle_transcript_verify,
     scaled,
 )
@@ -624,7 +625,7 @@ def test_negative_type_refuted_on_witness_metric(witness_metric):
 def test_negative_type_verdict_is_scale_invariant(witness_metric, c4_metric):
     for m, expected in ((witness_metric, False), (c4_metric, True)):
         scaled = FiniteMetric.from_rows(
-            m.labels, [[7 * d for d in row] for row in m.rows]
+            m.labels, [[7 * d for d in row] for row in fraction_rows(m)]
         )
         assert is_negative_type(scaled).verdict is expected
 
@@ -664,7 +665,7 @@ def test_gap_bracket_lower_scales_exactly(witness_metric):
     t = Fraction(5, 3)
     scaled = FiniteMetric.from_rows(
         witness_metric.labels,
-        [[t * d for d in row] for row in witness_metric.rows],
+        [[t * d for d in row] for row in fraction_rows(witness_metric)],
     )
     base = gap_bracket(witness_metric, starts=6, iters=40, seed=2)
     big = gap_bracket(scaled, starts=6, iters=40, seed=2)
@@ -828,7 +829,7 @@ def test_gap_search_past_the_int64_guard_matches_the_fraction_search(witness_met
     # snaps: the rest are scored on Python ints.
     t = 3**35
     m = FiniteMetric.from_rows(
-        witness_metric.labels, [[t * d for d in row] for row in witness_metric.rows]
+        witness_metric.labels, [[t * d for d in row] for row in fraction_rows(witness_metric)]
     )
     top = max(map(max, m.D))
     assert 2**62 // top < 24**2 and top < 2**62
@@ -1137,7 +1138,7 @@ def graph_metrics(draw):
 @settings(max_examples=60, deadline=None)
 @given(graph_metrics())
 def test_positive_eigenvalue_count_matches_the_float_spectrum(m):
-    vals = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in m.rows]))
+    vals = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in fraction_rows(m)]))
     top = float(np.max(np.abs(vals)))
     # a float eigenvalue this near zero could be either sign, or an exact zero
     assume(not np.any((np.abs(vals) > 1e-12 * top) & (np.abs(vals) < 1e-6 * top)))

@@ -73,14 +73,14 @@ def test_traced_results_rebuild_from_their_fields():
     rebuild(refuted)
 
 
-def test_rebuilding_a_distance_matrix_never_reads_rows(monkeypatch):
-    # the rebuild stands for the metric check alone, with no Fraction rows
-    def no_rows(self):
-        raise AssertionError("rows read")
+def test_rebuilding_a_distance_matrix_reads_no_distance(monkeypatch):
+    # the rebuild stands for the metric check alone, on the integers
+    def no_distance(self, i, j):
+        raise AssertionError("a distance was read")
 
     k23 = from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3)))
     metric = distance_matrix(k23, [Vertex(v) for v in k23.vertices])
-    monkeypatch.setattr(FiniteMetric, "rows", property(no_rows))
+    monkeypatch.setattr(FiniteMetric, "distance", no_distance)
     _load_spans()._rebuild(metric)
 
 

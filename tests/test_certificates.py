@@ -207,6 +207,32 @@ def test_verify_rejects_a_row_of_the_wrong_length_with_exit_2(
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "shape, count, body",
+    [
+        ("l1_embeds", 0, {"cuts": []}),
+        ("l1_refuted", 0, {"farkas": []}),
+        ("gap", 0, {"weighting": []}),
+        ("gap", 1, {"weighting": []}),
+    ],
+    ids=["l1_cuts_0", "l1_farkas_0", "gap_0", "gap_1"],
+)
+def test_verify_refuses_the_point_counts_the_producer_refuses(
+    made, shape, count, body, tmp_path
+):
+    # a certificate over too few points exits 2 with the producer's message
+    files, _ = made
+    graph, argv, _ = _SHAPES[shape]
+    points = tmp_path / "few.json"
+    points.write_text(dumps_points(_THETA_POINTS[:count]))  # only gap keeps a point
+    produced = _run([argv[0], files[graph], "--points", points])
+    cert = _certificate(made, shape)
+    cert.update(points=cert["points"][:count], labels=cert["labels"][:count], **body)
+    code, out, err = _verify(made, shape, cert, tmp_path)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert produced == (2, "", err)
+
+
 # ---------------------------------------------------------------------------
 # fuzz: one changed field
 # ---------------------------------------------------------------------------

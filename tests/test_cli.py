@@ -418,32 +418,6 @@ def test_transcript_literals_name_the_first_bad_one(c4_file, tmp_path, capsys, m
     assert err == f"error: {message}\n"
 
 
-def test_negtype_gap_and_verify_never_form_fraction_rows(
-    monkeypatch, theta_file, witness_points_file, c4_file, tmp_path, capsys
-):
-    # every certificate command and each verify, on both verdicts
-    from thetagap import Vertex, dumps_points
-    from thetagap.core import FiniteMetric
-
-    def no_rows(self):
-        raise AssertionError("rows read")
-
-    monkeypatch.setattr(FiniteMetric, "rows", property(no_rows))
-    c4_points = tmp_path / "c4pts.json"
-    c4_points.write_text(dumps_points([Vertex(f"v{i}") for i in range(1, 5)]))
-    for name, graph, argv, code in [
-        ("witness", theta_file, ["witness", theta_file], 0),
-        ("embeds", c4_file, ["negtype", c4_file, "--points", str(c4_points)], 0),
-        ("refuted", theta_file, ["negtype", theta_file, "--points", witness_points_file], 1),
-        ("gap", theta_file, ["gap", theta_file, "--points", witness_points_file, "--starts", "4"], 0),
-        ("l1_embeds", c4_file, ["l1", c4_file, "--points", str(c4_points)], 0),
-        ("l1_refuted", theta_file, ["l1", theta_file, "--points", witness_points_file], 1),
-    ]:
-        cert = tmp_path / f"{name}.json"
-        assert run(capsys, *argv, "--out", str(cert))[0] == code
-        assert run(capsys, "verify", str(cert), graph)[0] == 0
-
-
 def test_verify_rejects_tampered_violation(theta_file, witness_points_file, tmp_path, capsys):
     cert = tmp_path / "neg.json"
     run(capsys, "negtype", theta_file, "--points", witness_points_file, "--out", str(cert))
@@ -705,7 +679,7 @@ def test_usage_help_and_errors_are_unchanged(monkeypatch, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["make", "random_connected", "--vertices", "6", "--edges", "8", "--min-len", "1/2"],
+        ["make", "random_connected", "--vertices", "6", "--edges", "8", "--scale", "1/2"],
         ["subdivide", "g.json", "-k", "3", "--out", "o.json"],
         ["info", "g.json"],
         ["witness", "g.json", "--out", "w.json"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_contains_theta
-from thetagap.core import Vertex, distance
+from thetagap.core import Vertex, distance, scale
 from thetagap.errors import PreconditionError
 from thetagap.families import (
     FAMILY_TAGS,
@@ -92,7 +92,7 @@ def test_random_connected_shape_and_lengths(n, extra, seed):
     assert len(g.vertices) == n
     assert len(g.edges) == m
     # connectivity is enforced by the MetricGraph validator; lengths lie
-    # in [min_len, 2 min_len]
+    # in [1, 2]
     assert all(1 <= e.length <= 2 for e in g.edges)
 
 
@@ -115,17 +115,17 @@ def test_random_connected_rejects_edges_on_one_vertex():
         make_random_connected(1, 1)
 
 
-@pytest.mark.parametrize("min_len", [0, -1])
-def test_random_generators_reject_nonpositive_min_len(min_len):
-    with pytest.raises(PreconditionError, match="min_len must be positive"):
-        make_random_connected(4, 5, min_len=min_len)
-    with pytest.raises(PreconditionError, match="min_len must be positive"):
-        make_random_cactus(3, min_len=min_len)
-
-
-def test_random_connected_min_len_scales_range():
-    g = make_random_connected(4, 6, seed=1, min_len=Fraction(3))
-    assert all(3 <= e.length <= 6 for e in g.edges)
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_random_connected(4, 6, seed=1), lambda: make_random_cactus(5, seed=1)],
+    ids=["random_connected", "random_cactus"],
+)
+def test_scaling_a_random_graph_moves_its_lengths_to_the_scaled_range(make):
+    g = make()
+    assert all(1 <= e.length <= 2 for e in g.edges)
+    big = scale(g, Fraction(3))
+    assert [e.length for e in big.edges] == [3 * e.length for e in g.edges]
+    assert all(3 <= e.length <= 6 for e in big.edges)
 
 
 @settings(max_examples=25, deadline=None)

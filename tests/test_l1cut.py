@@ -1,6 +1,7 @@
 """Cut-cone membership: decompositions, separating certificates, the LP."""
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import OraclePhase1, gray_cut_values, oracle_cut_cone_member
+from oracles import (
+    OraclePhase1,
+    _crossing,
+    cut_mask,
+    fraction_rows,
+    gray_cut_values,
+    oracle_against_metric,
+    oracle_cut_cone_member,
+    oracle_decomposition_fault,
+)
 from test_core import graphs_with_points
 from thetagap import l1cut
 from thetagap.analysis import is_negative_type
@@ -29,7 +39,6 @@ from thetagap.l1cut import (
     FarkasCertificate,
     _equality_face,
     _float_support,
-    _crossing,
     _Phase1,
     is_l1_embeddable,
     k4_explicit_decomposition,
@@ -50,8 +59,8 @@ def test_cut_canonical_side_contains_zero():
 def test_cut_mask_round_trip():
     for mask in range(2 ** 4 - 1):
         c = Cut.from_mask(5, mask)
-        assert c.mask == mask
-        assert Cut.from_mask(5, c.mask) == c
+        assert cut_mask(c) == mask
+        assert Cut.from_mask(5, cut_mask(c)) == c
 
 
 def test_cut_rejects_improper_sides():
@@ -68,7 +77,7 @@ def test_cut_separates_and_crossing_pairs():
     assert c.separates(0, 2)
     assert not c.separates(0, 1)
     pairs = list(itertools.combinations(range(4), 2))
-    crossing = [pairs[k] for k in _crossing(c.mask, pairs)]
+    crossing = [pairs[k] for k in _crossing(cut_mask(c), pairs)]
     assert crossing == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
@@ -113,6 +122,103 @@ def test_triangle_needs_three_half_cuts():
     m = distance_matrix(g, [Vertex(v) for v in g.vertices])
     dec = is_l1_embeddable(m)
     assert sorted(w for _, w in dec.entries) == [Fraction(1, 2)] * 3
+
+
+@st.composite
+def cut_combinations(draw, max_points=7):
+    """(metric, entries): positive cut weights, among them every singleton
+    cut so that each pair is separated, and the metric they sum to, with one
+    weight changed half the time.  The weights are drawn at three sizes: the
+    integer sums stay in int64 at the first and pass 2^62 at the others."""
+    n = draw(st.integers(min_value=2, max_value=max_points))
+    size = draw(st.sampled_from([1, 2**40, 2**70]))
+    weight = st.builds(
+        lambda p, q: Fraction(p * size, q),
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=1, max_value=12),
+    )
+    masks = [cut_mask(Cut.from_members(n, [i])) for i in range(n)]
+    masks += draw(st.lists(st.integers(min_value=0, max_value=2 ** (n - 1) - 2), max_size=6))
+    entries = [(Cut.from_mask(n, mask), draw(weight)) for mask in masks]
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for cut, w in entries:
+        for i, j in itertools.combinations(range(n), 2):
+            if cut.separates(i, j):
+                rows[i][j] += w
+                rows[j][i] += w
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=len(entries) - 1))
+        factor = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        entries[k] = (entries[k][0], entries[k][1] * factor)
+    return FiniteMetric.from_rows(tuple(f"p{i}" for i in range(n)), rows), tuple(entries)
+
+
+def _assert_decomposition_check_matches_the_oracle(m, entries):
+    expected = oracle_decomposition_fault(m, entries)
+    if expected is None:
+        CutDecomposition(metric=m, entries=entries)
+    else:
+        with pytest.raises(InternalCheckError) as exc:
+            CutDecomposition(metric=m, entries=entries)
+        assert str(exc.value) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut_combinations())
+def test_decomposition_check_matches_the_fraction_oracle(case):
+    _assert_decomposition_check_matches_the_oracle(*case)
+
+
+def _tree_edge_cuts(seed):
+    """The vertex metric of a 60-vertex random tree and its decomposition:
+    one cut per edge, splitting the tree there, weighted by the edge's
+    length."""
+    g = make_random_connected(60, 59, seed=seed)
+    m = _vertex_metric(g)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    entries = []
+    for e in g.edges:
+        side, stack = {e.ends[0]}, [e.ends[0]]
+        while stack:
+            for eid, w, _ in g._adjacency[stack.pop()]:
+                if eid != e.id and w not in side:
+                    side.add(w)
+                    stack.append(w)
+        entries.append((Cut.from_members(m.size, [index[v] for v in side]), e.length))
+    return m, tuple(entries)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    change=st.one_of(st.none(), st.tuples(st.integers(0, 58), st.fractions(-1, 1).filter(bool))),
+)
+def test_decomposition_check_above_20_points_matches_the_fraction_oracle(seed, change):
+    m, entries = _tree_edge_cuts(seed)
+    if change is not None:
+        k, delta = change
+        cut, w = entries[k]
+        entries = entries[:k] + ((cut, w + delta / 2),) + entries[k + 1 :]
+    else:
+        assert oracle_decomposition_fault(m, entries) is None
+    _assert_decomposition_check_matches_the_oracle(m, entries)
+
+
+def test_certificate_checks_decide_on_integers_alone(monkeypatch):
+    # neither check forms a Fraction or reads a distance as one
+    decompositions = [k4_explicit_decomposition()[1], CutDecomposition(*_tree_edge_cuts(3))]
+    k23 = from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3)))
+    farkas = is_l1_embeddable(_vertex_metric(k23))
+    assert isinstance(farkas, FarkasCertificate)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was formed")
+
+    monkeypatch.setattr(l1cut, "Fraction", refuse)
+    monkeypatch.setattr(FiniteMetric, "distance", refuse)
+    for dec in decompositions:
+        CutDecomposition(metric=dec.metric, entries=dec.entries)
+    FarkasCertificate(metric=farkas.metric, pair_values=farkas.pair_values)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +619,51 @@ def random_metrics(draw, min_points=4, max_points=9):
     return FiniteMetric.from_rows(tuple(f"p{i}" for i in range(n)), rows)
 
 
+def _not_l1(name):
+    """A metric outside the cut cone: K2,3's vertices, which are of negative
+    type, or the unit theta's witness points, which are not."""
+    if name == "k23":
+        return _vertex_metric(from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3))))
+    return construct_witness(make_theta(1, 1, 1)).metric
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.one_of(
+        random_metrics(min_points=2, max_points=6),
+        st.sampled_from(["k23", "theta"]).map(_not_l1),
+    ),
+    data=st.data(),
+)
+def test_farkas_check_signs_the_metric_like_the_fraction_oracle(m, data):
+    # z . d > 0 is decided on integers; past it, the walk's first positive
+    # cut is named, and a vector with neither fault is accepted: drawn
+    # vectors, or a multiple of the separating vector of a metric not in l1
+    bits = data.draw(st.sampled_from([3, 70]))
+    result = is_l1_embeddable(m)
+    if isinstance(result, FarkasCertificate) and data.draw(st.booleans()):
+        factor = Fraction(data.draw(st.integers(1, 1 << bits)), data.draw(st.integers(1, 30)))
+        values = tuple(v * factor for v in result.pair_values)
+    else:
+        values = tuple(
+            Fraction(data.draw(st.integers(-(1 << bits), 1 << bits)), data.draw(st.integers(1, 30)))
+            for _ in range(m.size * (m.size - 1) // 2)
+        )
+    if oracle_against_metric(m, values) <= 0:
+        expected = "separating vector does not cut off the metric"
+    else:
+        den = math.lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (den // v.denominator) for v in values]
+        positive = [mask for mask, value in gray_cut_values(m.size, ints) if value > 0]
+        expected = positive and f"separating vector fails on the cut with mask {positive[0]}"
+    if not expected:
+        FarkasCertificate(metric=m, pair_values=values)
+    else:
+        with pytest.raises(InternalCheckError) as exc:
+            FarkasCertificate(metric=m, pair_values=values)
+        assert str(exc.value) == expected
+
+
 def _assert_same_run(m, columns=None):
     ours = _full_lp(m) if columns is None else _Phase1(m, columns=columns)
     oracle = OraclePhase1(m, columns=columns)
@@ -753,7 +904,7 @@ def test_infeasible_face_is_refuted_by_the_face_lp_alone(monkeypatch):
 def test_equality_face_past_int64_is_the_same_face():
     m = _vertex_metric(make_random_cactus(8, seed=4), 13)
     scale = 2**70
-    big = FiniteMetric.from_rows(m.labels, [[x * scale for x in row] for row in m.rows])
+    big = FiniteMetric.from_rows(m.labels, [[x * scale for x in row] for row in fraction_rows(m)])
     assert 2 * max(map(max, big.D)) >= l1cut._INT64_SAFE
     assert _equality_face(big)[0] == _equality_face(m)[0]
     assert _face(big).tolist() == _face(m).tolist()
@@ -804,7 +955,7 @@ def test_equality_face_holds_every_decomposition(m):
         FarkasCertificate(metric=m, pair_values=vector)
         return
     dec = full.decomposition()
-    assert {cut.mask for cut, _ in dec.entries} <= set(face.tolist())
+    assert {cut_mask(cut) for cut, _ in dec.entries} <= set(face.tolist())
     face_dec = face_lp.decomposition()  # checked exactly by its constructor
     columns = l1cut._crossing_matrix(m.size)[:, face].astype(float)
     if np.linalg.matrix_rank(columns) == len(face):
