@@ -21,9 +21,9 @@ are positive exactly on the cuts off the face, y - lambda w separates the
 metric from every cut for the least such lambda.  A face that is every cut
 makes that the full exact problem.  From 12 points on, a face of more cuts
 than pairs, such as the 2047 cuts of twelve star leaves, first has float
-column generation over a bool crossing matrix propose a small support for
-the exact simplex.  Floats only ever propose: every verdict is a
-certificate that passed its exact constructor.
+column generation over the bool crossing matrix of every cut propose a
+small support for the exact simplex.  Floats only ever propose: every
+verdict is a certificate that passed its exact constructor.
 
 The exact simplex is fraction-free: each row of B^-1 is a sparse dict of
 integers over its own positive denominator, a row a pivot rewrites is the
@@ -34,17 +34,19 @@ Pricing, over a face or over every cut, the equality face itself, lambda
 and the all-cuts check of a separating vector go through one routine,
 ``_cut_scores``: each pair's integer weight is split into signed limbs
 small enough that one limb's crossing sums fit in int64, and each limb is
-added over the bool rows of the cuts its pair crosses in one numpy int64
-pass; more than one limb is recombined exactly on Python ints.  Which
-pairs a cut crosses is read from its two sides: a ``Cut``'s members
-against the rest, or a column of the shared ``_crossing_matrix``.  A
-decomposition is checked on integers at any size: its weights over one
-denominator are added into an n x n matrix, one inside x outside block per
-cut, and compared with the metric's integers.  Metrics above 20 points,
-and separating vectors over more than 20 points, are refused before any
-cut is enumerated.  scipy's HiGHS is imported only when a float
-proposal is made, so only for a metric of 12 or more points whose equality
-face has more cuts than the metric has pairs.
+summed over every cut by a subset-sum recurrence over the masks, O(2^n)
+int64 operations in O(n) numpy calls, or over a face of at most one cut
+per pair by one int64 product with that face's crossing block; more than
+one limb is recombined exactly on Python ints.  Which pairs a cut crosses
+is read from its two sides: a ``Cut``'s members against the rest, or its
+mask's column of ``_crossing_block``.  No exact route builds the crossing
+matrix of every cut.  A decomposition is checked on integers at any size:
+its weights over one denominator are added into an n x n matrix, one
+inside x outside block per cut, and compared with the metric's integers.
+Metrics above 20 points, and separating vectors over more than 20 points,
+are refused before any cut is enumerated.  scipy's HiGHS is imported only
+when a float proposal is made, so only for a metric of 12 or more points
+whose equality face has more cuts than the metric has pairs.
 """
 
 from __future__ import annotations
@@ -107,24 +109,36 @@ class Cut:
         return (i in self.members) != (j in self.members)
 
 
-@lru_cache(maxsize=1)
-def _crossing_matrix(n: int) -> np.ndarray:
-    """Bool pairs x masks matrix: entry (k, mask) is true when pair k (in
+@lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ends i < j of every pair of n points, in itertools.combinations
+    order (read-only)."""
+    ends = np.triu_indices(n, 1)
+    for a in ends:
+        a.flags.writeable = False
+    return ends
+
+
+def _crossing_block(n: int, masks) -> np.ndarray:
+    """Bool pairs x masks matrix: entry (k, c) is true when pair k (in
     itertools.combinations order) crosses the cut of canonical mask
-    0 <= mask < 2^(n-1) - 1.  The last one built is kept (read-only) for
-    the equality face, the float proposal, the exact pricing and the
-    certificate check of the same metric; at 20 points it takes about
-    100 MB."""
-    masks = np.arange((1 << (n - 1)) - 1, dtype=np.int64)
+    ``masks[c]``.  Filled one pair row at a time, so nothing pairs x masks
+    sized is allocated beside the result."""
+    masks = np.asarray(masks, dtype=np.int64)
     side = np.ones((n, len(masks)), dtype=bool)  # side[v]: v on point 0's side
     for t in range(n - 1):
         side[t + 1] = (masks >> t) & 1
-    pairs = list(itertools.combinations(range(n), 2))
-    crossing = np.empty((len(pairs), len(masks)), dtype=bool)
-    for k, (i, j) in enumerate(pairs):
+    crossing = np.empty((n * (n - 1) // 2, len(masks)), dtype=bool)
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
         np.not_equal(side[i], side[j], out=crossing[k])
-    crossing.flags.writeable = False
     return crossing
+
+
+def _crossing_matrix(n: int) -> np.ndarray:
+    """The crossing block of every proper canonical cut, 0 <= mask <
+    2^(n-1) - 1: the columns of the float proposal, built afresh for each
+    one (about 100 MB at 20 points).  No exact route builds it."""
+    return _crossing_block(n, np.arange((1 << (n - 1)) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +156,13 @@ def _primitive_integers(values: Sequence[Fraction]) -> list[int]:
 
 
 def _crossing_sums(crossing: np.ndarray, weights: Sequence, dtype) -> np.ndarray:
-    """Each cut's sum of the weights of the pairs it separates, indexed by
-    mask: each pair's weight times its bool row of ``crossing`` is added in
-    turn, through one scratch vector, so nothing larger than the score vector
-    is allocated beyond the shared crossing matrix.  Float sums are bit for
-    bit those of adding each weight only where its row is true: every term
-    is the weight or a signed zero, and no sum starting at 0.0 becomes -0.0."""
+    """Each column's sum of the weights of the pairs it crosses: each pair's
+    weight times its bool row of ``crossing`` is added in turn, through one
+    scratch vector, so nothing larger than the score vector is allocated
+    beside the crossing block.  This is the float proposal's pricing.  Float
+    sums are bit for bit those of adding each weight only where its row is
+    true: every term is the weight or a signed zero, and no sum starting at
+    0.0 becomes -0.0."""
     scores = np.zeros(crossing.shape[1], dtype=dtype)
     term = np.empty_like(scores)
     for k, w in enumerate(weights):
@@ -157,29 +172,65 @@ def _crossing_sums(crossing: np.ndarray, weights: Sequence, dtype) -> np.ndarray
     return scores
 
 
+def _subset_sums(n: int, limb: np.ndarray) -> np.ndarray:
+    """Crossing sums of one int64 limb of pair weights over every proper
+    canonical cut, indexed by mask, in O(2^n) element operations and O(n)
+    numpy calls.
+
+    Bit t of a mask puts point p = t + 1 on point 0's side, so the masks
+    below 2^(t+1) are those below 2^t and the same with p added.  Adding p
+    to a side S changes the cut's sum by gain(S, p) = rowsum_p - 2 sum over
+    i in S of w_ip, and then each later point's gain by -2 w_pv.  So each
+    step doubles the score vector with p's gains and the gain matrix
+    (later points x masks so far) with its rows less 2 w_pv, dropping p's
+    row.  A cut's sum has at most 190 limb terms and rowsum_p - 2 sum_S w_ip
+    at most 3 * 19 limb terms' worth, so every partial sum stays below
+    (190 + 3 * 19) * 2^_LIMB_BITS < 2^62."""
+    W = np.zeros((n, n), dtype=np.int64)
+    W[_pair_index(n)] = limb
+    W += W.T
+    rowsum, twice = W.sum(axis=1), 2 * W
+    scores = np.empty(1 << (n - 1), dtype=np.int64)
+    scores[0] = rowsum[0]
+    gain = (rowsum[1:] - twice[0, 1:])[:, None]  # row v - 1 - t: point v
+    for t in range(n - 1):
+        h = 1 << t
+        np.add(scores[:h], gain[0], out=scores[h : 2 * h])
+        if t + 2 < n:
+            rest = gain[1:]
+            gain = np.empty((len(rest), 2 * h), dtype=np.int64)
+            gain[:, :h] = rest
+            np.subtract(rest, twice[t + 1, t + 2 :, None], out=gain[:, h:])
+    return scores[:-1]
+
+
 def _cut_scores(
-    n: int, pair_weights: Sequence[int], crossing: Optional[np.ndarray] = None
+    n: int, pair_weights: Sequence[int], block: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Crossing sums of every proper canonical cut, indexed by mask, or of
-    the columns of ``crossing``, a column block of ``_crossing_matrix(n)``;
-    exact for integer weights of any size.
+    the columns of ``block``, an int64 ``_crossing_block``; exact for
+    integer weights of any size.
 
     Each weight is split into signed limbs below 2^_LIMB_BITS, so one limb's
-    crossing sums fit in int64 and each limb takes one ``_crossing_sums``
-    pass.  One limb gives the int64 vector itself; more are combined from
-    the top one down into an object vector of Python ints.  Above
-    MAX_CUT_POINTS points this refuses before any crossing matrix is built.
+    sums fit in int64.  A limb is summed over every cut by ``_subset_sums``,
+    or over the block by one int64 product.  One limb gives the int64 vector
+    itself; more are combined from the top one down into an object vector
+    of Python ints.  Above MAX_CUT_POINTS points this refuses before any
+    cut is scored.
     """
     if n > MAX_CUT_POINTS:
         raise PreconditionError(f"{n} points; cut sums stop at {MAX_CUT_POINTS}")
-    if crossing is None:
-        crossing = _crossing_matrix(n)
     bits = max((abs(w).bit_length() for w in pair_weights), default=0)
     low = (1 << _LIMB_BITS) - 1
     scores = None
     for shift in reversed(range(0, max(bits, 1), _LIMB_BITS)):
-        limb = [(abs(w) >> shift & low) * (1 if w > 0 else -1) for w in pair_weights]
-        part = _crossing_sums(crossing, limb, np.int64)
+        limb = np.array(
+            pair_weights  # one limb: the weights themselves
+            if bits <= _LIMB_BITS
+            else [(abs(w) >> shift & low) * (1 if w > 0 else -1) for w in pair_weights],
+            dtype=np.int64,
+        )
+        part = _subset_sums(n, limb) if block is None else limb @ block
         scores = part if scores is None else (scores.astype(object) << _LIMB_BITS) + part
     return scores
 
@@ -207,10 +258,10 @@ class FarkasCertificate:
     is nonpositive for every canonical cut, while the weighted sum against
     the metric's own distances is strictly positive.  Both are tested on
     the primitive integer multiple z of the weights, z . D against the
-    metric's integers and every cut by one ``_cut_scores`` pass.  A failure
-    names the first failing cut of the Gray-code walk.  Above MAX_CUT_POINTS
-    points the check, which visits 2^(n-1) - 1 cuts, is refused before it
-    starts."""
+    metric's integers and every cut by one ``_cut_scores`` recurrence.  A
+    failure names the first failing cut of the Gray-code walk.  Above
+    MAX_CUT_POINTS points the check, which visits 2^(n-1) - 1 cuts, is
+    refused before it starts."""
 
     metric: FiniteMetric
     pair_values: tuple[Fraction, ...]
@@ -287,8 +338,9 @@ _DEGENERATE_STREAK_LIMIT = 30
 # Above this many points even the bool pairs x 2^(n-1) crossing matrix of
 # the float proposal (about 100 MB at 20 points) is refused.
 MAX_CUT_POINTS = 20
-# Signed limbs of this many bits: the crossing sums of the at most 190 pairs
-# of MAX_CUT_POINTS points stay below 190 * 2^54 < 2^62, inside int64.
+# Signed limbs of this many bits: a cut sum of the at most 190 pairs of
+# MAX_CUT_POINTS points plus a subset-sum gain of at most 3 * 19 limb terms
+# stays below (190 + 3 * 19) * 2^54 < 2^62, inside int64.
 _LIMB_BITS = 62 - (MAX_CUT_POINTS * (MAX_CUT_POINTS - 1) // 2).bit_length()
 # Float proposals: weights and prices above this count as nonzero, and up
 # to this many new columns per pair join each column-generation round.
@@ -300,11 +352,14 @@ class _Phase1:
     """Revised phase-1 simplex for {lambda >= 0 : sum lambda_S d_S = d}.
 
     Starts from an all-artificial basis.  The columns are ``masks``, the
-    sorted int64 array of the cut masks ``columns``, with their block of
-    ``_crossing_matrix``; each pricing scan
-    scores the gcd-reduced integer dual of any size over that block with
-    ``_cut_scores``, the routine that also checks a ``FarkasCertificate``,
-    and zeroes the basic cuts.  Pricing is steepest (largest positive
+    sorted int64 array of the cut masks ``columns``.  Each pricing scan
+    scores the gcd-reduced integer dual of any size with ``_cut_scores``,
+    the routine that also checks a ``FarkasCertificate``: over the columns'
+    int64 ``_crossing_block`` when there are at most as many columns as
+    pairs, where the entering cut's pairs are read from that block, and
+    otherwise over every cut by the subset-sum recurrence, indexed by
+    ``masks``, with the entering cut's pairs read from its ``Cut``.  It
+    zeroes the basic cuts.  Pricing is steepest (largest positive
     crossing sum, ties to the lowest Gray-code rank), except that a run of
     ``_DEGENERATE_STREAK_LIMIT`` degenerate pivots switches to Bland's
     lowest-rank pricing, the positive cut of lowest Gray-code rank, until
@@ -349,9 +404,13 @@ class _Phase1:
         bad = self.masks[(self.masks < 0) | (self.masks >= self.full_mask)]
         if len(bad):
             raise PreconditionError(f"bad cut masks {bad.tolist()!r}")
-        # the crossing rows of the columns; every cut shares the cached matrix
-        crossing = _crossing_matrix(self.n)
-        self._block = crossing if len(self.masks) == self.full_mask else crossing[:, self.masks]
+        # a face of at most one cut per pair is priced over its own crossing
+        # rows; a larger one over every cut, by the subset-sum recurrence
+        self._block = (
+            _crossing_block(self.n, self.masks).astype(np.int64)
+            if len(self.masks) <= self.rows
+            else None
+        )
         # variable ids: cut masks, then artificials at full_mask + row
         self.art0 = self.full_mask
         self.basis = [self.art0 + r for r in range(self.rows)]
@@ -381,7 +440,11 @@ class _Phase1:
         # det > 0, so the integer dual prices like the rational one
         self.pricing_scans += 1
         g = gcd(*y) or 1  # a zero dual prices no cut positive
-        scores = _cut_scores(self.n, [v // g for v in y], self._block)
+        weights = [v // g for v in y]
+        if self._block is None:
+            scores = _cut_scores(self.n, weights)[self.masks]
+        else:
+            scores = _cut_scores(self.n, weights, self._block)
         scores[np.searchsorted(self.masks, [v for v in self.basis if v < self.art0])] = 0
         positive = np.flatnonzero(scores > 0)
         if not self.bland and len(positive):
@@ -451,8 +514,12 @@ class _Phase1:
             entering = self._price(self.y)
             if entering is None:
                 return self.objective(), [Fraction(v, self.det) for v in self.y]
-            column = self._block[:, np.searchsorted(self.masks, entering)]
-            crossing = set(np.flatnonzero(column).tolist())
+            if self._block is None:
+                cut = Cut.from_mask(self.n, entering)
+                crossing = {k for k, pair in enumerate(self.pairs) if cut.separates(*pair)}
+            else:
+                column = self._block[:, np.searchsorted(self.masks, entering)]
+                crossing = set(np.flatnonzero(column).tolist())
             direction = [
                 sum(v for k, v in arow.items() if k in crossing) for arow in self.adj
             ]

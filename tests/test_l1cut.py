@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from oracles import (
 from test_core import graphs_with_points
 from thetagap import l1cut
 from thetagap.analysis import is_negative_type
-from thetagap.core import EdgePoint, FiniteMetric, Vertex, distance_matrix
+from thetagap.core import EdgePoint, FiniteMetric, Vertex, distance_matrix, subdivide
 from thetagap.errors import InternalCheckError, PreconditionError
 from thetagap.families import (
     FamilySpec,
@@ -281,6 +282,41 @@ def test_cut_scores_equal_the_walk_for_weights_of_any_size(limb_bits, n, data):
 
 
 @LIMB_WIDTHS
+@pytest.mark.parametrize("n", [12, 14])
+def test_cut_scores_equal_the_walk_at_12_and_14_points(limb_bits, n):
+    rng = random.Random(n)
+    top = (1 << l1cut._LIMB_BITS) - 1
+    sizes = [0, 1, top, 1 << 54, 1 << 200]
+    weights = [
+        rng.choice((-1, 1)) * rng.randint(0, rng.choice(sizes)) for _ in range(n * (n - 1) // 2)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(l1cut, "_LIMB_BITS", limb_bits)
+        scores = l1cut._cut_scores(n, weights)
+    assert [int(v) for v in scores] == [
+        value for _, value in sorted(gray_cut_values(n, weights))
+    ]
+
+
+@LIMB_WIDTHS
+def test_cut_scores_at_20_points_equal_the_crossing_block_product(limb_bits):
+    # every weight is a full 54-bit limb, so the recurrence's partial sums
+    # come nearest the int64 bound; a cut crosses at most 10 x 10 pairs, so
+    # the block product's sums stay below 100 * 2^54 < 2^63
+    n, full = 20, (1 << 19) - 1
+    top = (1 << l1cut._LIMB_BITS) - 1
+    weights = np.random.default_rng(20).choice([-top, top], 190)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(l1cut, "_LIMB_BITS", limb_bits)
+        scores = l1cut._cut_scores(n, weights.tolist())
+    assert len(scores) == full
+    for start in range(0, full, 1 << 13):
+        masks = np.arange(start, min(start + (1 << 13), full))
+        block = l1cut._crossing_block(n, masks).astype(np.int64)
+        assert np.array_equal(scores[masks].astype(np.int64), weights @ block)
+
+
+@LIMB_WIDTHS
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=3, max_value=7), st.data())
 def test_farkas_check_names_the_first_failing_cut_of_the_walk(limb_bits, n, data):
@@ -307,6 +343,49 @@ def test_cut_scores_build_no_crossing_matrix_above_the_cap(monkeypatch):
         l1cut._cut_scores(21, [1] * 210)
     with pytest.raises(PreconditionError, match="stop at 20"):
         _Phase1(_uniform_metric(21), columns=[0])
+
+
+# The full exact LP over every cut of the 11 leaves of K1,11, recorded
+# before pricing moved from the crossing matrix to the subset-sum recurrence.
+STAR11_BASIS = [
+    230, 925, 771, 234, 15, 468, 51, 834, 195, 684, 569, 482, 130, 372, 938, 606, 377,
+    1, 24, 427, 615, 753, 407, 273, 585, 493, 334, 764, 359, 713, 20, 210, 105, 704,
+    912, 692, 268, 826, 805, 987, 608, 240, 863, 93, 416, 679, 117, 900, 967, 204, 430,
+    790, 186, 457, 661,
+]
+
+
+def test_exact_routes_build_no_crossing_matrix_of_every_cut(monkeypatch, k4_decomposition):
+    def refuse(n):
+        raise AssertionError(f"the crossing matrix of every cut over {n} points was built")
+
+    monkeypatch.setattr(l1cut, "_crossing_matrix", refuse)
+    # a face of at most one cut per pair: the 16-point K4 decomposition, and
+    # a 12-point metric refuted by the face LP's dual
+    _, dec = k4_decomposition
+    result = is_l1_embeddable(dec.metric, max_points=16)
+    assert [(c.members, w) for c, w in result.entries] == [
+        (members, Fraction(1, 2)) for members in K4_LP_CUTS
+    ]
+    g = make_random_connected(12, 14, seed=0)
+    assert isinstance(is_l1_embeddable(_vertex_metric(g, 12)), FarkasCertificate)
+    # 20 points: K2,3's separating vector, padded with zeros, separates any
+    # metric containing K2,3's metric from every cut
+    k23 = subdivide(from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3))), 4)
+    m = _vertex_metric(k23, 20)
+    five = is_l1_embeddable(_vertex_metric(k23, 5))
+    assert isinstance(five, FarkasCertificate)
+    values = dict(zip(itertools.combinations(range(5), 2), five.pair_values))
+    FarkasCertificate(
+        metric=m,
+        pair_values=tuple(values.get(p, Fraction(0)) for p in itertools.combinations(range(20), 2)),
+    )
+    # a face larger than the pairs: every cut of the 11 leaves of K1,11
+    star = from_spec(FamilySpec(tag="complete_bipartite", sizes=(1, 11)))
+    solver = _full_lp(distance_matrix(star, [Vertex(v) for v in star.vertices[1:]]))
+    assert solver.solve()[0] == 0
+    assert solver.basis == STAR11_BASIS
+    assert (solver.pivots, solver.degenerate_pivots, solver.pricing_scans) == (91, 49, 92)
 
 
 def test_farkas_check_refuses_more_than_20_points_before_any_walk(monkeypatch):
