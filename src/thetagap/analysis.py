@@ -35,10 +35,10 @@ of one block, each row bit for bit the run its start would make alone:
 ``_gradients`` takes every row's product with stacked matmuls, which numpy
 runs as one gemv per row, and the step, the projection and the updates of
 the best iterates run in place.  Every candidate is an integer vector c for
-the weighting c / sum|c|.  The snaps of all ascent ends to one denominator
-form one int64 block, scored by one product with the distance matrix while
-the energies fit int64 (``_block_scorer``); the raw floats and the best
-pair are scored on Python ints.  ``_best_vector`` compares the
+the weighting c / sum|c|.  The snaps of all ascent ends to every snap
+denominator form one int64 block, scored by one product with the distance
+matrix while the energies fit int64 (``_block_scorer``); the raw floats and
+the best pair are scored on Python ints.  ``_best_vector`` compares the
 candidates by their integer energies and makes Fractions only for an exact
 tie and the winner.
 
@@ -564,15 +564,14 @@ def _block_scorer(D: Sequence[Sequence[int]]) -> Callable[[np.ndarray], Iterator
 
 def _snap_scores(D: Sequence[Sequence[int]], ends: list[np.ndarray]) -> Iterator[_Score]:
     """Scores of the snaps of the ascent ends that can win: the raw floats of
-    each end on Python ints, then one int64 block per snap denominator, so
-    only one block is held at a time."""
+    each end on Python ints, then the snaps to every denominator as one
+    int64 block, so the scorer's filter keeps only those near the best of
+    them all."""
     for c in map(_float_snap, ends):
         if any(c):
             yield _score(D, c)
     E = np.array(ends).reshape(len(ends), len(D))
-    block = _block_scorer(D)
-    for q in _SNAP_DENOMINATORS:
-        yield from block(_snap_block(E, q))
+    yield from _block_scorer(D)(np.concatenate([_snap_block(E, q) for q in _SNAP_DENOMINATORS]))
 
 
 def _best_vector(m: FiniteMetric, scores: Iterable[_Score]) -> tuple[Fraction, Weighting]:

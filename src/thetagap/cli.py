@@ -18,9 +18,11 @@ command.  Each input file is read and hashed once.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -82,9 +84,83 @@ def _load_points(g: MetricGraph, path: str) -> tuple[list[Point], dict]:
     return [canonical_point(g, p) for p in graphio.loads_points(text)], digest
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class _Unwritten(Exception):
+    """A value ``_write`` leaves to ``json.dumps``."""
+
+
+def _write(value: object, out: list[str], newline: str) -> None:
+    """Append the indent-2 JSON of ``value`` to ``out``, where ``newline``
+    is a line break and the indent of the line ``value`` starts on."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _Unwritten
+            out.append(opening)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write(item, out, inner)
+            opening = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if type(value[0]) is str:
+            try:  # the common list of rationals as strings, in one join
+                out.append("[" + inner + ("," + inner).join(map(_encode_str, value)))
+                out.append(newline + "]")
+                return
+            except TypeError:  # an item that is not a string
+                pass
+        opening = "[" + inner
+        for item in value:
+            out.append(opening)
+            _write(item, out, inner)
+            opening = "," + inner
+        out.append(newline + "]")
+    else:
+        raise _Unwritten
+
+
+def _dumps(report: object) -> str:
+    """Exactly ``json.dumps(report, indent=2)``, joined from strings that
+    ``encode_basestring_ascii`` encodes; the standard library would take
+    its pure-Python encoder for any indent.  A value of another type (or
+    a key that is not a string, or a float that is not finite) sends the
+    whole report to ``json.dumps``."""
+    out: list[str] = []
+    try:
+        _write(report, out, "\n")
+    except _Unwritten:
+        return json.dumps(report, indent=2)
+    return "".join(out)
+
+
 def _emit(report: dict, out: Optional[str], started: float) -> None:
     report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    text = json.dumps(report, indent=2) + "\n"
+    text = _dumps(report) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -901,10 +977,15 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+# Each parser is built once per process: building takes several times as
+# long as parsing with it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     named = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(named).parse_args(argv)
+    args = _parser(named).parse_args(argv)
     try:
         return args.handler(args)
     except InternalCheckError:

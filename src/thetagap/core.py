@@ -15,7 +15,9 @@ edges: the edges that carry points are split at them, non-point vertices of
 degree 1 are pruned, those of degree 2 are spliced into one edge, and of
 parallel edges only the shortest is kept.  One min-plus closure of the
 kernel (``_closure``, Floyd's recurrence on numpy arrays) gives every
-distance; it is the package's one shortest-path routine.  No floating
+distance; it is the package's one shortest-path routine.  Its result is
+proved by the optimality conditions of the kernel's arcs (``_is_closure``),
+not by the triangle test that a metric given as rows passes.  No floating
 point enters any distance computation.
 """
 
@@ -33,6 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import (
+    InternalCheckError,
     InvalidGraphError,
     InvalidMetricError,
     InvalidPointError,
@@ -356,6 +359,20 @@ def _point_kernel(
 _INT64_SAFE = 2**62
 
 
+def _arcs(adj: Mapping[Node, Mapping[Node, int]]) -> tuple[list[int], list[int], list[int], int]:
+    """The arcs of an adjacency as (tails, heads, lengths, total length),
+    the nodes numbered in the order of the adjacency's keys; each edge is
+    listed from both ends and counted once in the total."""
+    index = {v: i for i, v in enumerate(adj)}
+    tails, heads, lengths = [], [], []
+    for v, nbrs in adj.items():
+        for w, length in nbrs.items():
+            tails.append(index[v])
+            heads.append(index[w])
+            lengths.append(length)
+    return tails, heads, lengths, sum(lengths) // 2
+
+
 def _closure(adj: Mapping[Node, Mapping[Node, int]]) -> np.ndarray:
     """All-pairs shortest-path lengths of a connected graph given as an
     adjacency of positive integer lengths, as a matrix in the order of the
@@ -368,21 +385,46 @@ def _closure(adj: Mapping[Node, Mapping[Node, int]]) -> np.ndarray:
     ``_INT64_SAFE``, and an object array of Python ints beyond it, under
     the same operations.
     """
-    index = {v: i for i, v in enumerate(adj)}
-    rows, cols, lengths = [], [], []
-    for v, nbrs in adj.items():
-        for w, length in nbrs.items():
-            rows.append(index[v])
-            cols.append(index[w])
-            lengths.append(length)
-    total = sum(lengths) // 2  # each edge is listed from both ends
+    tails, heads, lengths, total = _arcs(adj)
     dtype = np.int64 if 2 * (total + 1) < _INT64_SAFE else object
-    A = np.full((len(index), len(index)), total + 1, dtype=dtype)
+    A = np.full((len(adj), len(adj)), total + 1, dtype=dtype)
     np.fill_diagonal(A, 0)
-    A[rows, cols] = lengths
-    for j in range(len(index)):
+    A[tails, heads] = lengths
+    for j in range(len(adj)):
         np.minimum(A, A[:, j, None] + A[None, j, :], out=A)
     return A
+
+
+def _is_closure(adj: Mapping[Node, Mapping[Node, int]], A: np.ndarray) -> bool:
+    """Whether ``A`` is exactly the shortest-path matrix of the connected,
+    symmetric adjacency ``adj``, tested by the optimality conditions of its
+    arcs (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 5) in
+    O(k * arcs) for k nodes.
+
+    The tests: every entry at most the total length, and each A[s, v]
+    equal to the least A[s, u] + w over the arcs (u, v, w) into v, or to 0
+    when s = v.  Off the diagonal that is A[s, v] <= A[s, u] + w on every
+    such arc, tight on one of them.  Along a shortest route from s the
+    inequalities give A[s, v] <= d(s, v).  Walking tight arcs back from v
+    lowers A[s, .] by a positive length at each step, so the walk repeats
+    no node and can stop only at s: it is a route of length
+    A[s, v] >= d(s, v).  The bound keeps every sum below 2 (total + 1),
+    where ``_closure`` chose int64.  The adjacency is symmetric, so the
+    arcs into v are those out of v reversed, and ``_arcs`` lists them
+    together.
+    """
+    if len(A) <= 1:
+        return not A.any()
+    if not all(adj.values()):  # a node without arcs
+        return False
+    _, heads, lengths, total = _arcs(adj)
+    if A.max() > total:
+        return False
+    starts = list(itertools.accumulate(map(len, adj.values()), initial=0))[:-1]
+    via = A[:, heads] + np.array(lengths, dtype=A.dtype)
+    best = np.minimum.reduceat(via, starts, axis=1)
+    np.fill_diagonal(best, 0)
+    return bool((best == A).all())
 
 
 def _metric_by_int64(D: Sequence[Sequence[int]], labels: Sequence[str]) -> bool:
@@ -439,7 +481,9 @@ class FiniteMetric:
 
     ``D`` is a square matrix of Python ints and ``den`` a positive int.
     Construction checks the metric axioms on ``D`` and puts the pair in
-    lowest terms, so equal metrics have equal fields.  The exact
+    lowest terms, so equal metrics have equal fields; ``distance_matrix``
+    builds its metrics by ``_of_closure``, whose rows its closure check has
+    already proved.  The exact
     computations on a metric (``distance``, ``diameter``, ``analysis.gamma``,
     the Gram matrix) read these integers.
     """
@@ -461,12 +505,38 @@ class FiniteMetric:
         ints = set(map(type, itertools.chain.from_iterable(D))) <= {int}
         if not (ints and _metric_by_int64(D, labels)):
             _check_metric(D, labels)
+        self._set_in_lowest_terms(labels, D, den)
+
+    def _set_in_lowest_terms(
+        self, labels: Sequence[str], D: Sequence[Sequence[int]], den: int
+    ) -> None:
         g = math.gcd(den, *itertools.chain.from_iterable(D))
         if g > 1:
             D = [[x // g for x in row] for row in D]
-            object.__setattr__(self, "den", den // g)
+            den //= g
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "D", tuple(map(tuple, D)))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of_closure(cls, labels: Sequence[str], D: np.ndarray, den: int) -> "FiniteMetric":
+        """The metric of rows read from a closure that ``_is_closure``
+        accepted, for ``distance_matrix`` alone.  Such rows are shortest-path
+        distances, so they pass every axiom, and construction skips the
+        triangle test: it keeps the test that every entry is an int, the
+        test that only equal labels are at distance zero and the reduction
+        to lowest terms."""
+        rows = D.tolist()
+        if D.dtype != np.int64 and not set(map(type, D.flat)) <= {int}:
+            raise InvalidMetricError("closure entries are not all ints")
+        zero = D == 0
+        if np.count_nonzero(zero) > len(labels):  # more zeros than the diagonal's
+            for i, j in zip(*np.nonzero(zero)):
+                if labels[i] != labels[j]:
+                    raise InvalidMetricError(f"zero distance between distinct points {i} and {j}")
+        metric = object.__new__(cls)
+        metric._set_in_lowest_terms(labels, rows, den)
+        return metric
 
     @classmethod
     def from_rows(
@@ -493,14 +563,19 @@ def distance_matrix(g: MetricGraph, points: Sequence[Point]) -> FiniteMetric:
     """Exact pairwise distances between the given points, in the given order.
 
     The points' kernel is built straight from the edges of ``g`` (see
-    ``_point_kernel``) and closed under shortest routes once (``_closure``).
+    ``_point_kernel``), closed under shortest routes once (``_closure``)
+    and the closure proved by its arcs (``_is_closure``), in place of the
+    triangle test a metric given as rows passes.
     """
     canon = [canonical_point(g, p) for p in points]
     adj, nodes, scale = _point_kernel(g, canon)
+    A = _closure(adj)
+    if not _is_closure(adj, A):
+        raise InternalCheckError("the shortest-path closure fails its arc conditions")
     index = {v: i for i, v in enumerate(adj)}
     ids = [index[v] for v in nodes]
-    D = _closure(adj)[np.ix_(ids, ids)]
-    return FiniteMetric([point_label(p) for p in canon], D.tolist(), scale)
+    D = A[np.ix_(ids, ids)]
+    return FiniteMetric._of_closure([point_label(p) for p in canon], D, scale)
 
 
 def distance(g: MetricGraph, p: Point, q: Point) -> Fraction:

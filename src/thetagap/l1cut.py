@@ -370,8 +370,9 @@ class _Phase1:
     The arithmetic is fraction-free.  Row r of B^-1 is ``adj[r] / dens[r]``:
     a dict from column to its nonzero int entries over one positive integer
     per row.  Cut bases stay very sparse (685 nonzeros of 14 400 entries
-    after the 12 pivots of the 16-point K4 solve), so the entering direction
-    and the pivot update touch only stored nonzeros.  The basic value of
+    after the 12 pivots of the 16-point K4 solve), so the pivot update
+    touches only stored nonzeros, and the entering direction, per row, the
+    fewer of its stored nonzeros and the crossing pairs.  The basic value of
     row r is ``xs[r] / (dens[r] * m.den)`` with ``xs`` integers.  ``det`` is
     the determinant of B; it starts at 1 and stays positive, because each
     pivot multiplies it by a positive direction entry, and
@@ -516,16 +517,22 @@ class _Phase1:
                 return self.objective(), [Fraction(v, self.det) for v in self.y]
             if self._block is None:
                 cut = Cut.from_mask(self.n, entering)
-                crossing = {k for k, pair in enumerate(self.pairs) if cut.separates(*pair)}
+                crossing = [k for k, pair in enumerate(self.pairs) if cut.separates(*pair)]
             else:
                 column = self._block[:, np.searchsorted(self.masks, entering)]
-                crossing = set(np.flatnonzero(column).tolist())
+                crossing = np.flatnonzero(column).tolist()
+            # each row walks the shorter of its entries and the crossing
+            # pairs; a row looks the pairs up in C, a missing one as 0
+            members, zeros = set(crossing), itertools.repeat(0)
             direction = [
-                sum(v for k, v in arow.items() if k in crossing) for arow in self.adj
+                sum(map(arow.get, crossing, zeros))
+                if len(arow) > len(crossing)
+                else sum(v for k, v in arow.items() if k in members)
+                for arow in self.adj
             ]
             row = self._ratio_test(direction)
             degenerate = self.xs[row] == 0
-            self._pivot(row, entering, direction, sum(self.y[k] for k in crossing))
+            self._pivot(row, entering, direction, sum(map(self.y.__getitem__, crossing)))
             self.pivots += 1
             if degenerate:
                 self.degenerate_pivots += 1

@@ -1,7 +1,10 @@
 """Command-line behavior: reports, certificates, exit codes."""
 
+import argparse
+import enum
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetagap.cli import build_parser, main
 
@@ -696,6 +701,165 @@ def test_the_named_command_parser_reads_what_the_full_parser_reads(argv):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process and the report writer
+# ---------------------------------------------------------------------------
+
+
+_VOLATILE = re.compile(r'("wall_time_s": )[0-9.e-]+|("sha256": )"[0-9a-f]{64}"')
+
+
+def _masked(text):
+    return _VOLATILE.sub(lambda m: (m.group(1) or m.group(2)) + "0", text)
+
+
+def test_every_command_twice_in_one_process_gives_the_same_bytes(tmp_path, capsys):
+    theta, cycle, sub = (str(tmp_path / f"{name}.json") for name in ("theta", "c5", "sub"))
+    points = tmp_path / "pts.json"
+    points.write_text(json.dumps({"points": [{"vertex": f"v{i}"} for i in range(1, 6)]}))
+    pts = str(points)
+    cert = {k: str(tmp_path / f"{k}.cert.json") for k in ("witness", "negtype", "gap", "l1")}
+    commands = [
+        ["make", "theta", "--lengths", "1,1,1", "--out", theta],
+        ["make", "cycle", "-n", "5", "--scale", "2/3", "--out", cycle],
+        ["make", "random_cactus", "--blocks", "4", "--seed", "2"],
+        ["subdivide", theta, "-k", "2", "--out", sub],
+        ["info", sub],
+        ["witness", theta, "--out", cert["witness"]],
+        ["negtype", cycle, "--points", pts, "--out", cert["negtype"]],
+        ["gap", cycle, "--points", pts, "--starts", "3", "--iters", "20", "--out", cert["gap"]],
+        ["l1", cycle, "--points", pts, "--out", cert["l1"]],
+        ["verify", cert["witness"], theta],
+        ["verify", cert["negtype"], cycle],
+        ["verify", cert["gap"], cycle],
+        ["verify", cert["l1"], cycle],
+        ["check-paper", "--list"],
+    ]
+    first = {}
+    for argv in commands:
+        code, out = run(capsys, *argv)
+        first[tuple(argv)] = (code, _masked(out))
+    # an argparse error in between, on a parser the next calls reuse
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", cycle, "--starts", "x"])
+    assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
+    for argv in reversed(commands):
+        code, out = run(capsys, *argv)
+        assert (code, _masked(out)) == first[tuple(argv)], argv
+    assert [code for code, _ in first.values()] == [0] * len(commands)
+
+
+def test_main_builds_no_parser_for_a_command_it_has_run(monkeypatch, capsys):
+    commands = [("make", "path", "-n", "3"), ("check-paper", "--list"), ("nope",)]
+
+    def run_all():
+        for argv in commands:
+            try:
+                run(capsys, *argv)
+            except SystemExit:  # the unknown command, with the full parser
+                capsys.readouterr()
+
+    run_all()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(kw) or init(self, *a, **kw)
+    )
+    for _ in range(3):
+        run_all()
+    assert built == []
+
+
+_STRINGS = st.text(max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\x7f", '"\\/', "\n\r\t\b\f", "é ü", "  ", "\U0001f600", "\ud800", "p/q"]
+)
+_SCALARS = (
+    _STRINGS
+    | st.integers()
+    | st.integers(min_value=2**63 - 2, max_value=2**200)
+    | st.integers(max_value=-(2**64)).filter(lambda x: x > -(10**200))
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e-07, 1e16, 0.1, 5e-324, 1.7976931348623157e308])
+)
+
+
+def _nested(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(_STRINGS, kids, max_size=4),
+        max_leaves=24,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested(_SCALARS))
+def test_the_report_writer_gives_the_bytes_of_json_dumps(value):
+    from thetagap.cli import _dumps
+
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+class _Count(int):
+    pass
+
+
+class _Word(str):
+    pass
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+# values the writer does not take itself
+_ODD = st.sampled_from(
+    [
+        {1: "a"},
+        {None: 0, 2.5: [1]},
+        {(1, 2): "tuple key"},
+        _Count(7),
+        _Word("w"),
+        _Color.RED,
+        float("nan"),
+        float("inf"),
+        -float("inf"),
+        Fraction(1, 3),
+        {1, 2},
+        b"bytes",
+    ]
+)
+
+
+def _outcome(write, value):
+    try:
+        return write(value)
+    except Exception as exc:  # the writer must fail as json.dumps fails
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nested(_SCALARS | _ODD))
+def test_any_other_type_goes_to_json_dumps(value):
+    from thetagap import cli
+
+    assert _outcome(cli._dumps, value) == _outcome(lambda v: json.dumps(v, indent=2), value)
+
+
+@pytest.mark.parametrize("value", [[1, {2: 3}], {"a": [Fraction(1, 2)]}, ("x", _Color.RED)])
+def test_the_writer_hands_an_odd_value_to_json_dumps(monkeypatch, value):
+    from thetagap import cli
+
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda v, **kw: calls.append(v) or dumps(v, **kw))
+    assert _outcome(cli._dumps, value) == _outcome(lambda v: dumps(v, indent=2), value)
+    assert calls == [value]
+
+
+# ---------------------------------------------------------------------------
 # reproduction suite
 # ---------------------------------------------------------------------------
 
@@ -714,3 +878,12 @@ def test_check_paper_passes_every_check(capsys):
     assert report["failed"] == 0
     assert report["passed"] == 14
     assert all(check["status"] == "pass" for check in report["checks"])
+
+
+def test_the_ci_workflow_runs_the_tier1_command_and_check_paper():
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = [step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]]
+    assert any("python -m pytest -q --continue-on-collection-errors" in run for run in steps)
+    assert any("python -m thetagap check-paper" in run for run in steps)

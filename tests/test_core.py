@@ -7,8 +7,9 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -39,6 +40,7 @@ from thetagap.core import (
     subdivide,
 )
 from thetagap.errors import (
+    InternalCheckError,
     InvalidGraphError,
     InvalidMetricError,
     InvalidPointError,
@@ -436,6 +438,77 @@ def test_scaled_metric_equals_and_hashes_like_its_rows(case):
     expected = FiniteMetric.from_rows(m.labels, oracle_distance_matrix(g, pts))
     assert m == expected and expected == m and hash(m) == hash(expected)
     assert (m.den, m.D) == (expected.den, expected.D)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_arc_checked_metric_equals_the_metric_of_its_rows(data):
+    # interior, repeated and self-loop points; no triangle test runs
+    g = data.draw(kernel_graphs())
+    pts = data.draw(closure_points(g, data.draw(st.integers(min_value=1, max_value=7))))
+
+    def refuse(*args):
+        raise AssertionError("distance_matrix ran the triangle test")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_metric_by_int64", refuse)
+        mp.setattr(core, "_check_metric", refuse)
+        m = distance_matrix(g, pts)
+    expected = FiniteMetric.from_rows(m.labels, oracle_distance_matrix(g, pts))
+    assert m == expected and hash(m) == hash(expected)
+    assert (m.labels, m.D, m.den) == (expected.labels, expected.D, expected.den)
+    assert all(type(x) is int for row in m.D for x in row)
+
+
+def _tamper_with_the_closure(monkeypatch, mutate):
+    """Make ``distance_matrix`` see ``mutate(adj, A)`` applied to the true
+    closure A of its kernel adjacency ``adj``."""
+    closure = core._closure
+
+    def tampered(adj):
+        A = closure(adj).copy()
+        mutate(adj, A)
+        return A
+
+    monkeypatch.setattr(core, "_closure", tampered)
+
+
+@pytest.mark.parametrize("change", ["raise", "lower", "untight"])
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_corrupted_closure_fails_distance_matrix(change, dtype, data):
+    g = data.draw(kernel_graphs())
+    pts = data.draw(closure_points(g, data.draw(st.integers(min_value=2, max_value=6))))
+    k = len(_point_kernel(g, [canonical_point(g, p) for p in pts])[0])
+    assume(k >= 2)
+    s, t = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+
+    def mutate(adj, A):
+        if change == "untight":
+            # the shortest arc out of s is the only tight arc into its head
+            # for the source s: another would start nearer to s
+            node = list(adj)[s]
+            head = min(adj[node], key=adj[node].get)
+            del adj[node][head]
+        else:
+            A[s, t] += 1 if change == "raise" else -1
+
+    with pytest.MonkeyPatch.context() as mp:
+        if dtype == "object":
+            mp.setattr(core, "_INT64_SAFE", 0)
+        _tamper_with_the_closure(mp, mutate)
+        with pytest.raises(InternalCheckError, match="arc conditions"):
+            distance_matrix(g, pts)
+
+
+def test_a_node_with_no_arc_into_it_fails_the_closure_check():
+    adj = {"a": {"b": 2}, "b": {"a": 2}, "c": {}}
+    assert not core._is_closure(adj, core._closure(adj))
+    # within the length bound, so only the missing arcs can refuse it
+    assert not core._is_closure(adj, np.array([[0, 2, 1], [2, 0, 1], [1, 1, 0]]))
+    assert core._is_closure({"a": {}}, np.zeros((1, 1), dtype=np.int64))
+    assert not core._is_closure({"a": {}}, np.ones((1, 1), dtype=np.int64))
 
 
 def _vertex_kernel(g, ids):
