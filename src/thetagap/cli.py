@@ -12,7 +12,8 @@ produced), 1 when it is refuted with a certificate (or verification fails),
 
 ``main`` builds only the parser of the command named in its first argument;
 ``--help``, a missing command and an unknown one get the parser of every
-command.  Each input file is read and hashed once.
+command.  Each parser is built once per process.  Each input file is read
+and hashed once.
 """
 
 from __future__ import annotations
@@ -977,8 +978,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-# Each parser is built once per process: building takes several times as
-# long as parsing with it.
+# Building a parser takes several times as long as parsing with it.
 _parser = functools.cache(build_parser)
 
 
