@@ -31,14 +31,17 @@ elimination gives.
 
 The gap search proposes weightings in floats and scores them on integers.
 ``_ascend_all`` runs every projected gradient ascent in lockstep as the rows
-of one block, each row bit for bit the run its start would make alone:
-``_gradients`` takes every row's product with stacked matmuls, which numpy
-runs as one gemv per row, and the step, the projection and the updates of
-the best iterates run in place.  Every candidate is an integer vector c for
-the weighting c / sum|c|.  The snaps of all ascent ends to every snap
-denominator form one int64 block, scored by one product with the distance
-matrix while the energies fit int64 (``_block_scorer``); the raw floats and
-the best pair are scored on Python ints.  ``_best_vector`` compares the
+of one block, each row bit for bit the run its start would make alone: its
+products are stacked matmuls, which numpy runs as one gemv and one dot per
+row, and the loop works in two row buffers that swap roles every step, with
+no array allocated.  Every candidate is an integer vector c for the
+weighting c / sum|c|.  The snaps of all ascent ends to every snap
+denominator form one int64 block, made by one broadcast (``_snap_block``)
+and scored by one product with the distance matrix while the energies fit
+int64 (``_block_scorer``); the best pair is scored on Python ints.  The
+snap of an end's raw floats is scored on Python ints only where a float
+estimate of its ratio, plus a proven error bound, reaches the best exact
+ratio so far (``_raw_snap_bounds``).  ``_best_vector`` compares the
 candidates by their integer energies and makes Fractions only for an exact
 tie and the winner.
 
@@ -424,6 +427,7 @@ def violation_energy(m: FiniteMetric, w: Weighting) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _SNAP_DENOMINATORS = tuple(range(2, 25)) + (36, 48, 60, 120, 720, 10**4, 10**6)
+_SNAP_Q = np.array(_SNAP_DENOMINATORS, dtype=float)[:, None, None]
 # The certified-mu ladder: rung r adds the slack 2^(8r - 26) (|est| + diameter)
 # to the float estimate and rounds up to _MU_BITS significant bits.
 _MU_RUNGS = 4
@@ -492,18 +496,20 @@ def _float_snap(v: np.ndarray) -> list[int]:
     return [len(a) * x - total for x in a]
 
 
-def _snap_block(E: np.ndarray, q: int) -> np.ndarray:
+def _snap_block(E: np.ndarray) -> np.ndarray:
     """The integer vectors c whose weightings c / sum|c| are the snaps of the
-    rows of E to the denominator q, as the int64 rows of one block.
+    rows of E to every snap denominator, as the int64 rows of one block: the
+    rows of E snapped to the first denominator, then to the next, and so on.
 
     Centring and normalising a / q, for integers a and any q > 0, gives
     c / sum|c| with c_i = n a_i - sum a, so q drops out.  Here a = round(q v),
-    taken by ``np.rint`` on the float product, which is the round half to
-    even of Python's ``round(v_i * q)``.  A row that centres to zero gives no
-    vector; the scorer drops it.  The rows of E are projected, so |q v_i| <= q.
+    taken by ``np.rint`` on the float products of one broadcast, each the
+    IEEE product of v_i and q, so the round half to even of Python's
+    ``round(v_i * q)``.  A row that centres to zero gives no vector; the
+    scorer drops it.  The rows of E are projected, so |q v_i| <= q.
     """
-    A = np.rint(E * q).astype(np.int64)
-    return A * E.shape[1] - A.sum(axis=1, keepdims=True)
+    A = np.rint(E[None] * _SNAP_Q).astype(np.int64)
+    return (A * E.shape[1] - A.sum(axis=2, keepdims=True)).reshape(-1, E.shape[1])
 
 
 def _weighting_of(c: Sequence[int]) -> Weighting:
@@ -522,6 +528,12 @@ def _score(D: Sequence[Sequence[int]], raw: Sequence[int]) -> _Score:
     c = tuple(x // g for x in raw)
     energy = sum(map(operator.mul, c, [sum(map(operator.mul, row, c)) for row in D]))
     return energy, sum(map(abs, c)), c
+
+
+def _ahead(a: _Score, b: _Score) -> int:
+    """Positive, zero or negative as the ratio c^T D c / (sum|c|)^2 of the
+    score a is above, at or below that of b."""
+    return a[0] * b[1] ** 2 - b[0] * a[1] ** 2
 
 
 def _block_scorer(D: Sequence[Sequence[int]]) -> Callable[[np.ndarray], Iterator[_Score]]:
@@ -562,16 +574,74 @@ def _block_scorer(D: Sequence[Sequence[int]]) -> Callable[[np.ndarray], Iterator
     return score
 
 
-def _snap_scores(D: Sequence[Sequence[int]], ends: list[np.ndarray]) -> Iterator[_Score]:
-    """Scores of the snaps of the ascent ends that can win: the raw floats of
-    each end on Python ints, then the snaps to every denominator as one
-    int64 block, so the scorer's filter keeps only those near the best of
-    them all."""
-    for c in map(_float_snap, ends):
-        if any(c):
-            yield _score(D, c)
+def _raw_snap_bounds(d_norm: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Per row v of E, a float above rho / top, or inf where none is proven,
+    where rho is the ratio c^T D c / (sum|c|)^2 of the snap c of v's raw
+    floats (``_float_snap``), top = max D > 0, and d_norm is D / top, each
+    entry within a relative 2u of its value (u = 2^-53).
+
+    Proof.  Write A = D / top, whose entries lie in [0, 1], S = sum v,
+    V = sum|v|, |x| for the l1 norm, gamma_k = k u / (1 - k u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3), and
+    primes for the floats computed here.  The raw snap is a positive
+    multiple of y = v - (S / n) 1, so rho / top = y^T A y / |y|^2.
+    - If |x - y| <= eps |y| with eps < 1, the ratios of x and y differ by
+      at most 4 eps / (1 - eps)^2: (x - y)^T A (x + y) is at most
+      (2 + eps) eps |y|^2, |y^T A y| at most |y|^2, and |x| lies within
+      eps |y| of |y|.  Here x = v, |v - y| = |S| and |y| >= V - |S|.
+    - e' = v . (d_norm v), summed in any order with or without fma, is
+      within gamma_(2n+2) V^2 of v^T A v; V' and S' = fl(sum v) are within
+      gamma_(n-1) V of V and S; so r' = e' / V'^2 is within gamma_(4n+2)
+      of a = v^T A v / V^2, as |a| <= 1.
+    Where 8 |S'| <= V' and 1/2 <= V' <= 2, as for every ascent end, which
+    was just divided by its mass, these give eps < 1/6 and, for any
+    n < 2^30, rho / top <= r' + 7 |S'| / V' + 11 n u.  The bound takes
+    8 |S'| / V', which stays above 7 |S'| / V' after its rounding, and adds
+    (n + 1) 2^-48 = 32 (n + 1) u, which covers the two roundings of its
+    sum, the rounding of the float of the exact ratio it is compared with
+    (at most 1 in size, so within u) and underflow, which moves no sum by
+    more than n^3 2^-1070.  So a bound below the float of an exact ratio
+    proves rho strictly below that ratio.
+    """
+    n = E.shape[1]
+    energy = np.einsum("ij,ij->i", E @ d_norm, E)
+    mass = np.add.reduce(np.abs(E), axis=1)
+    drift = np.abs(np.add.reduce(E, axis=1)) / mass
+    bound = energy / (mass * mass) + 8 * drift + (n + 1) * 2.0**-48
+    proven = (8 * drift <= 1) & (mass >= 0.5) & (mass <= 2)
+    return np.where(proven, bound, np.inf)
+
+
+def _snap_scores(
+    D: Sequence[Sequence[int]], d_norm: np.ndarray, ends: list[np.ndarray], pair: _Score
+) -> Iterator[_Score]:
+    """Scores of the snaps of the ascent ends that can win against ``pair``.
+
+    The snaps to every denominator form one int64 block, so the scorer's
+    filter keeps only those near the best of them all.  The snap of an
+    end's raw floats, on Python ints, is scored only where its float bound
+    (``_raw_snap_bounds``) reaches the best exact ratio so far, of the pair,
+    the block and the raw snaps scored before it.  A raw snap passed over
+    is provably below a candidate that ``_best_vector`` also sees, and that
+    order is total, so the winner is the one scoring every snap gives.
+    """
     E = np.array(ends).reshape(len(ends), len(D))
-    yield from _block_scorer(D)(np.concatenate([_snap_block(E, q) for q in _SNAP_DENOMINATORS]))
+    best = pair
+    for s in _block_scorer(D)(_snap_block(E)):
+        yield s
+        if _ahead(s, best) > 0:
+            best = s
+    top = max(map(max, D))
+    for v, bound in zip(E, _raw_snap_bounds(d_norm, E).tolist()):
+        # int / int rounds correctly
+        if bound < best[0] / (best[1] ** 2 * top):
+            continue
+        c = _float_snap(v)
+        if any(c):
+            s = _score(D, c)
+            yield s
+            if _ahead(s, best) > 0:
+                best = s
 
 
 def _best_vector(m: FiniteMetric, scores: Iterable[_Score]) -> tuple[Fraction, Weighting]:
@@ -585,12 +655,12 @@ def _best_vector(m: FiniteMetric, scores: Iterable[_Score]) -> tuple[Fraction, W
     """
     entries = cache(lambda c: _weighting_of(c).entries)
     best: Optional[_Score] = None
-    for energy, mass, c in scores:
+    for s in scores:
         if best is not None:
-            ahead = energy * best[1] ** 2 - best[0] * mass**2
-            if ahead < 0 or (ahead == 0 and not entries(c) < entries(best[2])):
+            ahead = _ahead(s, best)
+            if ahead < 0 or (ahead == 0 and not entries(s[2]) < entries(best[2])):
                 continue
-        best = (energy, mass, c)
+        best = s
     assert best is not None
     energy, mass, c = best
     return Fraction(energy, 2 * mass * mass * m.den), _weighting_of(c)
@@ -697,37 +767,6 @@ def _mu_ladder(m: FiniteMetric, G: list[list[int]]) -> Iterator[Fraction]:
     yield n * diameter
 
 
-def _project_rows(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and L1-normalise every row of V in place; also the mask of rows
-    kept.
-
-    A row whose mass falls below 1e-300 has no direction and is dropped, and
-    the rows kept are then a new array.  Each row gets the float operations a
-    single vector would: its sum by the same reduction, then one subtraction
-    and one division per entry.
-    """
-    V -= (np.add.reduce(V, axis=1) / V.shape[1])[:, None]
-    mass = np.add.reduce(np.abs(V), axis=1)
-    kept = ~(mass < 1e-300)
-    if not kept.all():
-        V, mass = V[kept], mass[kept]
-    V /= mass[:, None]
-    return V, kept
-
-
-def _gradients(d_norm: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d_norm @ w and the energy w^T d_norm w / 2 of every row w of W.
-
-    Both are stacked matmuls, which numpy runs one row at a time with the
-    kernel a single vector gets: a gemv for d_norm @ w, a dot for w^T g.  So
-    every row is bit for bit what a run from it alone computes; one gemm of
-    the whole block rounds differently in the last bits, which would move
-    the snaps of the raw floats."""
-    G = np.matmul(d_norm[None], W[:, :, None])[:, :, 0]
-    energy = np.matmul(W[:, None, :], G[:, :, None])[:, 0, 0]
-    return G, energy / 2
-
-
 def _ascend_all(
     d_norm: np.ndarray, starts: np.ndarray, iters: int
 ) -> list[Optional[np.ndarray]]:
@@ -737,36 +776,77 @@ def _ascend_all(
     bit for bit the steps a run from it alone would: step 0.25 along the
     gradient, projection back to {sum = 0, total mass = 1}, and the step
     shrunk by 0.9 whenever the energy fails to improve on the best so far.
-    The step and the projection run in place on the gradient's buffer, and
-    the best iterates, their energies and the steps are updated in place;
-    each is the same float operation per element as out of place.
+    A row is centred by its sum, taken by the same reduction a single vector
+    gets, and divided by its mass, one operation per entry.  The products
+    are stacked matmuls, which numpy runs one row at a time with the kernel
+    a single vector gets: a gemv for the gradient d_norm @ w, a dot for
+    w^T g.  One gemm of the whole block would round differently in the last
+    bits and move the snaps of the raw floats.
+
+    The loop allocates no array.  The iterate W and its gradient G are two
+    row buffers that swap roles every step: W + step G and its projection
+    are formed in G's buffer, which becomes the next iterate, and W's buffer
+    takes the absolute values for the mass, then the next gradient.  Their
+    3-D matmul views are made with the buffers, and every ufunc writes to an
+    ``out`` buffer.  A row whose mass falls below 1e-300 has no direction:
+    its run ends before the division, with its best iterate, and the
+    buffers are made again for the rows left.  One ``np.fmin`` reduction
+    tests every row, as it skips NaN as ``mass < 1e-300`` does.
     Returns, per start, the best iterate, or None if the start itself does
-    not project; a run whose iterate stops projecting ends there.
+    not project.
     """
     ends: list[Optional[np.ndarray]] = [None] * len(starts)
-    W, kept = _project_rows(np.array(starts, dtype=float))
-    rows = np.flatnonzero(kept)
-    G, energy = _gradients(d_norm, W)
-    best, best_energy = W, energy
+    rows = np.arange(len(starts))
+    D3, n = d_norm[None], len(d_norm)
+    # a Python scalar operand is converted on every call, a 0-d array is not
+    size, two, shrink = np.array(float(n)), np.array(2.0), np.array(0.9)
+    # the starts, centred, waiting for the division by their masses
+    G = np.array(starts, dtype=float)
+    G -= (np.add.reduce(G, axis=1) / n)[:, None]
+    mass = np.add.reduce(np.abs(G), axis=1)
     step = np.full(len(rows), 0.25)
-    for _ in range(iters):
-        if not len(rows):
+    best: Optional[np.ndarray] = None
+    for it in range(iters + 1):
+        if best is None or np.fmin.reduce(mass) < 1e-300:
+            kept = ~(mass < 1e-300)
+            if best is not None:
+                for r in np.flatnonzero(~kept):
+                    ends[rows[r]] = best[r]
+                best, best_energy = best[kept], best_energy[kept]
+            rows, G, mass, step = rows[kept], G[kept], mass[kept], step[kept]
+            if not len(rows):
+                break
+            W = np.empty_like(G)
+            W_row, W_col, G_row, G_col = W[:, None, :], W[:, :, None], G[:, None, :], G[:, :, None]
+            total, energy, better = np.empty(len(G)), np.empty(len(G)), np.empty(len(G), dtype=bool)
+            total_col, mass_col, step_col, better_col = (
+                total[:, None], mass[:, None], step[:, None], better[:, None]
+            )
+            energy3 = energy[:, None, None]
+        np.divide(G, mass_col, G)
+        W, W_row, W_col, G, G_row, G_col = G, G_row, G_col, W, W_row, W_col
+        np.matmul(D3, W_col, G_col)
+        np.matmul(W_row, G_col, energy3)
+        np.divide(energy, two, energy)
+        if best is None:
+            best, best_energy = W.copy(), energy.copy()
+        else:
+            np.greater(energy, best_energy, better)
+            np.copyto(best, W, where=better_col)
+            np.copyto(best_energy, energy, where=better)
+            # shrink once the fixed step starts overshooting the optimum
+            np.logical_not(better, better)
+            np.multiply(step, shrink, step, where=better)
+        if it == iters:
             break
-        # W + step G, in the gradient's buffer, which becomes the next iterate
-        G *= step[:, None]
-        G += W
-        W, kept = _project_rows(G)
-        if len(W) < len(rows):
-            for r in np.flatnonzero(~kept):
-                ends[rows[r]] = best[r]
-            rows, best, best_energy, step = rows[kept], best[kept], best_energy[kept], step[kept]
-        # the energy's products are the next step's gradient
-        G, energy = _gradients(d_norm, W)
-        better = energy > best_energy
-        np.copyto(best, W, where=better[:, None])
-        np.copyto(best_energy, energy, where=better)
-        # shrink once the fixed step starts overshooting the optimum
-        np.multiply(step, 0.9, out=step, where=~better)
+        # W + step G, centred, in G's buffer; W's buffer takes |G| for the mass
+        np.multiply(G, step_col, G)
+        np.add(G, W, G)
+        np.add.reduce(G, 1, None, total)
+        np.divide(total, size, total)
+        np.subtract(G, total_col, G)
+        np.absolute(G, W)
+        np.add.reduce(W, 1, None, mass)
     for r, i in enumerate(rows):
         ends[i] = best[r]
     return ends
@@ -799,6 +879,7 @@ def gap_bracket(
     pair = [int(i == j) - int(i == k) for i in range(n)]
 
     snaps: Iterable[_Score] = ()
+    pair_score = _score(D, pair)
     diameter = m.diameter()
     if diameter > 0:
         # Scale-free search matrix: gamma is positively homogeneous in d, so
@@ -809,9 +890,9 @@ def gap_bracket(
         rng = random.Random(seed)
         rows = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(starts)]
         ends = _ascend_all(d_norm, np.array(rows).reshape(starts, n), iters)
-        snaps = _snap_scores(D, [e for e in ends if e is not None])
+        snaps = _snap_scores(D, d_norm, [e for e in ends if e is not None], pair_score)
 
-    lower, argmax = _best_vector(m, itertools.chain([_score(D, pair)], snaps))
+    lower, argmax = _best_vector(m, itertools.chain([pair_score], snaps))
     diam_bound = diameter / 4
     # the bracket of the first rung whose mu passes the constructor's test
     ladder = list(_mu_ladder(m, _scaled_gram(m, None)[0]))

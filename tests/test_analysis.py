@@ -596,9 +596,52 @@ def test_transcript_rejects_a_diag_of_the_wrong_length():
 )
 def test_snap_candidates_match_fraction_projection(values):
     v = np.array(values)
-    rows = [_float_snap(v)]
-    rows += [c for q in analysis._SNAP_DENOMINATORS for c in _snap_block(v[None], q).tolist()]
+    rows = [_float_snap(v)] + _snap_block(v[None]).tolist()
     assert [_weighting_of(c) for c in rows if any(c)] == list(oracle_snap_candidates(v))
+
+
+@st.composite
+def snap_rows(draw):
+    """1-6 float rows of 2-9 entries: uniform draws, dyadic entries whose
+    products with some denominators are exactly half-way, and constant rows,
+    which centre to zero."""
+    n = draw(st.integers(2, 9))
+    entry = st.floats(min_value=-1, max_value=1, allow_subnormal=False)
+    half_way = st.sampled_from([0.5, -0.5, 0.25, -0.25, 0.125, 0.0])
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["uniform", "half", "constant"]), min_size=1, max_size=6)):
+        if kind == "constant":
+            rows.append([draw(st.sampled_from([0.0, 0.5, 1 / 3, -0.25]))] * n)
+        else:
+            rows.append(draw(st.lists(entry if kind == "uniform" else half_way, min_size=n, max_size=n)))
+    return np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(snap_rows())
+def test_snap_block_matches_one_denominator_at_a_time(E):
+    # each denominator's rows as Python's round of each float product gives
+    # them, in the order of the denominators
+    n = E.shape[1]
+    want = []
+    for q in analysis._SNAP_DENOMINATORS:
+        for v in E.tolist():
+            a = [round(x * q) for x in v]
+            want.append([n * x - sum(a) for x in a])
+    block = _snap_block(E)
+    assert block.dtype == np.int64
+    assert block.tolist() == want
+
+
+def test_snap_block_rounds_half_way_products_to_even():
+    # 2 * 0.25 = 0.5 rounds to 0, 5 * 0.5 = 2.5 to 2 and 5 * 0.25 = 1.25 to 1;
+    # a constant row centres to zero at every denominator
+    E = np.array([[0.5, -0.5, 0.25, -0.25], [1 / 3] * 4])
+    block = _snap_block(E).reshape(len(analysis._SNAP_DENOMINATORS), 2, 4)
+    at = analysis._SNAP_DENOMINATORS.index
+    assert block[at(2), 0].tolist() == [4, -4, 0, 0]
+    assert block[at(5), 0].tolist() == [8, -8, 4, -4]
+    assert not block[:, 1].any()
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +788,57 @@ def test_lockstep_ascent_matches_one_run_per_start(data):
     _assert_ascents_match_oracle(d_norm, starts, iters)
 
 
+def _collapsing_step_matrix():
+    """diag(l3, l3, l2, l2, 0, 0), where a run on the first two coordinates
+    collapses at step 3 and one on the next two at step 2.
+
+    On an eigenvector w = (e_i - e_j) / 2 of eigenvalue l the energy never
+    changes, so every step is shrunk: step k is s_k = 0.25 * 0.9^(k - 1),
+    and w + s_k (l w) is exactly zero when s_k l rounds to -1."""
+    steps = [0.25, 0.25 * 0.9, 0.25 * 0.9 * 0.9]
+    lams = {}
+    for k in (2, 3):
+        lam = -1 / steps[k - 1]
+        while steps[k - 1] * lam != -1:
+            lam = np.nextafter(lam, -np.inf)
+        assert all(s * lam != -1 for s in steps[: k - 1])
+        lams[k] = lam
+    return np.diag([lams[3], lams[3], lams[2], lams[2], 0.0, 0.0])
+
+
+@pytest.mark.parametrize("iters", [0, 1, 2, 3, 4, 5, 40])
+def test_lockstep_ascent_drops_runs_at_odd_and_even_steps(iters):
+    # The buffers swap roles every step, so a run ending at step 3 leaves
+    # from the other buffer than one ending at step 2; the rest go on.
+    A = _collapsing_step_matrix()
+    starts = np.array(
+        [
+            [0.5, -0.5, 0, 0, 0, 0],
+            [0.3, -0.1, 0.2, -0.4, 0.6, 0.1],
+            [0, 0, 0.5, -0.5, 0, 0],
+            [0.25] * 6,
+            [0, 0, 0, 0, 0.5, -0.5],
+            [-0.7, 0.2, 0.1, 0.9, -0.3, 0.4],
+        ]
+    )
+    # A collapsing run not dropped would divide by a zero mass, which the
+    # oracle comparison turns into an error.
+    _assert_ascents_match_oracle(A, starts, iters)
+    ends = _ascend_all(A, starts, iters)
+    assert ends[3] is None
+    assert np.array_equal(ends[0], starts[0]) and np.array_equal(ends[2], starts[2])
+
+
+@pytest.mark.parametrize("n, count", [(2, 0), (2, 5), (8, 24), (24, 8)])
+@pytest.mark.parametrize("iters", [0, 1, 2])
+def test_lockstep_ascent_on_few_steps_starts_and_points(n, count, iters):
+    rng = random.Random(n * 100 + count)
+    D = np.array([[abs(i - j) * (1 + (i * j) % 3) for j in range(n)] for i in range(n)], dtype=float)
+    d_norm = D / D.max()
+    starts = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(count)]).reshape(count, n)
+    _assert_ascents_match_oracle(d_norm, starts, iters)
+
+
 def test_lockstep_ascent_drops_a_run_whose_projection_vanishes():
     # (I + A / 4) w is zero for w on the first two coordinates: that run stops
     # after its start, the run on the last two coordinates goes on
@@ -872,10 +966,12 @@ def test_gap_search_with_every_run_dropped_matches_the_fraction_search(witness_m
         bracket = gap_bracket(witness_metric, starts=5, iters=10, seed=0)
         want = oracle_gap_lower(witness_metric, starts=5, iters=10, seed=0)
     assert (bracket.lower, bracket.weighting) == want
-    assert list(_snap_scores(c4_metric.D, [])) == []
+    pair = [1, 0, -1, 0]
+    d_norm = _search_matrix(c4_metric)
+    assert list(_snap_scores(c4_metric.D, d_norm, [], _score(c4_metric.D, pair))) == []
     # On diag(-4, -4, 0, 0) the constant start gives no end and the run on
     # the first two coordinates ends after its start; the snaps of what is
-    # left are scored as over Fractions.
+    # left, with a pair, are scored as over Fractions.
     A = np.diag([-4.0, -4.0, 0.0, 0.0])
     starts = np.array([[0.5] * 4, [1.0, -1.0, 0.0, 0.0], [0.3, -0.1, 0.2, -0.4]])
     ends = _ascend_all(A, starts, 5)
@@ -886,8 +982,79 @@ def test_gap_search_with_every_run_dropped_matches_the_fraction_search(witness_m
         if (end := oracle_ascend(A, s.copy(), 5)) is not None
         for w in oracle_snap_candidates(end)
     ]
-    got = _best_vector(c4_metric, _snap_scores(c4_metric.D, [e for e in ends if e is not None]))
-    assert got == oracle_argmax(c4_metric, snaps)
+    got = _search_best(c4_metric, d_norm, [e for e in ends if e is not None], pair)
+    assert got == oracle_argmax(c4_metric, [_weighting_of(pair)] + snaps)
+
+
+def _search_matrix(m):
+    """d_norm as ``gap_bracket`` builds it."""
+    top = max(map(max, m.D))
+    return np.array([[x / top for x in row] for row in m.D])
+
+
+def _search_best(m, d_norm, ends, pair):
+    """The best of the pair and the snaps of ``ends``, as ``gap_bracket``
+    scores them."""
+    score = _score(m.D, pair)
+    return _best_vector(m, itertools.chain([score], _snap_scores(m.D, d_norm, ends, score)))
+
+
+def _unfiltered_best(m, ends, pair):
+    """The best of the pair and every snap of ``ends``, the raw ones all
+    scored on Python ints."""
+    E = np.array(ends).reshape(len(ends), m.size)
+    raw = [_score(m.D, c) for c in map(_float_snap, ends) if any(c)]
+    block = _block_scorer(m.D)(_snap_block(E))
+    return _best_vector(m, itertools.chain([_score(m.D, pair)], block, raw))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_raw_snap_filter_keeps_the_winner(data):
+    # Metrics on both sides of the int64 guard (3^35 pushes every snap row
+    # but the smallest onto Python ints), ends from 0, 1 and 200 steps.
+    labels, rows = data.draw(rational_metrics(max_points=7).filter(lambda lr: len(lr[0]) >= 2))
+    if data.draw(st.booleans()):
+        rows = [[3**35 * x for x in row] for row in rows]
+    m = FiniteMetric.from_rows(labels, rows)
+    assume(m.diameter() > 0)
+    d_norm = _search_matrix(m)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    count = data.draw(st.integers(0, 8))
+    starts = np.array([[rng.uniform(-1, 1) for _ in range(m.size)] for _ in range(count)])
+    iters = data.draw(st.sampled_from([0, 1, 200]))
+    ends = [e for e in _ascend_all(d_norm, starts.reshape(count, m.size), iters) if e is not None]
+    j, k = data.draw(st.lists(st.integers(0, m.size - 1), min_size=2, max_size=2, unique=True))
+    pair = [int(i == j) - int(i == k) for i in range(m.size)]
+    assert _search_best(m, d_norm, ends, pair) == _unfiltered_best(m, ends, pair)
+
+
+def test_raw_snap_filter_keeps_a_raw_snap_that_wins():
+    # gamma((1/2, -t, t - 1/2)) on d(x, y) = d(y, z) = 2^20, d(x, z) = 2^20 + 1
+    # peaks at t = 1/4 + 2^-22, which no snap denominator reaches: only the
+    # raw snap of that end lands on it, and it beats every other candidate.
+    a = 2**20
+    m = FiniteMetric.from_rows(("x", "y", "z"), [[0, a, a + 1], [a, 0, a], [a + 1, a, 0]])
+    t = 0.25 + 2.0**-22
+    end = np.array([0.5, -t, t - 0.5])
+    d_norm = _search_matrix(m)
+    assert np.array_equal(_ascend_all(d_norm, end[None], 200)[0], end)
+    pair = [1, -1, 0]
+    got = _search_best(m, d_norm, [end], pair)
+    assert got[1] == Weighting.from_map({0: Fraction(1, 2), 1: -Fraction(t), 2: Fraction(t) - Fraction(1, 2)})
+    assert got == _unfiltered_best(m, [end], pair)
+    assert got == oracle_argmax(m, [_weighting_of(pair)] + list(oracle_snap_candidates(end)))
+
+
+def test_raw_snaps_below_the_best_snap_are_not_scored(witness_metric):
+    # On the witness the raw snaps of all 24 ends lie far below the best
+    # snap to a denominator, so none is formed.
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_float_snap", lambda v: calls.append(v) or _float_snap(v))
+        bracket = gap_bracket(witness_metric)
+    assert calls == []
+    assert (bracket.lower, bracket.weighting) == oracle_gap_lower(witness_metric)
 
 
 @settings(max_examples=30, deadline=None)

@@ -887,3 +887,17 @@ def test_the_ci_workflow_runs_the_tier1_command_and_check_paper():
     steps = [step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]]
     assert any("python -m pytest -q --continue-on-collection-errors" in run for run in steps)
     assert any("python -m thetagap check-paper" in run for run in steps)
+
+
+def test_the_ci_workflow_runs_a_bench_smoke_of_every_workload():
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = {step.get("name"): step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]}
+    smoke = steps["Bench smoke"]
+    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    assert "python3 bench/run.py --workload \"$workload\" --seed 1 --seconds 1" in smoke
+    loop = next(line for line in smoke.splitlines() if line.startswith("for workload in"))
+    assert sorted(loop.split(";")[0].split()[3:]) == sorted(workloads)
+    assert "set -o pipefail" in smoke
+    assert '["correct"] is True' in smoke
