@@ -2,21 +2,29 @@
 
 The central question about a finite metric d is whether the quadratic energy
 gamma(omega) = sum over pairs of omega(x) omega(y) d(x,y) stays nonpositive on
-all zero-sum weightings.  This module decides that exactly via a symmetric
-elimination of the basepoint Gram matrix, brackets the supremum of gamma over
-the normalized polytope, and cross-checks the decision against the exact
-count of positive eigenvalues of the distance matrix.
+all zero-sum weightings.  This module decides that exactly, by a
+float-proposed violation checked on integers or else a symmetric
+elimination of the basepoint Gram matrix, brackets the supremum of gamma
+over the normalized polytope, and cross-checks the decision against the
+exact count of positive eigenvalues of the distance matrix.
+
+``is_negative_type`` first lets floats propose a refutation: the rounded
+eigenvector of the Gram matrix's smallest float eigenvalue, scaled by 2^k
+for k = 0..20 (``_float_directions``); the first x with x^T G x < 0 on
+Python ints (``_form``) becomes the violation (x, -sum x) / mass
+(``_violation_of``).  Only what no proposal refutes, every semidefinite
+Gram matrix among it, goes to the elimination.
 
 One exact kernel does every symmetric elimination: ``_eliminate``, a
 fraction-free (Bareiss) elimination on Python integers with full diagonal
 pivoting, which reads and writes only the lower triangle.  Every matrix it
 sees is integer, over one scale: the basepoint Gram matrix of a metric is
-D[j][b] + D[k][b] - D[j][k] over 2 den (``_scaled_gram``).
-``psd_decompose`` runs it and turns its factors into rationals once, and
-``is_negative_type`` decides through it; ``PSDTranscript.verify`` replays
-its update along a transcript's own order; the ``GapBracket`` constructor
-asks it for the verdict of the mu test only where the integer factor
-cannot decide.
+D[j][b] + D[k][b] - D[j][k] over 2 den (``_gram_array``, and
+``_scaled_gram`` as lists).  ``psd_decompose`` runs it and turns its
+factors into rationals once, and ``is_negative_type`` decides through it
+what the proposal leaves open; ``PSDTranscript.verify`` replays its update
+along a transcript's own order; the ``GapBracket`` constructor asks it for
+the verdict of the mu test only where the integer factor cannot decide.
 
 The certified spectral bound starts from a float eigenvalue estimate
 (numpy, no scipy) rounded up to a dyadic rational, so its exact test runs
@@ -46,8 +54,8 @@ candidates by their integer energies and makes Fractions only for an exact
 tie and the winner.
 
 Exactness policy: verdicts and certificates are rational end to end; floating
-point appears only inside searches and estimates whose outputs are re-checked
-or outward-rounded exactly before being reported.
+point appears only inside searches, estimates and proposals whose outputs are
+re-checked or outward-rounded exactly before being reported.
 """
 
 from __future__ import annotations
@@ -299,17 +307,44 @@ class PSDTranscript:
         return True
 
 
-def _scaled_gram(m: FiniteMetric, basepoint: Optional[int]) -> tuple[list[list[int]], int]:
-    """The basepoint Gram matrix G_jk = (d(j,b) + d(k,b) - d(j,k)) / 2 as an
-    integer matrix A and scale 2 den.  Rows and columns run over the points
-    other than the basepoint b (default: the last point), in index order."""
+def _gram_array(m: FiniteMetric, basepoint: Optional[int] = None) -> np.ndarray:
+    """The basepoint Gram matrix G_jk = (d(j,b) + d(k,b) - d(j,k)) / 2 times
+    2 den, as the integer array D[j][b] + D[k][b] - D[j][k]: int64 while
+    twice the largest distance fits below ``_INT64_SAFE``, else Python ints
+    (dtype object), so every entry is exact.  Rows and columns run over the
+    points other than the basepoint b (default: the last point), in index
+    order."""
     n = m.size
     b = n - 1 if basepoint is None else basepoint
     if not 0 <= b < n:
         raise PreconditionError(f"basepoint {b} out of range")
-    others = [i for i in range(n) if i != b]
-    D = m.D
-    return [[D[j][b] + D[k][b] - D[j][k] for k in others] for j in others], 2 * m.den
+    try:
+        D = np.array(m.D, dtype=np.int64)
+        if 2 * int(D.max()) >= _INT64_SAFE:
+            raise OverflowError
+    except OverflowError:
+        D = np.array(m.D, dtype=object)
+    if b != n - 1:
+        order = [i for i in range(n) if i != b] + [b]
+        D = D[np.ix_(order, order)]
+    column = D[:-1, -1]
+    return column[:, None] + column[None, :] - D[:-1, :-1]
+
+
+def _scaled_gram(m: FiniteMetric, basepoint: Optional[int]) -> tuple[list[list[int]], int]:
+    """The basepoint Gram matrix of ``_gram_array`` as lists of Python ints
+    A, and its scale 2 den."""
+    return _gram_array(m, basepoint).tolist(), 2 * m.den
+
+
+def _form(A: Sequence[Sequence[int]], x: Sequence[int]) -> int:
+    """x^T A x on Python ints, over the support of x."""
+    support = [i for i, v in enumerate(x) if v]
+    xs = [x[i] for i in support]
+    return sum(
+        xi * sum(map(operator.mul, xs, [A[i][j] for j in support]))
+        for i, xi in zip(support, xs)
+    )
 
 
 def _lift(el: _Elimination, A: list[list[int]]) -> tuple[Fraction, ...]:
@@ -330,7 +365,7 @@ def _lift(el: _Elimination, A: list[list[int]]) -> tuple[Fraction, ...]:
     x = [0] * n
     for pos, val in enumerate(X):
         x[el.perm[pos]] = val
-    if sum(xa * sum(xb * v for xb, v in zip(x, row) if xb) for xa, row in zip(x, A) if xa) >= 0:
+    if _form(A, x) >= 0:
         raise InternalCheckError("reconstructed direction is not violating")
     return tuple(Fraction(v, den) for v in x)
 
@@ -380,7 +415,8 @@ class NegativeTypeResult:
     """Verdict of the exact negative-type decision, with its certificate.
 
     A refutation carries its ``violation`` and that weighting's ``energy``
-    gamma > 0; a proof carries the ``transcript``."""
+    gamma > 0, checked exactly whether the float proposal or the elimination
+    found it; a proof carries the elimination's ``transcript``."""
 
     verdict: bool
     basepoint: int
@@ -389,23 +425,85 @@ class NegativeTypeResult:
     energy: Optional[Fraction] = None
 
 
+# The float proposal tries the rounded eigenvector scaled by 2^k, k = 0..this.
+_PROPOSAL_BITS = 20
+
+
+def _float_directions(G: np.ndarray) -> list[list[int]]:
+    """Integer directions that may violate the symmetric integer matrix G,
+    proposed in floats: rint(2^k v) for k = 0.._PROPOSAL_BITS in order, with
+    v the unit eigenvector of the smallest float eigenvalue, its entry of
+    largest magnitude made positive (the lowest index on ties).
+
+    By Schoenberg the negative directions of the Gram matrix are those of
+    the metric's energy, and v is the most negative.  None is proposed
+    unless that eigenvalue is below -2^-44 times the largest magnitude
+    lambda_max: a semidefinite matrix with a null space, such as the Gram
+    matrix of repeated points or of the 2-subdivision of K4, can show a
+    float eigenvalue of about -n 2^-53 lambda_max, which no rounding at
+    k <= 20 turns into a violation, so its 21 exact checks would all fail.
+    The eigenvalues come first, without vectors, so a semidefinite matrix
+    (every held verdict) pays for no eigenvectors.  An array of Python ints
+    is divided by its largest magnitude first, so no float overflows;
+    scaling by 2^k is exact, so each direction is a function of v alone.
+    Floats only propose: the caller checks x^T G x < 0 on integers."""
+    if not len(G):
+        return []
+    if G.dtype == object:
+        G = G / max(np.abs(G).max(), 1)
+    F = G.astype(float)
+    values = np.linalg.eigvalsh(F)
+    if not values[0] < -abs(values[-1]) * 2.0**-44:
+        return []
+    v = np.linalg.eigh(F)[1][:, 0]
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
+    scaled = np.ldexp(v, np.arange(_PROPOSAL_BITS + 1)[:, None])
+    return np.rint(scaled).astype(np.int64).tolist()
+
+
+def _violation_of(x: Sequence[int]) -> Weighting:
+    """The weighting (x, -sum x) / mass of a nonzero integer direction x of
+    the Gram matrix at the last point: it sums to zero and has mass one."""
+    return _weighting_of([*x, -sum(x)])
+
+
+def _proposed_violation(G: np.ndarray, A: Sequence[Sequence[int]]) -> Optional[Weighting]:
+    """The violation of the first float-proposed direction x of the Gram
+    array G (``_float_directions``) with x^T A x < 0 on Python ints, where
+    A is G as lists; None when no proposal passes that check."""
+    for x in _float_directions(G):
+        if _form(A, x) < 0:
+            return _violation_of(x)
+    return None
+
+
 def is_negative_type(m: FiniteMetric) -> NegativeTypeResult:
     """Decide exactly whether gamma is nonpositive on all zero-sum weightings.
 
-    Equivalent to positive semidefiniteness of the basepoint Gram matrix; on
-    failure the bad elimination direction is converted into a weighting with
-    zero sum, total mass one, and strictly positive energy.
+    Equivalent to positive semidefiniteness of the basepoint Gram matrix at
+    the last point.  Floats propose a refutation first: a rounded eigenvector
+    of the smallest eigenvalue (``_float_directions``), accepted only if its
+    quadratic form is negative on integers.  What no proposal refutes, such
+    as a semidefinite or nearly singular Gram matrix, goes to the
+    elimination (``psd_decompose``), which gives the transcript of a held
+    verdict or a lifted direction of its own.  Either direction becomes a
+    weighting with zero sum, total mass one and strictly positive energy,
+    checked exactly by ``violation_energy``.
     """
     if m.size == 0:
         raise PreconditionError("negative-type decision needs at least one point")
     b = m.size - 1
-    ok, payload = psd_decompose(*_scaled_gram(m, b))
-    if ok:
-        assert isinstance(payload, PSDTranscript)
-        return NegativeTypeResult(verdict=True, basepoint=b, transcript=payload, violation=None)
-    x = list(payload)
-    raw = Weighting.from_map({**dict(enumerate(x)), b: -sum(x, Fraction(0))})
-    w = Weighting.from_map({i: v / raw.total_mass for i, v in raw.entries})
+    G = _gram_array(m)
+    A = G.tolist()
+    w = _proposed_violation(G, A)
+    if w is None:
+        ok, payload = psd_decompose(A, 2 * m.den)
+        if ok:
+            assert isinstance(payload, PSDTranscript)
+            return NegativeTypeResult(verdict=True, basepoint=b, transcript=payload, violation=None)
+        q = math.lcm(*(v.denominator for v in payload))
+        w = _violation_of([v.numerator * (q // v.denominator) for v in payload])
     return NegativeTypeResult(
         verdict=False, basepoint=b, transcript=None, violation=w, energy=violation_energy(m, w)
     )
@@ -975,8 +1073,8 @@ def check_chain(m: FiniteMetric, max_points: int = 14) -> ChainReport:
     with a nonzero distance must have exactly one positive eigenvalue
     (Schoenberg); any breach is reported (and is a bug, never an expected
     outcome).  All three are decided exactly: the count comes from the
-    characteristic polynomial, independently of the elimination behind the
-    negative-type verdict.
+    characteristic polynomial, independently of the negative-type decision,
+    where floats only propose.
     """
     from .l1cut import CutDecomposition, is_l1_embeddable
 

@@ -749,9 +749,14 @@ def _check_k4_lp() -> str:
     return f"exact LP feasible with {len(result.entries)} cuts"
 
 
-def _check_k23_subdivision() -> str:
+@functools.cache
+def _k23_subdivision_witness() -> witness.SubdivisionWitness:
     g0 = from_spec(FamilySpec(tag="complete_bipartite", sizes=(2, 3)))
-    sw = witness.subdivision_witness(g0, 180)
+    return witness.subdivision_witness(g0, 180)
+
+
+def _check_k23_subdivision() -> str:
+    sw = _k23_subdivision_witness()
     _expect(
         sw.gap_continuous == Fraction(181, 12),
         f"continuous gap {sw.gap_continuous}",
@@ -763,6 +768,25 @@ def _check_k23_subdivision() -> str:
     return (
         f"continuous gap 181/12, rounded gap {format_rational(sw.gap_rounded)} > 0, "
         "rounded vertices refute negative type"
+    )
+
+
+def _check_proposed_refutations() -> str:
+    unit = witness.construct_witness(make_theta(1, 1, 1)).metric
+    k23 = _k23_subdivision_witness().metric_rounded
+    energies = []
+    for name, m in (("unit theta", unit), ("K2,3 subdivision", k23)):
+        G = analysis._gram_array(m)
+        A = G.tolist()
+        w = analysis._proposed_violation(G, A)
+        held, _ = analysis.psd_decompose(A, 2 * m.den)
+        _expect(w is not None, f"{name}: no float proposal passes the integer check")
+        _expect(not held, f"{name}: the elimination holds what the proposal refutes")
+        energies.append(analysis.violation_energy(m, w))
+    _expect(energies[0] == Fraction(1, 432), f"unit theta: proposed gamma {energies[0]} != 1/432")
+    return (
+        f"float proposals refute the unit theta (gamma 1/432) and K2,3 "
+        f"(gamma {format_rational(energies[1])}), as the elimination does"
     )
 
 
@@ -860,6 +884,7 @@ _CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("k4_cut_sum", _check_k4_cut_sum),
     ("k4_lp_feasible", _check_k4_lp),
     ("k23_subdivision_rounding", _check_k23_subdivision),
+    ("proposal_matches_elimination", _check_proposed_refutations),
     ("theta_free_controls", _check_theta_free_controls),
     ("random_witness_batch", _check_random_witness_batch),
     ("distance_spot_checks", _check_distance_spots),

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -28,10 +29,11 @@ from oracles import (
     scaled,
 )
 from test_core import connected_graphs, graph_points, graphs_with_points, rational_metrics
-from thetagap import analysis
+from thetagap import analysis, dumps_graph, dumps_points
 from thetagap.analysis import (
     ChainReport,
     GapBracket,
+    NegativeTypeResult,
     PSDTranscript,
     Weighting,
     _ascend_all,
@@ -39,9 +41,12 @@ from thetagap.analysis import (
     _block_scorer,
     _eliminate,
     _factor_certifies,
+    _float_directions,
     _float_snap,
+    _gram_array,
     _mu_certifies,
     _mu_ladder,
+    _proposed_violation,
     _scaled_gram,
     _score,
     _snap_block,
@@ -544,6 +549,20 @@ def test_gram_replay_on_integers_matches_the_rational_one(case, what, a, b, delt
     assert tampered.verify(A, scale) == oracle_transcript_verify(tampered, gram)
 
 
+@settings(max_examples=60, deadline=None)
+@given(rational_metrics(max_points=7), st.integers(min_value=0, max_value=6), st.booleans())
+def test_gram_array_matches_the_fraction_gram_at_every_basepoint(case, b, huge):
+    labels, rows = case
+    if huge:  # entries past int64 take the Python-int array
+        rows = [[x * 2**70 for x in row] for row in rows]
+    m = FiniteMetric.from_rows(labels, rows)
+    basepoint = b % m.size
+    A, scale = _scaled_gram(m, basepoint)
+    assert scale == 2 * m.den
+    assert [[Fraction(x, scale) for x in row] for row in A] == gram_matrix(m, basepoint)
+    assert all(type(x) is int for row in A for x in row)
+
+
 def test_transcript_zero_pivot_leaves_its_column_free():
     # P A P^T = L D L^T with d_1 = 0: L_21 is free, L_20 is not
     matrix = [[Fraction(2), Fraction(0), Fraction(4)],
@@ -690,6 +709,146 @@ def test_negative_type_verdict_is_permutation_invariant(case, rng):
 def test_trivial_metrics_are_negative_type():
     one = FiniteMetric.from_rows(("a",), [[0]])
     assert is_negative_type(one).verdict
+
+
+def _elimination_result(m):
+    """The decision of the elimination alone, normalized over Fractions."""
+    b = m.size - 1
+    ok, payload = psd_decompose(*_scaled_gram(m, b))
+    if ok:
+        return NegativeTypeResult(verdict=True, basepoint=b, transcript=payload, violation=None)
+    x = list(payload)
+    raw = Weighting.from_map({**dict(enumerate(x)), b: -sum(x, Fraction(0))})
+    w = Weighting.from_map({i: v / raw.total_mass for i, v in raw.entries})
+    return NegativeTypeResult(
+        verdict=False, basepoint=b, transcript=None, violation=w, energy=gamma(m, w)
+    )
+
+
+@st.composite
+def negtype_cases(draw):
+    """A metric of up to 12 points and, for points on a graph, (graph, points).
+
+    Points on a graph may repeat.  On a theta they start from the six
+    points of its witness, which refute negative type unless the points
+    drawn after them hide it.  Hamming metrics on a few bits are of negative
+    type with singular Gram matrices; closures of random weights are mostly
+    not of negative type from a few points on."""
+    kind = draw(st.sampled_from(("graph", "theta", "closure", "hamming")))
+    if kind in ("graph", "theta"):
+        pts = []
+        if kind == "graph":
+            g = draw(connected_graphs())
+        else:
+            g = make_theta(*(draw(st.integers(min_value=1, max_value=4)) for _ in range(3)))
+            w = construct_witness(g)
+            pts = list(w.b_points + w.r_points)
+        for _ in range(draw(st.integers(min_value=1, max_value=12 - len(pts)))):
+            repeat = pts and draw(st.integers(min_value=0, max_value=3)) == 0
+            pts.append(draw(st.sampled_from(pts)) if repeat else draw(graph_points(g)))
+        return distance_matrix(g, pts), (g, pts)
+    if kind == "closure":
+        labels, rows = draw(rational_metrics(max_points=12))
+        return FiniteMetric.from_rows(labels, rows), None
+    bits = draw(st.integers(min_value=1, max_value=4))
+    words = draw(st.lists(st.integers(min_value=0, max_value=2**bits - 1), min_size=1, max_size=12))
+    rows = [[bin(a ^ b).count("1") for b in words] for a in words]
+    return FiniteMetric.from_rows([format(w, f"0{bits}b") for w in words], rows), None
+
+
+def _verified_by_the_cli(g, pts):
+    with tempfile.TemporaryDirectory() as d:
+        graph, points, cert = (f"{d}/{name}.json" for name in ("graph", "points", "cert"))
+        with open(graph, "w") as f:
+            f.write(dumps_graph(g))
+        with open(points, "w") as f:
+            f.write(dumps_points(pts))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["negtype", graph, "--points", points, "--out", cert]) == 1
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", cert, graph])
+        return code == 0 and json.loads(out.getvalue())["valid"] is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(negtype_cases())
+def test_negative_type_verdict_matches_the_elimination(case):
+    m, source = case
+    result = is_negative_type(m)
+    assert result.verdict == psd_decompose(*_scaled_gram(m, None))[0]
+    if result.verdict:
+        assert result.violation is None and result.energy is None
+        return
+    w = result.violation
+    assert w.total == 0 and w.total_mass == 1
+    assert result.energy == gamma(m, w) > 0
+    if source is not None:
+        assert _verified_by_the_cli(*source)
+
+
+def _eigen_proposing_nothing(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.ones(len(a)))
+
+
+def _eigen_proposing_a_unit_vector(monkeypatch):
+    # x = 2^k e_0 has x^T G x = 4^k G_00 >= 0, so it never violates
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: -np.ones(len(a)))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (-np.ones(len(a)), np.eye(len(a))))
+
+
+@pytest.mark.parametrize("patch", [_eigen_proposing_nothing, _eigen_proposing_a_unit_vector])
+def test_a_proposal_that_fails_leaves_the_elimination_output(
+    monkeypatch, patch, witness_metric, c4_metric, k4_subdivision_metric
+):
+    # the unit theta's witness points and five more at offsets j/997
+    g = make_theta(1, 1, 1)
+    extra = [("e1", 583), ("e1", 262), ("e1", 508), ("e2", 484), ("e3", 389)]
+    pts = [Vertex("u"), Vertex("v"), Vertex("v"), EdgePoint("e1", Fraction(1, 12))]
+    pts += [EdgePoint("e2", Fraction(11, 12)), EdgePoint("e3", Fraction(11, 12))]
+    pts += [EdgePoint(e, Fraction(j, 997)) for e, j in extra]
+    metrics = [witness_metric, c4_metric, k4_subdivision_metric, distance_matrix(g, pts)]
+    expected = [_elimination_result(m) for m in metrics]
+    assert [r.verdict for r in expected] == [False, True, True, False]
+    patch(monkeypatch)
+    assert [is_negative_type(m) for m in metrics] == expected
+
+
+def _refuse_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(analysis, "psd_decompose", refuse)
+
+
+def test_proposal_refutes_the_unit_theta_with_the_papers_weighting(monkeypatch, witness_metric):
+    _refuse_elimination(monkeypatch)
+    result = is_negative_type(witness_metric)
+    # B = {u, v, v} against R, each point at weight 1/6
+    sixth = Fraction(1, 6)
+    assert result.violation.entries == tuple((i, sixth if i < 3 else -sixth) for i in range(6))
+    assert result.energy == Fraction(1, 432)
+
+
+def test_proposal_past_int64_refutes_on_python_ints(monkeypatch, witness_metric):
+    big = FiniteMetric.from_rows(
+        witness_metric.labels, [[d * 2**70 for d in row] for row in fraction_rows(witness_metric)]
+    )
+    assert _gram_array(big).dtype == object
+    assert _gram_array(witness_metric).dtype == np.int64
+    _refuse_elimination(monkeypatch)
+    result = is_negative_type(big)
+    assert result.violation == is_negative_type(witness_metric).violation
+    assert result.energy == 2**70 * Fraction(1, 432)
+
+
+def test_float_directions_are_sign_normalized_roundings():
+    # diag(-1, 2): the eigenvector of -1 is +-e_0, normalized to +e_0
+    G = np.array([[-1, 0], [0, 2]], dtype=np.int64)
+    assert _float_directions(G) == [[2**k, 0] for k in range(analysis._PROPOSAL_BITS + 1)]
+    assert _float_directions(np.array([[1, 0], [0, 2]], dtype=np.int64)) == []
+    assert _float_directions(np.zeros((0, 0), dtype=np.int64)) == []
+    assert _proposed_violation(G, G.tolist()) == Weighting.from_map({0: Fraction(1, 2), 2: Fraction(-1, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -1338,14 +1497,20 @@ def test_check_chain_skips_l1_beyond_cap(c4_metric):
     assert report.ok
 
 
-def test_check_chain_runs_no_float_eigensolver(
+def test_check_chain_does_not_depend_on_a_float_eigensolver(
     monkeypatch, c4_metric, witness_metric, k4_subdivision_metric
 ):
-    def refuse(*args, **kwargs):
-        raise AssertionError("check_chain called a float eigensolver")
+    # the negative-type decision asks a float eigensolver for a proposal;
+    # one that lies about every spectrum changes no verdict and no count
+    def lying_values(a):
+        return -np.ones(len(a))
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    def lying_vectors(a):
+        n = len(a)
+        return -np.ones(n), np.full((n, n), 1 / math.sqrt(n))
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", lying_values)
+    monkeypatch.setattr(np.linalg, "eigh", lying_vectors)
     assert check_chain(c4_metric) == ChainReport(4, True, True, 1, ())
     assert check_chain(witness_metric) == ChainReport(
         witness_metric.size, False, False, 2, ()

@@ -472,11 +472,15 @@ def test_l1_infeasible_then_feasible(theta_file, witness_points_file, c4_file, t
     assert code == 0 and report["valid"] is True
 
 
-def test_l1_refutation_past_one_int64_limb_verifies(theta_file, tmp_path, capsys):
+def test_l1_refutation_past_one_int64_limb_verifies(theta_file, tmp_path, capsys, monkeypatch):
     # the witness plus five edge points at offsets j/997: the omega_i omega_j
-    # refutation needs more than one int64 limb per cut sum
-    from thetagap import EdgePoint, Vertex, dumps_points
+    # refutation of the elimination's lifted direction needs more than one
+    # int64 limb per cut sum.  A float proposal has entries of at most 2^20,
+    # so it is switched off to make the elimination refute.
+    from thetagap import EdgePoint, Vertex, analysis, dumps_points
     from thetagap.l1cut import _primitive_integers
+
+    monkeypatch.setattr(analysis, "_float_directions", lambda G: [])
 
     pts = tmp_path / "pts.json"
     extra = [("e1", 583), ("e1", 262), ("e1", 508), ("e2", 484), ("e3", 389)]
@@ -876,7 +880,7 @@ def test_check_paper_passes_every_check(capsys):
     code, report = run_json(capsys, "check-paper")
     assert code == 0
     assert report["failed"] == 0
-    assert report["passed"] == 14
+    assert report["passed"] == 15
     assert all(check["status"] == "pass" for check in report["checks"])
 
 
@@ -901,3 +905,15 @@ def test_the_ci_workflow_runs_a_bench_smoke_of_every_workload():
     assert sorted(loop.split(";")[0].split()[3:]) == sorted(workloads)
     assert "set -o pipefail" in smoke
     assert '["correct"] is True' in smoke
+
+
+def test_the_ci_bench_smoke_makes_one_traced_run():
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = {step.get("name"): step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]}
+    smoke = steps["Bench smoke"]
+    traced = "python3 bench/run.py --workload metric-points --seed 1 --seconds 1 --trace 1"
+    assert smoke.count(traced) == 1
+    after = smoke[smoke.index(traced):]
+    assert '["correct"] is True' in after

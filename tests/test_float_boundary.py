@@ -1,12 +1,15 @@
 """Where floating point may enter the package.
 
-Floats only propose; every verdict is an exact certificate.  The two float
-entry points are ``l1cut._float_support`` (scipy's HiGHS proposes a cut
-support) and ``analysis._mu_ladder`` (``numpy.linalg`` proposes the first mu
-rung).  A scipy import or a ``numpy.linalg`` use anywhere else in the
-package would be a new float path into a decision, so it fails here.  The
-mu test itself, the integer factor and its caller, must not touch a float
-or numpy at all.
+Floats only propose; every verdict is an exact certificate.  The three
+float entry points are ``l1cut._float_support`` (scipy's HiGHS proposes a
+cut support), ``analysis._mu_ladder`` (``numpy.linalg`` proposes the first
+mu rung) and ``analysis._float_directions`` (``numpy.linalg`` proposes the
+directions that may refute negative type).  A scipy import or a
+``numpy.linalg`` use anywhere else in the package would be a new float path
+into a decision, so it fails here.  The mu test itself, the integer factor
+and its caller, must not touch a float or numpy at all, and neither may
+the check that accepts a proposed direction nor the normalization that
+makes it a violation.
 """
 
 import ast
@@ -57,20 +60,27 @@ def test_scipy_is_imported_only_by_the_float_proposal():
     assert _found("scipy") == {("l1cut", "_float_support")}
 
 
-def test_numpy_linalg_is_used_only_by_the_mu_ladder():
-    assert _found("numpy.linalg") == {("analysis", "_mu_ladder")}
+def test_numpy_linalg_is_used_only_by_the_two_eigen_proposals():
+    assert _found("numpy.linalg") == {("analysis", "_mu_ladder"), ("analysis", "_float_directions")}
 
 
-def test_the_mu_test_decides_on_integers_alone():
+def _assert_integer_only(*names):
     tree = ast.parse((PACKAGE / "analysis.py").read_text())
     defs = {
         node.name: node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("_mu_certifies", "_factor_certifies")
+        if isinstance(node, ast.FunctionDef) and node.name in names
     }
-    assert len(defs) == 2
+    assert len(defs) == len(names)
     for name, node in defs.items():
         for sub in ast.walk(node):
             assert not (isinstance(sub, ast.Name) and sub.id in ("float", "np", "numpy")), name
             assert not (isinstance(sub, ast.Constant) and isinstance(sub.value, float)), name
+
+
+def test_the_mu_test_decides_on_integers_alone():
+    _assert_integer_only("_mu_certifies", "_factor_certifies")
+
+
+def test_a_proposed_violation_is_checked_and_normalized_on_integers_alone():
+    _assert_integer_only("_form", "_violation_of", "_weighting_of")
