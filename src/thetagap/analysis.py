@@ -27,7 +27,7 @@ along a transcript's own order; the ``GapBracket`` constructor asks it for
 the verdict of the mu test only where the integer factor cannot decide.
 
 The certified spectral bound starts from a float eigenvalue estimate
-(numpy, no scipy) rounded up to a dyadic rational, so its exact test runs
+(``numpy.linalg``) rounded up to a dyadic rational, so its exact test runs
 on small integers.  That test is the ``GapBracket`` constructor's:
 ``gap_bracket`` builds the bracket of each rung of the ladder in turn, so
 ``gap`` and ``verify`` run one test, once per rung tried.  The test proves

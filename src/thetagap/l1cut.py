@@ -20,10 +20,10 @@ and with w the summed equality functionals, which vanish on the metric and
 are positive exactly on the cuts off the face, y - lambda w separates the
 metric from every cut for the least such lambda.  A face that is every cut
 makes that the full exact problem.  From 12 points on, a face of more cuts
-than pairs, such as the 2047 cuts of twelve star leaves, first has float
-column generation over the bool crossing matrix of every cut propose a
-small support for the exact simplex.  Floats only ever propose: every
-verdict is a certificate that passed its exact constructor.
+than pairs, such as the 2047 cuts of twelve star leaves, first has a
+float64 run of the same phase-1 simplex, priced by the same recurrence,
+propose a small support for the exact simplex.  Floats only ever propose:
+every verdict is a certificate that passed its exact constructor.
 
 The exact simplex is fraction-free: each row of B^-1 is a sparse dict of
 integers over its own positive denominator, a row a pivot rewrites is the
@@ -39,14 +39,13 @@ int64 operations in O(n) numpy calls, or over a face of at most one cut
 per pair by one int64 product with that face's crossing block; more than
 one limb is recombined exactly on Python ints.  Which pairs a cut crosses
 is read from its two sides: a ``Cut``'s members against the rest, or its
-mask's column of ``_crossing_block``.  No exact route builds the crossing
-matrix of every cut.  A decomposition is checked on integers at any size:
+mask's column of ``_crossing_block``.  No route builds the crossing matrix
+of every cut.  A decomposition is checked on integers at any size:
 its weights over one denominator are added into an n x n matrix, one
 inside x outside block per cut, and compared with the metric's integers.
 Metrics above 20 points, and separating vectors over more than 20 points,
-are refused before any cut is enumerated.  scipy's HiGHS is imported only
-when a float proposal is made, so only for a metric of 12 or more points
-whose equality face has more cuts than the metric has pairs.
+are refused before any cut is enumerated.  The float proposal needs
+numpy alone: a dense B^-1 of at most 190 x 190.
 """
 
 from __future__ import annotations
@@ -122,23 +121,12 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _crossing_block(n: int, masks) -> np.ndarray:
     """Bool pairs x masks matrix: entry (k, c) is true when pair k (in
     itertools.combinations order) crosses the cut of canonical mask
-    ``masks[c]``.  Filled one pair row at a time, so nothing pairs x masks
-    sized is allocated beside the result."""
+    ``masks[c]``."""
     masks = np.asarray(masks, dtype=np.int64)
     side = np.ones((n, len(masks)), dtype=bool)  # side[v]: v on point 0's side
-    for t in range(n - 1):
-        side[t + 1] = (masks >> t) & 1
-    crossing = np.empty((n * (n - 1) // 2, len(masks)), dtype=bool)
-    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        np.not_equal(side[i], side[j], out=crossing[k])
-    return crossing
-
-
-def _crossing_matrix(n: int) -> np.ndarray:
-    """The crossing block of every proper canonical cut, 0 <= mask <
-    2^(n-1) - 1: the columns of the float proposal, built afresh for each
-    one (about 100 MB at 20 points).  No exact route builds it."""
-    return _crossing_block(n, np.arange((1 << (n - 1)) - 1))
+    side[1:] = (masks >> np.arange(n - 1)[:, None]) & 1
+    i, j = _pair_index(n)
+    return side[i] != side[j]
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +143,11 @@ def _primitive_integers(values: Sequence[Fraction]) -> list[int]:
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _crossing_sums(crossing: np.ndarray, weights: Sequence, dtype) -> np.ndarray:
-    """Each column's sum of the weights of the pairs it crosses: each pair's
-    weight times its bool row of ``crossing`` is added in turn, through one
-    scratch vector, so nothing larger than the score vector is allocated
-    beside the crossing block.  This is the float proposal's pricing.  Float
-    sums are bit for bit those of adding each weight only where its row is
-    true: every term is the weight or a signed zero, and no sum starting at
-    0.0 becomes -0.0."""
-    scores = np.zeros(crossing.shape[1], dtype=dtype)
-    term = np.empty_like(scores)
-    for k, w in enumerate(weights):
-        if w:
-            np.multiply(crossing[k], w, out=term)
-            scores += term
-    return scores
-
-
 def _subset_sums(n: int, limb: np.ndarray) -> np.ndarray:
-    """Crossing sums of one int64 limb of pair weights over every proper
-    canonical cut, indexed by mask, in O(2^n) element operations and O(n)
-    numpy calls.
+    """Crossing sums of one int64 limb of pair weights, or of the float64
+    dual of the float proposal, over every proper canonical cut, indexed by
+    mask, in O(2^n) element operations and O(n) numpy calls, in the dtype of
+    ``limb``.
 
     Bit t of a mask puts point p = t + 1 on point 0's side, so the masks
     below 2^(t+1) are those below 2^t and the same with p added.  Adding p
@@ -186,11 +158,11 @@ def _subset_sums(n: int, limb: np.ndarray) -> np.ndarray:
     row.  A cut's sum has at most 190 limb terms and rowsum_p - 2 sum_S w_ip
     at most 3 * 19 limb terms' worth, so every partial sum stays below
     (190 + 3 * 19) * 2^_LIMB_BITS < 2^62."""
-    W = np.zeros((n, n), dtype=np.int64)
+    W = np.zeros((n, n), dtype=limb.dtype)
     W[_pair_index(n)] = limb
     W += W.T
     rowsum, twice = W.sum(axis=1), 2 * W
-    scores = np.empty(1 << (n - 1), dtype=np.int64)
+    scores = np.empty(1 << (n - 1), dtype=limb.dtype)
     scores[0] = rowsum[0]
     gain = (rowsum[1:] - twice[0, 1:])[:, None]  # row v - 1 - t: point v
     for t in range(n - 1):
@@ -198,7 +170,7 @@ def _subset_sums(n: int, limb: np.ndarray) -> np.ndarray:
         np.add(scores[:h], gain[0], out=scores[h : 2 * h])
         if t + 2 < n:
             rest = gain[1:]
-            gain = np.empty((len(rest), 2 * h), dtype=np.int64)
+            gain = np.empty((len(rest), 2 * h), dtype=limb.dtype)
             gain[:, :h] = rest
             np.subtract(rest, twice[t + 1, t + 2 :, None], out=gain[:, h:])
     return scores[:-1]
@@ -335,17 +307,19 @@ class CutDecomposition:
 # ---------------------------------------------------------------------------
 
 _DEGENERATE_STREAK_LIMIT = 30
-# Above this many points even the bool pairs x 2^(n-1) crossing matrix of
-# the float proposal (about 100 MB at 20 points) is refused.
+# No cut is scored above this many points: the int64 limbs below are sized
+# for the cut sums of its pairs.
 MAX_CUT_POINTS = 20
 # Signed limbs of this many bits: a cut sum of the at most 190 pairs of
 # MAX_CUT_POINTS points plus a subset-sum gain of at most 3 * 19 limb terms
 # stays below (190 + 3 * 19) * 2^54 < 2^62, inside int64.
 _LIMB_BITS = 62 - (MAX_CUT_POINTS * (MAX_CUT_POINTS - 1) // 2).bit_length()
-# Float proposals: weights and prices above this count as nonzero, and up
-# to this many new columns per pair join each column-generation round.
+# The float proposal: values and prices above this count as nonzero, and it
+# gives up after this many pivots.  The leaves of a star with edge lengths
+# 1..k take 2 011 at k = 14 and 12 718 at k = 18, so the bound leaves room
+# up to MAX_CUT_POINTS.
 _FLOAT_TOL = 1e-9
-_COLUMNS_PER_PAIR = 4
+_FLOAT_PIVOTS = 100_000
 
 
 class _Phase1:
@@ -356,14 +330,13 @@ class _Phase1:
     scores the gcd-reduced integer dual of any size with ``_cut_scores``,
     the routine that also checks a ``FarkasCertificate``: over the columns'
     int64 ``_crossing_block`` when there are at most as many columns as
-    pairs, where the entering cut's pairs are read from that block, and
-    otherwise over every cut by the subset-sum recurrence, indexed by
-    ``masks``, with the entering cut's pairs read from its ``Cut``.  It
-    zeroes the basic cuts.  Pricing is steepest (largest positive
-    crossing sum, ties to the lowest Gray-code rank), except that a run of
-    ``_DEGENERATE_STREAK_LIMIT`` degenerate pivots switches to Bland's
-    lowest-rank pricing, the positive cut of lowest Gray-code rank, until
-    the next nondegenerate pivot.  Bland's rule cannot cycle, so every
+    pairs, and otherwise over every cut by the subset-sum recurrence,
+    indexed by ``masks``.  It zeroes the basic cuts.  The entering cut's
+    pairs are its own ``_crossing_block`` column.  Pricing is steepest
+    (largest positive crossing sum, ties to the lowest Gray-code rank),
+    except that a run of ``_DEGENERATE_STREAK_LIMIT`` degenerate pivots
+    switches to Bland's lowest-rank pricing, the positive cut of lowest
+    Gray-code rank, until the next nondegenerate pivot.  Bland's rule cannot cycle, so every
     degenerate run ends, and the objective falls at every other pivot: the
     solve terminates.  An empty column set prices no cut.
 
@@ -515,12 +488,7 @@ class _Phase1:
             entering = self._price(self.y)
             if entering is None:
                 return self.objective(), [Fraction(v, self.det) for v in self.y]
-            if self._block is None:
-                cut = Cut.from_mask(self.n, entering)
-                crossing = [k for k, pair in enumerate(self.pairs) if cut.separates(*pair)]
-            else:
-                column = self._block[:, np.searchsorted(self.masks, entering)]
-                crossing = np.flatnonzero(column).tolist()
+            crossing = np.flatnonzero(_crossing_block(self.n, [entering])).tolist()
             # each row walks the shorter of its entries and the crossing
             # pairs; a row looks the pairs up in C, a missing one as 0
             members, zeros = set(crossing), itertools.repeat(0)
@@ -552,46 +520,57 @@ class _Phase1:
         return CutDecomposition(metric=self.m, entries=entries)
 
 
-def _float_support(m: FiniteMetric) -> Optional[list[int]]:
-    """Candidate cut columns from floating-point column generation, or None.
+def _float_proposal(m: FiniteMetric, face: np.ndarray) -> Optional[list[int]]:
+    """Candidate cut columns from a float64 phase-1 simplex on the face, or None.
 
-    A restricted phase-1 LP (the cut columns chosen so far plus one
-    artificial per pair, cost 1 on the artificials) is solved by HiGHS; its
-    duals price every canonical cut, and the best-priced new columns join
-    the next round.  Pricing adds each pair's dual over the cuts that cross
-    it, one bool row at a time, so no float pairs x 2^(n-1) array is built.
-    Returns the masks with positive weight once the artificials vanish, or
-    None when no column prices positive before then.  The answer is only a
-    proposal: the exact simplex decides.
+    ``_Phase1``'s LP over the sorted masks ``face``, in float64: a dense
+    B^-1 from the all-artificial basis, updated by a rank-one step per
+    pivot.  Pricing is ``_Phase1``'s too: the dual is scored over every cut
+    by ``_subset_sums`` and read on the face, the largest score above
+    ``_FLOAT_TOL`` enters, ties to the lowest Gray-code rank, and a run of
+    ``_DEGENERATE_STREAK_LIMIT`` degenerate pivots switches to Bland's
+    pricing until the next nondegenerate one.  The entering column comes
+    from ``_crossing_block``.  Returns the basic cuts worth more than
+    ``_FLOAT_TOL`` once the artificials sum to at most ``_FLOAT_TOL``, and
+    None when no cut prices positive first, when the ratio test finds no
+    row or after ``_FLOAT_PIVOTS`` pivots.  The answer is only a proposal:
+    the exact simplex decides.
     """
-    from scipy.optimize import linprog  # loading HiGHS takes most of a second
-
     n = m.size
-    crossing = _crossing_matrix(n)
-    rows = crossing.shape[0]
-    b = np.array([float(m.distance(i, j)) for i, j in itertools.combinations(range(n), 2)])
-    artificials = np.eye(rows)
-    chosen = np.zeros(0, dtype=np.int64)  # masks, which index the columns
-    while True:
-        res = linprog(
-            c=np.concatenate([np.zeros(len(chosen)), np.ones(rows)]),
-            A_eq=np.hstack([crossing[:, chosen].astype(float), artificials]),
-            b_eq=b,
-            bounds=(0, None),
-            method="highs",
-        )
-        if not res.success:
+    rows = n * (n - 1) // 2
+    art0 = (1 << (n - 1)) - 1  # variable ids as in _Phase1
+    b = np.array([m.D[i][j] / m.den for i, j in zip(*_pair_index(n))])
+    Binv = np.eye(rows)
+    basis = art0 + np.arange(rows)
+    rank = (1 << n) + np.arange(rows)  # _Phase1._var_rank of each basic variable
+    streak = 0
+    for _ in range(_FLOAT_PIVOTS):
+        x = Binv @ b
+        artificial = basis >= art0
+        if x[artificial].sum() <= _FLOAT_TOL:
+            return sorted(int(v) for v in basis[~artificial & (x > _FLOAT_TOL)])
+        scores = _subset_sums(n, Binv[artificial].sum(axis=0))[face]
+        scores[np.searchsorted(face, basis[~artificial])] = 0
+        positive = np.flatnonzero(scores > _FLOAT_TOL)
+        if not len(positive):
             return None
-        if res.fun <= _FLOAT_TOL:
-            x = res.x[: len(chosen)]
-            return sorted(int(mask) for mask in chosen[x > _FLOAT_TOL])
-        scores = _crossing_sums(crossing, res.eqlin.marginals, np.float64)
-        scores[chosen] = -np.inf
-        order = np.argsort(-scores, kind="stable")[: _COLUMNS_PER_PAIR * rows]
-        new = order[scores[order] > _FLOAT_TOL]
-        if len(new) == 0:
+        if streak < _DEGENERATE_STREAK_LIMIT:
+            positive = positive[scores[positive] == scores[positive].max()]
+        entering = _lowest_gray_rank(face[positive])
+        direction = Binv[:, _crossing_block(n, [entering])[:, 0]].sum(axis=1)
+        # min x_r / direction_r over direction_r > 0, ties to the lowest rank
+        eligible = np.flatnonzero(direction > _FLOAT_TOL)
+        if not len(eligible):
             return None
-        chosen = np.concatenate([chosen, new])
+        ratios = np.where(x[eligible] > _FLOAT_TOL, x[eligible], 0) / direction[eligible]
+        tied = eligible[ratios == ratios.min()]
+        row = tied[np.argmin(rank[tied])]
+        streak = streak + 1 if x[row] <= _FLOAT_TOL else 0
+        pivot_row = Binv[row] / direction[row]
+        Binv -= np.outer(direction, pivot_row)
+        Binv[row] = pivot_row
+        basis[row], rank[row] = entering, _gray_rank(entering)
+    return None
 
 
 def _equality_face(m: FiniteMetric) -> tuple[list[int], np.ndarray]:
@@ -652,8 +631,8 @@ def is_l1_embeddable(
     metric is l1-rigid); a positive objective returns the separating vector
     ``_separating_vector`` builds from the face LP's dual, with no second
     LP.  From 12 points on, a face of more cuts than the metric has pairs
-    first has float column generation propose a small column set; the face
-    LP decides when that proposal does not pan out.  Metrics above
+    first has ``_float_proposal`` propose a small column set; the face LP
+    decides when that proposal does not pan out.  Metrics above
     ``max_points`` or above 20 points are refused before anything is built.
     """
     n = m.size
@@ -681,9 +660,9 @@ def is_l1_embeddable(
     w, ws = _equality_face(m)
     face = np.flatnonzero(ws == 0)
     # from 12 points on, a face of more cuts than pairs, such as the 2047
-    # cuts of 12 star leaves, first has HiGHS propose a few of its columns
+    # cuts of 12 star leaves, first has floats propose a few of its columns
     if n >= 12 and len(face) > n * (n - 1) // 2:
-        columns = _float_support(m)
+        columns = _float_proposal(m, face)
         if columns:
             solver = _Phase1(m, columns=columns)
             if solver.solve()[0] == 0:

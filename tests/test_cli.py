@@ -526,12 +526,9 @@ def test_verify_refuses_a_21_point_refutation_at_once(
     assert time.perf_counter() - start < 0.5
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy (HiGHS) is loaded only by the float proposal of ``l1``
-    code = (
-        "import sys, thetagap.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def _scipy_modules_after(code, timeout):
+    """The scipy modules loaded once ``code`` has run in a fresh process."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -539,14 +536,19 @@ def test_importing_the_cli_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         check=True,
     ).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the package imports scipy nowhere
+    assert _scipy_modules_after("import thetagap.cli", timeout=60) == "[]"
 
 
 def test_l1_on_the_k4_subdivision_and_check_paper_load_no_scipy(tmp_path, capsys):
-    # all decide their l1 questions on the equality face, without HiGHS; the
+    # all decide their l1 questions on the equality face alone; the
     # cactus's face of 29 cuts over 12 points is dependent, and the 5 leaves
     # of a star keep no equality, so their face is all 15 cuts over 10 pairs
     from thetagap import Vertex, dumps_points, loads_graph
@@ -576,24 +578,33 @@ def test_l1_on_the_k4_subdivision_and_check_paper_load_no_scipy(tmp_path, capsys
         ["check-paper"],
     ]
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io\n"
         "from thetagap.cli import main\n"
         f"for argv in {calls!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "        assert main(argv) == 0, argv"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    assert _scipy_modules_after(code, timeout=120) == "[]"
+
+
+def test_l1_on_the_twelve_leaves_of_a_star_loads_no_scipy(tmp_path, capsys):
+    # the face of the 12 leaves of K1,12 is all 2047 cuts, more than the 66
+    # pairs, so ``l1`` takes the float proposal before the exact simplex
+    from thetagap import Vertex, dumps_points, loads_graph
+
+    star, leaves = tmp_path / "star.json", tmp_path / "star.points.json"
+    assert main(["make", "complete_bipartite", "-a", "1", "-b", "12", "--out", str(star)]) == 0
+    capsys.readouterr()
+    leaves.write_text(dumps_points([Vertex(v) for v in loads_graph(star.read_text()).vertices[1:]]))
+    code = (
+        "import contextlib, io, json\n"
+        "from thetagap.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main(['l1', {str(star)!r}, '--points', {str(leaves)!r}]) == 0\n"
+        "assert json.loads(out.getvalue())['certificate']['feasible'] is True"
+    )
+    assert _scipy_modules_after(code, timeout=120) == "[]"
 
 
 def test_l1_on_empty_points_exits_2(c4_file, tmp_path, capsys):

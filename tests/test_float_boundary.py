@@ -1,12 +1,13 @@
 """Where floating point may enter the package.
 
 Floats only propose; every verdict is an exact certificate.  The three
-float entry points are ``l1cut._float_support`` (scipy's HiGHS proposes a
-cut support), ``analysis._mu_ladder`` (``numpy.linalg`` proposes the first
-mu rung) and ``analysis._float_directions`` (``numpy.linalg`` proposes the
-directions that may refute negative type).  A scipy import or a
-``numpy.linalg`` use anywhere else in the package would be a new float path
-into a decision, so it fails here.  The mu test itself, the integer factor
+float entry points are ``l1cut._float_proposal`` (a float64 phase-1
+simplex on numpy alone proposes a cut support), ``analysis._mu_ladder``
+(``numpy.linalg`` proposes the first mu rung) and
+``analysis._float_directions`` (``numpy.linalg`` proposes the directions
+that may refute negative type).  The package imports scipy nowhere, and a
+``numpy.linalg`` use anywhere else would be a new float path into a
+decision, so either fails here.  The mu test itself, the integer factor
 and its caller, must not touch a float or numpy at all, and neither may
 the check that accepts a proposed direction nor the normalization that
 makes it a violation.
@@ -56,8 +57,8 @@ def _found(kind):
     }
 
 
-def test_scipy_is_imported_only_by_the_float_proposal():
-    assert _found("scipy") == {("l1cut", "_float_support")}
+def test_scipy_is_imported_nowhere():
+    assert _found("scipy") == set()
 
 
 def test_numpy_linalg_is_used_only_by_the_two_eigen_proposals():

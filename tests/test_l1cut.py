@@ -39,7 +39,7 @@ from thetagap.l1cut import (
     CutDecomposition,
     FarkasCertificate,
     _equality_face,
-    _float_support,
+    _float_proposal,
     _Phase1,
     is_l1_embeddable,
     k4_explicit_decomposition,
@@ -335,10 +335,10 @@ def test_farkas_check_names_the_first_failing_cut_of_the_walk(limb_bits, n, data
 
 
 def test_cut_scores_build_no_crossing_matrix_above_the_cap(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"a crossing matrix over {n} points was built")
+    def refuse(n, masks):
+        raise AssertionError(f"a crossing block over {n} points was built")
 
-    monkeypatch.setattr(l1cut, "_crossing_matrix", refuse)
+    monkeypatch.setattr(l1cut, "_crossing_block", refuse)
     with pytest.raises(PreconditionError, match="stop at 20"):
         l1cut._cut_scores(21, [1] * 210)
     with pytest.raises(PreconditionError, match="stop at 20"):
@@ -356,10 +356,14 @@ STAR11_BASIS = [
 
 
 def test_exact_routes_build_no_crossing_matrix_of_every_cut(monkeypatch, k4_decomposition):
-    def refuse(n):
-        raise AssertionError(f"the crossing matrix of every cut over {n} points was built")
+    block = l1cut._crossing_block
 
-    monkeypatch.setattr(l1cut, "_crossing_matrix", refuse)
+    def refuse(n, masks):
+        if len(masks) >= 2 ** (n - 1) - 1:
+            raise AssertionError(f"the crossing matrix of every cut over {n} points was built")
+        return block(n, masks)
+
+    monkeypatch.setattr(l1cut, "_crossing_block", refuse)
     # a face of at most one cut per pair: the 16-point K4 decomposition, and
     # a 12-point metric refuted by the face LP's dual
     _, dec = k4_decomposition
@@ -402,17 +406,17 @@ def test_farkas_check_refuses_more_than_20_points_before_any_walk(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [12, 13, 14])
-def test_float_crossing_sums_equal_the_masked_sums_bit_for_bit(n):
-    crossing = l1cut._crossing_matrix(n)
+def test_float_subset_sums_equal_the_int64_sums_exactly(n):
+    # the float proposal prices with the exact recurrence in float64; on
+    # integer weights every partial sum stays below 2^53, so both agree
     rng = np.random.default_rng(n)
-    y = rng.standard_normal(crossing.shape[0]) * 10.0 ** rng.integers(-12, 4, crossing.shape[0])
-    y[rng.random(len(y)) < 0.2] = 0.0
-    y[rng.random(len(y)) < 0.1] *= -0.0
-    want = np.zeros(crossing.shape[1])
-    for k, yk in enumerate(y):
-        np.add(want, yk, out=want, where=crossing[k])
-    got = l1cut._crossing_sums(crossing, y, np.float64)
-    assert got.tobytes() == want.tobytes()
+    y = rng.integers(-(2**20), 2**20, n * (n - 1) // 2)
+    y[rng.random(len(y)) < 0.2] = 0
+    want = l1cut._subset_sums(n, y)
+    got = l1cut._subset_sums(n, y.astype(np.float64))
+    assert got.dtype == np.float64 and want.dtype == np.int64
+    assert np.array_equal(got, want.astype(np.float64))
+    assert np.array_equal(want, l1cut._cut_scores(n, y.tolist()))
 
 
 @LIMB_WIDTHS
@@ -630,11 +634,12 @@ K4_LP_CUTS = [
 
 def test_k4_float_support_and_lp_decomposition_are_frozen(k4_decomposition):
     _, dec = k4_decomposition
-    assert _float_support(dec.metric) == K4_FLOAT_SUPPORT
     result = is_l1_embeddable(dec.metric, max_points=16)
     assert [(c.members, w) for c, w in result.entries] == [
         (members, Fraction(1, 2)) for members in K4_LP_CUTS
     ]
+    # the metric is l1-rigid, so the recorded float support is its only one
+    assert sorted(cut_mask(c) for c, _ in result.entries) == K4_FLOAT_SUPPORT
 
 
 def test_k4_restricted_solve_counts(k4_decomposition):
@@ -648,15 +653,19 @@ def test_k4_restricted_solve_counts(k4_decomposition):
 
 
 def test_k4_float_support_peak_memory(k4_decomposition):
-    # the dense float LP that column generation replaced peaked at 160 MB
+    # an earlier dense float LP peaked at 160 MB here; the float proposal
+    # keeps a 120 x 120 B^-1 and prices every cut of the 16 points with one
+    # subset-sum pass at a time
     _, dec = k4_decomposition
+    face = _face(dec.metric)
     tracemalloc.start()
     try:
-        _float_support(dec.metric)
+        support = _float_proposal(dec.metric, face)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+    assert support == K4_FLOAT_SUPPORT
 
 
 def test_k4_cut_indicators_sum_to_twice_the_metric(k4_decomposition):
@@ -839,15 +848,15 @@ def _face_lp(m):
     return solver
 
 
-def _refuse_float_support(m):
-    raise AssertionError("a face of at most one cut per pair reached HiGHS")
+def _refuse_float_proposal(m, face):
+    raise AssertionError("a face of at most one cut per pair reached the float proposal")
 
 
-def _hidden_star(points_on_first_leg=()):
-    """Points at the leaves of a star whose centre is not a point, so the
-    split of any two leaves from the other two keeps every equality: the
-    three splits sum to the four leaf cuts, and the face is dependent."""
-    legs = 4
+def _hidden_star(points_on_first_leg=(), legs=4):
+    """Points at the leaves of a star whose centre is not a point, edge i
+    of length i, so the split of any two leaves from any other two keeps
+    every equality: with four legs the three splits sum to the four leaf
+    cuts, and the face is dependent."""
     g = graph_from_dict(
         {
             "vertices": ["c"] + [f"l{i}" for i in range(1, legs + 1)],
@@ -875,7 +884,7 @@ RIGID = pytest.mark.parametrize(
 @RIGID
 def test_unique_decomposition_equals_both_simplex_runs(make):
     m = make()
-    restricted = _Phase1(m, columns=_float_support(m))
+    restricted = _Phase1(m, columns=_float_proposal(m, _face(m)))
     full = _full_lp(m)
     assert restricted.solve()[0] == full.solve()[0] == 0
     face = _face_lp(m)
@@ -888,7 +897,7 @@ def test_unique_decomposition_equals_both_simplex_runs(make):
 def test_rigid_metrics_are_decided_without_a_float_proposal(monkeypatch, make):
     m = make()
     expected = _face_lp(m).decomposition()
-    monkeypatch.setattr(l1cut, "_float_support", _refuse_float_support)
+    monkeypatch.setattr(l1cut, "_float_proposal", _refuse_float_proposal)
     assert is_l1_embeddable(m, max_points=16) == expected
 
 
@@ -914,10 +923,46 @@ def test_dependent_face_at_twelve_points_takes_the_float_proposal(monkeypatch):
     m = distance_matrix(g, [Vertex(v) for v in g.vertices if v != g.vertices[0]])
     assert m.size == 12
     proposals = []
-    propose = l1cut._float_support
-    monkeypatch.setattr(l1cut, "_float_support", lambda m: proposals.append(m) or propose(m))
+    propose = l1cut._float_proposal
+    monkeypatch.setattr(
+        l1cut, "_float_proposal", lambda m, face: proposals.append(m) or propose(m, face)
+    )
     assert isinstance(is_l1_embeddable(m), CutDecomposition)
     assert proposals == [m]
+
+
+def _seeded_leaves(seed):
+    """12-14 points of a random tree-like graph, its leaves when it has
+    enough, drawn as for the float proposal's timing table in CHANGES.md."""
+    rng = random.Random(seed)
+    nv = rng.randint(20, 40)
+    g = make_random_connected(nv, nv + rng.randint(1, 2), seed)
+    n = rng.randint(12, 14)
+    ends = [end for e in g.edges for end in e.ends]
+    pool = [v for v in g.vertices if ends.count(v) == 1]
+    points = rng.sample(pool if len(pool) >= n else list(g.vertices), n)
+    return distance_matrix(g, [Vertex(v) for v in points])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _hidden_star(legs=12)]
+    + [lambda seed=seed: _seeded_leaves(seed) for seed in (48, 153, 227)],
+    ids=["star12", "seed48", "seed153", "seed227"],
+)
+def test_float_proposal_route_agrees_with_the_face_lp_alone(monkeypatch, make):
+    m = make()
+    assert m.size >= 12 and len(_face(m)) > m.size * (m.size - 1) // 2
+    proposals = []
+    propose = l1cut._float_proposal
+    monkeypatch.setattr(
+        l1cut, "_float_proposal", lambda m, face: proposals.append(propose(m, face)) or proposals[-1]
+    )
+    routed = is_l1_embeddable(m)
+    assert len(proposals) == 1 and proposals[0]
+    monkeypatch.setattr(l1cut, "_float_proposal", lambda m, face: None)
+    alone = is_l1_embeddable(m)
+    assert type(routed) is type(alone)
 
 
 def test_star_leaves_leave_bland_pricing_at_the_next_nondegenerate_pivot(monkeypatch):
@@ -949,9 +994,9 @@ def test_dependent_face_of_at_most_one_cut_per_pair_is_decided_on_the_face(monke
     m = distance_matrix(g, [Vertex(v) for v in g.vertices if degree[v] < 3])
     face = _face(m)
     assert (m.size, len(face)) == (12, 29)
-    columns = l1cut._crossing_matrix(m.size)[:, face].astype(float)
+    columns = l1cut._crossing_block(m.size, face).astype(float)
     assert np.linalg.matrix_rank(columns) < len(face)
-    monkeypatch.setattr(l1cut, "_float_support", _refuse_float_support)
+    monkeypatch.setattr(l1cut, "_float_proposal", _refuse_float_proposal)
     assert isinstance(is_l1_embeddable(m), CutDecomposition)
 
 
@@ -974,7 +1019,7 @@ def test_infeasible_face_is_refuted_by_the_face_lp_alone(monkeypatch):
         return _Phase1(m, columns)
 
     monkeypatch.setattr(l1cut, "_Phase1", face_only)
-    monkeypatch.setattr(l1cut, "_float_support", _refuse_float_support)
+    monkeypatch.setattr(l1cut, "_float_proposal", _refuse_float_proposal)
     result = is_l1_embeddable(m)
     assert isinstance(result, FarkasCertificate)
     assert FarkasCertificate(metric=m, pair_values=result.pair_values) == result
@@ -1036,6 +1081,6 @@ def test_equality_face_holds_every_decomposition(m):
     dec = full.decomposition()
     assert {cut_mask(cut) for cut, _ in dec.entries} <= set(face.tolist())
     face_dec = face_lp.decomposition()  # checked exactly by its constructor
-    columns = l1cut._crossing_matrix(m.size)[:, face].astype(float)
+    columns = l1cut._crossing_block(m.size, face).astype(float)
     if np.linalg.matrix_rank(columns) == len(face):
         assert face_dec.entries == dec.entries
