@@ -25,6 +25,9 @@ factors into rationals once, and ``is_negative_type`` decides through it
 what the proposal leaves open; ``PSDTranscript.verify`` replays its update
 along a transcript's own order; the ``GapBracket`` constructor asks it for
 the verdict of the mu test only where the integer factor cannot decide.
+``_solve`` carries a right-hand side through a full-rank elimination and
+back-substitutes on integers, sharing ``_back_substitute`` with ``_lift``:
+``l1cut`` solves the normal equations of independent cut columns with it.
 
 The certified spectral bound starts from a float eigenvalue estimate
 (``numpy.linalg``) rounded up to a dyadic rational, so its exact test runs
@@ -347,27 +350,55 @@ def _form(A: Sequence[Sequence[int]], x: Sequence[int]) -> int:
     )
 
 
-def _lift(el: _Elimination, A: list[list[int]]) -> tuple[Fraction, ...]:
-    # Lift the bad direction y of the trailing block at step k to the
-    # matrix's coordinates: with B the permuted input, x = (u, y) with
-    # u = -L11^-T L21^T y solves B11 u = -B12 y, so x^T B x = y^T S y < 0.
-    # Scaled by den = det of the integer B11, x is an integer vector X and
-    # the back substitution X_j = -sum_{i>j} S_ij X_i / p_j divides exactly.
-    S, pivots = el.S, el.pivots
-    n, k = len(S), len(pivots)
-    den = pivots[-1] if pivots else 1
-    X = [0] * k + [den * el.direction.get(i, 0) for i in range(k, n)]
-    for j in range(k - 1, -1, -1):
-        q, r = divmod(-sum(S[i][j] * X[i] for i in range(j + 1, n) if X[i]), pivots[j])
+def _back_substitute(el: _Elimination, X: list[int], top: Sequence[int]) -> list[int]:
+    """X_j = (top_j - sum_{i>j} S_ij X_i) / p_j for each eliminated
+    position j, from the last one down, given X past them; every division
+    must be exact.  Returns X in the matrix's own coordinates."""
+    S, pivots, n = el.S, el.pivots, len(el.S)
+    for j in range(len(pivots) - 1, -1, -1):
+        q, r = divmod(top[j] - sum(S[i][j] * X[i] for i in range(j + 1, n) if X[i]), pivots[j])
         if r:
             raise InternalCheckError("back substitution is not exact")
         X[j] = q
     x = [0] * n
     for pos, val in enumerate(X):
         x[el.perm[pos]] = val
+    return x
+
+
+def _lift(el: _Elimination, A: list[list[int]]) -> tuple[Fraction, ...]:
+    # Lift the bad direction y of the trailing block at step k to the
+    # matrix's coordinates: with B the permuted input, x = (u, y) with
+    # u = -L11^-T L21^T y solves B11 u = -B12 y, so x^T B x = y^T S y < 0.
+    # Scaled by den = det of the integer B11, x is an integer vector X and
+    # the back substitution X_j = -sum_{i>j} S_ij X_i / p_j divides exactly.
+    n, k = len(el.S), len(el.pivots)
+    den = el.pivots[-1] if el.pivots else 1
+    X = [0] * k + [den * el.direction.get(i, 0) for i in range(k, n)]
+    x = _back_substitute(el, X, [0] * k)
     if _form(A, x) >= 0:
         raise InternalCheckError("reconstructed direction is not violating")
     return tuple(Fraction(v, den) for v in x)
+
+
+def _solve(el: _Elimination, b: Sequence[int]) -> list[int]:
+    """det B times the solution x of B x = b, on integers, for the matrix B
+    that ``el`` eliminated with as many positive pivots as it has rows, so
+    det B = p_last > 0.  The forward pass takes b, in pivot order, through
+    the elimination's own Bareiss steps, b_i <- (p_j b_i - S_ij b_j) / p_(j-1),
+    the update of one more column, so every division is exact.  Then
+    p_j x_j + sum_{i>j} S_ij x_i = b_j, and back substitution on X = det x,
+    an integer vector since det B^-1 is the adjugate, divides exactly."""
+    S, pivots = el.S, el.pivots
+    b = [b[p] for p in el.perm]
+    prev = 1
+    for j, p in enumerate(pivots):
+        bj = b[j]
+        for i in range(j + 1, len(b)):
+            b[i] = (p * b[i] - S[i][j] * bj) // prev
+        prev = p
+    det = pivots[-1]
+    return _back_substitute(el, [0] * len(b), [det * v for v in b])
 
 
 def psd_decompose(

@@ -736,16 +736,22 @@ def _check_k4_cut_sum() -> str:
 
 def _check_k4_lp() -> str:
     _, dec = l1cut.k4_explicit_decomposition()
-    result = l1cut.is_l1_embeddable(dec.metric, max_points=16)
+    m = dec.metric
+    result = l1cut.is_l1_embeddable(m, max_points=16)
     _expect(
         isinstance(result, l1cut.CutDecomposition),
         "LP reported the 2-subdivision of K4 as not l1",
     )
-    # the decomposition is unique, so the LP must find the hand-built one
-    _expect(
-        set(result.entries) == set(dec.entries),
-        "LP decomposition differs from the hand-built one",
-    )
+    # is_l1_embeddable solves the 16 independent face cuts once, so the
+    # exact simplex runs on the same face here
+    face_lp = l1cut._Phase1(m, columns=(l1cut._equality_face(m)[1] == 0).nonzero()[0])
+    _expect(face_lp.solve()[0] == 0, "the face LP found no decomposition")
+    # the decomposition is unique, so both must find the hand-built one
+    for found, name in ((result, "LP"), (face_lp.decomposition(), "face LP")):
+        _expect(
+            set(found.entries) == set(dec.entries),
+            f"{name} decomposition differs from the hand-built one",
+        )
     return f"exact LP feasible with {len(result.entries)} cuts"
 
 

@@ -19,11 +19,15 @@ membership, whether or not the face's columns are independent.  Objective
 and with w the summed equality functionals, which vanish on the metric and
 are positive exactly on the cuts off the face, y - lambda w separates the
 metric from every cut for the least such lambda.  A face that is every cut
-makes that the full exact problem.  From 12 points on, a face of more cuts
-than pairs, such as the 2047 cuts of twelve star leaves, first has a
-float64 run of the same phase-1 simplex, priced by the same recurrence,
-propose a small support for the exact simplex.  Floats only ever propose:
-every verdict is a certificate that passed its exact constructor.
+makes that the full exact problem.  Face columns that are linearly
+independent hold at most one decomposition (the l1-rigid case), so a face
+of at most one cut per pair first has one exact solve of its normal
+equations on integers find it, and the simplex runs only where that
+fails.  From 12 points on, a face of more cuts than pairs, such as the
+2047 cuts of twelve star leaves, first has a float64 run of the same
+phase-1 simplex, priced by the same recurrence, propose a small support
+for that one exact solve.  Floats only ever propose or screen: every
+verdict is a certificate that passed its exact constructor.
 
 The exact simplex is fraction-free: each row of B^-1 is a sparse dict of
 integers over its own positive denominator, a row a pivot rewrites is the
@@ -59,7 +63,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import is_negative_type
+from .analysis import _eliminate, _solve, is_negative_type
 from .core import _INT64_SAFE, FiniteMetric, Vertex, distance_matrix, subdivide
 from .errors import InternalCheckError, PreconditionError
 from .families import FamilySpec, from_spec
@@ -284,22 +288,36 @@ class CutDecomposition:
                 raise PreconditionError("cut size does not match the metric")
             if weight <= 0:
                 raise PreconditionError("decomposition weights must be positive")
-        q = lcm(*(w.denominator for _, w in self.entries))
-        weights = [w.numerator * (q // w.denominator) for _, w in self.entries]
-        safe = max(sum(weights) * m.den, max(map(max, m.D)) * q) < _INT64_SAFE
-        dtype = np.int64 if safe else object
-        M = np.zeros((n, n), dtype=dtype)
-        for (cut, _), w in zip(self.entries, weights):
-            inside = np.zeros(n, dtype=bool)
-            inside[list(cut.members)] = True
-            M[np.ix_(inside, ~inside)] += w
-        wrong = np.triu((M + M.T) * m.den != np.array(m.D, dtype=dtype) * q, 1)
-        if wrong.any():
-            i, j = (int(k) for k in np.argwhere(wrong)[0])
-            raise InternalCheckError(
-                f"decomposition reproduces {Fraction(int(M[i, j] + M[j, i]), q)} "
-                f"instead of {Fraction(m.D[i][j], m.den)} on pair ({i}, {j})"
-            )
+        fault = _reproduction_fault(m, self.entries)
+        if fault is not None:
+            raise InternalCheckError(fault)
+
+
+def _reproduction_fault(
+    m: FiniteMetric, entries: Sequence[tuple[Cut, Fraction]]
+) -> Optional[str]:
+    """None when the weighted cuts ``entries`` reproduce the metric exactly,
+    else what they reproduce on the first pair that is wrong: the check of
+    a ``CutDecomposition``, on integers and at any size, for cuts of the
+    metric's size."""
+    n = m.size
+    q = lcm(*(w.denominator for _, w in entries))
+    weights = [w.numerator * (q // w.denominator) for _, w in entries]
+    safe = max(sum(weights) * m.den, max(map(max, m.D)) * q) < _INT64_SAFE
+    dtype = np.int64 if safe else object
+    M = np.zeros((n, n), dtype=dtype)
+    for (cut, _), w in zip(entries, weights):
+        inside = np.zeros(n, dtype=bool)
+        inside[list(cut.members)] = True
+        M[np.ix_(inside, ~inside)] += w
+    wrong = np.triu((M + M.T) * m.den != np.array(m.D, dtype=dtype) * q, 1)
+    if not wrong.any():
+        return None
+    i, j = (int(k) for k in np.argwhere(wrong)[0])
+    return (
+        f"decomposition reproduces {Fraction(int(M[i, j] + M[j, i]), q)} "
+        f"instead of {Fraction(m.D[i][j], m.den)} on pair ({i}, {j})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +335,18 @@ _LIMB_BITS = 62 - (MAX_CUT_POINTS * (MAX_CUT_POINTS - 1) // 2).bit_length()
 # The float proposal: values and prices above this count as nonzero, and it
 # gives up after this many pivots.  The leaves of a star with edge lengths
 # 1..k take 2 011 at k = 14 and 12 718 at k = 18, so the bound leaves room
-# up to MAX_CUT_POINTS.
+# up to MAX_CUT_POINTS.  The float screen of ``_unique_decomposition`` turns
+# away residuals and negative weights beyond the same tolerance.
 _FLOAT_TOL = 1e-9
 _FLOAT_PIVOTS = 100_000
 
 
 class _Phase1:
     """Revised phase-1 simplex for {lambda >= 0 : sum lambda_S d_S = d}.
+
+    ``is_l1_embeddable`` runs it on an equality face only where
+    ``_unique_decomposition`` finds no decomposition: dependent columns,
+    more cuts than pairs, no solution or a negative one.
 
     Starts from an all-artificial basis.  The columns are ``masks``, the
     sorted int64 array of the cut masks ``columns``.  Each pricing scan
@@ -534,7 +557,8 @@ def _float_proposal(m: FiniteMetric, face: np.ndarray) -> Optional[list[int]]:
     ``_FLOAT_TOL`` once the artificials sum to at most ``_FLOAT_TOL``, and
     None when no cut prices positive first, when the ratio test finds no
     row or after ``_FLOAT_PIVOTS`` pivots.  The answer is only a proposal:
-    the exact simplex decides.
+    ``_unique_decomposition`` decides on its columns, and the face LP
+    decides alone where that finds nothing.
     """
     n = m.size
     rows = n * (n - 1) // 2
@@ -571,6 +595,51 @@ def _float_proposal(m: FiniteMetric, face: np.ndarray) -> Optional[list[int]]:
         Binv[row] = pivot_row
         basis[row], rank[row] = entering, _gray_rank(entering)
     return None
+
+
+def _unique_decomposition(
+    m: FiniteMetric, masks: Sequence[int]
+) -> Optional[CutDecomposition]:
+    """The decomposition over the sorted cut masks ``masks`` when their
+    columns are linearly independent and it is nonnegative, else None.
+
+    With C the 0/1 ``_crossing_block`` of the masks, independent columns
+    hold at most one solution of C lambda = d, so this is the decomposition
+    the exact simplex on the same columns finds: the positive lambda, in
+    mask order.  Floats only screen: a least-squares solve on the distances
+    over the largest one turns away columns of float rank below their
+    count, a residual norm above ``_FLOAT_TOL`` or a weight below
+    -``_FLOAT_TOL``, and whatever it turns away goes to the face LP, which
+    finds the same decomposition where there is one.  Integers decide:
+    ``_eliminate`` on the integer C^T C proves full column rank by one
+    positive pivot per column, ``_solve`` on that elimination gives
+    det(C^T C) lambda from the integer C^T d, its signs are tested exactly,
+    and ``_reproduction_fault``, the ``CutDecomposition`` check, tests
+    C lambda = d."""
+    n, k = m.size, len(masks)
+    if not k:
+        return None
+    crossing = _crossing_block(n, masks)
+    dist = [m.D[i][j] for i, j in itertools.combinations(range(n), 2)]
+    top = max(dist) or 1
+    C, d = crossing.astype(float), np.array([v / top for v in dist])
+    x, residual, rank, _ = np.linalg.lstsq(C, d, rcond=None)
+    if rank < k or x.min() < -_FLOAT_TOL or residual.sum() > _FLOAT_TOL**2:
+        return None
+    block = crossing.astype(np.int64)
+    el = _eliminate((block.T @ block).tolist())
+    if len(el.pivots) < k:
+        return None
+    X = _solve(el, _cut_scores(n, dist, block).tolist())
+    if min(X) < 0:
+        return None
+    den = el.pivots[-1] * m.den
+    entries = tuple(
+        (Cut.from_mask(n, int(mask)), Fraction(v, den)) for mask, v in zip(masks, X) if v
+    )
+    if _reproduction_fault(m, entries) is not None:
+        return None
+    return CutDecomposition(metric=m, entries=entries)
 
 
 def _equality_face(m: FiniteMetric) -> tuple[list[int], np.ndarray]:
@@ -623,17 +692,20 @@ def is_l1_embeddable(
     LP: the violating weighting omega of ``is_negative_type`` gives the pair
     functional omega_i omega_j, which sums to -(omega(S))^2 <= 0 over every
     cut S and to gamma(omega) > 0 against the metric (CUT_n is inside NEG_n).
-    Otherwise the verdict comes from the exact simplex on the equality
-    face, at every size: a cut of positive weight must keep each equality
-    d(i, k) = d(i, j) + d(j, k), since the weighted sum of the cuts'
-    nonnegative slacks there is 0, so every decomposition uses only face
-    cuts.  Objective 0 returns its decomposition (the only one when the
-    metric is l1-rigid); a positive objective returns the separating vector
-    ``_separating_vector`` builds from the face LP's dual, with no second
-    LP.  From 12 points on, a face of more cuts than the metric has pairs
-    first has ``_float_proposal`` propose a small column set; the face LP
-    decides when that proposal does not pan out.  Metrics above
-    ``max_points`` or above 20 points are refused before anything is built.
+    Otherwise the verdict comes from the equality face, at every size: a
+    cut of positive weight must keep each equality d(i, k) = d(i, j) +
+    d(j, k), since the weighted sum of the cuts' nonnegative slacks there
+    is 0, so every decomposition uses only face cuts.  A face of at most
+    one cut per pair goes to ``_unique_decomposition`` first, which returns
+    the face's decomposition when its columns are independent (the metric
+    is l1-rigid) and the one solution is nonnegative.  From 12 points on, a
+    face of more cuts than the metric has pairs first has
+    ``_float_proposal`` propose a small column set for the same solve.
+    Otherwise the exact simplex on the face decides: objective 0 returns
+    its decomposition, and a positive objective returns the separating
+    vector ``_separating_vector`` builds from the face LP's dual, with no
+    second LP.  Metrics above ``max_points`` or above 20 points are refused
+    before anything is built.
     """
     n = m.size
     if n == 0:
@@ -659,14 +731,15 @@ def is_l1_embeddable(
         )
     w, ws = _equality_face(m)
     face = np.flatnonzero(ws == 0)
-    # from 12 points on, a face of more cuts than pairs, such as the 2047
-    # cuts of 12 star leaves, first has floats propose a few of its columns
-    if n >= 12 and len(face) > n * (n - 1) // 2:
-        columns = _float_proposal(m, face)
-        if columns:
-            solver = _Phase1(m, columns=columns)
-            if solver.solve()[0] == 0:
-                return solver.decomposition()
+    if len(face) <= n * (n - 1) // 2:
+        unique = _unique_decomposition(m, face)
+    else:
+        # from 12 points on, a face of more cuts than pairs, such as the 2047
+        # cuts of 12 star leaves, first has floats propose a few of its columns
+        columns = _float_proposal(m, face) if n >= 12 else None
+        unique = _unique_decomposition(m, columns) if columns else None
+    if unique is not None:
+        return unique
     solver = _Phase1(m, columns=face)
     if solver.solve()[0] == 0:
         return solver.decomposition()

@@ -1,16 +1,18 @@
 """Where floating point may enter the package.
 
-Floats only propose; every verdict is an exact certificate.  The three
-float entry points are ``l1cut._float_proposal`` (a float64 phase-1
-simplex on numpy alone proposes a cut support), ``analysis._mu_ladder``
+Floats only propose or screen; every verdict is an exact certificate.
+The four float entry points are ``l1cut._float_proposal`` (a float64
+phase-1 simplex on numpy alone proposes a cut support),
+``l1cut._unique_decomposition`` (a ``numpy.linalg`` least-squares solve
+screens cut columns before their exact solve), ``analysis._mu_ladder``
 (``numpy.linalg`` proposes the first mu rung) and
 ``analysis._float_directions`` (``numpy.linalg`` proposes the directions
 that may refute negative type).  The package imports scipy nowhere, and a
 ``numpy.linalg`` use anywhere else would be a new float path into a
 decision, so either fails here.  The mu test itself, the integer factor
 and its caller, must not touch a float or numpy at all, and neither may
-the check that accepts a proposed direction nor the normalization that
-makes it a violation.
+the check that accepts a proposed direction, the normalization that makes
+it a violation, nor the exact solve that decides on screened columns.
 """
 
 import ast
@@ -61,8 +63,12 @@ def test_scipy_is_imported_nowhere():
     assert _found("scipy") == set()
 
 
-def test_numpy_linalg_is_used_only_by_the_two_eigen_proposals():
-    assert _found("numpy.linalg") == {("analysis", "_mu_ladder"), ("analysis", "_float_directions")}
+def test_numpy_linalg_is_used_only_by_two_eigen_proposals_and_one_screen():
+    assert _found("numpy.linalg") == {
+        ("analysis", "_mu_ladder"),
+        ("analysis", "_float_directions"),
+        ("l1cut", "_unique_decomposition"),
+    }
 
 
 def _assert_integer_only(*names):
@@ -85,3 +91,7 @@ def test_the_mu_test_decides_on_integers_alone():
 
 def test_a_proposed_violation_is_checked_and_normalized_on_integers_alone():
     _assert_integer_only("_form", "_violation_of", "_weighting_of")
+
+
+def test_an_exact_solve_decides_on_integers_alone():
+    _assert_integer_only("_eliminate", "_bareiss_update", "_solve", "_back_substitute")

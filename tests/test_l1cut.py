@@ -21,7 +21,7 @@ from oracles import (
     oracle_cut_cone_member,
     oracle_decomposition_fault,
 )
-from test_core import graphs_with_points
+from test_core import graph_points, graphs_with_points
 from thetagap import l1cut
 from thetagap.analysis import is_negative_type
 from thetagap.core import EdgePoint, FiniteMetric, Vertex, distance_matrix, subdivide
@@ -41,6 +41,7 @@ from thetagap.l1cut import (
     _equality_face,
     _float_proposal,
     _Phase1,
+    _unique_decomposition,
     is_l1_embeddable,
     k4_explicit_decomposition,
 )
@@ -891,14 +892,90 @@ def test_unique_decomposition_equals_both_simplex_runs(make):
     assert face.objective() == 0
     assert face.decomposition().entries == restricted.decomposition().entries
     assert face.decomposition().entries == full.decomposition().entries
+    assert _unique_decomposition(m, _face(m)) == face.decomposition()
+
+
+def _refuse_simplex(m, columns):
+    raise AssertionError("the exact simplex ran on independent columns")
 
 
 @RIGID
 def test_rigid_metrics_are_decided_without_a_float_proposal(monkeypatch, make):
+    # independent face columns with a nonnegative solution: one exact solve
     m = make()
     expected = _face_lp(m).decomposition()
     monkeypatch.setattr(l1cut, "_float_proposal", _refuse_float_proposal)
+    monkeypatch.setattr(l1cut, "_Phase1", _refuse_simplex)
     assert is_l1_embeddable(m, max_points=16) == expected
+
+
+def _face_lp_only(m):
+    """``is_l1_embeddable`` with every exact solve turned away, so that the
+    face LP decides whatever the negative-type test leaves open."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(l1cut, "_unique_decomposition", lambda m, masks: None)
+        return is_l1_embeddable(m)
+
+
+@st.composite
+def cactus_and_connected_points(draw):
+    """4-12 points, vertices or points on edges, of a random cactus or a
+    random connected graph."""
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    if draw(st.booleans()):
+        g = make_random_cactus(draw(st.integers(min_value=1, max_value=6)), seed=seed)
+    else:
+        nv = draw(st.integers(min_value=2, max_value=8))
+        g = make_random_connected(nv, nv - 1 + draw(st.integers(min_value=0, max_value=3)), seed)
+    count = draw(st.integers(min_value=4, max_value=12))
+    return distance_matrix(g, [draw(graph_points(g)) for _ in range(count)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=cactus_and_connected_points())
+@example(m=_hidden_star((Fraction(1, 2),)))  # a dependent face
+@example(m=_vertex_metric(make_random_connected(5, 8, 18)))  # one solution, negative
+@example(m=_vertex_metric(make_random_connected(5, 8, 56)))  # independent, no solution
+def test_one_exact_solve_returns_the_face_lp_certificate(m):
+    routed, alone = is_l1_embeddable(m), _face_lp_only(m)
+    assert type(routed) is type(alone)
+    if isinstance(routed, CutDecomposition):
+        assert routed.entries == alone.entries
+    else:
+        assert routed.pair_values == alone.pair_values
+
+
+def _wrong_lstsq(C, d, rcond=None):
+    # full rank, no residual, and weights that solve nothing
+    k = C.shape[1]
+    return np.ones(k), np.zeros(1), k, np.ones(k)
+
+
+@pytest.mark.parametrize(
+    "nv, ne, seed, face_size, reached",
+    [
+        (5, 7, 16, 8, []),  # the rank proof fails, so nothing is solved
+        (5, 8, 18, 8, ["solve"]),  # the solution has a negative weight
+        (5, 8, 56, 6, ["solve", "check"]),  # the solution misses the metric
+    ],
+    ids=["dependent", "negative_solution", "no_solution"],
+)
+def test_a_float_screen_passing_a_wrong_lambda_leaves_the_face_lp_to_decide(
+    monkeypatch, nv, ne, seed, face_size, reached
+):
+    m = _vertex_metric(make_random_connected(nv, ne, seed))
+    face = _face(m)
+    assert len(face) == face_size
+    expected = _face_lp_only(m)
+    monkeypatch.setattr(np.linalg, "lstsq", _wrong_lstsq)
+    calls = []
+    for name, tag in (("_solve", "solve"), ("_reproduction_fault", "check")):
+        monkeypatch.setattr(
+            l1cut, name, lambda *a, f=getattr(l1cut, name), tag=tag: calls.append(tag) or f(*a)
+        )
+    assert _unique_decomposition(m, face) is None
+    assert calls == reached
+    assert is_l1_embeddable(m) == expected
 
 
 @pytest.mark.parametrize(
@@ -960,6 +1037,9 @@ def test_float_proposal_route_agrees_with_the_face_lp_alone(monkeypatch, make):
     )
     routed = is_l1_embeddable(m)
     assert len(proposals) == 1 and proposals[0]
+    restricted = _Phase1(m, columns=proposals[0])
+    assert restricted.solve()[0] == 0
+    assert routed.entries == restricted.decomposition().entries
     monkeypatch.setattr(l1cut, "_float_proposal", lambda m, face: None)
     alone = is_l1_embeddable(m)
     assert type(routed) is type(alone)
