@@ -9,16 +9,25 @@ denominator (the LCM of the length and offset denominators for shortest
 paths).  A ``FiniteMetric`` is its labels, an integer matrix ``D`` and a
 denominator ``den`` in lowest terms; ``distance`` forms one Fraction.
 
+Construction walks each graph once into its chain skeleton
+(``_walk_chains``): the stops, its vertices of degree other than 2, and the
+chains of degree-2 vertices between them, with integer lengths and the
+place of every vertex and edge on its chain.  The connectivity check, the
+point kernel and the contraction of a witness's subdivision read the
+skeleton; the minimal theta's block chains come from the same walker
+(``_degree_two_chains``).
+
 Points become distances in one place, ``distance_matrix``; ``distance`` is
-its two-point case.  The point kernel is built straight from the graph's
-edges: the edges that carry points are split at them, non-point vertices of
-degree 1 are pruned, those of degree 2 are spliced into one edge, and of
-parallel edges only the shortest is kept.  One min-plus closure of the
-kernel (``_closure``, Floyd's recurrence on numpy arrays) gives every
-distance; it is the package's one shortest-path routine.  Its result is
-proved by the optimality conditions of the kernel's arcs (``_is_closure``),
-not by the triangle test that a metric given as rows passes.  No floating
-point enters any distance computation.
+its two-point case.  The point kernel is built from the skeleton: its nodes
+are the stops and the points, the chains that carry points are split at
+them, non-point nodes of degree 1 are pruned, those of degree 2 are spliced
+into one edge, and of parallel edges only the shortest is kept, so a fine
+subdivision, almost all chain, gives a kernel of a few nodes.  One min-plus
+closure of the kernel (``_closure``, Floyd's recurrence on numpy arrays)
+gives every distance; it is the package's one shortest-path routine.  Its
+result is proved by the optimality conditions of the kernel's arcs
+(``_is_closure``), not by the triangle test that a metric given as rows
+passes.  No floating point enters any distance computation.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -126,7 +135,17 @@ Point = Union[Vertex, EdgePoint]
 
 @dataclass(frozen=True)
 class MetricGraph:
-    """Immutable connected multigraph with positive rational edge lengths."""
+    """Immutable connected multigraph with positive rational edge lengths.
+
+    Construction walks the graph once into its chain skeleton
+    (``_skeleton``, see ``_walk_chains``): the stops, the vertices whose
+    degree is not 2 (a self-loop counts twice), or the least vertex when
+    there is none; the chains of degree-2 vertices between stops, with
+    integer lengths in 1/``_scale``; for each chain-interior vertex its
+    (chain, offset); and for each edge its (chain, offset of its first end,
+    direction).  The connectivity check, the point kernel and the
+    contraction of a witness's subdivision read it.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -184,16 +203,21 @@ class MetricGraph:
                 raise InvalidGraphError(f"edge {e.id} needs a positive rational length")
 
     def _check_connected(self) -> None:
-        reached = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        adj = self._adjacency
+        """Every vertex is a stop or lies on a chain, and the chains
+        connect the stops."""
+        stops, chains, at, _ = self._skeleton
+        links: dict[str, list[str]] = {s: [] for s in stops}
+        for a, b, _, _ in chains:
+            links[a].append(b)
+            links[b].append(a)
+        reached = {stops[0]}
+        frontier = [stops[0]]
         while frontier:
-            v = frontier.pop()
-            for _, w, _ in adj[v]:
+            for w in links[frontier.pop()]:
                 if w not in reached:
                     reached.add(w)
                     frontier.append(w)
-        if len(reached) != len(self.vertices):
+        if len(reached) + len(at) != len(self.vertices):
             raise InvalidGraphError("graph is not connected")
 
     @cached_property
@@ -206,23 +230,27 @@ class MetricGraph:
         return math.lcm(*(e.length.denominator for e in self.edges))
 
     @cached_property
-    def _adjacency(self) -> Mapping[str, tuple[tuple[str, str, int], ...]]:
-        # The one adjacency of the graph: the point kernel, the connectivity
-        # check and the block search all walk it.  Lengths are in units of
-        # 1/_scale, an exact rescaling that keeps every comparison and tie.
-        # Self-loops are omitted: with positive lengths they never shorten a
-        # route between vertices, and they join no two vertices.  The point
-        # kernel splits a self-loop that carries points into a cycle.
+    def _adjacency(self) -> Mapping[str, list[tuple[str, str, int, bool]]]:
+        # The one adjacency of the graph: the chain walker and the block
+        # search read it.  Each vertex lists (edge id, neighbour, length,
+        # whether the vertex is the edge's first end) for each edge end it
+        # holds, so a self-loop twice and the list is as long as the degree;
+        # the block search skips loops, which join no two vertices.  Lengths
+        # are in units of 1/_scale, an exact rescaling that keeps every
+        # comparison and tie.
         scale = self._scale
-        adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in self.vertices}
+        adj: dict[str, list[tuple[str, str, int, bool]]] = {v: [] for v in self.vertices}
         for e in self.edges:
             a, b = e.ends
-            if a == b:
-                continue
-            length = e.length.numerator * (scale // e.length.denominator)
-            adj[a].append((e.id, b, length))
-            adj[b].append((e.id, a, length))
-        return {v: tuple(items) for v, items in adj.items()}
+            x = e.length
+            length = x.numerator if scale == 1 else x.numerator * (scale // x.denominator)
+            adj[a].append((e.id, b, length, True))
+            adj[b].append((e.id, a, length, a == b))
+        return adj
+
+    @cached_property
+    def _skeleton(self) -> "_Skeleton":
+        return _walk_chains(self._adjacency)
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -236,6 +264,65 @@ class MetricGraph:
     @cached_property
     def _vertex_set(self) -> frozenset[str]:
         return frozenset(self.vertices)
+
+
+# A chain: its start and end stop, its walk from the start as ((edge id,
+# forward), ...), forward when the walk enters the edge at its first end,
+# and its length in 1 / g._scale.
+_Chain = tuple[str, str, tuple[tuple[str, bool], ...], int]
+
+
+class _Skeleton(NamedTuple):
+    """The stops and chains of a graph, as ``_walk_chains`` finds them."""
+
+    stops: list[str]
+    chains: list[_Chain]
+    # chain-interior vertex -> (chain index, offset from the chain's start)
+    at: dict[str, tuple[int, int]]
+    # edge id -> (chain index, offset of its first end, forward)
+    on: dict[str, tuple[int, int, bool]]
+
+
+def _walk_chains(
+    incidence: Mapping[str, Sequence[tuple[str, str, int, bool]]]
+) -> _Skeleton:
+    """The chains of degree-2 vertices of the graph whose vertices list
+    their edges in ``incidence`` as ``MetricGraph._adjacency`` does: (edge
+    id, neighbour, length in 1 / g._scale, first end), a self-loop twice.
+
+    The stops are the vertices whose degree is not 2, sorted, or the least
+    vertex when every degree is 2.  Each chain is a walk from a stop
+    through degree-2 vertices to the next stop; a chain may end where it
+    started, and parallel chains are kept apart.  Chains are listed by
+    start stop, then by the sorted (edge id, neighbour) pairs there, and
+    each edge lies on exactly one chain.  Offsets and lengths are sums of
+    the listed integer lengths.
+    """
+    stops = sorted(v for v, items in incidence.items() if len(items) != 2) or [min(incidence)]
+    stop_set = set(stops)
+    chains: list[_Chain] = []
+    at: dict[str, tuple[int, int]] = {}
+    on: dict[str, tuple[int, int, bool]] = {}
+    for start in stops:
+        for eid, nxt, length, forward in sorted(incidence[start]):
+            if eid in on:
+                continue
+            c = len(chains)
+            walk: list[tuple[str, bool]] = []
+            offset = 0
+            while True:
+                on[eid] = (c, offset if forward else offset + length, forward)
+                walk.append((eid, forward))
+                offset += length
+                here = nxt
+                if here in stop_set:
+                    break
+                at[here] = (c, offset)
+                # a vertex of degree 2 that is not a stop has one other edge
+                a, b = incidence[here]
+                eid, nxt, length, forward = b if a[0] == eid else a
+            chains.append((start, here, tuple(walk), offset))
+    return _Skeleton(stops, chains, at, on)
 
 
 def build_graph(
@@ -294,45 +381,56 @@ def _point_kernel(
     maps its neighbours to integer lengths in units of ``1 / scale``.
 
     ``scale`` is the LCM of ``g._scale`` and the offsets' denominators, so
-    every offset is an integer number of units.  The nodes are the vertices
-    of ``g``, by id, and the interior points, as (edge id, offset in
-    units).  Only the edges that carry points are split at them.  Of
-    parallel edges only the shortest is kept, and self-loops without points
-    are left out, as in ``g._adjacency``.  Then, until none is left, a node
-    that is not a point with one neighbour is pruned, since no shortest
-    route between other nodes enters it, and one with two neighbours is
-    spliced into a single edge as long as its two.
+    every offset is an integer number of units.  The kernel is built from
+    the chain skeleton of ``g`` (see ``MetricGraph``): its nodes are the
+    stops, by id, and the points, a vertex by its id and an interior point
+    as (edge id, offset in units).  Each point is placed on its chain by
+    the skeleton's offsets; a chain that carries points is split at them,
+    and any other chain is one edge between its stops.  Of parallel edges
+    only the shortest is kept, and a chain from a stop back to itself
+    without points is left out: it never shortens a route.  Then, until
+    none is left, a node that is not a point with one neighbour is pruned,
+    since no shortest route between other nodes enters it, and one with
+    two neighbours is spliced into a single edge as long as its two.
     """
     scale = math.lcm(g._scale, *(p.offset.denominator for p in points if isinstance(p, EdgePoint)))
-    nodes: list[Node] = [
-        p.vertex
-        if isinstance(p, Vertex)
-        else (p.edge, p.offset.numerator * (scale // p.offset.denominator))
-        for p in points
-    ]
-    by_edge: dict[str, set[int]] = {}
-    for node in nodes:
-        if isinstance(node, tuple):
-            by_edge.setdefault(node[0], set()).add(node[1])
     factor = scale // g._scale
-    adj: dict[Node, dict[Node, int]] = {}
-    for v, items in g._adjacency.items():
-        nbrs = adj[v] = {}
-        for eid, w, length in items:
-            if eid in by_edge:
+    stops, chains, at, on = g._skeleton
+    nodes: list[Node] = []
+    carried: dict[int, dict[int, Node]] = {}  # chain -> {position in units: node}
+    for p in points:
+        if isinstance(p, Vertex):
+            node: Node = p.vertex
+            place = at.get(node)
+            if place is None:  # a stop
+                nodes.append(node)
                 continue
-            length *= factor
-            if w not in nbrs or length < nbrs[w]:
-                nbrs[w] = length
-    for eid, offsets in by_edge.items():
-        e = g._edge_by_id[eid]
-        cuts = sorted(offsets)
-        stops = [e.ends[0], *((eid, x) for x in cuts), e.ends[1]]
-        marks = [0, *cuts, e.length.numerator * (scale // e.length.denominator)]
-        for x, y, start, stop in zip(stops, stops[1:], marks, marks[1:]):
-            nx, ny = adj.setdefault(x, {}), adj.setdefault(y, {})
-            if y not in nx or stop - start < nx[y]:
-                nx[y] = ny[x] = stop - start
+            c, position = place[0], place[1] * factor
+        else:
+            x = p.offset.numerator * (scale // p.offset.denominator)
+            node = (p.edge, x)
+            c, first, forward = on[p.edge]
+            position = first * factor + (x if forward else -x)
+        carried.setdefault(c, {})[position] = node
+        nodes.append(node)
+    adj: dict[Node, dict[Node, int]] = {v: {} for v in stops}
+
+    def link(x: Node, y: Node, length: int) -> None:
+        nx, ny = adj.setdefault(x, {}), adj.setdefault(y, {})
+        if y not in nx or length < nx[y]:
+            nx[y] = ny[x] = length
+
+    for c, (a, b, _, length) in enumerate(chains):
+        marks = carried.get(c)
+        if marks is None:
+            if a != b:
+                link(a, b, length * factor)
+            continue
+        cuts = sorted(marks)
+        seq = [a, *(marks[x] for x in cuts), b]
+        ends = [0, *cuts, length * factor]
+        for x, y, lo, hi in zip(seq, seq[1:], ends, ends[1:]):
+            link(x, y, hi - lo)
     keep = set(nodes)
     stack = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while stack:
@@ -626,42 +724,18 @@ def subdivide(g: MetricGraph, k: int) -> MetricGraph:
 
 def _degree_two_chains(
     g: MetricGraph, vertices: Iterable[str], edge_ids: Iterable[str]
-) -> tuple[list[str], list[tuple[str, str, tuple[tuple[str, bool], ...]]]]:
-    """The runs of degree-2 vertices in the subgraph of ``g`` on ``vertices``
-    and the edges ``edge_ids``, where a self-loop counts twice.
-
-    The stops are the vertices whose degree is not 2, sorted, or the least
-    vertex when every degree is 2.  Each chain is a walk from a stop through
-    degree-2 vertices to the next stop, as (start, end, ((edge id, forward),
-    ...)); a chain may end where it started, and parallel chains are kept
-    apart.  Chains are listed by start stop, then by the sorted (edge id,
-    neighbour) pairs there, and each edge lies on exactly one chain.
-    """
-    incidence: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
-    for eid in edge_ids:
-        a, b = g.edge(eid).ends
-        incidence[a].append((eid, b))
-        incidence[b].append((eid, a))
-    stops = sorted(v for v, inc in incidence.items() if len(inc) != 2) or [min(incidence)]
-    stop_set = set(stops)
-    consumed: set[str] = set()
-    chains: list[tuple[str, str, tuple[tuple[str, bool], ...]]] = []
-    for start in stops:
-        for eid, nxt in sorted(incidence[start]):
-            if eid in consumed:
-                continue
-            walk: list[tuple[str, bool]] = []
-            here = start
-            while True:
-                walk.append((eid, g.edge(eid).ends[0] == here))
-                consumed.add(eid)
-                here = nxt
-                if here in stop_set:
-                    break
-                # a vertex of degree 2 that is not a stop has one other edge
-                eid, nxt = next((i, w) for i, w in incidence[here] if i != eid)
-            chains.append((start, here, tuple(walk)))
-    return stops, chains
+) -> tuple[list[str], list[_Chain]]:
+    """The stops and chains of the subgraph of ``g`` on ``vertices`` and
+    the edges ``edge_ids``, walked by ``_walk_chains`` as the graph's own
+    skeleton is: a self-loop counts twice, the stops are the vertices whose
+    degree is not 2, sorted, or the least vertex when every degree is 2,
+    and chains are listed by start stop, then by the sorted (edge id,
+    neighbour) pairs there.  Each chain is (start, end, ((edge id,
+    forward), ...), length in 1 / g._scale)."""
+    keep = set(edge_ids)
+    adj = g._adjacency
+    skeleton = _walk_chains({v: [item for item in adj[v] if item[0] in keep] for v in vertices})
+    return skeleton.stops, skeleton.chains
 
 
 def scale(g: MetricGraph, t: RationalLike) -> MetricGraph:

@@ -44,7 +44,8 @@ def graph_from_dict(doc: Any) -> MetricGraph:
         raise InvalidGraphError("'vertices' must be a list of strings")
     if not isinstance(edges, list):
         raise InvalidGraphError("'edges' must be a list")
-    recs = []
+    recs: list[Edge] = []
+    add = recs.append
     read = _literal_reader()
     for item in edges:
         if not isinstance(item, dict) or item.keys() != _EDGE_KEYS:
@@ -52,7 +53,7 @@ def graph_from_dict(doc: Any) -> MetricGraph:
         ends = item["ends"]
         if not isinstance(ends, list) or len(ends) != 2:
             raise InvalidGraphError(f"edge {item.get('id')!r} needs two endpoints")
-        recs.append(Edge(id=item["id"], ends=(ends[0], ends[1]), length=read(item["length"])))
+        add(Edge(item["id"], tuple(ends), read(item["length"])))
     return MetricGraph(vertices=tuple(vertices), edges=tuple(recs))
 
 

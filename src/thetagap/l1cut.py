@@ -614,8 +614,8 @@ def _unique_decomposition(
     ``_eliminate`` on the integer C^T C proves full column rank by one
     positive pivot per column, ``_solve`` on that elimination gives
     det(C^T C) lambda from the integer C^T d, its signs are tested exactly,
-    and ``_reproduction_fault``, the ``CutDecomposition`` check, tests
-    C lambda = d."""
+    and the ``CutDecomposition`` constructor tests C lambda = d once; a
+    lambda it rejects goes to the face LP as well."""
     n, k = m.size, len(masks)
     if not k:
         return None
@@ -637,9 +637,10 @@ def _unique_decomposition(
     entries = tuple(
         (Cut.from_mask(n, int(mask)), Fraction(v, den)) for mask, v in zip(masks, X) if v
     )
-    if _reproduction_fault(m, entries) is not None:
+    try:
+        return CutDecomposition(metric=m, entries=entries)
+    except InternalCheckError:
         return None
-    return CutDecomposition(metric=m, entries=entries)
 
 
 def _equality_face(m: FiniteMetric) -> tuple[list[int], np.ndarray]:
@@ -766,7 +767,7 @@ def k4_explicit_decomposition() -> tuple:
     index = {v: i for i, v in enumerate(labels)}
     metric = distance_matrix(g, [Vertex(v) for v in labels])
     n = metric.size
-    adjacency = {v: {w for _, w, _ in items} for v, items in g._adjacency.items()}
+    adjacency = {v: {w for _, w, _, _ in items} for v, items in g._adjacency.items()}
 
     originals = list(k4.vertices)
 

@@ -37,6 +37,7 @@ from .core import (
     MetricGraph,
     Point,
     Vertex,
+    _Chain,
     _closure,
     _degree_two_chains,
     as_rational,
@@ -210,13 +211,13 @@ def _biconnected_blocks(g: MetricGraph) -> list[tuple[str, ...]]:
     for root in g.vertices:
         if root in disc:
             continue
-        stack: list[tuple[str, Optional[str], Iterator[tuple[str, str, int]]]] = []
+        stack: list[tuple[str, Optional[str], Iterator[tuple[str, str, int, bool]]]] = []
         disc[root] = low[root] = next(counter)
         stack.append((root, None, iter(adj[root])))
         while stack:
             v, in_edge, it = stack[-1]
             advanced = False
-            for eid, w, _ in it:
+            for eid, w, _, _ in it:
                 if eid == in_edge:
                     continue
                 if w not in disc:
@@ -296,10 +297,6 @@ def _assemble_theta(
 # ---------------------------------------------------------------------------
 # minimal theta via min-cost flow
 # ---------------------------------------------------------------------------
-
-
-# A chain: its two stops, its edge walk between them, its length in 1 / g._scale
-_Chain = tuple[str, str, tuple[tuple[str, bool], ...], int]
 
 
 class _FlowNet:
@@ -490,13 +487,13 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
     Each block of cycle rank 2 or more is walked once into chains of
     degree-2 vertices between its candidates, the vertices of block degree
     3 or more (``core._degree_two_chains``), and each chain's length is
-    summed once in 1 / g._scale.  That chain graph feeds both the pair
-    bounds and the one flow net of the block.  Every pair of candidates is
-    a candidate branch pair, solved as a min-cost flow on the chain graph
-    (see ``_FlowNet``).  A solved pair's key (total, shortest, middle, u,
-    v) is on integer lengths, and no two pairs share (u, v), so the least
-    key picks one theta: least total length, then shortest and middle
-    path, then branch pair.  Pairs are visited in order of their lower
+    summed as it is walked, in 1 / g._scale.  That chain graph feeds both
+    the pair bounds and the one flow net of the block.  Every pair of
+    candidates is a candidate branch pair, solved as a min-cost flow on the
+    chain graph (see ``_FlowNet``).  A solved pair's key (total, shortest,
+    middle, u, v) is on integer lengths, and no two pairs share (u, v), so
+    the least key picks one theta: least total length, then shortest and
+    middle path, then branch pair.  Pairs are visited in order of their lower
     bound (B, S, M, u, v) on that key, from the three cheapest first chains
     at each branch vertex, each followed by a shortest route to the other
     branch vertex (see ``_pair_bounds``).  The search stops at the first
@@ -507,16 +504,11 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
     """
     best: Optional[Theta] = None
     best_key: Optional[tuple[int, int, int, str, str]] = None
-    scale = g._scale
     for block in _biconnected_blocks(g):
         verts, rank = _block_stats(g, block)
         if rank < 2:
             continue
-        candidates, walks = _degree_two_chains(g, verts, block)
-        chains: list[_Chain] = []
-        for a, b, walk in walks:
-            pieces = (g.edge(eid).length for eid, _ in walk)
-            chains.append((a, b, walk, sum(x.numerator * (scale // x.denominator) for x in pieces)))
+        candidates, chains = _degree_two_chains(g, verts, block)
         net: Optional[_FlowNet] = None
         for bound in _pair_bounds(candidates, chains):
             if best_key is not None and bound > best_key:

@@ -23,7 +23,6 @@ from .core import (
     MetricGraph,
     Point,
     Vertex,
-    _degree_two_chains,
     canonical_point,
     distance_matrix,
     point_label,
@@ -318,14 +317,15 @@ def round_to_vertices(g: MetricGraph, points: Sequence[Point]) -> list[str]:
 def _suppress_degree_two(g: MetricGraph) -> tuple[MetricGraph, dict[str, ThetaPath]]:
     """Contract chains of degree-2 vertices into single long edges.
 
+    The chains are those of the graph's skeleton (see ``MetricGraph``).
     Returns the contracted graph plus, for every new edge, the path of
     original edges it replaces, from its first end (with traversal
     directions and arc positions).
     """
-    essential, walks = _degree_two_chains(g, g.vertices, (e.id for e in g.edges))
+    essential, walks, _, _ = g._skeleton
     chains: dict[str, ThetaPath] = {}
     new_edges: list[Edge] = []
-    for counter, (start, end, walk) in enumerate(walks, 1):
+    for counter, (start, end, walk, _) in enumerate(walks, 1):
         new_id = f"seg{counter}"
         chains[new_id] = path = _make_path(g, start, walk)
         new_edges.append(Edge(id=new_id, ends=(start, end), length=path.length))

@@ -652,7 +652,7 @@ def chain_graph(g: MetricGraph, block_edges):
     stops, walks = _degree_two_chains(g, verts, block_edges)
     chains = [
         (a, b, walk, int(sum(g.edge(eid).length for eid, _ in walk) * g._scale))
-        for a, b, walk in walks
+        for a, b, walk, _ in walks
     ]
     return stops, chains
 

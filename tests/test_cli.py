@@ -902,6 +902,8 @@ def test_the_ci_workflow_runs_the_tier1_command_and_check_paper():
     steps = [step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]]
     assert any("python -m pytest -q --continue-on-collection-errors" in run for run in steps)
     assert any("python -m thetagap check-paper" in run for run in steps)
+    limits = [job.get("timeout-minutes") for job in workflow["jobs"].values()]
+    assert all(type(t) is int and 0 < t <= 60 for t in limits)
 
 
 def test_the_ci_workflow_runs_a_bench_smoke_of_every_workload():

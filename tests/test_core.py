@@ -258,6 +258,60 @@ def test_disconnected_rejected():
         build_graph(["a", "b", "c"], [("e", "a", "b", 1)])
 
 
+def _unit_rows(spec):
+    """Unit edges named by their ends: "ab cc" is a-b and a self-loop at c."""
+    return [(f"{x}{y}{k}", x, y, 1) for k, (x, y) in enumerate(spec.split())]
+
+
+@pytest.mark.parametrize(
+    "vertices, spec",
+    [
+        ("abcde", "ab cd de ec"),  # the second component is a cycle with no stop
+        ("abcd", "ab ba cd dc"),  # both components are cycles with no stop
+        ("abc", "ab cc"),  # a lone vertex with one self-loop
+        ("abc", "ab cc cc"),  # and with two
+        ("abcdef", "ab bc de ef"),  # every vertex is on a chain, in two pieces
+    ],
+    ids=["cycle_component", "two_cycles", "lone_loop", "lone_loops", "two_paths"],
+)
+def test_a_graph_in_two_pieces_is_not_connected(vertices, spec):
+    with pytest.raises(InvalidGraphError) as info:
+        build_graph(vertices, _unit_rows(spec))
+    assert str(info.value) == "graph is not connected"
+
+
+def test_a_single_cycle_or_loop_is_connected():
+    cycle = build_graph("abc", _unit_rows("bc ab ca"))
+    assert cycle._skeleton.stops == ["a"]
+    assert cycle._skeleton.chains == [("a", "a", (("ab1", True), ("bc0", True), ("ca2", True)), 3)]
+    loop = build_graph(["a"], [("l", "a", "a", 2)])
+    assert loop._skeleton.chains == [("a", "a", (("l", True),), 2)]
+    assert build_graph(["a"], [])._skeleton.chains == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=9),
+)
+def test_graphs_are_rejected_exactly_when_some_vertex_is_out_of_reach(n, pairs):
+    names = [f"v{i}" for i in range(n)]
+    rows = [(f"e{k}", names[a % n], names[b % n], 1) for k, (a, b) in enumerate(pairs)]
+    reached, frontier = {names[0]}, [names[0]]
+    while frontier:
+        v = frontier.pop()
+        for _, a, b, _ in rows:
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    if len(reached) == n:
+        build_graph(names, rows)
+    else:
+        with pytest.raises(InvalidGraphError, match="^graph is not connected$"):
+            build_graph(names, rows)
+
+
 def test_parallel_edges_and_self_loops_are_legal():
     g = build_graph(
         ["a", "b"],
@@ -546,6 +600,68 @@ def test_point_kernel_of_a_subdivision_is_the_original_graph():
     }
 
 
+_SKELETON_CASES = {
+    # a self-loop carrying a point at a vertex whose other two edges would
+    # make it chain-interior if the loop did not count
+    "loop_at_chain_vertex": (
+        "v0 v1 v2 v3",
+        [("t1", "v0", "v1", 1), ("t2", "v0", "v2", "1/2"), ("t3", "v1", "v3", 2),
+         ("x0", "v0", "v0", "3/4")],
+        ["v1", "v1", "v1", ("x0", "1/8")],
+    ),
+    "one_cycle": (
+        "a b c d",
+        [("ab", "a", "b", 1), ("bc", "b", "c", 2), ("cd", "c", "d", "1/3"), ("da", "d", "a", 1)],
+        ["c", ("bc", "1/2"), ("da", "2/3"), "b"],
+    ),
+    "equal_parallel_chains": (
+        "a b c d e f",
+        [("ac", "a", "c", 1), ("cb", "c", "b", 1), ("ad", "a", "d", 1), ("db", "d", "b", 1),
+         ("ae", "a", "e", 1), ("bf", "b", "f", 3)],
+        ["c", "d", ("ac", "1/2"), ("db", "1/4"), "f"],
+    ),
+    "unequal_parallel_chains": (
+        "a b c d e",
+        [("ac", "a", "c", 1), ("cb", "c", "b", 2), ("ad", "a", "d", 5), ("db", "d", "b", 1),
+         ("ab", "a", "b", 4), ("be", "b", "e", 1)],
+        ["c", "d", ("ad", "1/2"), ("ab", "3")],
+    ),
+    "points_at_stops": (
+        "a b c d e",
+        [("ab", "a", "b", 1), ("bc", "b", "c", 1), ("cd", "c", "d", 2), ("db", "d", "b", 1),
+         ("ce", "c", "e", 1)],
+        ["a", "b", "e", "c", "a"],
+    ),
+    # bc is walked from c to b, the end of its chain: its first end b is
+    # the chain's far end
+    "edge_reversed_on_its_chain": (
+        "a b c",
+        [("ac", "a", "c", 2), ("bc", "b", "c", 1), ("ab", "a", "b", 4), ("bb", "b", "b", 1)],
+        [("bc", "1/4"), ("ac", "3/2"), "c"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SKELETON_CASES))
+def test_skeleton_kernel_metric_matches_the_oracle(name):
+    vertices, rows, spec = _SKELETON_CASES[name]
+    g = build_graph(vertices.split(), rows)
+    pts = [
+        Vertex(p) if isinstance(p, str) else EdgePoint(p[0], as_rational(p[1])) for p in spec
+    ]
+    assert fraction_rows(distance_matrix(g, pts)) == oracle_distance_matrix(g, pts)
+    stops, chains, at, on = g._skeleton
+    if name == "loop_at_chain_vertex":
+        assert "v0" in stops and "v1" in at
+    elif name == "one_cycle":
+        assert stops == ["a"] and len(chains) == 1
+    elif name.endswith("parallel_chains"):
+        assert [(a, b) for a, b, _, _ in chains].count(("a", "b")) >= 2
+    elif name == "edge_reversed_on_its_chain":
+        chain, first, forward = on["bc"]
+        assert not forward and first == chains[chain][3]
+
+
 @settings(max_examples=80, deadline=None)
 @given(graphs_with_points(count=4))
 def test_point_kernel_passes_full_validation(case):
@@ -715,10 +831,11 @@ def test_degree_two_chains_cover_each_edge_once(g, k):
             degree[end] += 1
     stops, chains = _degree_two_chains(g, g.vertices, (e.id for e in g.edges))
     assert stops == (sorted(v for v, d in degree.items() if d != 2) or [min(g.vertices)])
-    walked = [eid for _, _, walk in chains for eid, _ in walk]
+    walked = [eid for _, _, walk, _ in chains for eid, _ in walk]
     assert sorted(walked) == sorted(e.id for e in g.edges)
-    for start, end, walk in chains:
+    for start, end, walk, length in chains:
         assert start in stops and end in stops
+        assert length == sum(g.edge(eid).length for eid, _ in walk) * g._scale
         here = start
         for i, (eid, forward) in enumerate(walk):
             a, b = g.edge(eid).ends

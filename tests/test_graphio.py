@@ -89,3 +89,69 @@ def test_graph_from_dict_reads_repeated_literals_alike():
         "edges": [{"id": f"e{i}", "ends": ["a", "b"], "length": x} for i, x in enumerate(lengths)],
     }
     assert [e.length for e in graph_from_dict(doc).edges] == [Fraction(1, 3), 2, Fraction(1, 3), 2]
+
+
+_EDGE = '{"id": "e", "ends": ["a", "b"], "length": "1"}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "graph document needs exactly 'vertices' and 'edges'"),
+        ('{"vertices": []}', "graph document needs exactly 'vertices' and 'edges'"),
+        ('{"vertices": "ab", "edges": []}', "'vertices' must be a list of strings"),
+        ('{"vertices": ["a", 1], "edges": []}', "'vertices' must be a list of strings"),
+        ('{"vertices": ["a"], "edges": {}}', "'edges' must be a list"),
+        ('{"vertices": ["a"], "edges": [1]}', "bad edge entry: 1"),
+        (
+            '{"vertices": ["a"], "edges": [{"id": "e", "ends": ["a", "a"]}]}',
+            "bad edge entry: {'id': 'e', 'ends': ['a', 'a']}",
+        ),
+        (
+            '{"vertices": ["a"], "edges": [{"id": "e", "ends": "aa", "length": "1"}]}',
+            "edge 'e' needs two endpoints",
+        ),
+        (
+            '{"vertices": ["a"], "edges": [{"id": 5, "ends": ["a"], "length": "1"}]}',
+            "edge 5 needs two endpoints",
+        ),
+        (
+            '{"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"], "length": "x"}]}',
+            "not a rational literal: 'x'",
+        ),
+        (
+            '{"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"], "length": 1.5}]}',
+            "not a rational: 1.5",
+        ),
+        (
+            '{"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"], "length": "0"}]}',
+            "edge e needs a positive rational length",
+        ),
+        ('{"vertices": [], "edges": []}', "graph needs at least one vertex"),
+        ('{"vertices": ["a", "b", "a"], "edges": []}', "duplicate vertex id: 'a'"),
+        ('{"vertices": ["a", ""], "edges": []}', "bad vertex id: ''"),
+        (f'{{"vertices": ["a", "b"], "edges": [{_EDGE}, {_EDGE}]}}', "duplicate edge id: 'e'"),
+        (
+            '{"vertices": ["a", "b"], "edges": [{"id": 5, "ends": ["a", "b"], "length": "1"}]}',
+            "bad edge id: 5",
+        ),
+        (
+            '{"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "z"], "length": "1"}]}',
+            "edge e has unknown endpoint 'z'",
+        ),
+        (
+            '{"vertices": ["a", "b"], "edges": [{"id": "e", "ends": [["a"], "b"], "length": "1"}]}',
+            "edge e has unknown endpoint ['a']",
+        ),
+        ('{"vertices": ["a", "b", "c"], "edges": [' + _EDGE + "]}", "graph is not connected"),
+        (
+            '{"vertices": ["a", "b", "c"], "edges": [' + _EDGE + ', '
+            '{"id": "l", "ends": ["c", "c"], "length": "1"}]}',
+            "graph is not connected",
+        ),
+    ],
+)
+def test_loads_graph_names_each_malformed_document_as_before(text, message):
+    with pytest.raises(ThetaGapError) as info:
+        loads_graph(text)
+    assert str(info.value) == message

@@ -182,7 +182,7 @@ def _tree_edge_cuts(seed):
     for e in g.edges:
         side, stack = {e.ends[0]}, [e.ends[0]]
         while stack:
-            for eid, w, _ in g._adjacency[stack.pop()]:
+            for eid, w, _, _ in g._adjacency[stack.pop()]:
                 if eid != e.id and w not in side:
                     side.add(w)
                     stack.append(w)
@@ -893,6 +893,17 @@ def test_unique_decomposition_equals_both_simplex_runs(make):
     assert face.decomposition().entries == restricted.decomposition().entries
     assert face.decomposition().entries == full.decomposition().entries
     assert _unique_decomposition(m, _face(m)) == face.decomposition()
+
+
+@RIGID
+def test_unique_decomposition_checks_its_lambda_once(monkeypatch, make):
+    m = make()
+    face = _face(m)
+    checks = []
+    check = l1cut._reproduction_fault
+    monkeypatch.setattr(l1cut, "_reproduction_fault", lambda *a: checks.append(a) or check(*a))
+    assert isinstance(_unique_decomposition(m, face), CutDecomposition)
+    assert len(checks) == 1
 
 
 def _refuse_simplex(m, columns):
