@@ -67,7 +67,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -561,6 +561,8 @@ _SNAP_Q = np.array(_SNAP_DENOMINATORS, dtype=float)[:, None, None]
 # to the float estimate and rounds up to _MU_BITS significant bits.
 _MU_RUNGS = 4
 _MU_BITS = 32
+# Every integer of smaller magnitude is exactly a float64.
+_FLOAT_EXACT = 2**53
 
 
 class _MuNotCertified(InternalCheckError):
@@ -578,7 +580,10 @@ class GapBracket:
     (``_mu_certifies``: an integer factor, or an exact elimination where the
     factor is undecided), so a bracket read back from a certificate is
     checked exactly as the one ``gap_bracket`` builds.  Fewer than two
-    points are refused, as ``gap_bracket`` refuses them."""
+    points are refused, as ``gap_bracket`` refuses them.  ``gram`` is the
+    metric's integer Gram matrix (``_scaled_gram(metric, None)[0]``) where
+    the caller has formed it, so that ``gap_bracket`` forms it once for
+    every rung; it is formed here otherwise."""
 
     metric: FiniteMetric
     lower: Fraction
@@ -587,15 +592,16 @@ class GapBracket:
     upper_spectral: Fraction
     upper_diameter: Fraction
     spectral_mu: Fraction
+    gram: InitVar[Optional[list[list[int]]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, gram: Optional[list[list[int]]]) -> None:
         if self.metric.size < 2:
             raise PreconditionError("gap bracketing needs at least two points")
         if self.weighting.total != 0 or self.weighting.total_mass != 1:
             raise InternalCheckError("bracket weighting is not normalized")
         if gamma(self.metric, self.weighting) != self.lower:
             raise InternalCheckError("bracket lower bound is not certified")
-        G, _ = _scaled_gram(self.metric, None)
+        G = _scaled_gram(self.metric, None)[0] if gram is None else gram
         if not _mu_certifies(G, self.metric.den, self.spectral_mu):
             raise _MuNotCertified("spectral_mu does not bound the spectrum")
         if self.lower > self.upper:
@@ -871,7 +877,7 @@ def _dyadic_ceil(x: Fraction, bits: int) -> Fraction:
     return math.ceil(x / unit) * unit
 
 
-def _mu_ladder(m: FiniteMetric, G: list[list[int]]) -> Iterator[Fraction]:
+def _mu_ladder(m: FiniteMetric, A: np.ndarray) -> Iterator[Fraction]:
     """Candidates for mu: float proposals with growing slack, then n * diameter.
 
     The float estimate is the largest eigenvalue of the pencil (-G / den, M2).
@@ -882,12 +888,21 @@ def _mu_ladder(m: FiniteMetric, G: list[list[int]]) -> Iterator[Fraction]:
     test on small integers.  The slack is the margin the test's integer
     factor needs to decide without the elimination; the bound n * diameter
     always passes, by the elimination if not by the factor.
+
+    ``A`` is the integer Gram matrix G as ``_gram_array`` gives it.  The
+    floats of the entries of -G / den are the correctly rounded quotients
+    that Python's int / int gives.  Where den and every entry are below
+    2^53 they are exact floats, so one numpy division, IEEE and correctly
+    rounded, gives the same bits; otherwise each is divided on Python ints.
     """
     n, den, diameter = m.size, m.den, m.diameter()
     k = n - 1
-    # int / int rounds correctly, so these are the floats of the entries of -G / den
+    if A.dtype == np.int64 and den < _FLOAT_EXACT and np.abs(A).max() < _FLOAT_EXACT:
+        F = np.negative(A) / den
+    else:
+        F = np.array([[-x / den for x in row] for row in A.tolist()])
     T = np.eye(k) + (1 / math.sqrt(k + 1) - 1) / k
-    est = float(np.linalg.eigvalsh(T @ np.array([[-x / den for x in row] for row in G]) @ T)[-1])
+    est = float(np.linalg.eigvalsh(T @ F @ T)[-1])
     if math.isfinite(est):
         scale = abs(Fraction(est)) + diameter
         for r in range(_MU_RUNGS):
@@ -1023,8 +1038,11 @@ def gap_bracket(
 
     lower, argmax = _best_vector(m, itertools.chain([pair_score], snaps))
     diam_bound = diameter / 4
-    # the bracket of the first rung whose mu passes the constructor's test
-    ladder = list(_mu_ladder(m, _scaled_gram(m, None)[0]))
+    # the bracket of the first rung whose mu passes the constructor's test,
+    # all from one integer Gram matrix
+    A = _gram_array(m)
+    G = A.tolist()
+    ladder = list(_mu_ladder(m, A))
     for rung, mu in enumerate(ladder):
         spectral = _spectral_bound(mu, n)
         try:
@@ -1036,6 +1054,7 @@ def gap_bracket(
                 upper_spectral=spectral,
                 upper_diameter=diam_bound,
                 spectral_mu=mu,
+                gram=G,
             )
         except _MuNotCertified:
             if rung == len(ladder) - 1:

@@ -13,9 +13,8 @@ Construction walks each graph once into its chain skeleton
 (``_walk_chains``): the stops, its vertices of degree other than 2, and the
 chains of degree-2 vertices between them, with integer lengths and the
 place of every vertex and edge on its chain.  The connectivity check, the
-point kernel and the contraction of a witness's subdivision read the
-skeleton; the minimal theta's block chains come from the same walker
-(``_degree_two_chains``).
+point kernel, the minimal theta's blocks and block chains and the
+contraction of a witness's subdivision read the skeleton.
 
 Points become distances in one place, ``distance_matrix``; ``distance`` is
 its two-point case.  The point kernel is built from the skeleton: its nodes
@@ -143,8 +142,8 @@ class MetricGraph:
     there is none; the chains of degree-2 vertices between stops, with
     integer lengths in 1/``_scale``; for each chain-interior vertex its
     (chain, offset); and for each edge its (chain, offset of its first end,
-    direction).  The connectivity check, the point kernel and the
-    contraction of a witness's subdivision read it.
+    direction).  The connectivity check, the point kernel, the theta
+    search and the contraction of a witness's subdivision read it.
     """
 
     vertices: tuple[str, ...]
@@ -163,8 +162,8 @@ class MetricGraph:
             vertex_set = set(self.vertices)
             edge_ids = {e.id for e in self.edges}
             ends = {end for e in self.edges for end in e.ends}
-            lengths = [e.length for e in self.edges]
-        except (TypeError, AttributeError):  # an unhashable id or a non-edge
+            ratios = self._lengths[1].values()
+        except (TypeError, AttributeError):  # an unhashable id, a non-edge or a non-Fraction length
             return False
         return (
             0 < len(vertex_set) == len(self.vertices)
@@ -173,8 +172,7 @@ class MetricGraph:
             and "" not in vertex_set
             and "" not in edge_ids
             and ends <= vertex_set
-            and set(map(type, lengths)) <= {Fraction}
-            and min((x.numerator for x in lengths), default=1) > 0
+            and min(ratios, default=(1, 1))[0] > 0
         )
 
     def _check_items(self) -> None:
@@ -225,25 +223,38 @@ class MetricGraph:
         return {e.id: e for e in self.edges}
 
     @cached_property
+    def _lengths(self) -> tuple[list[int], dict[int, tuple[int, int]]]:
+        """The identity of each edge's length object, and the (numerator,
+        denominator) of each distinct object by identity.  Edges read from
+        one literal share one object, so the validity check, the scale and
+        the integer lengths read each object once.  ``TypeError`` when a
+        length is not a ``Fraction``."""
+        lengths = [e.length for e in self.edges]
+        ids = list(map(id, lengths))
+        distinct = dict(zip(ids, lengths))
+        if not set(map(type, distinct.values())) <= {Fraction}:
+            raise TypeError("an edge length is not a Fraction")
+        return ids, {i: x.as_integer_ratio() for i, x in distinct.items()}
+
+    @cached_property
     def _scale(self) -> int:
         """LCM of the edge-length denominators: it makes every length an integer."""
-        return math.lcm(*(e.length.denominator for e in self.edges))
+        return math.lcm(*[d for _, d in self._lengths[1].values()])
 
     @cached_property
     def _adjacency(self) -> Mapping[str, list[tuple[str, str, int, bool]]]:
-        # The one adjacency of the graph: the chain walker and the block
-        # search read it.  Each vertex lists (edge id, neighbour, length,
-        # whether the vertex is the edge's first end) for each edge end it
-        # holds, so a self-loop twice and the list is as long as the degree;
-        # the block search skips loops, which join no two vertices.  Lengths
+        # The one adjacency of the graph, read by the chain walker.  Each
+        # vertex lists (edge id, neighbour, length, whether the vertex is
+        # the edge's first end) for each edge end it holds, so a self-loop
+        # twice and the list is as long as the degree.  Lengths
         # are in units of 1/_scale, an exact rescaling that keeps every
         # comparison and tie.
         scale = self._scale
+        ids, ratios = self._lengths
+        units = {i: n * (scale // d) for i, (n, d) in ratios.items()}
         adj: dict[str, list[tuple[str, str, int, bool]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
+        for e, length in zip(self.edges, map(units.__getitem__, ids)):
             a, b = e.ends
-            x = e.length
-            length = x.numerator if scale == 1 else x.numerator * (scale // x.denominator)
             adj[a].append((e.id, b, length, True))
             adj[b].append((e.id, a, length, a == b))
         return adj
@@ -720,22 +731,6 @@ def subdivide(g: MetricGraph, k: int) -> MetricGraph:
             eid = _fresh_id(f"{e.id}:{i}", used_e)
             edges.append(Edge(id=eid, ends=(stops[i], stops[i + 1]), length=one))
     return MetricGraph(vertices=tuple(vertices), edges=tuple(edges))
-
-
-def _degree_two_chains(
-    g: MetricGraph, vertices: Iterable[str], edge_ids: Iterable[str]
-) -> tuple[list[str], list[_Chain]]:
-    """The stops and chains of the subgraph of ``g`` on ``vertices`` and
-    the edges ``edge_ids``, walked by ``_walk_chains`` as the graph's own
-    skeleton is: a self-loop counts twice, the stops are the vertices whose
-    degree is not 2, sorted, or the least vertex when every degree is 2,
-    and chains are listed by start stop, then by the sorted (edge id,
-    neighbour) pairs there.  Each chain is (start, end, ((edge id,
-    forward), ...), length in 1 / g._scale)."""
-    keep = set(edge_ids)
-    adj = g._adjacency
-    skeleton = _walk_chains({v: [item for item in adj[v] if item[0] in keep] for v in vertices})
-    return skeleton.stops, skeleton.chains
 
 
 def scale(g: MetricGraph, t: RationalLike) -> MetricGraph:

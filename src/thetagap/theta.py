@@ -3,10 +3,12 @@
 A theta consists of two branch vertices joined by three paths that are
 internally vertex-disjoint and pairwise edge-disjoint.  Existence is decided
 from the biconnected block structure (a block contains a theta exactly when
-its cycle rank is at least 2; self-loops never contribute).  Each block is
-walked once into chains of degree-2 vertices between branch candidates, and
-each chain's length is summed once, in units of 1 / g._scale, an exact
-rescaling to integers.  That one chain graph serves two steps.  The
+its cycle rank is at least 2; self-loops never contribute), found on the
+graph's chain skeleton: its stops are the nodes and its chains the edges, so
+the search never visits a degree-2 vertex.  Each block's chains between
+branch candidates are the skeleton chains joined through its stops of block
+degree 2, with integer lengths in units of 1 / g._scale, an exact rescaling.
+That one chain graph serves two steps.  The
 shortest theta through a given branch pair is a minimum-cost flow of value
 3 in the chain graph with each candidate split in two, solved by successive
 shortest paths; every theta path runs whole chains.  And three distinct
@@ -39,7 +41,6 @@ from .core import (
     Vertex,
     _Chain,
     _closure,
-    _degree_two_chains,
     as_rational,
     canonical_point,
     distance_matrix,
@@ -195,68 +196,136 @@ def theta_distance(t: Theta, a: ThetaPoint, b: ThetaPoint) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# biconnected blocks
+# blocks of the chain skeleton
 # ---------------------------------------------------------------------------
 
 
-def _biconnected_blocks(g: MetricGraph) -> list[tuple[str, ...]]:
-    """Edge ids of each biconnected block, iteratively, self-loops excluded."""
-    adj = g._adjacency
+# A block's incidence: each of its stops -> (first edge id from the stop,
+# chain index) for every chain of the block at the stop.
+_Incidence = dict[str, list[tuple[str, int]]]
+
+
+def _skeleton_blocks(g: MetricGraph) -> list[list[int]]:
+    """The blocks of the chain multigraph, each as its chain indices.
+
+    The multigraph's nodes are the stops of ``g._skeleton`` and its edges
+    the chains, parallel chains kept apart.  A chain from a stop back to
+    itself, a self-loop or a cycle hanging at one stop, is a block of cycle
+    rank 1 on its own and is skipped.  Subdividing an edge does not change
+    the blocks (Hopcroft & Tarjan, CACM 16(6), 1973), so the blocks of two
+    or more chains are the other blocks of g that hold a cycle, with each
+    run of degree-2 vertices taken as one edge; a block of one chain is a
+    run of bridges.  Tarjan's search, iteratively, from each stop in
+    order."""
+    stops, chains, _, _ = g._skeleton
+    links: dict[str, list[tuple[int, str]]] = {s: [] for s in stops}
+    for c, (a, b, _, _) in enumerate(chains):
+        if a != b:
+            links[a].append((c, b))
+            links[b].append((c, a))
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
-    blocks: list[tuple[str, ...]] = []
-    estack: list[str] = []
+    blocks: list[list[int]] = []
+    cstack: list[int] = []
     counter = itertools.count()
-
-    for root in g.vertices:
+    for root in stops:
         if root in disc:
             continue
-        stack: list[tuple[str, Optional[str], Iterator[tuple[str, str, int, bool]]]] = []
         disc[root] = low[root] = next(counter)
-        stack.append((root, None, iter(adj[root])))
+        stack: list[tuple[str, int, Iterator[tuple[int, str]]]] = []
+        stack.append((root, -1, iter(links[root])))
         while stack:
-            v, in_edge, it = stack[-1]
+            v, in_chain, it = stack[-1]
             advanced = False
-            for eid, w, _, _ in it:
-                if eid == in_edge:
+            for c, w in it:
+                if c == in_chain:
                     continue
                 if w not in disc:
                     disc[w] = low[w] = next(counter)
-                    estack.append(eid)
-                    stack.append((w, eid, iter(adj[w])))
+                    cstack.append(c)
+                    stack.append((w, c, iter(links[w])))
                     advanced = True
                     break
                 if disc[w] < disc[v]:
-                    estack.append(eid)
+                    cstack.append(c)
                     low[v] = min(low[v], disc[w])
             if advanced:
                 continue
             stack.pop()
             if stack:
-                parent, parent_in, _ = stack[-1]
+                parent = stack[-1][0]
                 low[parent] = min(low[parent], low[v])
                 if low[v] >= disc[parent]:
-                    block: list[str] = []
+                    block: list[int] = []
                     while True:
-                        eid = estack.pop()
-                        block.append(eid)
-                        if eid == in_edge:
+                        c = cstack.pop()
+                        block.append(c)
+                        if c == in_chain:
                             break
-                    blocks.append(tuple(sorted(block)))
+                    blocks.append(block)
     return blocks
 
 
-def _block_stats(g: MetricGraph, block: Sequence[str]) -> tuple[set[str], int]:
-    verts: set[str] = set()
-    for eid in block:
-        verts.update(g.edge(eid).ends)
-    rank = len(block) - len(verts) + 1
-    return verts, rank
+def _theta_blocks(g: MetricGraph) -> Iterator[_Incidence]:
+    """The incidence of each block of cycle rank 2 or more: a block holds a
+    theta exactly then.  Its rank, chains - stops + 1, is that of the block
+    of g it stands for, since subdividing adds as many vertices as edges."""
+    chains = g._skeleton.chains
+    for block in _skeleton_blocks(g):
+        incidence: _Incidence = {}
+        for c in block:
+            a, b, walk, _ = chains[c]
+            incidence.setdefault(a, []).append((walk[0][0], c))
+            incidence.setdefault(b, []).append((walk[-1][0], c))
+        if len(block) - len(incidence) >= 1:
+            yield incidence
+
+
+def _block_chains(
+    chains: Sequence[_Chain], incidence: _Incidence
+) -> tuple[list[str], list[_Chain]]:
+    """The candidates of a block of cycle rank 2 or more, its stops of
+    block degree 3 or more, sorted, and the chains of its degree-2
+    vertices between them, each as (start, end, ((edge id, forward), ...),
+    length in 1 / g._scale).
+
+    A block chain is one skeleton chain, or several joined through stops
+    of block degree 2, cut vertices of g whose other edges lie in other
+    blocks.  The list is the one the chain walker (``core._walk_chains``)
+    gives on the block alone: by start candidate, then by the first edge id
+    there; each block chain is walked once, from the first candidate that
+    reaches it.  A loopless block has no edge twice at one stop, so the
+    edge ids order its incidence items as the walker's sorted items do."""
+    candidates = sorted(s for s, items in incidence.items() if len(items) >= 3)
+    out: list[_Chain] = []
+    used: set[int] = set()
+    for start in candidates:
+        for _, c in sorted(incidence[start]):
+            if c in used:
+                continue
+            here, pieces, length = start, [], 0
+            while True:
+                used.add(c)
+                a, b, walk, n = chains[c]
+                if here == a:
+                    pieces.append(walk)
+                    here = b
+                else:
+                    pieces.append(_reverse_walk(walk))
+                    here = a
+                length += n
+                items = incidence[here]
+                if len(items) != 2:
+                    break
+                c = items[1][1] if items[0][1] == c else items[0][1]
+            whole = pieces[0] if len(pieces) == 1 else tuple(itertools.chain.from_iterable(pieces))
+            out.append((start, here, whole, length))
+    return candidates, out
 
 
 def contains_theta(g: MetricGraph) -> bool:
-    """True when some biconnected block has cycle rank at least 2."""
-    return any(_block_stats(g, blk)[1] >= 2 for blk in _biconnected_blocks(g))
+    """True when some block has cycle rank at least 2."""
+    return next(_theta_blocks(g), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +334,24 @@ def contains_theta(g: MetricGraph) -> bool:
 
 
 def _make_path(g: MetricGraph, start: str, edge_walk: Sequence[tuple[str, bool]]) -> ThetaPath:
+    """The path of an edge walk from ``start``, its arcs summed on integers
+    in 1 / g._scale and formed as ``Fraction``s once."""
+    scale = g._scale
     vertices = [start]
-    arcs = [Fraction(0)]
-    here = start
+    units = [0]
+    here, total = start, 0
     for eid, forward in edge_walk:
         e = g.edge(eid)
-        nxt = e.ends[1] if forward else e.ends[0]
-        if (e.ends[0] if forward else e.ends[1]) != here:
+        a, b = e.ends
+        if (a if forward else b) != here:
             raise InternalCheckError(f"edge walk broken at {eid}")
-        vertices.append(nxt)
-        arcs.append(arcs[-1] + e.length)
-        here = nxt
-    return ThetaPath(edges=tuple(edge_walk), vertices=tuple(vertices), arcs=tuple(arcs))
+        here = b if forward else a
+        vertices.append(here)
+        x = e.length
+        total += x.numerator if scale == 1 else x.numerator * (scale // x.denominator)
+        units.append(total)
+    arcs = tuple(Fraction(u, scale) for u in units) if scale > 1 else tuple(map(Fraction, units))
+    return ThetaPath(edges=tuple(edge_walk), vertices=tuple(vertices), arcs=arcs)
 
 
 def _reverse_walk(walk: Sequence[tuple[str, bool]]) -> tuple[tuple[str, bool], ...]:
@@ -484,10 +559,11 @@ def _pair_bounds(
 def minimal_theta(g: MetricGraph) -> Optional[Theta]:
     """The globally shortest theta, with deterministic tie-breaking.
 
-    Each block of cycle rank 2 or more is walked once into chains of
-    degree-2 vertices between its candidates, the vertices of block degree
-    3 or more (``core._degree_two_chains``), and each chain's length is
-    summed as it is walked, in 1 / g._scale.  That chain graph feeds both
+    The blocks are those of the chain skeleton (``_skeleton_blocks``).
+    Each block of cycle rank 2 or more gives its chains of degree-2
+    vertices between its candidates, the vertices of block degree 3 or
+    more, by joining skeleton chains (``_block_chains``), with lengths in
+    1 / g._scale.  That chain graph feeds both
     the pair bounds and the one flow net of the block.  Every pair of
     candidates is a candidate branch pair, solved as a min-cost flow on the
     chain graph (see ``_FlowNet``).  A solved pair's key (total, shortest,
@@ -504,11 +580,9 @@ def minimal_theta(g: MetricGraph) -> Optional[Theta]:
     """
     best: Optional[Theta] = None
     best_key: Optional[tuple[int, int, int, str, str]] = None
-    for block in _biconnected_blocks(g):
-        verts, rank = _block_stats(g, block)
-        if rank < 2:
-            continue
-        candidates, chains = _degree_two_chains(g, verts, block)
+    skeleton_chains = g._skeleton.chains
+    for incidence in _theta_blocks(g):
+        candidates, chains = _block_chains(skeleton_chains, incidence)
         net: Optional[_FlowNet] = None
         for bound in _pair_bounds(candidates, chains):
             if best_key is not None and bound > best_key:

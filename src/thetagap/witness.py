@@ -10,6 +10,7 @@ against ambient distances before a witness is returned.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,8 +84,11 @@ def opposite_point(t: Theta, cycle: tuple[int, int], p: ThetaPoint) -> ThetaPoin
 
 
 def _vertex_free_interior(t: Theta, path_index: int, lo: Fraction, hi: Fraction) -> bool:
-    path = t.paths[path_index - 1]
-    return not any(lo < arc < hi for arc in path.arcs)
+    """Whether no vertex of the path lies strictly between arcs lo and hi.
+    The arcs strictly increase, so only the first one above lo can."""
+    arcs = t.paths[path_index - 1].arcs
+    i = bisect.bisect_right(arcs, lo)
+    return i == len(arcs) or arcs[i] >= hi
 
 
 def _candidate_windows(t: Theta) -> list[Fraction]:
@@ -103,11 +107,19 @@ def _candidate_windows(t: Theta) -> list[Fraction]:
 
 
 def _require_long_edges(g: MetricGraph) -> None:
+    """``PreconditionError`` at the first edge shorter than 1.  Edges read
+    from one literal share one length object, so each object is compared
+    once."""
+    long: set[int] = set()
     for e in g.edges:
-        if e.length < 1:
+        x = e.length
+        if id(x) in long:
+            continue
+        if x < 1:
             raise PreconditionError(
-                f"witness construction needs edge lengths >= 1; edge {e.id} has {e.length}"
+                f"witness construction needs edge lengths >= 1; edge {e.id} has {x}"
             )
+        long.add(id(x))
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +138,13 @@ def gap(m: FiniteMetric, b: Sequence[int], r: Sequence[int]) -> Fraction:
     for k in itertools.chain(b, r):
         if not 0 <= k < m.size:
             raise PreconditionError(f"point index {k} out of range")
-    within = Fraction(0)
-    for i, j in itertools.combinations(range(3), 2):
-        within += m.distance(b[i], b[j]) + m.distance(r[i], r[j])
-    cross = Fraction(0)
-    for i in b:
-        for j in r:
-            cross += m.distance(i, j)
-    return within - cross
+    return Fraction(_gap_units(m.D, b, r), m.den)
+
+
+def _gap_units(D: Sequence[Sequence[int]], b: Sequence[int], r: Sequence[int]) -> int:
+    """``gap`` on the integer distances ``D``, in their units."""
+    within = sum(D[b[i]][b[j]] + D[r[i]][r[j]] for i, j in ((0, 1), (0, 2), (1, 2)))
+    return within - sum(D[i][j] for i in b for j in r)
 
 
 @dataclass(frozen=True)
@@ -178,34 +189,34 @@ def _try_window(g: MetricGraph, t: Theta, a: Fraction) -> Optional[Witness]:
     pz = tuple(theta_point_to_point(g, t, p) for p in zs)
     nine = list(px + py + pz)
     m9 = distance_matrix(g, nine)
-
-    def d(p: int, q: int) -> Fraction:
-        return m9.distance(p, q)
+    # the identities below are on the integers D over den: a distance of
+    # 1/12 is den / 12, and 1/6 is den / 6
+    D, den = m9.D, m9.den
 
     X, Y, Z = 0, 3, 6
     # Stepping one slot away from the branch vertex adds exactly 1/12 to the
     # distance from any x to the matching antipodal column.
     for i in (0, 1):
-        if d(X + i, Y + i) != d(X + i, Y + i + 1) + _TWELFTH:
+        if 12 * D[X + i][Y + i] != 12 * D[X + i][Y + i + 1] + den:
             return None
-        if d(X + i, Z + i) != d(X + i, Z + i + 1) + _TWELFTH:
+        if 12 * D[X + i][Z + i] != 12 * D[X + i][Z + i + 1] + den:
             return None
     # The middle cross distance decomposes through one of the four outer pairs.
     options = {
-        "y1z1": d(Y, Z),
-        "y1z3": d(Y, Z + 2),
-        "y3z1": d(Y + 2, Z),
-        "y3z3": d(Y + 2, Z + 2),
+        "y1z1": D[Y][Z],
+        "y1z3": D[Y][Z + 2],
+        "y3z1": D[Y + 2][Z],
+        "y3z3": D[Y + 2][Z + 2],
     }
     best = min(options.values())
-    if d(Y + 1, Z + 1) != _SIXTH + best:
+    if 6 * D[Y + 1][Z + 1] != den + 6 * best:
         return None
     case = next(name for name in _CASE_ORDER if options[name] == best)
 
     chosen: Optional[int] = None
     for i in (0, 1):
-        lhs = d(Y + i, Z + i) + d(Y + i + 1, Z + i + 1)
-        rhs = d(Y + i, Z + i + 1) + d(Y + i + 1, Z + i)
+        lhs = D[Y + i][Z + i] + D[Y + i + 1][Z + i + 1]
+        rhs = D[Y + i][Z + i + 1] + D[Y + i + 1][Z + i]
         if lhs >= rhs:
             chosen = i
             break
@@ -213,12 +224,10 @@ def _try_window(g: MetricGraph, t: Theta, a: Fraction) -> Optional[Witness]:
         return None
 
     six = (X + chosen, Y + chosen, Z + chosen, X + chosen + 1, Y + chosen + 1, Z + chosen + 1)
-    m6 = FiniteMetric(
-        [m9.labels[k] for k in six], [[m9.D[i][j] for j in six] for i in six], m9.den
-    )
-    value = gap(m6, (0, 1, 2), (3, 4, 5))
-    if value < _TWELFTH:
+    units = _gap_units(D, six[:3], six[3:])
+    if 12 * units < den:
         return None
+    m6 = FiniteMetric([m9.labels[k] for k in six], [[D[i][j] for j in six] for i in six], den)
     return Witness(
         theta=t,
         window_start=a,
@@ -228,7 +237,7 @@ def _try_window(g: MetricGraph, t: Theta, a: Fraction) -> Optional[Witness]:
         index=chosen + 1,
         b_points=tuple(nine[k] for k in six[:3]),
         r_points=tuple(nine[k] for k in six[3:]),
-        gap=value,
+        gap=Fraction(units, den),
         case=case,
         metric=m6,
     )

@@ -10,7 +10,9 @@ on integers, a Gray-code walk on Python ints instead of the limb-split int64
 crossing sums, and a phase-1 simplex over ``Fraction``s priced by that walk
 instead of the fraction-free one, a flow for every branch pair of a block
 instead of the pruned branch-pair search, on the chain graph or on every
-edge, and a scan along a path's edges instead of bisection on its arcs.
+edge, Tarjan's search over every vertex and a walk of each block's own
+adjacency instead of the blocks and block chains of the chain skeleton,
+and a scan along a path's edges instead of bisection on its arcs.
 All arithmetic outside the float ascent is exact.
 """
 
@@ -32,19 +34,12 @@ from thetagap.core import (
     MetricGraph,
     Point,
     Vertex,
-    _degree_two_chains,
+    _walk_chains,
     canonical_point,
 )
 from thetagap.errors import InternalCheckError, PreconditionError
 from thetagap.l1cut import Cut, CutDecomposition
-from thetagap.theta import (
-    Theta,
-    ThetaPath,
-    _FlowNet,
-    _assemble_theta,
-    _biconnected_blocks,
-    _block_stats,
-)
+from thetagap.theta import Theta, ThetaPath, _FlowNet, _assemble_theta
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +216,81 @@ def _simple_paths(g: MetricGraph, u: str, v: str):
 
     walk(u, frozenset([u]), frozenset(), Fraction(0))
     return results
+
+
+def oracle_blocks(g: MetricGraph) -> list[tuple[str, ...]]:
+    """Edge ids of each biconnected block, self-loops excluded, by Tarjan's
+    search over every vertex, iteratively."""
+    adj = g._adjacency
+    disc: dict[str, int] = {}
+    low: dict[str, int] = {}
+    blocks: list[tuple[str, ...]] = []
+    estack: list[str] = []
+    counter = itertools.count()
+
+    for root in g.vertices:
+        if root in disc:
+            continue
+        stack = []
+        disc[root] = low[root] = next(counter)
+        stack.append((root, None, iter(adj[root])))
+        while stack:
+            v, in_edge, it = stack[-1]
+            advanced = False
+            for eid, w, _, _ in it:
+                if eid == in_edge:
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = next(counter)
+                    estack.append(eid)
+                    stack.append((w, eid, iter(adj[w])))
+                    advanced = True
+                    break
+                if disc[w] < disc[v]:
+                    estack.append(eid)
+                    low[v] = min(low[v], disc[w])
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                parent, _, _ = stack[-1]
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    block: list[str] = []
+                    while True:
+                        eid = estack.pop()
+                        block.append(eid)
+                        if eid == in_edge:
+                            break
+                    blocks.append(tuple(sorted(block)))
+    return blocks
+
+
+def block_rank(g: MetricGraph, block: Sequence[str]) -> int:
+    """Cycle rank of a block: edges - vertices + 1."""
+    verts = {end for eid in block for end in g.edge(eid).ends}
+    return len(block) - len(verts) + 1
+
+
+def oracle_degree_two_chains(g: MetricGraph, vertices, edge_ids):
+    """The stops and chains of the subgraph of ``g`` on ``vertices`` and
+    the edges ``edge_ids``, by the chain walker run on the graph's
+    adjacency filtered to those edges."""
+    keep = set(edge_ids)
+    adj = g._adjacency
+    skeleton = _walk_chains({v: [item for item in adj[v] if item[0] in keep] for v in vertices})
+    return skeleton.stops, skeleton.chains
+
+
+def oracle_theta_blocks(g: MetricGraph) -> dict[frozenset, tuple[list, list]]:
+    """Each block of cycle rank >= 2, by its edge ids, with its candidates
+    and chains walked on the block's own adjacency."""
+    out = {}
+    for block in oracle_blocks(g):
+        if block_rank(g, block) >= 2:
+            verts = {end for eid in block for end in g.edge(eid).ends}
+            out[frozenset(block)] = oracle_degree_two_chains(g, verts, block)
+    return out
 
 
 def oracle_min_theta_total(g: MetricGraph) -> Fraction | None:
@@ -646,10 +716,10 @@ def edge_graph(g: MetricGraph, block_edges):
 
 
 def chain_graph(g: MetricGraph, block_edges):
-    """A block's stops and chains as ``core._degree_two_chains`` walks them,
+    """A block's stops and chains as ``oracle_degree_two_chains`` walks them,
     each chain's length summed over ``Fraction``s, in 1 / g._scale."""
     verts = {end for eid in block_edges for end in g.edge(eid).ends}
-    stops, walks = _degree_two_chains(g, verts, block_edges)
+    stops, walks = oracle_degree_two_chains(g, verts, block_edges)
     chains = [
         (a, b, walk, int(sum(g.edge(eid).length for eid, _ in walk) * g._scale))
         for a, b, walk, _ in walks
@@ -692,8 +762,8 @@ def oracle_point_on_path(g: MetricGraph, path: ThetaPath, arc: Fraction) -> Poin
 def branch_pairs(g: MetricGraph):
     """Each block of cycle rank >= 2, with the pairs of its vertices of
     degree at least 3 in the block."""
-    for block in _biconnected_blocks(g):
-        if _block_stats(g, block)[1] < 2:
+    for block in oracle_blocks(g):
+        if block_rank(g, block) < 2:
             continue
         degree: dict[str, int] = {}
         for eid in block:

@@ -366,11 +366,32 @@ def test_lower_triangle_elimination_matches_the_two_triangle_one(A):
 def test_first_dyadic_mu_rung_certifies(case):
     m = FiniteMetric.from_rows(*case)
     assume(m.size >= 2)
-    first = next(_mu_ladder(m, _scaled_gram(m, None)[0]))
+    first = next(_mu_ladder(m, _gram_array(m)))
     assert gap_bracket(m, starts=0).spectral_mu == first
     # a dyadic rational of about 32 significant bits
     assert first.denominator & (first.denominator - 1) == 0
     assert abs(first.numerator).bit_length() <= 34
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_metrics(max_points=9))
+def test_mu_ladder_is_the_same_from_python_quotients(case):
+    # with the exact-float bound at 0 every entry is divided on Python ints
+    m = FiniteMetric.from_rows(*case)
+    assume(m.size >= 2)
+    fast = list(_mu_ladder(m, _gram_array(m)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_FLOAT_EXACT", 0)
+        assert list(_mu_ladder(m, _gram_array(m))) == fast
+
+
+@given(
+    st.lists(st.integers(-(2**53) + 1, 2**53 - 1), min_size=1, max_size=20),
+    st.integers(1, 2**53 - 1),
+)
+def test_numpy_quotients_of_exact_floats_are_the_python_quotients(xs, den):
+    got = np.negative(np.array(xs, dtype=np.int64)) / den
+    assert [v.hex() for v in got.tolist()] == [(-x / den).hex() for x in xs]
 
 
 def test_gap_bracket_replays_the_mu_test(witness_metric):
@@ -390,7 +411,7 @@ def test_gap_bracket_moves_past_a_rung_that_fails_the_mu_test(monkeypatch, witne
     # mu = 0 fails, and its upper bound 0 is below the witness's lower bound,
     # so only a mu test ahead of the emptiness check lets the ladder go on
     m = witness_metric
-    ladder = list(_mu_ladder(m, _scaled_gram(m, None)[0]))
+    ladder = list(_mu_ladder(m, _gram_array(m)))
     monkeypatch.setattr(analysis, "_mu_ladder", lambda *_: iter([Fraction(0), *ladder]))
     assert gap_bracket(m, starts=2).spectral_mu == ladder[0]
     monkeypatch.setattr(analysis, "_mu_ladder", lambda *_: iter([Fraction(0)]))

@@ -2,8 +2,10 @@
 
 Six certificate shapes are produced on the unit theta and on C4: a witness,
 a negative-type verdict held and refuted, a gap bracket, and an l1 verdict
-that embeds and one that is refuted.  Their reports must equal the golden
-files in ``tests/golden/`` apart from ``wall_time_s`` and the input paths.
+that embeds and one that is refuted.  Their reports, and that of a witness
+on a subdivided theta whose paths run through cut vertices, must equal the
+golden files in ``tests/golden/`` apart from ``wall_time_s`` and the input
+paths.
 ``verify`` must reject every certificate with one checked value changed
 (exit 1, or exit 2 where the change leaves the value's domain), a gap
 bracket whose spectral_mu is lowered with its bounds restated to match, and
@@ -21,8 +23,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from thetagap import EdgePoint, Vertex, dumps_points
+from thetagap import Edge, EdgePoint, MetricGraph, Vertex, dumps_graph, dumps_points
 from thetagap.cli import main
+from thetagap.core import subdivide
+from thetagap.families import make_theta
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,6 +99,36 @@ def test_report_matches_golden(made, shape):
     for digest in report["inputs"] + [report["certificate"]["graph"]]:
         del digest["path"]
     assert json.dumps(report, indent=2) + "\n" == (GOLDEN / f"{shape}.json").read_text()
+
+
+def _cut_stop_graph() -> MetricGraph:
+    """The unit theta 2-subdivided, with a pendant edge, a hanging triangle
+    and a self-loop at one inner vertex of each path: every theta path
+    runs through a cut vertex of block degree 2 in the theta's block."""
+    g = subdivide(make_theta(1, 1, 1), 2)
+    hung = [
+        ("p1", "e1.1", "p"),
+        ("q1", "e2.2", "q"),
+        ("q2", "q", "r"),
+        ("q3", "r", "e2.2"),
+        ("l1", "e3.1", "e3.1"),
+    ]
+    edges = g.edges + tuple(Edge(eid, (a, b), Fraction(1)) for eid, a, b in hung)
+    return MetricGraph(vertices=g.vertices + ("p", "q", "r"), edges=edges)
+
+
+def test_witness_through_cut_vertices_matches_golden(tmp_path):
+    graph, cert = tmp_path / "graph.json", tmp_path / "cert.json"
+    graph.write_text(dumps_graph(_cut_stop_graph()))
+    code, out, _ = _run(["witness", graph, "--out", cert])
+    assert code == 0
+    report = json.loads(out)
+    del report["wall_time_s"]
+    for digest in report["inputs"] + [report["certificate"]["graph"]]:
+        del digest["path"]
+    assert json.dumps(report, indent=2) + "\n" == (GOLDEN / "witness_cut_stops.json").read_text()
+    code, out, _ = _run(["verify", cert, graph])
+    assert code == 0 and json.loads(out)["valid"] is True
 
 
 @pytest.mark.parametrize("shape", sorted(_SHAPES))

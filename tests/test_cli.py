@@ -906,6 +906,18 @@ def test_the_ci_workflow_runs_the_tier1_command_and_check_paper():
     assert all(type(t) is int and 0 < t <= 60 for t in limits)
 
 
+def test_the_ci_workflow_checks_the_readme_test_count():
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = {step.get("name"): step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]}
+    check = steps["README test count"]
+    assert "python -m pytest --collect-only -q" in check
+    assert "The suite" in check and "README.md" in check
+    assert 'test "$collected" = "$documented"' in check
+    assert re.search(r"The suite \(\d+ tests\)", (root / "README.md").read_text())
+
+
 def test_the_ci_workflow_runs_a_bench_smoke_of_every_workload():
     yaml = pytest.importorskip("yaml")
     root = Path(__file__).resolve().parents[1]

@@ -12,13 +12,16 @@ from oracles import (
     chain_graph,
     edge_graph,
     oracle_contains_theta,
+    block_rank,
+    oracle_blocks,
     oracle_min_theta_total,
     oracle_minimal_theta,
+    oracle_theta_blocks,
     oracle_point_on_path,
     theta_key,
     vertex_distance_table,
 )
-from test_core import connected_graphs
+from test_core import _lengths, connected_graphs
 from thetagap import theta as theta_module
 from thetagap.core import Vertex, build_graph, distance, subdivide
 from thetagap.errors import PreconditionError
@@ -80,6 +83,131 @@ def test_self_loops_never_create_thetas():
 @given(connected_graphs(max_vertices=5, max_extra_edges=4))
 def test_contains_theta_matches_brute_force(g):
     assert contains_theta(g) == oracle_contains_theta(g)
+
+
+# ---------------------------------------------------------------------------
+# blocks of the chain skeleton
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def chain_graphs(draw):
+    """A connected multigraph (self-loops and parallel edges allowed) with
+    each edge cut into a path of one to three edges, then pendant edges,
+    self-loops and two-edge cycles hung at random vertices: a degree-2
+    vertex that takes one becomes a stop of block degree 2 in its block."""
+    g = draw(connected_graphs(max_vertices=6, max_extra_edges=6))
+    names, rows = list(g.vertices), []
+    for e in g.edges:
+        k = draw(st.integers(min_value=0, max_value=2))
+        path = [e.ends[0], *(f"{e.id}.{i}" for i in range(1, k + 1)), e.ends[1]]
+        names += path[1:-1]
+        for i, (a, b) in enumerate(zip(path, path[1:])):
+            rows.append((f"{e.id}:{i}", a, b, draw(_lengths)))
+    for j in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.sampled_from(names))
+        kind = draw(st.sampled_from(["edge", "loop", "cycle"]))
+        if kind == "loop":
+            rows.append((f"h{j}", at, at, draw(_lengths)))
+            continue
+        names.append(f"p{j}")
+        rows.append((f"h{j}", at, f"p{j}", draw(_lengths)))
+        if kind == "cycle":
+            rows.append((f"h{j}'", f"p{j}", at, draw(_lengths)))
+    return build_graph(names, rows)
+
+
+def _skeleton_theta_blocks(g):
+    """``oracle_theta_blocks`` as the theta search forms it on the skeleton."""
+    out = {}
+    for incidence in theta_module._theta_blocks(g):
+        candidates, chains = theta_module._block_chains(g._skeleton.chains, incidence)
+        out[frozenset(eid for *_, walk, _ in chains for eid, _ in walk)] = (candidates, chains)
+    return out
+
+
+def _assert_skeleton_blocks_match_the_oracle(g):
+    stops, chains, _, _ = g._skeleton
+    found = _skeleton_theta_blocks(g)
+    assert found == oracle_theta_blocks(g)
+    assert contains_theta(g) == bool(found)
+    # every block of g with a cycle but the cycles hanging at one stop; a
+    # bridge chain is one block of the skeleton and a bridge per edge in g
+    loops = {frozenset(eid for eid, _ in walk) for a, b, walk, _ in chains if a == b}
+    skeleton = {
+        frozenset(eid for c in block for eid, _ in chains[c][2])
+        for block in theta_module._skeleton_blocks(g)
+        if len(block) > 1
+    }
+    cyclic = {frozenset(b) for b in oracle_blocks(g) if block_rank(g, b) >= 1}
+    assert skeleton == cyclic - loops
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(chain_graphs(), connected_graphs(max_vertices=6, max_extra_edges=6)))
+def test_skeleton_blocks_give_the_oracle_blocks_and_chains(g):
+    _assert_skeleton_blocks_match_the_oracle(g)
+
+
+def _cut_stop_theta():
+    # a theta on u, v whose paths run through the cut stops w1 and w2, which
+    # carry a pendant edge and a hanging triangle; a self-loop at v and a
+    # second, parallel path to the pendant vertex
+    return build_graph(
+        ["u", "v", "a", "w1", "b", "w2", "c", "p", "q", "r"],
+        [
+            ("e1", "u", "a", 1),
+            ("e2", "a", "v", 1),
+            ("e3", "u", "w1", 1),
+            ("e4", "w1", "b", 1),
+            ("e5", "b", "v", 1),
+            ("e6", "v", "w2", 1),
+            ("e7", "w2", "c", 1),
+            ("e8", "c", "u", 1),
+            ("f1", "w1", "p", 1),
+            ("f2", "w1", "p", 2),
+            ("f3", "w2", "q", 1),
+            ("f4", "q", "r", 1),
+            ("f5", "r", "w2", 1),
+            ("l1", "v", "v", 1),
+        ],
+    )
+
+
+def test_skeleton_blocks_join_chains_through_cut_stops():
+    g = _cut_stop_theta()
+    assert {"w1", "w2"} <= set(g._skeleton.stops)
+    (candidates, chains), = _skeleton_theta_blocks(g).values()
+    assert candidates == ["u", "v"]
+    assert chains == [
+        ("u", "v", (("e1", True), ("e2", True)), 2),
+        ("u", "v", (("e3", True), ("e4", True), ("e5", True)), 3),
+        ("u", "v", (("e8", False), ("e7", False), ("e6", False)), 3),
+    ]
+    _assert_skeleton_blocks_match_the_oracle(g)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [("e1", "a", "b", 1), ("e2", "b", "c", 1), ("e3", "c", "a", 1)],  # a stopless cycle
+        [("e1", "a", "a", 1), ("e2", "a", "b", 1), ("e3", "b", "b", 2)],  # self-loops
+        [("e1", "a", "b", 1), ("e2", "b", "c", 1), ("e3", "c", "a", 1), ("e4", "a", "a", 1)],
+    ],
+)
+def test_skeleton_blocks_skip_loop_chains(rows):
+    g = build_graph(sorted({x for _, a, b, _ in rows for x in (a, b)}), rows)
+    assert any(a == b for a, b, _, _ in g._skeleton.chains)
+    assert not contains_theta(g)
+    _assert_skeleton_blocks_match_the_oracle(g)
+
+
+def test_skeleton_blocks_keep_parallel_chains_apart():
+    # three parallel chains of two edges each: one block of rank 2
+    g = subdivide(make_theta(1, 1, 1), 1)
+    assert len(g._skeleton.chains) == 3
+    assert [len(b) for b in theta_module._skeleton_blocks(g)] == [3]
+    _assert_skeleton_blocks_match_the_oracle(g)
 
 
 # ---------------------------------------------------------------------------

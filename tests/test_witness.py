@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_point_on_path
-from test_theta import arcs_to_try
+from test_theta import _SEARCH_GRAPHS, arcs_to_try
 from thetagap.analysis import gamma
 from thetagap.core import (
     EdgePoint,
@@ -26,10 +26,12 @@ from thetagap.families import (
     make_theta,
 )
 from thetagap.theta import ThetaPoint, canonical_theta_point, minimal_theta
+from thetagap.graphio import loads_graph
 from thetagap.witness import (
     _candidate_windows,
     _chain_point,
     _suppress_degree_two,
+    _vertex_free_interior,
     construct_witness,
     gap,
     omega_from_witness,
@@ -139,6 +141,19 @@ def test_chosen_window_images_avoid_interior_vertices():
             assert (a in starts) == free
 
 
+@settings(max_examples=80, deadline=None)
+@given(_SEARCH_GRAPHS, st.data())
+def test_vertex_free_interior_matches_a_scan_of_the_arcs(g, data):
+    t = minimal_theta(g)
+    if t is None:
+        return
+    k = data.draw(st.integers(1, 3))
+    arcs = t.paths[k - 1].arcs
+    near = arcs_to_try(t.paths[k - 1]) + [arcs[-1] + 1, Fraction(-1)]
+    lo, hi = sorted(data.draw(st.sampled_from(near)) for _ in range(2))
+    assert _vertex_free_interior(t, k, lo, hi) == (not any(lo < arc < hi for arc in arcs))
+
+
 # ---------------------------------------------------------------------------
 # the grouped-distance functional
 # ---------------------------------------------------------------------------
@@ -226,6 +241,19 @@ def test_witness_requires_a_theta():
 def test_witness_requires_long_edges():
     with pytest.raises(PreconditionError):
         construct_witness(make_theta(Fraction(1, 2), 1, 1))
+
+
+def test_witness_names_the_first_short_edge_past_shared_lengths():
+    # e1 and e3 share one length object, as edges read from one literal do
+    edges = [("e1", "2"), ("e2", "1/2"), ("e3", "2"), ("e4", "1/3"), ("e5", "1/2")]
+    g = loads_graph(
+        '{"vertices": ["u", "v"], "edges": ['
+        + ", ".join(f'{{"id": "{e}", "ends": ["u", "v"], "length": "{x}"}}' for e, x in edges)
+        + "]}"
+    )
+    assert g.edge("e1").length is g.edge("e3").length
+    with pytest.raises(PreconditionError, match="edge e2 has 1/2$"):
+        construct_witness(g)
 
 
 def test_witness_batch_on_random_graphs():
