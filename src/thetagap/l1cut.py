@@ -23,11 +23,12 @@ makes that the full exact problem.  Face columns that are linearly
 independent hold at most one decomposition (the l1-rigid case), so a face
 of at most one cut per pair first has one exact solve of its normal
 equations on integers find it, and the simplex runs only where that
-fails.  From 12 points on, a face of more cuts than pairs, such as the
-2047 cuts of twelve star leaves, first has a float64 run of the same
-phase-1 simplex, priced by the same recurrence, propose a small support
-for that one exact solve.  Floats only ever propose or screen: every
-verdict is a certificate that passed its exact constructor.
+fails.  A face of more cuts than pairs, such as every cut of a star's
+leaves, first has a float64 run of the same phase-1 simplex, priced by
+the same recurrence, propose a small support for that one exact solve.
+The face's size alone picks the route, whatever the number of points.
+Floats only ever propose or screen: every verdict is a certificate that
+passed its exact constructor.
 
 The exact simplex is fraction-free: each row of B^-1 is a sparse dict of
 integers over its own positive denominator, a row a pivot rewrites is the
@@ -107,9 +108,6 @@ class Cut:
         # Bit t of the mask puts point t + 1 on point 0's side.
         members = [0] + [t + 1 for t in range(n - 1) if mask >> t & 1]
         return cls(n=n, members=tuple(members))
-
-    def separates(self, i: int, j: int) -> bool:
-        return (i in self.members) != (j in self.members)
 
 
 @lru_cache(maxsize=None)
@@ -699,8 +697,8 @@ def is_l1_embeddable(
     is 0, so every decomposition uses only face cuts.  A face of at most
     one cut per pair goes to ``_unique_decomposition`` first, which returns
     the face's decomposition when its columns are independent (the metric
-    is l1-rigid) and the one solution is nonnegative.  From 12 points on, a
-    face of more cuts than the metric has pairs first has
+    is l1-rigid) and the one solution is nonnegative.  A face of more cuts
+    than the metric has pairs, at any number of points, first has
     ``_float_proposal`` propose a small column set for the same solve.
     Otherwise the exact simplex on the face decides: objective 0 returns
     its decomposition, and a positive objective returns the separating
@@ -732,13 +730,10 @@ def is_l1_embeddable(
         )
     w, ws = _equality_face(m)
     face = np.flatnonzero(ws == 0)
-    if len(face) <= n * (n - 1) // 2:
-        unique = _unique_decomposition(m, face)
-    else:
-        # from 12 points on, a face of more cuts than pairs, such as the 2047
-        # cuts of 12 star leaves, first has floats propose a few of its columns
-        columns = _float_proposal(m, face) if n >= 12 else None
-        unique = _unique_decomposition(m, columns) if columns else None
+    # the face's size alone picks the route: a face of more cuts than pairs,
+    # such as every cut of star leaves, first has floats propose a few columns
+    columns = face if len(face) <= n * (n - 1) // 2 else _float_proposal(m, face)
+    unique = None if columns is None else _unique_decomposition(m, columns)
     if unique is not None:
         return unique
     solver = _Phase1(m, columns=face)

@@ -13,12 +13,16 @@ instead of the pruned branch-pair search, on the chain graph or on every
 edge, Tarjan's search over every vertex and a walk of each block's own
 adjacency instead of the blocks and block chains of the chain skeleton,
 and a scan along a path's edges instead of bisection on its arcs.
+It also holds two checks of the paper that no command runs: the distance
+measured inside a theta, and the sampled check that ambient and intrinsic
+distances agree near a branch vertex of a minimal theta.
 All arithmetic outside the float ascent is exact.
 """
 
 import itertools
 import random
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -36,10 +40,19 @@ from thetagap.core import (
     Vertex,
     _walk_chains,
     canonical_point,
+    distance_matrix,
 )
 from thetagap.errors import InternalCheckError, PreconditionError
 from thetagap.l1cut import Cut, CutDecomposition
-from thetagap.theta import Theta, ThetaPath, _FlowNet, _assemble_theta
+from thetagap.theta import (
+    Theta,
+    ThetaPath,
+    ThetaPoint,
+    _assemble_theta,
+    _FlowNet,
+    canonical_theta_point,
+    theta_point_to_point,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +813,105 @@ def oracle_minimal_theta(g: MetricGraph, edge_level: bool = False) -> Optional[T
 
 
 # ---------------------------------------------------------------------------
+# distances inside a theta, and the branch distance check
+# ---------------------------------------------------------------------------
+
+
+def theta_distance(t: Theta, a: ThetaPoint, b: ThetaPoint) -> Fraction:
+    """Distance measured inside the theta only (no ambient shortcuts)."""
+    ca = canonical_theta_point(t, a)
+    cb = canonical_theta_point(t, b)
+    lens = t.lengths
+
+    def as_pair(p: ThetaPoint) -> tuple[int, Fraction]:
+        # Branch tags live on path 1 for uniformity.
+        if p.kind == "u":
+            return (1, Fraction(0))
+        if p.kind == "v":
+            return (1, lens[0])
+        return (p.path, p.arc)
+
+    ia, sa = as_pair(ca)
+    ib, sb = as_pair(cb)
+    if ia == ib:
+        direct = abs(sa - sb)
+        shortest_other = min(lens[k] for k in range(3) if k != ia - 1)
+        around_u = sa + shortest_other + (lens[ia - 1] - sb)
+        around_v = (lens[ia - 1] - sa) + shortest_other + sb
+        return min(direct, around_u, around_v)
+    third = next(k + 1 for k in range(3) if k + 1 not in (ia, ib))
+    via_u = sa + sb
+    via_v = (lens[ia - 1] - sa) + (lens[ib - 1] - sb)
+    via_u_third_v = sa + lens[third - 1] + (lens[ib - 1] - sb)
+    via_v_third_u = (lens[ia - 1] - sa) + lens[third - 1] + sb
+    return min(via_u, via_v, via_u_third_v, via_v_third_u)
+
+
+@dataclass(frozen=True)
+class LemmaSample:
+    x: ThetaPoint
+    y: ThetaPoint
+    ambient: Fraction
+    intrinsic: Fraction
+
+    @property
+    def ok(self) -> bool:
+        return self.ambient == self.intrinsic
+
+
+@dataclass(frozen=True)
+class LemmaReport:
+    samples: tuple[LemmaSample, ...]
+
+    @property
+    def violations(self) -> tuple[LemmaSample, ...]:
+        return tuple(s for s in self.samples if not s.ok)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def _sample_theta_point(t: Theta, rng, near_branch: bool) -> ThetaPoint:
+    path = rng.randint(1, 3)
+    length = t.paths[path - 1].length
+    den = rng.choice((4, 6, 8, 12, 24))
+    if near_branch:
+        hi = min(Fraction(1, 2), length)
+        arc = hi * Fraction(rng.randint(0, den), den)
+    else:
+        arc = length * Fraction(rng.randint(0, den), den)
+    return canonical_theta_point(t, ThetaPoint.on_path(path, arc))
+
+
+def check_branch_distance_lemma(
+    g: MetricGraph, t: Theta, samples: int = 20, seed: int = 0
+) -> LemmaReport:
+    """Near one branch vertex, ambient and intrinsic distances must agree.
+
+    Samples x with intrinsic distance at most 1/2 from u and arbitrary y;
+    requires every edge length to be at least 1, and t to be a minimal theta.
+    """
+    if any(e.length < 1 for e in g.edges):
+        raise PreconditionError("branch distance check needs edge lengths >= 1")
+    rng = random.Random(seed)
+    pairs: list[tuple[ThetaPoint, ThetaPoint]] = []
+    for _ in range(samples):
+        x = _sample_theta_point(t, rng, near_branch=True)
+        y = _sample_theta_point(t, rng, near_branch=False)
+        pairs.append((x, y))
+    m = distance_matrix(g, [theta_point_to_point(g, t, p) for pair in pairs for p in pair])
+    return LemmaReport(
+        samples=tuple(
+            LemmaSample(
+                x=x, y=y, ambient=m.distance(2 * i, 2 * i + 1), intrinsic=theta_distance(t, x, y)
+            )
+            for i, (x, y) in enumerate(pairs)
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
 # every cut's crossing sum by a Gray-code walk on Python ints
 # ---------------------------------------------------------------------------
 
@@ -809,6 +921,11 @@ def _crossing(mask: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
     separates; bit t of the mask puts point t + 1 on point 0's side."""
     side = mask << 1 | 1  # bit v set: point v is on point 0's side
     return [k for k, (i, j) in enumerate(pairs) if (side >> i ^ side >> j) & 1]
+
+
+def separates(cut: Cut, i: int, j: int) -> bool:
+    """Whether the cut puts points i and j on different sides."""
+    return (i in cut.members) != (j in cut.members)
 
 
 def cut_mask(cut: Cut) -> int:

@@ -18,9 +18,11 @@ import pytest
 
 from conftest import record_criterion
 from oracles import (
+    check_branch_distance_lemma,
     oracle_distance,
     oracle_grid_gamma_max,
     oracle_min_theta_total,
+    separates,
 )
 from thetagap.analysis import check_chain, gamma, gap_bracket, is_negative_type
 from thetagap.cli import main as cli_main
@@ -38,7 +40,7 @@ from thetagap.families import (
     make_theta,
 )
 from thetagap.l1cut import CutDecomposition, is_l1_embeddable, k4_explicit_decomposition
-from thetagap.theta import check_branch_distance_lemma, contains_theta, minimal_theta
+from thetagap.theta import contains_theta, minimal_theta
 from thetagap.witness import construct_witness, omega_from_witness, subdivision_witness
 
 TWELFTH = Fraction(1, 12)
@@ -210,7 +212,7 @@ def test_criterion_05_sixteen_point_decomposition(k4_result):
     m = dec.metric
     checked = 0
     for i, j in itertools.combinations(range(16), 2):
-        crossing = sum(1 for cut, _ in dec.entries if cut.separates(i, j))
+        crossing = sum(1 for cut, _ in dec.entries if separates(cut, i, j))
         assert crossing == 2 * m.distance(i, j)
         checked += 1
     assert checked == 120

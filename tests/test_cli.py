@@ -472,6 +472,36 @@ def test_l1_infeasible_then_feasible(theta_file, witness_points_file, c4_file, t
     assert code == 0 and report["valid"] is True
 
 
+def test_l1_on_eleven_star_leaves_verifies_without_a_simplex(tmp_path, capsys, monkeypatch):
+    # every cut of these leaves is on the equality face, more cuts than
+    # pairs, so the float proposal's columns decide below twelve points too
+    from thetagap import Vertex, dumps_points, l1cut
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact simplex ran")
+
+    monkeypatch.setattr(l1cut, "_Phase1", refuse)
+    graph = tmp_path / "star.json"
+    graph.write_text(
+        json.dumps(
+            {
+                "vertices": ["c"] + [f"l{i}" for i in range(1, 12)],
+                "edges": [
+                    {"id": f"e{i}", "ends": ["c", f"l{i}"], "length": str(i)}
+                    for i in range(1, 12)
+                ],
+            }
+        )
+    )
+    pts = tmp_path / "leaves.json"
+    pts.write_text(dumps_points([Vertex(f"l{i}") for i in range(1, 12)]))
+    cert = tmp_path / "l1.json"
+    code, doc = run_json(capsys, "l1", str(graph), "--points", str(pts), "--out", str(cert))
+    assert code == 0 and doc["certificate"]["feasible"] is True
+    code, report = run_json(capsys, "verify", str(cert), str(graph))
+    assert code == 0 and report["valid"] is True
+
+
 def test_l1_refutation_past_one_int64_limb_verifies(theta_file, tmp_path, capsys, monkeypatch):
     # the witness plus five edge points at offsets j/997: the omega_i omega_j
     # refutation of the elimination's lifted direction needs more than one

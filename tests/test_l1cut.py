@@ -20,6 +20,7 @@ from oracles import (
     oracle_against_metric,
     oracle_cut_cone_member,
     oracle_decomposition_fault,
+    separates,
 )
 from test_core import graph_points, graphs_with_points
 from thetagap import l1cut
@@ -76,11 +77,13 @@ def test_cut_rejects_improper_sides():
 
 def test_cut_separates_and_crossing_pairs():
     c = Cut.from_members(4, [0, 1])
-    assert c.separates(0, 2)
-    assert not c.separates(0, 1)
     pairs = list(itertools.combinations(range(4), 2))
+    column = l1cut._crossing_block(4, [cut_mask(c)])[:, 0]
+    assert column[pairs.index((0, 2))]
+    assert not column[pairs.index((0, 1))]
     crossing = [pairs[k] for k in _crossing(cut_mask(c), pairs)]
     assert crossing == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert [pairs[k] for k in np.flatnonzero(column)] == crossing
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +148,7 @@ def cut_combinations(draw, max_points=7):
     rows = [[Fraction(0)] * n for _ in range(n)]
     for cut, w in entries:
         for i, j in itertools.combinations(range(n), 2):
-            if cut.separates(i, j):
+            if separates(cut, i, j):
                 rows[i][j] += w
                 rows[j][i] += w
     if draw(st.booleans()):
@@ -243,7 +246,7 @@ def test_gray_walk_visits_every_cut_once_with_correct_sums(n, data):
     for mask, value in seen.items():
         cut = Cut.from_mask(n, mask)
         direct = sum(
-            w for w, p in zip(weights, pairs) if cut.separates(*p)
+            w for w, p in zip(weights, pairs) if separates(cut, *p)
         )
         assert value == direct
 
@@ -589,7 +592,7 @@ def test_random_cut_combinations_are_recognized(n, data):
     rows = [[Fraction(0)] * n for _ in range(n)]
     for (i, j) in pairs:
         d = sum(
-            (w for cut, w in weights.items() if cut.separates(i, j)), Fraction(0)
+            (w for cut, w in weights.items() if separates(cut, i, j)), Fraction(0)
         )
         rows[i][j] = rows[j][i] = d
     m = FiniteMetric.from_rows(tuple(f"p{i}" for i in range(n)), rows)
@@ -673,7 +676,7 @@ def test_k4_cut_indicators_sum_to_twice_the_metric(k4_decomposition):
     _, dec = k4_decomposition
     m = dec.metric
     for i, j in itertools.combinations(range(16), 2):
-        crossing = sum(1 for c, _ in dec.entries if c.separates(i, j))
+        crossing = sum(1 for c, _ in dec.entries if separates(c, i, j))
         assert crossing == 2 * m.distance(i, j)
 
 
@@ -698,7 +701,7 @@ def random_metrics(draw, min_points=4, max_points=9):
             weights[cut] = weights.get(cut, Fraction(0)) + w
         for i, j in pairs:
             rows[i][j] = rows[j][i] = sum(
-                (w for cut, w in weights.items() if cut.separates(i, j)), Fraction(0)
+                (w for cut, w in weights.items() if separates(cut, i, j)), Fraction(0)
             )
     else:
         for i, j in pairs:
@@ -871,6 +874,12 @@ def _hidden_star(points_on_first_leg=(), legs=4):
     return distance_matrix(g, extra + [Vertex(f"l{i}") for i in range(1, legs + 1)])
 
 
+def _unit_star_leaves(legs):
+    """The leaves of K1,legs: no equality holds, so every cut is on the face."""
+    g = from_spec(FamilySpec(tag="complete_bipartite", sizes=(1, legs)))
+    return distance_matrix(g, [Vertex(v) for v in g.vertices if v != g.vertices[0]])
+
+
 RIGID = pytest.mark.parametrize(
     "make",
     [
@@ -947,13 +956,17 @@ def cactus_and_connected_points(draw):
 @example(m=_hidden_star((Fraction(1, 2),)))  # a dependent face
 @example(m=_vertex_metric(make_random_connected(5, 8, 18)))  # one solution, negative
 @example(m=_vertex_metric(make_random_connected(5, 8, 56)))  # independent, no solution
+@example(m=_hidden_star(legs=8))  # more cuts than pairs: 27 proposed, 24 from the face LP
 def test_one_exact_solve_returns_the_face_lp_certificate(m):
+    # on a face of at most one cut per pair the one exact solve finds the
+    # face LP's own decomposition; on a larger face the float proposal may
+    # pick another one, so only the verdict must agree there
     routed, alone = is_l1_embeddable(m), _face_lp_only(m)
     assert type(routed) is type(alone)
-    if isinstance(routed, CutDecomposition):
-        assert routed.entries == alone.entries
-    else:
+    if isinstance(routed, FarkasCertificate):
         assert routed.pair_values == alone.pair_values
+    elif len(_face(m)) <= m.size * (m.size - 1) // 2:
+        assert routed.entries == alone.entries
 
 
 def _wrong_lstsq(C, d, rcond=None):
@@ -1006,15 +1019,22 @@ def test_dependent_face_falls_back(points_on_first_leg, face_size):
     assert isinstance(is_l1_embeddable(m), CutDecomposition)
 
 
-def test_dependent_face_at_twelve_points_takes_the_float_proposal(monkeypatch):
-    g = from_spec(FamilySpec(tag="complete_bipartite", sizes=(1, 12)))
-    m = distance_matrix(g, [Vertex(v) for v in g.vertices if v != g.vertices[0]])
-    assert m.size == 12
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _unit_star_leaves(12)] + [lambda k=k: _hidden_star(legs=k) for k in (4, 8, 9, 10, 11)],
+    ids=["unit_star12", "star4", "star8", "star9", "star10", "star11"],
+)
+def test_dependent_face_takes_the_float_proposal_at_any_size(monkeypatch, make):
+    # every cut of these leaves is on the face, more cuts than pairs, so the
+    # proposal's columns decide with no simplex, whatever the point count
+    m = make()
+    assert len(_face(m)) == 2 ** (m.size - 1) - 1 > m.size * (m.size - 1) // 2
     proposals = []
     propose = l1cut._float_proposal
     monkeypatch.setattr(
         l1cut, "_float_proposal", lambda m, face: proposals.append(m) or propose(m, face)
     )
+    monkeypatch.setattr(l1cut, "_Phase1", _refuse_simplex)
     assert isinstance(is_l1_embeddable(m), CutDecomposition)
     assert proposals == [m]
 
@@ -1034,13 +1054,14 @@ def _seeded_leaves(seed):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: _hidden_star(legs=12)]
+    [lambda k=k: _hidden_star(legs=k) for k in (4, 8, 12)]
+    + [lambda: _unit_star_leaves(8)]
     + [lambda seed=seed: _seeded_leaves(seed) for seed in (48, 153, 227)],
-    ids=["star12", "seed48", "seed153", "seed227"],
+    ids=["star4", "star8", "star12", "unit_star8", "seed48", "seed153", "seed227"],
 )
 def test_float_proposal_route_agrees_with_the_face_lp_alone(monkeypatch, make):
     m = make()
-    assert m.size >= 12 and len(_face(m)) > m.size * (m.size - 1) // 2
+    assert len(_face(m)) > m.size * (m.size - 1) // 2
     proposals = []
     propose = l1cut._float_proposal
     monkeypatch.setattr(
@@ -1059,21 +1080,21 @@ def test_float_proposal_route_agrees_with_the_face_lp_alone(monkeypatch, make):
 def test_star_leaves_leave_bland_pricing_at_the_next_nondegenerate_pivot(monkeypatch):
     # every cut of the 11 leaves of K1,11 is on the face; with Bland pricing
     # kept on from its first trip to the end, this LP took 26 895 pivots
-    g = from_spec(FamilySpec(tag="complete_bipartite", sizes=(1, 11)))
-    m = distance_matrix(g, [Vertex(v) for v in g.vertices if v != g.vertices[0]])
-    solvers, priced = [], []
+    m = _unit_star_leaves(11)
+    assert len(_face(m)) == 2**10 - 1
+    solver, priced = _full_lp(m), []
     price = _Phase1._price
 
     def recorded(solver, y):
-        solvers.append(solver)
         priced.append(solver.bland)
         return price(solver, y)
 
     monkeypatch.setattr(_Phase1, "_price", recorded)
-    assert isinstance(is_l1_embeddable(m), CutDecomposition)
-    assert len(set(solvers)) == 1 and len(solvers[0].masks) == 2**10 - 1
+    assert solver.solve()[0] == 0
+    assert isinstance(solver.decomposition(), CutDecomposition)
+    assert len(solver.masks) == 2**10 - 1
     assert any(priced) and not all(priced[priced.index(True):])
-    assert solvers[0].pivots <= 200
+    assert solver.pivots <= 200
 
 
 def test_dependent_face_of_at_most_one_cut_per_pair_is_decided_on_the_face(monkeypatch):

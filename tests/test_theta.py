@@ -10,6 +10,7 @@ from oracles import (
     OraclePairNet,
     branch_pairs,
     chain_graph,
+    check_branch_distance_lemma,
     edge_graph,
     oracle_contains_theta,
     block_rank,
@@ -18,6 +19,7 @@ from oracles import (
     oracle_minimal_theta,
     oracle_theta_blocks,
     oracle_point_on_path,
+    theta_distance,
     theta_key,
     vertex_distance_table,
 )
@@ -34,10 +36,8 @@ from thetagap.families import (
 from thetagap.theta import (
     Theta,
     ThetaPoint,
-    check_branch_distance_lemma,
     contains_theta,
     minimal_theta,
-    theta_distance,
     theta_point_to_point,
 )
 
