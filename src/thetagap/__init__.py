@@ -80,7 +80,6 @@ from .witness import (
     construct_witness,
     gap,
     omega_from_witness,
-    opposite_point,
     round_to_vertices,
     subdivision_witness,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "make_theta",
     "minimal_theta",
     "omega_from_witness",
-    "opposite_point",
     "point_from_dict",
     "point_label",
     "point_to_dict",

@@ -1116,7 +1116,7 @@ class ChainReport:
         return not self.violations
 
 
-def check_chain(m: FiniteMetric, max_points: int = 14) -> ChainReport:
+def check_chain(m: FiniteMetric, max_points: Optional[int] = None) -> ChainReport:
     """Evaluate l1-embeddability, negative type, and the eigenvalue count.
 
     l1-embeddable metrics must be of negative type, and negative-type metrics
@@ -1124,10 +1124,13 @@ def check_chain(m: FiniteMetric, max_points: int = 14) -> ChainReport:
     (Schoenberg); any breach is reported (and is a bug, never an expected
     outcome).  All three are decided exactly: the count comes from the
     characteristic polynomial, independently of the negative-type decision,
-    where floats only propose.
+    where floats only propose.  l1 is decided up to ``max_points`` points,
+    by default ``l1cut.DEFAULT_MAX_POINTS``.
     """
-    from .l1cut import CutDecomposition, is_l1_embeddable
+    from .l1cut import DEFAULT_MAX_POINTS, CutDecomposition, is_l1_embeddable
 
+    if max_points is None:
+        max_points = DEFAULT_MAX_POINTS
     n = m.size
     l1: Optional[bool] = None
     if n <= max_points:

@@ -58,8 +58,6 @@ from .families import (
     make_theta,
 )
 
-_GAP_TWELFTH = Fraction(1, 12)
-
 
 # ---------------------------------------------------------------------------
 # i/o helpers
@@ -183,6 +181,7 @@ def _weighting_json(w: analysis.Weighting) -> list:
 
 def _points_json(pts: Sequence[Point]) -> list:
     return [graphio.point_to_dict(p) for p in pts]
+
 
 def _pair_distances_json(m: FiniteMetric) -> list:
     return [
@@ -658,7 +657,7 @@ def _expect(cond: bool, message: str) -> None:
 def _check_witness_unit_theta() -> str:
     g = make_theta(1, 1, 1)
     w = witness.construct_witness(g)
-    _expect(w.gap == _GAP_TWELFTH, f"gap {w.gap} != 1/12")
+    _expect(w.gap == witness._TWELFTH, f"gap {w.gap} != 1/12")
     b = sorted(point_label(p) for p in w.b_points)
     r = sorted(point_label(p) for p in w.r_points)
     _expect(b == ["u", "v", "v"], f"B is {b}")
@@ -669,7 +668,7 @@ def _check_witness_unit_theta() -> str:
 
 def _check_witness_theta222() -> str:
     w = witness.construct_witness(make_theta(2, 2, 2))
-    _expect(w.gap == _GAP_TWELFTH, f"gap {w.gap} != 1/12")
+    _expect(w.gap == witness._TWELFTH, f"gap {w.gap} != 1/12")
     return "gap exactly 1/12"
 
 
@@ -827,7 +826,7 @@ def _check_random_witness_batch() -> str:
         if not theta.contains_theta(g):
             continue
         w = witness.construct_witness(g)
-        _expect(w.gap >= _GAP_TWELFTH, f"seed {seed}: gap {w.gap} below 1/12")
+        _expect(w.gap >= witness._TWELFTH, f"seed {seed}: gap {w.gap} below 1/12")
         witness.omega_from_witness(w)  # checks that its energy is gap/36
         found += 1
     return "20 random theta-containing graphs all gave gap >= 1/12"
@@ -979,7 +978,7 @@ _COMMANDS: dict[str, tuple[str, Callable[..., int], list[tuple[tuple[str, ...], 
     "l1": ("exact l1-embeddability decision", cmd_l1, [
         _GRAPH,
         _POINTS,
-        (("--max-cuts-n",), {"type": int, "default": 14}),
+        (("--max-cuts-n",), {"type": int, "default": l1cut.DEFAULT_MAX_POINTS}),
     ]),
     "verify": ("re-check a certificate against a graph", cmd_verify, [
         (("certificate",), {}),

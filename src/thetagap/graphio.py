@@ -62,13 +62,14 @@ def dumps_graph(g: MetricGraph) -> str:
 
 
 def loads_json(text: str) -> Any:
-    """``json.loads``; a JSON integer of more digits than Python converts
-    raises ``PreconditionError``, not a bare ``ValueError``."""
+    """``json.loads``; a JSON integer of more digits than Python converts,
+    or arrays and objects nested deeper than the decoder recurses, raise
+    ``PreconditionError``, not a bare ``ValueError`` or ``RecursionError``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PreconditionError(f"unreadable JSON: {exc}") from None
 
 

@@ -326,6 +326,9 @@ _DEGENERATE_STREAK_LIMIT = 30
 # No cut is scored above this many points: the int64 limbs below are sized
 # for the cut sums of its pairs.
 MAX_CUT_POINTS = 20
+# The point bound ``is_l1_embeddable``, ``analysis.check_chain`` and the l1
+# command apply unless told otherwise.
+DEFAULT_MAX_POINTS = 14
 # Signed limbs of this many bits: a cut sum of the at most 190 pairs of
 # MAX_CUT_POINTS points plus a subset-sum gain of at most 3 * 19 limb terms
 # stays below (190 + 3 * 19) * 2^54 < 2^62, inside int64.
@@ -683,7 +686,7 @@ def _separating_vector(
 
 
 def is_l1_embeddable(
-    m: FiniteMetric, max_points: int = 14
+    m: FiniteMetric, max_points: int = DEFAULT_MAX_POINTS
 ) -> Union[CutDecomposition, FarkasCertificate]:
     """Decide cut-cone membership exactly; the answer carries its own proof.
 

@@ -1,4 +1,4 @@
-"""Theta subgraphs: detection, minimization, and the intrinsic theta metric.
+"""Theta subgraphs: detection, minimization, and points along their paths.
 
 A theta consists of two branch vertices joined by three paths that are
 internally vertex-disjoint and pairwise edge-disjoint.  Existence is decided
@@ -19,6 +19,12 @@ term.  The bounds on the total, the shortest and the middle path, then the
 pair, bound the key the search minimizes.  Pairs are visited in order of
 that bound, and the search stops at the first bound above the best key
 found.
+
+A point on a theta is a path and an integer position along it.  Each path
+keeps its vertices' positions from the first branch vertex as integers in
+1 / g._scale, and ``_point_on_path`` turns a position in any multiple of
+that unit into a point of the graph by bisection, forming a ``Fraction``
+only for the offset of an interior point.
 """
 
 from __future__ import annotations
@@ -40,10 +46,8 @@ from .core import (
     Vertex,
     _Chain,
     _closure,
-    as_rational,
-    canonical_point,
 )
-from .errors import InternalCheckError, InvalidPointError, PreconditionError
+from .errors import InternalCheckError, PreconditionError
 
 
 # ---------------------------------------------------------------------------
@@ -54,15 +58,17 @@ from .errors import InternalCheckError, InvalidPointError, PreconditionError
 @dataclass(frozen=True)
 class ThetaPath:
     """One branch-to-branch path: edges with directions, visited vertices,
-    and cumulative arc positions measured from the first branch vertex."""
+    and each vertex's position from the first branch vertex, an integer in
+    units of 1 / ``scale``, the graph's ``_scale``."""
 
     edges: tuple[tuple[str, bool], ...]
     vertices: tuple[str, ...]
-    arcs: tuple[Fraction, ...]
+    positions: tuple[int, ...]
+    scale: int
 
     @property
     def length(self) -> Fraction:
-        return self.arcs[-1]
+        return Fraction(self.positions[-1], self.scale)
 
     @property
     def interior_vertices(self) -> tuple[str, ...]:
@@ -85,7 +91,7 @@ class Theta:
                 raise PreconditionError("theta path does not run between the branch vertices")
             if p.length <= 0:
                 raise PreconditionError("theta path has nonpositive length")
-            if len(p.vertices) != len(p.edges) + 1 or len(p.arcs) != len(p.vertices):
+            if len(p.vertices) != len(p.edges) + 1 or len(p.positions) != len(p.vertices):
                 raise PreconditionError("inconsistent theta path description")
             interior = set(p.interior_vertices)
             if len(interior) != len(p.interior_vertices) or self.u in interior or self.v in interior:
@@ -108,59 +114,25 @@ class Theta:
         return sum(self.lengths, Fraction(0))
 
 
-@dataclass(frozen=True)
-class ThetaPoint:
-    """A point of a theta: a branch tag, or an arc position along one path.
+def _point_on_path(path: ThetaPath, x: int, unit: int) -> Point:
+    """The canonical point of the graph at position x / unit along ``path``,
+    for 0 <= x / unit <= its length, where ``unit`` is a multiple of
+    ``path.scale``.
 
-    ``path`` is 1-based; ``arc`` measures from the first branch vertex.
-    """
-
-    kind: str  # "u", "v", or "path"
-    path: int = 0
-    arc: Fraction = Fraction(0)
-
-    @classmethod
-    def on_path(cls, path: int, arc) -> "ThetaPoint":
-        return cls(kind="path", path=path, arc=as_rational(arc))
-
-
-def canonical_theta_point(t: Theta, p: ThetaPoint) -> ThetaPoint:
-    """Validate against a theta; arc 0 becomes the u tag, full length the v tag."""
-    if p.kind in ("u", "v"):
-        return ThetaPoint(kind=p.kind)
-    if p.kind != "path" or p.path not in (1, 2, 3):
-        raise InvalidPointError(f"bad theta point: {p!r}")
-    length = t.paths[p.path - 1].length
-    arc = as_rational(p.arc)
-    if arc < 0 or arc > length:
-        raise InvalidPointError(f"arc {arc} outside [0, {length}] on path {p.path}")
-    if arc == 0:
-        return ThetaPoint(kind="u")
-    if arc == length:
-        return ThetaPoint(kind="v")
-    return ThetaPoint(kind="path", path=p.path, arc=arc)
-
-
-def theta_point_to_point(g: MetricGraph, t: Theta, p: ThetaPoint) -> Point:
-    """Locate a theta point inside the ambient graph."""
-    cp = canonical_theta_point(t, p)
-    if cp.kind == "u":
-        return Vertex(t.u)
-    if cp.kind == "v":
-        return Vertex(t.v)
-    return _point_on_path(g, t.paths[cp.path - 1], cp.arc)
-
-
-def _point_on_path(g: MetricGraph, path: ThetaPath, arc: Fraction) -> Point:
-    """The canonical point ``arc`` along ``path``, for 0 < arc <= its length.
-
-    The arcs strictly increase, so bisection finds the first edge i with
-    arcs[i] <= arc <= arcs[i + 1]: an arc at an inner vertex lands at the
-    far end of the edge before it."""
-    i = bisect.bisect_left(path.arcs, arc) - 1
+    The positions strictly increase, so bisection finds the first edge i
+    whose far end lies at x or beyond; a point at either end of it is that
+    vertex.  Only a point inside the edge forms a ``Fraction``, its
+    offset."""
+    m = unit // path.scale
+    i = bisect.bisect_left(path.positions, -(-x // m), 1) - 1
+    start = path.positions[i] * m
+    local, step = x - start, path.positions[i + 1] * m - start
+    if local == 0:
+        return Vertex(path.vertices[i])
+    if local == step:
+        return Vertex(path.vertices[i + 1])
     eid, forward = path.edges[i]
-    local = arc - path.arcs[i]
-    return canonical_point(g, EdgePoint(eid, local if forward else g.edge(eid).length - local))
+    return EdgePoint(eid, Fraction(local if forward else step - local, unit))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +274,11 @@ def contains_theta(g: MetricGraph) -> bool:
 
 
 def _make_path(g: MetricGraph, start: str, edge_walk: Sequence[tuple[str, bool]]) -> ThetaPath:
-    """The path of an edge walk from ``start``, its arcs summed on integers
-    in 1 / g._scale and formed as ``Fraction``s once."""
+    """The path of an edge walk from ``start``, its positions summed on
+    integers in 1 / g._scale."""
     scale = g._scale
     vertices = [start]
-    units = [0]
+    positions = [0]
     here, total = start, 0
     for eid, forward in edge_walk:
         e = g.edge(eid)
@@ -317,9 +289,10 @@ def _make_path(g: MetricGraph, start: str, edge_walk: Sequence[tuple[str, bool]]
         vertices.append(here)
         x = e.length
         total += x.numerator if scale == 1 else x.numerator * (scale // x.denominator)
-        units.append(total)
-    arcs = tuple(Fraction(u, scale) for u in units) if scale > 1 else tuple(map(Fraction, units))
-    return ThetaPath(edges=tuple(edge_walk), vertices=tuple(vertices), arcs=arcs)
+        positions.append(total)
+    return ThetaPath(
+        edges=tuple(edge_walk), vertices=tuple(vertices), positions=tuple(positions), scale=scale
+    )
 
 
 def _reverse_walk(walk: Sequence[tuple[str, bool]]) -> tuple[tuple[str, bool], ...]:
@@ -333,7 +306,7 @@ def _assemble_theta(
         u, v = v, u
         walks = [_reverse_walk(w) for w in walks]
     paths = [_make_path(g, u, w) for w in walks]
-    paths.sort(key=lambda p: (p.length, tuple(e for e, _ in p.edges)))
+    paths.sort(key=lambda p: (p.positions[-1], tuple(e for e, _ in p.edges)))
     return Theta(u=u, v=v, paths=(paths[0], paths[1], paths[2]))
 
 

@@ -4,14 +4,18 @@ Starting from a minimal theta whose edges all have length at least 1, the
 construction walks a short interval near one branch vertex, mirrors it onto
 the other two paths through antipodal maps on the two-path cycles, and picks
 two triples of points whose within-group distances beat the cross distances
-by at least 1/12.  Everything is exact; every claimed identity is re-checked
-against ambient distances before a witness is returned.
+by at least 1/12.  Points are placed as integer positions along the theta's
+paths, in units of 1 / (12 g._scale); the antipode of a point near the
+first branch vertex is one subtraction, and only the placed points' offsets
+become ``Fraction``s.  Everything is exact; every claimed identity is
+re-checked against ambient distances before a witness is returned.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,16 +35,7 @@ from .core import (
     subdivide,
 )
 from .errors import InternalCheckError, PreconditionError
-from .theta import (
-    Theta,
-    ThetaPath,
-    ThetaPoint,
-    _make_path,
-    _point_on_path,
-    canonical_theta_point,
-    minimal_theta,
-    theta_point_to_point,
-)
+from .theta import Theta, ThetaPath, _make_path, _point_on_path, minimal_theta
 
 _SIXTH = Fraction(1, 6)
 _TWELFTH = Fraction(1, 12)
@@ -50,60 +45,63 @@ _HALF = Fraction(1, 2)
 # ---------------------------------------------------------------------------
 # antipodal maps and window selection
 # ---------------------------------------------------------------------------
+#
+# Positions along the theta's paths are integers in witness units, 1 / (12 *
+# g._scale): a path's vertex at position p in 1 / g._scale sits at 12 p, the
+# window starts 0, 1/6 and 1/3 at 0, 2 g._scale and 4 g._scale, and the
+# points of a window are g._scale apart.
 
 
-def opposite_point(t: Theta, cycle: tuple[int, int], p: ThetaPoint) -> ThetaPoint:
-    """Antipode of ``p`` on the cycle formed by two theta paths.
+def _antipode(t: Theta, b: int, x: int) -> int:
+    """The position on path b (2 or 3) of the antipode of position x on
+    path 1, both in witness units, on the cycle of paths 1 and b.
 
-    ``cycle`` names two path indices (1-based).  The cycle is parameterized
-    from the first branch vertex along the first named path; the antipode
-    sits half the circumference away.
-    """
-    a, b = cycle
-    if a == b or a not in (1, 2, 3) or b not in (1, 2, 3):
-        raise PreconditionError(f"bad cycle spec: {cycle!r}")
-    cp = canonical_theta_point(t, p)
-    la = t.paths[a - 1].length
-    lb = t.paths[b - 1].length
-    circumference = la + lb
-    if cp.kind == "u":
-        coord = Fraction(0)
-    elif cp.kind == "v":
-        coord = la
-    else:
-        if cp.path == a:
-            coord = cp.arc
-        elif cp.path == b:
-            coord = circumference - cp.arc
-        else:
-            raise PreconditionError(f"point {p!r} is not on cycle {cycle!r}")
-    target = (coord + circumference / 2) % circumference
-    if target <= la:
-        return canonical_theta_point(t, ThetaPoint.on_path(a, target))
-    return canonical_theta_point(t, ThetaPoint.on_path(b, circumference - target))
+    The cycle runs from u along path 1 and back along path b; its
+    circumference is C = L1 + Lb.  The antipode of x lies x + C/2 along
+    it, which is at least L1, since L1 <= Lb, and below C, since the
+    witness maps only 0 <= x <= 1/2 and every length is at least 1.  So it
+    lies on path b, at C/2 - x from u; at x = 0 with L1 = Lb that is v,
+    which path 1 reaches at the same place.  Each length is a multiple of
+    12 units, so the half is exact."""
+    return 6 * (t.paths[0].positions[-1] + t.paths[b - 1].positions[-1]) - x
 
 
-def _vertex_free_interior(t: Theta, path_index: int, lo: Fraction, hi: Fraction) -> bool:
-    """Whether no vertex of the path lies strictly between arcs lo and hi.
-    The arcs strictly increase, so only the first one above lo can."""
-    arcs = t.paths[path_index - 1].arcs
-    i = bisect.bisect_right(arcs, lo)
-    return i == len(arcs) or arcs[i] >= hi
+def _vertex_free_interior(path: ThetaPath, lo: int, hi: int) -> bool:
+    """Whether no vertex of the path lies strictly between positions lo and
+    hi in witness units.  The positions strictly increase, so only the
+    first one above lo can: the first above lo // 12 in 1 / g._scale."""
+    positions = path.positions
+    i = bisect.bisect_right(positions, lo // 12)
+    return i == len(positions) or 12 * positions[i] >= hi
 
 
-def _candidate_windows(t: Theta) -> list[Fraction]:
-    """Starts a of the windows [a, a + 1/6] on path 1, in scan order, whose
-    antipodal images on paths 2 and 3 have vertex-free interiors."""
-    # The antipodal map reverses orientation, so the image of ``a`` is the
-    # upper end of the image interval.
-    l2 = (t.paths[0].length + t.paths[1].length) / 2
-    l3 = (t.paths[0].length + t.paths[2].length) / 2
+def _candidate_windows(t: Theta) -> list[int]:
+    """Starts a of the windows [a, a + 1/6] on path 1, in witness units and
+    scan order, whose antipodal images on paths 2 and 3 have vertex-free
+    interiors.  The antipodal map reverses orientation, so the image of
+    ``a`` is the upper end of the image interval and that of a + 1/6 the
+    lower."""
+    s = t.paths[0].scale
     return [
         a
-        for a in (Fraction(0), Fraction(1, 6), Fraction(1, 3))
-        if _vertex_free_interior(t, 2, l2 - a - _SIXTH, l2 - a)
-        and _vertex_free_interior(t, 3, l3 - a - _SIXTH, l3 - a)
+        for a in (0, 2 * s, 4 * s)
+        if all(
+            _vertex_free_interior(t.paths[b - 1], _antipode(t, b, a + 2 * s), _antipode(t, b, a))
+            for b in (2, 3)
+        )
     ]
+
+
+def _window_points(t: Theta, a: int) -> tuple[Point, ...]:
+    """The nine points of the window at a, in witness units: x_k = a + k/12
+    on path 1 for k = 0, 1, 2, then their antipodes on path 2, then on
+    path 3."""
+    s = t.paths[0].scale
+    xs = (a, a + s, a + 2 * s)
+    unit = 12 * s
+    return tuple(_point_on_path(t.paths[0], x, unit) for x in xs) + tuple(
+        _point_on_path(t.paths[b - 1], _antipode(t, b, x), unit) for b in (2, 3) for x in xs
+    )
 
 
 def _require_long_edges(g: MetricGraph) -> None:
@@ -178,16 +176,8 @@ class Witness:
 _CASE_ORDER = ("y1z1", "y1z3", "y3z1", "y3z3")
 
 
-def _try_window(g: MetricGraph, t: Theta, a: Fraction) -> Optional[Witness]:
-    xs = tuple(
-        canonical_theta_point(t, ThetaPoint.on_path(1, a + k * _TWELFTH)) for k in range(3)
-    )
-    ys = tuple(opposite_point(t, (1, 2), x) for x in xs)
-    zs = tuple(opposite_point(t, (1, 3), x) for x in xs)
-    px = tuple(theta_point_to_point(g, t, p) for p in xs)
-    py = tuple(theta_point_to_point(g, t, p) for p in ys)
-    pz = tuple(theta_point_to_point(g, t, p) for p in zs)
-    nine = list(px + py + pz)
+def _try_window(g: MetricGraph, t: Theta, a: int) -> Optional[Witness]:
+    nine = _window_points(t, a)
     m9 = distance_matrix(g, nine)
     # the identities below are on the integers D over den: a distance of
     # 1/12 is den / 12, and 1/6 is den / 6
@@ -230,10 +220,10 @@ def _try_window(g: MetricGraph, t: Theta, a: Fraction) -> Optional[Witness]:
     m6 = FiniteMetric([m9.labels[k] for k in six], [[D[i][j] for j in six] for i in six], den)
     return Witness(
         theta=t,
-        window_start=a,
-        points_x=px,
-        points_y=py,
-        points_z=pz,
+        window_start=Fraction(a, 12 * t.paths[0].scale),
+        points_x=nine[:3],
+        points_y=nine[3:6],
+        points_z=nine[6:],
         index=chosen + 1,
         b_points=tuple(nine[k] for k in six[:3]),
         r_points=tuple(nine[k] for k in six[3:]),
@@ -329,7 +319,7 @@ def _suppress_degree_two(g: MetricGraph) -> tuple[MetricGraph, dict[str, ThetaPa
     The chains are those of the graph's skeleton (see ``MetricGraph``).
     Returns the contracted graph plus, for every new edge, the path of
     original edges it replaces, from its first end (with traversal
-    directions and arc positions).
+    directions and integer vertex positions).
     """
     essential, walks, _, _ = g._skeleton
     chains: dict[str, ThetaPath] = {}
@@ -352,7 +342,10 @@ def _chain_point(
     cp = canonical_point(contracted, p)
     if isinstance(cp, Vertex):
         return canonical_point(g, Vertex(cp.vertex))
-    return _point_on_path(g, chains[cp.edge], cp.offset)
+    path = chains[cp.edge]
+    n, d = cp.offset.as_integer_ratio()
+    unit = math.lcm(path.scale, d)
+    return _point_on_path(path, n * (unit // d), unit)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ instead of the fraction-free one, a flow for every branch pair of a block
 instead of the pruned branch-pair search, on the chain graph or on every
 edge, Tarjan's search over every vertex and a walk of each block's own
 adjacency instead of the blocks and block chains of the chain skeleton,
-and a scan along a path's edges instead of bisection on its arcs.
+a scan along a path's edges instead of bisection on its positions, and a
+theta's points as branch tags and ``Fraction`` arcs moved by the antipode
+on any cycle of two paths instead of integer positions moved by one
+subtraction.
 It also holds two checks of the paper that no command runs: the distance
 measured inside a theta, and the sampled check that ambient and intrinsic
 distances agree near a branch vertex of a minimal theta.
@@ -39,20 +42,13 @@ from thetagap.core import (
     Point,
     Vertex,
     _walk_chains,
+    as_rational,
     canonical_point,
     distance_matrix,
 )
-from thetagap.errors import InternalCheckError, PreconditionError
+from thetagap.errors import InternalCheckError, InvalidPointError, PreconditionError
 from thetagap.l1cut import Cut, CutDecomposition
-from thetagap.theta import (
-    Theta,
-    ThetaPath,
-    ThetaPoint,
-    _assemble_theta,
-    _FlowNet,
-    canonical_theta_point,
-    theta_point_to_point,
-)
+from thetagap.theta import Theta, ThetaPath, _assemble_theta, _FlowNet
 
 
 # ---------------------------------------------------------------------------
@@ -761,11 +757,17 @@ class OraclePairNet(_FlowNet):
         self.sink = 2 * node[v]
 
 
+def path_arcs(path: ThetaPath) -> tuple[Fraction, ...]:
+    """The path's vertex positions as ``Fraction`` arcs from its first vertex."""
+    return tuple(Fraction(x, path.scale) for x in path.positions)
+
+
 def oracle_point_on_path(g: MetricGraph, path: ThetaPath, arc: Fraction) -> Point:
     """The canonical point ``arc`` along ``path``: the first edge whose arc
     interval holds it, found by a scan."""
+    arcs = path_arcs(path)
     for i, (eid, forward) in enumerate(path.edges):
-        lo, hi = path.arcs[i], path.arcs[i + 1]
+        lo, hi = arcs[i], arcs[i + 1]
         if lo <= arc <= hi:
             off = arc - lo if forward else g.edge(eid).length - (arc - lo)
             return canonical_point(g, EdgePoint(eid, off))
@@ -810,6 +812,125 @@ def oracle_minimal_theta(g: MetricGraph, edge_level: bool = False) -> Optional[T
             if best is None or theta_key(t) < theta_key(best):
                 best = t
     return best
+
+
+# ---------------------------------------------------------------------------
+# points of a theta as branch tags and Fraction arcs, and the witness windows
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ThetaPoint:
+    """A point of a theta: a branch tag, or an arc position along one path.
+
+    ``path`` is 1-based; ``arc`` measures from the first branch vertex.
+    """
+
+    kind: str  # "u", "v", or "path"
+    path: int = 0
+    arc: Fraction = Fraction(0)
+
+    @classmethod
+    def on_path(cls, path: int, arc) -> "ThetaPoint":
+        return cls(kind="path", path=path, arc=as_rational(arc))
+
+
+def canonical_theta_point(t: Theta, p: ThetaPoint) -> ThetaPoint:
+    """Validate against a theta; arc 0 becomes the u tag, full length the v tag."""
+    if p.kind in ("u", "v"):
+        return ThetaPoint(kind=p.kind)
+    if p.kind != "path" or p.path not in (1, 2, 3):
+        raise InvalidPointError(f"bad theta point: {p!r}")
+    length = t.paths[p.path - 1].length
+    arc = as_rational(p.arc)
+    if arc < 0 or arc > length:
+        raise InvalidPointError(f"arc {arc} outside [0, {length}] on path {p.path}")
+    if arc == 0:
+        return ThetaPoint(kind="u")
+    if arc == length:
+        return ThetaPoint(kind="v")
+    return ThetaPoint(kind="path", path=p.path, arc=arc)
+
+
+def theta_point_to_point(g: MetricGraph, t: Theta, p: ThetaPoint) -> Point:
+    """Locate a theta point inside the ambient graph."""
+    cp = canonical_theta_point(t, p)
+    if cp.kind == "u":
+        return Vertex(t.u)
+    if cp.kind == "v":
+        return Vertex(t.v)
+    return oracle_point_on_path(g, t.paths[cp.path - 1], cp.arc)
+
+
+def opposite_point(t: Theta, cycle: tuple[int, int], p: ThetaPoint) -> ThetaPoint:
+    """Antipode of ``p`` on the cycle formed by two theta paths.
+
+    ``cycle`` names two path indices (1-based).  The cycle is parameterized
+    from the first branch vertex along the first named path; the antipode
+    sits half the circumference away.
+    """
+    a, b = cycle
+    if a == b or a not in (1, 2, 3) or b not in (1, 2, 3):
+        raise PreconditionError(f"bad cycle spec: {cycle!r}")
+    cp = canonical_theta_point(t, p)
+    la = t.paths[a - 1].length
+    lb = t.paths[b - 1].length
+    circumference = la + lb
+    if cp.kind == "u":
+        coord = Fraction(0)
+    elif cp.kind == "v":
+        coord = la
+    else:
+        if cp.path == a:
+            coord = cp.arc
+        elif cp.path == b:
+            coord = circumference - cp.arc
+        else:
+            raise PreconditionError(f"point {p!r} is not on cycle {cycle!r}")
+    target = (coord + circumference / 2) % circumference
+    if target <= la:
+        return canonical_theta_point(t, ThetaPoint.on_path(a, target))
+    return canonical_theta_point(t, ThetaPoint.on_path(b, circumference - target))
+
+
+_WINDOW_STARTS = (Fraction(0), Fraction(1, 6), Fraction(1, 3))
+
+
+def _arc_on(t: Theta, path: int, q: ThetaPoint) -> Fraction:
+    """The arc along ``path`` of a theta point on it, branch tags included."""
+    if q.kind == "u":
+        return Fraction(0)
+    if q.kind == "v":
+        return t.lengths[path - 1]
+    assert q.path == path
+    return q.arc
+
+
+def oracle_candidate_windows(t: Theta) -> list[Fraction]:
+    """The starts a in 0, 1/6, 1/3 whose window [a, a + 1/6] on path 1 maps
+    by ``opposite_point`` onto paths 2 and 3 with no vertex of either path
+    strictly inside its image, found by a scan of the path's arcs."""
+    starts = []
+    for a in _WINDOW_STARTS:
+        free = True
+        for b in (2, 3):
+            lo, hi = sorted(
+                _arc_on(t, b, opposite_point(t, (1, b), ThetaPoint.on_path(1, x)))
+                for x in (a, a + Fraction(1, 6))
+            )
+            free &= not any(lo < arc < hi for arc in path_arcs(t.paths[b - 1]))
+        if free:
+            starts.append(a)
+    return starts
+
+
+def oracle_window_points(g: MetricGraph, t: Theta, a: Fraction) -> tuple[Point, ...]:
+    """The nine points of the window at a: a + k/12 on path 1 for k = 0, 1,
+    2, then their ``opposite_point`` images on the cycles with paths 2 and
+    3, each located by ``theta_point_to_point``."""
+    xs = [canonical_theta_point(t, ThetaPoint.on_path(1, a + Fraction(k, 12))) for k in range(3)]
+    nine = xs + [opposite_point(t, (1, b), x) for b in (2, 3) for x in xs]
+    return tuple(theta_point_to_point(g, t, p) for p in nine)
 
 
 # ---------------------------------------------------------------------------

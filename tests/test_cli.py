@@ -166,6 +166,28 @@ def test_certificate_rational_past_the_int_string_limit_exits_2(
     _assert_one_line_error(capsys, "verify", str(cert), theta_file)
 
 
+_DEEP = "[" * 200_000
+
+
+def test_deeply_nested_graph_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    assert "recursion" in _assert_one_line_error(capsys, "info", str(path))
+
+
+def test_deeply_nested_points_file_exits_2(theta_file, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    _assert_one_line_error(capsys, "negtype", theta_file, "--points", str(path))
+
+
+def test_deeply_nested_certificate_exits_2(theta_file, tmp_path, capsys):
+    # exit 1 would claim a false certificate
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    _assert_one_line_error(capsys, "verify", str(path), theta_file)
+
+
 def test_subdivide_scales_counts(theta_file, tmp_path, capsys):
     out = tmp_path / "fine.json"
     code, _ = run(capsys, "subdivide", theta_file, "-k", "2", "--out", str(out))

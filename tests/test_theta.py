@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     OraclePairNet,
+    ThetaPoint,
     branch_pairs,
     chain_graph,
     check_branch_distance_lemma,
@@ -19,8 +20,10 @@ from oracles import (
     oracle_minimal_theta,
     oracle_theta_blocks,
     oracle_point_on_path,
+    path_arcs,
     theta_distance,
     theta_key,
+    theta_point_to_point,
     vertex_distance_table,
 )
 from test_core import _lengths, connected_graphs
@@ -33,13 +36,7 @@ from thetagap.families import (
     make_random_connected,
     make_theta,
 )
-from thetagap.theta import (
-    Theta,
-    ThetaPoint,
-    contains_theta,
-    minimal_theta,
-    theta_point_to_point,
-)
+from thetagap.theta import Theta, _point_on_path, contains_theta, minimal_theta
 
 # ---------------------------------------------------------------------------
 # detection
@@ -677,26 +674,29 @@ def test_theta_distance_matches_ambient_distance_on_plain_theta(
 
 def arcs_to_try(path):
     """Every vertex of the path, and the midpoint of every edge."""
-    return sorted({*path.arcs, *((a + b) / 2 for a, b in zip(path.arcs, path.arcs[1:]))})
+    arcs = path_arcs(path)
+    return sorted({*arcs, *((a + b) / 2 for a, b in zip(arcs, arcs[1:]))})
 
 
 @settings(max_examples=80, deadline=None)
 @given(_SEARCH_GRAPHS)
-def test_theta_point_to_point_matches_a_scan_along_the_path(g):
+def test_point_on_path_matches_a_scan_along_the_path(g):
     t = minimal_theta(g)
     if t is None:
         return
-    for k, path in enumerate(t.paths, 1):
+    unit = 2 * g._scale
+    for path in t.paths:
         for arc in arcs_to_try(path):
             want = oracle_point_on_path(g, path, arc)
-            assert theta_point_to_point(g, t, ThetaPoint.on_path(k, arc)) == want
+            assert _point_on_path(path, int(arc * unit), unit) == want
 
 
-def test_theta_point_to_point_maps_branches():
-    g = make_theta(1, 1, 1)
+def test_point_on_path_maps_branches():
+    g = make_theta(1, 2, 3)
     t = minimal_theta(g)
-    assert theta_point_to_point(g, t, ThetaPoint(kind="u")) == Vertex(t.u)
-    assert theta_point_to_point(g, t, ThetaPoint(kind="v")) == Vertex(t.v)
+    for path in t.paths:
+        assert _point_on_path(path, 0, 12) == Vertex(t.u)
+        assert _point_on_path(path, 12 * path.positions[-1], 12) == Vertex(t.v)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_point_on_path
+from oracles import (
+    ThetaPoint,
+    canonical_theta_point,
+    oracle_candidate_windows,
+    oracle_point_on_path,
+    oracle_window_points,
+    opposite_point,
+)
+from test_core import connected_graphs
 from test_theta import _SEARCH_GRAPHS, arcs_to_try
 from thetagap.analysis import gamma
 from thetagap.core import (
@@ -25,17 +33,18 @@ from thetagap.families import (
     make_random_connected,
     make_theta,
 )
-from thetagap.theta import ThetaPoint, canonical_theta_point, minimal_theta
+from thetagap.theta import minimal_theta
 from thetagap.graphio import loads_graph
 from thetagap.witness import (
+    _antipode,
     _candidate_windows,
     _chain_point,
     _suppress_degree_two,
     _vertex_free_interior,
+    _window_points,
     construct_witness,
     gap,
     omega_from_witness,
-    opposite_point,
     round_to_vertices,
     subdivision_witness,
 )
@@ -47,11 +56,10 @@ TWELFTH = Fraction(1, 12)
 # ---------------------------------------------------------------------------
 
 
-def test_opposite_point_frozen_unit_theta():
+def test_antipode_frozen_unit_theta():
+    # 1/4 along path 1 maps to 3/4 along path 2; witness units are 1/12
     t = minimal_theta(make_theta(1, 1, 1))
-    p = ThetaPoint.on_path(1, Fraction(1, 4))
-    q = opposite_point(t, (1, 2), p)
-    assert (q.path, q.arc) == (2, Fraction(3, 4))
+    assert _antipode(t, 2, 3) == 9
 
 
 def _cycle_position(t, cycle, p):
@@ -70,21 +78,24 @@ def _cycle_position(t, cycle, p):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from([(1, 1, 1), (1, 2, 3), (2, 2, 2), (1, 1, 4), (2, 3, 7)]),
-    st.sampled_from([(1, 2), (1, 3), (2, 3)]),
-    st.integers(min_value=1, max_value=2),
+    st.sampled_from(
+        [(1, 1, 1), (1, 2, 3), (2, 2, 2), (1, 1, 4), (2, 3, 7), (Fraction(3, 2), Fraction(5, 3), 2)]
+    ),
+    st.sampled_from([2, 3]),
     st.fractions(min_value=0, max_value=1, max_denominator=24),
 )
-def test_opposite_point_is_the_antipode_and_an_involution(lengths, cycle, side, frac):
+def test_antipode_is_the_antipode_and_an_involution(lengths, b, frac):
+    # every x within 1/2 of u on path 1, in witness units
     t = minimal_theta(make_theta(*lengths))
-    path = cycle[side - 1]
-    p = canonical_theta_point(t, ThetaPoint.on_path(path, frac * t.lengths[path - 1]))
-    q = opposite_point(t, cycle, p)
-    la, lb = t.lengths[cycle[0] - 1], t.lengths[cycle[1] - 1]
-    circumference = la + lb
-    offset = abs(_cycle_position(t, cycle, p) - _cycle_position(t, cycle, q))
+    unit = 12 * t.paths[0].scale
+    x = int(frac * unit) // 2
+    p = canonical_theta_point(t, ThetaPoint.on_path(1, Fraction(x, unit)))
+    q = canonical_theta_point(t, ThetaPoint.on_path(b, Fraction(_antipode(t, b, x), unit)))
+    circumference = t.lengths[0] + t.lengths[b - 1]
+    offset = abs(_cycle_position(t, (1, b), p) - _cycle_position(t, (1, b), q))
     assert min(offset, circumference - offset) == circumference / 2
-    assert opposite_point(t, cycle, q) == p
+    assert opposite_point(t, (1, b), p) == q
+    assert opposite_point(t, (1, b), q) == p
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +109,9 @@ def test_choose_window_unit_theta_starts_at_zero():
     assert construct_witness(g).window_start == 0
 
 
-def _image_arc(t, path, q):
-    # the arc along ``path`` of an antipodal image, branch tags included
-    if q.kind == "u":
-        return Fraction(0)
-    if q.kind == "v":
-        return t.lengths[path - 1]
-    assert q.path == path
-    return q.arc
+def _starts(t):
+    unit = 12 * t.paths[0].scale
+    return [Fraction(a, unit) for a in _candidate_windows(t)]
 
 
 def test_chosen_window_images_avoid_interior_vertices():
@@ -126,32 +132,58 @@ def test_chosen_window_images_avoid_interior_vertices():
             ],
         ),
     ]
-    for g in graphs:
-        t = minimal_theta(g)
-        starts = _candidate_windows(t)
-        for a in (Fraction(0), Fraction(1, 6), Fraction(1, 3)):
-            free = True
-            for cycle in ((1, 2), (1, 3)):
-                path = cycle[1]
-                lo, hi = sorted(
-                    _image_arc(t, path, opposite_point(t, cycle, ThetaPoint.on_path(1, x)))
-                    for x in (a, a + Fraction(1, 6))
-                )
-                free &= not any(lo < arc < hi for arc in t.paths[path - 1].arcs[1:-1])
-            assert (a in starts) == free
+    starts = [_starts(minimal_theta(g)) for g in graphs]
+    assert starts == [oracle_candidate_windows(minimal_theta(g)) for g in graphs]
+    assert starts[2] == [Fraction(1, 6), Fraction(1, 3)]
+
+
+@st.composite
+def witness_graphs(draw):
+    """Connected graphs with rational lengths >= 1 over small denominators,
+    one edge 1 + 1/den so that g._scale > 1, or plain thetas of such
+    lengths."""
+    lengths = st.builds(
+        lambda den, num: Fraction(num, den),
+        st.sampled_from([2, 3, 5, 7, 12]),
+        st.integers(0, 24),
+    ).map(lambda x: 1 + x)
+    if draw(st.booleans()):
+        return make_theta(draw(lengths), draw(lengths), draw(lengths))
+    g = draw(connected_graphs(max_vertices=6, max_extra_edges=5))
+    rows = [(e.id, *e.ends, draw(lengths)) for e in g.edges]
+    if rows:
+        den = draw(st.sampled_from([2, 3, 5, 7, 12]))
+        rows[0] = (*rows[0][:3], 1 + Fraction(1, den))
+    return build_graph(g.vertices, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(witness_graphs())
+def test_window_placement_equals_the_fraction_oracle(g):
+    # the candidate windows, and the nine points of each window start, are
+    # those of the placement by branch tags, arcs and the general antipode
+    t = minimal_theta(g)
+    if t is None:
+        return
+    assert _starts(t) == oracle_candidate_windows(t)
+    s = t.paths[0].scale
+    for a in (0, 2 * s, 4 * s):
+        assert _window_points(t, a) == oracle_window_points(g, t, Fraction(a, 12 * s))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_SEARCH_GRAPHS, st.data())
-def test_vertex_free_interior_matches_a_scan_of_the_arcs(g, data):
+def test_vertex_free_interior_matches_a_scan_of_the_positions(g, data):
     t = minimal_theta(g)
     if t is None:
         return
-    k = data.draw(st.integers(1, 3))
-    arcs = t.paths[k - 1].arcs
-    near = arcs_to_try(t.paths[k - 1]) + [arcs[-1] + 1, Fraction(-1)]
+    path = t.paths[data.draw(st.integers(0, 2))]
+    # vertices, edge midpoints and points just beside them, in witness units
+    near = [12 * arc * path.scale for arc in arcs_to_try(path)]
+    near = [int(x) + d for x in near for d in (-1, 0, 1)] + [12 * path.positions[-1] + 12, -12]
     lo, hi = sorted(data.draw(st.sampled_from(near)) for _ in range(2))
-    assert _vertex_free_interior(t, k, lo, hi) == (not any(lo < arc < hi for arc in arcs))
+    scan = not any(lo < 12 * p < hi for p in path.positions)
+    assert _vertex_free_interior(path, lo, hi) == scan
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +381,8 @@ def test_suppress_degree_two_frozen():
         "seg5": (("e7", True),),
     }
     assert chains["seg1"].vertices == ("a", "x", "b")
-    assert chains["seg1"].arcs == (0, 1, 3)
-    assert chains["seg2"].arcs == (0, 1, 2)
+    assert chains["seg1"].positions == (0, 1, 3)
+    assert chains["seg2"].positions == (0, 1, 2)
 
 
 @pytest.mark.parametrize(
